@@ -12,7 +12,8 @@ FUZZ_ARGS ?=
 	bench-exec-smoke bench-exec-gate bench-fanout bench-views \
 	bench-views-smoke bench-card bench-card-smoke bench-serve \
 	bench-serve-smoke bench-eager bench-eager-smoke bench-subq \
-	bench-subq-smoke examples shell serve all
+	bench-subq-smoke bench-e2e bench-e2e-smoke bench-e2e-selftest \
+	examples shell serve all
 
 help:
 	@echo "repro targets:"
@@ -35,6 +36,9 @@ help:
 	@echo "  make bench-eager-smoke eager payoff, tiny CI configuration with >=2x gate"
 	@echo "  make bench-subq       decorrelation payoff -> BENCH_subquery.json"
 	@echo "  make bench-subq-smoke decorrelation payoff, tiny CI configuration with >=5x gate"
+	@echo "  make bench-e2e        end-to-end benchmark (BENCHMARK.json): 4 workloads, every metric, ~3 min"
+	@echo "  make bench-e2e-smoke  end-to-end benchmark, tiny, answers checked (~25s)"
+	@echo "  make bench-e2e-selftest the end-to-end benchmark checking itself (<60s)"
 	@echo "  make examples         run the example scripts"
 	@echo "  make shell            interactive SQL shell with demo data"
 	@echo "  make serve            line-protocol server on demo data"
@@ -106,6 +110,15 @@ bench-subq:
 bench-subq-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_subquery.py --smoke \
 		--assert-speedup 5.0 --out BENCH_subquery_smoke.json
+
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+bench-e2e-selftest:
+	$(PYTHON) benchmarks/e2e/run.py selftest
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -122,6 +122,11 @@ class JoinNode(PlanNode):
       matching — never as a post-join filter.
     - ``null_aware``: the NOT IN anti-join variant (see
       :class:`repro.algebra.query.JoinUnit`).
+    - ``schema``: the output schema, for a caller that already derived
+      it from *projection* (the join DP derives one per input pair and
+      shares it among the pair's physical methods). *projection* must
+      then be given in its final form — for ``semi`` / ``anti``, left
+      columns only.
     """
 
     def __init__(
@@ -135,6 +140,7 @@ class JoinNode(PlanNode):
         index_name: Optional[str] = None,
         kind: str = "inner",
         null_aware: bool = False,
+        schema: Optional[RowSchema] = None,
     ):
         super().__init__()
         if method not in JOIN_METHODS:
@@ -161,20 +167,27 @@ class JoinNode(PlanNode):
         self.equi_keys: Tuple[Tuple[FieldKey, FieldKey], ...] = tuple(equi_keys)
         self.residuals: Tuple[Expression, ...] = tuple(residuals)
         self.index_name = index_name
-        combined = left.schema.concat(right.schema)
-        if kind in ("semi", "anti"):
-            left_keys = {field.key for field in left.schema}
+        if schema is not None:
             if projection is None:
-                projection = [field.key for field in left.schema]
-            else:
-                projection = [key for key in projection if key in left_keys]
-            output = left.schema
+                raise PlanError("a join given its schema needs its projection")
         else:
-            if projection is None:
-                projection = [field.key for field in combined]
-            output = combined
+            combined = left.schema.concat(right.schema)
+            if kind in ("semi", "anti"):
+                left_keys = {field.key for field in left.schema}
+                if projection is None:
+                    projection = [field.key for field in left.schema]
+                else:
+                    projection = [
+                        key for key in projection if key in left_keys
+                    ]
+                output = left.schema
+            else:
+                if projection is None:
+                    projection = [field.key for field in combined]
+                output = combined
+            schema = output.project(projection)
         self.projection: Tuple[FieldKey, ...] = tuple(projection)
-        self._schema = output.project(self.projection)
+        self._schema = schema
 
     @property
     def schema(self) -> RowSchema:

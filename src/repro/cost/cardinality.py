@@ -95,8 +95,15 @@ class ColMeta:
         """Distinct values can never exceed the row count."""
         if 1.0 <= self.ndv <= rows:
             return self
+        return self.with_ndv(max(1.0, min(self.ndv, rows)))
+
+    def with_ndv(self, ndv: float) -> "ColMeta":
+        """This column with its distinct count replaced (every other
+        distribution detail kept)."""
+        if ndv == self.ndv:
+            return self
         return ColMeta(
-            max(1.0, min(self.ndv, rows)),
+            ndv,
             self.min_value,
             self.max_value,
             self.null_frac,

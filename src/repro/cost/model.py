@@ -15,19 +15,21 @@ carries the derived properties the paper's algorithms consume:
 
 The model satisfies the principle of optimality the paper assumes
 (Section 5): a node's cost is its children's cost plus a local charge.
+
+Join annotation is two pure pieces: :meth:`CostModel.join_logical`
+(rows, width, pages, column metadata — shared by every physical method
+over the same inputs) and :meth:`CostModel.join_physical` (cost and
+order of one method). ``annotate`` composes them per node; the join DP
+calls the first once per input pair and the second once per method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import (
-    dataclass,
-    field as dataclass_field,
-    replace as dataclass_replace,
-)
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field as dataclass_field
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..algebra.expressions import FieldKey
+from ..algebra.expressions import Expression, FieldKey
 from ..algebra.plan import (
     FilterNode,
     GroupByNode,
@@ -41,7 +43,8 @@ from ..algebra.plan import (
     SubqueryMarkNode,
 )
 from ..catalog.catalog import Catalog
-from ..catalog.schema import RID_COLUMN
+from ..catalog.schema import RID_COLUMN, RowSchema
+from ..catalog.statistics import TableStats
 from ..engine.spill import (
     external_sort_extra_io,
     hash_group_extra_io,
@@ -105,6 +108,11 @@ class CostModel:
         # row/page counts stay real (they size the IO formulas), but
         # every column falls back to the unknown-stats default.
         self.use_statistics = use_statistics
+        # (table, alias) -> (the TableStats it was derived from, map);
+        # see ``_base_meta``.
+        self._base_meta_memo: Dict[
+            Tuple[str, str], Tuple[TableStats, ColMetaMap]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -132,18 +140,25 @@ class CostModel:
             props = self._annotate_limit(plan)
         else:
             raise PlanError(f"cannot cost node type {type(plan).__name__}")
+        props.cost = self.cpu_weighted(
+            props.cost, props.rows, len(plan.schema)
+        )
+        plan.props = props
+        return props
+
+    def cpu_weighted(self, cost: float, rows: float, columns: int) -> float:
+        """*cost* plus the node-local CPU terms of the weighted
+        objective, for a node emitting *rows* tuples of *columns* live
+        columns (both terms are inert at the default zero weights)."""
         if self.params.cpu_tuple_weight:
             # the Section 5 adaptation: weighted CPU + IO objective
-            props.cost += self.params.cpu_tuple_weight * props.rows
+            cost += self.params.cpu_tuple_weight * rows
         if self.params.cpu_cell_weight:
             # width-aware emit term: every live output column of every
             # produced tuple costs one cell — what the columnar engine's
             # counts-encoded expansion actually pays per surviving cell
-            props.cost += (
-                self.params.cpu_cell_weight * props.rows * len(plan.schema)
-            )
-        plan.props = props
-        return props
+            cost += self.params.cpu_cell_weight * rows * columns
+        return cost
 
     def annotate_tree(self, plan: PlanNode) -> PlanProps:
         """Annotate a whole (possibly hand-built) plan tree."""
@@ -155,18 +170,36 @@ class CostModel:
     # Scans
     # ------------------------------------------------------------------
 
-    def _annotate_scan(self, plan: ScanNode) -> PlanProps:
-        stats = self.catalog.stats(plan.table_name)
+    def _base_meta(
+        self, table_name: str, alias: str
+    ) -> Tuple[TableStats, ColMetaMap]:
+        """``(statistics, per-column metadata)`` of a stored table under
+        *alias*, before any filter or clamp — the starting point of
+        every scan annotation and of every index-NLJ candidate over the
+        table. Derived once per (table, alias) and shared: callers read
+        the map, never mutate it. A memo entry is only served while the
+        catalog still hands out the ``TableStats`` it was built from, so
+        a model held across inserts or ANALYZE never sees stale
+        metadata."""
+        stats = self.catalog.stats(table_name)
+        cached = self._base_meta_memo.get((table_name, alias))
+        if cached is not None and cached[0] is stats:
+            return cached
         table_rows = float(stats.row_count)
         meta: ColMetaMap = {}
-        table = self.catalog.table(plan.table_name)
-        for column in table.columns:
-            meta[(plan.alias, column.name)] = ColMeta.from_stats(
+        for column in self.catalog.table(table_name).columns:
+            meta[(alias, column.name)] = ColMeta.from_stats(
                 stats.column(column.name),
                 table_rows,
                 use_statistics=self.use_statistics,
             )
-        meta[(plan.alias, RID_COLUMN)] = ColMeta(ndv=max(1.0, table_rows))
+        meta[(alias, RID_COLUMN)] = ColMeta(ndv=max(1.0, table_rows))
+        self._base_meta_memo[(table_name, alias)] = (stats, meta)
+        return stats, meta
+
+    def _annotate_scan(self, plan: ScanNode) -> PlanProps:
+        stats, meta = self._base_meta(plan.table_name, plan.alias)
+        table_rows = float(stats.row_count)
 
         selectivity = 1.0
         for predicate in plan.filters:
@@ -233,19 +266,65 @@ class CostModel:
         right = plan.right.props
         if left is None or (right is None and plan.method != "inlj"):
             raise PlanError("join children must be annotated first")
+        right_rows, right_meta = self.join_right_input(plan.method, plan.right)
+        rows, width, pages, colmeta = self.join_logical(
+            left,
+            right_rows,
+            right_meta,
+            plan.equi_keys,
+            plan.residuals,
+            plan.kind,
+            plan.schema,
+        )
+        cost, order = self.join_physical(
+            plan.method,
+            left,
+            plan.right,
+            plan.equi_keys,
+            plan.index_name,
+            plan.schema,
+        )
+        return PlanProps(rows, width, pages, cost, order, colmeta)
 
+    def join_right_input(
+        self, method: str, right: PlanNode
+    ) -> Tuple[float, ColMetaMap]:
+        """``(rows, colmeta)`` of a join's right input as *method* sees
+        it: the annotated subplan's output — or, for an index NLJ, the
+        base table behind the probed scan, which is never fully scanned
+        (every column, unclamped, at the filtered row estimate). The
+        returned map may be shared: read it, never mutate it."""
+        if method != "inlj":
+            return right.props.rows, right.props.colmeta
+        if not isinstance(right, ScanNode):
+            raise PlanError("index NLJ requires a base-table inner scan")
+        stats, meta = self._base_meta(right.table_name, right.alias)
+        selectivity = 1.0
+        for predicate in right.filters:
+            selectivity *= self.estimator.selectivity(predicate, meta)
+        return float(stats.row_count) * selectivity, meta
+
+    def join_logical(
+        self,
+        left: PlanProps,
+        right_rows: float,
+        right_meta: ColMetaMap,
+        equi_keys: Sequence[Tuple[FieldKey, FieldKey]],
+        residuals: Sequence[Expression],
+        kind: str,
+        out_schema: RowSchema,
+    ) -> Tuple[float, int, float, ColMetaMap]:
+        """The *logical* properties ``(rows, width, pages, colmeta)`` of
+        a join — what every physical method over the same two inputs,
+        predicates and output schema shares. ``right_rows`` /
+        ``right_meta`` come from :meth:`join_right_input`."""
         meta: ColMetaMap = dict(left.colmeta)
-        if plan.method == "inlj":
-            right_meta, right_rows = self._inner_scan_meta(plan)
-            meta.update(right_meta)
-        else:
-            meta.update(right.colmeta)
-            right_rows = right.rows
+        meta.update(right_meta)
 
         inner_rows = self.estimator.join_rows(
-            left.rows, right_rows, plan.equi_keys, plan.residuals, meta
+            left.rows, right_rows, equi_keys, residuals, meta
         )
-        if plan.kind == "inner":
+        if kind == "inner":
             rows = inner_rows
         else:
             # Non-inner kinds derive from the inner-match estimate: a
@@ -255,82 +334,66 @@ class CostModel:
             # per unmatched left row.
             semi = min(left.rows, inner_rows)
             anti = max(0.0, left.rows - semi)
-            if plan.kind == "semi":
+            if kind == "semi":
                 rows = semi
-            elif plan.kind == "anti":
+            elif kind == "anti":
                 rows = anti
             else:  # left outer
                 rows = inner_rows + anti
         # Equality propagates the smaller NDV to both sides (each side
         # keeps its own distribution detail — range, nulls, MCVs).
-        for left_key, right_key in plan.equi_keys:
+        for left_key, right_key in equi_keys:
             if left_key in meta and right_key in meta:
                 shared = min(meta[left_key].ndv, meta[right_key].ndv)
-                meta[left_key] = dataclass_replace(
-                    meta[left_key], ndv=shared
-                )
-                meta[right_key] = dataclass_replace(
-                    meta[right_key], ndv=shared
-                )
+                meta[left_key] = meta[left_key].with_ndv(shared)
+                meta[right_key] = meta[right_key].with_ndv(shared)
 
-        cost, order = self._join_cost(plan, left, right, rows)
-        # Order is only meaningful as a prefix of columns the join still
-        # outputs: a pruned projection may drop a sort/join key the
-        # moment no ancestor references it.
-        out_order: list = []
-        for key in order:
-            if plan.schema.has(*key):
-                out_order.append(key)
-            else:
-                break
-        order = tuple(out_order)
-
+        has = out_schema.has
         out_meta = {
             key: value.clamped(rows)
             for key, value in meta.items()
-            if plan.schema.has(*key)
+            if has(*key)
         }
-        return PlanProps(
-            rows=rows,
-            width=plan.schema.width,
-            pages=estimated_pages(rows, plan.schema.width),
-            cost=cost,
-            order=order,
-            colmeta=out_meta,
+        width = out_schema.width
+        return rows, width, estimated_pages(rows, width), out_meta
+
+    def join_physical(
+        self,
+        method: str,
+        left: PlanProps,
+        right_plan: PlanNode,
+        equi_keys: Sequence[Tuple[FieldKey, FieldKey]],
+        index_name: Optional[str],
+        out_schema: RowSchema,
+    ) -> Tuple[float, Tuple[FieldKey, ...]]:
+        """The *physical* properties ``(cost, order)`` of running a
+        join with *method*: cumulative page IO (CPU terms are added by
+        :meth:`cpu_weighted`) and the output order, which depend on the
+        inputs' physical properties but never on the join's own row
+        estimate."""
+        cost, order = self._join_cost(
+            method, left, right_plan, equi_keys, index_name
         )
+        # Order is only meaningful as a prefix of columns the join still
+        # outputs: a pruned projection may drop a sort/join key the
+        # moment no ancestor references it.
+        has = out_schema.has
+        for position, key in enumerate(order):
+            if not has(*key):
+                return cost, order[:position]
+        return cost, order
 
-    def _inner_scan_meta(self, plan: JoinNode):
-        """Column metadata of an INLJ inner (never fully scanned)."""
-        inner = plan.right
-        if not isinstance(inner, ScanNode):
-            raise PlanError("index NLJ requires a base-table inner scan")
-        stats = self.catalog.stats(inner.table_name)
-        table = self.catalog.table(inner.table_name)
-        table_rows = float(stats.row_count)
-        meta: ColMetaMap = {}
-        for column in table.columns:
-            meta[(inner.alias, column.name)] = ColMeta.from_stats(
-                stats.column(column.name),
-                table_rows,
-                use_statistics=self.use_statistics,
-            )
-        meta[(inner.alias, RID_COLUMN)] = ColMeta(ndv=max(1.0, table_rows))
-        selectivity = 1.0
-        for predicate in inner.filters:
-            selectivity *= self.estimator.selectivity(predicate, meta)
-        return meta, table_rows * selectivity
-
-    def _join_cost(self, plan, left, right, rows):
+    def _join_cost(self, method, left, right_plan, equi_keys, index_name):
         memory = self.params.memory_pages
-        method = plan.method
+        right = right_plan.props
 
         if method == "hj":
             extra = hash_spill_extra_io(right.pages, left.pages, memory)
             return left.cost + right.cost + extra, ()
 
         if method == "smj":
-            left_keys = tuple(pair[0] for pair in plan.equi_keys)
-            right_keys = tuple(pair[1] for pair in plan.equi_keys)
+            left_keys = tuple(pair[0] for pair in equi_keys)
+            right_keys = tuple(pair[1] for pair in equi_keys)
             cost = left.cost + right.cost
             if left.order[: len(left_keys)] != left_keys:
                 cost += external_sort_extra_io(left.pages, memory)
@@ -339,21 +402,17 @@ class CostModel:
             return cost, left_keys
 
         if method == "inlj":
-            inner = plan.right
-            info = self.catalog.info(inner.table_name)
-            index = info.indexes.get(plan.index_name or "")
+            info = self.catalog.info(right_plan.table_name)
+            index = info.indexes.get(index_name or "")
             if index is None:
                 raise PlanError(
-                    f"unknown index {plan.index_name!r} for index NLJ"
+                    f"unknown index {index_name!r} for index NLJ"
                 )
-            stats = self.catalog.stats(inner.table_name)
-            table_rows = float(stats.row_count)
-            key_meta = ColMeta.from_stats(
-                stats.column(index.column_names[0]),
-                table_rows,
-                use_statistics=self.use_statistics,
+            stats, meta = self._base_meta(
+                right_plan.table_name, right_plan.alias
             )
-            matches = table_rows / max(1.0, key_meta.ndv)
+            key_meta = meta[(right_plan.alias, index.column_names[0])]
+            matches = float(stats.row_count) / max(1.0, key_meta.ndv)
             extra_leaves = max(
                 0.0, math.ceil(matches / index.entries_per_page) - 1
             )
@@ -363,11 +422,13 @@ class CostModel:
         # Block nested-loop join.
         blocks = nlj_blocks(left.pages, memory)
         inner_is_scan = (
-            isinstance(plan.right, ScanNode) and plan.right.index_name is None
+            isinstance(right_plan, ScanNode) and right_plan.index_name is None
         )
         cache_pages = max(1, memory - 2)
         if inner_is_scan:
-            table_pages = float(self.catalog.stats(plan.right.table_name).page_count)
+            table_pages = float(
+                self.catalog.stats(right_plan.table_name).page_count
+            )
             if table_pages <= cache_pages or blocks == 1:
                 inner_cost = right.cost  # single scan (cached or one block)
             else:

@@ -16,18 +16,28 @@ from .errors import SchemaError
 
 
 class DataType(enum.Enum):
-    """Supported column types with fixed physical widths in bytes."""
+    """Supported column types with fixed physical widths in bytes.
 
-    INT = "int"
-    FLOAT = "float"
-    STR = "str"
-    BOOL = "bool"
-    DATE = "date"  # stored as integer day number
+    Each member is declared as ``(name, width)``; ``value`` stays the
+    name (``DataType("int")`` resolves as before) and ``width`` — the
+    physical width in bytes used for page-count estimation — is a plain
+    attribute, because schema and page arithmetic read it on every
+    intermediate result the optimizer costs.
+    """
 
-    @property
-    def width(self) -> int:
-        """Physical width in bytes used for page-count estimation."""
-        return _WIDTHS[self]
+    width: int
+
+    def __new__(cls, value: str, width: int) -> "DataType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.width = width
+        return member
+
+    INT = ("int", 4)
+    FLOAT = ("float", 8)
+    STR = ("str", 16)  # average string payload assumed by the cost model
+    BOOL = ("bool", 1)
+    DATE = ("date", 4)  # stored as integer day number
 
     def validate(self, value: Any, nullable: bool = False) -> Any:
         """Check *value* against this type, returning the canonical form.
@@ -51,14 +61,6 @@ class DataType(enum.Enum):
             raise SchemaError(f"value {value!r} is not a valid {self.value}")
         return converted
 
-
-_WIDTHS = {
-    DataType.INT: 4,
-    DataType.FLOAT: 8,
-    DataType.STR: 16,  # average string payload assumed by the cost model
-    DataType.BOOL: 1,
-    DataType.DATE: 4,
-}
 
 _INVALID = object()
 

@@ -38,6 +38,15 @@ fallback, and ``enumeration="exhaustive"`` forces the seed's full
 classification per (subset, joined alias) and leaf access-path plans
 are memoized so each is computed once, not once per candidate join.
 
+Enumeration is *cost-first*: the 3–4 physical methods of one (left
+plan, right plan) pair share their predicates, projection, output
+schema and logical properties (``CostModel.join_logical``, once per
+pair) and differ only in a scalar cost and an output order
+(``CostModel.join_physical``, once per method). Candidates therefore
+travel to ``_prune`` as light :class:`_Entry` records, and a
+:class:`JoinNode` with full ``PlanProps`` is built only for the
+entries pruning retains — about a quarter of what is costed.
+
 Non-inner joins ride the *same* enumerator as **join units**
 (:class:`~repro.algebra.query.JoinUnit`): a unit's leaf never stands
 alone as a DP singleton and may only be joined onto a subset that
@@ -56,8 +65,19 @@ after the joins; unflattened subquery specs are applied there too, as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
@@ -78,8 +98,9 @@ from ..algebra.plan import (
 )
 from ..algebra.query import JoinUnit, SubquerySpec, TableRef
 from ..catalog.catalog import Catalog
-from ..catalog.schema import RID_COLUMN, Field, table_row_schema
-from ..cost.model import CostModel
+from ..catalog.schema import RID_COLUMN, Field, RowSchema
+from ..cost.cardinality import ColMetaMap
+from ..cost.model import CostModel, PlanProps
 from ..cost.params import CostParams
 from ..errors import PlanError
 from ..transforms.coalescing import DecomposedAggregates, decompose_aggregates
@@ -137,9 +158,42 @@ class DerivedLeaf:
 Leaf = Union[BaseLeaf, DerivedLeaf]
 
 
-@dataclass
+class _JoinPair(NamedTuple):
+    """What every physical method of one (left plan, right plan) join
+    shares — derived once per pair by ``_joinplans``."""
+
+    left: PlanNode
+    right: PlanNode
+    residuals: List[Expression]
+    projection: Tuple[FieldKey, ...]
+    schema: RowSchema
+    kind: str
+    null_aware: bool
+
+
+class _PendingJoin(NamedTuple):
+    """The recipe for one join candidate's node, built only if pruning
+    retains the candidate."""
+
+    pair: _JoinPair
+    logical: Tuple[float, int, float, ColMetaMap]
+    """``CostModel.join_logical``'s (rows, width, pages, colmeta)."""
+    method: str
+    equi_keys: Sequence[Tuple[FieldKey, FieldKey]]  # in the method's order
+    index_name: Optional[str]
+
+
+_entry_cost = attrgetter("cost")
+
+
 class _Entry:
-    """One retained plan for a DP subset.
+    """One plan for a DP subset: a *candidate* until pruning, a
+    *retained* entry of the DP table after it.
+
+    A join candidate is only what pruning compares — ``cost``, output
+    ``order``, ``width`` and the eager state — plus ``join``, the recipe
+    for its node; ``plan`` is built (``BlockOptimizer._materialize``)
+    for the entries pruning retains and is never ``None`` in the table.
 
     ``grouped`` and ``carry`` are the eager-aggregation state the
     finalization must undo: *grouped* plans already computed the
@@ -150,9 +204,33 @@ class _Entry:
     partials, so the four state combinations finalize unambiguously.
     """
 
-    plan: PlanNode
-    grouped: bool  # early (partial) aggregation already applied
-    carry: bool = False  # a COUNT-carry pre-collapse feeds this plan
+    __slots__ = ("cost", "order", "width", "grouped", "carry", "plan", "join")
+
+    def __init__(
+        self,
+        cost: float,
+        order: Tuple[FieldKey, ...],
+        width: int,
+        grouped: bool,  # early (partial) aggregation already applied
+        carry: bool = False,  # a COUNT-carry pre-collapse feeds this plan
+        plan: Optional[PlanNode] = None,
+        join: Optional[_PendingJoin] = None,
+    ):
+        self.cost = cost
+        self.order = order
+        self.width = width
+        self.grouped = grouped
+        self.carry = carry
+        self.plan = plan
+        self.join = join
+
+    @classmethod
+    def of_plan(
+        cls, plan: PlanNode, grouped: bool, carry: bool = False
+    ) -> "_Entry":
+        """An entry over an already built, annotated plan."""
+        props = plan.props
+        return cls(props.cost, props.order, props.width, grouped, carry, plan)
 
 
 class BlockOptimizer:
@@ -385,7 +463,7 @@ class BlockOptimizer:
                 continue
             plans = context.leaf_plans(leaf)
             table[bit] = self._prune(
-                context, [_Entry(plan, False) for plan in plans]
+                context, [_Entry.of_plan(plan, False) for plan in plans]
             )
         self.stats.add_time("leaf_plans", perf_counter() - started)
 
@@ -474,14 +552,10 @@ class BlockOptimizer:
         of an argument-free side) and compete by cost in the DP — the
         lazy plan always survives, which is what keeps the no-worse
         guarantee structural rather than heuristic."""
-        plan1 = self._joinplans(
+        entries1 = self._joinplans(
             context, left_entry.plan, left_mask, right_plan,
-            right_alias, right_bit,
+            right_alias, right_bit, left_entry.grouped, left_entry.carry,
         )
-        entries1 = [
-            _Entry(plan, left_entry.grouped, left_entry.carry)
-            for plan in plan1
-        ]
 
         if (
             self.mode != "greedy"
@@ -504,27 +578,19 @@ class BlockOptimizer:
                     prescreen=eager,
                 )
                 if early is not None:
-                    plan2 = self._joinplans(
+                    entries2 = self._joinplans(
                         context, early, left_mask, right_plan,
-                        right_alias, right_bit,
+                        right_alias, right_bit, True, left_entry.carry,
                     )
-                    entries2 = [
-                        _Entry(plan, True, left_entry.carry)
-                        for plan in plan2
-                    ]
             else:
                 early = context.early_group(
                     right_plan, right_bit, False, prescreen=eager
                 )
                 if early is not None:
-                    plan2 = self._joinplans(
+                    entries2 = self._joinplans(
                         context, left_entry.plan, left_mask, early,
-                        right_alias, right_bit,
+                        right_alias, right_bit, True, left_entry.carry,
                     )
-                    entries2 = [
-                        _Entry(plan, True, left_entry.carry)
-                        for plan in plan2
-                    ]
 
         # The greedy comparison runs (and its counters record the
         # verdict) in both modes; only in pre-eager mode does it decide.
@@ -533,11 +599,11 @@ class BlockOptimizer:
             if not entries1:
                 chosen = entries2
             else:
-                best1 = min(entries1, key=lambda e: e.plan.props.cost)
-                best2 = min(entries2, key=lambda e: e.plan.props.cost)
-                cheaper = best2.plan.props.cost < best1.plan.props.cost
+                best1 = min(entries1, key=_entry_cost)
+                best2 = min(entries2, key=_entry_cost)
+                cheaper = best2.cost < best1.cost
                 narrow = (
-                    best2.plan.props.width <= best1.plan.props.width
+                    best2.width <= best1.width
                     or not self.options.width_guard
                 )
                 if cheaper and narrow:
@@ -579,22 +645,22 @@ class BlockOptimizer:
             self.stats.eager_alternatives_considered += 1
             collapsed = context.carry_group(right_plan, right_bit)
             if collapsed is not None:
-                plans = self._joinplans(
-                    context, left_entry.plan, left_mask, collapsed,
-                    right_alias, right_bit,
-                )
                 out.extend(
-                    _Entry(plan, left_entry.grouped, True) for plan in plans
+                    self._joinplans(
+                        context, left_entry.plan, left_mask, collapsed,
+                        right_alias, right_bit, left_entry.grouped, True,
+                    )
                 )
         if not left_entry.grouped and not (mask & left_mask):
             self.stats.eager_alternatives_considered += 1
             collapsed = context.carry_group(left_entry.plan, left_mask)
             if collapsed is not None:
-                plans = self._joinplans(
-                    context, collapsed, left_mask, right_plan,
-                    right_alias, right_bit,
+                out.extend(
+                    self._joinplans(
+                        context, collapsed, left_mask, right_plan,
+                        right_alias, right_bit, False, True,
+                    )
                 )
-                out.extend(_Entry(plan, False, True) for plan in plans)
         return out
 
     # ------------------------------------------------------------------
@@ -609,12 +675,18 @@ class BlockOptimizer:
         right_plan: PlanNode,
         right_alias: str,
         right_bit: int,
-    ) -> List[PlanNode]:
+        grouped: bool,
+        carry: bool,
+    ) -> List[_Entry]:
+        """Cost every physical method of one join as a light candidate
+        (no node is built here; ``_prune`` materializes its survivors).
+        The logical half — predicates, projection, output schema, rows,
+        width, pages, column metadata — is derived once for the pair;
+        each method then adds only a scalar cost and an order. An index
+        NLJ sees its inner as a probed base table, not a scanned input,
+        so it alone gets its own logical properties."""
         equi, residuals = context.join_predicates(
             left_plan, left_mask, right_plan, right_alias, right_bit
-        )
-        projection = context.join_projection(
-            left_plan, right_plan, left_mask | right_bit
         )
 
         unit = context.join_units.get(right_alias)
@@ -625,6 +697,13 @@ class BlockOptimizer:
                 "a null-aware anti join needs exactly one membership "
                 "equality and no residuals"
             )
+        projection, schema = context.join_output(
+            left_plan, right_plan, left_mask | right_bit, kind
+        )
+        pair = _JoinPair(
+            left_plan, right_plan, residuals, projection, schema, kind,
+            null_aware,
+        )
 
         methods: List[Tuple[str, Optional[str]]] = []
         if equi:
@@ -636,28 +715,74 @@ class BlockOptimizer:
                     methods.append(("inlj", index_name))
         methods.append(("nlj", None))
 
-        plans: List[PlanNode] = []
+        model = self.model
+        left = left_plan.props
+        columns = len(schema)
+
+        def logical_props(method, equi_keys):
+            right_rows, right_meta = model.join_right_input(
+                method, right_plan
+            )
+            return model.join_logical(
+                left, right_rows, right_meta, equi_keys, residuals, kind,
+                schema,
+            )
+
+        scanned = None  # logical properties shared by hj / smj / nlj
+        entries: List[_Entry] = []
         for method, index_name in methods:
             self.stats.joinplan_calls += 1
-            ordered_equi = equi
-            if method == "inlj" and index_name is not None:
-                ordered_equi = context.order_equi_for_index(
+            if method == "inlj":
+                equi_keys = context.order_equi_for_index(
                     right_plan, equi, index_name
                 )
-            join = JoinNode(
-                left_plan,
-                right_plan,
-                method=method,
-                equi_keys=ordered_equi,
-                residuals=residuals,
-                projection=projection,
-                index_name=index_name,
-                kind=kind,
-                null_aware=null_aware,
+                logical = logical_props(method, equi_keys)
+            else:
+                equi_keys = equi
+                if scanned is None:
+                    scanned = logical_props(method, equi_keys)
+                logical = scanned
+            cost, order = model.join_physical(
+                method, left, right_plan, equi_keys, index_name, schema
             )
-            self.model.annotate(join)
-            plans.append(join)
-        return plans
+            entries.append(
+                _Entry(
+                    model.cpu_weighted(cost, logical[0], columns),
+                    order,
+                    logical[1],
+                    grouped,
+                    carry,
+                    join=_PendingJoin(
+                        pair, logical, method, equi_keys, index_name
+                    ),
+                )
+            )
+        return entries
+
+    def _materialize(self, entry: _Entry) -> None:
+        """Build and annotate the join node of a retained candidate."""
+        pending = entry.join
+        assert pending is not None
+        pair = pending.pair
+        join = JoinNode(
+            pair.left,
+            pair.right,
+            method=pending.method,
+            equi_keys=pending.equi_keys,
+            residuals=pair.residuals,
+            projection=pair.projection,
+            index_name=pending.index_name,
+            kind=pair.kind,
+            null_aware=pair.null_aware,
+            schema=pair.schema,
+        )
+        rows, width, pages, colmeta = pending.logical
+        join.props = PlanProps(
+            rows, width, pages, entry.cost, entry.order, colmeta
+        )
+        self.stats.joins_materialized += 1
+        entry.plan = join
+        entry.join = None
 
     # ------------------------------------------------------------------
     # Final group-by / projection
@@ -694,15 +819,13 @@ class BlockOptimizer:
     ) -> List[_Entry]:
         best: Dict[Tuple[bool, bool, Tuple[FieldKey, ...]], _Entry] = {}
         for entry in candidates:
-            order = context.useful_order(entry.plan.props.order)
-            key = (entry.grouped, entry.carry, order)
+            key = (
+                entry.grouped, entry.carry, context.useful_order(entry.order)
+            )
             incumbent = best.get(key)
-            if (
-                incumbent is None
-                or entry.plan.props.cost < incumbent.plan.props.cost
-            ):
+            if incumbent is None or entry.cost < incumbent.cost:
                 best[key] = entry
-        kept = sorted(best.values(), key=lambda e: e.plan.props.cost)
+        kept = sorted(best.values(), key=_entry_cost)
         limit = self.options.max_plans_per_set
         pruned = kept[:limit]
         if (
@@ -716,6 +839,9 @@ class BlockOptimizer:
             lazy = [e for e in kept[limit:] if not e.grouped and not e.carry]
             if lazy:
                 pruned = pruned[:-1] + [lazy[0]]
+        for entry in pruned:
+            if entry.plan is None:
+                self._materialize(entry)
         self.stats.plans_retained += len(pruned)
         self.stats.plans_pruned += len(candidates) - len(pruned)
         return pruned
@@ -1134,29 +1260,37 @@ class _BlockContext:
         self._pending_cache[subset_mask] = result
         return result
 
-    def join_projection(
+    def join_output(
         self,
         left_plan: PlanNode,
         right_plan: PlanNode,
         subset_mask: int,
-    ) -> List[FieldKey]:
+        kind: str,
+    ) -> Tuple[Tuple[FieldKey, ...], RowSchema]:
+        """The projection list and output schema of joining the two
+        plans into *subset_mask*: the columns an ancestor still
+        references. A semi / anti join outputs left columns only."""
         pruning = self.optimizer.options.enable_projection_pruning
         if pruning:
             keep = self.top_needed | self.pending_columns(subset_mask)
         else:
             keep = self.needed | self.pending_columns(subset_mask)
-        combined = left_plan.schema.concat(right_plan.schema)
-        projection: List[FieldKey] = []
+        left_fields = left_plan.schema.fields
+        combined = left_fields + right_plan.schema.fields
+        kept: List[Field] = []
         dropped = 0
         for field in combined:
             if field.alias is None or field.key in keep:
-                projection.append(field.key)
+                kept.append(field)
             elif pruning and field.key in self.needed:
                 dropped += 1
-        if not projection:
-            projection = [combined.fields[0].key]
+        if not kept:
+            kept = [combined[0]]
         self.optimizer.stats.projection_columns_pruned += dropped
-        return projection
+        if kind in ("semi", "anti"):
+            left_set = set(left_fields)
+            kept = [field for field in kept if field in left_set]
+        return tuple(field.key for field in kept), RowSchema(kept)
 
     # ------------------------------------------------------------------
     # Index nested-loop support

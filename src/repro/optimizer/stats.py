@@ -20,6 +20,11 @@ class SearchStats:
 
     subsets_expanded: int = 0
     joinplan_calls: int = 0
+    """Physical join alternatives costed (one per method per pair)."""
+    joins_materialized: int = 0
+    """Join nodes actually built: the DP costs every alternative as a
+    light candidate and builds a node only for the ones pruning
+    retains."""
     plans_retained: int = 0
     plans_pruned: int = 0
     early_groupby_considered: int = 0
@@ -98,6 +103,7 @@ class SearchStats:
     def summary(self) -> str:
         return (
             f"subsets={self.subsets_expanded} joinplans={self.joinplan_calls} "
+            f"built={self.joins_materialized} "
             f"retained={self.plans_retained} pruned={self.plans_pruned} "
             f"earlyG={self.early_groupby_accepted}/"
             f"{self.early_groupby_considered} "

@@ -27,6 +27,11 @@ class HeapTable:
             raise SchemaError(f"duplicate column names in table {name!r}")
         self.name = name
         self.columns: Tuple[Column, ...] = tuple(columns)
+        # Columns never change after construction, so the payload width
+        # is fixed: page counts (``Catalog.stats`` reads one per call)
+        # stay O(1).
+        self.row_width: int = sum(column.dtype.width for column in columns)
+        """Payload bytes per stored tuple."""
         self.rows: List[Tuple[Any, ...]] = []
         self._column_index = {
             column.name: position for position, column in enumerate(columns)
@@ -35,11 +40,6 @@ class HeapTable:
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
-
-    @property
-    def row_width(self) -> int:
-        """Payload bytes per stored tuple."""
-        return sum(column.dtype.width for column in self.columns)
 
     @property
     def num_rows(self) -> int:

@@ -1,0 +1,153 @@
+"""Support for the cost-first DP tests (``test_cost_first_dp.py`` and
+the oracle case of ``test_property_optimizer.py``).
+
+- The pinned statement corpus: the 13 ``dss_exec`` / ``plan_cold``
+  texts of the end-to-end benchmark plus every statement the
+  ``examples/`` scripts optimize.
+- :class:`BuildEverythingOptimizer`, the test-only oracle: the same DP
+  with every join candidate built and annotated as a node before
+  pruning — what the enumerator did before it costed candidates as
+  scalars.
+
+Run as a script to (re)generate the golden file — from the commit whose
+plans are to be pinned::
+
+    PYTHONPATH=src python tests/dp_support.py > tests/golden/plans_pr15.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+from typing import Callable, Iterator, List, Tuple
+
+from repro.algebra.plan import JoinNode, explain
+from repro.db import Database
+from repro.optimizer.block import BlockOptimizer, _Entry
+
+ROOT = Path(__file__).resolve().parent.parent
+E2E = ROOT / "benchmarks" / "e2e"
+EXAMPLES = (
+    "quickstart",
+    "crossover_study",
+    "decision_support",
+    "nested_subqueries",
+    "transformations_walkthrough",
+)
+COLD_LITERAL_OFFSET = 7
+"""Every ``plan_cold`` shape is pinned at ``literal_base + 7``."""
+
+
+def _e2e_modules():
+    """``benchmarks/e2e`` imports its siblings by bare name."""
+    if str(E2E) not in sys.path:
+        sys.path.insert(0, str(E2E))
+    import datagen
+    import workloads
+
+    return datagen, workloads
+
+
+def e2e_statements() -> Iterator[Tuple[str, Database, str]]:
+    """``(label, database, sql)`` for the 8 + 5 benchmark texts, each
+    on the scale its workload runs at."""
+    datagen, workloads = _e2e_modules()
+    seed = workloads.DEFAULT_SEED
+    for name, shapes in (
+        ("dss_exec", workloads.DSS_SHAPES),
+        ("plan_cold", workloads.COLD_SHAPES),
+    ):
+        scale = workloads.WORKLOADS[name].scale
+        db = workloads.build_database(datagen.generate(scale, seed))
+        for shape in shapes:
+            sql = shape.sql.format(k=shape.literal_base + COLD_LITERAL_OFFSET)
+            yield f"{name}/{shape.name}", db, sql
+
+
+def run_examples(on_optimized: Callable[[str, object], None]) -> None:
+    """Run every example script's ``main()`` (output discarded),
+    reporting each ``Database.optimize_bound`` result in call order as
+    ``on_optimized(label, OptimizationResult)``."""
+    original = Database.optimize_bound
+    for name in EXAMPLES:
+        spec = importlib.util.spec_from_file_location(
+            f"_example_{name}", ROOT / "examples" / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        calls: List[int] = []
+
+        def recording(self, query, optimizer="full", options=None):
+            result = original(self, query, optimizer, options)
+            calls.append(1)
+            on_optimized(f"examples/{name}#{len(calls)}:{optimizer}", result)
+            return result
+
+        Database.optimize_bound = recording
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                module.main()
+        finally:
+            Database.optimize_bound = original
+
+
+def pinned_plans() -> List[Tuple[str, str, float]]:
+    """``(label, explain text, cost)`` for the whole corpus."""
+    out: List[Tuple[str, str, float]] = []
+    for label, db, sql in e2e_statements():
+        result = db.optimize(sql)
+        out.append((label, explain(result.plan), result.cost))
+    run_examples(
+        lambda label, result: out.append(
+            (label, explain(result.plan), result.cost)
+        )
+    )
+    return out
+
+
+def rebuilt_join(node: JoinNode) -> JoinNode:
+    """*node* re-made through the public constructor alone: the schema
+    is re-derived from the projection, nothing is carried over."""
+    return JoinNode(
+        node.left,
+        node.right,
+        method=node.method,
+        equi_keys=node.equi_keys,
+        residuals=node.residuals,
+        projection=node.projection,
+        index_name=node.index_name,
+        kind=node.kind,
+        null_aware=node.null_aware,
+    )
+
+
+class BuildEverythingOptimizer(BlockOptimizer):
+    """The DP with every join candidate built as a node and annotated
+    by ``CostModel.annotate`` *before* pruning."""
+
+    def _joinplans(self, *args):
+        entries = []
+        for candidate in super()._joinplans(*args):
+            self._materialize(candidate)
+            node = rebuilt_join(candidate.plan)
+            self.model.annotate(node)
+            entries.append(
+                _Entry.of_plan(node, candidate.grouped, candidate.carry)
+            )
+        return entries
+
+
+def render(plans: List[Tuple[str, str, float]]) -> str:
+    """The golden file's text: costs as ``repr`` so a last-bit change
+    in float arithmetic shows."""
+    chunks = []
+    for label, text, cost in plans:
+        chunks.append(f"== {label} cost={cost!r}\n{text}\n")
+    return "\n".join(chunks)
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render(pinned_plans()))

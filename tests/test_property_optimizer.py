@@ -6,9 +6,19 @@ guarantee, randomized)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.plan import explain
+from repro.cost import CostParams
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.optimizer import optimize_query, optimize_traditional
-from repro.workloads import RandomQueryConfig, random_queries
+from repro.optimizer.block import BaseLeaf, BlockOptimizer, GroupingSpec
+from repro.workloads import (
+    JoinWorkloadConfig,
+    RandomQueryConfig,
+    build_join_workload,
+    random_queries,
+)
+
+from .dp_support import BuildEverythingOptimizer
 
 
 @st.composite
@@ -54,3 +64,62 @@ class TestRandomizedOptimizer:
         db, query = case
         result = optimize_query(query, db.catalog, db.params)
         assert 0 < result.cost < float("inf")
+
+
+@st.composite
+def join_workload(draw):
+    workload = build_join_workload(
+        JoinWorkloadConfig(
+            topology=draw(st.sampled_from(["chain", "star"])),
+            leaves=draw(st.integers(min_value=2, max_value=7)),
+            seed=draw(st.integers(min_value=0, max_value=10_000)),
+            rows_base=draw(st.sampled_from([40, 150])),
+            jk_domain=draw(st.sampled_from([8, 1000])),
+        )
+    )
+    params = CostParams(
+        memory_pages=workload.db.params.memory_pages,
+        cpu_tuple_weight=draw(st.sampled_from([0.0, 0.01])),
+        cpu_cell_weight=draw(st.sampled_from([0.0, 0.001])),
+    )
+    return workload, params, draw(st.sampled_from(["greedy", "traditional"]))
+
+
+class TestCostFirstDpAgainstBuildEverything:
+    """The DP costs join candidates as scalars and builds nodes only for
+    the ones pruning retains; the oracle builds and annotates every
+    candidate first. Same plan, same cost, same search counters."""
+
+    @given(case=join_workload())
+    @settings(max_examples=25, deadline=None)
+    def test_same_plan_cost_and_counters(self, case):
+        workload, params, mode = case
+        spec = GroupingSpec(
+            group_keys=workload.group_keys, aggregates=workload.aggregates
+        )
+        leaves = [BaseLeaf(ref) for ref in workload.relations]
+        outcome, built = {}, {}
+        for name, optimizer_class in (
+            ("light", BlockOptimizer),
+            ("oracle", BuildEverythingOptimizer),
+        ):
+            optimizer = optimizer_class(
+                workload.db.catalog, params, mode=mode
+            )
+            plan = optimizer.optimize_block(
+                leaves, workload.predicates, spec, workload.select
+            )
+            stats = optimizer.stats
+            outcome[name] = (
+                explain(plan),
+                plan.props.cost,
+                stats.joinplan_calls,
+                stats.plans_retained,
+                stats.plans_pruned,
+                stats.subsets_expanded,
+                stats.eager_alternatives_considered,
+            )
+            built[name] = (stats.joins_materialized, stats.joinplan_calls)
+        assert outcome["light"] == outcome["oracle"]
+        assert built["oracle"][0] == built["oracle"][1]
+        assert built["light"][0] < built["light"][1]
