@@ -224,7 +224,7 @@ class Database:
         self.catalog.rebuild_indexes(table)
         # Dependent materialized views go stale and log the delta; the
         # canonical (validated) row forms are what the table stored.
-        self.catalog.record_insert(table, heap.rows[before:])
+        self.catalog.record_insert(table, heap.row_slice(before))
 
     def create_index(
         self, index_name: str, table: str, columns: Sequence[str]

@@ -14,8 +14,10 @@ Two batch layouts flow through the engine:
   lets the compiled kernels in :mod:`repro.engine.kernels` run fused
   scan→filter→project loops with no per-row Python function calls.
 
-Columns are any indexable sequences: lists, tuples (``zip(*rows)``
-transposes straight to tuples), or ``range`` objects (the synthesized
+Columns are any indexable sequences: lists (a scan's columns are
+slices of the stored, column-major table — ``storage/table.py`` — so
+no transpose happens on the way in), tuples (what :func:`take` gathers
+and ``zip(*rows)`` produce), or ``range`` objects (the synthesized
 ``_rid`` column is a ``range`` — never materialized unless selected).
 ``array.array`` columns would also satisfy the protocol, but object
 lists win in CPython for these workloads: typed arrays re-box every

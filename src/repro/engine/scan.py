@@ -3,9 +3,10 @@
 The scan is the canonical fused pipeline stage: one per-batch loop
 applies selection (while scanning, before projection — so a filter may
 reference columns the scan does not output) and projection through
-precompiled accessors, emitting fixed-size row batches. Page IO is
-charged by the storage layer exactly as the legacy row-at-a-time path
-charged it.
+precompiled accessors, emitting fixed-size batches. Storage is
+column-major: the columnar scan slices only the columns it reads, the
+row-batch scan gets tuples assembled per page. Page IO is charged by the
+storage layer exactly as the legacy row-at-a-time path charged it.
 """
 
 from __future__ import annotations
@@ -29,33 +30,24 @@ from .kernels import SelectionProgram
 from .metrics import OperatorMetrics
 
 
-def _index_source(plan: ScanNode, context: ExecutionContext):
-    """Resolve the scan's index and return its (rows → one chunk)
-    column source; charges are made by ``lookup_rows`` itself."""
-    info = context.catalog.info(plan.table_name)
-    index = info.indexes.get(plan.index_name)
+def _index_rids(plan: ScanNode, context: ExecutionContext, storage):
+    """The rids matching the scan's index probe — through the pinned
+    snapshot's captured index when one is in effect, the live index
+    otherwise. Charges the index pages; fetching the rows charges the
+    data pages, identically either way."""
+    pinned = isinstance(storage, TableSnapshot)
+    if pinned:
+        index = storage.index(plan.index_name)
+    else:
+        info = context.catalog.info(plan.table_name)
+        index = info.indexes.get(plan.index_name)
     if index is None:
         raise ExecutionError(
             f"index {plan.index_name!r} not found on {plan.table_name!r}"
         )
-    return index
-
-
-def _index_rows(plan: ScanNode, context: ExecutionContext, storage):
-    """Matching rows (with rid) via the scan's index — probing the
-    pinned snapshot's captured index when one is in effect, the live
-    index otherwise. Charging is identical either way."""
-    if isinstance(storage, TableSnapshot):
-        index = storage.index(plan.index_name)
-        if index is None:
-            raise ExecutionError(
-                f"index {plan.index_name!r} not found on {plan.table_name!r}"
-            )
-        return storage.index_lookup_rows(
-            context.io, index, plan.index_values, include_rid=True
-        )
-    index = _index_source(plan, context)
-    return index.lookup_rows(context.io, plan.index_values, include_rid=True)
+    if pinned:
+        return storage.index_lookup_rids(context.io, index, plan.index_values)
+    return index.lookup_rids(context.io, plan.index_values)
 
 
 def scan_columns(
@@ -66,10 +58,15 @@ def scan_columns(
 ) -> Iterator[ColumnBatch]:
     """The fused columnar scan→filter→project loop.
 
-    Per page: one compiled selection kernel pass over the filter's
-    columns, then a gather of only the *output* columns through the
-    selection vector. No row tuples exist at any point; when no filter
-    matches, page columns flow into the batch builder untouched.
+    Storage is column-major, so the scan asks it for exactly the
+    columns the filter reads and the scan outputs, in runs of whole
+    pages holding at least one batch of rows (an index scan: the
+    matching rids gathered in one run). Per run: one compiled selection
+    kernel pass over the filter's columns, then a gather of only the
+    *output* columns through the selection vector. No row tuples exist
+    at any point; a run no filter thins out goes downstream as it was
+    sliced, and only the survivors of thinned runs are copied into a
+    batch builder.
     """
     table = context.catalog.table(plan.table_name)
     storage = context.storage_for(plan.table_name)
@@ -78,17 +75,25 @@ def scan_columns(
     positions = [
         full_schema.index_of(field.alias, field.name) for field in plan.schema
     ]
+    needed = sorted(set(positions).union(selection.used))
 
     if plan.index_name is not None:
 
-        def pages():
-            rows = list(_index_rows(plan, context, storage))
-            if rows:
-                yield list(zip(*rows)), len(rows)
+        def probe():
+            rids = _index_rids(plan, context, storage)
+            if rids:
+                yield storage.fetch_columns(
+                    context.io, rids, include_rid=True, positions=needed
+                )
 
-        source = pages()
+        source = probe()
     else:
-        source = storage.scan_page_columns(context.io, include_rid=True)
+        source = storage.scan_page_columns(
+            context.io,
+            include_rid=True,
+            positions=needed,
+            batch_rows=context.batch_size,
+        )
 
     def generate() -> Iterator[ColumnBatch]:
         width = len(positions)
@@ -97,17 +102,21 @@ def scan_columns(
             metrics.rows_in += count
             sel = selection.run(columns, count)
             if sel is None:
-                out.extend([columns[p] for p in positions], count)
-                metrics.cells += count * width
+                picked = [columns[p] for p in positions]
             elif sel:
-                out.extend(
-                    [take(columns[p], sel) for p in positions], len(sel)
-                )
-                metrics.cells += len(sel) * width
+                picked = [take(columns[p], sel) for p in positions]
+                count = len(sel)
             else:
                 continue
-            if out.full:
-                yield out.drain()
+            metrics.cells += count * width
+            if out.length or (sel is not None and count < out.size):
+                out.extend(picked, count)
+                if out.full:
+                    yield out.drain()
+            else:
+                # An untouched run is a whole batch (or the scan's
+                # last); so is a thinned one that still fills a batch.
+                yield ColumnBatch(picked, count)
         if out.length:
             yield out.drain()
 
@@ -134,7 +143,12 @@ def scan_batches(
     if plan.index_name is not None:
 
         def pages():
-            yield list(_index_rows(plan, context, storage))
+            columns, _ = storage.fetch_columns(
+                context.io,
+                _index_rids(plan, context, storage),
+                include_rid=True,
+            )
+            yield list(zip(*columns))
 
         source = pages()
     else:

@@ -29,10 +29,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..storage.page import pages_for
 from ..storage.table import HeapTable
 from .config import StatsConfig
 from .histogram import EquiDepthHistogram, build_histogram
-from .sample import estimate_ndv, sample_pages, sampled_rows, scale_count
+from .sample import estimate_ndv, sample_pages, sampled_values, scale_count
 
 DEFAULT_CONFIG = StatsConfig()
 
@@ -117,24 +118,19 @@ def _value_width(value: Any, default: int) -> int:
 
 
 def _column_stats(
-    position: int,
     declared_width: int,
-    rows,
-    sample_size: int,
+    values,
     total_rows: int,
     sampled: bool,
     config: StatsConfig,
 ) -> ColumnStats:
-    counter: Counter = Counter()
-    null_sample = 0
-    width_sum = 0
-    for row in rows:
-        value = row[position]
-        if value is None:
-            null_sample += 1
-        else:
-            counter[value] += 1
-            width_sum += _value_width(value, declared_width)
+    sample_size = len(values)
+    counter: Counter = Counter(values)
+    null_sample = counter.pop(None, 0)
+    width_sum = sum(
+        _value_width(value, declared_width) * count
+        for value, count in counter.items()
+    )
     non_null_sample = sample_size - null_sample
     null_count = (
         scale_count(null_sample, sample_size, total_rows)
@@ -208,29 +204,25 @@ def analyze_table(
     ANALYZE sublinear in table size. Row and page counts are always
     exact — only column-level statistics are estimated.
     """
-    total_rows = table.num_rows
-    total_pages = table.num_pages
+    columns, total_rows = table.visible()
+    total_pages = pages_for(total_rows, table.row_width)
     if total_pages <= config.full_scan_pages:
-        rows = table.rows
+        samples = [column[:total_rows] for column in columns]
         sampled = False
         pages_scanned = total_pages
     else:
         pages = sample_pages(table.name, total_pages, config)
-        rows = sampled_rows(table.rows, pages, table.rows_per_page)
+        samples = [
+            sampled_values(column, total_rows, pages, table.rows_per_page)
+            for column in columns
+        ]
         sampled = len(pages) < total_pages
         pages_scanned = len(pages)
 
-    sample_size = len(rows)
     column_stats: Dict[str, ColumnStats] = {}
-    for position, column in enumerate(table.columns):
+    for column, values in zip(table.columns, samples):
         column_stats[column.name] = _column_stats(
-            position,
-            column.dtype.width,
-            rows,
-            sample_size,
-            total_rows,
-            sampled,
-            config,
+            column.dtype.width, values, total_rows, sampled, config
         )
     return TableStats(
         row_count=total_rows,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 from .config import StatsConfig
 
@@ -77,14 +77,19 @@ def scale_count(sample_count: int, sample_rows: int, total_rows: int) -> int:
     return int(sample_count * total_rows / sample_rows + 0.5)
 
 
-def sampled_rows(
-    rows: Sequence[tuple], pages: Sequence[int], rows_per_page: int
-) -> List[tuple]:
-    """The rows living on the given pages of an in-memory heap."""
-    out: List[tuple] = []
+def sampled_values(
+    column: Sequence[Any],
+    row_count: int,
+    pages: Sequence[int],
+    rows_per_page: int,
+) -> List[Any]:
+    """One stored column's values on the given pages of a heap whose
+    first *row_count* rows are visible."""
+    out: List[Any] = []
     for page in pages:
-        out.extend(rows[page * rows_per_page : (page + 1) * rows_per_page])
+        start = page * rows_per_page
+        out.extend(column[start : min(start + rows_per_page, row_count)])
     return out
 
 
-__all__ = ["sample_pages", "estimate_ndv", "scale_count", "sampled_rows"]
+__all__ = ["sample_pages", "estimate_ndv", "scale_count", "sampled_values"]

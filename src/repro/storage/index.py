@@ -57,11 +57,10 @@ class OrderedIndex:
         # NULL never compares equal to anything, so NULL-keyed rows can
         # never satisfy an index probe; leaving them out keeps the key
         # list totally ordered for bisect.
+        columns, count = self.table.visible()
+        keys = zip(*[columns[p][:count] for p in self._positions])
         pairs = sorted(
-            (key, rid)
-            for rid, row in enumerate(self.table.rows)
-            for key in (self._key_of(row),)
-            if None not in key
+            (key, rid) for rid, key in enumerate(keys) if None not in key
         )
         self._data = (
             [key for key, _ in pairs],
@@ -80,9 +79,6 @@ class OrderedIndex:
     @property
     def _rids(self) -> List[int]:
         return self._data[1]
-
-    def _key_of(self, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(row[position] for position in self._positions)
 
     # ------------------------------------------------------------------
     # Shape

@@ -3,22 +3,25 @@
 The serving layer (``repro.server``) lets many reader sessions execute
 while one writer inserts or refreshes materialized views. Readers never
 take locks during execution; instead each query captures a
-:class:`DatabaseSnapshot` — per table, the *published row-list object*
-plus the row count visible at capture time — and scans that, not the
-live table.
+:class:`DatabaseSnapshot` — per table, the *published columns tuple*
+plus the row count visible at capture time, O(1) whatever the table's
+size — and scans that, not the live table.
 
 Two storage-layer disciplines make the capture sound:
 
-- **Appends never move rows.** ``HeapTable.insert`` only appends, so a
-  snapshot ``(rows, count)`` pair keeps denoting exactly the pre-insert
-  prefix; pages built from ``rows[:count]`` are byte-identical before
-  and after any number of concurrent appends (CPython's GIL keeps list
-  reads/appends internally consistent).
+- **Appends never move rows.** ``HeapTable.insert_many`` only extends
+  the column lists, first column to last, and the visible row count is
+  the length of the *last* one. A snapshot ``(columns, count)`` pair
+  therefore keeps denoting exactly the pre-insert prefix: pages sliced
+  from ``column[:count]`` are identical before and after any number of
+  concurrent appends, and no reader sees a row some column does not
+  hold yet (CPython's GIL keeps list reads/extends internally
+  consistent).
 - **Destructive rewrites publish, never mutate.**
-  ``HeapTable.replace_rows`` (matview refresh) validates into a fresh
-  list and swings ``table.rows`` in one assignment; the captured list
-  object is frozen history. ``OrderedIndex`` likewise publishes its
-  ``(keys, rids)`` arrays as one tuple per rebuild.
+  ``HeapTable.replace_rows`` (matview refresh) validates into fresh
+  column lists and swings the table's columns tuple in one assignment;
+  the captured tuple is frozen history. ``OrderedIndex`` likewise
+  publishes its ``(keys, rids)`` arrays as one tuple per rebuild.
 
 IO charging mirrors the live access paths exactly: a snapshot scan of N
 visible rows charges the same page reads a live scan of an N-row table
@@ -26,8 +29,8 @@ would, so estimated-vs-executed IO comparisons stay meaningful under
 concurrency.
 
 This extends the zero-copy aliasing contract of the columnar engine
-(``engine/batch.py``): storage never mutates what it has published, so
-downstream consumers may alias it freely.
+(``engine/batch.py``): storage never rewrites a published prefix, and
+what it hands out are slices of it — fresh lists the consumer owns.
 """
 
 from __future__ import annotations
@@ -44,11 +47,9 @@ from typing import (
     Tuple,
 )
 
-from ..errors import SchemaError
 from .index import OrderedIndex
 from .iocounter import IOCounter
-from .page import pages_for
-from .table import HeapTable
+from .table import Columns, HeapTable, PagedColumns
 
 
 @dataclass(frozen=True)
@@ -85,23 +86,24 @@ class IndexSnapshot:
         return list(self.rids[lo:hi])
 
 
-class TableSnapshot:
-    """A stable view of one table: the published row list and the
-    visible row count, with the same access-path surface scans use on
-    :class:`HeapTable` (``scan_page_columns`` / ``scan_pages`` /
-    ``scan`` / ``fetch`` and index probes)."""
+class TableSnapshot(PagedColumns):
+    """A stable view of one table: the published columns and the row
+    count visible at capture time. Every access path (``scan_page_columns``
+    / ``scan_pages`` / ``scan`` / ``fetch`` / ``fetch_columns``) and its
+    charging is :class:`PagedColumns`'s, shared with :class:`HeapTable`;
+    index probes go through the captured :class:`IndexSnapshot` s."""
 
     def __init__(
         self,
         name: str,
-        rows: List[Tuple[Any, ...]],
+        data: Columns,
         row_count: int,
         rows_per_page: int,
         row_width: int,
         indexes: Mapping[str, IndexSnapshot],
     ):
         self.name = name
-        self.rows = rows
+        self.data = data
         self.row_count = row_count
         self.rows_per_page = rows_per_page
         self.row_width = row_width
@@ -122,10 +124,11 @@ class TableSnapshot:
                 entries_per_page=index.entries_per_page,
                 height=index.height,
             )
+        data, row_count = table.visible()
         return cls(
             name=table.name,
-            rows=table.rows,
-            row_count=len(table.rows),
+            data=data,
+            row_count=row_count,
             rows_per_page=table.rows_per_page,
             row_width=table.row_width,
             indexes=index_snaps,
@@ -135,84 +138,24 @@ class TableSnapshot:
     # Shape
     # ------------------------------------------------------------------
 
-    @property
-    def num_rows(self) -> int:
-        return self.row_count
-
-    @property
-    def num_pages(self) -> int:
-        return pages_for(self.row_count, self.row_width)
+    def visible(self) -> Tuple[Columns, int]:
+        return self.data, self.row_count
 
     # ------------------------------------------------------------------
-    # Access paths (charging identical to HeapTable's)
+    # Index probes
     # ------------------------------------------------------------------
-
-    def scan(
-        self, io: IOCounter, include_rid: bool = False
-    ) -> Iterator[Tuple[Any, ...]]:
-        per_page = self.rows_per_page
-        count = self.row_count
-        if not count:
-            io.read_pages(1)
-            return
-        for start in range(0, count, per_page):
-            io.read_pages(1)
-            chunk = self.rows[start : min(start + per_page, count)]
-            if include_rid:
-                for offset, row in enumerate(chunk):
-                    yield row + (start + offset,)
-            else:
-                yield from chunk
-
-    def scan_pages(
-        self, io: IOCounter, include_rid: bool = False
-    ) -> Iterator[List[Tuple[Any, ...]]]:
-        per_page = self.rows_per_page
-        count = self.row_count
-        if not count:
-            io.read_pages(1)
-            return
-        for start in range(0, count, per_page):
-            io.read_pages(1)
-            chunk = self.rows[start : min(start + per_page, count)]
-            if include_rid:
-                yield [
-                    row + (start + offset,)
-                    for offset, row in enumerate(chunk)
-                ]
-            else:
-                yield list(chunk)
-
-    def scan_page_columns(
-        self, io: IOCounter, include_rid: bool = False
-    ) -> Iterator[Tuple[List[Any], int]]:
-        per_page = self.rows_per_page
-        count = self.row_count
-        if not count:
-            io.read_pages(1)
-            return
-        for start in range(0, count, per_page):
-            io.read_pages(1)
-            chunk = self.rows[start : min(start + per_page, count)]
-            columns: List[Any] = list(zip(*chunk))
-            if include_rid:
-                columns.append(range(start, start + len(chunk)))
-            yield columns, len(chunk)
-
-    def fetch(
-        self, io: IOCounter, rid: int, last_page: Optional[int] = None
-    ) -> Tuple[Tuple[Any, ...], int]:
-        if not 0 <= rid < self.row_count:
-            raise SchemaError(
-                f"row id {rid} out of range for snapshot of {self.name!r}"
-            )
-        page_number = rid // self.rows_per_page
-        if page_number != last_page:
-            io.read_pages(1)
-        return self.rows[rid], page_number
 
     def index(self, index_name: str) -> Optional[IndexSnapshot]:
         return self.indexes.get(index_name)
+
+    def index_lookup_rids(
+        self, io: IOCounter, index: IndexSnapshot, key: Sequence[Any]
+    ) -> List[int]:
+        """Probe a captured index, keeping the rids this snapshot can
+        see (a captured index may already list rows appended after the
+        table was captured)."""
+        count = self.row_count
+        return [rid for rid in index.lookup_rids(io, key) if rid < count]
 
     def index_lookup_rows(
         self,
@@ -224,10 +167,7 @@ class TableSnapshot:
         """Probe a captured index and fetch the visible matching rows
         through this snapshot (unclustered-index charging)."""
         last_page: Optional[int] = None
-        count = self.row_count
-        for rid in index.lookup_rids(io, key):
-            if rid >= count:
-                continue  # inserted after this snapshot was taken
+        for rid in self.index_lookup_rids(io, index, key):
             row, last_page = self.fetch(io, rid, last_page)
             yield row + (rid,) if include_rid else row
 
