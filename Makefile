@@ -7,12 +7,16 @@ PYTHON ?= python
 FUZZ_SEEDS ?= 50
 FUZZ_PROFILE ?= default
 FUZZ_ARGS ?=
+# bench-e2e-claim: the parent commit's checkout, and where the run sets go.
+PARENT ?=
+CLAIM_OUT ?= .bench-e2e-claim
 
 .PHONY: help test fuzz fuzz-smoke bench bench-opt bench-exec \
 	bench-exec-smoke bench-exec-gate bench-fanout bench-views \
 	bench-views-smoke bench-card bench-card-smoke bench-serve \
 	bench-serve-smoke bench-eager bench-eager-smoke bench-subq \
 	bench-subq-smoke bench-e2e bench-e2e-smoke bench-e2e-selftest \
+	bench-e2e-claim \
 	examples shell serve all
 
 help:
@@ -39,6 +43,7 @@ help:
 	@echo "  make bench-e2e        end-to-end benchmark (BENCHMARK.json): 4 workloads, every metric, ~3 min"
 	@echo "  make bench-e2e-smoke  end-to-end benchmark, tiny, answers checked (~25s)"
 	@echo "  make bench-e2e-selftest the end-to-end benchmark checking itself (<60s)"
+	@echo "  make bench-e2e-claim PARENT=<checkout>  10 alternating pairs vs the parent + verdict table, default and held-out seed (~70 min)"
 	@echo "  make examples         run the example scripts"
 	@echo "  make shell            interactive SQL shell with demo data"
 	@echo "  make serve            line-protocol server on demo data"
@@ -119,6 +124,17 @@ bench-e2e-smoke:
 
 bench-e2e-selftest:
 	$(PYTHON) benchmarks/e2e/run.py selftest
+
+# What a PR that claims a gain runs: set A is this tree, set B the
+# parent's checkout (git clone, not a worktree), so `compare B A` reads
+# parent -> change. `aa` exits 1 whenever the two trees differ by more
+# than a bound, which a claimed gain does; the verdicts are compare's.
+bench-e2e-claim:
+	@test -n "$(PARENT)" || { echo "usage: make bench-e2e-claim PARENT=<checkout of the parent commit>"; exit 2; }
+	-$(PYTHON) benchmarks/e2e/run.py aa --runs 10 --other $(PARENT) --out $(CLAIM_OUT)/default
+	$(PYTHON) benchmarks/e2e/run.py compare $(CLAIM_OUT)/default/B.json $(CLAIM_OUT)/default/A.json
+	-$(PYTHON) benchmarks/e2e/run.py aa --runs 10 --seed 19960325 --other $(PARENT) --out $(CLAIM_OUT)/held-out
+	$(PYTHON) benchmarks/e2e/run.py compare $(CLAIM_OUT)/held-out/B.json $(CLAIM_OUT)/held-out/A.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

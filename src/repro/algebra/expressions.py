@@ -154,12 +154,14 @@ class Parameter(Expression):
 
     Parameters stand where literals would in WHERE/HAVING predicates.
     They survive binding and optimization as opaque constants of unknown
-    value — the cardinality estimator falls back to its non-MCV default
-    selectivity, index-probe extraction skips them, and view-matching
-    subsumption proofs refuse them — and they must be replaced with
-    :class:`Literal` values (``repro.server.planrewrite.bind_parameters``)
-    before a plan executes. Indexes are 1-based, following PREPARE
-    convention.
+    value — the cardinality estimator prices ``col = $n`` as a value it
+    has not seen (the non-MCV ``1/NDV`` rule) and every other use at its
+    default selectivity, index-probe extraction carries ``col = $n``
+    into ``ScanNode.index_values`` as it would a literal, and
+    view-matching subsumption proofs refuse them — and they must be
+    replaced with :class:`Literal` values
+    (``repro.server.planrewrite.bind_parameters``) before a plan
+    executes. Indexes are 1-based, following PREPARE convention.
     """
 
     __slots__ = ("index",)
@@ -768,20 +770,42 @@ def replace_parameters(
     )
 
 
+def _comparison_with(
+    predicate: Expression, operand_type: type
+) -> Optional[Tuple[FieldKey, str, Expression]]:
+    """``col op operand`` (either side) as ``(column, op, operand)``
+    with the column on the left, *operand* being of *operand_type*."""
+    if not isinstance(predicate, Comparison):
+        return None
+    if isinstance(predicate.left, ColumnRef) and isinstance(
+        predicate.right, operand_type
+    ):
+        return (predicate.left.key, predicate.op, predicate.right)
+    if isinstance(predicate.left, operand_type) and isinstance(
+        predicate.right, ColumnRef
+    ):
+        flipped = COMPARISON_FLIP[predicate.op]
+        return (predicate.right.key, flipped, predicate.left)
+    return None
+
+
 def comparison_with_literal(
     predicate: Expression,
 ) -> Optional[Tuple[FieldKey, str, Any]]:
     """If *predicate* is ``col op literal`` (either side), normalize to
     ``(column, op, value)`` with the column on the left."""
-    if not isinstance(predicate, Comparison):
+    form = _comparison_with(predicate, Literal)
+    if form is None:
         return None
-    if isinstance(predicate.left, ColumnRef) and isinstance(
-        predicate.right, Literal
-    ):
-        return (predicate.left.key, predicate.op, predicate.right.value)
-    if isinstance(predicate.left, Literal) and isinstance(
-        predicate.right, ColumnRef
-    ):
-        flipped = COMPARISON_FLIP[predicate.op]
-        return (predicate.right.key, flipped, predicate.left.value)
-    return None
+    key, op, literal = form
+    return (key, op, literal.value)
+
+
+def comparison_with_parameter(
+    predicate: Expression,
+) -> Optional[Tuple[FieldKey, str, Parameter]]:
+    """If *predicate* is ``col op $n`` (either side), normalize to
+    ``(column, op, parameter)`` with the column on the left — the
+    shape :func:`comparison_with_literal` gives a literal, with the
+    :class:`Parameter` itself standing where the value would."""
+    return _comparison_with(predicate, Parameter)

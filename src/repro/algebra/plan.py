@@ -21,7 +21,7 @@ from ..catalog.schema import RID_COLUMN, Field, RowSchema
 from ..datatypes import DataType
 from ..errors import PlanError
 from .aggregates import AggregateCall
-from .expressions import Expression, FieldKey
+from .expressions import Expression, FieldKey, Parameter
 
 
 class PlanNode:
@@ -54,7 +54,8 @@ class ScanNode(PlanNode):
     - ``fields``: the output fields (projection applied at the scan).
     - ``filters``: selection conjuncts evaluated during the scan.
     - ``index_name``: when set, the scan uses an index equality access
-      path with literal probe values ``index_values``.
+      path probing for ``index_values`` — plain values, or in a
+      prepared plan the ``Parameter`` s EXECUTE will replace with them.
     - ``include_rid`` exposes the hidden tuple id (pull-up's surrogate
       key, Section 3).
     """
@@ -89,8 +90,26 @@ class ScanNode(PlanNode):
     def children(self) -> Tuple[PlanNode, ...]:
         return ()
 
+    def probe_key(self) -> Tuple[Any, ...]:
+        """``index_values`` for the engine to probe with: every ``$n``
+        must have been bound to a value by now."""
+        for value in self.index_values:
+            if isinstance(value, Parameter):
+                raise PlanError(
+                    f"parameter {value.display()} is unbound; EXECUTE "
+                    "the prepared statement with a value for it"
+                )
+        return self.index_values
+
     def describe(self) -> str:
         access = f"index {self.index_name}" if self.index_name else "heap"
+        unbound = [
+            value.display()
+            for value in self.index_values
+            if isinstance(value, Parameter)
+        ]
+        if unbound:
+            access += " = " + ", ".join(unbound)
         filters = (
             " filter " + " AND ".join(f.display() for f in self.filters)
             if self.filters

@@ -2,8 +2,8 @@
 
 Every plan node gets per-column metadata (:class:`ColMeta`) propagated
 bottom-up. The base formulas are the classic System R ones —
-``1/V(col)`` for equality with a literal, range fractions for
-inequalities, ``1/max(V(a), V(b))`` for equi-joins, configurable
+``1/V(col)`` for equality with a literal or a ``$n``, range fractions
+for inequalities, ``1/max(V(a), V(b))`` for equi-joins, configurable
 defaults elsewhere — refined by the distribution detail the statistics
 subsystem collects:
 
@@ -28,7 +28,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..algebra.expressions import (
     And,
-    ColumnRef,
     Comparison,
     Expression,
     FieldKey,
@@ -36,6 +35,7 @@ from ..algebra.expressions import (
     Not,
     Or,
     comparison_with_literal,
+    comparison_with_parameter,
     equijoin_sides,
 )
 from ..catalog.statistics import ColumnStats
@@ -163,17 +163,20 @@ class CardinalityEstimator:
             return self.equijoin_selectivity(
                 meta.get(sides[0]), meta.get(sides[1])
             )
-        if (
-            predicate.op == "="
-            and isinstance(predicate.left, ColumnRef)
-            or isinstance(predicate.right, ColumnRef)
-        ):
-            return self.params.default_selectivity
+        parameter_form = comparison_with_parameter(predicate)
+        if parameter_form is not None and parameter_form[1] == "=":
+            # ``col = $n``: a value not seen yet. A Parameter equals no
+            # MCV, so this is the non-MCV share ("otherdistinct", or
+            # 1/NDV without MCVs) — what the bound value will cost
+            # unless it happens to be a common one.
+            key, _, parameter = parameter_form
+            return self.eq_selectivity(meta.get(key), parameter)
         return self.params.default_selectivity
 
     def eq_selectivity(self, column: Optional[ColMeta], value: Any) -> float:
         """Selectivity of ``col = value`` — the MCV-aware equality
-        estimate, also used to size index probes with literal keys."""
+        estimate, also used to size index probes. *value* is a literal
+        key or an unbound ``Parameter``, which matches no MCV."""
         if column is None:
             return self.params.default_selectivity
         return self._eq_fraction(column, value) * (1.0 - column.null_frac)

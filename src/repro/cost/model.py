@@ -219,7 +219,8 @@ class CostModel:
             # (unclustered discipline, mirroring OrderedIndex charging).
             # With a literal probe value the match count is MCV-aware:
             # probing a known-hot key is priced at its real frequency,
-            # not the 1/NDV average.
+            # not the 1/NDV average. A ``$n`` probe value equals no MCV
+            # and is priced as a key not seen yet.
             eq_meta = meta.get((plan.alias, index.column_names[0]))
             if plan.index_values and eq_meta is not None:
                 matches = table_rows * self.estimator.eq_selectivity(

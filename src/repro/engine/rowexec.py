@@ -99,7 +99,7 @@ def _execute_scan(plan: ScanNode, context: ExecutionContext) -> Result:
                 f"index {plan.index_name!r} not found on {plan.table_name!r}"
             )
         source = _probe_lookup(context, plan, index)(
-            context.io, plan.index_values, include_rid=True
+            context.io, plan.probe_key(), include_rid=True
         )
     else:
         source = storage.scan(context.io, include_rid=True)

@@ -46,8 +46,8 @@ def _index_rids(plan: ScanNode, context: ExecutionContext, storage):
             f"index {plan.index_name!r} not found on {plan.table_name!r}"
         )
     if pinned:
-        return storage.index_lookup_rids(context.io, index, plan.index_values)
-    return index.lookup_rids(context.io, plan.index_values)
+        return storage.index_lookup_rids(context.io, index, plan.probe_key())
+    return index.lookup_rids(context.io, plan.probe_key())
 
 
 def scan_columns(

@@ -86,6 +86,7 @@ from ..algebra.expressions import (
     FieldKey,
     equijoin_sides,
     comparison_with_literal,
+    comparison_with_parameter,
 )
 from ..algebra.plan import (
     FilterNode,
@@ -1150,13 +1151,17 @@ class _BlockContext:
         self.model.annotate(heap)
         plans.append(heap)
 
-        # Index equality access paths from literal predicates.
+        # Index equality access paths from ``col = literal`` and
+        # ``col = $n`` predicates; a parameter rides in ``index_values``
+        # until EXECUTE binds it.
         info = self.catalog.info(leaf.ref.table)
         for predicate in local:
-            literal = comparison_with_literal(predicate)
-            if literal is None or literal[1] != "=":
+            constant = comparison_with_literal(
+                predicate
+            ) or comparison_with_parameter(predicate)
+            if constant is None or constant[1] != "=":
                 continue
-            (_, column_name), _, value = literal
+            (_, column_name), _, value = constant
             for index in info.indexes.values():
                 if index.column_names[0] != column_name:
                     continue

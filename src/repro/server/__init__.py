@@ -14,6 +14,7 @@ _EXPORTS = {
     "CacheEntry": ".plancache",
     "Session": ".session",
     "SessionResult": ".session",
+    "PlannedStatement": ".session",
     "PreparedStatement": ".session",
     "query_signature": ".signature",
     "cache_key": ".signature",

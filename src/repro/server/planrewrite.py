@@ -9,18 +9,19 @@ doubles as a consistency check) and shares the immutable parts: bound
 expressions, cost-annotator ``props``, field tuples.
 
 Parameter binding is the same walk with a substitution applied to every
-predicate expression: ``$n`` placeholders become the EXECUTE call's
-literal values, producing a fully concrete plan the engine can bind and
-run. The engine never sees a ``Parameter``.
+predicate expression and every index probe key: ``$n`` placeholders
+become the EXECUTE call's literal values, producing a fully concrete
+plan the engine can bind and run. The engine never sees a ``Parameter``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from ..algebra.expressions import (
     Expression,
     Literal,
+    Parameter,
     collect_parameters,
     replace_parameters,
 )
@@ -41,7 +42,8 @@ from ..errors import PlanError
 
 
 def plan_parameters(plan: PlanNode) -> FrozenSet[int]:
-    """Every ``$n`` index appearing in the plan's predicates."""
+    """Every ``$n`` index appearing in the plan's predicates and index
+    probe keys."""
     found = set()
     for expression in _plan_expressions(plan):
         found |= collect_parameters(expression)
@@ -51,6 +53,9 @@ def plan_parameters(plan: PlanNode) -> FrozenSet[int]:
 def _plan_expressions(plan: PlanNode):
     if isinstance(plan, ScanNode):
         yield from plan.filters
+        for value in plan.index_values:
+            if isinstance(value, Parameter):
+                yield value
     elif isinstance(plan, JoinNode):
         yield from plan.residuals
     elif isinstance(plan, SubqueryMarkNode):
@@ -87,6 +92,19 @@ def clone_plan(
             return expression
         return replace_parameters(expression, substitution)
 
+    def probe_value(value):
+        """An index probe key holds plain values, so a ``$n`` there is
+        replaced by the bound literal's value."""
+        if substitution is None or not isinstance(value, Parameter):
+            return value
+        bound = rewrite(value)
+        if not isinstance(bound, Literal):
+            raise PlanError(
+                f"index probe parameter {value.display()} needs a "
+                f"literal value, got {bound.display()}"
+            )
+        return bound.value
+
     def walk(node: PlanNode) -> PlanNode:
         if isinstance(node, ScanNode):
             clone: PlanNode = ScanNode(
@@ -96,7 +114,9 @@ def clone_plan(
                 filters=[rewrite(f) for f in node.filters],
                 include_rid=node.include_rid,
                 index_name=node.index_name,
-                index_values=node.index_values,
+                index_values=tuple(
+                    probe_value(value) for value in node.index_values
+                ),
             )
         elif isinstance(node, JoinNode):
             clone = JoinNode(
@@ -175,13 +195,21 @@ def clone_plan(
     return walk(plan)
 
 
-def bind_parameters(plan: PlanNode, values: Dict[int, Literal]) -> PlanNode:
+def bind_parameters(
+    plan: PlanNode,
+    values: Dict[int, Literal],
+    parameters: Optional[Iterable[int]] = None,
+) -> PlanNode:
     """A clone of *plan* with every ``$n`` replaced by ``values[n]``.
 
     Raises :class:`PlanError` when a placeholder has no value or a value
     has no placeholder (arity mismatches surface at EXECUTE, like a real
-    server's protocol error)."""
-    wanted = plan_parameters(plan)
+    server's protocol error). *parameters* is ``plan_parameters(plan)``
+    for a caller that already holds it; the plan is walked for it
+    otherwise."""
+    wanted = (
+        plan_parameters(plan) if parameters is None else frozenset(parameters)
+    )
     missing = sorted(wanted - set(values))
     extra = sorted(set(values) - wanted)
     if missing:

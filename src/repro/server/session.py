@@ -7,18 +7,29 @@ three things the bare ``Database`` facade does not have:
   structural signature (``signature.py``), and looked up in the
   database's shared :class:`~repro.server.plancache.PlanCache` before
   the optimizer runs. A hit skips optimization entirely; entries are
-  invalidated by the catalog change epoch.
+  invalidated by the catalog change epoch. A statement whose *text* was
+  seen before at the current epoch does less still: the cache's text
+  front answers it before any regex, lexer, parser, binder or signature
+  runs, so a recurring statement costs two dictionary lookups, a
+  snapshot capture and a plan clone before it executes. What every
+  execution needs from the cached plan besides the plan itself — its
+  ``$n`` set, its output column names — is computed once per entry
+  (:class:`PlannedStatement`), and the options fingerprint once per
+  session.
 
 - **Prepared statements.** ``PREPARE name AS SELECT ... $1 ...`` binds
   and optimizes once; ``EXECUTE name(values...)`` substitutes the
   literal values into a clone of the stored plan and runs it; precisely
-  the parse-and-optimize-once contract. *v1 tradeoff:* the plan is
-  chosen with parameters costed at default selectivity (a ``$n`` is
-  never a ``Literal``, so MCV/histogram lookups don't apply) and is
-  **not** re-optimized per value vector — a value hitting a heavy MCV
-  runs the generic plan, trading peak plan quality for zero per-execute
-  optimizer cost. Epoch invalidation still replans after DDL/ANALYZE/
-  refresh.
+  the parse-and-optimize-once contract. The one generic plan knows its
+  parameters: ``col = $n`` is costed as equality with a value not seen
+  yet (the non-MCV ``1/NDV`` rule, not the default selectivity) and is
+  offered the same single-column index probe ``col = literal`` gets,
+  the ``$n`` riding in ``ScanNode.index_values`` until EXECUTE binds
+  it. *Remaining tradeoff:* the plan is still **not** re-optimized per
+  value vector — a value hitting a heavy MCV runs the generic plan
+  (per-selectivity-bucket custom plans are not done), and range
+  comparisons against ``$n`` are still costed at default selectivity.
+  Epoch invalidation still replans after DDL/ANALYZE/refresh.
 
 - **Concurrency discipline.** All catalog mutation happens under the
   database's single write lock; queries capture a COW snapshot
@@ -44,7 +55,7 @@ from ..errors import PlanError, ReproError, SqlSyntaxError
 from ..optimizer.options import OptimizerOptions
 from ..storage.iocounter import IOCounter
 from .planrewrite import bind_parameters, clone_plan, plan_parameters
-from .signature import cache_key
+from .signature import cache_key, options_fingerprint
 
 _PREPARE_RE = re.compile(
     r"^\s*prepare\s+(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s+as\s+(?P<body>.+)$",
@@ -126,19 +137,47 @@ def _split_args(text: str) -> List[str]:
     return parts
 
 
+@dataclass(frozen=True)
+class PlannedStatement:
+    """What the plan cache holds for one query: the optimization and
+    the pure functions of its plan every execution would otherwise
+    recompute — the ``$n`` indexes in it and its output column names."""
+
+    optimization: Any  # OptimizationResult
+    parameters: Tuple[int, ...]
+    columns: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, optimization) -> "PlannedStatement":
+        plan = optimization.plan
+        return cls(
+            optimization,
+            tuple(sorted(plan_parameters(plan))),
+            tuple(field.display() for field in plan.schema),
+        )
+
+
 @dataclass
 class PreparedStatement:
-    """One PREPAREd query: the bound form, its optimized plan template,
-    and the epoch the plan was built at."""
+    """One PREPAREd query: the bound form, its optimized plan template
+    (with its parameter set and column names), and the epoch the plan
+    was built at."""
 
     name: str
     sql: str
     query: CanonicalQuery
-    optimization: Any  # OptimizationResult
-    parameters: Tuple[int, ...]
+    planned: PlannedStatement
     epoch: int
     executions: int = 0
     replans: int = 0
+
+    @property
+    def optimization(self) -> Any:
+        return self.planned.optimization
+
+    @property
+    def parameters(self) -> Tuple[int, ...]:
+        return self.planned.parameters
 
 
 @dataclass
@@ -180,6 +219,16 @@ class Session:
         self.statements = 0
         db.register_session(self)
 
+    @property
+    def options(self) -> Optional[OptimizerOptions]:
+        return self._options
+
+    @options.setter
+    def options(self, options: Optional[OptimizerOptions]) -> None:
+        # Fingerprinted when set, not once per statement.
+        self._options = options
+        self._options_fingerprint = options_fingerprint(options)
+
     def close(self) -> None:
         self.db.unregister_session(self)
 
@@ -197,6 +246,10 @@ class Session:
         """Run one statement: a query, DDL/INSERT, or the PREPARE /
         EXECUTE / DEALLOCATE session commands."""
         self.statements += 1
+        start = time.perf_counter()
+        planned = self._cached_text(sql) if self.use_plan_cache else None
+        if planned is not None:
+            return self._execute_query(sql, start, *planned)
         match = _PREPARE_RE.match(sql)
         if match is not None:
             return self.prepare(match.group("name"), match.group("body"))
@@ -213,7 +266,7 @@ class Session:
 
         if maybe_parse_ddl(sql) is not None:
             return self._execute_ddl(sql)
-        return self._execute_query(sql)
+        return self._execute_query(sql, start, *self._plan_query(sql))
 
     # ------------------------------------------------------------------
     # DDL / writes — single writer, under the lock
@@ -231,11 +284,31 @@ class Session:
     # Queries — plan cache + snapshot execution
     # ------------------------------------------------------------------
 
+    def _text_key(self, sql: str) -> Tuple[str, str, str]:
+        """The plan cache's text-front key: the statement verbatim plus
+        what else decides its plan on this session."""
+        return (sql, self.optimizer, self._options_fingerprint)
+
+    def _cached_text(
+        self, sql: str
+    ) -> Optional[Tuple[PlannedStatement, Any, bool]]:
+        """The statement fast path: *sql* verbatim was bound and planned
+        at the current epoch, so all that is left to do under the lock
+        is to pair the cached plan with a snapshot. ``None`` for any
+        other text — session commands and DDL included."""
+        with self.db.write_lock:
+            planned = self.db.plan_cache.get_text(
+                self._text_key(sql), self.db.catalog.change_epoch
+            )
+            if planned is None:
+                return None
+            return planned, self.db.catalog.capture_snapshot(), True
+
     def _plan_query(
         self, sql: str
-    ) -> Tuple[Any, "Any", bool]:
+    ) -> Tuple[PlannedStatement, Any, bool]:
         """Bind and optimize (or fetch the cached plan) under the write
-        lock; returns ``(optimization, snapshot, cache_hit)``.
+        lock; returns ``(planned, snapshot, cache_hit)``.
 
         The lock covers three things that must see a settled catalog:
         binding (schema lookups), optimization (which may trigger lazy
@@ -246,21 +319,26 @@ class Session:
             bound = self.db.bind(sql)
             key = cache_key(bound, self.optimizer, self.options)
             epoch = self.db.catalog.change_epoch
-            optimization = (
-                cache.get(key, epoch) if cache is not None else None
-            )
-            hit = optimization is not None
-            if optimization is None:
-                optimization = self.db.optimize_bound(
-                    bound, self.optimizer, self.options
+            planned = cache.get(key, epoch) if cache is not None else None
+            hit = planned is not None
+            if planned is None:
+                planned = PlannedStatement.of(
+                    self.db.optimize_bound(
+                        bound, self.optimizer, self.options
+                    )
                 )
                 # Lazy matview refresh during optimization bumps the
                 # epoch; re-read it so the entry is valid *now*.
                 epoch = self.db.catalog.change_epoch
                 if cache is not None:
-                    cache.put(key, epoch, optimization)
+                    cache.put(key, epoch, planned)
+            if cache is not None:
+                # Nothing but this statement's own refresh moved the
+                # catalog since the bind, and a refresh changes no
+                # schema: the text still binds to *key* at *epoch*.
+                cache.put_text(self._text_key(sql), key, epoch)
             snapshot = self.db.catalog.capture_snapshot()
-        return optimization, snapshot, hit
+        return planned, snapshot, hit
 
     def _run_plan(self, plan, snapshot) -> Tuple[Any, "ExecutionContext"]:
         """Execute a (cloned, fully concrete) plan against *snapshot*
@@ -279,23 +357,30 @@ class Session:
             return execute_plan_rows(plan, context), context
         return execute_plan(plan, context), context
 
-    def _execute_query(self, sql: str) -> SessionResult:
+    def _execute_query(
+        self,
+        sql: str,
+        start: float,
+        planned: PlannedStatement,
+        snapshot,
+        hit: bool,
+    ) -> SessionResult:
+        """Run a planned query text; *start* is when its statement
+        began, so ``plan_seconds`` covers whatever planning it did."""
         from ..db import QueryResult
 
-        start = time.perf_counter()
-        optimization, snapshot, hit = self._plan_query(sql)
-        planned = time.perf_counter()
-        if plan_parameters(optimization.plan):
+        after_planning = time.perf_counter()
+        if planned.parameters:
             raise PlanError(
                 "query contains $n parameters; use PREPARE ... / EXECUTE"
             )
+        optimization = planned.optimization
         plan = clone_plan(optimization.plan)
         result, context = self._run_plan(plan, snapshot)
         finished = time.perf_counter()
-        columns = [field.display() for field in plan.schema]
         query_result = QueryResult(
             rows=result.rows,
-            columns=columns,
+            columns=list(planned.columns),
             plan=plan,
             estimated_cost=optimization.cost,
             executed_io=context.io.snapshot(),
@@ -306,10 +391,10 @@ class Session:
         return SessionResult(
             kind="query",
             rows=result.rows,
-            columns=columns,
+            columns=query_result.columns,
             cache_hit=hit,
-            plan_seconds=planned - start,
-            exec_seconds=finished - planned,
+            plan_seconds=after_planning - start,
+            exec_seconds=finished - after_planning,
             query_result=query_result,
         )
 
@@ -336,7 +421,8 @@ class Session:
                 query, self.optimizer, self.options
             )
             epoch = self.db.catalog.change_epoch
-        parameters = tuple(sorted(plan_parameters(optimization.plan)))
+        planned = PlannedStatement.of(optimization)
+        parameters = planned.parameters
         expected = tuple(range(1, len(parameters) + 1))
         if parameters != expected:
             raise PlanError(
@@ -345,12 +431,7 @@ class Session:
                 f"numbered contiguously from $1"
             )
         self.prepared[name] = PreparedStatement(
-            name=name,
-            sql=sql,
-            query=query,
-            optimization=optimization,
-            parameters=parameters,
-            epoch=epoch,
+            name=name, sql=sql, query=query, planned=planned, epoch=epoch
         )
         return SessionResult(
             kind="prepare",
@@ -376,9 +457,11 @@ class Session:
             if statement.epoch != self.db.catalog.change_epoch:
                 # The catalog moved on (DDL/insert/refresh/ANALYZE):
                 # replan once at the new epoch. Parameter *values* never
-                # trigger this — see the module docstring's v1 tradeoff.
-                statement.optimization = self.db.optimize_bound(
-                    statement.query, self.optimizer, self.options
+                # trigger this — see the module docstring's tradeoff.
+                statement.planned = PlannedStatement.of(
+                    self.db.optimize_bound(
+                        statement.query, self.optimizer, self.options
+                    )
                 )
                 statement.epoch = self.db.catalog.change_epoch
                 statement.replans += 1
@@ -388,11 +471,13 @@ class Session:
             index: value
             for index, value in zip(statement.parameters, values)
         }
-        plan = bind_parameters(statement.optimization.plan, substitution)
+        plan = bind_parameters(
+            statement.optimization.plan, substitution, statement.parameters
+        )
         result, context = self._run_plan(plan, snapshot)
         finished = time.perf_counter()
         statement.executions += 1
-        columns = [field.display() for field in plan.schema]
+        columns = list(statement.planned.columns)
         query_result = QueryResult(
             rows=result.rows,
             columns=columns,

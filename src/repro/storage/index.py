@@ -21,6 +21,23 @@ from .table import HeapTable
 _ENTRY_OVERHEAD = 8  # rid + slot bookkeeping per index entry
 
 
+def equal_range(
+    keys: Sequence[Tuple[Any, ...]], key: Sequence[Any]
+) -> Tuple[int, int]:
+    """``[lo, hi)`` of the sorted *keys* equal to *key*. A key holding
+    NULL, or a value the indexed type does not order against (``'x'``
+    probing an int column), equals no entry: the range is empty, as the
+    same comparison is false on a heap scan."""
+    probe = tuple(key)
+    if None in probe:
+        return 0, 0
+    try:
+        lo = bisect.bisect_left(keys, probe)
+        return lo, bisect.bisect_right(keys, probe, lo)
+    except TypeError:
+        return 0, 0
+
+
 class OrderedIndex:
     """An ordered index over one or more columns of a heap table."""
 
@@ -102,11 +119,10 @@ class OrderedIndex:
     # ------------------------------------------------------------------
 
     def lookup_rids(self, io: IOCounter, key: Sequence[Any]) -> List[int]:
-        """Rids of rows whose indexed columns equal *key* (charges IO)."""
+        """Rids of rows whose indexed columns equal *key* (charges IO;
+        a key that can equal nothing still pays the descent)."""
         keys, rids = self._data  # one read: keys/rids stay paired
-        probe = tuple(key)
-        lo = bisect.bisect_left(keys, probe)
-        hi = bisect.bisect_right(keys, probe)
+        lo, hi = equal_range(keys, key)
         io.read_pages(self.height)
         if hi > lo:
             first_leaf = lo // self.entries_per_page

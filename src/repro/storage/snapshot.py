@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from .index import OrderedIndex
+from .index import OrderedIndex, equal_range
 from .iocounter import IOCounter
 from .table import Columns, HeapTable, PagedColumns
 
@@ -71,11 +71,7 @@ class IndexSnapshot:
     height: int
 
     def lookup_rids(self, io: IOCounter, key: Sequence[Any]) -> List[int]:
-        import bisect
-
-        probe = tuple(key)
-        lo = bisect.bisect_left(self.keys, probe)
-        hi = bisect.bisect_right(self.keys, probe)
+        lo, hi = equal_range(self.keys, key)
         io.read_pages(self.height)
         if hi > lo:
             first_leaf = lo // self.entries_per_page

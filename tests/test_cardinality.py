@@ -8,6 +8,7 @@ from repro.algebra.expressions import (
     Literal,
     Not,
     Or,
+    Parameter,
     col,
     lit,
 )
@@ -71,6 +72,59 @@ class TestLiteralSelectivity:
     def test_flipped_literal_side(self, estimator, meta):
         predicate = Comparison(">", lit(250), col("e.sal"))  # sal < 250
         assert estimator.selectivity(predicate, meta) == pytest.approx(0.25)
+
+
+class TestParameterSelectivity:
+    """``col = $n`` is equality with a value not seen yet."""
+
+    def test_equality_is_one_over_ndv(self, estimator, meta):
+        predicate = Comparison("=", col("e.dno"), Parameter(1))
+        assert estimator.selectivity(predicate, meta) == pytest.approx(0.1)
+        assert estimator.selectivity(
+            predicate, meta
+        ) == estimator.selectivity(Comparison("=", col("e.dno"), lit(3)), meta)
+
+    def test_flipped_parameter_side(self, estimator, meta):
+        predicate = Comparison("=", Parameter(2), col("e.sal"))
+        assert estimator.selectivity(predicate, meta) == pytest.approx(0.01)
+
+    def test_equality_takes_the_non_mcv_share_and_skips_nulls(self, estimator):
+        skewed = {
+            ("t", "k"): ColMeta(
+                ndv=12, null_frac=0.2, mcvs=((7, 0.5), (9, 0.3))
+            )
+        }
+        predicate = Comparison("=", col("t.k"), Parameter(1))
+        # (1 - 0.8) / (12 - 2) of the non-null rows, like a literal that
+        # is no MCV -- never the 0.5 the hot key would get.
+        assert estimator.selectivity(predicate, skewed) == pytest.approx(
+            0.02 * 0.8
+        )
+        assert estimator.selectivity(
+            predicate, skewed
+        ) == estimator.selectivity(Comparison("=", col("t.k"), lit(1)), skewed)
+
+    def test_unknown_column_uses_default(self, estimator, meta):
+        predicate = Comparison("=", col("zz.q"), Parameter(1))
+        assert estimator.selectivity(predicate, meta) == pytest.approx(
+            CostParams().default_selectivity
+        )
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "!="])
+    def test_other_comparisons_keep_the_default(self, estimator, meta, op):
+        for predicate in (
+            Comparison(op, col("e.sal"), Parameter(1)),
+            Comparison(op, Parameter(1), col("e.sal")),
+        ):
+            assert estimator.selectivity(predicate, meta) == pytest.approx(
+                CostParams().default_selectivity
+            )
+
+    def test_column_free_comparison_keeps_the_default(self, estimator, meta):
+        predicate = Comparison("=", Parameter(1), lit(3))
+        assert estimator.selectivity(predicate, meta) == pytest.approx(
+            CostParams().default_selectivity
+        )
 
 
 class TestBooleanCombinations:

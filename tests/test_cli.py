@@ -135,6 +135,22 @@ class TestShell:
         interpreter.run(source)
         assert "(1 row)" in out.getvalue()
 
+    def test_stats_panel_counts_text_front_hits(self):
+        out = io.StringIO()
+        interpreter = Shell(make_demo_database(), out=out, show_stats=True)
+        statement = "select e.sal from emp e where e.dno = 3;"
+        for _ in range(3):
+            interpreter.handle(statement)
+        panels = [
+            line
+            for line in out.getvalue().splitlines()
+            if line.startswith("plan-cache: ")
+        ]
+        assert len(panels) == 3
+        assert " hits=0 text_hits=0 misses=1 " in panels[0]
+        assert " hits=2 text_hits=2 misses=1 " in panels[2]
+        assert " entries=1 texts=1 " in panels[2]
+
 
 class TestFuzzCommand:
     """Exit codes and outputs of ``python -m repro fuzz``."""

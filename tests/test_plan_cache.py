@@ -218,6 +218,7 @@ class TestSessionCaching:
             "entries",
             "capacity",
             "hits",
+            "text_hits",
             "misses",
             "invalidations",
             "evictions",
