@@ -11,8 +11,7 @@ FUZZ_ARGS ?=
 PARENT ?=
 CLAIM_OUT ?= .bench-e2e-claim
 
-.PHONY: help test fuzz fuzz-smoke bench bench-opt bench-exec \
-	bench-exec-smoke bench-exec-gate bench-fanout bench-views \
+.PHONY: help test fuzz fuzz-smoke bench bench-opt bench-views \
 	bench-views-smoke bench-card bench-card-smoke bench-serve \
 	bench-serve-smoke bench-eager bench-eager-smoke bench-subq \
 	bench-subq-smoke bench-e2e bench-e2e-smoke bench-e2e-selftest \
@@ -26,10 +25,6 @@ help:
 	@echo "  make fuzz-smoke       bounded fuzz smoke for CI (~60s, fixed seeds)"
 	@echo "  make bench            run pytest-benchmark suites"
 	@echo "  make bench-opt        optimizer scaling -> BENCH_optimizer_scaling.json"
-	@echo "  make bench-exec       executor throughput -> BENCH_executor.json"
-	@echo "  make bench-exec-smoke executor throughput, tiny CI configuration"
-	@echo "  make bench-exec-gate  assert columnar >=2x on chain + grouped-agg + fanout"
-	@echo "  make bench-fanout     duplicate-key fan-out smoke (pruning on/off)"
 	@echo "  make bench-views      materialized-view payoff -> BENCH_views.json"
 	@echo "  make bench-views-smoke view payoff, tiny CI configuration"
 	@echo "  make bench-card       cardinality q-error study -> BENCH_cardinality.json"
@@ -64,21 +59,6 @@ bench:
 
 bench-opt:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_optimizer_scaling.py --out BENCH_optimizer_scaling.json
-
-bench-exec:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_executor.py --out BENCH_executor.json
-
-bench-exec-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_executor.py --smoke
-
-bench-exec-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_executor.py \
-		--only chain-pkfk,grouped-agg,fanout-dup --assert-speedup 2.0 \
-		--repeats 5
-
-bench-fanout:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_executor.py \
-		--smoke --only fanout-dup
 
 bench-views:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_views.py --out BENCH_views.json

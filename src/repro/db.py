@@ -31,7 +31,7 @@ from .catalog.schema import Column
 from .cost.params import CostParams
 from .datatypes import DataType
 from .engine.context import ExecutionContext, Result
-from .engine.executor import execute_plan
+from .engine.executor import check_engine, execute_plan
 from .engine.metrics import ExecutionMetrics
 from .engine.reference import evaluate_canonical
 from .errors import CatalogError, ReproError
@@ -467,27 +467,15 @@ class Database:
     def _execute_with_metrics(
         self, plan: PlanNode, engine: str = "batch"
     ) -> Tuple[Result, IOSnapshot, Optional[ExecutionMetrics]]:
-        if engine in ("batch", "columnar"):
-            context = ExecutionContext(self.catalog, self.io, self.params)
-        elif engine == "batch-rows":
-            context = ExecutionContext(
-                self.catalog, self.io, self.params, engine="rows"
-            )
-        elif engine == "rowexec":
-            from .engine.rowexec import execute_plan_rows
-
-            context = ExecutionContext(self.catalog, self.io, self.params)
-            with self.io.measure() as span:
-                result = execute_plan_rows(plan, context)
-            return result, span.delta, context.metrics
-        else:
-            raise ReproError(
-                f"unknown engine {engine!r} (choose from 'batch', "
-                "'batch-rows', 'rowexec')"
-            )
+        check_engine(engine)
+        context = ExecutionContext(self.catalog, self.io, self.params)
         with self.io.measure() as span:
-            result = execute_plan(plan, context)
-        assert context.metrics is not None  # created by execute_plan
+            if engine == "rowexec":
+                from .engine.rowexec import execute_plan_rows
+
+                result = execute_plan_rows(plan, context)
+            else:
+                result = execute_plan(plan, context)
         return result, span.delta, context.metrics
 
     def query(
@@ -500,10 +488,12 @@ class Database:
     ) -> QueryResult:
         """Bind, optimize, and (by default) execute one SQL query.
 
-        ``engine`` selects the executor: the streaming batch pipeline
-        (default) or the legacy row-at-a-time interpreter
-        (``"rowexec"``), which the differential tests cross-check.
+        ``engine`` selects the executor: the columnar batch pipeline
+        (``"batch"``, the default) or the row-at-a-time interpreter
+        (``"rowexec"``), which the differential tests cross-check. Any
+        other name is a :class:`ReproError`, raised before planning.
         """
+        check_engine(engine)
         bound = self.bind(sql)
         optimization = self.optimize_bound(bound, optimizer, options)
         plan = optimization.plan

@@ -1,14 +1,14 @@
-"""Physical execution: streaming batch pipelines, executor, reference
-evaluator, and the legacy row-at-a-time baseline.
+"""Physical execution: the columnar batch executor, the row-at-a-time
+baseline, and the reference evaluator.
 
 Plans produced by the optimizer (or built by hand) execute against the
 stored tables, charging page IO with exactly the formulas the cost model
 estimates with — spills, rescans, and materializations included — so a
-benchmark can put estimated IO and executed IO side by side. The batch
-executor (:func:`execute_plan`) is the production path; the legacy
-interpreter (:func:`execute_plan_rows`) is kept as the differential and
-performance baseline, and :mod:`repro.engine.reference` remains the
-optimizer-free ground truth.
+benchmark can put estimated IO and executed IO side by side. The
+columnar batch executor (:func:`execute_plan`) is the one production
+path; the seed interpreter (:func:`execute_plan_rows`) is kept as the
+differential baseline that must charge identical page IO, and
+:mod:`repro.engine.reference` remains the optimizer-free ground truth.
 """
 
 from .batch import DEFAULT_BATCH_SIZE, ColumnBatch

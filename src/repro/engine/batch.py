@@ -1,18 +1,15 @@
-"""Shared helpers of the streaming batch pipeline — row-batch and
-column-batch representations.
+"""Shared helpers of the streaming batch pipeline: the column-batch
+representation and the few per-row accessors it still needs.
 
-Two batch layouts flow through the engine:
-
-- **Row batches** (plain lists of row tuples) power the PR-2 streaming
-  engine, kept as the wall-clock baseline (``ExecutionContext.engine ==
-  "rows"``). The helpers here precompile the per-row work into C-speed
-  accessors (:func:`projector`, :func:`keyer`, :func:`tuple_keyer`).
-- **Column batches** (:class:`ColumnBatch`: one stdlib list/tuple per
-  column) power the production columnar engine. Column-major layout
-  makes key extraction free (a join/group key *is* its column), makes
-  projection a zero-copy column pick (:meth:`ColumnBatch.project`), and
-  lets the compiled kernels in :mod:`repro.engine.kernels` run fused
-  scan→filter→project loops with no per-row Python function calls.
+Operators exchange **column batches** (:class:`ColumnBatch`: one stdlib
+list/tuple per column). Column-major layout makes key extraction free
+(a join/group key *is* its column), makes projection a zero-copy column
+pick (:meth:`ColumnBatch.project`), and lets the compiled kernels in
+:mod:`repro.engine.kernels` run fused scan→filter→project loops with no
+per-row Python function calls. Where an operator is inherently per-row
+(the sort-method group-by, the index-NLJ probe), :func:`projector` and
+:func:`keyer` precompile that work into C-speed accessors over row
+tuples (:data:`RowBatch`).
 
 Columns are any indexable sequences: lists (a scan's columns are
 slices of the stored, column-major table — ``storage/table.py`` — so
@@ -136,8 +133,8 @@ def concat_columns(
 class ColumnBatchBuilder:
     """Accumulates column chunks and hands out full column batches.
 
-    The columnar analogue of :class:`BatchBuilder`: producers ``extend``
-    with per-column chunks and drain whole batches once ``full``.
+    Producers ``extend`` with per-column chunks and drain whole batches
+    once ``full``.
     """
 
     __slots__ = ("columns", "length", "size", "width")
@@ -189,67 +186,3 @@ def keyer(positions: Sequence[int]) -> Callable[[Tuple[Any, ...]], Any]:
     if len(positions) == 1:
         return itemgetter(positions[0])
     return itemgetter(*positions)
-
-
-def tuple_keyer(
-    positions: Sequence[int],
-) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
-    """Like :func:`keyer` but always yields a tuple (index probe keys)."""
-    positions = list(positions)
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
-
-
-def filtered(batch: RowBatch, checks) -> RowBatch:
-    """Apply bound predicate conjuncts to one batch in a single pass.
-
-    Small conjunct counts are special-cased into one inlined boolean
-    expression so the common 2–3-predicate case runs without a per-row
-    generator (and without rebuilding the batch list per check)."""
-    if not checks:
-        return batch
-    if len(checks) == 1:
-        check = checks[0]
-        return [row for row in batch if check(row)]
-    if len(checks) == 2:
-        first, second = checks
-        return [row for row in batch if first(row) and second(row)]
-    if len(checks) == 3:
-        first, second, third = checks
-        return [
-            row
-            for row in batch
-            if first(row) and second(row) and third(row)
-        ]
-    return [row for row in batch if all(check(row) for check in checks)]
-
-
-class BatchBuilder:
-    """Accumulates rows and hands out full batches.
-
-    Producers ``extend``/``append`` rows and yield :meth:`drain` results
-    whenever :meth:`full` says the target size is reached; a final
-    :meth:`drain` flushes the remainder.
-    """
-
-    __slots__ = ("rows", "size")
-
-    def __init__(self, size: int):
-        self.rows: RowBatch = []
-        self.size = size
-
-    def extend(self, rows: RowBatch) -> None:
-        self.rows.extend(rows)
-
-    def append(self, row: Tuple[Any, ...]) -> None:
-        self.rows.append(row)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rows) >= self.size
-
-    def drain(self) -> RowBatch:
-        batch, self.rows = self.rows, []
-        return batch

@@ -22,13 +22,10 @@ class ExecutionContext:
     ``batch_size`` is the streaming pipeline's rows-per-batch knob;
     ``metrics`` collects per-operator counters (created by the executor
     on first use, accumulating if the context is reused).
-
-    ``engine`` selects the batch representation: ``"columnar"`` (the
-    default) runs compiled column kernels, ``"rows"`` runs the tuple
-    pipeline kept as the wall-clock baseline. ``kernels_compiled``
-    counts kernel instantiations for this context — the observability
-    counter behind ``repro --stats`` (cached source still counts: the
-    counter tracks kernels built, not code objects compiled).
+    ``kernels_compiled`` counts kernel instantiations for this context
+    — the observability counter behind ``repro --stats`` (cached source
+    still counts: the counter tracks kernels built, not code objects
+    compiled).
     """
 
     catalog: Catalog
@@ -36,7 +33,6 @@ class ExecutionContext:
     params: CostParams = field(default_factory=CostParams)
     batch_size: int = DEFAULT_BATCH_SIZE
     metrics: Optional[ExecutionMetrics] = None
-    engine: str = "columnar"
     kernels_compiled: int = 0
     # When set, scans and index probes read this stable snapshot
     # instead of the live catalog tables — the serving layer's

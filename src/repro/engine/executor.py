@@ -1,24 +1,17 @@
-"""Streaming batch executor: drives plan trees as batch pipelines.
+"""Streaming batch executor: drives plan trees as one columnar pipeline.
 
-Two production pipelines share this driver, selected by
-``ExecutionContext.engine``:
+Operators exchange :class:`~repro.engine.batch.ColumnBatch` column sets
+and run compiled kernels (:mod:`repro.engine.kernels`). Maximal
+filter→project→rename chains fuse into ONE per-batch loop carrying a
+lazy selection vector — no intermediate batch is materialized between
+fused operators, and each fused operator still gets its own
+:class:`~repro.engine.metrics.OperatorMetrics` (rows and batches are
+exact; wall-clock is attributed to the chain head, and members carry
+the ``fused`` flag that ``explain``/``--stats`` render).
 
-- ``"columnar"`` (the default): operators exchange
-  :class:`~repro.engine.batch.ColumnBatch` column sets and run compiled
-  kernels (:mod:`repro.engine.kernels`). Maximal filter→project→rename
-  chains fuse into ONE per-batch loop carrying a lazy selection vector —
-  no intermediate batch is materialized between fused operators, and
-  each fused operator still gets its own
-  :class:`~repro.engine.metrics.OperatorMetrics` (rows and batches are
-  exact; wall-clock is attributed to the chain head, and members carry
-  the ``fused`` flag that ``explain``/``--stats`` render).
-- ``"rows"``: the tuple-batch engine (PR 2), kept as the wall-clock
-  baseline that ``benchmarks/bench_executor.py`` measures the columnar
-  engine against.
-
-Both paths charge identical page IO to ``context.io``. The legacy
-row-at-a-time interpreter lives on in :mod:`repro.engine.rowexec` as the
-differential reference; all three produce identical row streams.
+Page IO is charged to ``context.io``. The seed's row-at-a-time
+interpreter lives on in :mod:`repro.engine.rowexec` as the differential
+baseline: both produce identical row streams and identical page IO.
 """
 
 from __future__ import annotations
@@ -38,37 +31,28 @@ from ..algebra.plan import (
     SortNode,
     SubqueryMarkNode,
 )
-from ..errors import ExecutionError
-from .batch import ColumnBatch, RowBatch, take
+from ..errors import ExecutionError, ReproError
+from .batch import ColumnBatch, take
 from .context import ExecutionContext, Result
-from .groupby import (
-    filter_batches,
-    group_by_batches,
-    group_by_columns,
-    limit_batches,
-    limit_columns,
-    project_batches,
-    rename_batches,
-    sort_batches,
-    sort_columns,
-)
-from .join import join_batches, join_columns
+from .groupby import group_by_columns, limit_columns, sort_columns
+from .join import join_columns
 from .kernels import ComputeProgram, SelectionProgram, gather_virtual
-from .marks import mark_batches, mark_columns
+from .marks import mark_columns
 from .metrics import ExecutionMetrics, OperatorMetrics
-from .scan import scan_batches, scan_columns
+from .scan import scan_columns
 
-_BUILDERS = {
-    ScanNode: scan_batches,
-    JoinNode: join_batches,
-    SubqueryMarkNode: mark_batches,
-    GroupByNode: group_by_batches,
-    SortNode: sort_batches,
-    RenameNode: rename_batches,
-    ProjectNode: project_batches,
-    FilterNode: filter_batches,
-    LimitNode: limit_batches,
-}
+ENGINES = ("batch", "rowexec")
+"""The executor names ``Database.query`` and ``Session`` accept: the
+columnar pipeline below (production) and the row-at-a-time
+:mod:`~repro.engine.rowexec` differential baseline."""
+
+
+def check_engine(name: str) -> None:
+    """Raise the one typed error for an executor name not in ENGINES."""
+    if name not in ENGINES:
+        known = ", ".join(map(repr, ENGINES))
+        raise ReproError(f"unknown engine {name!r} (choose from {known})")
+
 
 _COLUMN_BUILDERS = {
     ScanNode: scan_columns,
@@ -97,67 +81,25 @@ def execute_plan(plan: PlanNode, context: ExecutionContext) -> Result:
         context.metrics = ExecutionMetrics()
     rows = []
     for batch in build_pipeline(plan, context):
-        if isinstance(batch, ColumnBatch):
-            rows.extend(batch.to_rows())
-        else:
-            rows.extend(batch)
+        rows.extend(batch.to_rows())
     context.metrics.kernels_compiled = context.kernels_compiled
     return Result(schema=plan.schema, rows=rows)
 
 
 def build_pipeline(
     plan: PlanNode, context: ExecutionContext, depth: int = 0
-) -> Iterator:
+) -> Iterator[ColumnBatch]:
     """Build the metered batch generator for *plan* (pre-order setup:
-    kernel compilation / expression binding and child pipeline
-    construction happen eagerly, row flow is lazy)."""
-    if context.engine == "rows":
-        return _build_rows(plan, context, depth)
-    return _build_columnar(plan, context, depth)
-
-
-def _lookup(table, plan: PlanNode):
-    builder = table.get(type(plan))
+    kernel compilation and child pipeline construction happen eagerly,
+    row flow is lazy)."""
+    if isinstance(plan, _FUSABLE):
+        return _fused_chain(plan, context, depth)
+    builder = _COLUMN_BUILDERS.get(type(plan))
     if builder is None:
-        for node_type, candidate in table.items():
+        for node_type, candidate in _COLUMN_BUILDERS.items():
             if isinstance(plan, node_type):
                 builder = candidate
                 break
-    return builder
-
-
-def _build_rows(
-    plan: PlanNode, context: ExecutionContext, depth: int = 0
-) -> Iterator[RowBatch]:
-    builder = _lookup(_BUILDERS, plan)
-    if builder is None:
-        raise ExecutionError(
-            f"cannot execute node type {type(plan).__name__}"
-        )
-
-    metrics = OperatorMetrics(
-        label=plan.describe(), depth=depth, width=len(plan.schema)
-    )
-    if context.metrics is not None:
-        context.metrics.register(metrics)
-    plan.op_metrics = metrics
-
-    def run(child: PlanNode) -> Iterator[RowBatch]:
-        child_batches = _build_rows(child, context, depth + 1)
-        if child.op_metrics is not None:
-            metrics.children.append(child.op_metrics)
-        return child_batches
-
-    generator = builder(plan, context, metrics, run)
-    return _metered(plan, generator, metrics)
-
-
-def _build_columnar(
-    plan: PlanNode, context: ExecutionContext, depth: int = 0
-) -> Iterator[ColumnBatch]:
-    if isinstance(plan, _FUSABLE):
-        return _fused_chain(plan, context, depth)
-    builder = _lookup(_COLUMN_BUILDERS, plan)
     if builder is None:
         raise ExecutionError(
             f"cannot execute node type {type(plan).__name__}"
@@ -171,7 +113,7 @@ def _build_columnar(
     plan.op_metrics = metrics
 
     def run(child: PlanNode) -> Iterator[ColumnBatch]:
-        child_batches = _build_columnar(child, context, depth + 1)
+        child_batches = build_pipeline(child, context, depth + 1)
         if child.op_metrics is not None:
             metrics.children.append(child.op_metrics)
         return child_batches
@@ -244,7 +186,7 @@ def _fused_chain(
             context.metrics.register(member_metrics)
         member.op_metrics = member_metrics
 
-    child_batches = _build_columnar(node, context, depth + len(chain))
+    child_batches = build_pipeline(node, context, depth + len(chain))
     head_metrics = chain[0].op_metrics
     if node.op_metrics is not None:
         # the head's inclusive time must subtract the real producer —

@@ -1,11 +1,12 @@
-"""Streaming execution of group-by (hash and sort-based), sort, rename,
-and the pipelined operators (filter, project, limit).
+"""Streaming execution of group-by (hash and sort-based), sort and
+limit.
 
-The group-by table and the sort buffer are pipeline breakers; filter,
-project, and rename are pure per-batch loops. ``LimitNode`` drains its
-child completely (the legacy executor materialized the child, so the
-child's page IO was always charged in full — the batch path preserves
-that) while emitting only the first N rows.
+The group-by table and the sort buffer are pipeline breakers (filter,
+project and rename run in the executor's fused chain, not here).
+``LimitNode`` drains its child completely (the legacy executor
+materialized the child, so the child's page IO was always charged in
+full — the batch path preserves that) while emitting only the first N
+rows.
 """
 
 from __future__ import annotations
@@ -13,146 +14,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from ..algebra.aggregates import Accumulator
-from ..algebra.plan import (
-    FilterNode,
-    GroupByNode,
-    LimitNode,
-    ProjectNode,
-    RenameNode,
-    SortNode,
-)
+from ..algebra.plan import GroupByNode, LimitNode, SortNode
 from ..datatypes import NullOrdered, null_ordered_key
 from ..storage.page import pages_for
-from .batch import (
-    BatchBuilder,
-    ColumnBatch,
-    RowBatch,
-    filtered,
-    keyer,
-    projector,
-    take,
-)
+from .batch import ColumnBatch, keyer, projector, take
 from .context import ExecutionContext
 from .kernels import ComputeProgram, SelectionProgram, groupby_kernels
 from .metrics import OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_group_extra_io
-
-
-def group_by_batches(
-    plan: GroupByNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Group the child's stream (hash or sorted-run) and apply HAVING."""
-    child_batches = run(plan.child)
-    child_schema = plan.child.schema
-    key_positions = [
-        child_schema.index_of(alias, name) for alias, name in plan.group_keys
-    ]
-    single_key = len(key_positions) == 1
-    key_of = keyer(key_positions)
-    arg_evaluators = [
-        call.arg.bind(child_schema) if call.arg is not None else None
-        for _, call in plan.aggregates
-    ]
-    functions = [call.function() for _, call in plan.aggregates]
-
-    internal = plan.internal_schema
-    having_checks = [predicate.bind(internal) for predicate in plan.having]
-    out_positions = [
-        internal.index_of(alias, name) for alias, name in plan.projection
-    ]
-    project = projector(out_positions, len(internal))
-
-    def generate() -> Iterator[RowBatch]:
-        if plan.method == "sort":
-            rows: List[Tuple[Any, ...]] = []
-            for batch in child_batches:
-                rows.extend(batch)
-            metrics.rows_in = len(rows)
-            groups = _sorted_groups(rows, key_of, arg_evaluators, functions)
-        else:
-            groups, child_count = _hashed_groups_streamed(
-                child_batches, key_of, arg_evaluators, functions, metrics
-            )
-            # hash table larger than memory: partition-to-disk charge,
-            # using the child's total pages (known once it is drained)
-            charge_spill(
-                context.io,
-                metrics,
-                hash_group_extra_io(
-                    pages_for(child_count, child_schema.width),
-                    pages_for(len(groups), internal.width),
-                    context.params.memory_pages,
-                ),
-            )
-
-        out = BatchBuilder(context.batch_size)
-        for key, accumulators in groups:
-            key_part = (key,) if single_key else key
-            internal_row = key_part + tuple(
-                accumulator.value() for accumulator in accumulators
-            )
-            if having_checks and not all(
-                check(internal_row) for check in having_checks
-            ):
-                continue
-            out.append(
-                project(internal_row) if project is not None else internal_row
-            )
-            if out.full:
-                yield out.drain()
-        if out.rows:
-            yield out.drain()
-
-    return generate()
-
-
-def _hashed_groups_streamed(
-    child_batches: Iterator[RowBatch],
-    key_of,
-    arg_evaluators,
-    functions,
-    metrics: OperatorMetrics,
-):
-    """Build the group table batch by batch; group order is first-seen
-    (dict insertion order), matching the legacy executor exactly."""
-    table: Dict[Any, List[Accumulator]] = {}
-    lookup = table.get
-    count = 0
-    if len(functions) == 1:
-        # the common single-aggregate shape: no per-row zip loop
-        make = functions[0].make_accumulator
-        evaluate = arg_evaluators[0]
-        for batch in child_batches:
-            count += len(batch)
-            for row in batch:
-                key = key_of(row)
-                accumulators = lookup(key)
-                if accumulators is None:
-                    accumulators = [make()]
-                    table[key] = accumulators
-                accumulators[0].add(
-                    evaluate(row) if evaluate is not None else True
-                )
-    else:
-        for batch in child_batches:
-            count += len(batch)
-            for row in batch:
-                key = key_of(row)
-                accumulators = lookup(key)
-                if accumulators is None:
-                    accumulators = [
-                        function.make_accumulator() for function in functions
-                    ]
-                    table[key] = accumulators
-                for accumulator, evaluate in zip(accumulators, arg_evaluators):
-                    accumulator.add(
-                        evaluate(row) if evaluate is not None else True
-                    )
-    metrics.rows_in = count
-    return list(table.items()), count
 
 
 def _sorted_groups(rows, key_of, arg_evaluators, functions):
@@ -313,60 +182,6 @@ def group_by_columns(
     return generate_sort() if plan.method == "sort" else generate_hash()
 
 
-def sort_batches(
-    plan: SortNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Sort the child's stream (stable, per-key direction), charging
-    external-sort IO when the input exceeds memory."""
-    child_batches = run(plan.child)
-    child_order = (
-        getattr(plan.child.props, "order", ()) if plan.child.props else ()
-    )
-    ascending_only = not any(plan.descending)
-    preordered = ascending_only and tuple(
-        child_order[: len(plan.keys)]
-    ) == tuple(plan.keys)
-    schema = plan.child.schema
-    key_specs = [
-        (schema.index_of(*key), descending)
-        for key, descending in zip(plan.keys, plan.descending)
-    ]
-
-    def generate() -> Iterator[RowBatch]:
-        if preordered:
-            for batch in child_batches:
-                metrics.rows_in += len(batch)
-                yield batch
-            return
-        rows: List[Tuple[Any, ...]] = []
-        for batch in child_batches:
-            rows.extend(batch)
-        metrics.rows_in = len(rows)
-        charge_spill(
-            context.io,
-            metrics,
-            external_sort_extra_io(
-                pages_for(len(rows), schema.width),
-                context.params.memory_pages,
-            ),
-        )
-        # stable multi-pass sort: apply keys from least to most significant
-        # NullOrdered sorts NULLs first ascending (so last descending),
-        # matching SQLite's default NULL placement.
-        for position, descending in reversed(key_specs):
-            rows.sort(
-                key=lambda row: NullOrdered(row[position]),
-                reverse=descending,
-            )
-        for start in range(0, len(rows), context.batch_size):
-            yield rows[start : start + context.batch_size]
-
-    return generate()
-
-
 def sort_columns(
     plan: SortNode,
     context: ExecutionContext,
@@ -448,100 +263,5 @@ def limit_columns(
                     remaining = 0
                     yield head
             # keep draining: child IO and actuals must be complete
-
-    return generate()
-
-
-def limit_batches(
-    plan: LimitNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Emit the first N child rows; the child is drained in full so the
-    IO it charges matches the legacy materializing executor."""
-    child_batches = run(plan.child)
-    count = plan.count
-
-    def generate() -> Iterator[RowBatch]:
-        remaining = count
-        for batch in child_batches:
-            metrics.rows_in += len(batch)
-            if remaining > 0:
-                if len(batch) <= remaining:
-                    remaining -= len(batch)
-                    yield batch
-                else:
-                    head = batch[:remaining]
-                    remaining = 0
-                    yield head
-            # keep draining: child IO and actuals must be complete
-
-    return generate()
-
-
-def filter_batches(
-    plan: FilterNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Drop child rows failing any predicate (pipelined, no IO)."""
-    child_batches = run(plan.child)
-    schema = plan.child.schema
-    checks = [predicate.bind(schema) for predicate in plan.predicates]
-
-    def generate() -> Iterator[RowBatch]:
-        for batch in child_batches:
-            metrics.rows_in += len(batch)
-            batch = filtered(batch, checks)
-            if batch:
-                yield batch
-
-    return generate()
-
-
-def project_batches(
-    plan: ProjectNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Evaluate each output expression per child row."""
-    child_batches = run(plan.child)
-    schema = plan.child.schema
-    evaluators = [
-        expression.bind(schema) for _, _, expression in plan.outputs
-    ]
-    single = evaluators[0] if len(evaluators) == 1 else None
-
-    def generate() -> Iterator[RowBatch]:
-        for batch in child_batches:
-            metrics.rows_in += len(batch)
-            if single is not None:
-                yield [(single(row),) for row in batch]
-            else:
-                yield [
-                    tuple(evaluate(row) for evaluate in evaluators)
-                    for row in batch
-                ]
-
-    return generate()
-
-
-def rename_batches(
-    plan: RenameNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Permute/rename child columns per the node's mapping."""
-    child_batches = run(plan.child)
-    project = projector(plan.positions, len(plan.child.schema))
-
-    def generate() -> Iterator[RowBatch]:
-        for batch in child_batches:
-            metrics.rows_in += len(batch)
-            yield [project(row) for row in batch] if project else batch
 
     return generate()

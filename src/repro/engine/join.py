@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import chain, count
 from operator import mul
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..algebra.plan import JoinNode, ScanNode
 from ..catalog.schema import RowSchema
@@ -34,17 +34,7 @@ from ..catalog.schema import table_row_schema
 from ..errors import ExecutionError
 from ..storage.page import pages_for
 from ..storage.snapshot import TableSnapshot
-from .batch import (
-    BatchBuilder,
-    ColumnBatch,
-    RowBatch,
-    concat_columns,
-    filtered,
-    keyer,
-    projector,
-    take,
-    tuple_keyer,
-)
+from .batch import ColumnBatch, RowBatch, concat_columns, projector, take
 from .context import ExecutionContext
 from .kernels import SelectionProgram
 from .metrics import OperatorMetrics, charge_spill
@@ -72,379 +62,10 @@ def _probe_lookup(context: ExecutionContext, inner: ScanNode, index):
     return index.lookup_rows
 
 
-def join_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Build the join pipeline: method core fused with the join's
-    residual filter and projection in one per-batch loop."""
-    if plan.kind != "inner":
-        return _kind_join_batches(plan, context, metrics, run)
-    combined = plan.left.schema.concat(plan.right.schema)
-    residual_checks = [
-        predicate.bind(combined) for predicate in plan.residuals
-    ]
-    positions = [
-        combined.index_of(alias, name) for alias, name in plan.projection
-    ]
-    project = projector(positions, len(combined))
-
-    if plan.method == "inlj":
-        matched = _index_nlj_batches(plan, context, metrics, run)
-    elif plan.method == "hj":
-        matched = _hash_join_batches(plan, context, metrics, run)
-    elif plan.method == "smj":
-        matched = _sort_merge_join_batches(plan, context, metrics, run)
-    else:
-        matched = _block_nlj_batches(plan, context, metrics, run)
-
-    def generate() -> Iterator[RowBatch]:
-        for batch in matched:
-            metrics.rows_in += len(batch)
-            batch = filtered(batch, residual_checks)
-            if project is not None:
-                batch = [project(row) for row in batch]
-            if batch:
-                yield batch
-
-    return generate()
-
-
 def _key_positions(
     schema: RowSchema, keys: List[Tuple[Optional[str], str]]
 ) -> List[int]:
     return [schema.index_of(alias, name) for alias, name in keys]
-
-
-def _null_key(key: Any) -> bool:
-    """True when a join key (scalar or tuple) contains a SQL NULL.
-
-    NULL = NULL is unknown, so a NULL-keyed row can never satisfy an
-    equi-join; every join method drops such rows before matching (and
-    before sorting — NULL has no place in a total order)."""
-    if type(key) is tuple:
-        return None in key
-    return key is None
-
-
-def _collect(batches: Iterator[RowBatch]) -> List[Tuple[Any, ...]]:
-    rows: List[Tuple[Any, ...]] = []
-    for batch in batches:
-        rows.extend(batch)
-    return rows
-
-
-def _hash_join_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Hash join: build side right (pipeline breaker), probe streams."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    left_key = keyer(
-        _key_positions(plan.left.schema, [pair[0] for pair in plan.equi_keys])
-    )
-    right_key = keyer(
-        _key_positions(plan.right.schema, [pair[1] for pair in plan.equi_keys])
-    )
-    left_width = plan.left.schema.width
-    right_width = plan.right.schema.width
-
-    def generate() -> Iterator[RowBatch]:
-        build_rows = _collect(right_batches)
-        buckets: dict = {}
-        setdefault = buckets.setdefault
-        for row in build_rows:
-            setdefault(right_key(row), []).append(row)
-
-        probe_count = 0
-        lookup = buckets.get
-        for batch in left_batches:
-            probe_count += len(batch)
-            out: RowBatch = []
-            append = out.append
-            for left_row in batch:
-                key = left_key(left_row)
-                if _null_key(key):
-                    continue
-                matches = lookup(key)
-                if matches is not None:
-                    for right_row in matches:
-                        append(left_row + right_row)
-            if out:
-                yield out
-
-        # Grace partitioning charge; needs the probe side's total pages,
-        # so it lands after the probe is exhausted (same totals as the
-        # legacy up-front charge).
-        charge_spill(
-            context.io,
-            metrics,
-            hash_spill_extra_io(
-                pages_for(len(build_rows), right_width),
-                pages_for(probe_count, left_width),
-                context.params.memory_pages,
-            ),
-        )
-
-    return generate()
-
-
-def _block_nlj_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Block nested-loop join; equi keys (if any) checked as predicates.
-
-    The inner key list is computed once up front instead of re-deriving
-    a key tuple per (outer, inner) pair."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    memory = context.params.memory_pages
-    equi = bool(plan.equi_keys)
-    left_key = (
-        keyer(
-            _key_positions(
-                plan.left.schema, [pair[0] for pair in plan.equi_keys]
-            )
-        )
-        if equi
-        else None
-    )
-    right_key = (
-        keyer(
-            _key_positions(
-                plan.right.schema, [pair[1] for pair in plan.equi_keys]
-            )
-        )
-        if equi
-        else None
-    )
-    left_width = plan.left.schema.width
-
-    def generate() -> Iterator[RowBatch]:
-        inner_rows = _collect(right_batches)
-        inner_keyed = (
-            [(right_key(row), row) for row in inner_rows] if equi else None
-        )
-
-        outer_count = 0
-        for batch in left_batches:
-            outer_count += len(batch)
-            out: RowBatch = []
-            append = out.append
-            if inner_keyed is not None:
-                for left_row in batch:
-                    key = left_key(left_row)
-                    if _null_key(key):
-                        continue
-                    for inner_key, inner_row in inner_keyed:
-                        if key == inner_key:
-                            append(left_row + inner_row)
-            else:
-                for left_row in batch:
-                    out.extend(
-                        left_row + inner_row for inner_row in inner_rows
-                    )
-            if out:
-                yield out
-
-        # Charge the inner side's rescans, block count taken from the
-        # outer's total pages (exactly the legacy charges: the first
-        # inner pass was charged when the right child executed, or is
-        # free while the inner still fits in memory).
-        blocks = nlj_blocks(pages_for(outer_count, left_width), memory)
-        inner_is_scan = (
-            isinstance(plan.right, ScanNode) and plan.right.index_name is None
-        )
-        if inner_is_scan:
-            inner_pages = context.storage_for(
-                plan.right.table_name
-            ).num_pages
-            if inner_pages > max(1, memory - 2) and blocks > 1:
-                rescans = (blocks - 1) * inner_pages
-                context.io.read_pages(rescans)
-                metrics.spill(rescans, 0)
-        else:
-            inner_pages = pages_for(
-                len(inner_rows), plan.right.schema.width
-            )
-            if inner_pages > max(1, memory - 2):
-                context.io.write_pages(inner_pages)  # materialize the inner
-                rereads = blocks * inner_pages
-                context.io.read_pages(rereads)
-                metrics.spill(rereads, inner_pages)
-
-    return generate()
-
-
-def _index_nlj_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Index nested-loop join: probe the inner table's index per outer
-    row, applying the inner scan's filters to fetched rows."""
-    inner = plan.right
-    if not isinstance(inner, ScanNode):
-        raise ExecutionError("index NLJ requires a base-table inner")
-    info = context.catalog.info(inner.table_name)
-    index = info.indexes.get(plan.index_name or "")
-    if index is None:
-        raise ExecutionError(
-            f"index {plan.index_name!r} not found on {inner.table_name!r}"
-        )
-
-    # The index must be on the inner join columns, in equi-key order.
-    inner_join_columns = [name for (_, (_, name)) in plan.equi_keys]
-    if list(index.column_names[: len(inner_join_columns)]) != inner_join_columns:
-        raise ExecutionError(
-            f"index {index.name!r} does not cover join columns "
-            f"{inner_join_columns}"
-        )
-
-    left_batches = run(plan.left)
-    table = info.table
-    inner_full = table_row_schema(inner.alias, table.columns, include_rid=True)
-    checks = [predicate.bind(inner_full) for predicate in inner.filters]
-    inner_positions = [
-        inner_full.index_of(field.alias, field.name) for field in inner.schema
-    ]
-    project_inner = projector(inner_positions, len(inner_full))
-    probe_key = tuple_keyer(
-        _key_positions(plan.left.schema, [pair[0] for pair in plan.equi_keys])
-    )
-
-    # The probe side never goes through the ordinary scan pipeline, so
-    # meter it here — and record its actuals explicitly (the legacy
-    # executor left ``actual_rows`` stale under index NLJ).
-    inner_metrics = OperatorMetrics(
-        label=inner.describe() + " (index probe)", depth=metrics.depth + 1
-    )
-    if context.metrics is not None:
-        context.metrics.register(inner_metrics)
-    inner.op_metrics = inner_metrics
-    metrics.children.append(inner_metrics)
-    lookup = _probe_lookup(context, inner, index)
-    io = context.io
-
-    def generate() -> Iterator[RowBatch]:
-        matched = 0
-        probes = 0
-        for batch in left_batches:
-            out: RowBatch = []
-            append = out.append
-            for left_row in batch:
-                probes += 1
-                probe = probe_key(left_row)
-                if None in probe:
-                    continue
-                for inner_row in lookup(io, probe, include_rid=True):
-                    if checks and not all(
-                        check(inner_row) for check in checks
-                    ):
-                        continue
-                    matched += 1
-                    append(
-                        left_row + project_inner(inner_row)
-                        if project_inner is not None
-                        else left_row + inner_row
-                    )
-            if out:
-                yield out
-        inner.actual_rows = matched
-        inner_metrics.rows_out = matched
-        inner_metrics.rows_in = probes
-        inner_metrics.batches = probes  # one probe per outer row
-
-    return generate()
-
-
-def _sort_merge_join_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Sort-merge join; charges sorts unless an input is pre-ordered.
-
-    Both inputs are pipeline breakers. The collected row lists are
-    owned by this operator, so sorting them cannot corrupt a child's
-    materialized output (the legacy in-place-sort hazard)."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    memory = context.params.memory_pages
-    left_keys = [pair[0] for pair in plan.equi_keys]
-    right_keys = [pair[1] for pair in plan.equi_keys]
-    left_key = keyer(_key_positions(plan.left.schema, left_keys))
-    right_key = keyer(_key_positions(plan.right.schema, right_keys))
-
-    def generate() -> Iterator[RowBatch]:
-        left_rows = _collect(left_batches)
-        right_rows = _collect(right_batches)
-
-        for rows, child, keys, key_of in (
-            (left_rows, plan.left, left_keys, left_key),
-            (right_rows, plan.right, right_keys, right_key),
-        ):
-            order = getattr(child.props, "order", ()) if child.props else ()
-            needs_sort = tuple(order[: len(keys)]) != tuple(keys)
-            if needs_sort:
-                # Charge by the collected (pre-filter) page count so IO
-                # totals match the legacy executor's.
-                charge_spill(
-                    context.io,
-                    metrics,
-                    external_sort_extra_io(
-                        pages_for(len(rows), child.schema.width), memory
-                    ),
-                )
-            rows[:] = [row for row in rows if not _null_key(key_of(row))]
-            if needs_sort:
-                rows.sort(key=key_of)
-            # pre-ordered inputs merge for free
-
-        out = BatchBuilder(context.batch_size)
-        i = 0
-        j = 0
-        left_count, right_count = len(left_rows), len(right_rows)
-        while i < left_count and j < right_count:
-            lkey = left_key(left_rows[i])
-            rkey = right_key(right_rows[j])
-            if lkey < rkey:
-                i += 1
-            elif lkey > rkey:
-                j += 1
-            else:
-                # collect the equal-key run on each side, emit the product
-                i_end = i
-                while i_end < left_count and left_key(left_rows[i_end]) == lkey:
-                    i_end += 1
-                j_end = j
-                while (
-                    j_end < right_count
-                    and right_key(right_rows[j_end]) == rkey
-                ):
-                    j_end += 1
-                run_right = right_rows[j:j_end]
-                for left_row in left_rows[i:i_end]:
-                    out.extend(
-                        [left_row + right_row for right_row in run_right]
-                    )
-                i, j = i_end, j_end
-                if out.full:
-                    yield out.drain()
-        if out.rows:
-            yield out.drain()
-
-    return generate()
 
 
 def _kind_join_charges(
@@ -489,114 +110,6 @@ def _kind_join_charges(
             rereads = blocks * inner_pages
             context.io.read_pages(rereads)
             metrics.spill(rereads, inner_pages)
-
-
-def _kind_join_batches(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Semi / anti / LEFT OUTER joins over row batches.
-
-    The build (right) side is a pipeline breaker, the probe side
-    streams. The ON condition — equi keys plus residuals — decides
-    matching; a failing residual means "no match", never a post-join
-    filter, which is what makes LEFT padding and anti-join survival
-    correct. Emit order is probe order (then build insertion order for
-    LEFT matches), identical to the legacy interpreter's."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    combined = plan.left.schema.concat(plan.right.schema)
-    residual_checks = [
-        predicate.bind(combined) for predicate in plan.residuals
-    ]
-    positions = [
-        combined.index_of(alias, name) for alias, name in plan.projection
-    ]
-    equi = bool(plan.equi_keys)
-    left_positions = _key_positions(
-        plan.left.schema, [pair[0] for pair in plan.equi_keys]
-    )
-    right_positions = _key_positions(
-        plan.right.schema, [pair[1] for pair in plan.equi_keys]
-    )
-    padding = (None,) * len(plan.right.schema)
-
-    def generate() -> Iterator[RowBatch]:
-        build_rows = _collect(right_batches)
-
-        if plan.null_aware:
-            # NOT IN three-valued logic over the single key column.
-            keys = [row[right_positions[0]] for row in build_rows]
-            inner_nonempty = bool(keys)
-            inner_has_null = any(key is None for key in keys)
-            key_set = set(key for key in keys if key is not None)
-            key_position = left_positions[0]
-        buckets = None
-        if equi and not plan.null_aware:
-            buckets = {}
-            setdefault = buckets.setdefault
-            for row in build_rows:
-                key = tuple(row[p] for p in right_positions)
-                if None in key:
-                    continue  # NULL keys never equi-match
-                setdefault(key, []).append(row)
-
-        def candidates(left_row):
-            if buckets is None:
-                return build_rows
-            key = tuple(left_row[p] for p in left_positions)
-            if None in key:
-                return ()
-            return buckets.get(key, ())
-
-        probe_count = 0
-        for batch in left_batches:
-            probe_count += len(batch)
-            metrics.rows_in += len(batch)
-            out: RowBatch = []
-            append = out.append
-            if plan.null_aware:
-                for left_row in batch:
-                    key = left_row[key_position]
-                    if inner_nonempty and (
-                        key is None or inner_has_null or key in key_set
-                    ):
-                        continue
-                    append(tuple(left_row[p] for p in positions))
-            elif plan.kind == "left":
-                for left_row in batch:
-                    matched = False
-                    for right_row in candidates(left_row):
-                        row = left_row + right_row
-                        if all(check(row) for check in residual_checks):
-                            append(tuple(row[p] for p in positions))
-                            matched = True
-                    if not matched:
-                        row = left_row + padding
-                        append(tuple(row[p] for p in positions))
-            else:
-                # semi/anti project the left side only
-                want = plan.kind == "semi"
-                for left_row in batch:
-                    hit = any(
-                        all(
-                            check(left_row + right_row)
-                            for check in residual_checks
-                        )
-                        for right_row in candidates(left_row)
-                    )
-                    if hit is want:
-                        append(tuple(left_row[p] for p in positions))
-            if out:
-                yield out
-
-        _kind_join_charges(
-            plan, context, metrics, len(build_rows), probe_count
-        )
-
-    return generate()
 
 
 # ----------------------------------------------------------------------
@@ -1175,7 +688,7 @@ def _kind_join_columns(
     (anti — a NULL-keyed probe has no pairs, so it survives, matching
     NOT EXISTS), or every probe with unmatched ones padded through a
     NULL sentinel row appended to the build columns (LEFT). Output rows
-    and order are identical to the row engines'."""
+    and order are identical to the ``rowexec`` baseline's."""
     left_batches = run(plan.left)
     right_batches = run(plan.right)
     combined = plan.left.schema.concat(plan.right.schema)

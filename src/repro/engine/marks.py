@@ -1,11 +1,11 @@
-"""Mark-join execution shared by all three engines.
+"""Mark-join execution shared by the columnar engine and ``rowexec``.
 
 A :class:`~repro.algebra.plan.SubqueryMarkNode` keeps or drops each
 outer (child) row by consulting the materialized inner subplan under
 the row's correlation values. The semantics live in one place —
-:func:`mark_filter` — so the legacy interpreter, the row-batch engine
-and the columnar engine cannot drift apart; each engine only differs in
-how it feeds rows through the returned predicate.
+:func:`mark_filter` — so the row-at-a-time baseline and the columnar
+engine cannot drift apart; each only differs in how it feeds rows
+through the returned predicate.
 
 The inner side is deliberately re-scanned per outer row (O(outer x
 inner)): a mark join is the *unflattened* fallback, and its naivety is
@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, List, Tuple
 
 from ..algebra.expressions import _COMPARISON_OPS, Comparison
 from ..algebra.plan import SubqueryMarkNode
-from .batch import ColumnBatch, RowBatch
+from .batch import ColumnBatch
 from .context import ExecutionContext
 from .metrics import OperatorMetrics
 
@@ -100,36 +100,14 @@ def mark_filter(
     return keep
 
 
-def collect_inner_rows(batches: Iterator) -> List[Tuple[Any, ...]]:
-    """Materialize the inner pipeline once, row- or column-major."""
+def collect_inner_rows(
+    batches: Iterator[ColumnBatch],
+) -> List[Tuple[Any, ...]]:
+    """Materialize the inner pipeline once, as row tuples."""
     rows: List[Tuple[Any, ...]] = []
     for batch in batches:
-        if isinstance(batch, ColumnBatch):
-            rows.extend(batch.to_rows())
-        else:
-            rows.extend(batch)
+        rows.extend(batch.to_rows())
     return rows
-
-
-def mark_batches(
-    plan: SubqueryMarkNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[RowBatch]:
-    """Row-batch mark join: inner is a pipeline breaker, child streams."""
-    child_batches = run(plan.child)
-    inner_batches = run(plan.inner)
-
-    def generate() -> Iterator[RowBatch]:
-        keep = mark_filter(plan, collect_inner_rows(inner_batches))
-        for batch in child_batches:
-            metrics.rows_in += len(batch)
-            out = [row for row in batch if keep(row)]
-            if out:
-                yield out
-
-    return generate()
 
 
 def mark_columns(

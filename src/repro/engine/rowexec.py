@@ -4,8 +4,8 @@ This is the seed executor kept intact as a second oracle: it fully
 materializes a :class:`Result` between every operator and interprets
 tuples one at a time. The streaming batch executor
 (:mod:`repro.engine.executor`) must produce byte-identical rows and
-identical IO charges; ``benchmarks/bench_executor.py`` and the
-differential tests in ``tests/test_batch_engine.py`` hold it to that.
+identical IO charges; the differential tests in
+``tests/test_batch_engine.py`` hold it to that.
 
 Do not optimize this module — its value is being the slow, obviously
 correct baseline.

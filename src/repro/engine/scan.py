@@ -4,9 +4,9 @@ The scan is the canonical fused pipeline stage: one per-batch loop
 applies selection (while scanning, before projection — so a filter may
 reference columns the scan does not output) and projection through
 precompiled accessors, emitting fixed-size batches. Storage is
-column-major: the columnar scan slices only the columns it reads, the
-row-batch scan gets tuples assembled per page. Page IO is charged by the
-storage layer exactly as the legacy row-at-a-time path charged it.
+column-major: the scan slices only the columns it reads. Page IO is
+charged by the storage layer exactly as the row-at-a-time baseline
+(:mod:`repro.engine.rowexec`) charges it.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from typing import Iterator
 from ..algebra.plan import ScanNode
 from ..catalog.schema import table_row_schema
 from ..errors import ExecutionError
-from .batch import (
-    BatchBuilder,
-    ColumnBatch,
-    ColumnBatchBuilder,
-    RowBatch,
-    projector,
-    take,
-)
+from .batch import ColumnBatch, ColumnBatchBuilder, take
 from ..storage.snapshot import TableSnapshot
 from .context import ExecutionContext
 from .kernels import SelectionProgram
@@ -118,60 +111,6 @@ def scan_columns(
                 # last); so is a thinned one that still fills a batch.
                 yield ColumnBatch(picked, count)
         if out.length:
-            yield out.drain()
-
-    return generate()
-
-
-def scan_batches(
-    plan: ScanNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run,
-) -> Iterator[RowBatch]:
-    """Build the fused scan→filter→project batch generator."""
-    table = context.catalog.table(plan.table_name)
-    storage = context.storage_for(plan.table_name)
-    full_schema = table_row_schema(plan.alias, table.columns, include_rid=True)
-    checks = [predicate.bind(full_schema) for predicate in plan.filters]
-    positions = [
-        full_schema.index_of(field.alias, field.name) for field in plan.schema
-    ]
-    project = projector(positions, len(full_schema))
-    single_check = checks[0] if len(checks) == 1 else None
-
-    if plan.index_name is not None:
-
-        def pages():
-            columns, _ = storage.fetch_columns(
-                context.io,
-                _index_rids(plan, context, storage),
-                include_rid=True,
-            )
-            yield list(zip(*columns))
-
-        source = pages()
-    else:
-        source = storage.scan_pages(context.io, include_rid=True)
-
-    def generate() -> Iterator[RowBatch]:
-        out = BatchBuilder(context.batch_size)
-        for chunk in source:
-            metrics.rows_in += len(chunk)
-            if single_check is not None:
-                chunk = [row for row in chunk if single_check(row)]
-            elif checks:
-                chunk = [
-                    row
-                    for row in chunk
-                    if all(check(row) for check in checks)
-                ]
-            if project is not None:
-                chunk = [project(row) for row in chunk]
-            out.extend(chunk)
-            if out.full:
-                yield out.drain()
-        if out.rows:
             yield out.drain()
 
     return generate()

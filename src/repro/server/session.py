@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..algebra.expressions import Literal
 from ..algebra.query import CanonicalQuery
 from ..engine.context import ExecutionContext
-from ..engine.executor import execute_plan
+from ..engine.executor import check_engine, execute_plan
 from ..errors import PlanError, ReproError, SqlSyntaxError
 from ..optimizer.options import OptimizerOptions
 from ..storage.iocounter import IOCounter
@@ -210,6 +210,7 @@ class Session:
         engine: str = "batch",
         use_plan_cache: bool = True,
     ):
+        check_engine(engine)
         self.db = db
         self.optimizer = optimizer
         self.options = options
@@ -348,7 +349,6 @@ class Session:
             self.db.catalog,
             io,
             self.db.params,
-            engine="rows" if self.engine == "batch-rows" else "columnar",
             snapshot=snapshot,
         )
         if self.engine == "rowexec":

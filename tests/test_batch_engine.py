@@ -11,14 +11,11 @@ canonical queries checked against the brute-force reference.
 
 It also holds the PR's regression tests: the sort-merge-join
 input-mutation fix, index-NLJ inner ``actual_rows``, the
-``Result.pages`` cache, per-operator metrics surfacing, and the
-executor benchmark's smoke configuration.
+``Result.pages`` cache, and per-operator metrics surfacing.
 """
 
 import io as io_module
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -54,30 +51,25 @@ def scan(db, table, alias):
 
 
 def assert_engines_agree(db, plan):
-    """Run *plan* through all three executors — the legacy interpreter,
-    the row-batch engine, and the columnar engine; exact rows, exact IO
-    split."""
+    """Run *plan* through both executors — the legacy interpreter and
+    the columnar engine; exact rows, exact IO split."""
     legacy_context = ExecutionContext(db.catalog, db.io, db.params)
     with db.io.measure() as span:
         legacy = execute_plan_rows(plan, legacy_context)
     legacy_io = span.delta
 
-    batched = None
-    for engine in ("rows", "columnar"):
-        batched_context = ExecutionContext(
-            db.catalog, db.io, db.params, engine=engine
-        )
-        with db.io.measure() as span:
-            batched = execute_plan(plan, batched_context)
-        batched_io = span.delta
+    batched_context = ExecutionContext(db.catalog, db.io, db.params)
+    with db.io.measure() as span:
+        batched = execute_plan(plan, batched_context)
+    batched_io = span.delta
 
-        assert batched.rows == legacy.rows, engine
-        assert batched_io.page_reads == legacy_io.page_reads, engine
-        assert batched_io.page_writes == legacy_io.page_writes, engine
-        # the batch paths additionally meter every operator
-        assert plan.op_metrics is not None
-        assert plan.op_metrics.rows_out == len(batched.rows)
-        assert plan.actual_rows == len(batched.rows)
+    assert batched.rows == legacy.rows
+    assert batched_io.page_reads == legacy_io.page_reads
+    assert batched_io.page_writes == legacy_io.page_writes
+    # the batch path additionally meters every operator
+    assert plan.op_metrics is not None
+    assert plan.op_metrics.rows_out == len(batched.rows)
+    assert plan.actual_rows == len(batched.rows)
     return batched
 
 
@@ -392,26 +384,3 @@ class TestMetricsSurfacing:
             result.rows
         )
 
-
-# ----------------------------------------------------------------------
-# Benchmark smoke: both engines agree on the bench workloads in CI
-# ----------------------------------------------------------------------
-
-
-class TestBenchExecutorSmoke:
-    def test_bench_smoke_configuration(self):
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-        )
-        try:
-            from bench_executor import run_bench
-        finally:
-            sys.path.pop(0)
-        # run_bench itself raises on any row or IO disagreement
-        results = run_bench(smoke=True, repeats=1)
-        assert len(results["entries"]) == 5
-        assert results["machine"]["python_version"]
-        for entry in results["entries"]:
-            assert entry["rows"] > 0
-            assert entry["columnar_seconds"] > 0
-            assert entry["speedup_columnar_vs_batched"] > 0

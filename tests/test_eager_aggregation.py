@@ -1,7 +1,7 @@
 """Differential sweep: eager aggregation on vs. off.
 
 Eager partial group-bys and COUNT-carry pre-collapses below joins are
-*plan-shape* choices only: for every engine (columnar batch, row-batch,
+*plan-shape* choices only: for both executors (columnar batch,
 row-at-a-time) and every cost regime, turning the alternatives off must
 leave the answer bag untouched, and turning them on must never make the
 estimated cost worse (the retained-lazy-alternative guarantee). The
@@ -20,7 +20,7 @@ from repro.cost.params import CostParams
 from repro.db import Database
 from repro.optimizer.options import OptimizerOptions
 
-ENGINES = ("batch", "batch-rows", "rowexec")
+ENGINES = ("batch", "rowexec")
 
 EAGER_OFF = OptimizerOptions(enable_eager_aggregation=False)
 
@@ -147,7 +147,7 @@ class TestDifferential:
 
 
 class TestCrossEngine:
-    """One plan, three executors: same bags, same IO charges."""
+    """One plan, both executors: same bags, same IO charges."""
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_rows_and_io_identical(self, tuned_db, name):

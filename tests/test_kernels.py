@@ -30,7 +30,7 @@ from repro.algebra.plan import FilterNode, ProjectNode, ScanNode, explain
 from repro.catalog.schema import Field, RowSchema, table_row_schema
 from repro.datatypes import DataType
 from repro.engine import ColumnBatch, ExecutionContext, execute_plan
-from repro.engine.batch import filtered, take
+from repro.engine.batch import take
 from repro.engine.kernels import (
     _SOURCE_CACHE,
     ComputeProgram,
@@ -320,25 +320,6 @@ class TestFusedChainObservability:
         execute_plan(plan, context)
         assert context.kernels_compiled >= 2  # selection + compute
 
-    def test_rows_engine_matches_columnar_on_fused_chain(self, small_db):
-        plan = self.plan(small_db)
-        columnar = execute_plan(
-            plan,
-            ExecutionContext(
-                small_db.catalog, small_db.io, small_db.params
-            ),
-        )
-        rows_engine = execute_plan(
-            self.plan(small_db),
-            ExecutionContext(
-                small_db.catalog,
-                small_db.io,
-                small_db.params,
-                engine="rows",
-            ),
-        )
-        assert columnar.rows == rows_engine.rows
-
 
 class TestColumnBatchHelpers:
     def test_project_is_zero_copy(self):
@@ -359,14 +340,3 @@ class TestColumnBatchHelpers:
         assert take(column, []) == ()
         assert take(column, [1]) == (6,)
         assert list(take(column, [2, 0, 1])) == [7, 5, 6]
-
-    def test_filtered_single_pass_multi_checks(self):
-        rows = [(i, i % 3) for i in range(30)]
-        checks2 = [lambda r: r[0] > 5, lambda r: r[1] == 0]
-        checks3 = checks2 + [lambda r: r[0] < 25]
-        checks4 = checks3 + [lambda r: r[0] != 12]
-        for checks in (checks2[:1], checks2, checks3, checks4):
-            expected = [
-                row for row in rows if all(check(row) for check in checks)
-            ]
-            assert filtered(list(rows), checks) == expected

@@ -1,7 +1,7 @@
 """Column-lifetime projection pruning: live-set analysis, the
 post-DP :func:`prune_plan` pass, the optimizer flag, and the
-differential guarantees (bag-identical rows, identical page IO) across
-all three engines."""
+differential guarantees (bag-identical rows, identical page IO) on
+both executors."""
 
 from __future__ import annotations
 
@@ -306,7 +306,7 @@ def test_matview_backing_scan_is_narrowed():
 
 
 # ----------------------------------------------------------------------
-# Differential: pruned vs unpruned, all three engines
+# Differential: pruned vs unpruned, both executors
 # ----------------------------------------------------------------------
 
 DIFF_QUERIES = [
@@ -322,7 +322,7 @@ DIFF_QUERIES = [
     "where e.age < 55 group by e.dno having count(e.eno) > 2",
 ]
 
-ENGINES = ["batch", "batch-rows", "rowexec"]
+ENGINES = ["batch", "rowexec"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -136,9 +136,9 @@ class TestSpillPaths:
 
     def test_columnar_hash_join_spill_matches_rowexec(self, big_db):
         """A Grace-spilling hash join through ColumnBatch pipelines:
-        row-identical (same rows, same order) to the legacy interpreter
-        and to the row-batch engine, page IO identical, and the charge
-        still equals the cost model's estimate."""
+        row-identical (same rows, same order) to the legacy interpreter,
+        page IO identical, and the charge still equals the cost model's
+        estimate."""
 
         def hj_plan():
             return JoinNode(
@@ -160,20 +160,17 @@ class TestSpillPaths:
         reference_io = span.delta
         assert reference_io.total == pytest.approx(reference_plan.props.cost)
 
-        for engine in ("columnar", "rows"):
-            plan = hj_plan()
-            CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
-            context = ExecutionContext(
-                big_db.catalog, big_db.io, big_db.params, engine=engine
-            )
-            with big_db.io.measure() as span:
-                result = execute_plan(plan, context)
-            assert result.rows == reference.rows, engine
-            assert span.delta.page_reads == reference_io.page_reads, engine
-            assert span.delta.page_writes == reference_io.page_writes, engine
-            # the spill really happened under this engine too
-            assert plan.op_metrics.spill_reads > 0, engine
-            assert plan.op_metrics.spill_writes > 0, engine
+        plan = hj_plan()
+        CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
+        context = ExecutionContext(big_db.catalog, big_db.io, big_db.params)
+        with big_db.io.measure() as span:
+            result = execute_plan(plan, context)
+        assert result.rows == reference.rows
+        assert span.delta.page_reads == reference_io.page_reads
+        assert span.delta.page_writes == reference_io.page_writes
+        # the spill really happened under the columnar engine too
+        assert plan.op_metrics.spill_reads > 0
+        assert plan.op_metrics.spill_writes > 0
 
     def test_columnar_group_by_spill_matches_rowexec(self, big_db):
         """A spilling hash group-by through ColumnBatch pipelines:
@@ -200,23 +197,17 @@ class TestSpillPaths:
             )
         reference_io = span.delta
 
-        for engine in ("columnar", "rows"):
-            plan = gb_plan()
-            CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
-            context = ExecutionContext(
-                big_db.catalog, big_db.io, big_db.params, engine=engine
-            )
-            with big_db.io.measure() as span:
-                result = execute_plan(plan, context)
-            assert result.rows == reference.rows, engine
-            assert span.delta.page_reads == reference_io.page_reads, engine
-            assert span.delta.page_writes == reference_io.page_writes, engine
-            assert span.delta.total == pytest.approx(
-                plan.props.cost
-            ), engine
-            if engine == "columnar":
-                # the grouping ran a compiled accumulation kernel
-                assert context.kernels_compiled > 0
+        plan = gb_plan()
+        CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
+        context = ExecutionContext(big_db.catalog, big_db.io, big_db.params)
+        with big_db.io.measure() as span:
+            result = execute_plan(plan, context)
+        assert result.rows == reference.rows
+        assert span.delta.page_reads == reference_io.page_reads
+        assert span.delta.page_writes == reference_io.page_writes
+        assert span.delta.total == pytest.approx(plan.props.cost)
+        # the grouping ran a compiled accumulation kernel
+        assert context.kernels_compiled > 0
 
     def test_spilled_results_match_in_memory_results(self, big_db):
         """The same join under a huge buffer pool gives the same rows."""

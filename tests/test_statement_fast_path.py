@@ -529,7 +529,7 @@ class TestProbeKeysThatEqualNothing:
         db.analyze()
         return db
 
-    @pytest.mark.parametrize("engine", ["batch", "batch-rows", "rowexec"])
+    @pytest.mark.parametrize("engine", ["batch", "rowexec"])
     def test_same_rows_with_and_without_the_index(self, engine):
         answers = []
         for indexed in (False, True):
