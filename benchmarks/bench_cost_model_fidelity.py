@@ -227,9 +227,10 @@ def _set_stats_config(db, config: StatsConfig) -> None:
 def _operator_q_errors(result) -> Dict[str, List[float]]:
     qs: Dict[str, List[float]] = {"scan": [], "join": [], "group": []}
     for node in plan_nodes(result.plan):
-        if node.props is None or node.actual_rows is None:
+        actual_rows = result.exec_metrics.actual_rows(node)
+        if node.props is None or actual_rows is None:
             continue
-        q = q_error(node.props.rows, node.actual_rows)
+        q = q_error(node.props.rows, actual_rows)
         if isinstance(node, JoinNode):
             qs["join"].append(q)
         elif isinstance(node, GroupByNode):

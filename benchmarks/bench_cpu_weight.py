@@ -51,7 +51,10 @@ def cpu_rows():
         db = build(weight)
         result = db.query(SQL, optimizer="greedy")
         executed = executed_weighted_cost(
-            result.plan, db.params, result.executed_io.total
+            result.plan,
+            db.params,
+            result.executed_io.total,
+            result.exec_metrics,
         )
         early = result.optimization.stats.early_groupby_accepted > 0
         rows.append(

@@ -81,15 +81,16 @@ def build_database(facts: int, keys: int, groups: int) -> Database:
     return db
 
 
-def rows_into_joins(plan: PlanNode) -> int:
+def rows_into_joins(plan: PlanNode, metrics) -> int:
     """Total executed rows entering join operators: the sum of every
-    join child's actual row count, over the whole plan."""
+    join child's actual row count (from the run's ``ExecutionMetrics``),
+    over the whole plan."""
     total = 0
     if isinstance(plan, JoinNode):
         for child in plan.children:
-            total += child.actual_rows or 0
+            total += metrics.actual_rows(child) or 0
     for child in plan.children:
-        total += rows_into_joins(child)
+        total += rows_into_joins(child, metrics)
     return total
 
 
@@ -106,7 +107,7 @@ def run_mode(
         samples.append(perf_counter() - start)
     stats = db.optimize(QUERY, options=options).stats
     return {
-        "rows_into_joins": rows_into_joins(result.plan),
+        "rows_into_joins": rows_into_joins(result.plan, result.exec_metrics),
         "rows": sorted(tuple(row) for row in result.rows),
         "io_total": result.executed_io.total,
         "estimated_cost": result.estimated_cost,

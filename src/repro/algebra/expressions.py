@@ -158,10 +158,12 @@ class Parameter(Expression):
     has not seen (the non-MCV ``1/NDV`` rule) and every other use at its
     default selectivity, index-probe extraction carries ``col = $n``
     into ``ScanNode.index_values`` as it would a literal, and
-    view-matching subsumption proofs refuse them — and they must be
-    replaced with :class:`Literal` values
-    (``repro.server.planrewrite.bind_parameters``) before a plan
-    executes. Indexes are 1-based, following PREPARE convention.
+    view-matching subsumption proofs refuse them. They get their values
+    when a plan runs: the columnar engine reads them from
+    ``ExecutionContext.parameters`` (:meth:`value`), the ``rowexec``
+    baseline runs a copy of the plan with :class:`Literal` s substituted
+    (``repro.server.planrewrite.bind_parameters``). Indexes are
+    1-based, following PREPARE convention.
     """
 
     __slots__ = ("index",)
@@ -174,11 +176,22 @@ class Parameter(Expression):
     def _compute_columns(self) -> FrozenSet[FieldKey]:
         return frozenset()
 
-    def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
-        raise PlanError(
+    def value(self, parameters: Sequence[Any]) -> Any:
+        """This placeholder's value among one execution's *parameters*
+        (the EXECUTE's values, ``$1`` first)."""
+        if self.index > len(parameters):
+            raise self._unbound()
+        return parameters[self.index - 1]
+
+    def _unbound(self) -> PlanError:
+        return PlanError(
             f"parameter ${self.index} is unbound; EXECUTE the prepared "
             "statement with a value for it"
         )
+
+    def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
+        # a row closure is bound once, outside any execution
+        raise self._unbound()
 
     def dtype(self, schema: RowSchema) -> DataType:
         raise PlanError(

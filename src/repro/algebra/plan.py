@@ -28,9 +28,11 @@ class PlanNode:
     """Base class of plan operators."""
 
     def __init__(self) -> None:
-        self.props: Any = None  # filled in by the cost annotator
-        self.actual_rows: Optional[int] = None  # recorded by the executor
-        self.op_metrics: Any = None  # OperatorMetrics, set by the executor
+        # Filled in by the cost annotator. Nothing else is written to a
+        # node after construction: what one execution observed lives in
+        # its ExecutionMetrics, so a cached plan is shared between
+        # concurrent runs as it is.
+        self.props: Any = None
 
     @property
     def schema(self) -> RowSchema:
@@ -55,7 +57,8 @@ class ScanNode(PlanNode):
     - ``filters``: selection conjuncts evaluated during the scan.
     - ``index_name``: when set, the scan uses an index equality access
       path probing for ``index_values`` — plain values, or in a
-      prepared plan the ``Parameter`` s EXECUTE will replace with them.
+      prepared plan ``Parameter`` s resolved per execution
+      (:meth:`probe_key`).
     - ``include_rid`` exposes the hidden tuple id (pull-up's surrogate
       key, Section 3).
     """
@@ -90,16 +93,17 @@ class ScanNode(PlanNode):
     def children(self) -> Tuple[PlanNode, ...]:
         return ()
 
-    def probe_key(self) -> Tuple[Any, ...]:
-        """``index_values`` for the engine to probe with: every ``$n``
-        must have been bound to a value by now."""
-        for value in self.index_values:
+    def probe_key(self, parameters: Sequence[Any] = ()) -> Tuple[Any, ...]:
+        """``index_values`` for the engine to probe with, every ``$n``
+        among them read from this execution's *parameters*."""
+        values = self.index_values
+        for value in values:
             if isinstance(value, Parameter):
-                raise PlanError(
-                    f"parameter {value.display()} is unbound; EXECUTE "
-                    "the prepared statement with a value for it"
+                return tuple(
+                    v.value(parameters) if isinstance(v, Parameter) else v
+                    for v in values
                 )
-        return self.index_values
+        return values
 
     def describe(self) -> str:
         access = f"index {self.index_name}" if self.index_name else "heap"
@@ -601,12 +605,14 @@ def _show_key(key: FieldKey) -> str:
     return f"{alias}.{name}" if alias else name
 
 
-def explain(plan: PlanNode, indent: int = 0, analyze: bool = False) -> str:
+def explain(plan: PlanNode, indent: int = 0, metrics: Any = None) -> str:
     """Readable multi-line rendering of a plan, with cost annotations
-    when the plan has been costed. With ``analyze=True``, executed row
-    counts (recorded by the executor) are shown next to the estimates —
-    the usual EXPLAIN ANALYZE reading — along with each operator's
-    q-error (multiplicative estimate-vs-actual error, 1.0 = exact)."""
+    when the plan has been costed. With *metrics* — the
+    :class:`~repro.engine.metrics.ExecutionMetrics` of one run of this
+    plan — the rows each operator actually produced are shown next to
+    the estimates (the usual EXPLAIN ANALYZE reading) along with its
+    counters and q-error (multiplicative estimate-vs-actual error,
+    1.0 = exact)."""
     pad = "  " * indent
     line = pad + plan.describe()
     props = plan.props
@@ -615,33 +621,29 @@ def explain(plan: PlanNode, indent: int = 0, analyze: bool = False) -> str:
             f"  [rows={props.rows:.0f} pages={props.pages:.0f} "
             f"cost={props.cost:.0f}]"
         )
-    if analyze and plan.actual_rows is not None:
-        line += f"  (actual rows={plan.actual_rows}"
-        metrics = getattr(plan, "op_metrics", None)
-        if metrics is not None:
-            line += (
-                f" batches={metrics.batches}"
-                f" time={metrics.seconds * 1000.0:.2f}ms"
-            )
-            if metrics.width:
-                line += f" width={metrics.width}"
-            if metrics.cells:
-                line += f" cells={metrics.cells}"
-            if metrics.fused:
-                line += " fused"
-            if metrics.spill_reads or metrics.spill_writes:
-                line += (
-                    f" spill={metrics.spill_reads}r/"
-                    f"{metrics.spill_writes}w"
-                )
+    actual_rows = metrics.actual_rows(plan) if metrics is not None else None
+    if actual_rows is not None:
+        ran = metrics.of(plan)
+        line += (
+            f"  (actual rows={actual_rows} batches={ran.batches}"
+            f" time={ran.seconds * 1000.0:.2f}ms"
+        )
+        if ran.width:
+            line += f" width={ran.width}"
+        if ran.cells:
+            line += f" cells={ran.cells}"
+        if ran.fused:
+            line += " fused"
+        if ran.spill_reads or ran.spill_writes:
+            line += f" spill={ran.spill_reads}r/{ran.spill_writes}w"
         if props is not None:
             from ..stats.feedback import q_error
 
-            line += f" q={q_error(props.rows, plan.actual_rows):.2f}"
+            line += f" q={q_error(props.rows, actual_rows):.2f}"
         line += ")"
     lines = [line]
     for child in plan.children:
-        lines.append(explain(child, indent + 1, analyze))
+        lines.append(explain(child, indent + 1, metrics))
     return "\n".join(lines)
 
 

@@ -8,7 +8,6 @@ from dataclasses import (
     replace as dataclass_replace,
 )
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -19,12 +18,10 @@ from typing import (
 
 from ..errors import CatalogError
 from ..storage.index import OrderedIndex
+from ..storage.snapshot import DatabaseSnapshot, TableSnapshot
 from ..storage.table import HeapTable
 from .schema import Column
 from .statistics import DEFAULT_CONFIG, StatsConfig, TableStats, analyze_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
-    from ..storage.snapshot import DatabaseSnapshot
 
 
 @dataclass(frozen=True)
@@ -142,6 +139,9 @@ class Catalog:
         # appearing in table_names().
         self._matviews: Dict[str, Any] = {}
         self._matview_backings: Dict[str, TableInfo] = {}
+        # The last capture_snapshot() result: the next capture reuses
+        # every part of it that is still what it would capture.
+        self._snapshot: Optional[DatabaseSnapshot] = None
 
     # ------------------------------------------------------------------
     # Change tracking and snapshots
@@ -152,21 +152,33 @@ class Catalog:
         self.change_epoch += 1
         return self.change_epoch
 
-    def capture_snapshot(self) -> "DatabaseSnapshot":
+    def capture_snapshot(self) -> DatabaseSnapshot:
         """Capture a :class:`DatabaseSnapshot` of every table (user
         tables and matview backings) at the current epoch. O(tables):
-        no rows are copied, only published list objects are pinned.
-        Callers serialize this against the single writer (the Database
-        write lock)."""
-        from ..storage.snapshot import DatabaseSnapshot, TableSnapshot
-
+        no rows are copied, only published list objects are pinned, and
+        a table nothing was published to since the previous capture
+        keeps its previous :class:`TableSnapshot` (a few identity
+        checks; the rule is ``TableSnapshot.capture``'s) — the previous
+        ``DatabaseSnapshot`` itself when that holds for every table at
+        an unchanged epoch. Callers serialize this against the single
+        writer (the Database write lock)."""
+        previous = self._snapshot
+        old = previous.tables if previous is not None else {}
+        unchanged = (
+            previous is not None and previous.epoch == self.change_epoch
+        )
         tables: Dict[str, TableSnapshot] = {}
         for mapping in (self._tables, self._matview_backings):
             for name, info in mapping.items():
-                tables[name] = TableSnapshot.capture(
-                    info.table, info.indexes
+                before = old.get(name)
+                captured = tables[name] = TableSnapshot.capture(
+                    info.table, info.indexes, before
                 )
-        return DatabaseSnapshot(tables, self.change_epoch)
+                if captured is not before:
+                    unchanged = False
+        if not unchanged or len(tables) != len(old):
+            self._snapshot = DatabaseSnapshot(tables, self.change_epoch)
+        return self._snapshot
 
     # ------------------------------------------------------------------
     # Tables

@@ -74,15 +74,16 @@ class PlanProps:
 
 
 def executed_weighted_cost(
-    plan: PlanNode, params: CostParams, executed_io: int
+    plan: PlanNode, params: CostParams, executed_io: int, metrics
 ) -> float:
     """The executed counterpart of the weighted CPU+IO objective:
     measured page IO plus the CPU weight times the *actual* tuples each
-    operator produced (recorded by the executor)."""
+    operator produced (recorded by the executor in *metrics*, the run's
+    ``ExecutionMetrics``)."""
     from ..algebra.plan import plan_nodes
 
     cpu_tuples = sum(
-        node.actual_rows or 0 for node in plan_nodes(plan)
+        metrics.actual_rows(node) or 0 for node in plan_nodes(plan)
     )
     return executed_io + params.cpu_tuple_weight * cpu_tuples
 

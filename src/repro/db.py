@@ -111,11 +111,24 @@ class QueryResult:
     optimization: OptimizationResult
     sql: str = ""
     exec_metrics: Optional[ExecutionMetrics] = None
+    parameters: Tuple[Any, ...] = ()
+    """The values an EXECUTE ran with (``$1`` first); ``()`` otherwise.
+    ``plan`` is the cached plan every execution shares, which keeps
+    rendering ``$n`` — this says which values this run gave them."""
 
     def explain(self, analyze: bool = False) -> str:
         """The plan as text; ``analyze=True`` adds executed row counts
         and per-operator q-error (available after the query ran)."""
-        return explain_plan(self.plan, analyze=analyze)
+        text = explain_plan(
+            self.plan, metrics=self.exec_metrics if analyze else None
+        )
+        if self.parameters:
+            values = ", ".join(
+                f"${n} = {value!r}"
+                for n, value in enumerate(self.parameters, 1)
+            )
+            text = f"Parameters: {values}\n{text}"
+        return text
 
     def q_errors(self):
         """Per-operator estimate-vs-actual records
@@ -123,7 +136,7 @@ class QueryResult:
         Empty until the query has executed."""
         from .stats.feedback import plan_estimates
 
-        return plan_estimates(self.plan)
+        return plan_estimates(self.plan, self.exec_metrics)
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]

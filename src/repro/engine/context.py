@@ -25,7 +25,9 @@ class ExecutionContext:
     ``kernels_compiled`` counts kernel instantiations for this context
     — the observability counter behind ``repro --stats`` (cached source
     still counts: the counter tracks kernels built, not code objects
-    compiled).
+    compiled). ``parameters`` are the values this execution gives the
+    plan's ``$n`` placeholders, ``$1`` first
+    (:meth:`~repro.algebra.expressions.Parameter.value`).
     """
 
     catalog: Catalog
@@ -40,6 +42,7 @@ class ExecutionContext:
     # Costing and schema lookups still go through ``catalog``, which
     # is safe: the single writer only appends or publishes.
     snapshot: Optional["DatabaseSnapshot"] = None
+    parameters: Tuple[Any, ...] = ()
 
     def storage_for(self, table_name: str):
         """The object scans should read *table_name*'s rows from: its

@@ -1,4 +1,17 @@
-"""Streaming batch executor: drives plan trees as one columnar pipeline.
+"""Streaming batch executor: compiles a plan tree once into an
+:class:`Executable` and runs it as one columnar pipeline per execution.
+
+Every operator builder is split in two. Its **prepare** step runs once
+per plan, in :func:`compile_plan`, and needs no execution context —
+only the plan and the catalog's DDL facts (column lists, index
+definitions): it resolves positions, derives schemas, compiles
+``SelectionProgram``/``ComputeProgram``/group-by kernels and fixes the
+operator's ``describe()`` label and width. What it returns is the
+**open** step, a generator function over per-execution state only
+(:class:`Run`: the context with its IO counter, snapshot and ``$n``
+values, and this run's fresh ``OperatorMetrics``). Nothing an execution
+writes lands on the ``Executable`` or on a plan node, so one cached
+``Executable`` serves any number of concurrent executions.
 
 Operators exchange :class:`~repro.engine.batch.ColumnBatch` column sets
 and run compiled kernels (:mod:`repro.engine.kernels`). Maximal
@@ -17,7 +30,7 @@ baseline: both produce identical row streams and identical page IO.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, List
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..algebra.plan import (
     FilterNode,
@@ -31,6 +44,7 @@ from ..algebra.plan import (
     SortNode,
     SubqueryMarkNode,
 )
+from ..catalog.catalog import Catalog
 from ..errors import ExecutionError, ReproError
 from .batch import ColumnBatch, take
 from .context import ExecutionContext, Result
@@ -62,201 +76,293 @@ _COLUMN_BUILDERS = {
     SortNode: sort_columns,
     LimitNode: limit_columns,
 }
+"""Each builder is a prepare step ``builder(plan, executable) ->
+open(run, metrics)``; inputs are compiled through
+``executable.child(node)``, which returns ``start(run)``."""
 
 _FUSABLE = (FilterNode, ProjectNode, RenameNode)
 
 _SENTINEL = object()
 
 
-def execute_plan(plan: PlanNode, context: ExecutionContext) -> Result:
-    """Execute an operator tree and return the materialized result.
+def execute_plan(
+    plan: Union[PlanNode, "Executable"], context: ExecutionContext
+) -> Result:
+    """Execute an operator tree and return the materialized result:
+    ``compile_plan(plan, context.catalog).run(context)``. A caller that
+    runs one plan many times compiles it once and passes the
+    :class:`Executable` instead.
 
     Page IO is charged to ``context.io`` as execution proceeds; wrap the
-    call in ``context.io.measure()`` to attribute IO to one query. Each
-    node's actual output cardinality is recorded on ``node.actual_rows``
-    and its full counters on ``node.op_metrics``, so
-    ``explain(plan, analyze=True)`` can show estimates next to actuals.
+    call in ``context.io.measure()`` to attribute IO to one query. What
+    each operator did — actual output cardinality, counters — is
+    recorded in ``context.metrics``, by plan node, so
+    ``explain(plan, metrics=context.metrics)`` can show estimates next
+    to actuals.
     """
-    if context.metrics is None:
-        context.metrics = ExecutionMetrics()
-    rows = []
-    for batch in build_pipeline(plan, context):
-        rows.extend(batch.to_rows())
-    context.metrics.kernels_compiled = context.kernels_compiled
-    return Result(schema=plan.schema, rows=rows)
+    if isinstance(plan, Executable):
+        return plan.run(context)
+    executable = compile_plan(plan, context.catalog)
+    # this execution paid for the compile: its kernels are its own
+    context.kernels_compiled += executable.kernels_compiled
+    return executable.run(context)
 
 
-def build_pipeline(
-    plan: PlanNode, context: ExecutionContext, depth: int = 0
-) -> Iterator[ColumnBatch]:
-    """Build the metered batch generator for *plan* (pre-order setup:
-    kernel compilation and child pipeline construction happen eagerly,
-    row flow is lazy)."""
-    if isinstance(plan, _FUSABLE):
-        return _fused_chain(plan, context, depth)
-    builder = _COLUMN_BUILDERS.get(type(plan))
-    if builder is None:
-        for node_type, candidate in _COLUMN_BUILDERS.items():
-            if isinstance(plan, node_type):
-                builder = candidate
-                break
-    if builder is None:
-        raise ExecutionError(
-            f"cannot execute node type {type(plan).__name__}"
-        )
+def compile_plan(plan: PlanNode, catalog: Catalog) -> "Executable":
+    """Prepare every operator of *plan* once (see the module docstring);
+    valid until the catalog's DDL changes, which is when a cached plan
+    is dropped too."""
+    return Executable(plan, catalog)
 
-    metrics = OperatorMetrics(
-        label=plan.describe(), depth=depth, width=len(plan.schema)
-    )
-    if context.metrics is not None:
-        context.metrics.register(metrics)
-    plan.op_metrics = metrics
 
-    def run(child: PlanNode) -> Iterator[ColumnBatch]:
-        child_batches = build_pipeline(child, context, depth + 1)
-        if child.op_metrics is not None:
-            metrics.children.append(child.op_metrics)
-        return child_batches
+class Run:
+    """One execution's state: its context and its operators' metrics,
+    indexed like the executable's pre-order operator slots."""
 
-    generator = builder(plan, context, metrics, run)
-    return _metered(plan, generator, metrics)
+    __slots__ = ("context", "operators")
+
+    def __init__(
+        self, context: ExecutionContext, operators: List[OperatorMetrics]
+    ):
+        self.context = context
+        self.operators = operators
+
+
+class _Slot:
+    """The execution-independent part of one operator's metrics."""
+
+    __slots__ = ("node", "label", "depth", "width", "fused", "children")
+
+    def __init__(self, node: PlanNode, label: str, depth: int, fused: bool):
+        self.node = node
+        self.label = label
+        self.depth = depth
+        self.width = len(node.schema)
+        self.fused = fused
+        self.children: List[int] = []  # slots whose time is inside this one's
+
+
+class Executable:
+    """A plan compiled for repeated execution: per operator, the open
+    step its builder prepared and the label/depth/width its metrics
+    start from. Immutable once built; :meth:`run` is safe to call from
+    concurrent threads."""
+
+    def __init__(self, plan: PlanNode, catalog: Catalog):
+        self.plan = plan
+        self.catalog = catalog
+        #: kernels instantiated while compiling (the builders count
+        #: into it; ``$n``-reading ones are re-armed per run instead)
+        self.kernels_compiled = 0
+        self._slots: List[_Slot] = []
+        self._building: Optional[_Slot] = None
+        self._start = self._compile(plan, 0)[0]
+
+    # -- prepare -------------------------------------------------------
+
+    def _slot(
+        self, node: PlanNode, label: str, depth: int, fused: bool = False
+    ) -> int:
+        """Reserve the next pre-order metrics slot."""
+        self._slots.append(_Slot(node, label, depth, fused))
+        return len(self._slots) - 1
+
+    def declare(self, node: PlanNode, label: str) -> int:
+        """A metrics slot for an input the operator being built runs
+        itself rather than compiles (an index NLJ's probed scan)."""
+        parent = self._building
+        slot = self._slot(node, label, parent.depth + 1)
+        parent.children.append(slot)
+        return slot
+
+    def child(self, node: PlanNode) -> Callable[[Run], Iterator[ColumnBatch]]:
+        """Compile an input of the operator being built."""
+        parent = self._building
+        start, slot = self._compile(node, parent.depth + 1)
+        parent.children.append(slot)
+        return start
+
+    def _compile(self, plan: PlanNode, depth: int) -> Tuple[Callable, int]:
+        """``(start, slot)`` of the subtree at *plan*: ``start(run)`` is
+        its metered batch stream, ``slot`` its root's metrics slot."""
+        if isinstance(plan, _FUSABLE):
+            return self._fused_chain(plan, depth)
+        builder = _COLUMN_BUILDERS.get(type(plan))
+        if builder is None:
+            for node_type, candidate in _COLUMN_BUILDERS.items():
+                if isinstance(plan, node_type):
+                    builder = candidate
+                    break
+        if builder is None:
+            raise ExecutionError(
+                f"cannot execute node type {type(plan).__name__}"
+            )
+        slot = self._slot(plan, plan.describe(), depth)
+        outer, self._building = self._building, self._slots[slot]
+        try:
+            open_operator = builder(plan, self)
+        finally:
+            self._building = outer
+
+        def start(run: Run) -> Iterator[ColumnBatch]:
+            metrics = run.operators[slot]
+            return _metered(open_operator(run, metrics), metrics)
+
+        return start, slot
+
+    def _fused_chain(self, plan: PlanNode, depth: int) -> Tuple[Callable, int]:
+        """Fuse the maximal filter/project/rename chain rooted at *plan*
+        into one per-batch loop.
+
+        The loop threads ``(columns, count, sel)`` through the chain —
+        ``sel`` is a pending selection vector, applied lazily so a filter
+        followed by a projection gathers each referenced column exactly
+        once, and unreferenced columns are never touched. A projection is
+        the rematerialization point (it computes new columns); rename is
+        zero-copy under a pending selection.
+
+        Every member keeps its own metrics (exact rows in/out and batches;
+        inclusive time lands on the chain head) and is flagged ``fused``.
+        """
+        chain: List[PlanNode] = [plan]
+        node = plan.child
+        while isinstance(node, _FUSABLE):
+            chain.append(node)
+            node = node.child
+        fused = len(chain) > 1
+        slots = [
+            self._slot(member, member.describe(), depth + i, fused)
+            for i, member in enumerate(chain)
+        ]
+        producer, producer_slot = self._compile(node, depth + len(chain))
+        # the head's inclusive time must subtract the real producer —
+        # fused members contribute no time of their own
+        self._slots[slots[0]].children.append(producer_slot)
+        # stages run bottom-up (deepest chain member first)
+        stages = [
+            _Stage(member, slot, self)
+            for member, slot in zip(reversed(chain), reversed(slots))
+        ]
+
+        def generate(run: Run) -> Iterator[ColumnBatch]:
+            context = run.context
+            armed = [
+                (
+                    stage,
+                    stage.program.arm(context) if stage.program else None,
+                    run.operators[stage.slot],
+                )
+                for stage in stages
+            ]
+            head = armed[-1][0]
+            for batch in producer(run):
+                columns = batch.columns
+                count = batch.length
+                sel = None
+                emitted = count
+                for stage, program, metrics in armed:
+                    in_rows = len(sel) if sel is not None else count
+                    metrics.rows_in += in_rows
+                    if stage.kind == "filter":
+                        if sel is None:
+                            sel = program.run(columns, count)
+                        elif program.active:
+                            virtual = gather_virtual(
+                                columns, program.used, sel, stage.width
+                            )
+                            relative = program.run(virtual, len(sel))
+                            if relative is not None:
+                                sel = [sel[i] for i in relative]
+                    elif stage.kind == "project":
+                        if sel is not None:
+                            virtual = gather_virtual(
+                                columns, program.used, sel, stage.width
+                            )
+                            count = len(sel)
+                            columns = program.run(virtual, count)
+                            sel = None
+                        else:
+                            columns = program.run(columns, count)
+                    else:  # rename: pure column pick, selection unaffected
+                        columns = [columns[p] for p in stage.positions]
+                    emitted = len(sel) if sel is not None else count
+                    if not emitted:
+                        break
+                    if stage is not head:
+                        metrics.batches += 1
+                        metrics.rows_out += emitted
+                if not emitted:
+                    continue
+                if sel is not None:
+                    yield ColumnBatch(
+                        [take(column, sel) for column in columns], len(sel)
+                    )
+                else:
+                    yield ColumnBatch(columns, count)
+            for _, _, metrics in armed[:-1]:
+                metrics.exhausted = True
+
+        def start(run: Run) -> Iterator[ColumnBatch]:
+            return _metered(generate(run), run.operators[slots[0]])
+
+        return start, slots[0]
+
+    # -- run -----------------------------------------------------------
+
+    def run(self, context: ExecutionContext) -> Result:
+        """One execution: fresh metrics for every operator, registered
+        in ``context.metrics`` in plan pre-order, then the pipeline."""
+        if context.metrics is None:
+            context.metrics = ExecutionMetrics()
+        register = context.metrics.register
+        operators = [
+            OperatorMetrics(
+                slot.label, slot.depth, fused=slot.fused, width=slot.width
+            )
+            for slot in self._slots
+        ]
+        for slot, metrics in zip(self._slots, operators):
+            register(slot.node, metrics)
+            if slot.children:
+                metrics.children = [operators[c] for c in slot.children]
+        rows = []
+        for batch in self._start(Run(context, operators)):
+            rows.extend(batch.to_rows())
+        context.metrics.kernels_compiled = context.kernels_compiled
+        return Result(schema=self.plan.schema, rows=rows)
 
 
 class _Stage:
     """One member of a fused unary chain, with its compiled program."""
 
-    __slots__ = ("kind", "program", "positions", "width", "metrics", "is_head")
+    __slots__ = ("kind", "program", "positions", "width", "slot")
 
-    def __init__(self, node: PlanNode, context: ExecutionContext):
+    def __init__(self, node: PlanNode, slot: int, compiler: Executable):
         child_schema = node.child.schema
         self.width = len(child_schema)
+        self.slot = slot
+        self.program = None
+        self.positions = ()
         if isinstance(node, FilterNode):
             self.kind = "filter"
             self.program = SelectionProgram(
-                node.predicates, child_schema, context
+                node.predicates, child_schema, compiler
             )
-            self.positions = ()
         elif isinstance(node, ProjectNode):
             self.kind = "project"
             self.program = ComputeProgram(
                 [expression for _, _, expression in node.outputs],
                 child_schema,
-                context,
+                compiler,
             )
-            self.positions = ()
         else:
             self.kind = "rename"
-            self.program = None
             self.positions = tuple(node.positions)
-        self.metrics: OperatorMetrics = None  # type: ignore[assignment]
-        self.is_head = False
 
 
-def _fused_chain(
-    plan: PlanNode, context: ExecutionContext, depth: int
-) -> Iterator[ColumnBatch]:
-    """Fuse the maximal filter/project/rename chain rooted at *plan*
-    into one per-batch loop.
-
-    The loop threads ``(columns, count, sel)`` through the chain —
-    ``sel`` is a pending selection vector, applied lazily so a filter
-    followed by a projection gathers each referenced column exactly
-    once, and unreferenced columns are never touched. A projection is
-    the rematerialization point (it computes new columns); rename is
-    zero-copy under a pending selection.
-
-    Every member keeps its own metrics (exact rows in/out and batches;
-    inclusive time lands on the chain head) and is flagged ``fused``.
-    """
-    chain: List[PlanNode] = [plan]
-    node = plan.child
-    while isinstance(node, _FUSABLE):
-        chain.append(node)
-        node = node.child
-
-    fused = len(chain) > 1
-    for i, member in enumerate(chain):
-        member_metrics = OperatorMetrics(
-            label=member.describe(),
-            depth=depth + i,
-            fused=fused,
-            width=len(member.schema),
-        )
-        if context.metrics is not None:
-            context.metrics.register(member_metrics)
-        member.op_metrics = member_metrics
-
-    child_batches = build_pipeline(node, context, depth + len(chain))
-    head_metrics = chain[0].op_metrics
-    if node.op_metrics is not None:
-        # the head's inclusive time must subtract the real producer —
-        # fused members contribute no time of their own
-        head_metrics.children.append(node.op_metrics)
-
-    # stages run bottom-up (deepest chain member first)
-    stages = [_Stage(member, context) for member in reversed(chain)]
-    for stage, member in zip(stages, reversed(chain)):
-        stage.metrics = member.op_metrics
-    stages[-1].is_head = True
-
-    def generate() -> Iterator[ColumnBatch]:
-        for batch in child_batches:
-            columns = batch.columns
-            count = batch.length
-            sel = None
-            emitted = count
-            for stage in stages:
-                in_rows = len(sel) if sel is not None else count
-                stage.metrics.rows_in += in_rows
-                if stage.kind == "filter":
-                    program = stage.program
-                    if sel is None:
-                        sel = program.run(columns, count)
-                    elif program.active:
-                        virtual = gather_virtual(
-                            columns, program.used, sel, stage.width
-                        )
-                        relative = program.run(virtual, len(sel))
-                        if relative is not None:
-                            sel = [sel[i] for i in relative]
-                elif stage.kind == "project":
-                    program = stage.program
-                    if sel is not None:
-                        virtual = gather_virtual(
-                            columns, program.used, sel, stage.width
-                        )
-                        count = len(sel)
-                        columns = program.run(virtual, count)
-                        sel = None
-                    else:
-                        columns = program.run(columns, count)
-                else:  # rename: pure column pick, selection unaffected
-                    columns = [columns[p] for p in stage.positions]
-                emitted = len(sel) if sel is not None else count
-                if not emitted:
-                    break
-                if not stage.is_head:
-                    stage.metrics.batches += 1
-                    stage.metrics.rows_out += emitted
-            if not emitted:
-                continue
-            if sel is not None:
-                yield ColumnBatch(
-                    [take(column, sel) for column in columns], len(sel)
-                )
-            else:
-                yield ColumnBatch(columns, count)
-        for member in chain[1:]:
-            member.actual_rows = member.op_metrics.rows_out
-
-    return _metered(plan, generate(), head_metrics)
-
-
-def _metered(
-    plan: PlanNode, generator: Iterator, metrics: OperatorMetrics
-) -> Iterator:
+def _metered(generator: Iterator, metrics: OperatorMetrics) -> Iterator:
     """Wrap an operator's batch generator with row/batch/time counters;
-    records ``actual_rows`` when the stream is exhausted."""
+    its row count stands once the stream is exhausted."""
     rows_out = 0
     while True:
         started = perf_counter()
@@ -268,4 +374,4 @@ def _metered(
         rows_out += len(batch)
         yield batch
     metrics.rows_out = rows_out
-    plan.actual_rows = rows_out
+    metrics.exhausted = True

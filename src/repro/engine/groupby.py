@@ -11,15 +11,19 @@ rows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from ..algebra.aggregates import Accumulator
 from ..algebra.plan import GroupByNode, LimitNode, SortNode
 from ..datatypes import NullOrdered, null_ordered_key
 from ..storage.page import pages_for
 from .batch import ColumnBatch, keyer, projector, take
-from .context import ExecutionContext
-from .kernels import ComputeProgram, SelectionProgram, groupby_kernels
+from .kernels import (
+    ComputeProgram,
+    SelectionProgram,
+    groupby_kernels,
+    row_closures,
+)
 from .metrics import OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_group_extra_io
 
@@ -64,12 +68,7 @@ def _order_key(key):
     return NullOrdered(key)
 
 
-def group_by_columns(
-    plan: GroupByNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+def group_by_columns(plan: GroupByNode, compiler):
     """Columnar group-by: key columns feed the fused accumulate kernel
     directly (key extraction is free), aggregate arguments are computed
     as whole columns, and HAVING + projection run as one selection
@@ -79,20 +78,24 @@ def group_by_columns(
     logic and is never the hot path); spill charges use the identical
     formula and inputs as the row engine.
     """
-    child_batches = run(plan.child)
+    child = compiler.child(plan.child)
     child_schema = plan.child.schema
     key_positions = [
         child_schema.index_of(alias, name) for alias, name in plan.group_keys
     ]
     internal = plan.internal_schema
-    having = SelectionProgram(plan.having, internal, context)
     out_positions = [
         internal.index_of(alias, name) for alias, name in plan.projection
     ]
+    if plan.method == "sort":
+        return _sorted_group_by(
+            plan, child, key_positions, out_positions
+        )
+    having_program = SelectionProgram(plan.having, internal, compiler)
     arg_expressions = [
         call.arg for _, call in plan.aggregates if call.arg is not None
     ]
-    arg_program = ComputeProgram(arg_expressions, child_schema, context)
+    arg_program = ComputeProgram(arg_expressions, child_schema, compiler)
     arg_slots = []  # per aggregate: index into the computed columns
     slot = 0
     for _, call in plan.aggregates:
@@ -102,19 +105,22 @@ def group_by_columns(
             arg_slots.append(slot)
             slot += 1
     update, finalize = groupby_kernels(
-        len(key_positions), plan.aggregates, context
+        len(key_positions), plan.aggregates, compiler
     )
 
-    def generate_hash() -> Iterator[ColumnBatch]:
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        context = run.context
+        having = having_program.arm(context)
+        compute_args = arg_program.arm(context).run
         table: Dict[Any, List[Any]] = {}
         count = 0
-        for batch in child_batches:
+        for batch in child(run):
             n = batch.length
             count += n
             metrics.rows_in += n
             columns = batch.columns
             keys = [columns[p] for p in key_positions]
-            computed = arg_program.run(columns, n) if arg_expressions else ()
+            computed = compute_args(columns, n) if arg_expressions else ()
             args = [
                 computed[s] if s is not None else None for s in arg_slots
             ]
@@ -146,21 +152,33 @@ def group_by_columns(
                 [column[start:end] for column in out_columns], end - start
             )
 
-    def generate_sort() -> Iterator[ColumnBatch]:
-        key_of = keyer(key_positions)
-        arg_evaluators = [
-            call.arg.bind(child_schema) if call.arg is not None else None
-            for _, call in plan.aggregates
-        ]
-        functions = [call.function() for _, call in plan.aggregates]
-        having_checks = [predicate.bind(internal) for predicate in plan.having]
-        project = projector(out_positions, len(internal))
-        single_key = len(key_positions) == 1
+    return open
+
+
+def _sorted_group_by(plan: GroupByNode, child, key_positions, out_positions):
+    """The sort-method group-by: rows, run detection, accumulator
+    objects — the row engine's algorithm behind a columnar interface."""
+    internal = plan.internal_schema
+    key_of = keyer(key_positions)
+    arm_arguments = row_closures(
+        [call.arg for _, call in plan.aggregates], plan.child.schema
+    )
+    arm_having = row_closures(plan.having, internal)
+    functions = [call.function() for _, call in plan.aggregates]
+    project = projector(out_positions, len(internal))
+    single_key = len(key_positions) == 1
+    width = len(out_positions)
+
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        context = run.context
+        having_checks = arm_having(context)
         rows: List[Tuple[Any, ...]] = []
-        for batch in child_batches:
+        for batch in child(run):
             rows.extend(batch.to_rows())
         metrics.rows_in = len(rows)
-        groups = _sorted_groups(rows, key_of, arg_evaluators, functions)
+        groups = _sorted_groups(
+            rows, key_of, arm_arguments(context), functions
+        )
         out_rows: List[Tuple[Any, ...]] = []
         for key, accumulators in groups:
             key_part = (key,) if single_key else key
@@ -174,24 +192,18 @@ def group_by_columns(
             out_rows.append(
                 project(internal_row) if project is not None else internal_row
             )
-        width = len(out_positions)
         for start in range(0, len(out_rows), context.batch_size):
             chunk = out_rows[start : start + context.batch_size]
             yield ColumnBatch.from_rows(chunk, width)
 
-    return generate_sort() if plan.method == "sort" else generate_hash()
+    return open
 
 
-def sort_columns(
-    plan: SortNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+def sort_columns(plan: SortNode, compiler):
     """Columnar sort: pre-ordered inputs stream through untouched; the
     general case transposes to rows for the stable multi-pass sort
     (identical permutation and spill charge to the row engine)."""
-    child_batches = run(plan.child)
+    child = compiler.child(plan.child)
     child_order = (
         getattr(plan.child.props, "order", ()) if plan.child.props else ()
     )
@@ -206,14 +218,15 @@ def sort_columns(
     ]
     width = len(schema)
 
-    def generate() -> Iterator[ColumnBatch]:
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        context = run.context
         if preordered:
-            for batch in child_batches:
+            for batch in child(run):
                 metrics.rows_in += batch.length
                 yield batch
             return
         rows: List[Tuple[Any, ...]] = []
-        for batch in child_batches:
+        for batch in child(run):
             rows.extend(batch.to_rows())
         metrics.rows_in = len(rows)
         charge_spill(
@@ -233,23 +246,18 @@ def sort_columns(
             chunk = rows[start : start + context.batch_size]
             yield ColumnBatch.from_rows(chunk, width)
 
-    return generate()
+    return open
 
 
-def limit_columns(
-    plan: LimitNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+def limit_columns(plan: LimitNode, compiler):
     """Columnar limit: emit the first N rows via column slices; the
     child is still drained in full so its IO and actuals stay complete."""
-    child_batches = run(plan.child)
+    child = compiler.child(plan.child)
     count = plan.count
 
-    def generate() -> Iterator[ColumnBatch]:
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
         remaining = count
-        for batch in child_batches:
+        for batch in child(run):
             metrics.rows_in += batch.length
             if remaining > 0:
                 if batch.length <= remaining:
@@ -264,4 +272,4 @@ def limit_columns(
                     yield head
             # keep draining: child IO and actuals must be complete
 
-    return generate()
+    return open

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import chain, count
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..algebra.plan import JoinNode, ScanNode
 from ..catalog.schema import RowSchema
@@ -36,7 +36,7 @@ from ..storage.page import pages_for
 from ..storage.snapshot import TableSnapshot
 from .batch import ColumnBatch, RowBatch, concat_columns, projector, take
 from .context import ExecutionContext
-from .kernels import SelectionProgram
+from .kernels import SelectionProgram, row_closures
 from .metrics import OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_spill_extra_io, nlj_blocks
 
@@ -225,100 +225,85 @@ def _probe_unique(keys, index: dict):
     return range(len(ri)), ri
 
 
-def join_columns(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+def join_columns(plan: JoinNode, compiler):
     """Columnar join: method core + fused residual/projection emitter."""
     if plan.kind != "inner":
-        return _kind_join_columns(plan, context, metrics, run)
+        return _kind_join_columns(plan, compiler)
     combined = plan.left.schema.concat(plan.right.schema)
+    combined_width = len(combined)
     left_width = len(plan.left.schema)
-    residual = SelectionProgram(plan.residuals, combined, context)
+    residual_program = SelectionProgram(plan.residuals, combined, compiler)
     positions = [
         combined.index_of(alias, name) for alias, name in plan.projection
     ]
+    core = _CORES.get(plan.method, _nlj_core)(plan, compiler)
 
-    if plan.method == "inlj":
-        core = _inlj_core(plan, context, metrics, run)
-    elif plan.method == "hj":
-        core = _hash_core(plan, context, metrics, run)
-    elif plan.method == "smj":
-        core = _smj_core(plan, context, metrics, run)
-    else:
-        core = _nlj_core(plan, context, metrics, run)
-
-    def emit(left_columns, right_columns, li, ri, counts):
-        full_left = li is not None and type(li) is range
-        full_right = type(ri) is range
-        cached = None
-        cells = 0
-        if residual.active:
-            if li is None:  # the residual needs explicit left indices
-                li = materialize_left(counts)
-                counts = None
-            virtual: List = [None] * len(combined)
-            gathered = len(ri)
-            for p in residual.used:
-                if p < left_width:
-                    if full_left:
-                        virtual[p] = left_columns[p]
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        residual = residual_program.arm(run.context)
+        for left_columns, right_columns, li, ri, counts in core(run, metrics):
+            metrics.rows_in += len(ri)
+            full_left = li is not None and type(li) is range
+            full_right = type(ri) is range
+            cached = None
+            cells = 0
+            if residual.active:
+                if li is None:  # the residual needs explicit left indices
+                    li = materialize_left(counts)
+                    counts = None
+                virtual: List = [None] * combined_width
+                gathered = len(ri)
+                for p in residual.used:
+                    if p < left_width:
+                        if full_left:
+                            virtual[p] = left_columns[p]
+                        else:
+                            virtual[p] = take(left_columns[p], li)
+                            cells += gathered
                     else:
-                        virtual[p] = take(left_columns[p], li)
-                        cells += gathered
+                        column = right_columns[p - left_width]
+                        if full_right:
+                            virtual[p] = column
+                        else:
+                            virtual[p] = take(column, ri)
+                            cells += gathered
+                sel = residual.run(virtual, len(ri))
+                if sel is None:
+                    # every row passed: the gathered columns ARE the output
+                    cached = virtual
+                else:
+                    if not sel:
+                        metrics.cells += cells
+                        continue
+                    li = take(li, sel)
+                    ri = take(ri, sel)
+                    full_left = full_right = False
+            out = []
+            out_len = len(ri)
+            for p in positions:
+                if cached is not None and cached[p] is not None:
+                    out.append(cached[p])
+                elif p < left_width:
+                    column = left_columns[p]
+                    if counts is not None:
+                        out.append(repeat_column(column, counts))
+                        cells += out_len
+                    elif full_left:
+                        out.append(column)
+                    else:
+                        out.append(take(column, li))
+                        cells += out_len
                 else:
                     column = right_columns[p - left_width]
                     if full_right:
-                        virtual[p] = column
+                        out.append(column)
                     else:
-                        virtual[p] = take(column, ri)
-                        cells += gathered
-            sel = residual.run(virtual, len(ri))
-            if sel is None:
-                # every row passed: the gathered columns ARE the output
-                cached = virtual
-            else:
-                if not sel:
-                    metrics.cells += cells
-                    return None
-                li = take(li, sel)
-                ri = take(ri, sel)
-                full_left = full_right = False
-        out = []
-        out_len = len(ri)
-        for p in positions:
-            if cached is not None and cached[p] is not None:
-                out.append(cached[p])
-            elif p < left_width:
-                column = left_columns[p]
-                if counts is not None:
-                    out.append(repeat_column(column, counts))
-                    cells += out_len
-                elif full_left:
-                    out.append(column)
-                else:
-                    out.append(take(column, li))
-                    cells += out_len
-            else:
-                column = right_columns[p - left_width]
-                if full_right:
-                    out.append(column)
-                else:
-                    out.append(take(column, ri))
-                    cells += out_len
-        metrics.cells += cells
-        return ColumnBatch(out, out_len)
+                        out.append(take(column, ri))
+                        cells += out_len
+            metrics.cells += cells
+            if out_len:
+                yield ColumnBatch(out, out_len)
 
-    def generate() -> Iterator[ColumnBatch]:
-        for left_columns, right_columns, li, ri, counts in core:
-            metrics.rows_in += len(ri)
-            batch = emit(left_columns, right_columns, li, ri, counts)
-            if batch is not None and batch.length:
-                yield batch
-
-    return generate()
+    return open
 
 
 def _collect_columns(batches: Iterator[ColumnBatch], width: int):
@@ -326,29 +311,30 @@ def _collect_columns(batches: Iterator[ColumnBatch], width: int):
     return concat_columns(collected, width)
 
 
-def _hash_core(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-):
+def _equi_positions(plan: JoinNode) -> Tuple[List[int], List[int]]:
+    """Each side's positions of the equi-join key columns."""
+    return (
+        _key_positions(plan.left.schema, [pair[0] for pair in plan.equi_keys]),
+        _key_positions(plan.right.schema, [pair[1] for pair in plan.equi_keys]),
+    )
+
+
+def _hash_core(plan: JoinNode, compiler):
     """Hash join over columns: build an index-valued hash table on the
     right, probe each left batch's key column straight through it."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    left_positions = _key_positions(
-        plan.left.schema, [pair[0] for pair in plan.equi_keys]
-    )
-    right_positions = _key_positions(
-        plan.right.schema, [pair[1] for pair in plan.equi_keys]
-    )
+    left = compiler.child(plan.left)
+    right = compiler.child(plan.right)
+    left_positions, right_positions = _equi_positions(plan)
     multi_key = len(left_positions) > 1
     left_width = plan.left.schema.width
     right_width = plan.right.schema.width
+    right_columns_count = len(plan.right.schema)
 
-    def core():
+    def core(run, metrics: OperatorMetrics):
+        context = run.context
+        left_batches = left(run)
         build_columns, build_count = _collect_columns(
-            right_batches, len(plan.right.schema)
+            right(run), right_columns_count
         )
         buckets = _build_buckets(
             _column_keys(build_columns, right_positions), multi_key
@@ -376,15 +362,10 @@ def _hash_core(
             ),
         )
 
-    return core()
+    return core
 
 
-def _nlj_core(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-):
+def _nlj_core(plan: JoinNode, compiler):
     """Block NLJ over columns. With equi keys the inner match lookup
     uses an insertion-ordered hash index — output rows and order are
     identical to the row engine's linear scan (buckets hold ascending
@@ -392,25 +373,23 @@ def _nlj_core(
     from the same row counts, so page IO is byte-identical; only the
     in-memory matching is cheaper. The pure cross product builds its
     index vectors with C-level list repetition."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    memory = context.params.memory_pages
+    left = compiler.child(plan.left)
+    right = compiler.child(plan.right)
     equi = bool(plan.equi_keys)
-    left_positions = (
-        _key_positions(plan.left.schema, [p[0] for p in plan.equi_keys])
-        if equi
-        else []
-    )
-    right_positions = (
-        _key_positions(plan.right.schema, [p[1] for p in plan.equi_keys])
-        if equi
-        else []
-    )
+    left_positions, right_positions = _equi_positions(plan)
     left_width = plan.left.schema.width
+    right_width = plan.right.schema.width
+    right_columns_count = len(plan.right.schema)
+    inner_is_scan = (
+        isinstance(plan.right, ScanNode) and plan.right.index_name is None
+    )
 
-    def core():
+    def core(run, metrics: OperatorMetrics):
+        context = run.context
+        memory = context.params.memory_pages
+        left_batches = left(run)
         inner_columns, inner_count = _collect_columns(
-            right_batches, len(plan.right.schema)
+            right(run), right_columns_count
         )
         buckets = (
             _build_buckets(
@@ -451,9 +430,6 @@ def _nlj_core(
                 )
 
         blocks = nlj_blocks(pages_for(outer_count, left_width), memory)
-        inner_is_scan = (
-            isinstance(plan.right, ScanNode) and plan.right.index_name is None
-        )
         if inner_is_scan:
             inner_pages = context.storage_for(
                 plan.right.table_name
@@ -463,79 +439,76 @@ def _nlj_core(
                 context.io.read_pages(rescans)
                 metrics.spill(rescans, 0)
         else:
-            inner_pages = pages_for(inner_count, plan.right.schema.width)
+            inner_pages = pages_for(inner_count, right_width)
             if inner_pages > max(1, memory - 2):
                 context.io.write_pages(inner_pages)  # materialize the inner
                 rereads = blocks * inner_pages
                 context.io.read_pages(rereads)
                 metrics.spill(rereads, inner_pages)
 
-    return core()
+    return core
 
 
-def _smj_core(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-):
+def _smj_core(plan: JoinNode, compiler):
     """Sort-merge over columns: sort *index* vectors instead of rows
     (``sorted(key=keys.__getitem__)`` is the same stable permutation
     the row engine's ``rows.sort`` produced), merge the materialized
     sorted key lists, and emit original-position index pairs."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
-    memory = context.params.memory_pages
-    left_keys = [pair[0] for pair in plan.equi_keys]
-    right_keys = [pair[1] for pair in plan.equi_keys]
-    left_positions = _key_positions(plan.left.schema, left_keys)
-    right_positions = _key_positions(plan.right.schema, right_keys)
+    left = compiler.child(plan.left)
+    right = compiler.child(plan.right)
+    left_positions, right_positions = _equi_positions(plan)
     multi_key = len(left_positions) > 1
 
-    def side(columns, count, child, keys, positions):
-        """Null-filter, charge the sort, and return (order, sorted_keys)
-        where ``order`` maps merge position → original row index."""
+    def needs_sort(child, keys) -> bool:
         order = getattr(child.props, "order", ()) if child.props else ()
-        needs_sort = tuple(order[: len(keys)]) != tuple(keys)
-        if needs_sort:
-            # charge by the collected (pre-filter) page count so IO
-            # totals match the row engine's
-            charge_spill(
-                context.io,
-                metrics,
-                external_sort_extra_io(
-                    pages_for(count, child.schema.width), memory
-                ),
-            )
-        key_values = _column_keys(columns, positions)
-        if multi_key:
-            indices = [
-                i for i, key in enumerate(key_values) if None not in key
-            ]
-        elif None in key_values:
-            indices = [
-                i for i, key in enumerate(key_values) if key is not None
-            ]
-        else:  # no NULL keys: skip the per-row filter entirely
-            indices = list(range(count))
-        if needs_sort:
-            indices.sort(key=key_values.__getitem__)
-        elif len(indices) == count:
-            return indices, list(key_values)
-        return indices, take(key_values, indices)
+        return tuple(order[: len(keys)]) != tuple(keys)
 
-    def core():
-        left_columns, left_count = _collect_columns(
-            left_batches, len(plan.left.schema)
+    left_unsorted = needs_sort(plan.left, [p[0] for p in plan.equi_keys])
+    right_unsorted = needs_sort(plan.right, [p[1] for p in plan.equi_keys])
+
+    def core(run, metrics: OperatorMetrics):
+        context = run.context
+
+        def side(batches, child, positions, unsorted):
+            """Collect, null-filter, charge the sort, and return
+            (columns, order, sorted_keys) where ``order`` maps merge
+            position → original row index."""
+            columns, count = _collect_columns(batches, len(child.schema))
+            if unsorted:
+                # charge by the collected (pre-filter) page count so IO
+                # totals match the row engine's
+                charge_spill(
+                    context.io,
+                    metrics,
+                    external_sort_extra_io(
+                        pages_for(count, child.schema.width),
+                        context.params.memory_pages,
+                    ),
+                )
+            key_values = _column_keys(columns, positions)
+            if multi_key:
+                indices = [
+                    i for i, key in enumerate(key_values) if None not in key
+                ]
+            elif None in key_values:
+                indices = [
+                    i for i, key in enumerate(key_values) if key is not None
+                ]
+            else:  # no NULL keys: skip the per-row filter entirely
+                indices = list(range(count))
+            if unsorted:
+                indices.sort(key=key_values.__getitem__)
+            elif len(indices) == count:
+                return columns, indices, list(key_values)
+            return columns, indices, take(key_values, indices)
+
+        left_batches = left(run)
+        right_batches = right(run)
+        left_columns, left_order, left_sorted = side(
+            left_batches, plan.left, left_positions, left_unsorted
         )
-        right_columns, right_count = _collect_columns(
-            right_batches, len(plan.right.schema)
-        )
-        left_order, left_sorted = side(
-            left_columns, left_count, plan.left, left_keys, left_positions
-        )
-        right_order, right_sorted = side(
-            right_columns, right_count, plan.right, right_keys, right_positions
+        right_columns, right_order, right_sorted = side(
+            right_batches, plan.right, right_positions, right_unsorted
         )
 
         # The merge itself is a probe of the left side (in sorted order)
@@ -578,15 +551,10 @@ def _smj_core(
         if ri:
             yield left_columns, right_columns, li, ri, None
 
-    return core()
+    return core
 
 
-def _inlj_core(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-):
+def _inlj_core(plan: JoinNode, compiler):
     """Index NLJ over columns: the probe loop stays per-row (each probe
     is an index traversal), but outer columns are gathered — never
     concatenated into wide tuples — and matched inner rows transpose
@@ -594,7 +562,7 @@ def _inlj_core(
     inner = plan.right
     if not isinstance(inner, ScanNode):
         raise ExecutionError("index NLJ requires a base-table inner")
-    info = context.catalog.info(inner.table_name)
+    info = compiler.catalog.info(inner.table_name)
     index = info.indexes.get(plan.index_name or "")
     if index is None:
         raise ExecutionError(
@@ -608,33 +576,27 @@ def _inlj_core(
             f"{inner_join_columns}"
         )
 
-    left_batches = run(plan.left)
-    table = info.table
-    inner_full = table_row_schema(inner.alias, table.columns, include_rid=True)
-    checks = [predicate.bind(inner_full) for predicate in inner.filters]
+    left = compiler.child(plan.left)
+    inner_slot = compiler.declare(inner, inner.describe() + " (index probe)")
+    inner_full = table_row_schema(
+        inner.alias, info.table.columns, include_rid=True
+    )
+    arm_checks = row_closures(inner.filters, inner_full)
     inner_positions = [
         inner_full.index_of(field.alias, field.name) for field in inner.schema
     ]
     project_inner = projector(inner_positions, len(inner_full))
-    probe_positions = _key_positions(
-        plan.left.schema, [pair[0] for pair in plan.equi_keys]
-    )
+    probe_positions = _equi_positions(plan)[0]
 
-    inner_metrics = OperatorMetrics(
-        label=inner.describe() + " (index probe)", depth=metrics.depth + 1
-    )
-    if context.metrics is not None:
-        context.metrics.register(inner_metrics)
-    inner.op_metrics = inner_metrics
-    metrics.children.append(inner_metrics)
-    lookup = _probe_lookup(context, inner, index)
-    io = context.io
-    inner_width = len(inner.schema)
-
-    def core():
+    def core(run, metrics: OperatorMetrics):
+        context = run.context
+        inner_metrics = run.operators[inner_slot]
+        checks = arm_checks(context)
+        lookup = _probe_lookup(context, inner, index)
+        io = context.io
         matched = 0
         probes = 0
-        for batch in left_batches:
+        for batch in left(run):
             probe_columns = [batch.columns[p] for p in probe_positions]
             li: List[int] = []
             matched_rows: RowBatch = []
@@ -665,20 +627,18 @@ def _inlj_core(
                     range(len(matched_rows)),
                     None,
                 )
-        inner.actual_rows = matched
         inner_metrics.rows_out = matched
         inner_metrics.rows_in = probes
         inner_metrics.batches = probes  # one probe per outer row
+        inner_metrics.exhausted = True
 
-    return core()
+    return core
 
 
-def _kind_join_columns(
-    plan: JoinNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+_CORES = {"inlj": _inlj_core, "hj": _hash_core, "smj": _smj_core}
+
+
+def _kind_join_columns(plan: JoinNode, compiler):
     """Semi / anti / LEFT OUTER joins over columns.
 
     Candidate (probe, build) pairs come from the same bucket probe as
@@ -689,37 +649,36 @@ def _kind_join_columns(
     NOT EXISTS), or every probe with unmatched ones padded through a
     NULL sentinel row appended to the build columns (LEFT). Output rows
     and order are identical to the ``rowexec`` baseline's."""
-    left_batches = run(plan.left)
-    right_batches = run(plan.right)
+    left = compiler.child(plan.left)
+    right = compiler.child(plan.right)
     combined = plan.left.schema.concat(plan.right.schema)
+    combined_width = len(combined)
     left_width = len(plan.left.schema)
     right_width = len(plan.right.schema)
-    residual = SelectionProgram(plan.residuals, combined, context)
+    residual_program = SelectionProgram(plan.residuals, combined, compiler)
     positions = [
         combined.index_of(alias, name) for alias, name in plan.projection
     ]
     equi = bool(plan.equi_keys)
-    left_positions = _key_positions(
-        plan.left.schema, [pair[0] for pair in plan.equi_keys]
-    )
-    right_positions = _key_positions(
-        plan.right.schema, [pair[1] for pair in plan.equi_keys]
-    )
+    left_positions, right_positions = _equi_positions(plan)
     multi_key = len(left_positions) > 1
 
-    def project_left(columns, sel):
-        """Gather the (left-only) projection through a selection vector;
-        ``sel is None`` keeps whole columns with no copy."""
-        if sel is None:
-            return [columns[p] for p in positions]
-        metrics.cells += len(sel) * len(positions)
-        return [take(columns[p], sel) for p in positions]
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        context = run.context
+        residual = residual_program.arm(context)
 
-    def generate() -> Iterator[ColumnBatch]:
+        def project_left(columns, sel):
+            """Gather the (left-only) projection through a selection
+            vector; ``sel is None`` keeps whole columns with no copy."""
+            if sel is None:
+                return [columns[p] for p in positions]
+            metrics.cells += len(sel) * len(positions)
+            return [take(columns[p], sel) for p in positions]
+
+        left_batches = left(run)
         build_columns, build_count = _collect_columns(
-            right_batches, right_width
+            right(run), right_width
         )
-
         if plan.null_aware:
             # NOT IN three-valued logic over the single key column.
             key_column = build_columns[right_positions[0]]
@@ -783,7 +742,7 @@ def _kind_join_columns(
 
             # the ON residuals are part of the match condition
             if residual.active and ri:
-                virtual: List = [None] * len(combined)
+                virtual: List = [None] * combined_width
                 gathered = len(ri)
                 for p in residual.used:
                     if p < left_width:
@@ -841,4 +800,4 @@ def _kind_join_columns(
 
         _kind_join_charges(plan, context, metrics, build_count, probe_count)
 
-    return generate()
+    return open

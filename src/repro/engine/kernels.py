@@ -47,10 +47,20 @@ and a module-level source→code-object cache makes repeated shapes
 exactly once per process. Each instantiation still counts toward
 ``context.kernels_compiled`` — that counter tracks kernels built, which
 is what ``repro --stats`` reports.
+
+A program is built once per plan (``executor.compile_plan``) and run by
+every execution of it, concurrently: a kernel is a pure function of its
+column arguments, so a program that reads no ``$n`` is shared as it is.
+A ``$n`` enters the source as a name ``_p{n}`` — NULL-guarded like a
+column, since its value is not known when the source is written, not
+folded like a literal — and the program is *re-armed* per execution
+(:meth:`SelectionProgram.arm`): a copy whose kernel is instantiated from
+the cached code object with that execution's values in its namespace.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -75,8 +85,12 @@ from ..algebra.expressions import (
     Literal,
     Not,
     Or,
+    Parameter,
+    collect_parameters,
+    replace_parameters,
 )
 from ..catalog.schema import RowSchema
+from ..errors import PlanError
 from .batch import take
 
 _SOURCE_CACHE: Dict[str, Any] = {}
@@ -116,9 +130,67 @@ def _instantiate(source: str, namespace: Dict[str, Any], context) -> Callable:
     return scope["_kernel"]
 
 
-def _defaults(namespace: Dict[str, Any]) -> str:
+def _defaults(*namespaces: Dict[str, Any]) -> str:
     """Render namespace entries as keyword defaults for a def line."""
-    return "".join(f", {name}={name}" for name in namespace)
+    return "".join(
+        f", {name}={name}" for namespace in namespaces for name in namespace
+    )
+
+
+def _kernel_arm(
+    source: str, namespace: Dict[str, Any], parameters: Dict[str, Parameter]
+) -> Callable:
+    """``arm(context) -> kernel`` of a generated definition: instantiates
+    it, with *context*'s values for the ``$n`` names it reads (none
+    read: *context* is only the instantiation counter, or ``None``)."""
+
+    def arm(context) -> Callable:
+        scope = namespace
+        if parameters:
+            scope = dict(namespace)
+            for name, parameter in parameters.items():
+                scope[name] = parameter.value(context.parameters)
+        return _instantiate(source, scope, context)
+
+    return arm
+
+
+def _needs_arming(*_):
+    """What stands where a ``$n``-reading program's kernel will be."""
+    raise PlanError(
+        "this program reads $n parameters: arm() it for an execution"
+    )
+
+
+def row_closures(expressions: Sequence[Optional[Expression]], schema: RowSchema):
+    """``arm(context) -> [row -> value closure]`` for the row-at-a-time
+    corners of the engine (one closure per expression, ``None`` entries
+    kept): bound once when no expression reads a ``$n``, else per
+    execution with its values substituted as literals."""
+    expressions = list(expressions)
+    wanted = sorted(
+        frozenset().union(
+            *(collect_parameters(e) for e in expressions if e is not None)
+        )
+    )
+
+    def bind(substitute) -> List[Optional[Callable]]:
+        return [
+            None if e is None else substitute(e).bind(schema)
+            for e in expressions
+        ]
+
+    if not wanted:
+        closures = bind(lambda e: e)
+        return lambda context: closures
+
+    def arm(context) -> List[Optional[Callable]]:
+        values = {
+            n: Literal(Parameter(n).value(context.parameters)) for n in wanted
+        }
+        return bind(lambda e: replace_parameters(e, values))
+
+    return arm
 
 
 class _Emitter:
@@ -133,6 +205,7 @@ class _Emitter:
     def __init__(self, schema: RowSchema):
         self.schema = schema
         self.namespace: Dict[str, Any] = {}
+        self.parameters: Dict[str, Parameter] = {}
         self.used: set = set()
         self.current_used: set = set()
         self._counter = 0
@@ -164,6 +237,10 @@ class _Emitter:
             return self.column(e)
         if isinstance(e, Literal):
             return self.const(e.value)
+        if isinstance(e, Parameter):
+            name = f"_p{e.index}"
+            self.parameters[name] = e
+            return name
         if isinstance(e, Comparison):
             return self._binary_value(e.left, e.right, _COMPARE_SOURCE[e.op])
         if isinstance(e, Arith):
@@ -292,7 +369,7 @@ class _Emitter:
 
 def _simple(e: Expression) -> bool:
     """Side-effect-free, non-raising leaf — safe to short-circuit."""
-    return isinstance(e, (ColumnRef, Literal))
+    return isinstance(e, (ColumnRef, Literal, Parameter))
 
 
 def _column_bindings(positions: Sequence[int]) -> str:
@@ -319,7 +396,7 @@ class SelectionProgram:
     virtual, i.e. behind a pending selection vector).
     """
 
-    __slots__ = ("active", "used", "_kernel")
+    __slots__ = ("active", "used", "_kernel", "_rearm")
 
     def __init__(
         self,
@@ -330,6 +407,7 @@ class SelectionProgram:
         self.active = bool(predicates)
         self.used: Tuple[int, ...] = ()
         self._kernel: Optional[Callable] = None
+        self._rearm: Optional[Callable] = None
         if not predicates:
             return
         emitter = _Emitter(schema)
@@ -340,10 +418,14 @@ class SelectionProgram:
             return
         positions = sorted(emitter.used)
         self.used = tuple(positions)
+        head = (
+            "def _kernel(_cols, _n"
+            f"{_defaults(emitter.namespace, emitter.parameters)}):\n"
+        )
         if not positions:
             # constant predicate: decide once per batch, not per row
             source = (
-                f"def _kernel(_cols, _n{_defaults(emitter.namespace)}):\n"
+                f"{head}"
                 f"    if not _n:\n"
                 f"        return []\n"
                 f"    return None if ({condition}) else []\n"
@@ -351,29 +433,56 @@ class SelectionProgram:
         else:
             variables, iterable = _loop_head(positions)
             source = (
-                f"def _kernel(_cols, _n{_defaults(emitter.namespace)}):\n"
+                f"{head}"
                 f"{_column_bindings(positions)}"
                 f"    return [_i for _i, {variables} in "
                 f"enumerate({iterable}) if {condition}]\n"
             )
-        self._kernel = _instantiate(source, emitter.namespace, context)
+        self._arm_with(
+            _kernel_arm(source, emitter.namespace, emitter.parameters),
+            bool(emitter.parameters),
+            context,
+        )
+
+    def _arm_with(self, arm_kernel, parameterized: bool, context) -> None:
+        if parameterized:
+            self._kernel, self._rearm = _needs_arming, arm_kernel
+        else:
+            self._kernel = arm_kernel(context)
 
     def _build_fallback(self, predicates, schema: RowSchema) -> None:
-        checks = [predicate.bind(schema) for predicate in predicates]
         self.used = tuple(range(len(schema)))
+        arm_checks = row_closures(predicates, schema)
 
-        def kernel(columns, n):
-            rows = zip(*columns) if columns else iter([()] * n)
-            if len(checks) == 1:
-                check = checks[0]
-                return [i for i, row in enumerate(rows) if check(row)]
-            return [
-                i
-                for i, row in enumerate(rows)
-                if all(check(row) for check in checks)
-            ]
+        def arm_kernel(context) -> Callable:
+            checks = arm_checks(context)
 
-        self._kernel = kernel
+            def kernel(columns, n):
+                rows = zip(*columns) if columns else iter([()] * n)
+                if len(checks) == 1:
+                    check = checks[0]
+                    return [i for i, row in enumerate(rows) if check(row)]
+                return [
+                    i
+                    for i, row in enumerate(rows)
+                    if all(check(row) for check in checks)
+                ]
+
+            return kernel
+
+        self._arm_with(
+            arm_kernel, any(collect_parameters(p) for p in predicates), None
+        )
+
+    def arm(self, context) -> "SelectionProgram":
+        """This program ready for one execution: itself when it reads
+        no ``$n``, else a copy over a kernel holding *context*'s
+        values."""
+        if self._rearm is None:
+            return self
+        armed = copy.copy(self)
+        armed._kernel, armed._rearm = self._rearm(context), None
+        return armed
 
     def run(self, columns, n: int) -> Optional[List[int]]:
         if self._kernel is None:
@@ -394,7 +503,16 @@ class ComputeProgram:
     per output, so one exotic column never slows the rest.
     """
 
-    __slots__ = ("width", "used", "_picks", "_kernel", "_kernel_outputs", "_fallbacks")
+    __slots__ = (
+        "width",
+        "used",
+        "_picks",
+        "_kernel",
+        "_kernel_outputs",
+        "_fallback_outputs",
+        "_fallbacks",
+        "_rearm",
+    )
 
     def __init__(
         self,
@@ -405,7 +523,8 @@ class ComputeProgram:
         self.width = len(expressions)
         emitter = _Emitter(schema)
         self._picks: List[Tuple[int, int]] = []
-        self._fallbacks: List[Tuple[int, Callable]] = []
+        self._fallback_outputs: List[int] = []
+        unsupported: List[Expression] = []
         computed: List[Tuple[int, str, List[int]]] = []
         for index, expression in enumerate(expressions):
             if isinstance(expression, ColumnRef):
@@ -417,16 +536,18 @@ class ComputeProgram:
             try:
                 fragment = emitter.value(expression)
             except KernelUnsupported:
-                self._fallbacks.append((index, expression.bind(schema)))
+                self._fallback_outputs.append(index)
+                unsupported.append(expression)
                 continue
             computed.append(
                 (index, fragment, sorted(emitter.current_used))
             )
-        self._kernel = None
         self._kernel_outputs: List[int] = []
+        arm_kernel: Callable = lambda context: None
         if computed:
             lines = [
-                f"def _kernel(_cols, _n{_defaults(emitter.namespace)}):"
+                "def _kernel(_cols, _n"
+                f"{_defaults(emitter.namespace, emitter.parameters)}):"
             ]
             bound = sorted({p for _, _, ps in computed for p in ps})
             lines.append(_column_bindings(bound).rstrip("\n"))
@@ -450,11 +571,37 @@ class ComputeProgram:
                     )
             lines.append(f"    return ({', '.join(returns)},)")
             source = "\n".join(lines) + "\n"
-            self._kernel = _instantiate(source, emitter.namespace, context)
-        if self._fallbacks:
+            arm_kernel = _kernel_arm(
+                source, emitter.namespace, emitter.parameters
+            )
+        arm_fallbacks = row_closures(unsupported, schema)
+
+        def rearm(context) -> Tuple[Optional[Callable], List[Callable]]:
+            return arm_kernel(context), arm_fallbacks(context)
+
+        if emitter.parameters or any(
+            collect_parameters(e) for e in unsupported
+        ):
+            self._rearm: Optional[Callable] = rearm
+            self._kernel = _needs_arming
+            self._fallbacks = [_needs_arming] * len(unsupported)
+        else:
+            self._rearm = None
+            self._kernel, self._fallbacks = rearm(context)
+        if unsupported:
             self.used = tuple(range(len(schema)))
         else:
             self.used = tuple(sorted(emitter.used))
+
+    def arm(self, context) -> "ComputeProgram":
+        """This program ready for one execution (see
+        :meth:`SelectionProgram.arm`)."""
+        if self._rearm is None:
+            return self
+        armed = copy.copy(self)
+        armed._kernel, armed._fallbacks = self._rearm(context)
+        armed._rearm = None
+        return armed
 
     def run(self, columns, n: int) -> List[Any]:
         out: List[Any] = [None] * self.width
@@ -467,7 +614,9 @@ class ComputeProgram:
                 out[index] = column
         if self._fallbacks:
             rows = list(zip(*columns)) if columns else [()] * n
-            for index, evaluate in self._fallbacks:
+            for index, evaluate in zip(
+                self._fallback_outputs, self._fallbacks
+            ):
                 out[index] = [evaluate(row) for row in rows]
         return out
 

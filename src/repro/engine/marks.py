@@ -5,7 +5,8 @@ outer (child) row by consulting the materialized inner subplan under
 the row's correlation values. The semantics live in one place —
 :func:`mark_filter` — so the row-at-a-time baseline and the columnar
 engine cannot drift apart; each only differs in how it feeds rows
-through the returned predicate.
+through the predicate (and in when it compiles it: the columnar engine
+once per plan, ``rowexec`` per execution).
 
 The inner side is deliberately re-scanned per outer row (O(outer x
 inner)): a mark join is the *unflattened* fallback, and its naivety is
@@ -21,13 +22,16 @@ from ..algebra.expressions import _COMPARISON_OPS, Comparison
 from ..algebra.plan import SubqueryMarkNode
 from .batch import ColumnBatch
 from .context import ExecutionContext
+from .kernels import row_closures
 from .metrics import OperatorMetrics
 
 
 def mark_filter(
-    plan: SubqueryMarkNode, inner_rows: List[Tuple[Any, ...]]
-) -> Callable[[Tuple[Any, ...]], bool]:
-    """Compile the node's keep-or-drop decision over *inner_rows*.
+    plan: SubqueryMarkNode,
+) -> Callable[[ExecutionContext, List[Tuple[Any, ...]]], Callable]:
+    """Compile the node's keep-or-drop decision: the returned
+    ``decide(context, inner_rows)`` gives one execution's ``keep(row)``
+    predicate over the inner rows it materialized.
 
     Mirrors the reference evaluator's ``_apply_mark`` exactly:
     correlation equalities must evaluate to TRUE (an UNKNOWN match is no
@@ -38,66 +42,70 @@ def mark_filter(
     """
     child_schema = plan.child.schema
     inner_schema = plan.inner.schema
-    combined = child_schema.concat(inner_schema)
-    correlation_checks = [
-        Comparison("=", inner_ref, outer_expr).bind(combined)
-        for inner_ref, outer_expr in plan.correlations
-    ]
-    outer_eval = (
-        plan.outer.bind(child_schema) if plan.outer is not None else None
+    arm_correlations = row_closures(
+        [
+            Comparison("=", inner_ref, outer_expr)
+            for inner_ref, outer_expr in plan.correlations
+        ],
+        child_schema.concat(inner_schema),
     )
-    value_eval = (
-        plan.value.bind(inner_schema) if plan.value is not None else None
-    )
+    arm_outer = row_closures([plan.outer], child_schema)
     # IN's membership test is an implicit equality (op is None).
     compare = _COMPARISON_OPS[plan.op or "="]
+    function = None
     if plan.kind == "scalar":
         assert plan.aggregate is not None
         function = plan.aggregate.function()
-        arg_eval = (
-            plan.aggregate.arg.bind(inner_schema)
-            if plan.aggregate.arg is not None
-            else None
-        )
+    arm_inner = row_closures(
+        [plan.value, plan.aggregate.arg if function is not None else None],
+        inner_schema,
+    )
 
-    if correlation_checks:
+    def decide(context, inner_rows):
+        correlation_checks = arm_correlations(context)
+        (outer_eval,) = arm_outer(context)
+        value_eval, arg_eval = arm_inner(context)
 
-        def candidates(row: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
-            return [
-                inner_row
-                for inner_row in inner_rows
-                if all(
-                    check(row + inner_row) is True
-                    for check in correlation_checks
+        if correlation_checks:
+
+            def candidates(row: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
+                return [
+                    inner_row
+                    for inner_row in inner_rows
+                    if all(
+                        check(row + inner_row) is True
+                        for check in correlation_checks
+                    )
+                ]
+
+        else:
+
+            def candidates(row: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
+                return inner_rows
+
+        def keep(row: Tuple[Any, ...]) -> bool:
+            matches = candidates(row)
+            if plan.kind == "exists":
+                return bool(matches) is not plan.negate
+            if plan.kind == "in":
+                outer_value = outer_eval(row)
+                verdicts = [
+                    compare(outer_value, value_eval(inner_row))
+                    for inner_row in matches
+                ]
+                if plan.negate:
+                    return not any(v is True or v is None for v in verdicts)
+                return any(v is True for v in verdicts)
+            accumulator = function.make_accumulator()
+            for inner_row in matches:
+                accumulator.add(
+                    arg_eval(inner_row) if arg_eval is not None else True
                 )
-            ]
+            return compare(outer_eval(row), accumulator.value()) is True
 
-    else:
+        return keep
 
-        def candidates(row: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
-            return inner_rows
-
-    def keep(row: Tuple[Any, ...]) -> bool:
-        matches = candidates(row)
-        if plan.kind == "exists":
-            return bool(matches) is not plan.negate
-        if plan.kind == "in":
-            outer_value = outer_eval(row)
-            verdicts = [
-                compare(outer_value, value_eval(inner_row))
-                for inner_row in matches
-            ]
-            if plan.negate:
-                return not any(v is True or v is None for v in verdicts)
-            return any(v is True for v in verdicts)
-        accumulator = function.make_accumulator()
-        for inner_row in matches:
-            accumulator.add(
-                arg_eval(inner_row) if arg_eval is not None else True
-            )
-        return compare(outer_eval(row), accumulator.value()) is True
-
-    return keep
+    return decide
 
 
 def collect_inner_rows(
@@ -110,22 +118,18 @@ def collect_inner_rows(
     return rows
 
 
-def mark_columns(
-    plan: SubqueryMarkNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run: Callable,
-) -> Iterator[ColumnBatch]:
+def mark_columns(plan: SubqueryMarkNode, compiler):
     """Columnar mark join: the decision is inherently per-row, so each
     child batch transposes once, the keep flags become a selection
     vector, and surviving rows gather column-wise (a full-keep batch
     passes through with no copy)."""
-    child_batches = run(plan.child)
-    inner_batches = run(plan.inner)
+    child = compiler.child(plan.child)
+    inner = compiler.child(plan.inner)
+    decide = mark_filter(plan)
 
-    def generate() -> Iterator[ColumnBatch]:
-        keep = mark_filter(plan, collect_inner_rows(inner_batches))
-        for batch in child_batches:
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        keep = decide(run.context, collect_inner_rows(inner(run)))
+        for batch in child(run):
             metrics.rows_in += batch.length
             sel = [
                 i for i, row in enumerate(batch.to_rows()) if keep(row)
@@ -138,4 +142,4 @@ def mark_columns(
                 metrics.cells += len(sel) * len(batch.columns)
                 yield batch.take(sel)
 
-    return generate()
+    return open

@@ -3,17 +3,22 @@
 Every :func:`repro.engine.executor.execute_plan` call meters each
 operator of the plan: rows and batches produced, inclusive wall-clock
 (the time spent inside the operator *and* its children), and the spill
-IO the operator charged. The metrics are collected on the
+IO the operator charged. Everything one run observed is collected in an
+:class:`ExecutionMetrics` on its
 :class:`~repro.engine.context.ExecutionContext` (``context.metrics``)
-and attached to each plan node (``node.op_metrics``) so
-``explain(plan, analyze=True)`` and the CLI's ``--stats`` flag can
-attribute a benchmark regression to a specific operator.
+and nowhere else — plan nodes stay as the optimizer built them, so one
+cached plan serves any number of concurrent runs. The readers —
+``explain(plan, metrics=...)``, ``stats.feedback.plan_estimates``,
+``cost.model.executed_weighted_cost``, the CLI's ``--stats`` flag —
+take that object and look an operator up by its node
+(:meth:`ExecutionMetrics.of`), which is how a benchmark regression is
+attributed to a specific operator of a specific run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -42,6 +47,10 @@ class OperatorMetrics:
     cells can be far below ``rows_out × width`` — and why pruning wide
     columns from under a duplicate-expanding join cuts this counter
     rather than ``rows_out``."""
+    exhausted: bool = False
+    """The operator's output stream ran to its end, so ``rows_out`` is
+    its actual cardinality (not a prefix an error or an abandoned
+    consumer cut short)."""
     children: List["OperatorMetrics"] = field(default_factory=list)
 
     @property
@@ -76,17 +85,44 @@ class ExecutionMetrics:
     """All operator metrics of one (or more) ``execute_plan`` calls.
 
     Operators register in plan pre-order, so :meth:`lines` renders an
-    indented tree matching ``explain`` output.
+    indented tree matching ``explain`` output; :meth:`of` finds the
+    one a plan node ran as (the latest, if the context ran the plan
+    more than once).
     """
 
     def __init__(self) -> None:
         self.operators: List[OperatorMetrics] = []
-        #: kernels instantiated by the columnar engine for this
-        #: execution (copied from ``ExecutionContext.kernels_compiled``)
+        self._by_node: Dict[Any, OperatorMetrics] = {}
+        #: kernels instantiated by the columnar engine during this
+        #: execution (copied from ``ExecutionContext.kernels_compiled``):
+        #: a plan compiled for it counts all of its kernels, a cached
+        #: executable only the ``$n``-reading ones it re-armed
         self.kernels_compiled: int = 0
 
-    def register(self, metrics: OperatorMetrics) -> None:
-        self.operators.append(metrics)
+    def register(
+        self,
+        node: Any,
+        metrics: OperatorMetrics,
+        position: Optional[int] = None,
+    ) -> None:
+        """Add *node*'s metrics — last, or at *position* for a caller
+        that registers an operator after its inputs."""
+        if position is None:
+            self.operators.append(metrics)
+        else:
+            self.operators.insert(position, metrics)
+        self._by_node[node] = metrics
+
+    def of(self, node: Any) -> Optional[OperatorMetrics]:
+        """The metrics plan node *node* ran under, if it ran."""
+        return self._by_node.get(node)
+
+    def actual_rows(self, node: Any) -> Optional[int]:
+        """Rows *node* produced, once its stream was exhausted."""
+        metrics = self._by_node.get(node)
+        if metrics is None or not metrics.exhausted:
+            return None
+        return metrics.rows_out
 
     @property
     def total_rows(self) -> int:

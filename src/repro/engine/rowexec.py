@@ -32,6 +32,7 @@ from ..catalog.schema import RowSchema, table_row_schema
 from ..datatypes import NullOrdered, null_ordered_key
 from ..errors import ExecutionError
 from .context import ExecutionContext, Result
+from .metrics import ExecutionMetrics, OperatorMetrics
 from .spill import (
     external_sort_extra_io,
     hash_group_extra_io,
@@ -40,38 +41,60 @@ from .spill import (
 )
 
 
-def execute_plan_rows(plan: PlanNode, context: ExecutionContext) -> Result:
+def execute_plan_rows(
+    plan: PlanNode, context: ExecutionContext, depth: int = 0
+) -> Result:
     """Execute an operator tree one tuple at a time (legacy path).
 
     Charges exactly the same page IO as the batch executor and records
-    ``actual_rows`` the same way (except the index-NLJ probe side,
-    which the legacy path never recorded — the bug the batch executor
-    fixes).
+    each node's actual row count in ``context.metrics`` the same way
+    (except the index-NLJ probe side, which the legacy path never
+    recorded — the bug the batch executor fixes). A plan holding ``$n``
+    placeholders is run as a copy with the values substituted
+    (``server.planrewrite.bind_parameters``): this baseline shares no
+    parameter plumbing with the engine it checks.
     """
-    result = _dispatch(plan, context)
-    plan.actual_rows = len(result.rows)
+    if context.metrics is None:
+        context.metrics = ExecutionMetrics()
+    position = len(context.metrics.operators)
+    result = _dispatch(
+        plan,
+        context,
+        lambda child, context: execute_plan_rows(child, context, depth + 1),
+    )
+    metrics = OperatorMetrics(
+        plan.describe(),
+        depth,
+        rows_out=len(result.rows),
+        width=len(plan.schema),
+        exhausted=True,
+    )
+    # known only now, listed ahead of the inputs that ran meanwhile
+    context.metrics.register(plan, metrics, position)
     return result
 
 
-def _dispatch(plan: PlanNode, context: ExecutionContext) -> Result:
+def _dispatch(
+    plan: PlanNode, context: ExecutionContext, run=execute_plan_rows
+) -> Result:
     if isinstance(plan, ScanNode):
         return _execute_scan(plan, context)
     if isinstance(plan, JoinNode):
-        return _execute_join(plan, context, execute_plan_rows)
+        return _execute_join(plan, context, run)
     if isinstance(plan, SubqueryMarkNode):
-        return _execute_mark(plan, context, execute_plan_rows)
+        return _execute_mark(plan, context, run)
     if isinstance(plan, GroupByNode):
-        return _execute_group_by(plan, context, execute_plan_rows)
+        return _execute_group_by(plan, context, run)
     if isinstance(plan, SortNode):
-        return _execute_sort(plan, context, execute_plan_rows)
+        return _execute_sort(plan, context, run)
     if isinstance(plan, RenameNode):
-        return _execute_rename(plan, context, execute_plan_rows)
+        return _execute_rename(plan, context, run)
     if isinstance(plan, ProjectNode):
-        return _execute_project(plan, context, execute_plan_rows)
+        return _execute_project(plan, context, run)
     if isinstance(plan, FilterNode):
-        return _execute_filter(plan, context, execute_plan_rows)
+        return _execute_filter(plan, context, run)
     if isinstance(plan, LimitNode):
-        return _execute_limit(plan, context, execute_plan_rows)
+        return _execute_limit(plan, context, run)
     raise ExecutionError(f"cannot execute node type {type(plan).__name__}")
 
 
@@ -279,7 +302,7 @@ def _execute_mark(
 
     child = run(plan.child, context)
     inner = run(plan.inner, context)
-    keep = mark_filter(plan, inner.rows)
+    keep = mark_filter(plan)(context, inner.rows)
     rows = [row for row in child.rows if keep(row)]
     return Result(schema=plan.schema, rows=rows)
 

@@ -38,17 +38,13 @@ def _index_rids(plan: ScanNode, context: ExecutionContext, storage):
         raise ExecutionError(
             f"index {plan.index_name!r} not found on {plan.table_name!r}"
         )
+    key = plan.probe_key(context.parameters)
     if pinned:
-        return storage.index_lookup_rids(context.io, index, plan.probe_key())
-    return index.lookup_rids(context.io, plan.probe_key())
+        return storage.index_lookup_rids(context.io, index, key)
+    return index.lookup_rids(context.io, key)
 
 
-def scan_columns(
-    plan: ScanNode,
-    context: ExecutionContext,
-    metrics: OperatorMetrics,
-    run,
-) -> Iterator[ColumnBatch]:
+def scan_columns(plan: ScanNode, compiler):
     """The fused columnar scan→filter→project loop.
 
     Storage is column-major, so the scan asks it for exactly the
@@ -61,39 +57,39 @@ def scan_columns(
     sliced, and only the survivors of thinned runs are copied into a
     batch builder.
     """
-    table = context.catalog.table(plan.table_name)
-    storage = context.storage_for(plan.table_name)
+    table = compiler.catalog.table(plan.table_name)
     full_schema = table_row_schema(plan.alias, table.columns, include_rid=True)
-    selection = SelectionProgram(plan.filters, full_schema, context)
+    selection = SelectionProgram(plan.filters, full_schema, compiler)
     positions = [
         full_schema.index_of(field.alias, field.name) for field in plan.schema
     ]
     needed = sorted(set(positions).union(selection.used))
+    width = len(positions)
 
-    if plan.index_name is not None:
-
-        def probe():
+    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
+        context = run.context
+        storage = context.storage_for(plan.table_name)
+        select = selection.arm(context).run
+        if plan.index_name is None:
+            source = storage.scan_page_columns(
+                context.io,
+                include_rid=True,
+                positions=needed,
+                batch_rows=context.batch_size,
+            )
+        else:
+            source = []
             rids = _index_rids(plan, context, storage)
-            if rids:
-                yield storage.fetch_columns(
-                    context.io, rids, include_rid=True, positions=needed
+            if rids:  # the matching rows, gathered as one run
+                source.append(
+                    storage.fetch_columns(
+                        context.io, rids, include_rid=True, positions=needed
+                    )
                 )
-
-        source = probe()
-    else:
-        source = storage.scan_page_columns(
-            context.io,
-            include_rid=True,
-            positions=needed,
-            batch_rows=context.batch_size,
-        )
-
-    def generate() -> Iterator[ColumnBatch]:
-        width = len(positions)
         out = ColumnBatchBuilder(context.batch_size, width)
         for columns, count in source:
             metrics.rows_in += count
-            sel = selection.run(columns, count)
+            sel = select(columns, count)
             if sel is None:
                 picked = [columns[p] for p in positions]
             elif sel:
@@ -113,4 +109,4 @@ def scan_columns(
         if out.length:
             yield out.drain()
 
-    return generate()
+    return open

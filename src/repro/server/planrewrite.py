@@ -1,17 +1,19 @@
-"""Plan cloning and parameter binding for cached/prepared plans.
+"""Plan cloning and parameter substitution — off the serving path.
 
-A cached plan is a *template*: the executor records per-run state onto
-plan nodes (``op_metrics``, ``actual_rows``), so handing the same tree
-to two concurrent executions would interleave their counters — every
-execution therefore runs against its own structural clone. Cloning
-rebuilds nodes through their constructors (schemas recompute, which
-doubles as a consistency check) and shares the immutable parts: bound
-expressions, cost-annotator ``props``, field tuples.
-
-Parameter binding is the same walk with a substitution applied to every
-predicate expression and every index probe key: ``$n`` placeholders
-become the EXECUTE call's literal values, producing a fully concrete
-plan the engine can bind and run. The engine never sees a ``Parameter``.
+The columnar engine runs one cached plan from any number of concurrent
+executions without copying it: everything a run records lives in its
+``ExecutionMetrics``, never on a plan node, and ``$n`` values travel in
+``ExecutionContext.parameters``. What is left here is what still wants
+a rewritten tree. Cloning rebuilds nodes through their constructors
+(schemas recompute, which doubles as a consistency check) and shares the
+immutable parts: bound expressions, cost-annotator ``props``, field
+tuples. Parameter binding is the same walk with a substitution applied
+to every predicate expression and every index probe key: ``$n``
+placeholders become literal values, producing a fully concrete plan.
+The ``rowexec`` baseline runs EXECUTE that way on purpose — a
+differential baseline is worth having because it reaches the answer by
+a route the engine under test does not share — and
+:func:`plan_parameters` tells a session which ``$n`` a plan holds.
 """
 
 from __future__ import annotations

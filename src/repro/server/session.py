@@ -10,22 +10,25 @@ three things the bare ``Database`` facade does not have:
   invalidated by the catalog change epoch. A statement whose *text* was
   seen before at the current epoch does less still: the cache's text
   front answers it before any regex, lexer, parser, binder or signature
-  runs, so a recurring statement costs two dictionary lookups, a
-  snapshot capture and a plan clone before it executes. What every
-  execution needs from the cached plan besides the plan itself — its
-  ``$n`` set, its output column names — is computed once per entry
-  (:class:`PlannedStatement`), and the options fingerprint once per
-  session.
+  runs, so a recurring statement costs two dictionary lookups and a
+  snapshot capture (identity checks, while nothing was published)
+  before it executes. What every execution needs from the cached plan
+  — its ``$n`` set, its output column names and, from the first time
+  the entry is *reused*, its compiled
+  :class:`~repro.engine.executor.Executable` — is computed once per
+  entry (:class:`PlannedStatement`), and the options fingerprint once
+  per session.
 
-- **Prepared statements.** ``PREPARE name AS SELECT ... $1 ...`` binds
-  and optimizes once; ``EXECUTE name(values...)`` substitutes the
-  literal values into a clone of the stored plan and runs it; precisely
-  the parse-and-optimize-once contract. The one generic plan knows its
-  parameters: ``col = $n`` is costed as equality with a value not seen
-  yet (the non-MCV ``1/NDV`` rule, not the default selectivity) and is
-  offered the same single-column index probe ``col = literal`` gets,
-  the ``$n`` riding in ``ScanNode.index_values`` until EXECUTE binds
-  it. *Remaining tradeoff:* the plan is still **not** re-optimized per
+- **Prepared statements.** ``PREPARE name AS SELECT ... $1 ...`` binds,
+  optimizes and compiles once; ``EXECUTE name(values...)`` runs that
+  same executable with the values in its ``ExecutionContext``;
+  precisely the parse-and-optimize-once contract. The one generic plan
+  knows its parameters: ``col = $n`` is costed as equality with a value
+  not seen yet (the non-MCV ``1/NDV`` rule, not the default
+  selectivity) and is offered the same single-column index probe
+  ``col = literal`` gets, the ``$n`` riding in
+  ``ScanNode.index_values`` and resolved at each probe. *Remaining
+  tradeoff:* the plan is still **not** re-optimized per
   value vector — a value hitting a heavy MCV runs the generic plan
   (per-selectivity-bucket custom plans are not done), and range
   comparisons against ``$n`` are still costed at default selectivity.
@@ -34,10 +37,11 @@ three things the bare ``Database`` facade does not have:
 - **Concurrency discipline.** All catalog mutation happens under the
   database's single write lock; queries capture a COW snapshot
   (``storage/snapshot.py``) under that lock and then execute *outside*
-  it against the snapshot with a per-execution ``IOCounter``,
-  ``ExecutionContext`` and plan clone — readers never block the writer
-  or each other during execution, and never observe half-applied
-  inserts or matview refreshes.
+  it against the snapshot with a per-execution ``IOCounter`` and
+  ``ExecutionContext``, which also holds everything the run records —
+  the cached plan and its executable are shared and never written to,
+  so readers never block the writer or each other during execution,
+  and never observe half-applied inserts or matview refreshes.
 """
 
 from __future__ import annotations
@@ -50,11 +54,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..algebra.expressions import Literal
 from ..algebra.query import CanonicalQuery
 from ..engine.context import ExecutionContext
-from ..engine.executor import check_engine, execute_plan
+from ..engine.executor import (
+    Executable,
+    check_engine,
+    compile_plan,
+    execute_plan,
+)
 from ..errors import PlanError, ReproError, SqlSyntaxError
 from ..optimizer.options import OptimizerOptions
 from ..storage.iocounter import IOCounter
-from .planrewrite import bind_parameters, clone_plan, plan_parameters
+
+# clone_plan has no caller here any more; it stays importable from this
+# module because the end-to-end tracer wraps it by that name.
+from .planrewrite import bind_parameters, clone_plan, plan_parameters  # noqa: F401
 from .signature import cache_key, options_fingerprint
 
 _PREPARE_RE = re.compile(
@@ -110,6 +122,8 @@ def parse_execute_args(text: Optional[str]) -> List[Literal]:
 
 def _split_args(text: str) -> List[str]:
     """Split on commas outside single-quoted strings."""
+    if "'" not in text:
+        return text.split(",")
     parts: List[str] = []
     current: List[str] = []
     in_string = False
@@ -137,15 +151,26 @@ def _split_args(text: str) -> List[str]:
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlannedStatement:
     """What the plan cache holds for one query: the optimization and
     the pure functions of its plan every execution would otherwise
-    recompute — the ``$n`` indexes in it and its output column names."""
+    recompute — the ``$n`` indexes in it, its output column names and
+    the plan compiled for execution.
+
+    ``executable`` is filled in by :meth:`compiled`, which the session
+    calls when the statement is going to run more than once: on a cache
+    *hit* and at PREPARE. The execution that planned a statement
+    compiles, runs and drops its pipeline as it always did, so a text
+    that never recurs leaves nothing but its plan in the cache (an
+    executable is closures, schemas and kernels per operator — kept for
+    all 128 never-reused entries it was +10 % resident memory on the
+    ``plan_cold`` workload)."""
 
     optimization: Any  # OptimizationResult
     parameters: Tuple[int, ...]
     columns: Tuple[str, ...]
+    executable: Optional[Executable] = None
 
     @classmethod
     def of(cls, optimization) -> "PlannedStatement":
@@ -155,6 +180,13 @@ class PlannedStatement:
             tuple(sorted(plan_parameters(plan))),
             tuple(field.display() for field in plan.schema),
         )
+
+    def compiled(self, catalog) -> "PlannedStatement":
+        """This entry with its plan compiled, once; the caller holds the
+        write lock (one compile per entry, against a settled catalog)."""
+        if self.executable is None:
+            self.executable = compile_plan(self.optimization.plan, catalog)
+        return self
 
 
 @dataclass
@@ -251,15 +283,15 @@ class Session:
         planned = self._cached_text(sql) if self.use_plan_cache else None
         if planned is not None:
             return self._execute_query(sql, start, *planned)
-        match = _PREPARE_RE.match(sql)
-        if match is not None:
-            return self.prepare(match.group("name"), match.group("body"))
-        match = _EXECUTE_RE.match(sql)
+        match = _EXECUTE_RE.match(sql)  # first: the one that recurs
         if match is not None:
             return self.execute_prepared(
                 match.group("name"),
                 parse_execute_args(match.group("args")),
             )
+        match = _PREPARE_RE.match(sql)
+        if match is not None:
+            return self.prepare(match.group("name"), match.group("body"))
         match = _DEALLOCATE_RE.match(sql)
         if match is not None:
             return self.deallocate(match.group("name"))
@@ -303,7 +335,8 @@ class Session:
             )
             if planned is None:
                 return None
-            return planned, self.db.catalog.capture_snapshot(), True
+            catalog = self.db.catalog
+            return planned.compiled(catalog), catalog.capture_snapshot(), True
 
     def _plan_query(
         self, sql: str
@@ -322,12 +355,10 @@ class Session:
             epoch = self.db.catalog.change_epoch
             planned = cache.get(key, epoch) if cache is not None else None
             hit = planned is not None
-            if planned is None:
-                planned = PlannedStatement.of(
-                    self.db.optimize_bound(
-                        bound, self.optimizer, self.options
-                    )
-                )
+            if hit:
+                planned.compiled(self.db.catalog)
+            else:
+                planned = self._planned(bound)
                 # Lazy matview refresh during optimization bumps the
                 # epoch; re-read it so the entry is valid *now*.
                 epoch = self.db.catalog.change_epoch
@@ -341,21 +372,78 @@ class Session:
             snapshot = self.db.catalog.capture_snapshot()
         return planned, snapshot, hit
 
-    def _run_plan(self, plan, snapshot) -> Tuple[Any, "ExecutionContext"]:
-        """Execute a (cloned, fully concrete) plan against *snapshot*
-        with per-execution state; no locks held."""
-        io = IOCounter()
+    def _planned(self, query: CanonicalQuery) -> PlannedStatement:
+        """Optimize *query*; the caller holds the write lock."""
+        return PlannedStatement.of(
+            self.db.optimize_bound(query, self.optimizer, self.options)
+        )
+
+    def _run(
+        self,
+        kind: str,
+        sql: str,
+        start: float,
+        planned: PlannedStatement,
+        snapshot,
+        hit: bool,
+        values: Tuple[Any, ...] = (),
+        statement_name: Optional[str] = None,
+    ) -> SessionResult:
+        """Execute a planned statement against *snapshot* with
+        per-execution state; no locks held. *start* is when the
+        statement began, so ``plan_seconds`` covers whatever planning it
+        did."""
+        from ..db import QueryResult
+
+        after_planning = time.perf_counter()
+        optimization = planned.optimization
+        plan = optimization.plan
         context = ExecutionContext(
             self.db.catalog,
-            io,
+            IOCounter(),
             self.db.params,
             snapshot=snapshot,
+            parameters=values,
         )
         if self.engine == "rowexec":
             from ..engine.rowexec import execute_plan_rows
 
-            return execute_plan_rows(plan, context), context
-        return execute_plan(plan, context), context
+            if values:
+                plan = bind_parameters(
+                    plan,
+                    {
+                        index: Literal(value)
+                        for index, value in zip(planned.parameters, values)
+                    },
+                    planned.parameters,
+                )
+            result = execute_plan_rows(plan, context)
+        else:
+            # a statement that was just planned compiles for itself
+            result = execute_plan(planned.executable or plan, context)
+        finished = time.perf_counter()
+        columns = list(planned.columns)
+        query_result = QueryResult(
+            rows=result.rows,
+            columns=columns,
+            plan=plan,
+            estimated_cost=optimization.cost,
+            executed_io=context.io.snapshot(),
+            optimization=optimization,
+            sql=sql,
+            exec_metrics=context.metrics,
+            parameters=values,
+        )
+        return SessionResult(
+            kind=kind,
+            rows=result.rows,
+            columns=columns,
+            cache_hit=hit,
+            plan_seconds=after_planning - start,
+            exec_seconds=finished - after_planning,
+            statement_name=statement_name,
+            query_result=query_result,
+        )
 
     def _execute_query(
         self,
@@ -365,38 +453,12 @@ class Session:
         snapshot,
         hit: bool,
     ) -> SessionResult:
-        """Run a planned query text; *start* is when its statement
-        began, so ``plan_seconds`` covers whatever planning it did."""
-        from ..db import QueryResult
-
-        after_planning = time.perf_counter()
+        """Run a planned query text."""
         if planned.parameters:
             raise PlanError(
                 "query contains $n parameters; use PREPARE ... / EXECUTE"
             )
-        optimization = planned.optimization
-        plan = clone_plan(optimization.plan)
-        result, context = self._run_plan(plan, snapshot)
-        finished = time.perf_counter()
-        query_result = QueryResult(
-            rows=result.rows,
-            columns=list(planned.columns),
-            plan=plan,
-            estimated_cost=optimization.cost,
-            executed_io=context.io.snapshot(),
-            optimization=optimization,
-            sql=sql,
-            exec_metrics=context.metrics,
-        )
-        return SessionResult(
-            kind="query",
-            rows=result.rows,
-            columns=query_result.columns,
-            cache_hit=hit,
-            plan_seconds=after_planning - start,
-            exec_seconds=finished - after_planning,
-            query_result=query_result,
-        )
+        return self._run("query", sql, start, planned, snapshot, hit)
 
     # ------------------------------------------------------------------
     # PREPARE / EXECUTE / DEALLOCATE
@@ -417,11 +479,8 @@ class Session:
             raise ReproError(f"prepared statement {name!r} already exists")
         start = time.perf_counter()
         with self.db.write_lock:
-            optimization = self.db.optimize_bound(
-                query, self.optimizer, self.options
-            )
+            planned = self._planned(query).compiled(self.db.catalog)
             epoch = self.db.catalog.change_epoch
-        planned = PlannedStatement.of(optimization)
         parameters = planned.parameters
         expected = tuple(range(1, len(parameters) + 1))
         if parameters != expected:
@@ -442,8 +501,6 @@ class Session:
     def execute_prepared(
         self, name: str, values: List[Literal]
     ) -> SessionResult:
-        from ..db import QueryResult
-
         statement = self.prepared.get(name)
         if statement is None:
             raise ReproError(f"unknown prepared statement {name!r}")
@@ -458,46 +515,25 @@ class Session:
                 # The catalog moved on (DDL/insert/refresh/ANALYZE):
                 # replan once at the new epoch. Parameter *values* never
                 # trigger this — see the module docstring's tradeoff.
-                statement.planned = PlannedStatement.of(
-                    self.db.optimize_bound(
-                        statement.query, self.optimizer, self.options
-                    )
+                statement.planned = self._planned(statement.query).compiled(
+                    self.db.catalog
                 )
                 statement.epoch = self.db.catalog.change_epoch
                 statement.replans += 1
+            planned = statement.planned
             snapshot = self.db.catalog.capture_snapshot()
-        planned = time.perf_counter()
-        substitution = {
-            index: value
-            for index, value in zip(statement.parameters, values)
-        }
-        plan = bind_parameters(
-            statement.optimization.plan, substitution, statement.parameters
+        result = self._run(
+            "execute",
+            statement.sql,
+            start,
+            planned,
+            snapshot,
+            True,
+            tuple(value.value for value in values),
+            name,
         )
-        result, context = self._run_plan(plan, snapshot)
-        finished = time.perf_counter()
         statement.executions += 1
-        columns = list(statement.planned.columns)
-        query_result = QueryResult(
-            rows=result.rows,
-            columns=columns,
-            plan=plan,
-            estimated_cost=statement.optimization.cost,
-            executed_io=context.io.snapshot(),
-            optimization=statement.optimization,
-            sql=statement.sql,
-            exec_metrics=context.metrics,
-        )
-        return SessionResult(
-            kind="execute",
-            rows=result.rows,
-            columns=columns,
-            cache_hit=True,
-            plan_seconds=planned - start,
-            exec_seconds=finished - planned,
-            statement_name=name,
-            query_result=query_result,
-        )
+        return result
 
     def deallocate(self, name: str) -> SessionResult:
         if name not in self.prepared:

@@ -1,8 +1,8 @@
 """Estimate-vs-actual feedback: per-operator q-error.
 
-The executor records actual row counts on every plan node
-(``node.actual_rows``); the cost annotator records estimates
-(``node.props.rows``). The q-error of a pair is the standard
+The executor records every operator's actual row count in the run's
+``ExecutionMetrics`` (``metrics.actual_rows(node)``); the cost annotator
+records estimates (``node.props.rows``). The q-error of a pair is the standard
 multiplicative measure
 
     q = max(max(1, est) / max(1, act), max(1, act) / max(1, est))
@@ -43,19 +43,23 @@ class EstimateRecord:
         return q_error(self.estimated_rows, self.actual_rows)
 
 
-def plan_estimates(plan: PlanNode) -> List[EstimateRecord]:
-    """Estimate records for every executed, costed operator of *plan*
-    (pre-order, matching ``explain`` output)."""
+def plan_estimates(plan: PlanNode, metrics) -> List[EstimateRecord]:
+    """Estimate records for every costed operator of *plan* that ran to
+    completion under *metrics* (an ``ExecutionMetrics``, or ``None``
+    before execution); pre-order, matching ``explain`` output."""
     records: List[EstimateRecord] = []
+    if metrics is None:
+        return records
     for depth, node in _walk(plan, 0):
-        if node.props is None or node.actual_rows is None:
+        actual_rows = metrics.actual_rows(node)
+        if node.props is None or actual_rows is None:
             continue
         records.append(
             EstimateRecord(
                 operator=node.describe(),
                 depth=depth,
                 estimated_rows=float(node.props.rows),
-                actual_rows=node.actual_rows,
+                actual_rows=actual_rows,
             )
         )
     return records

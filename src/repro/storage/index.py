@@ -21,6 +21,38 @@ from .table import HeapTable
 _ENTRY_OVERHEAD = 8  # rid + slot bookkeeping per index entry
 
 
+def probe_equal(
+    io: IOCounter,
+    keys: Sequence[Tuple[Any, ...]],
+    rids: Sequence[int],
+    key: Sequence[Any],
+    height: int,
+    entries_per_page: int,
+) -> List[int]:
+    """One equality probe of a published ``(keys, rids)`` pair (a key
+    that can equal nothing still pays the descent)."""
+    lo, hi = equal_range(keys, key)
+    return _charged_slice(io, rids, lo, hi, height, entries_per_page)
+
+
+def _charged_slice(
+    io: IOCounter,
+    rids: Sequence[int],
+    lo: int,
+    hi: int,
+    height: int,
+    entries_per_page: int,
+) -> List[int]:
+    """Entries ``[lo, hi)`` as one fresh list, charged the way a B-tree
+    would: the descent, plus every further leaf page they spill onto."""
+    io.read_pages(height)
+    if hi > lo:
+        extra_leaves = (hi - 1) // entries_per_page - lo // entries_per_page
+        if extra_leaves:
+            io.read_pages(extra_leaves)
+    return rids[lo:hi]
+
+
 def equal_range(
     keys: Sequence[Tuple[Any, ...]], key: Sequence[Any]
 ) -> Tuple[int, int]:
@@ -56,13 +88,16 @@ class OrderedIndex:
         self.entries_per_page = max(
             2, PAGE_SIZE // (key_width + _ENTRY_OVERHEAD)
         )
-        # entries: parallel arrays of keys and rids, sorted by key.
-        # Published as ONE (keys, rids) tuple so a rebuild is atomic
-        # with respect to concurrent readers: a reader that unpacked
-        # ``_data`` sees a matched pair of arrays, never new keys with
-        # old rids (immutable-after-publish; the arrays are never
-        # mutated once assigned).
-        self._data: Tuple[List[Tuple[Any, ...]], List[int]] = ([], [])
+        # entries: parallel arrays of keys and rids, sorted by key,
+        # published with the shape computed from them as ONE tuple
+        # ``((keys, rids), leaf pages, height)`` so a rebuild is atomic
+        # with respect to concurrent readers: a reader that unpacked it
+        # sees a matched pair of arrays, never new keys with old rids
+        # (immutable-after-publish; the arrays are never mutated once
+        # assigned).
+        self._published: Tuple[
+            Tuple[List[Tuple[Any, ...]], List[int]], int, int
+        ] = (([], []), 1, 1)
         self.build()
 
     # ------------------------------------------------------------------
@@ -79,40 +114,34 @@ class OrderedIndex:
         pairs = sorted(
             (key, rid) for rid, key in enumerate(keys) if None not in key
         )
-        self._data = (
-            [key for key, _ in pairs],
-            [rid for _, rid in pairs],
+        leaf_pages = max(1, math.ceil(len(pairs) / self.entries_per_page))
+        self._published = (
+            ([key for key, _ in pairs], [rid for _, rid in pairs]),
+            leaf_pages,
+            max(1, math.ceil(math.log(leaf_pages + 1, 16)) + 1),
         )
 
     def snapshot_data(self) -> Tuple[List[Tuple[Any, ...]], List[int]]:
         """The current (keys, rids) pair — safe to hold across rebuilds
         (rebuilds publish a fresh pair, they never mutate this one)."""
-        return self._data
-
-    @property
-    def _keys(self) -> List[Tuple[Any, ...]]:
-        return self._data[0]
-
-    @property
-    def _rids(self) -> List[int]:
-        return self._data[1]
+        return self._published[0]
 
     # ------------------------------------------------------------------
-    # Shape
+    # Shape (computed once per build, not per read)
     # ------------------------------------------------------------------
 
     @property
     def num_entries(self) -> int:
-        return len(self._keys)
+        return len(self._published[0][0])
 
     @property
     def num_leaf_pages(self) -> int:
-        return max(1, math.ceil(len(self._keys) / self.entries_per_page))
+        return self._published[1]
 
     @property
     def height(self) -> int:
         """Root-to-leaf page reads for one traversal."""
-        return max(1, math.ceil(math.log(self.num_leaf_pages + 1, 16)) + 1)
+        return self._published[2]
 
     # ------------------------------------------------------------------
     # Access
@@ -121,16 +150,11 @@ class OrderedIndex:
     def lookup_rids(self, io: IOCounter, key: Sequence[Any]) -> List[int]:
         """Rids of rows whose indexed columns equal *key* (charges IO;
         a key that can equal nothing still pays the descent)."""
-        keys, rids = self._data  # one read: keys/rids stay paired
-        lo, hi = equal_range(keys, key)
-        io.read_pages(self.height)
-        if hi > lo:
-            first_leaf = lo // self.entries_per_page
-            last_leaf = (hi - 1) // self.entries_per_page
-            extra_leaves = last_leaf - first_leaf
-            if extra_leaves:
-                io.read_pages(extra_leaves)
-        return rids[lo:hi]
+        # one read: keys/rids/height stay matched
+        (keys, rids), _, height = self._published
+        return probe_equal(
+            io, keys, rids, key, height, self.entries_per_page
+        )
 
     def lookup_rows(
         self, io: IOCounter, key: Sequence[Any], include_rid: bool = False
@@ -148,21 +172,17 @@ class OrderedIndex:
         high: Optional[Sequence[Any]] = None,
     ) -> List[int]:
         """Rids with low <= key <= high (either bound may be open)."""
-        keys, rids = self._data  # one read: keys/rids stay paired
+        # one read: keys/rids/height stay matched
+        (keys, rids), _, height = self._published
         lo = 0 if low is None else bisect.bisect_left(keys, tuple(low))
         hi = (
             len(keys)
             if high is None
             else bisect.bisect_right(keys, tuple(high))
         )
-        io.read_pages(self.height)
-        if hi > lo:
-            first_leaf = lo // self.entries_per_page
-            last_leaf = (hi - 1) // self.entries_per_page
-            extra_leaves = last_leaf - first_leaf
-            if extra_leaves:
-                io.read_pages(extra_leaves)
-        return rids[lo:hi]
+        return _charged_slice(
+            io, rids, lo, hi, height, self.entries_per_page
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         columns = ", ".join(self.column_names)

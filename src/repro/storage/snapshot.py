@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from .index import OrderedIndex, equal_range
+from .index import OrderedIndex, probe_equal
 from .iocounter import IOCounter
 from .table import Columns, HeapTable, PagedColumns
 
@@ -71,15 +71,9 @@ class IndexSnapshot:
     height: int
 
     def lookup_rids(self, io: IOCounter, key: Sequence[Any]) -> List[int]:
-        lo, hi = equal_range(self.keys, key)
-        io.read_pages(self.height)
-        if hi > lo:
-            first_leaf = lo // self.entries_per_page
-            last_leaf = (hi - 1) // self.entries_per_page
-            extra_leaves = last_leaf - first_leaf
-            if extra_leaves:
-                io.read_pages(extra_leaves)
-        return list(self.rids[lo:hi])
+        return probe_equal(
+            io, self.keys, self.rids, key, self.height, self.entries_per_page
+        )
 
 
 class TableSnapshot(PagedColumns):
@@ -107,8 +101,31 @@ class TableSnapshot(PagedColumns):
 
     @classmethod
     def capture(
-        cls, table: HeapTable, indexes: Mapping[str, OrderedIndex]
+        cls,
+        table: HeapTable,
+        indexes: Mapping[str, OrderedIndex],
+        previous: Optional["TableSnapshot"] = None,
     ) -> "TableSnapshot":
+        """What readers of *table* may see now. *previous* — an earlier
+        capture of the same table name — is returned instead of a new
+        object when it already holds exactly that: the same published
+        columns tuple and visible count, and for the same index names
+        the same published key arrays (appends change the count,
+        ``replace_rows`` the tuple, an index build the arrays)."""
+        data, row_count = table.visible()
+        if (
+            previous is not None
+            and previous.data is data
+            and previous.row_count == row_count
+            and len(previous.indexes) == len(indexes)
+        ):
+            captured = previous.indexes
+            for index_name, index in indexes.items():
+                snap = captured.get(index_name)
+                if snap is None or snap.keys is not index.snapshot_data()[0]:
+                    break
+            else:
+                return previous
         index_snaps: Dict[str, IndexSnapshot] = {}
         for index_name, index in indexes.items():
             keys, rids = index.snapshot_data()
@@ -120,7 +137,6 @@ class TableSnapshot(PagedColumns):
                 entries_per_page=index.entries_per_page,
                 height=index.height,
             )
-        data, row_count = table.visible()
         return cls(
             name=table.name,
             data=data,
@@ -149,9 +165,13 @@ class TableSnapshot(PagedColumns):
     ) -> List[int]:
         """Probe a captured index, keeping the rids this snapshot can
         see (a captured index may already list rows appended after the
-        table was captured)."""
+        table was captured — checked on the matches' maximum, so the
+        usual probe returns the one list the index sliced)."""
+        rids = index.lookup_rids(io, key)
         count = self.row_count
-        return [rid for rid in index.lookup_rids(io, key) if rid < count]
+        if rids and max(rids) >= count:
+            return [rid for rid in rids if rid < count]
+        return rids
 
     def index_lookup_rows(
         self,

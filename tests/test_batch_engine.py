@@ -67,9 +67,10 @@ def assert_engines_agree(db, plan):
     assert batched_io.page_reads == legacy_io.page_reads
     assert batched_io.page_writes == legacy_io.page_writes
     # the batch path additionally meters every operator
-    assert plan.op_metrics is not None
-    assert plan.op_metrics.rows_out == len(batched.rows)
-    assert plan.actual_rows == len(batched.rows)
+    metrics = batched_context.metrics
+    assert metrics.of(plan).rows_out == len(batched.rows)
+    assert metrics.actual_rows(plan) == len(batched.rows)
+    assert legacy_context.metrics.actual_rows(plan) == len(legacy.rows)
     return batched
 
 
@@ -291,10 +292,10 @@ class TestIndexNljActuals:
         plan = join_plan(db, "inlj", "plain")
         context = ExecutionContext(db.catalog, db.io, db.params)
         result = execute_plan(plan, context)
-        assert plan.right.actual_rows == len(result.rows)
-        assert plan.right.op_metrics is not None
-        assert plan.right.op_metrics.rows_out == len(result.rows)
-        assert "index probe" in plan.right.op_metrics.label
+        inner = context.metrics.of(plan.right)
+        assert context.metrics.actual_rows(plan.right) == len(result.rows)
+        assert inner.rows_out == len(result.rows)
+        assert "index probe" in inner.label
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +360,7 @@ class TestMetricsSurfacing:
         plan = group_plan(db, "hash", "single")
         context = ExecutionContext(db.catalog, db.io, db.params)
         execute_plan(plan, context)
-        text = explain(plan, analyze=True)
+        text = explain(plan, metrics=context.metrics)
         assert "actual rows=" in text
         assert "batches=" in text
 

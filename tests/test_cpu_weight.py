@@ -68,7 +68,10 @@ class TestCpuWeight:
         db = build(0.05)
         result = db.query(SQL, optimizer="greedy")
         executed = executed_weighted_cost(
-            result.plan, db.params, result.executed_io.total
+            result.plan,
+            db.params,
+            result.executed_io.total,
+            result.exec_metrics,
         )
         # exact statistics, no filters: estimate equals execution
         assert executed == pytest.approx(result.estimated_cost, rel=0.01)

@@ -304,13 +304,14 @@ class TestFusedChainObservability:
             small_db.catalog, small_db.io, small_db.params
         )
         result = execute_plan(plan, context)
-        text = explain(plan, analyze=True)
+        metrics = context.metrics
+        text = explain(plan, metrics=metrics)
         assert "fused" in text
         # per-operator actuals survive fusion
-        assert plan.op_metrics.rows_out == len(result.rows)
-        assert plan.child.op_metrics is not None
-        assert plan.child.op_metrics.rows_out == len(result.rows)
-        assert plan.child.child.op_metrics.batches > 0
+        assert metrics.of(plan).rows_out == len(result.rows)
+        assert metrics.actual_rows(plan.child) == len(result.rows)
+        assert metrics.of(plan.child).rows_out == len(result.rows)
+        assert metrics.of(plan.child.child).batches > 0
 
     def test_fused_chain_compiles_kernels(self, small_db):
         plan = self.plan(small_db)

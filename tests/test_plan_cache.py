@@ -203,14 +203,17 @@ class TestSessionCaching:
             result = other.execute(self.SQL)
         assert not result.cache_hit
 
-    def test_cached_plan_is_cloned_per_execution(self, emp_dept_db):
+    def test_cached_plan_is_shared_run_state_is_per_execution(
+        self, emp_dept_db
+    ):
         with emp_dept_db.session() as session:
-            first = session.execute(self.SQL)
-            second = session.execute(self.SQL)
-        cached = first.query_result.optimization.plan
-        assert first.query_result.plan is not cached
-        assert second.query_result.plan is not cached
-        assert first.query_result.plan is not second.query_result.plan
+            first = session.execute(self.SQL).query_result
+            second = session.execute(self.SQL).query_result
+        cached = first.optimization.plan
+        assert first.plan is cached and second.plan is cached
+        assert first.exec_metrics is not second.exec_metrics
+        for result in (first, second):
+            assert result.exec_metrics.actual_rows(cached) == len(result.rows)
 
     def test_stats_panel_fields(self, emp_dept_db):
         stats = emp_dept_db.plan_cache.as_dict()

@@ -335,14 +335,11 @@ def test_pruned_plans_row_and_io_identical(sql, engine):
     assert on.executed_io.total == off.executed_io.total
 
 
-def _total_spill(root):
-    reads = writes = 0
-    for node in plan_nodes(root):
-        metrics = getattr(node, "op_metrics", None)
-        if metrics is not None:
-            reads += metrics.spill_reads
-            writes += metrics.spill_writes
-    return reads, writes
+def _total_spill(exec_metrics):
+    return (
+        sum(op.spill_reads for op in exec_metrics.operators),
+        sum(op.spill_writes for op in exec_metrics.operators),
+    )
 
 
 SPILL_SQL = (
@@ -364,18 +361,18 @@ def test_pruned_plans_identical_under_spill(spill_db, engine):
     base = db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
     pruned = prune_plan(base, model=CostModel(db.catalog, db.params))
     assert pruned is not base
-    rows_a, io_a, _ = db._execute_with_metrics(base, engine=engine)
-    rows_b, io_b, _ = db._execute_with_metrics(pruned, engine=engine)
+    rows_a, io_a, ran_a = db._execute_with_metrics(base, engine=engine)
+    rows_b, io_b, ran_b = db._execute_with_metrics(pruned, engine=engine)
     assert sorted(rows_a.rows) == sorted(rows_b.rows)
     assert io_a.total == io_b.total
     if engine == "batch":
-        assert _total_spill(base) == _total_spill(pruned)
+        assert _total_spill(ran_a) == _total_spill(ran_b)
 
 
 def test_spill_shape_actually_spills(spill_db):
     plan = spill_db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
-    spill_db._execute_with_metrics(plan, engine="batch")
-    reads, writes = _total_spill(plan)
+    _, _, ran = spill_db._execute_with_metrics(plan, engine="batch")
+    reads, writes = _total_spill(ran)
     assert reads or writes
 
 

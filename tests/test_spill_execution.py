@@ -169,8 +169,8 @@ class TestSpillPaths:
         assert span.delta.page_reads == reference_io.page_reads
         assert span.delta.page_writes == reference_io.page_writes
         # the spill really happened under the columnar engine too
-        assert plan.op_metrics.spill_reads > 0
-        assert plan.op_metrics.spill_writes > 0
+        assert context.metrics.of(plan).spill_reads > 0
+        assert context.metrics.of(plan).spill_writes > 0
 
     def test_columnar_group_by_spill_matches_rowexec(self, big_db):
         """A spilling hash group-by through ColumnBatch pipelines:

@@ -432,8 +432,13 @@ class TestParameterProbes:
                     prepared.query_result.executed_io.total
                     == literal.query_result.executed_io.total
                 )
-                (bound,) = scans(prepared.query_result.plan)
-                assert bound.index_values == (key,)
+                # every EXECUTE runs the one cached plan; the value
+                # travels beside it and resolves at the probe
+                assert prepared.query_result.plan is template
+                assert prepared.query_result.parameters == (key,)
+                assert scan.probe_key(prepared.query_result.parameters) == (
+                    key,
+                )
             assert session.prepared["p"].replans == 0
             # The template still holds its parameter for the next EXECUTE.
             assert [v.display() for v in scan.index_values] == ["$1"]
