@@ -11,30 +11,15 @@ FUZZ_ARGS ?=
 PARENT ?=
 CLAIM_OUT ?= .bench-e2e-claim
 
-.PHONY: help test fuzz fuzz-smoke bench bench-opt bench-views \
-	bench-views-smoke bench-card bench-card-smoke bench-serve \
-	bench-serve-smoke bench-eager bench-eager-smoke bench-subq \
-	bench-subq-smoke bench-e2e bench-e2e-smoke bench-e2e-selftest \
-	bench-e2e-claim \
-	examples shell serve all
+.PHONY: help test fuzz fuzz-smoke experiments bench-e2e bench-e2e-smoke \
+	bench-e2e-selftest bench-e2e-claim examples shell serve all
 
 help:
 	@echo "repro targets:"
 	@echo "  make test             run the test suite"
 	@echo "  make fuzz             differential fuzz run (FUZZ_SEEDS, FUZZ_PROFILE)"
 	@echo "  make fuzz-smoke       bounded fuzz smoke for CI (~60s, fixed seeds)"
-	@echo "  make bench            run pytest-benchmark suites"
-	@echo "  make bench-opt        optimizer scaling -> BENCH_optimizer_scaling.json"
-	@echo "  make bench-views      materialized-view payoff -> BENCH_views.json"
-	@echo "  make bench-views-smoke view payoff, tiny CI configuration"
-	@echo "  make bench-card       cardinality q-error study -> BENCH_cardinality.json"
-	@echo "  make bench-card-smoke cardinality study, tiny CI configuration"
-	@echo "  make bench-serve      serving qps/latency study -> BENCH_serving.json"
-	@echo "  make bench-serve-smoke serving study, tiny CI configuration with gates"
-	@echo "  make bench-eager      eager aggregation payoff -> BENCH_eager.json"
-	@echo "  make bench-eager-smoke eager payoff, tiny CI configuration with >=2x gate"
-	@echo "  make bench-subq       decorrelation payoff -> BENCH_subquery.json"
-	@echo "  make bench-subq-smoke decorrelation payoff, tiny CI configuration with >=5x gate"
+	@echo "  make experiments      the paper's E1-E15 as deterministic page-IO / plan-count tables -> benchmarks/results/experiments.txt (~5s)"
 	@echo "  make bench-e2e        end-to-end benchmark (BENCHMARK.json): 4 workloads, every metric, ~3 min"
 	@echo "  make bench-e2e-smoke  end-to-end benchmark, tiny, answers checked (~25s)"
 	@echo "  make bench-e2e-selftest the end-to-end benchmark checking itself (<60s)"
@@ -54,47 +39,8 @@ fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seeds 30 --profile smoke \
 		--duration 60 --quiet --report FUZZ_report.json
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-opt:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_optimizer_scaling.py --out BENCH_optimizer_scaling.json
-
-bench-views:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_views.py --out BENCH_views.json
-
-bench-views-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_views.py --smoke
-
-bench-card:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cost_model_fidelity.py --out BENCH_cardinality.json
-
-bench-card-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cost_model_fidelity.py --smoke
-
-bench-serve:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serving.py --out BENCH_serving.json \
-		--assert-speedup 5.0
-
-bench-serve-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serving.py --smoke \
-		--assert-speedup 5.0 --out BENCH_serving_smoke.json
-
-bench-eager:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_eager_agg.py --out BENCH_eager.json \
-		--assert-reduction 2.0
-
-bench-eager-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_eager_agg.py --smoke \
-		--assert-reduction 2.0 --out BENCH_eager_smoke.json
-
-bench-subq:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_subquery.py --out BENCH_subquery.json \
-		--assert-speedup 5.0
-
-bench-subq-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_subquery.py --smoke \
-		--assert-speedup 5.0 --out BENCH_subquery_smoke.json
+experiments:
+	$(PYTHON) benchmarks/experiments.py
 
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py
@@ -129,4 +75,4 @@ shell:
 serve:
 	$(PYTHON) -m repro serve --demo
 
-all: test bench
+all: test experiments

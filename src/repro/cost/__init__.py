@@ -5,7 +5,7 @@ reasonable criteria in the context of decision-support applications"
 (Section 5). Costs count 4096-byte page reads and writes; the physical
 operators in :mod:`repro.engine` charge the *same* formulas against
 actual intermediate sizes, so estimated and executed IO are directly
-comparable (benchmark E12 quantifies the gap).
+comparable (experiment E12 quantifies the gap).
 """
 
 from .params import CostParams

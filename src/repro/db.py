@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra.plan import PlanNode, explain as explain_plan
@@ -414,30 +414,11 @@ class Database:
                 query, self.catalog, self.params, options=options
             )
         if optimizer == "greedy":
-            greedy_options = OptimizerOptions(
+            greedy_options = replace(
+                options or OptimizerOptions(),
                 enable_pullup=False,
                 enable_invariant_split=False,
                 enable_pushdown=True,
-                enable_view_rewrite=(
-                    options.enable_view_rewrite
-                    if options is not None
-                    else True
-                ),
-                enable_projection_pruning=(
-                    options.enable_projection_pruning
-                    if options is not None
-                    else True
-                ),
-                enable_eager_aggregation=(
-                    options.enable_eager_aggregation
-                    if options is not None
-                    else True
-                ),
-                enable_decorrelation=(
-                    options.enable_decorrelation
-                    if options is not None
-                    else True
-                ),
             )
             return optimize_query(
                 query, self.catalog, self.params, greedy_options

@@ -3,8 +3,8 @@ baseline, and the reference evaluator.
 
 Plans produced by the optimizer (or built by hand) execute against the
 stored tables, charging page IO with exactly the formulas the cost model
-estimates with — spills, rescans, and materializations included — so a
-benchmark can put estimated IO and executed IO side by side. The
+estimates with — spills, rescans, and materializations included — so
+estimated IO and executed IO can be put side by side (experiment E12). The
 columnar batch executor (:func:`execute_plan`, or :func:`compile_plan`
 once and :meth:`Executable.run` per execution) is the one production
 path; the seed interpreter (:func:`execute_plan_rows`) is kept as the

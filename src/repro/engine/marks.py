@@ -10,7 +10,7 @@ once per plan, ``rowexec`` per execution).
 
 The inner side is deliberately re-scanned per outer row (O(outer x
 inner)): a mark join is the *unflattened* fallback, and its naivety is
-exactly what the decorrelation benchmark measures flattening against.
+the ablation baseline flattening is compared with.
 Do not add per-key bucketing here.
 """
 

@@ -34,7 +34,7 @@ by default (``enumeration="graph"``) materializes only *connected*
 subsets — the classic DPsize restriction. Cross-product plans are
 still produced for disconnected join graphs via the exhaustive
 fallback, and ``enumeration="exhaustive"`` forces the seed's full
-2ⁿ-subset walk (the parity/benchmark reference). Predicate
+2ⁿ-subset walk (the parity reference). Predicate
 classification per (subset, joined alias) and leaf access-path plans
 are memoized so each is computed once, not once per candidate join.
 
@@ -123,7 +123,7 @@ ENUMERATIONS = ("graph", "exhaustive")
   graph; falls back to the exhaustive walk when the block's join graph
   is disconnected (cross products required).
 - ``"exhaustive"`` — every subset, the seed enumerator's search space;
-  kept as the parity reference and benchmark baseline.
+  kept as the parity reference.
 """
 
 

@@ -26,7 +26,7 @@ Two entry points:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import ColumnRef, Expression, FieldKey
@@ -277,23 +277,24 @@ def optimize_traditional(
     Predicate propagation across blocks runs first — the paper's
     premise is that traditional optimizers already do that much
     ([MFPR90, LMS94], Section 1); ``propagate=False`` ablates it.
-    Only the ``enable_view_rewrite`` and ``enable_projection_pruning``
-    knobs are honored from *options*: the rest of the baseline's
-    behavior is fixed by definition. ``decorrelate=False`` skips
-    subquery flattening for callers that already decorrelated (the
-    full optimizer's baseline comparison)."""
+    Every field of *options* that is not a transformation switch
+    (statistics, pruning, view rewriting, plan-retention limits, …) is
+    honored, so the baseline is costed under the same model as the
+    search it is compared with; the transformations themselves are off
+    by definition. ``decorrelate=False`` skips subquery flattening for
+    callers that already decorrelated (the full optimizer's baseline
+    comparison)."""
+    options = options or OptimizerOptions()
     stats = SearchStats()
     if decorrelate:
         query = decorrelate_query(query, options, stats)
-    if propagate:
+    if propagate and options.enable_predicate_propagation:
         query = propagate_predicates(query)
-    baseline_options = OptimizerOptions(
-        enable_view_rewrite=(
-            options.enable_view_rewrite if options is not None else True
-        ),
-        enable_projection_pruning=(
-            options.enable_projection_pruning if options is not None else True
-        ),
+    baseline_options = replace(
+        options,
+        enable_pullup=False,
+        enable_pushdown=False,
+        enable_invariant_split=False,
         # mode="traditional" never reaches the eager branches; stated
         # here so the baseline's options read as what it actually does
         enable_eager_aggregation=False,

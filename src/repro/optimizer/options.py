@@ -3,7 +3,8 @@
 The defaults implement the paper's full algorithm with its two
 search-space restrictions (Section 5.3, "Practical Restrictions on the
 Search Space"): predicate-sharing for pull-up candidates and the k-level
-pull-up cap. Benchmarks E9/E10 ablate individual knobs.
+pull-up cap. Experiments E9/E10 (``benchmarks/experiments.py``) ablate
+individual knobs.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class OptimizerOptions:
     units before planning (Kim's join-aggregate transformation,
     Section 1). Off = every subquery executes as a naive mark join —
     the inner side materialized once, re-scanned per outer row — the
-    ablation baseline of the ``full-nodecorrelate`` fuzz config and
-    ``benchmarks/bench_subquery.py``. Answers never change."""
+    ablation baseline of the ``full-nodecorrelate`` fuzz config.
+    Answers never change."""
 
     def __post_init__(self) -> None:
         if self.k_level < 0:

@@ -89,8 +89,8 @@ class SearchStats:
 
     def as_dict(self) -> Dict[str, Any]:
         """Every counter by field name, timings flattened to
-        ``time_<phase>_s`` keys — consumers (the CLI, benchmark JSON)
-        never hand-maintain the field list."""
+        ``time_<phase>_s`` keys — the CLI never hand-maintains the
+        field list."""
         out: Dict[str, Any] = {}
         for spec in fields(self):
             if spec.name == "timings":

@@ -11,7 +11,9 @@ Protocol (text, newline-delimited, UTF-8):
   - ``ok <nrows>`` then a TSV column-name line and ``<nrows>`` TSV value
     rows (queries), or no further lines before the sentinel
     (DDL/PREPARE/DEALLOCATE acknowledgements);
-  - ``error <message>`` (single line) on failure.
+  - ``error <message>`` (single line) on failure — including a line
+    that is not UTF-8 or is longer than 64 KiB, after which the
+    connection is still usable.
 
   NULL encodes as ``\\N``; tab/newline/backslash in string values are
   escaped C-style, so a row is always exactly one line.
@@ -93,15 +95,15 @@ class ReproServer:
         session = Session(self.db, use_plan_cache=self.use_plan_cache)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                statement = line.decode("utf-8").strip()
-                if not statement:
-                    continue
-                if statement in ("\\q", "quit", "exit"):
-                    break
                 try:
+                    line = await self._read_line(reader)
+                    if not line:
+                        break
+                    statement = line.decode("utf-8").strip()
+                    if not statement:
+                        continue
+                    if statement in ("\\q", "quit", "exit"):
+                        break
                     result = await loop.run_in_executor(
                         None, session.execute, statement.rstrip(";")
                     )
@@ -120,6 +122,26 @@ class ReproServer:
         finally:
             session.close()
             writer.close()
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """``reader.readline()``, except that a line over the stream
+        limit (asyncio's 64 KiB default) is skipped through its newline
+        before the ``ValueError`` is raised, so the next read starts on
+        a statement boundary and the connection stays usable."""
+        overlong = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as eof:
+                line = eof.partial
+            except asyncio.LimitOverrunError as overrun:
+                await reader.readexactly(overrun.consumed)
+                overlong = True
+                continue
+            if overlong:
+                raise ValueError("statement line exceeds the 64 KiB limit")
+            return line
 
     @staticmethod
     def _render(result) -> List[str]:
@@ -156,9 +178,9 @@ class ServerThread:
 
     ``asyncio.start_server`` accepts connections as soon as it returns,
     so no ``serve_forever`` task is needed — the loop just runs forever
-    on a daemon thread until :meth:`stop`. Used by the serving tests and
-    ``benchmarks/bench_serving.py``; pass ``port=0`` to bind an
-    ephemeral port and read it back from :attr:`port`.
+    on a daemon thread until :meth:`stop`. Used by the serving tests;
+    pass ``port=0`` to bind an ephemeral port and read it back from
+    :attr:`port`.
     """
 
     def __init__(
@@ -228,8 +250,8 @@ def serve(
 
 
 class LineClient:
-    """Synchronous line-protocol client (the ``repro connect`` side and
-    the serving benchmark's workhorse)."""
+    """Synchronous line-protocol client (the ``repro connect`` side,
+    and what the end-to-end benchmark's ``serve_mixed`` client speaks)."""
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         self._sock = socket.create_connection((host, port))

@@ -217,8 +217,8 @@ class SessionResult:
     """What one session statement produced, with its phase timings.
 
     ``plan_seconds`` covers parse+bind+optimize (near zero on a plan
-    cache hit or prepared execution — the number the serving benchmark's
-    ≥5x gate compares); ``exec_seconds`` covers execution proper.
+    cache hit or prepared execution); ``exec_seconds`` covers execution
+    proper.
     """
 
     kind: str  # "query" | "ddl" | "prepare" | "execute" | "deallocate"

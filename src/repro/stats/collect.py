@@ -92,8 +92,8 @@ class TableStats:
 
     ``sampled`` records whether column statistics came from a block
     sample; ``pages_scanned`` is the exact number of heap pages that
-    ANALYZE read to build them (the sublinearity the staleness
-    micro-benchmark asserts on).
+    ANALYZE read to build them (the sublinearity
+    ``tests/test_statistics.py::TestStaleness`` asserts on).
     """
 
     row_count: int

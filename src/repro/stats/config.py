@@ -71,5 +71,5 @@ EXACT = StatsConfig(full_scan_pages=2**31, stale_growth_fraction=0.0)
 seed's behavior, kept for tests that pin exact estimates."""
 
 UNIFORM = StatsConfig(histogram_buckets=0, mcv_entries=0)
-"""NDV-and-range-only collection: the uniform-distribution baseline the
-fidelity benchmark compares histograms against."""
+"""NDV-and-range-only collection: the uniform-distribution baseline
+experiment E15 compares histograms against."""

@@ -27,8 +27,7 @@ inners, uncorrelated scalar subqueries — stays behind as a
 :class:`SubquerySpec` on the query and executes as a naive mark join
 (inner side materialized once, correlation matched per outer row).
 With ``enable_decorrelation`` off, *every* spec stays behind: the
-ablation baseline the fuzzer's ``full-nodecorrelate`` config and the
-subquery benchmark measure against.
+ablation baseline of the fuzzer's ``full-nodecorrelate`` config.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ to a neutral :class:`SubquerySpec`; the decorrelation pass
 (:mod:`repro.transforms.decorrelate`) flattens correlated
 scalar-aggregate subqueries into aggregate views grouped on their
 correlation columns, joined in the outer block. This module is the
-programmatic entry point used by examples and the E8 benchmark: it
+programmatic entry point used by examples and experiment E8: it
 exposes the flattened canonical query together with a description of
 what was unnested.
 """

@@ -173,7 +173,7 @@ class RandomQueryConfig:
     the hottest join partner. 0.0 keeps the uniform draw (and the exact
     seed-for-seed data of older configs); 1.0–1.5 is realistic skew.
     This is what makes histograms and MCV-aware join estimates earn
-    their keep in the fidelity benchmarks."""
+    their keep in experiment E15."""
     hot_category_fraction: float = 0.0
     """Probability that a dimension row's ``cat`` is the hot category
     (0) instead of a uniform draw — the hot/cold category knob for

@@ -16,6 +16,7 @@ float noise, which keeps every comparison exact equality.
 
 import pytest
 
+from repro.algebra.plan import JoinNode, plan_nodes
 from repro.cost.params import CostParams
 from repro.db import Database
 from repro.optimizer.options import OptimizerOptions
@@ -101,6 +102,16 @@ def bag(rows):
     return sorted(rows, key=repr)
 
 
+def rows_into_joins(result):
+    """Executed rows entering join operators, over the whole plan."""
+    return sum(
+        result.exec_metrics.actual_rows(child)
+        for node in plan_nodes(result.plan)
+        if isinstance(node, JoinNode)
+        for child in node.children
+    )
+
+
 @pytest.fixture(scope="module")
 def default_db():
     return build_db()
@@ -183,6 +194,14 @@ class TestAdoptionAndMarkers:
         text = tuned_db.query(QUERIES["partial"]).explain()
         assert "eager=partial" in text
         assert "eager=merge" in text
+
+    def test_adopted_partial_halves_the_join_input(self, tuned_db):
+        # the plan-shape fact eager aggregation exists for: the join
+        # processes ~keys rows instead of ~facts rows
+        eager = tuned_db.query(QUERIES["partial"])
+        lazy = tuned_db.query(QUERIES["partial"], options=EAGER_OFF)
+        assert bag(eager.rows) == bag(lazy.rows)
+        assert rows_into_joins(lazy) >= 2 * rows_into_joins(eager)
 
     def test_partial_and_carry_combine(self, tuned_db):
         text = tuned_db.query(QUERIES["threeway"]).explain()

@@ -38,6 +38,23 @@ def _brute_force_connected(graph):
     return found
 
 
+def _plans_by_enumeration(workload, mode):
+    """The block's chosen plan under each enumeration, same *mode*."""
+    spec = GroupingSpec(
+        group_keys=workload.group_keys, aggregates=workload.aggregates
+    )
+    leaves = [BaseLeaf(ref) for ref in workload.relations]
+    return {
+        enumeration: BlockOptimizer(
+            workload.db.catalog,
+            workload.db.params,
+            mode=mode,
+            enumeration=enumeration,
+        ).optimize_block(leaves, workload.predicates, spec, workload.select)
+        for enumeration in ("graph", "exhaustive")
+    }
+
+
 class TestConnectedSubsetEnumeration:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -99,21 +116,7 @@ class TestOptimizerParity:
         workload = build_join_workload(
             JoinWorkloadConfig(topology=topology, leaves=5, seed=seed)
         )
-        spec = GroupingSpec(
-            group_keys=workload.group_keys, aggregates=workload.aggregates
-        )
-        leaves = [BaseLeaf(ref) for ref in workload.relations]
-        plans = {}
-        for enumeration in ("graph", "exhaustive"):
-            optimizer = BlockOptimizer(
-                workload.db.catalog,
-                workload.db.params,
-                mode=mode,
-                enumeration=enumeration,
-            )
-            plans[enumeration] = optimizer.optimize_block(
-                leaves, workload.predicates, spec, workload.select
-            )
+        plans = _plans_by_enumeration(workload, mode)
         assert plans["graph"].props.cost == plans["exhaustive"].props.cost
         assert explain(plans["graph"]) == explain(plans["exhaustive"])
 
@@ -177,22 +180,18 @@ class TestOptimizerParity:
 
 class TestScalingBenchSmoke:
     def test_smallest_size_runs_and_agrees(self):
-        # The scaling benchmark raises AssertionError on any cost
-        # disagreement between enumerations; run its smallest cell so
-        # regressions surface in the tier-1 suite.
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-        )
-        try:
-            from bench_optimizer_scaling import run_scaling
-        finally:
-            sys.path.pop(0)
-        results = run_scaling(
-            sizes=(4,), topologies=("chain", "star"), repeats=1
-        )
-        assert len(results["speedups"]) == 4  # 2 topologies x 2 modes
-        for entry in results["entries"]:
-            assert entry["cost"] > 0
+        # The smallest cell of the retired optimizer-scaling benchmark,
+        # asserted directly: on 4-leaf chain and star workloads, with
+        # push-down on (greedy) and off (traditional), connected-subset
+        # enumeration reaches the exhaustive enumeration's cost.
+        for topology in ("chain", "star"):
+            workload = build_join_workload(
+                JoinWorkloadConfig(topology=topology, leaves=4, seed=0)
+            )
+            for mode in ("greedy", "traditional"):
+                plans = _plans_by_enumeration(workload, mode)
+                assert (
+                    plans["graph"].props.cost
+                    == plans["exhaustive"].props.cost
+                    > 0
+                ), (topology, mode)

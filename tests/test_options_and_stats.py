@@ -1,10 +1,14 @@
 """Tests for optimizer options, search statistics, and cost params."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.algebra.plan import ScanNode, plan_nodes
 from repro.cost.params import CostParams
 from repro.optimizer.options import TRADITIONAL, OptimizerOptions
 from repro.optimizer.stats import SearchStats
+from repro.workloads.generator import RandomQueryConfig, build_star_database
 
 
 class TestOptimizerOptions:
@@ -37,6 +41,89 @@ class TestOptimizerOptions:
         options = OptimizerOptions()
         with pytest.raises(Exception):
             options.k_level = 5  # type: ignore[misc]
+
+
+#: The switches the ``greedy`` / ``traditional`` levels force by
+#: definition (what ``TRADITIONAL`` turns off); every *other* field must
+#: reach the cost model of all three levels.
+TRANSFORMATION_FLAGS = {
+    spec.name
+    for spec in fields(OptimizerOptions)
+    if getattr(TRADITIONAL, spec.name) != spec.default
+}
+
+HOT_KEY_SQL = (
+    "select f.d1_id, sum(f.qty) as s from fact f, dim1 d "
+    "where f.d1_id = d.d1_id and f.d1_id = 1 group by f.d1_id"
+)
+VIEW_SQL = (
+    "with v(d1_id, s) as (select f.d1_id, sum(f.qty) from fact f "
+    "group by f.d1_id) select d.val, v.s from dim1 d, v "
+    "where d.d1_id = v.d1_id and v.d1_id < 3"
+)
+
+
+def _fact_scan(result):
+    (scan,) = [
+        node
+        for node in plan_nodes(result.plan)
+        if isinstance(node, ScanNode) and node.table_name == "fact"
+    ]
+    return scan.props.rows, scan.props.cost
+
+
+class TestOptionForwarding:
+    """``greedy`` and ``traditional`` derive their options from the
+    caller's; no field may be silently reset on the way (the §5
+    no-worse comparison must be made under one cost model)."""
+
+    @pytest.fixture(scope="class")
+    def star_db(self):
+        return build_star_database(
+            RandomQueryConfig(seed=3, fact_rows=3000, zipf_skew=1.2)
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            spec.name
+            for spec in fields(OptimizerOptions)
+            if spec.name not in TRANSFORMATION_FLAGS
+        ],
+    )
+    def test_every_level_sees_the_field(self, star_db, name):
+        default = getattr(OptimizerOptions(), name)
+        flipped = (not default) if isinstance(default, bool) else 1
+        options = OptimizerOptions(**{name: flipped})
+        results = {
+            level: star_db.optimize(HOT_KEY_SQL, level, options)
+            for level in ("full", "greedy", "traditional")
+        }
+        leaves = {level: _fact_scan(r) for level, r in results.items()}
+        assert leaves["full"] == leaves["greedy"] == leaves["traditional"]
+        for sql in (HOT_KEY_SQL, VIEW_SQL):
+            standalone = star_db.optimize(sql, "traditional", options).cost
+            for level in ("full", "greedy"):
+                searched = star_db.optimize(sql, level, options)
+                assert searched.traditional_cost == standalone
+                assert searched.cost <= standalone
+
+    def test_statistics_ablation_is_visible_on_the_shared_leaf(self, star_db):
+        on = _fact_scan(star_db.optimize(HOT_KEY_SQL, "traditional"))
+        off = _fact_scan(
+            star_db.optimize(
+                HOT_KEY_SQL,
+                "traditional",
+                OptimizerOptions(use_statistics=False),
+            )
+        )
+        assert off != on  # the ablation is visible on this leaf at all
+
+    def test_traditional_honors_propagation_ablation(self, star_db):
+        options = OptimizerOptions(enable_predicate_propagation=False)
+        result = star_db.optimize(VIEW_SQL, "traditional", options)
+        rows, _ = _fact_scan(result)
+        assert rows == 3000  # v.d1_id < 3 stayed outside the view
 
 
 class TestCostParams:

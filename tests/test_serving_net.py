@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -138,3 +139,47 @@ class TestServerRoundtrip:
                 client.execute("SELECT e.eno FROM emp e")
                 client.execute("SELECT e.eno FROM emp e")
         assert len(emp_dept_db.plan_cache) == 0
+
+
+class TestHostileLines:
+    """A line the server cannot read as a statement gets a typed
+    ``error`` reply, not EOF, and leaks no session."""
+
+    @pytest.mark.parametrize(
+        "line, reply",
+        [
+            (
+                b"SELECT e.eno FROM emp e WHERE e.name = '\xff\xfe'",
+                "error UnicodeDecodeError: ",
+            ),
+            (  # three times asyncio's 64 KiB StreamReader limit
+                b"SELECT e.eno FROM emp e WHERE e.eno IN ("
+                + b"1," * 100_000
+                + b"1)",
+                "error ValueError: statement line exceeds the 64 KiB limit",
+            ),
+        ],
+        ids=["non-utf8", "overlong"],
+    )
+    def test_typed_error_and_connection_survives(
+        self, server, emp_dept_db, line, reply
+    ):
+        sessions_before = emp_dept_db.active_sessions
+        with server.client() as client:
+            client._file.write(line + b"\n")
+            client._file.flush()
+            assert client._readline().startswith(reply)
+            assert client._readline() == "."
+            # the same connection is on a statement boundary again
+            columns, rows = client.execute(
+                "SELECT d.dno FROM dept d WHERE d.dno = 3"
+            )
+            assert (columns, rows) == (["dno"], [("3",)])
+        # the handler notices the disconnect asynchronously
+        deadline = time.monotonic() + 5
+        while (
+            emp_dept_db.active_sessions != sessions_before
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert emp_dept_db.active_sessions == sessions_before

@@ -4,6 +4,7 @@ and the estimate-vs-actual feedback loop."""
 
 import pytest
 
+from repro.algebra.plan import GroupByNode, JoinNode, plan_nodes
 from repro.db import Database
 from repro.errors import CatalogError, SqlSyntaxError
 from repro.optimizer.options import OptimizerOptions
@@ -397,3 +398,90 @@ class TestAnalyzeTable:
         assert column.mcv_fraction(7) == pytest.approx(0.5)
         uniform = db.catalog.stats("t").column("k")
         assert uniform.mcvs == ()
+
+
+# ----------------------------------------------------------------------
+# Acceptance bars on a Zipf-skewed star (EXPERIMENTS.md E15, CI size)
+# ----------------------------------------------------------------------
+
+
+def _restat(db, config):
+    db.catalog.stats_config = config
+    for name in db.catalog.table_names():
+        db.catalog.info(name).invalidate_stats()
+    db.analyze()
+
+
+class TestSkewedStarBars:
+    """Hot keys are where uniform NDV division is most wrong; MCVs and
+    histograms must earn their keep there, at a fixed seed."""
+
+    QUERIES = [
+        "select d.val as v, f.qty as q from fact f, dim1 d "
+        "where f.d1_id = d.d1_id and f.d1_id = 0",
+        "select d.val as v, f.price as p from fact f, dim2 d "
+        "where f.d2_id = d.d2_id and f.d2_id = 1",
+        "select f.f_id, sum(f.qty) as s from fact f "
+        "where f.d1_id = 0 group by f.f_id",
+        "select f.d2_id, sum(f.qty) as s from fact f "
+        "where f.d1_id = 0 group by f.d2_id",
+        "select f.flag, count(f.f_id) as c from fact f "
+        "where f.d1_id < 10 group by f.flag",
+    ]
+
+    @pytest.fixture(scope="class")
+    def star_db(self):
+        return build_star_database(
+            RandomQueryConfig(
+                seed=7, fact_rows=4000, dim_rows=200, zipf_skew=1.3
+            )
+        )
+
+    def _join_group_q_errors(self, db):
+        return [
+            q_error(node.props.rows, result.exec_metrics.actual_rows(node))
+            for result in map(db.query, self.QUERIES)
+            for node in plan_nodes(result.plan)
+            if isinstance(node, (JoinNode, GroupByNode))
+        ]
+
+    def test_median_join_groupby_q_error_improves_5x(self, star_db):
+        _restat(star_db, UNIFORM)
+        uniform = median(self._join_group_q_errors(star_db))
+        _restat(star_db, StatsConfig())
+        informed = median(self._join_group_q_errors(star_db))
+        assert uniform >= 5 * informed
+
+    def test_mcv_estimate_flips_the_hot_key_probe_to_a_cheaper_plan(
+        self, star_db
+    ):
+        probe = "select f.qty from fact f where f.d1_id = 0"
+        _restat(star_db, UNIFORM)
+        blind = star_db.query(probe)
+        _restat(star_db, StatsConfig())
+        informed = star_db.query(probe)
+        assert informed.explain() != blind.explain()
+        assert informed.executed_io.total < blind.executed_io.total
+
+    def test_sampled_analyze_ndv_within_3x_on_every_column(self, star_db):
+        table = star_db.catalog.info("fact").table
+        pages = table.num_pages
+        _restat(star_db, EXACT)
+        exact = star_db.catalog.stats("fact")
+        config = StatsConfig(
+            full_scan_pages=max(1, pages // 4),
+            sample_fraction=0.25,
+            min_sample_pages=max(4, pages // 20),
+        )
+        _restat(star_db, config)
+        sampled = star_db.catalog.stats("fact")
+        assert sampled.sampled
+        assert sampled.pages_scanned <= max(
+            config.min_sample_pages, int(pages * config.sample_fraction)
+        )
+        assert sampled.row_count == table.num_rows
+        for name in ("f_id", "d1_id", "d2_id", "qty", "flag"):
+            ratio = sampled.column(name).n_distinct / max(
+                1.0, exact.column(name).n_distinct
+            )
+            assert 1 / 3 <= ratio <= 3, (name, ratio)

@@ -1,5 +1,8 @@
 """Tests for Kim-style unnesting of correlated subqueries (Section 1)."""
 
+import pytest
+
+from repro import OptimizerOptions
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.sql import bind_sql
 from repro.transforms import unnest_sql
@@ -74,3 +77,45 @@ class TestUnnestSql:
         )
         result = evaluate_canonical(report.query, emp_dept_db.catalog)
         assert result.rows == []
+
+
+class TestDecorrelationAdopted:
+    """The four WHERE-clause subquery shapes the optimizer flattens by
+    default: each must be *adopted* (a semi/anti join or a grouped view
+    joined back, not a mark-join rescan), the ablation must really
+    ablate, and both paths must agree on the answer."""
+
+    SHAPES = {
+        "in-semi": (
+            "select e.eno, e.sal from emp e where e.dno in "
+            "(select d.dno from dept d where d.loc >= 1)"
+        ),
+        "not-in-anti": (
+            "select e.eno, e.sal from emp e where e.dno not in "
+            "(select d.dno from dept d where d.loc >= 1)"
+        ),
+        "corr-scalar-avg": (
+            "select e.eno from emp e where e.sal * 20 > "
+            "(select avg(d.budget) from dept d where d.dno = e.dno)"
+        ),
+        "corr-exists": (
+            "select e.eno, e.dno from emp e where exists "
+            "(select d.dno from dept d "
+            "where d.dno = e.dno and d.loc >= 2)"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_flattened_by_default_and_only_by_default(
+        self, emp_dept_db, shape
+    ):
+        sql = self.SHAPES[shape]
+        naive_options = OptimizerOptions(enable_decorrelation=False)
+        flattened = emp_dept_db.query(sql)
+        naive = emp_dept_db.query(sql, options=naive_options)
+        assert flattened.optimization.stats.decorrelation_adopted >= 1
+        assert naive.optimization.stats.decorrelation_adopted == 0
+        assert "SubqueryMark" not in flattened.explain()
+        assert "SubqueryMark" in naive.explain()
+        assert sorted(flattened.rows) == sorted(naive.rows)
+        assert flattened.rows  # the shape keeps some outer rows

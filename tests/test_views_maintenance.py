@@ -232,6 +232,21 @@ class TestRefreshPlumbing:
         assert report.delta_rows == 10
         assert "incremental" in report.describe()
 
+    def test_incremental_refresh_reads_less_than_full(self):
+        # merging the delta's partials reads the delta and the backing
+        # table; recomputing the same state re-reads the base table
+        db = make_emp_db(rows=5000)
+        db.create_materialized_view(
+            "mv",
+            "select e.dno as dno, sum(e.sal) as s from emp e "
+            "group by e.dno",
+        )
+        db.insert("emp", delta_rows(5000, 25))
+        incremental = db.refresh_materialized_view("mv")
+        assert incremental.mode == "incremental"
+        full = db.refresh_materialized_view("mv", mode="full")
+        assert 5 * incremental.io.total <= full.io.total
+
     def test_refresh_via_sql(self):
         db = make_emp_db()
         db.create_materialized_view(
