@@ -1,4 +1,4 @@
-"""A small asyncio server and line-protocol client.
+"""A thread-per-connection server and line-protocol client.
 
 Protocol (text, newline-delimited, UTF-8):
 
@@ -15,22 +15,25 @@ Protocol (text, newline-delimited, UTF-8):
     that is not UTF-8 or is longer than 64 KiB, after which the
     connection is still usable.
 
-  NULL encodes as ``\\N``; tab/newline/backslash in string values are
-  escaped C-style, so a row is always exactly one line.
+  NULL encodes as ``\\N``; tab/newline/CR/backslash in string values
+  are escaped C-style, so a row is always exactly one line. Only
+  ``\\n`` ends a line: VT, FF, NEL, U+2028 travel as themselves.
 
-Each connection gets its own :class:`~repro.server.session.Session`.
-Statement execution runs in a thread pool (``run_in_executor``), so the
-event loop keeps accepting connections while readers execute
-concurrently against COW snapshots; writes serialize on the database
-write lock like any other session.
+Each connection gets its own :class:`~repro.server.session.Session` and
+its own daemon thread looping *blocking readline →* ``session.execute``
+*→ one write*. Readers execute concurrently against COW snapshots;
+writes serialize on the database write lock like any other session.
+Nothing here caps connections or statements in flight (ROADMAP item 2
+owns limits); a client that vanishes mid-read or mid-reply ends its
+connection quietly. ``tests/golden/wire_transcript.txt`` pins the bytes.
 """
 
 from __future__ import annotations
 
-import asyncio
+import re
 import socket
 import threading
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
 from .session import Session
@@ -38,8 +41,14 @@ from .session import Session
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 5433
 
+_LINE_LIMIT = 64 * 1024
 _NULL = "\\N"
 _ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r")]
+_UNESCAPES = {escaped[1]: raw for raw, escaped in _ESCAPES}
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+# str() of these holds no character the protocol escapes.
+_PLAIN = frozenset({int, float, bool})
+_PLAIN_OR_NULL = _PLAIN | {type(None)}
 
 
 def encode_value(value: Any) -> str:
@@ -47,27 +56,61 @@ def encode_value(value: Any) -> str:
         return _NULL
     text = str(value)
     for raw, escaped in _ESCAPES:
-        text = text.replace(raw, escaped)
+        if raw in text:
+            text = text.replace(raw, escaped)
     return text
 
 
 def decode_value(text: str) -> Optional[str]:
+    if "\\" not in text:
+        return text
     if text == _NULL:
         return None
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(
-                nxt, "\\" + nxt
-            ))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    # An unknown escape and a trailing backslash stand for themselves.
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
+
+
+def _encode_column(column: Tuple[Any, ...]) -> Iterable[str]:
+    """``encode_value`` over one result column, skipping the escaping
+    when the types present cannot need it."""
+    kinds = set(map(type, column))
+    if kinds <= _PLAIN:
+        return map(str, column)
+    if kinds <= _PLAIN_OR_NULL:
+        return [_NULL if value is None else str(value) for value in column]
+    return map(encode_value, column)
+
+
+def _render(result) -> bytes:
+    """The whole reply to a successful statement, sentinel included."""
+    if result.kind not in ("query", "execute"):
+        return b"ok 0\n.\n"
+    rows = result.rows
+    lines = [f"ok {len(rows)}", "\t".join(result.columns)]
+    lines.extend(map("\t".join, zip(*map(_encode_column, zip(*rows)))))
+    lines.append(".\n")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _error_reply(error: Exception) -> bytes:
+    """``error <message>`` and the sentinel: always exactly two lines."""
+    message = str(error)
+    if not isinstance(error, ReproError):  # surface, never kill the thread
+        message = f"{type(error).__name__}: {message}"
+    message = message.replace("\n", " ").replace("\r", " ")
+    return f"error {message}\n.\n".encode("utf-8")
+
+
+def _read_line(reader) -> bytes:
+    """``reader.readline()`` bounded at 64 KiB: a longer line is
+    discarded through its own newline before the ``ValueError``, so the
+    next read starts on a statement boundary."""
+    line = reader.readline(_LINE_LIMIT + 1)
+    if len(line) <= _LINE_LIMIT or line.endswith(b"\n"):
+        return line
+    while line and not line.endswith(b"\n"):
+        line = reader.readline(_LINE_LIMIT + 1)
+    raise ValueError("statement line exceeds the 64 KiB limit")
 
 
 class ReproServer:
@@ -85,103 +128,72 @@ class ReproServer:
         self.port = port
         self.use_plan_cache = use_plan_cache
         self.connections = 0
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._listener: Optional[socket.socket] = None
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        loop = asyncio.get_running_loop()
+    def _handle(self, conn: socket.socket) -> None:
         session = Session(self.db, use_plan_cache=self.use_plan_cache)
         try:
-            while True:
-                try:
-                    line = await self._read_line(reader)
-                    if not line:
-                        break
-                    statement = line.decode("utf-8").strip()
-                    if not statement:
-                        continue
-                    if statement in ("\\q", "quit", "exit"):
-                        break
-                    result = await loop.run_in_executor(
-                        None, session.execute, statement.rstrip(";")
-                    )
-                    payload = self._render(result)
-                except ReproError as error:
-                    message = str(error).replace("\n", " ")
-                    payload = [f"error {message}"]
-                except Exception as error:  # surface, never kill the loop
-                    message = (
-                        f"{type(error).__name__}: {error}".replace("\n", " ")
-                    )
-                    payload = [f"error {message}"]
-                payload.append(".")
-                writer.write(("\n".join(payload) + "\n").encode("utf-8"))
-                await writer.drain()
+            with conn, conn.makefile("rb") as reader:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while True:
+                    try:
+                        line = _read_line(reader)
+                        if not line:
+                            break
+                        statement = line.decode("utf-8").strip()
+                        if not statement:
+                            continue
+                        if statement in ("\\q", "quit", "exit"):
+                            break
+                        reply = _render(session.execute(statement.rstrip(";")))
+                    except OSError:
+                        raise
+                    except Exception as error:
+                        reply = _error_reply(error)
+                    conn.sendall(reply)
+        except OSError:
+            pass  # the client vanished; there is nobody to tell
         finally:
             session.close()
-            writer.close()
 
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> bytes:
-        """``reader.readline()``, except that a line over the stream
-        limit (asyncio's 64 KiB default) is skipped through its newline
-        before the ``ValueError`` is raised, so the next read starts on
-        a statement boundary and the connection stays usable."""
-        overlong = False
-        while True:
+    def start(self) -> None:
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]  # resolve port 0
+
+    def serve_forever(self) -> None:
+        """Accept on :meth:`start`'s socket until :meth:`stop`."""
+        listener = self._listener
+        while listener is not None and self._listener is listener:
             try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as eof:
-                line = eof.partial
-            except asyncio.LimitOverrunError as overrun:
-                await reader.readexactly(overrun.consumed)
-                overlong = True
+                conn, _ = listener.accept()
+            except OSError:  # an aborted handshake, or stop() closed us
                 continue
-            if overlong:
-                raise ValueError("statement line exceeds the 64 KiB limit")
-            return line
+            if self._listener is not listener:  # stop()'s wake-up call
+                conn.close()
+                break
+            self.connections += 1
+            threading.Thread(
+                target=self._handle, args=(conn,), daemon=True
+            ).start()
 
-    @staticmethod
-    def _render(result) -> List[str]:
-        if result.kind in ("query", "execute"):
-            lines = [f"ok {len(result.rows)}"]
-            lines.append("\t".join(result.columns))
-            for row in result.rows:
-                lines.append("\t".join(encode_value(v) for v in row))
-            return lines
-        return ["ok 0"]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        address = self._server.sockets[0].getsockname()
-        self.port = address[1]  # resolve port 0 to the bound port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """Stop accepting; open connections run until their client closes."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        # close() does not wake a thread blocked in accept(); this does
+        try:
+            socket.create_connection(listener.getsockname()[:2], 1).close()
+        except OSError:
+            pass
+        listener.close()
 
 
 class ServerThread:
-    """A :class:`ReproServer` on a background event loop.
-
-    ``asyncio.start_server`` accepts connections as soon as it returns,
-    so no ``serve_forever`` task is needed — the loop just runs forever
-    on a daemon thread until :meth:`stop`. Used by the serving tests;
-    pass ``port=0`` to bind an ephemeral port and read it back from
-    :attr:`port`.
-    """
+    """A :class:`ReproServer` accepting on a background daemon thread:
+    how tests and embedders run one in process. :meth:`start` binds on
+    the caller's thread; with ``port=0`` read the port it got from
+    :attr:`port`."""
 
     def __init__(
         self,
@@ -191,9 +203,8 @@ class ServerThread:
         use_plan_cache: bool = True,
     ):
         self.server = ReproServer(db, host, port, use_plan_cache=use_plan_cache)
-        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True
+            target=self.server.serve_forever, daemon=True
         )
 
     @property
@@ -205,22 +216,16 @@ class ServerThread:
         return self.server.port
 
     def start(self) -> "ServerThread":
+        self.server.start()
         self._thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.server.start(), self._loop
-        ).result(timeout=10)
         return self
 
     def client(self) -> "LineClient":
         return LineClient(self.host, self.port)
 
     def stop(self) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        ).result(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        self.server.stop()
         self._thread.join(timeout=10)
-        self._loop.close()
 
     def __enter__(self) -> "ServerThread":
         return self.start()
@@ -237,16 +242,14 @@ def serve(
 ) -> None:
     """Blocking entry point: serve *db* until interrupted."""
     server = ReproServer(db, host, port, use_plan_cache=use_plan_cache)
-
-    async def run() -> None:
-        await server.start()
-        print(f"repro server listening on {server.host}:{server.port}")
-        await server.serve_forever()
-
+    server.start()
+    print(f"repro server listening on {server.host}:{server.port}", flush=True)
     try:
-        asyncio.run(run())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("repro server stopped")
+    finally:
+        server.stop()
 
 
 class LineClient:
@@ -281,12 +284,9 @@ class LineClient:
             return columns, rows
         columns = header.split("\t")
         for _ in range(nrows):
-            rows.append(
-                tuple(
-                    decode_value(cell)
-                    for cell in self._readline().split("\t")
-                )
-            )
+            line = self._readline()
+            row = line.split("\t")
+            rows.append(tuple(map(decode_value, row) if "\\" in line else row))
         sentinel = self._readline()
         if sentinel != ".":
             raise ReproError(f"missing response sentinel, got {sentinel!r}")
