@@ -12,8 +12,9 @@ commands:
 ``\\d name``     describe one table (columns, keys, stats)
 ``\\dv``         list materialized views (state, groups, deps)
 ``\\e [level]``  set the optimizer level (traditional/greedy/full)
-``\\explain sql`` show the chosen plan without executing
-``\\analyze sql`` run and show the plan with actual row counts
+``\\i file``     run a script of ``;``-terminated SQL statements
+``\\explain sql`` ``EXPLAIN sql``: the chosen plan, not executed
+``\\analyze sql`` ``EXPLAIN ANALYZE sql``: plan with actual row counts
 ``\\q``          quit
 =============== ====================================================
 """
@@ -26,6 +27,7 @@ from typing import Iterable, List, Optional, TextIO
 from .db import OPTIMIZERS, Database
 from .errors import ReproError
 from .optimizer.options import OptimizerOptions
+from .sql.lexer import split_statements
 from .workloads import EmpDeptConfig, build_empdept
 
 PROMPT = "repro> "
@@ -97,14 +99,13 @@ class Shell:
     # ------------------------------------------------------------------
 
     def handle(self, statement: str) -> bool:
-        """Process one complete statement. Returns False to quit."""
-        statement = statement.strip().rstrip(";").strip()
-        if not statement:
-            return True
+        """Process one backslash command, or the SQL statements of
+        *statement* (the lexer finds their ends). Returns False to quit."""
+        statement = statement.strip()
         try:
             if statement.startswith("\\"):
-                return self._handle_meta(statement)
-            self._run_sql(statement)
+                return self._handle_meta(statement.rstrip("; "))
+            self._run_statements(statement)
         except ReproError as error:
             self.write(f"error: {error}")
         return True
@@ -138,25 +139,10 @@ class Shell:
             self._run_script(argument)
             return True
         if command == "\\explain":
-            result = self.db.query(
-                argument,
-                optimizer=self.optimizer,
-                options=self.options,
-                execute=False,
-            )
-            self.write(result.explain())
-            self.write(f"estimated cost: {result.estimated_cost:.0f} page IOs")
-            self._write_stats(result)
+            self._run_sql("explain " + argument)
             return True
         if command == "\\analyze":
-            result = self.db.query(
-                argument, optimizer=self.optimizer, options=self.options
-            )
-            self.write(result.explain(analyze=True))
-            self.write(
-                f"estimated {result.estimated_cost:.0f} / executed "
-                f"{result.executed_io.total} page IOs"
-            )
+            self._run_sql("explain analyze " + argument)
             return True
         self.write(
             f"unknown command {command!r} (try \\d, \\dv, \\e, \\i, \\q)"
@@ -174,9 +160,16 @@ class Shell:
         except OSError as error:
             self.write(f"cannot read {path!r}: {error}")
             return
-        for statement in text.split(";"):
-            if statement.strip():
-                self.handle(statement)
+        self._run_statements(text)
+
+    def _run_statements(self, text: str) -> None:
+        """Run each SQL statement of *text*; one failing does not stop
+        the next (a script that cannot be lexed runs nothing)."""
+        for sql in split_statements(text):
+            try:
+                self._run_sql(sql)
+            except ReproError as error:
+                self.write(f"error: {error}")
 
     def _run_sql(self, sql: str) -> None:
         self.session.optimizer = self.optimizer
@@ -192,6 +185,11 @@ class Shell:
             )
             return
         result = session_result.query_result
+        if session_result.kind == "explain":
+            for (line,) in session_result.rows:
+                self.write(line)
+            self._write_stats(result)
+            return
         for line in format_rows(result.columns, result.rows):
             self.write(line)
         hit = " [plan cache hit]" if session_result.cache_hit else ""

@@ -42,7 +42,8 @@ from .optimizer.canonical import (
 )
 from .optimizer.options import OptimizerOptions
 from .server.plancache import PlanCache
-from .sql.ast import ViewDefAst
+from .sql import ddl
+from .sql.ast import SelectStmt, ViewDefAst
 from .sql.binder import bind_sql
 from .stats import StatsConfig
 from .sql.parser import parse_select
@@ -271,6 +272,9 @@ class Database:
         """Create and populate a materialized aggregate view; it is also
         registered as a logical view, so queries reference it by name.
         Returns the populate's :class:`~repro.views.maintain.MaintenanceReport`."""
+        return self._create_materialized_view(name, parse_select(body_sql))
+
+    def _create_materialized_view(self, name: str, body: SelectStmt):
         from .views.maintain import create_materialized_view
 
         if (
@@ -279,7 +283,6 @@ class Database:
             or self.catalog.has_materialized_view(name)
         ):
             raise CatalogError(f"table or view {name!r} already exists")
-        body = parse_select(body_sql)
         definition = ViewDefAst(
             name=name,
             column_names=tuple(_derive_view_columns(name, body)),
@@ -331,58 +334,24 @@ class Database:
         CREATE TABLE / CREATE INDEX / INSERT return ``None``; queries
         return a :class:`QueryResult` (the same as :meth:`query`).
         """
-        from .sql.ddl import (
-            AnalyzeStmt,
-            CreateIndexStmt,
-            CreateMaterializedViewStmt,
-            CreateTableStmt,
-            DropIndexStmt,
-            DropMaterializedViewStmt,
-            DropTableStmt,
-            InsertStmt,
-            RefreshMaterializedViewStmt,
-            maybe_parse_ddl,
-        )
-
-        statement = maybe_parse_ddl(sql)
+        statement = ddl.maybe_parse_ddl(sql)
         if statement is None:
             return self.query(
                 sql, optimizer=optimizer, options=options, engine=engine
             )
-        if isinstance(statement, CreateTableStmt):
-            self.create_table(
-                statement.name,
-                list(statement.columns),
-                primary_key=list(statement.primary_key) or None,
-                nullable=list(statement.nullable) or None,
-            )
-            return None
-        if isinstance(statement, CreateIndexStmt):
-            self.create_index(
-                statement.name, statement.table, list(statement.columns)
-            )
-            return None
-        if isinstance(statement, CreateMaterializedViewStmt):
-            self.create_materialized_view(statement.name, statement.body_sql)
-            return None
-        if isinstance(statement, RefreshMaterializedViewStmt):
-            self.refresh_materialized_view(statement.name)
-            return None
-        if isinstance(statement, DropMaterializedViewStmt):
-            self.drop_materialized_view(statement.name)
-            return None
-        if isinstance(statement, DropTableStmt):
-            self.drop_table(statement.name)
-            return None
-        if isinstance(statement, DropIndexStmt):
-            self.drop_index(statement.name)
-            return None
-        if isinstance(statement, AnalyzeStmt):
-            self.analyze(statement.table)
-            return None
-        assert isinstance(statement, InsertStmt)
-        self.insert(statement.table, list(statement.rows))
+        self.run_statement(statement)
         return None
+
+    def run_statement(self, statement) -> None:
+        """Apply one parsed DDL/DML statement (``repro.sql.ddl``); a
+        session hands them over already parsed, under the write lock."""
+        runner = _STATEMENT_RUNNERS.get(type(statement))
+        if runner is None:
+            raise ReproError(
+                f"{type(statement).__name__} is a session statement; run "
+                f"it through Database.session()"
+            )
+        runner(self, statement)
 
     # ------------------------------------------------------------------
     # Queries
@@ -519,3 +488,31 @@ class Database:
     def reference(self, sql: str) -> Result:
         """Evaluate by brute force (ground truth; no optimizer)."""
         return evaluate_canonical(self.bind(sql), self.catalog)
+
+
+# Looked up on the instance at call time: the end-to-end tracer wraps
+# Database.insert and Database.create_index on the class.
+_STATEMENT_RUNNERS = {
+    ddl.CreateTableStmt: lambda db, s: db.create_table(
+        s.name,
+        list(s.columns),
+        primary_key=list(s.primary_key) or None,
+        nullable=list(s.nullable) or None,
+    ),
+    ddl.CreateIndexStmt: lambda db, s: db.create_index(
+        s.name, s.table, list(s.columns)
+    ),
+    ddl.CreateMaterializedViewStmt: lambda db, s: (
+        db._create_materialized_view(s.name, s.body)
+    ),
+    ddl.RefreshMaterializedViewStmt: lambda db, s: (
+        db.refresh_materialized_view(s.name)
+    ),
+    ddl.DropMaterializedViewStmt: lambda db, s: (
+        db.drop_materialized_view(s.name)
+    ),
+    ddl.DropTableStmt: lambda db, s: db.drop_table(s.name),
+    ddl.DropIndexStmt: lambda db, s: db.drop_index(s.name),
+    ddl.AnalyzeStmt: lambda db, s: db.analyze(s.table),
+    ddl.InsertStmt: lambda db, s: db.insert(s.table, list(s.rows)),
+}

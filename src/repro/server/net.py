@@ -9,7 +9,8 @@ Protocol (text, newline-delimited, UTF-8):
   lone ``.`` sentinel line:
 
   - ``ok <nrows>`` then a TSV column-name line and ``<nrows>`` TSV value
-    rows (queries), or no further lines before the sentinel
+    rows (queries, EXECUTE, and EXPLAIN's one ``plan`` column), or no
+    further lines before the sentinel
     (DDL/PREPARE/DEALLOCATE acknowledgements);
   - ``error <message>`` (single line) on failure — including a line
     that is not UTF-8 or is longer than 64 KiB, after which the
@@ -83,7 +84,7 @@ def _encode_column(column: Tuple[Any, ...]) -> Iterable[str]:
 
 def _render(result) -> bytes:
     """The whole reply to a successful statement, sentinel included."""
-    if result.kind not in ("query", "execute"):
+    if result.kind not in ("query", "execute", "explain"):
         return b"ok 0\n.\n"
     rows = result.rows
     lines = [f"ok {len(rows)}", "\t".join(result.columns)]
@@ -145,7 +146,7 @@ class ReproServer:
                             continue
                         if statement in ("\\q", "quit", "exit"):
                             break
-                        reply = _render(session.execute(statement.rstrip(";")))
+                        reply = _render(session.execute(statement))
                     except OSError:
                         raise
                     except Exception as error:

@@ -9,7 +9,7 @@ three things the bare ``Database`` facade does not have:
   the optimizer runs. A hit skips optimization entirely; entries are
   invalidated by the catalog change epoch. A statement whose *text* was
   seen before at the current epoch does less still: the cache's text
-  front answers it before any regex, lexer, parser, binder or signature
+  front answers it before any lexer, parser, binder or signature
   runs, so a recurring statement costs two dictionary lookups and a
   snapshot capture (identity checks, while nothing was published)
   before it executes. What every execution needs from the cached plan
@@ -46,7 +46,6 @@ three things the bare ``Database`` facade does not have:
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
@@ -60,96 +59,16 @@ from ..engine.executor import (
     compile_plan,
     execute_plan,
 )
-from ..errors import PlanError, ReproError, SqlSyntaxError
+from ..errors import PlanError, ReproError
 from ..optimizer.options import OptimizerOptions
+from ..sql import ddl
+from ..sql.binder import Binder
 from ..storage.iocounter import IOCounter
 
 # clone_plan has no caller here any more; it stays importable from this
 # module because the end-to-end tracer wraps it by that name.
 from .planrewrite import bind_parameters, clone_plan, plan_parameters  # noqa: F401
 from .signature import cache_key, options_fingerprint
-
-_PREPARE_RE = re.compile(
-    r"^\s*prepare\s+(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s+as\s+(?P<body>.+)$",
-    re.IGNORECASE | re.DOTALL,
-)
-_EXECUTE_RE = re.compile(
-    r"^\s*execute\s+(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*"
-    r"(?:\(\s*(?P<args>.*?)\s*\))?\s*;?\s*$",
-    re.IGNORECASE | re.DOTALL,
-)
-_DEALLOCATE_RE = re.compile(
-    r"^\s*deallocate\s+(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*;?\s*$",
-    re.IGNORECASE,
-)
-
-
-def parse_execute_args(text: Optional[str]) -> List[Literal]:
-    """EXECUTE's literal argument vector: numbers, ``'strings'`` (with
-    ``''`` escapes), TRUE/FALSE, NULL."""
-    if not text or not text.strip():
-        return []
-    values: List[Literal] = []
-    for raw in _split_args(text):
-        token = raw.strip()
-        lowered = token.lower()
-        if not token:
-            raise SqlSyntaxError("empty EXECUTE argument")
-        if token.startswith("'"):
-            if not token.endswith("'") or len(token) < 2:
-                raise SqlSyntaxError(f"unterminated string in {raw!r}")
-            values.append(
-                Literal(token[1:-1].replace("''", "'"))
-            )
-        elif lowered == "null":
-            values.append(Literal(None))
-        elif lowered == "true":
-            values.append(Literal(True))
-        elif lowered == "false":
-            values.append(Literal(False))
-        else:
-            try:
-                if any(c in token for c in ".eE"):
-                    values.append(Literal(float(token)))
-                else:
-                    values.append(Literal(int(token)))
-            except ValueError:
-                raise SqlSyntaxError(
-                    f"EXECUTE argument {raw!r} is not a literal"
-                ) from None
-    return values
-
-
-def _split_args(text: str) -> List[str]:
-    """Split on commas outside single-quoted strings."""
-    if "'" not in text:
-        return text.split(",")
-    parts: List[str] = []
-    current: List[str] = []
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            current.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    current.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == "'":
-            in_string = True
-            current.append(ch)
-        elif ch == ",":
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return parts
-
 
 @dataclass
 class PlannedStatement:
@@ -221,7 +140,7 @@ class SessionResult:
     proper.
     """
 
-    kind: str  # "query" | "ddl" | "prepare" | "execute" | "deallocate"
+    kind: str  # "query" | "ddl" | "prepare" | "execute" | "deallocate" | "explain"
     rows: List[Tuple[Any, ...]] = dataclass_field(default_factory=list)
     columns: List[str] = dataclass_field(default_factory=list)
     cache_hit: bool = False
@@ -276,39 +195,22 @@ class Session:
     # ------------------------------------------------------------------
 
     def execute(self, sql: str) -> SessionResult:
-        """Run one statement: a query, DDL/INSERT, or the PREPARE /
-        EXECUTE / DEALLOCATE session commands."""
+        """Run one statement: a query, DDL/INSERT, EXPLAIN, or the
+        PREPARE / EXECUTE / DEALLOCATE session commands."""
         self.statements += 1
         start = time.perf_counter()
         planned = self._cached_text(sql) if self.use_plan_cache else None
         if planned is not None:
             return self._execute_query(sql, start, *planned)
-        match = _EXECUTE_RE.match(sql)  # first: the one that recurs
-        if match is not None:
-            return self.execute_prepared(
-                match.group("name"),
-                parse_execute_args(match.group("args")),
-            )
-        match = _PREPARE_RE.match(sql)
-        if match is not None:
-            return self.prepare(match.group("name"), match.group("body"))
-        match = _DEALLOCATE_RE.match(sql)
-        if match is not None:
-            return self.deallocate(match.group("name"))
-        from ..sql.ddl import maybe_parse_ddl
-
-        if maybe_parse_ddl(sql) is not None:
-            return self._execute_ddl(sql)
-        return self._execute_query(sql, start, *self._plan_query(sql))
-
-    # ------------------------------------------------------------------
-    # DDL / writes — single writer, under the lock
-    # ------------------------------------------------------------------
-
-    def _execute_ddl(self, sql: str) -> SessionResult:
-        start = time.perf_counter()
+        statement = ddl.maybe_parse_ddl(sql)
+        if statement is None:
+            return self._execute_query(sql, start, *self._plan_query(sql))
+        handler = _SESSION_STATEMENTS.get(type(statement))
+        if handler is not None:
+            return handler(self, statement)
+        # DDL / writes: single writer, under the lock
         with self.db.write_lock:
-            self.db.execute(sql)
+            self.db.run_statement(statement)
         return SessionResult(
             kind="ddl", exec_seconds=time.perf_counter() - start
         )
@@ -469,6 +371,14 @@ class Session:
             bound = self.db.bind(body_sql)
             return self.prepare_bound(name, bound, sql=body_sql)
 
+    def _prepare_parsed(self, statement: ddl.PrepareStmt) -> SessionResult:
+        """PREPARE as a statement: its body arrives already parsed."""
+        with self.db.write_lock:
+            bound = Binder(self.db.catalog).bind(statement.body)
+            return self.prepare_bound(
+                statement.name, bound, sql=statement.body_sql
+            )
+
     def prepare_bound(
         self, name: str, query: CanonicalQuery, sql: str = ""
     ) -> SessionResult:
@@ -501,6 +411,14 @@ class Session:
     def execute_prepared(
         self, name: str, values: List[Literal]
     ) -> SessionResult:
+        return self._execute_values(
+            name, tuple(value.value for value in values)
+        )
+
+    def _execute_values(
+        self, name: str, values: Tuple[Any, ...]
+    ) -> SessionResult:
+        """EXECUTE with plain values, as the statement parser reads them."""
         statement = self.prepared.get(name)
         if statement is None:
             raise ReproError(f"unknown prepared statement {name!r}")
@@ -529,7 +447,7 @@ class Session:
             planned,
             snapshot,
             True,
-            tuple(value.value for value in values),
+            values,
             name,
         )
         statement.executions += 1
@@ -540,3 +458,60 @@ class Session:
             raise ReproError(f"unknown prepared statement {name!r}")
         del self.prepared[name]
         return SessionResult(kind="deallocate", statement_name=name)
+
+    # ------------------------------------------------------------------
+    # EXPLAIN [ANALYZE]
+    # ------------------------------------------------------------------
+
+    def _explain(self, statement: ddl.ExplainStmt) -> SessionResult:
+        """Plan the query text like any other (text front and plan cache
+        included), run it only under ANALYZE, and answer with the plan
+        as rows of one ``plan`` text column, so any client can read it."""
+        from ..db import QueryResult
+
+        sql = statement.body_sql
+        start = time.perf_counter()
+        planned = self._cached_text(sql) if self.use_plan_cache else None
+        planned, snapshot, hit = planned or self._plan_query(sql)
+        optimization = planned.optimization
+        if statement.analyze:
+            result = self._execute_query(
+                sql, start, planned, snapshot, hit
+            ).query_result
+            footer = (
+                f"estimated {optimization.cost:.0f} / executed "
+                f"{result.executed_io.total} page IOs"
+            )
+        else:
+            result = QueryResult(
+                rows=[],
+                columns=list(planned.columns),
+                plan=optimization.plan,
+                estimated_cost=optimization.cost,
+                executed_io=None,
+                optimization=optimization,
+                sql=sql,
+            )
+            footer = f"estimated cost: {optimization.cost:.0f} page IOs"
+        lines = result.explain(analyze=statement.analyze).splitlines()
+        return SessionResult(
+            kind="explain",
+            rows=[(line,) for line in lines + [footer]],
+            columns=["plan"],
+            cache_hit=hit,
+            query_result=result,
+        )
+
+
+_SESSION_STATEMENTS = {
+    ddl.ExecuteStmt: lambda session, statement: session._execute_values(
+        statement.name, statement.values
+    ),
+    ddl.PrepareStmt: Session._prepare_parsed,
+    ddl.DeallocateStmt: lambda session, statement: session.deallocate(
+        statement.name
+    ),
+    ddl.ExplainStmt: Session._explain,
+}
+"""The statements the session itself runs; every other parsed statement
+is the database's (``Database.run_statement``, under the write lock)."""

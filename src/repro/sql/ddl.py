@@ -1,37 +1,47 @@
-"""DDL and DML statements: CREATE/DROP TABLE, CREATE/DROP INDEX,
-INSERT, and the materialized-view statements.
+"""The command statements: DDL, DML, and the session and EXPLAIN
+statements, as productions on the query parser's cursor.
 
 The paper's scope is query optimization, so the data-definition layer
 is deliberately small: enough to build and populate a database from SQL
 scripts and the interactive shell.
 
-Grammar::
+A statement's kind is decided once, by its first word, matched exactly
+and case-insensitively against ``_PRODUCTIONS`` *before* anything is
+tokenized. A command word selects a production below; any other text is
+a query, left to :func:`repro.sql.parser.parse_select` (so ``creates
+table`` fails with ``expected SELECT``). Grammar::
 
+    command      := (create_table | create_index | create_mview | drop
+                     | refresh | analyze | insert | prepare | execute
+                     | deallocate | explain) [";"] EOF
     create_table := CREATE TABLE name "(" column ("," column)*
                     ["," PRIMARY KEY "(" names ")"] ")"
     column       := name type [NULL | NOT NULL | PRIMARY KEY]
     create_index := CREATE INDEX name ON table "(" names ")"
+    create_mview := CREATE MATERIALIZED VIEW name AS query
+    drop         := DROP (TABLE | INDEX | MATERIALIZED VIEW) name
+    refresh      := REFRESH MATERIALIZED VIEW name
+    analyze      := ANALYZE [name]
     insert       := INSERT INTO name VALUES row ("," row)*
     row          := "(" literal ("," literal)* ")"
-    create_mview := CREATE MATERIALIZED VIEW name AS select
-    refresh      := REFRESH MATERIALIZED VIEW name
-    drop         := DROP (TABLE | INDEX | MATERIALIZED VIEW) name
-    analyze      := ANALYZE [name]
+    prepare      := PREPARE name AS query
+    execute      := EXECUTE name ["(" [literal ("," literal)*] ")"]
+    deallocate   := DEALLOCATE name
+    explain      := EXPLAIN [ANALYZE] query
 
-CREATE MATERIALIZED VIEW is split by a regular expression rather than
-the token stream: everything after AS is handed to the SELECT parser
-verbatim (the lexer drops absolute offsets, so re-slicing tokens would
-lose the original spelling).
+``query``, ``literal`` and the ``;`` terminator are
+:mod:`repro.sql.parser`'s. A query inside a command is parsed from the
+command's own tokens, so its errors are positioned in the *statement*.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from ..errors import SqlSyntaxError
-from .lexer import Token, tokenize
+from .ast import SelectStmt
+from .lexer import first_word, tokenize
+from .parser import _Parser
 
 _TYPE_WORDS = {
     "int", "integer", "float", "double", "str", "string", "text",
@@ -74,11 +84,12 @@ class InsertStmt:
 class CreateMaterializedViewStmt:
     """Parsed CREATE MATERIALIZED VIEW name AS <select>.
 
-    The body stays SQL text; binding happens against the catalog when
-    the statement executes (the view subsystem owns that)."""
+    Binding happens against the catalog when the statement executes
+    (the view subsystem owns that)."""
 
     name: str
     body_sql: str
+    body: SelectStmt
 
 
 @dataclass(frozen=True)
@@ -117,145 +128,140 @@ class DropIndexStmt:
     name: str
 
 
-DdlStatement = object  # union of the statement dataclasses
 
-_MATVIEW_RE = re.compile(
-    r"create\s+materialized\s+view\s+(?P<name>[A-Za-z_]\w*)\s+as\s+"
-    r"(?P<body>.+)\Z",
-    re.IGNORECASE | re.DOTALL,
-)
+
+@dataclass(frozen=True)
+class PrepareStmt:
+    """Parsed PREPARE name AS <select>."""
+
+    name: str
+    body_sql: str
+    body: SelectStmt
+
+
+@dataclass(frozen=True)
+class ExecuteStmt:
+    """Parsed EXECUTE name[(values)]; the values are plain Python
+    values, ``$1`` first."""
+
+    name: str
+    values: Tuple[Any, ...] = ()
+
+
+@dataclass(frozen=True)
+class DeallocateStmt:
+    """Parsed DEALLOCATE name."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class ExplainStmt:
+    """Parsed EXPLAIN [ANALYZE] <select>. The query stays text: the
+    session plans it like any query text (plan cache included)."""
+
+    body_sql: str
+    analyze: bool = False
+
+
+DdlStatement = object  # union of the statement dataclasses
 
 
 def maybe_parse_ddl(sql: str) -> Optional[DdlStatement]:
-    """Parse *sql* as a DDL/DML statement, or return None if it does
-    not start with CREATE/INSERT/DROP/REFRESH (i.e. it is a query)."""
-    head = sql.lstrip().lower()
-    if not (
-        head.startswith("create")
-        or head.startswith("insert")
-        or head.startswith("drop")
-        or head.startswith("refresh")
-        or head.startswith("analyze")
-    ):
+    """Parse *sql* as a command statement, or return None if its first
+    word is not a command word (i.e. it is a query)."""
+    production = _PRODUCTIONS.get(first_word(sql))
+    if production is None:
         return None
-    matview = _MATVIEW_RE.match(sql.strip())
-    if matview is not None:
-        return CreateMaterializedViewStmt(
-            name=matview.group("name"), body_sql=matview.group("body")
-        )
-    return _DdlParser(tokenize(sql)).parse()
+    parser = _StatementParser(tokenize(sql), sql)
+    parser.advance()  # the command word
+    statement = production(parser)
+    parser.expect_eof()
+    return statement
 
 
-class _DdlParser:
-    def __init__(self, tokens: List[Token]):
-        self._tokens = tokens
-        self._position = 0
+class _StatementParser(_Parser):
+    """The command productions; each starts after the command word."""
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._position]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind != "eof":
-            self._position += 1
-        return token
-
-    def error(self, message: str) -> SqlSyntaxError:
-        token = self.current
-        return SqlSyntaxError(
-            f"{message} (found {token.text or '<eof>'!r})",
-            token.line,
-            token.column,
-        )
-
-    def expect_word(self, word: str) -> None:
-        token = self.current
-        text = token.text.lower()
-        if token.kind in ("name", "keyword") and text == word:
-            self.advance()
-            return
-        raise self.error(f"expected {word.upper()}")
-
-    def accept_word(self, word: str) -> bool:
-        token = self.current
-        if token.kind in ("name", "keyword") and token.text.lower() == word:
-            self.advance()
-            return True
-        return False
-
-    def expect_name(self) -> str:
-        if self.current.kind != "name":
-            raise self.error("expected an identifier")
-        return self.advance().text
-
-    def expect_punct(self, char: str) -> None:
-        token = self.current
-        if token.kind == "punctuation" and token.text == char:
-            self.advance()
-            return
-        raise self.error(f"expected {char!r}")
-
-    def accept_punct(self, char: str) -> bool:
-        token = self.current
-        if token.kind == "punctuation" and token.text == char:
-            self.advance()
-            return True
-        return False
-
-    def expect_eof(self) -> None:
-        if self.current.kind != "eof":
-            raise self.error("unexpected trailing input")
+    def query_text(self) -> Tuple[SelectStmt, str]:
+        """Parse the query that starts here; also its source text."""
+        start = self.current.offset
+        body = self.parse_statement()
+        return body, self._sql[start : self.current.offset].rstrip()
 
     # ------------------------------------------------------------------
 
-    def parse(self) -> DdlStatement:
-        if self.accept_word("create"):
-            if self.accept_word("table"):
-                return self._create_table()
-            if self.accept_word("index"):
-                return self._create_index()
-            if self.accept_word("materialized"):
-                # The regex in maybe_parse_ddl handles the well-formed
-                # statement; reaching here means a malformed one.
-                raise self.error(
-                    "expected CREATE MATERIALIZED VIEW <name> AS <select>"
-                )
-            raise self.error(
-                "expected TABLE, INDEX, or MATERIALIZED VIEW after CREATE"
-            )
-        if self.accept_word("drop"):
-            if self.accept_word("table"):
-                name = self.expect_name()
-                self.expect_eof()
-                return DropTableStmt(name=name)
-            if self.accept_word("index"):
-                name = self.expect_name()
-                self.expect_eof()
-                return DropIndexStmt(name=name)
-            if self.accept_word("materialized"):
-                self.expect_word("view")
-                name = self.expect_name()
-                self.expect_eof()
-                return DropMaterializedViewStmt(name=name)
-            raise self.error(
-                "expected TABLE, INDEX, or MATERIALIZED VIEW after DROP"
-            )
-        if self.accept_word("refresh"):
-            self.expect_word("materialized")
-            self.expect_word("view")
+    def create(self) -> DdlStatement:
+        if self.accept_word("table"):
+            return self._create_table()
+        if self.accept_word("index"):
             name = self.expect_name()
-            self.expect_eof()
-            return RefreshMaterializedViewStmt(name=name)
-        if self.accept_word("analyze"):
-            table: Optional[str] = None
-            if self.current.kind == "name":
-                table = self.expect_name()
-            self.expect_eof()
-            return AnalyzeStmt(table=table)
-        self.expect_word("insert")
+            self.expect_word("on")
+            return CreateIndexStmt(
+                name=name, table=self.expect_name(), columns=self.listed(self.expect_name)
+            )
+        if self.accept_word("materialized"):
+            shape = "expected CREATE MATERIALIZED VIEW <name> AS <select>"
+            if not self.accept_word("view") or self.current.kind != "name":
+                raise self.error(shape)
+            name = self.advance().text
+            if not self.accept_word("as") or self.current.kind == "eof":
+                raise self.error(shape)
+            body, body_sql = self.query_text()
+            return CreateMaterializedViewStmt(name, body_sql, body)
+        raise self.error(
+            "expected TABLE, INDEX, or MATERIALIZED VIEW after CREATE"
+        )
+
+    def drop(self) -> DdlStatement:
+        if self.accept_word("table"):
+            return DropTableStmt(name=self.expect_name())
+        if self.accept_word("index"):
+            return DropIndexStmt(name=self.expect_name())
+        if self.accept_word("materialized"):
+            self.expect_word("view")
+            return DropMaterializedViewStmt(name=self.expect_name())
+        raise self.error(
+            "expected TABLE, INDEX, or MATERIALIZED VIEW after DROP"
+        )
+
+    def refresh(self) -> RefreshMaterializedViewStmt:
+        self.expect_word("materialized")
+        self.expect_word("view")
+        return RefreshMaterializedViewStmt(name=self.expect_name())
+
+    def analyze(self) -> AnalyzeStmt:
+        if self.current.kind == "name":
+            return AnalyzeStmt(table=self.expect_name())
+        return AnalyzeStmt()
+
+    def insert(self) -> InsertStmt:
         self.expect_word("into")
-        return self._insert()
+        table = self.expect_name()
+        self.expect_word("values")
+        rows = [self.listed(self.literal)]
+        while self.accept_punct(","):
+            rows.append(self.listed(self.literal))
+        return InsertStmt(table=table, rows=tuple(rows))
+
+    def prepare(self) -> PrepareStmt:
+        name = self.expect_name()
+        self.expect_word("as")
+        body, body_sql = self.query_text()
+        return PrepareStmt(name, body_sql, body)
+
+    def execute(self) -> ExecuteStmt:
+        name = self.expect_name()
+        if self.current.kind == "punctuation" and self.current.text == "(":
+            return ExecuteStmt(name, self.listed(self.literal, or_empty=True))
+        return ExecuteStmt(name)
+
+    def deallocate(self) -> DeallocateStmt:
+        return DeallocateStmt(name=self.expect_name())
+
+    def explain(self) -> ExplainStmt:
+        analyze = self.accept_word("analyze")
+        return ExplainStmt(self.query_text()[1], analyze)
 
     def _create_table(self) -> CreateTableStmt:
         name = self.expect_name()
@@ -266,11 +272,7 @@ class _DdlParser:
         while True:
             if self.accept_word("primary"):
                 self.expect_word("key")
-                self.expect_punct("(")
-                primary_key.append(self.expect_name())
-                while self.accept_punct(","):
-                    primary_key.append(self.expect_name())
-                self.expect_punct(")")
+                primary_key.extend(self.listed(self.expect_name))
             else:
                 column = self.expect_name()
                 type_token = self.current
@@ -295,7 +297,6 @@ class _DdlParser:
             if not self.accept_punct(","):
                 break
         self.expect_punct(")")
-        self.expect_eof()
         if not columns:
             raise self.error("a table needs at least one column")
         return CreateTableStmt(
@@ -305,58 +306,15 @@ class _DdlParser:
             nullable=tuple(nullable),
         )
 
-    def _create_index(self) -> CreateIndexStmt:
-        name = self.expect_name()
-        self.expect_word("on")
-        table = self.expect_name()
-        self.expect_punct("(")
-        columns = [self.expect_name()]
-        while self.accept_punct(","):
-            columns.append(self.expect_name())
-        self.expect_punct(")")
-        self.expect_eof()
-        return CreateIndexStmt(name=name, table=table, columns=tuple(columns))
 
-    def _insert(self) -> InsertStmt:
-        table = self.expect_name()
-        self.expect_word("values")
-        rows = [self._row()]
-        while self.accept_punct(","):
-            rows.append(self._row())
-        self.expect_eof()
-        return InsertStmt(table=table, rows=tuple(rows))
-
-    def _row(self) -> Tuple[Any, ...]:
-        self.expect_punct("(")
-        values = [self._literal()]
-        while self.accept_punct(","):
-            values.append(self._literal())
-        self.expect_punct(")")
-        return tuple(values)
-
-    def _literal(self) -> Any:
-        token = self.current
-        negative = False
-        if token.kind == "punctuation" and token.text == "-":
-            self.advance()
-            negative = True
-            token = self.current
-        if token.kind == "number":
-            self.advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return -value if negative else value
-        if negative:
-            raise self.error("expected a number after '-'")
-        if token.kind == "string":
-            self.advance()
-            return token.text
-        if token.is_keyword("null"):
-            self.advance()
-            return None
-        if token.is_keyword("true"):
-            self.advance()
-            return True
-        if token.is_keyword("false"):
-            self.advance()
-            return False
-        raise self.error("expected a literal value")
+_PRODUCTIONS = {
+    "create": _StatementParser.create,
+    "drop": _StatementParser.drop,
+    "refresh": _StatementParser.refresh,
+    "analyze": _StatementParser.analyze,
+    "insert": _StatementParser.insert,
+    "prepare": _StatementParser.prepare,
+    "execute": _StatementParser.execute,
+    "deallocate": _StatementParser.deallocate,
+    "explain": _StatementParser.explain,
+}

@@ -1,9 +1,15 @@
-"""Tokenizer for the supported SQL dialect."""
+"""Tokenizer for the supported SQL dialect: one compiled pattern, the
+same for every statement kind. In a string ``''`` is one quote; a number
+is ASCII digits with an optional fraction and exponent, and a letter,
+digit or underscore directly after one is an error (``1_0``, ``1e``);
+``--`` starts a comment. A token carries its source *offset*; line and
+column are computed from it only when an error is raised.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -42,132 +48,105 @@ KEYWORDS = {
     "on",
 }
 
-_PUNCTUATION = {
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-    ".": "dot",
-    "*": "star",
-    "+": "plus",
-    "-": "minus",
-    "/": "slash",
+# Alternatives are tried in order; the named group that matched is the
+# token kind. "junk" and "bad" are the two that raise.
+_MASTER = re.compile(
+    r"\s+|--[^\n]*"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?P<junk>\w)?"
+    r"|'(?P<string>(?:[^']|'')*)'"
+    r"|(?P<op><=|>=|<>|!=|=|<|>)"
+    r"|(?P<punctuation>[(),.*+\-/;])"
+    r"|\$(?P<param>[0-9]+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+_FIRST_WORD = re.compile(r"\s*([^\W\d]\w*)")
+
+_BAD = {
+    "'": "unterminated string literal",
+    "$": "expected a parameter number after '$'",
 }
 
-_COMPARATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
 
+class Token(NamedTuple):
+    """One lexical token and where it starts in the source text."""
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source location (1-based)."""
-
-    kind: str  # keyword | name | number | string | op | punctuation | eof
+    kind: str  # keyword | name | number | string | param | op | punctuation | eof
     text: str
-    line: int
-    column: int
+    offset: int
 
     def is_keyword(self, word: str) -> bool:
         return self.kind == "keyword" and self.text == word
 
 
+def syntax_error(message: str, sql: str, offset: int) -> SqlSyntaxError:
+    """A :class:`SqlSyntaxError` at *offset* of *sql* (1-based line and
+    column; only ``\\n`` ends a line)."""
+    line_start = sql.rfind("\n", 0, offset) + 1
+    return SqlSyntaxError(
+        message, sql.count("\n", 0, offset) + 1, offset - line_start + 1
+    )
+
+
 def tokenize(sql: str) -> List[Token]:
     """Tokenize *sql*; raises :class:`SqlSyntaxError` on bad input."""
-    return list(_tokens(sql))
-
-
-def _tokens(sql: str) -> Iterator[Token]:
-    line = 1
-    column = 1
-    position = 0
-    length = len(sql)
-
-    def advance(count: int) -> None:
-        nonlocal position, line, column
-        for _ in range(count):
-            if position < length and sql[position] == "\n":
-                line += 1
-                column = 1
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+    for match in _MASTER.finditer(sql):
+        kind = match.lastgroup
+        if kind is None:  # whitespace or a comment
+            continue
+        text = match[kind]
+        if kind == "word":
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                kind, text = "keyword", lowered
             else:
-                column += 1
-            position += 1
+                kind = "name"
+        elif kind == "string":
+            text = text.replace("''", "'")
+        elif kind == "op":
+            if text == "<>":
+                text = "!="
+        elif kind == "junk":
+            raise syntax_error(
+                f"unexpected character {text!r} in a number",
+                sql,
+                match.start(kind),
+            )
+        elif kind == "bad":
+            raise syntax_error(
+                _BAD.get(text, f"unexpected character {text!r}"),
+                sql,
+                match.start(),
+            )
+        append(new(Token, (kind, text, match.start())))
+    append(new(Token, ("eof", "", len(sql))))
+    return tokens
 
-    while position < length:
-        char = sql[position]
-        if char.isspace():
-            advance(1)
-            continue
-        if sql.startswith("--", position):
-            while position < length and sql[position] != "\n":
-                advance(1)
-            continue
-        start_line, start_column = line, column
-        if char.isalpha() or char == "_":
-            end = position
-            while end < length and (sql[end].isalnum() or sql[end] == "_"):
-                end += 1
-            word = sql[position:end]
-            lowered = word.lower()
-            kind = "keyword" if lowered in KEYWORDS else "name"
-            text = lowered if kind == "keyword" else word
-            advance(end - position)
-            yield Token(kind, text, start_line, start_column)
-            continue
-        if char.isdigit():
-            end = position
-            seen_dot = False
-            while end < length and (
-                sql[end].isdigit() or (sql[end] == "." and not seen_dot)
-            ):
-                if sql[end] == ".":
-                    # "1." followed by a name is "1" then "." (qualified)
-                    if end + 1 >= length or not sql[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            text = sql[position:end]
-            advance(end - position)
-            yield Token("number", text, start_line, start_column)
-            continue
-        if char == "'":
-            end = position + 1
-            while end < length and sql[end] != "'":
-                end += 1
-            if end >= length:
-                raise SqlSyntaxError(
-                    "unterminated string literal", start_line, start_column
-                )
-            text = sql[position + 1 : end]
-            advance(end + 1 - position)
-            yield Token("string", text, start_line, start_column)
-            continue
-        matched = False
-        for comparator in _COMPARATORS:
-            if sql.startswith(comparator, position):
-                advance(len(comparator))
-                text = "!=" if comparator == "<>" else comparator
-                yield Token("op", text, start_line, start_column)
-                matched = True
-                break
-        if matched:
-            continue
-        if char in _PUNCTUATION:
-            advance(1)
-            yield Token("punctuation", char, start_line, start_column)
-            continue
-        if char == "$":
-            end = position + 1
-            while end < length and sql[end].isdigit():
-                end += 1
-            if end == position + 1:
-                raise SqlSyntaxError(
-                    "expected a parameter number after '$'",
-                    start_line,
-                    start_column,
-                )
-            text = sql[position + 1 : end]
-            advance(end - position)
-            yield Token("param", text, start_line, start_column)
-            continue
-        raise SqlSyntaxError(
-            f"unexpected character {char!r}", start_line, start_column
-        )
-    yield Token("eof", "", line, column)
+
+def first_word(sql: str) -> str:
+    """The statement's first word, lower-cased (``""`` if it does not
+    start with one): what classifies a statement before it is lexed."""
+    match = _FIRST_WORD.match(sql)
+    return match[1].lower() if match else ""
+
+
+def split_statements(text: str) -> List[str]:
+    """The statements of a script, cut at ``;`` *tokens* (a ``;`` in a
+    string or a comment ends nothing); empty statements are dropped."""
+    statements: List[str] = []
+    start = None
+    for token in tokenize(text):
+        if token.kind == "eof" or (
+            token.kind == "punctuation" and token.text == ";"
+        ):
+            if start is not None:
+                statements.append(text[start : token.offset].rstrip())
+                start = None
+        elif start is None:
+            start = token.offset
+    return statements

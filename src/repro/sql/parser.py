@@ -1,8 +1,15 @@
 """Recursive-descent parser for the supported SQL dialect.
 
+One grammar, one cursor class: the command statements (CREATE, INSERT,
+PREPARE, EXECUTE, EXPLAIN, ...) are productions on a subclass of this
+module's ``_Parser`` in :mod:`repro.sql.ddl`, over the same token stream
+and with the same ``literal`` production.
+
 Grammar (informal)::
 
-    statement   := [WITH view ("," view)*] select EOF
+    statement   := (query | command) [";"] EOF
+                   (commands are listed in repro.sql.ddl)
+    query       := [WITH view ("," view)*] select
     view        := name "(" name ("," name)* ")" AS "(" select ")"
     select      := SELECT [ALL] item ("," item)*
                    FROM from_item ("," from_item)*
@@ -18,8 +25,14 @@ Grammar (informal)::
                    OR < AND < NOT < comparison < additive < multiplicative
     comparison  := additive [IS [NOT] NULL | [NOT] BETWEEN ... |
                    [NOT] IN "(" (select | expr-list) ")" | op additive]
-    primary     := literal | column | aggregate "(" (expr | "*") ")"
+    primary     := literal | "$" digits | column
+                 | aggregate "(" (expr | "*") ")"
                  | EXISTS "(" select ")" | "(" expr ")" | "(" select ")"
+    literal     := ["-"] number | string | TRUE | FALSE | NULL
+                   (spelled the same in SELECT, INSERT and EXECUTE;
+                   NULL is a value only in INSERT and EXECUTE — a query
+                   tests for it with IS [NOT] NULL; lexical rules are
+                   in repro.sql.lexer)
 
 As in SQLite, comma and JOIN bind with equal precedence and associate
 left: ``A, B LEFT JOIN C ON e`` joins C against everything before it.
@@ -29,7 +42,7 @@ error.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..algebra.aggregates import known_aggregates
 from ..algebra.expressions import (
@@ -56,20 +69,27 @@ from .ast import (
     TableRefAst,
     ViewDefAst,
 )
-from .lexer import Token, tokenize
+from .lexer import Token, syntax_error, tokenize
+
+_KEYWORD_VALUES = {"true": True, "false": False, "null": None}
 
 
 def parse_select(sql: str) -> SelectStmt:
     """Parse one SELECT statement (with optional WITH clause)."""
-    parser = _Parser(tokenize(sql))
+    parser = _Parser(tokenize(sql), sql)
     statement = parser.parse_statement()
     parser.expect_eof()
     return statement
 
 
+def _number(text: str) -> Any:
+    return int(text) if text.isdigit() else float(text)
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], sql: str):
         self._tokens = tokens
+        self._sql = sql
         self._position = 0
 
     # ------------------------------------------------------------------
@@ -81,7 +101,7 @@ class _Parser:
         return self._tokens[self._position]
 
     def advance(self) -> Token:
-        token = self.current
+        token = self._tokens[self._position]
         if token.kind != "eof":
             self._position += 1
         return token
@@ -89,13 +109,14 @@ class _Parser:
     def error(self, message: str) -> SqlSyntaxError:
         token = self.current
         found = token.text or "<end of input>"
-        return SqlSyntaxError(
-            f"{message} (found {found!r})", token.line, token.column
+        return syntax_error(
+            f"{message} (found {found!r})", self._sql, token.offset
         )
 
     def accept_keyword(self, word: str) -> bool:
-        if self.current.is_keyword(word):
-            self.advance()
+        token = self._tokens[self._position]
+        if token.kind == "keyword" and token.text == word:
+            self._position += 1
             return True
         return False
 
@@ -103,9 +124,23 @@ class _Parser:
         if not self.accept_keyword(word):
             raise self.error(f"expected {word.upper()}")
 
+    def accept_word(self, word: str) -> bool:
+        """Accept *word* whether or not it is reserved (most of the
+        command statements' words are not)."""
+        token = self._tokens[self._position]
+        if token.kind in ("name", "keyword") and token.text.lower() == word:
+            self._position += 1
+            return True
+        return False
+
+    def expect_word(self, word: str) -> None:
+        if not self.accept_word(word):
+            raise self.error(f"expected {word.upper()}")
+
     def accept_punct(self, char: str) -> bool:
-        if self.current.kind == "punctuation" and self.current.text == char:
-            self.advance()
+        token = self._tokens[self._position]
+        if token.kind == "punctuation" and token.text == char:
+            self._position += 1
             return True
         return False
 
@@ -114,13 +149,46 @@ class _Parser:
             raise self.error(f"expected {char!r}")
 
     def expect_name(self) -> str:
-        if self.current.kind != "name":
+        token = self._tokens[self._position]
+        if token.kind != "name":
             raise self.error("expected an identifier")
-        return self.advance().text
+        self._position += 1
+        return token.text
 
     def expect_eof(self) -> None:
+        """One optional ``;`` ends a statement of any kind."""
+        self.accept_punct(";")
         if self.current.kind != "eof":
             raise self.error("unexpected trailing input")
+
+    def listed(self, item, or_empty: bool = False) -> tuple:
+        """``"(" item ("," item)* ")"`` for a production of this cursor."""
+        self.expect_punct("(")
+        if or_empty and self.accept_punct(")"):
+            return ()
+        items = [item()]
+        while self.accept_punct(","):
+            items.append(item())
+        self.expect_punct(")")
+        return tuple(items)
+
+    def literal(self) -> Any:
+        """The one literal production, as a plain Python value."""
+        token = self.current
+        if token.kind == "number":
+            value = _number(token.text)
+        elif token.kind == "string":
+            value = token.text
+        elif token.kind == "keyword" and token.text in _KEYWORD_VALUES:
+            value = _KEYWORD_VALUES[token.text]
+        elif self.accept_punct("-"):
+            if self.current.kind != "number":
+                raise self.error("expected a number after '-'")
+            value = -_number(self.current.text)
+        else:
+            raise self.error("expected a literal value")
+        self.advance()
+        return value
 
     # ------------------------------------------------------------------
     # Statements
@@ -147,17 +215,13 @@ class _Parser:
 
     def parse_view_def(self) -> ViewDefAst:
         name = self.expect_name()
-        self.expect_punct("(")
-        column_names = [self.expect_name()]
-        while self.accept_punct(","):
-            column_names.append(self.expect_name())
-        self.expect_punct(")")
+        column_names = self.listed(self.expect_name)
         self.expect_keyword("as")
         self.expect_punct("(")
         body = self.parse_select_body()
         self.expect_punct(")")
         return ViewDefAst(
-            name=name, column_names=tuple(column_names), body=body
+            name=name, column_names=column_names, body=body
         )
 
     def parse_select_body(self) -> SelectStmt:
@@ -200,7 +264,7 @@ class _Parser:
         limit = None
         if self.accept_keyword("limit"):
             token = self.current
-            if token.kind != "number" or "." in token.text:
+            if token.kind != "number" or not token.text.isdigit():
                 raise self.error("LIMIT expects an integer")
             self.advance()
             limit = int(token.text)
@@ -379,22 +443,15 @@ class _Parser:
 
     def parse_primary(self) -> Expression:
         token = self.current
-        if token.kind == "number":
-            self.advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return Literal(value)
-        if token.kind == "string":
-            self.advance()
-            return Literal(token.text)
+        if (
+            token.kind in ("number", "string")
+            or token.is_keyword("true")
+            or token.is_keyword("false")
+        ):
+            return Literal(self.literal())
         if token.kind == "param":
             self.advance()
             return Parameter(int(token.text))
-        if token.is_keyword("true"):
-            self.advance()
-            return Literal(True)
-        if token.is_keyword("false"):
-            self.advance()
-            return Literal(False)
         if token.is_keyword("exists"):
             self.advance()
             self.expect_punct("(")

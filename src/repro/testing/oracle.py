@@ -32,7 +32,15 @@ import sqlite3
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..sql.ddl import CreateTableStmt, InsertStmt, maybe_parse_ddl
+from ..sql.ddl import (
+    AnalyzeStmt,
+    CreateIndexStmt,
+    CreateMaterializedViewStmt,
+    CreateTableStmt,
+    InsertStmt,
+    RefreshMaterializedViewStmt,
+    maybe_parse_ddl,
+)
 from .sqlgen import HOLISTIC_AGGREGATES, Stmt
 
 _SQLITE_TYPES = {
@@ -45,9 +53,9 @@ _SQLITE_TYPES = {
     "text": "TEXT",
 }
 
-_MATVIEW_RE = re.compile(
-    r"^\s*create\s+materialized\s+view\s+", re.IGNORECASE
-)
+# Indexes cannot change SQLite's answers, its views are always fresh,
+# and it keeps its own statistics.
+_NO_OPS = (CreateIndexStmt, RefreshMaterializedViewStmt, AnalyzeStmt)
 
 _HOLISTIC_RE = re.compile(
     r"\b(" + "|".join(HOLISTIC_AGGREGATES) + r")\s*\(", re.IGNORECASE
@@ -90,18 +98,15 @@ class SqliteOracle:
             )
 
     def _apply(self, stmt: Stmt) -> None:
-        if stmt.kind in ("index", "refresh", "analyze"):
+        parsed = maybe_parse_ddl(stmt.sql)
+        if isinstance(parsed, _NO_OPS):
             return
-        if stmt.kind == "matview":
-            sql = _MATVIEW_RE.sub("create view ", stmt.sql)
-            self.connection.execute(sql)
+        if isinstance(parsed, CreateMaterializedViewStmt):
+            self.connection.execute(
+                f"create view {parsed.name} as {parsed.body_sql}"
+            )
             return
-        if stmt.kind == "create":
-            parsed = maybe_parse_ddl(stmt.sql)
-            if not isinstance(parsed, CreateTableStmt):
-                raise OracleError(
-                    f"unexpected create statement: {stmt.sql!r}"
-                )
+        if isinstance(parsed, CreateTableStmt):
             columns = ", ".join(
                 f"{name} {_SQLITE_TYPES[type_name]}"
                 for name, type_name in parsed.columns
@@ -110,12 +115,7 @@ class SqliteOracle:
                 f"CREATE TABLE {parsed.name} ({columns})"
             )
             return
-        if stmt.kind == "insert":
-            parsed = maybe_parse_ddl(stmt.sql)
-            if not isinstance(parsed, InsertStmt):
-                raise OracleError(
-                    f"unexpected insert statement: {stmt.sql!r}"
-                )
+        if isinstance(parsed, InsertStmt):
             width = len(parsed.rows[0])
             holes = ", ".join(["?"] * width)
             self.connection.executemany(

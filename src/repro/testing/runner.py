@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
+from ..sql import ddl
+from ..sql.lexer import split_statements
 from .metamorphic import CONFIGS, check_script
 from .shrink import shrink_script
 from .sqlgen import GenProfile, Stmt, generate_script, render_script
@@ -125,48 +127,28 @@ def write_corpus_case(
     return path
 
 
-def parse_corpus_sql(text: str) -> List[str]:
-    """Split a corpus file into statements (comments stripped).
-
-    The generated dialect never contains ``;`` inside literals, so a
-    plain split is exact."""
-    lines = [
-        line
-        for line in text.splitlines()
-        if not line.lstrip().startswith("--")
-    ]
-    statements = []
-    for chunk in "\n".join(lines).split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            statements.append(chunk)
-    return statements
+_KINDS = {
+    ddl.CreateMaterializedViewStmt: "matview",
+    ddl.CreateTableStmt: "create",
+    ddl.CreateIndexStmt: "index",
+    ddl.InsertStmt: "insert",
+    ddl.RefreshMaterializedViewStmt: "refresh",
+    ddl.AnalyzeStmt: "analyze",
+    type(None): "query",
+}
 
 
 def classify_statement(sql: str) -> str:
     """Statement kind of one corpus SQL string (mirrors the
     generator's kinds so oracles replay corpus files identically)."""
-    head = sql.lstrip().lower()
-    if head.startswith("create materialized view"):
-        return "matview"
-    if head.startswith("create table"):
-        return "create"
-    if head.startswith("create index"):
-        return "index"
-    if head.startswith("insert"):
-        return "insert"
-    if head.startswith("refresh"):
-        return "refresh"
-    if head.startswith("analyze"):
-        return "analyze"
-    return "query"
+    return _KINDS[type(ddl.maybe_parse_ddl(sql))]
 
 
 def load_corpus_script(path: Path) -> List[Stmt]:
     """Parse one corpus ``.sql`` file back into a replayable script."""
     return [
         Stmt(classify_statement(sql), sql)
-        for sql in parse_corpus_sql(path.read_text())
+        for sql in split_statements(path.read_text())
     ]
 
 
@@ -261,7 +243,6 @@ __all__ = [
     "FuzzReport",
     "classify_statement",
     "load_corpus_script",
-    "parse_corpus_sql",
     "resolve_profile",
     "run_fuzz",
     "write_corpus_case",

@@ -120,6 +120,39 @@ class TestShell:
         text = out.getvalue()
         assert "(2 rows)" in text
 
+    def test_run_script_splits_with_the_lexer(self, tmp_path):
+        from repro import Database
+
+        script = tmp_path / "quoted.sql"
+        script.write_text(
+            "-- a ';' in a string or a comment ends nothing\n"
+            "create table t (a int, b text);\n"
+            "insert into t values (1, 'a;b'), (2, 'it''s');\n"
+            "select nope from t;  -- fails; the next one still runs\n"
+            "select t.b from t where t.a = 1;\n"
+        )
+        out = io.StringIO()
+        Shell(Database(), out=out).handle(f"\\i {script};")
+        text = out.getvalue()
+        assert "a;b" in text and "(1 row)" in text
+        assert text.count("error:") == 1
+        assert "unterminated" not in text
+
+    def test_explain_is_a_statement_too(self, shell):
+        sql = "select e.sal from emp e where e.dno = 3"
+        once = output_of(shell, f"EXPLAIN {sql};")
+        assert "Scan emp" in once and "estimated cost" in once
+        assert output_of(shell, f"\\explain {sql};") == once * 2
+        assert "actual rows=" in output_of(shell, f"explain analyze {sql};")
+
+    def test_several_statements_on_one_line(self, shell):
+        text = output_of(
+            shell,
+            "select d.dno from dept d where d.dno = 1; "
+            "select d.dno from dept d where d.dno = 2;",
+        )
+        assert text.count("(1 row)") == 2
+
     def test_run_script_missing_file(self, shell):
         assert "cannot read" in output_of(shell, "\\i /no/such/file.sql")
 

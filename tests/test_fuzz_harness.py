@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.sql.lexer import split_statements
 from repro.testing import (
     CONFIGS,
     PROFILES,
@@ -18,7 +19,6 @@ from repro.testing import (
 from repro.testing.metamorphic import EngineConfig
 from repro.testing.runner import (
     classify_statement,
-    parse_corpus_sql,
     write_corpus_case,
 )
 from repro.testing.shrink import Shrinker
@@ -60,7 +60,7 @@ class TestGenerator:
         ]
 
     def test_parse_corpus_strips_comments(self):
-        statements = parse_corpus_sql(
+        statements = split_statements(
             "-- header\ncreate table t (a int);\n-- note\nselect 1"
         )
         assert statements == ["create table t (a int)", "select 1"]

@@ -10,15 +10,21 @@ and LEFT JOIN clauses: ``unparse(bind(sql))`` must be a *fixed point* —
 re-binding the emitted text and unparsing again reproduces it
 byte-for-byte, so nothing (join kinds, subquery specs, negation,
 null-awareness) is dropped or reordered on the way through.
+
+``TestLiteralRoundTrip`` checks the one spelling the unparser and the
+lexer must agree on by themselves: a literal. ``repr(float)`` may carry
+an exponent and a string may hold a quote (emitted as ``''``), a ``;``
+or ``--``; each must re-bind to the value it was written from.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.expressions import Literal
 from repro.db import Database
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.sql import bind_sql
-from repro.sql.unparse import query_to_sql
+from repro.sql.unparse import expression_to_sql, query_to_sql
 from repro.testing.runner import PROFILES
 from repro.testing.sqlgen import generate_script
 from repro.workloads import RandomQueryConfig, random_queries
@@ -93,3 +99,30 @@ class TestSqlgenFixedPoint:
         assert rows_equal_bag(
             db.reference(sql).rows, db.reference(emitted).rows
         ), emitted
+
+
+literal_values = st.one_of(
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # non-dyadic, and small or large enough that repr() uses an exponent
+    st.sampled_from([1e-07, -1e-07, 1e20, 2.5e-3, 0.1, 1.5e300]),
+    st.text(alphabet="ab'; -\n", max_size=8),
+)
+
+
+class TestLiteralRoundTrip:
+    @given(value=literal_values)
+    @settings(max_examples=200, deadline=None)
+    def test_literal_rebinds_to_its_value(self, value):
+        db = Database()
+        db.create_table("t", [("i", "int"), ("f", "float"), ("s", "str")])
+        column = "s" if isinstance(value, str) else "f"
+        spelled = expression_to_sql(Literal(value))
+        query = db.bind(f"select t.i from t where t.{column} = {spelled}")
+        (predicate,) = query.predicates
+        assert predicate.right == Literal(value)
+        assert type(predicate.right.value) is type(value)
+        emitted = query_to_sql(query)
+        rebound = db.bind(emitted)
+        assert rebound.predicates == query.predicates, emitted
+        assert query_to_sql(rebound) == emitted

@@ -8,7 +8,6 @@ from repro.algebra.expressions import Literal
 from repro.errors import PlanError, ReproError, SqlSyntaxError
 from repro.server.parameterize import parameterize_query
 from repro.server.planrewrite import bind_parameters, plan_parameters
-from repro.server.session import parse_execute_args
 
 
 def rows_of(result):
@@ -154,30 +153,49 @@ class TestPrepareExecute:
 
 
 class TestExecuteArgumentParsing:
-    def test_scalar_kinds(self):
-        values = parse_execute_args("1, -2.5, 'it''s', null, true, false")
-        assert [v.value for v in values] == [
-            1,
-            -2.5,
-            "it's",
-            None,
-            True,
-            False,
-        ]
+    """EXECUTE's argument vector is the grammar's one literal production;
+    ``QueryResult.parameters`` says what a run received."""
 
-    def test_comma_inside_string(self):
-        values = parse_execute_args("'a,b', 2")
-        assert [v.value for v in values] == ["a,b", 2]
+    @pytest.fixture
+    def session(self, emp_dept_db):
+        with emp_dept_db.session() as session:
+            session.execute("CREATE TABLE kinds (i int, f float, s text, b bool)")
+            session.execute(
+                "PREPARE six AS SELECT k.i FROM kinds k WHERE k.i = $1 "
+                "AND k.f > $2 AND k.s = $3 AND k.s = $4 AND k.b = $5 "
+                "AND k.b = $6"
+            )
+            session.execute("PREPARE two AS SELECT k.i FROM kinds k "
+                            "WHERE k.s = $1 AND k.i = $2")
+            session.execute("PREPARE none AS SELECT k.i FROM kinds k")
+            yield session
 
-    def test_empty_vector(self):
-        assert parse_execute_args(None) == []
-        assert parse_execute_args("   ") == []
+    @staticmethod
+    def received(session, sql):
+        return session.execute(sql).query_result.parameters
 
-    def test_garbage_rejected(self):
+    def test_scalar_kinds(self, session):
+        values = self.received(
+            session, "EXECUTE six(1, -2.5, 'it''s', null, true, false)"
+        )
+        assert values == (1, -2.5, "it's", None, True, False)
+        assert [type(v) for v in values[:2]] == [int, float]
+
+    def test_comma_inside_string(self, session):
+        assert self.received(session, "execute two('a,b', 2)") == ("a,b", 2)
+
+    def test_empty_vector(self, session):
+        assert self.received(session, "execute none") == ()
+        assert self.received(session, "execute none()") == ()
+        assert self.received(session, "execute none(   )") == ()
+
+    def test_garbage_rejected(self, session):
         with pytest.raises(SqlSyntaxError):
-            parse_execute_args("SELECT")
+            session.execute("execute two(SELECT)")
         with pytest.raises(SqlSyntaxError):
-            parse_execute_args("'unterminated")
+            session.execute("execute two('unterminated")
+        with pytest.raises(SqlSyntaxError):
+            session.execute("execute two(1,, 2)")
 
 
 class TestParameterize:

@@ -156,6 +156,46 @@ class TestTextFront:
         assert emp_dept_db.plan_cache.as_dict()["texts"] == 0
 
 
+class TestOneTokenizeOneParse:
+    """Off the text front a statement is classified by its first word,
+    then lexed once and parsed once — by the command parser or by the
+    binder's ``parse_select``, never both."""
+
+    def test_each_statement_is_lexed_once(self, emp_dept_db, monkeypatch):
+        import repro.sql.ddl as ddl_module
+        import repro.sql.parser as parser_module
+
+        lexed = []
+        # Patched where their callers look them up, like the tracer.
+        for module in (ddl_module, parser_module):
+            original = module.tokenize
+            monkeypatch.setattr(
+                module,
+                "tokenize",
+                lambda sql, original=original: lexed.append(sql)
+                or original(sql),
+            )
+        body = "SELECT e.dno, SUM(e.sal) AS s FROM emp e GROUP BY e.dno"
+        with emp_dept_db.session() as session:
+            session.execute(f"CREATE MATERIALIZED VIEW mv AS {body}")
+            for sql in (
+                "INSERT INTO dept VALUES (70, 1.0, 1), (71, 2.0, 1);",
+                "REFRESH MATERIALIZED VIEW mv",
+                "PREPARE p AS SELECT e.eno FROM emp e WHERE e.dno = $1",
+                "EXECUTE p(3)",
+                "DEALLOCATE p",
+                "ANALYZE dept",
+                "CREATE MATERIALIZED VIEW mv2 AS " + body,
+                "SELECT e.eno FROM emp e WHERE e.dno = 3",
+            ):
+                del lexed[:]
+                session.execute(sql)
+                assert lexed == [sql]
+            del lexed[:]
+            session.execute("SELECT e.eno FROM emp e WHERE e.dno = 3")
+            assert lexed == []  # a text-front hit is never lexed
+
+
 class TestEpochValidity:
     """Every epoch-bumping action makes the next identical text re-bind
     and answer against the new catalog."""
