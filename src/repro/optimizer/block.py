@@ -64,7 +64,8 @@ after the joins; unflattened subquery specs are applied there too, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from time import perf_counter
 from typing import (
@@ -278,7 +279,29 @@ class BlockOptimizer:
     # Entry point
     # ------------------------------------------------------------------
 
-    def optimize_block(
+    def traditional_twin(self) -> "BlockOptimizer":
+        """This optimizer in ``mode="traditional"``, transformations off
+        (the Section 5.1 baseline), over the *same* cost model, base-leaf
+        plan cache and stats: a baseline planned beside a search is
+        costed by the search's model and re-plans none of its scans."""
+        twin = copy(self)
+        twin.mode = "traditional"
+        twin.options = replace(
+            self.options,
+            enable_pullup=False,
+            enable_pushdown=False,
+            enable_invariant_split=False,
+            # mode="traditional" never reaches the eager branches; stated
+            # here so the baseline's options read as what it actually does
+            enable_eager_aggregation=False,
+        )
+        return twin
+
+    def optimize_block(self, *args, **kwargs) -> PlanNode:
+        """The cheapest plan of :meth:`search_block` (same arguments)."""
+        return self.search_block(*args, **kwargs)[0]
+
+    def search_block(
         self,
         leaves: Sequence[Leaf],
         predicates: Sequence[Expression],
@@ -287,8 +310,11 @@ class BlockOptimizer:
         join_units: Sequence[JoinUnit] = (),
         post_predicates: Sequence[Expression] = (),
         marks: Sequence[Tuple[SubquerySpec, PlanNode]] = (),
-    ) -> PlanNode:
-        """Return the cheapest annotated plan computing the block.
+    ) -> Tuple[PlanNode, Optional[PlanNode]]:
+        """Return ``(plan, baseline)``: the cheapest annotated plan
+        computing the block, and what a ``mode="traditional"`` search of
+        it returns — read out of the same DP table (:meth:`_finalize`),
+        ``None`` when that cannot be established.
 
         The output schema is one field ``(None, name)`` per *select*
         entry, in order. *join_units* names leaves joined through a
@@ -611,6 +637,9 @@ class BlockOptimizer:
                     self.stats.early_groupby_accepted += 1
                     chosen = entries2
         if not eager:
+            if chosen is not entries1:
+                # the plain join is gone: a traditional DP keeps it
+                context.lazy_exact = False
             return chosen
 
         return (
@@ -791,19 +820,33 @@ class BlockOptimizer:
 
     def _finalize(
         self, context: "_BlockContext", entries: List[_Entry]
-    ) -> PlanNode:
+    ) -> Tuple[PlanNode, Optional[PlanNode]]:
+        """The cheapest finalization over all *entries*, and over their
+        lazy slice (``grouped=False, carry=False``) alone.
+
+        A lazy entry is only ever built from lazy entries, and pruning
+        keeps one entry per ``(grouped, carry, useful order)`` class, so
+        while ``context.lazy_exact`` holds, every subset's lazy slice
+        *is* what a ``mode="traditional"`` DP over this context retains,
+        in order, and the second plan is that DP's result (same
+        iteration, same strict ``<``: ties break alike); else ``None``."""
         started = perf_counter()
         best: Optional[PlanNode] = None
         best_entry: Optional[_Entry] = None
+        baseline: Optional[PlanNode] = None
         for entry in entries:
+            lazy = not entry.grouped and not entry.carry
             for candidate in context.final_plans(entry):
-                if best is None or candidate.props.cost < best.props.cost:
+                cost = candidate.props.cost
+                if best is None or cost < best.props.cost:
                     best = candidate
                     best_entry = entry
+                if lazy and (baseline is None or cost < baseline.props.cost):
+                    baseline = candidate
         assert best is not None and best_entry is not None
         self._record_adoption(best_entry)
         self.stats.add_time("finalize", perf_counter() - started)
-        return best
+        return best, baseline if context.lazy_exact else None
 
     def _record_adoption(self, entry: _Entry) -> None:
         if self.options.enable_eager_aggregation and (
@@ -829,17 +872,23 @@ class BlockOptimizer:
         kept = sorted(best.values(), key=_entry_cost)
         limit = self.options.max_plans_per_set
         pruned = kept[:limit]
-        if (
-            self.options.enable_eager_aggregation
-            and len(kept) > limit
-            and not any(not e.grouped and not e.carry for e in pruned)
-        ):
-            # The lazy alternative must survive pruning — it is what
-            # makes every eager variant an *alternative* (the no-worse
-            # guarantee is structural, not heuristic).
-            lazy = [e for e in kept[limit:] if not e.grouped and not e.carry]
-            if lazy:
+        if len(kept) > limit:
+            lazy = [e for e in kept if not e.grouped and not e.carry]
+            survivors = [e for e in pruned if not e.grouped and not e.carry]
+            if (
+                self.options.enable_eager_aggregation
+                and lazy
+                and not survivors
+            ):
+                # The lazy alternative must survive pruning — it is what
+                # makes every eager variant an *alternative* (the no-worse
+                # guarantee is structural, not heuristic).
                 pruned = pruned[:-1] + [lazy[0]]
+                survivors = lazy[:1]
+            if survivors != lazy[:limit]:
+                # the cut took a lazy entry a traditional DP (whose
+                # candidates are the lazy ones alone) would have retained
+                context.lazy_exact = False
         for entry in pruned:
             if entry.plan is None:
                 self._materialize(entry)
@@ -889,6 +938,10 @@ class _BlockContext:
         self.marks = marks
         self._leaf_by_alias = {leaf.alias: leaf for leaf in leaves}
         self._leaf_plan_cache: Dict[str, List[PlanNode]] = {}
+        # The DP table's lazy slice is, entry for entry, what a
+        # mode="traditional" DP retains — until ``_extend`` or ``_prune``
+        # drops a plain join such a DP would have kept.
+        self.lazy_exact = True
 
         # Unit ON conditions and local filters enter the predicate pool:
         # filters place naturally (their mask is the unit's own bit, so

@@ -20,13 +20,16 @@ Two entry points:
      optimize each with the greedy-conservative DP, then optimize the
      outer block over the Φ results and the remaining B′ relations;
   4. return the cheapest plan over all combinations — never worse than
-     the traditional plan, which is explicitly costed as a baseline.
+     the traditional plan, which is a point of the space just searched
+     (every Wᵢ = ∅, no early group-by): the outer block's DP reports it
+     beside its best plan, so the baseline costs no second search
+     except where ``optimize_query``'s "Guarantee" comment says so.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import ColumnRef, Expression, FieldKey
@@ -97,20 +100,21 @@ def _query_spec(query: CanonicalQuery) -> Optional[GroupingSpec]:
 
 
 def _maybe_rewrite_block(
-    block: QueryBlock, plan: PlanNode, optimizer: BlockOptimizer
-) -> PlanNode:
+    block: QueryBlock,
+    plan: PlanNode,
+    optimizer: BlockOptimizer,
+    baseline: Optional[PlanNode] = None,
+) -> Tuple[PlanNode, Optional[PlanNode]]:
     """Cost-based adoption of materialized-view rewrites: each legal
     match (``views.matcher``) yields an alternative backing-table plan
     for the same block (``views.rewrite``), kept only if cheaper under
     the cost model — the rewrite is an extra leaf alternative, never a
-    forced substitution."""
+    forced substitution. *baseline*, the block's traditional plan when
+    the search read one out, meets the same candidates."""
     if not optimizer.options.enable_view_rewrite:
-        return plan
-    views = optimizer.catalog.materialized_views()
-    if not views:
-        return plan
-    best = plan
-    for view in views:
+        return plan, baseline
+    best, best_baseline = plan, baseline
+    for view in optimizer.catalog.materialized_views():
         match = match_view(block, view)
         if match is None:
             continue
@@ -118,9 +122,14 @@ def _maybe_rewrite_block(
         candidate = build_rewrite_plan(match, block, optimizer.model)
         if candidate.props.cost < best.props.cost:
             best = candidate
+        if (
+            baseline is not None
+            and candidate.props.cost < best_baseline.props.cost
+        ):
+            best_baseline = candidate
     if best is not plan:
         optimizer.stats.view_rewrites_adopted += 1
-    return best
+    return best, best_baseline
 
 
 def _optimize_view(
@@ -134,7 +143,7 @@ def _optimize_view(
         spec=_block_spec(block),
         select=block.select,
     )
-    plan = _maybe_rewrite_block(block, plan, optimizer)
+    plan, _ = _maybe_rewrite_block(block, plan, optimizer)
     rename = RenameNode(
         plan,
         [
@@ -193,7 +202,10 @@ def _optimize_outer(
     query: CanonicalQuery,
     derived: Sequence[DerivedLeaf],
     optimizer: BlockOptimizer,
-) -> PlanNode:
+) -> Tuple[PlanNode, Optional[PlanNode]]:
+    """``(plan, baseline)`` for the outer block over *derived* view
+    leaves: ``BlockOptimizer.search_block``'s pair, each carried
+    through view rewriting and ORDER BY / LIMIT."""
     leaves: List[Leaf] = [BaseLeaf(ref) for ref in query.base_tables]
     leaves.extend(derived)
     for unit in query.joins:
@@ -216,7 +228,7 @@ def _optimize_outer(
         (spec, _mark_inner_plan(spec, optimizer))
         for spec in query.subqueries
     )
-    plan = optimizer.optimize_block(
+    plan, baseline = optimizer.search_block(
         leaves=leaves,
         predicates=dp_predicates,
         spec=_query_spec(query),
@@ -242,8 +254,12 @@ def _optimize_outer(
             having=query.having,
             select=query.select,
         )
-        plan = _maybe_rewrite_block(outer_block, plan, optimizer)
-    return _apply_presentation(plan, query, optimizer)
+        plan, baseline = _maybe_rewrite_block(
+            outer_block, plan, optimizer, baseline
+        )
+    if baseline is not None:
+        baseline = _apply_presentation(baseline, query, optimizer)
+    return _apply_presentation(plan, query, optimizer), baseline
 
 
 def _apply_presentation(
@@ -290,21 +306,12 @@ def optimize_traditional(
         query = decorrelate_query(query, options, stats)
     if propagate and options.enable_predicate_propagation:
         query = propagate_predicates(query)
-    baseline_options = replace(
-        options,
-        enable_pullup=False,
-        enable_pushdown=False,
-        enable_invariant_split=False,
-        # mode="traditional" never reaches the eager branches; stated
-        # here so the baseline's options read as what it actually does
-        enable_eager_aggregation=False,
-    )
     optimizer = BlockOptimizer(
-        catalog, params, baseline_options, mode="traditional", stats=stats
-    )
+        catalog, params, options, stats=stats
+    ).traditional_twin()
     derived = [_optimize_view(view, optimizer) for view in query.views]
-    plan = _optimize_outer(query, derived, optimizer)
-    if baseline_options.enable_projection_pruning:
+    plan, _ = _optimize_outer(query, derived, optimizer)
+    if options.enable_projection_pruning:
         # View boundaries: the block DP optimized each view for all of
         # its declared outputs; the lifetime pass narrows them to what
         # the outer block actually consumes.
@@ -314,6 +321,20 @@ def optimize_traditional(
         cost=plan.props.cost,
         stats=stats,
         pull_choices={view.alias: () for view in query.views},
+    )
+
+
+def _same_plan(a: PlanNode, b: PlanNode) -> bool:
+    """Node for node the same operator, output schema and derived
+    properties (rows, width, pages, cost, order, column metadata) —
+    everything a block DP reads off a leaf and ``explain`` /
+    ``prune_plan`` read off a tree."""
+    return a is b or (
+        type(a) is type(b)
+        and a.describe() == b.describe()
+        and a.schema == b.schema
+        and a.props == b.props
+        and all(map(_same_plan, a.children, b.children))
     )
 
 
@@ -461,6 +482,9 @@ def optimize_query(
     best_plan: Optional[PlanNode] = None
     best_choice: Dict[str, Tuple[str, ...]] = {}
     alternatives: List[Tuple[Dict[str, Tuple[str, ...]], float]] = []
+    # the traditional plan as this search found it, and its view leaves
+    readout: Optional[PlanNode] = None
+    readout_leaves: Sequence[DerivedLeaf] = ()
     for combo in combos:
         pulled_query = working
         for view_alias, pulled in combo.items():
@@ -472,7 +496,11 @@ def optimize_query(
             view_leaf(view.alias, combo.get(view.alias, ()), pulled_query)
             for view in pulled_query.views
         ]
-        plan = _optimize_outer(pulled_query, derived, optimizer)
+        plan, baseline = _optimize_outer(pulled_query, derived, optimizer)
+        if pulled_query is query:
+            # every W is ∅ and invariant split moved no table: the
+            # traditional outer block, leaf for leaf
+            readout, readout_leaves = baseline, derived
         alternatives.append((combo, plan.props.cost))
         if best_plan is None or plan.props.cost < best_plan.props.cost:
             best_plan = plan
@@ -485,15 +513,36 @@ def optimize_query(
         # guarantee under the narrowed widths.
         best_plan = prune_plan(best_plan, model=optimizer.model, stats=stats)
 
-    # Guarantee: never worse than the traditional optimizer. The query
-    # is already decorrelated; don't flatten (or count) again.
-    traditional = optimize_traditional(
-        query, catalog, params, options=options, decorrelate=False
-    )
-    stats.merge(traditional.stats)
-    if traditional.cost < best_plan.props.cost:
-        best_plan = traditional.plan
-        best_choice = traditional.pull_choices
+    # Guarantee: never worse than the traditional optimizer, whose plan
+    # is a point of the space just searched. *readout* is that plan when
+    # (1) invariant split moved no table, so the all-W = ∅ combination
+    # plans the query's own blocks; (2) the outer DP's lazy slice is
+    # exactly the traditional table (``search_block``); (3) its view
+    # leaves are, plan for plan, the traditional view plans — the shared
+    # view DP plans a W = ∅ leaf inside the maximal pulled block, which
+    # usually but not provably yields the view's own lazy plan, so the
+    # views are planned traditionally (a single-relation view has no
+    # join to search) and compared. Failing any of the three, the outer
+    # block is searched again, traditionally, on this search's cost
+    # model and scans. Either way the baseline is pruned and compared.
+    twin = optimizer.traditional_twin()
+    derived = [_optimize_view(view, twin) for view in query.views]
+    if readout is not None and all(
+        _same_plan(ours.plan, theirs.plan)
+        for ours, theirs in zip(readout_leaves, derived)
+    ):
+        traditional = readout
+    else:
+        stats.baseline_searches += 1
+        traditional, _ = _optimize_outer(query, derived, twin)
+    if options.enable_projection_pruning:
+        traditional = prune_plan(
+            traditional, model=optimizer.model, stats=stats
+        )
+    traditional_cost = traditional.props.cost
+    if traditional_cost < best_plan.props.cost:
+        best_plan = traditional
+        best_choice = {view.alias: () for view in query.views}
 
     return OptimizationResult(
         plan=best_plan,
@@ -501,7 +550,7 @@ def optimize_query(
         stats=stats,
         pull_choices=best_choice,
         alternatives=alternatives,
-        traditional_cost=traditional.cost,
+        traditional_cost=traditional_cost,
     )
 
 
@@ -557,7 +606,7 @@ def _shared_view_plans(
     leaves: Dict[Tuple[str, Tuple[str, ...]], DerivedLeaf] = {}
     for pulled, plan in plans.items():
         block = per_request_blocks[pulled]
-        plan = _maybe_rewrite_block(block, plan, optimizer)
+        plan, _ = _maybe_rewrite_block(block, plan, optimizer)
         rename = RenameNode(
             plan,
             [(view_alias, name, (None, name)) for name, _ in block.select],

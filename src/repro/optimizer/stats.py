@@ -20,7 +20,10 @@ class SearchStats:
 
     subsets_expanded: int = 0
     joinplan_calls: int = 0
-    """Physical join alternatives costed (one per method per pair)."""
+    """Physical join alternatives costed (one per method per pair).
+    Like ``plans_retained``, ``blocks_optimized`` and
+    ``view_rewrites_considered`` it counts the traditional baseline's
+    outer block only when that was searched (``baseline_searches``)."""
     joins_materialized: int = 0
     """Join nodes actually built: the DP costs every alternative as a
     light candidate and builds a node only for the ones pruning
@@ -68,6 +71,11 @@ class SearchStats:
     decorrelation_adopted: int = 0
     """Specs flattened into aggregate views / semi / anti / outer join
     units; the rest execute as naive mark joins."""
+    baseline_searches: int = 0
+    """Outer blocks ``optimize_query`` searched a second time,
+    traditionally, for the no-worse comparison (0 or 1 per call): 0
+    when the traditional plan was read out of the DP table the search
+    had already built."""
     timings: Dict[str, float] = field(default_factory=dict)
     """Per-phase elapsed seconds (``leaf_plans``, ``dp``, ``finalize``)."""
 
@@ -129,6 +137,11 @@ class SearchStats:
                 f" decorrelated={self.decorrelation_adopted}/"
                 f"{self.decorrelation_considered}"
                 if self.decorrelation_considered
+                else ""
+            )
+            + (
+                f" baseline_searches={self.baseline_searches}"
+                if self.baseline_searches
                 else ""
             )
         )

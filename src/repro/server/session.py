@@ -494,9 +494,23 @@ class Session:
             )
             footer = f"estimated cost: {optimization.cost:.0f} page IOs"
         lines = result.explain(analyze=statement.analyze).splitlines()
+        lines.append(footer)
+        if optimization.traditional_cost is not None:
+            # the no-worse comparison the optimizer made, and what won it
+            baseline = (
+                f"traditional plan: {optimization.traditional_cost:.0f} "
+                f"page IOs"
+            )
+            ratio = optimization.improvement_over_traditional
+            if ratio is not None:
+                baseline += f" ({ratio:.2f}x)"
+            for view, pulled in optimization.pull_choices.items():
+                if pulled:
+                    baseline += f"; pulled up: {view} <- ({', '.join(pulled)})"
+            lines.append(baseline)
         return SessionResult(
             kind="explain",
-            rows=[(line,) for line in lines + [footer]],
+            rows=[(line,) for line in lines],
             columns=["plan"],
             cache_hit=hit,
             query_result=result,

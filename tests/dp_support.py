@@ -8,6 +8,11 @@ the oracle case of ``test_property_optimizer.py``).
   with every join candidate built and annotated as a node before
   pruning — what the enumerator did before it costed candidates as
   scalars.
+- :func:`second_search`, the other test-only oracle: the independent
+  traditional search ``optimize_query`` ran for its no-worse baseline
+  before it read that plan out of its own DP table
+  (``tests/test_single_search.py``), with :func:`every_optimize_query`
+  and :func:`pruned_plans` to observe a search from outside.
 
 Run as a script to (re)generate the golden file — from the commit whose
 plans are to be pinned::
@@ -23,10 +28,19 @@ import io
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, List, Tuple
+from unittest import mock
 
-from repro.algebra.plan import JoinNode, explain
+import repro.db
+from repro.algebra.plan import JoinNode, PlanNode, explain
 from repro.db import Database
+from repro.optimizer import (
+    OptimizationResult,
+    OptimizerOptions,
+    canonical,
+    optimize_traditional,
+)
 from repro.optimizer.block import BlockOptimizer, _Entry
+from repro.optimizer.stats import SearchStats
 
 ROOT = Path(__file__).resolve().parent.parent
 E2E = ROOT / "benchmarks" / "e2e"
@@ -138,6 +152,51 @@ class BuildEverythingOptimizer(BlockOptimizer):
                 _Entry.of_plan(node, candidate.grouped, candidate.carry)
             )
         return entries
+
+
+def second_search(
+    query, catalog, params=None, options=None
+) -> OptimizationResult:
+    """The baseline as ``optimize_query`` used to obtain it: decorrelate
+    and propagate as it does, then a full ``optimize_traditional`` on
+    its own ``BlockOptimizer``, ``CostModel`` and leaf-plan cache."""
+    options = options or OptimizerOptions()
+    query = canonical.decorrelate_query(query, options, SearchStats())
+    if options.enable_predicate_propagation:
+        query = canonical.propagate_predicates(query)
+    return optimize_traditional(
+        query, catalog, params, options=options, decorrelate=False
+    )
+
+
+def every_optimize_query(on_call: Callable[..., None]):
+    """A context manager: while it is open, every ``optimize_query``
+    call a ``Database`` makes is reported as ``on_call(query, catalog,
+    params, options, result)``."""
+    original = repro.db.optimize_query
+
+    def reporting(query, catalog, params=None, options=None):
+        result = original(query, catalog, params, options)
+        on_call(query, catalog, params, options, result)
+        return result
+
+    return mock.patch.object(repro.db, "optimize_query", reporting)
+
+
+@contextlib.contextmanager
+def pruned_plans() -> Iterator[List[PlanNode]]:
+    """Every plan ``prune_plan`` hands back to ``optimize_query`` while
+    the block runs, in call order: per call its best plan, then the
+    traditional baseline it compared with (projection pruning on)."""
+    original = canonical.prune_plan
+    seen: List[PlanNode] = []
+
+    def recording(plan, model=None, stats=None):
+        seen.append(original(plan, model=model, stats=stats))
+        return seen[-1]
+
+    with mock.patch.object(canonical, "prune_plan", recording):
+        yield seen
 
 
 def render(plans: List[Tuple[str, str, float]]) -> str:

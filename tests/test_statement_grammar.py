@@ -289,19 +289,43 @@ class TestExplainStatement:
         assert (result.kind, result.columns) == ("explain", ["plan"])
         lines = [line for (line,) in result.rows]
         direct = emp_dept_db.query(BODY, execute=False)
-        assert lines[:-1] == direct.explain().splitlines()
-        assert lines[-1] == (
+        assert lines[:-2] == direct.explain().splitlines()
+        assert lines[-2] == (
             f"estimated cost: {direct.estimated_cost:.0f} page IOs"
         )
         assert result.query_result.executed_io is None
         assert "actual rows=" not in "\n".join(lines)
 
+    def test_explain_ends_with_the_traditional_baseline(
+        self, session, emp_dept_db
+    ):
+        """One line after the footer: the baseline the optimizer
+        compared with, the gain, and the pull-up that earned it."""
+        lines = [line for (line,) in session.execute(f"explain {BODY}").rows]
+        assert lines[-1] == "traditional plan: 1 page IOs (1.00x)"
+        pulled = (
+            "with a1(dno, asal) as (select e2.dno, avg(e2.sal) from emp e2 "
+            "group by e2.dno) select e1.sal from emp e1, a1 b "
+            "where e1.dno = b.dno and e1.age < 19 and e1.sal > b.asal"
+        )
+        result = session.execute(f"explain {pulled}")
+        optimization = result.query_result.optimization
+        assert optimization.pull_choices == {"b": ("e1",)}
+        assert result.rows[-1][0] == (
+            f"traditional plan: {optimization.traditional_cost:.0f} page IOs "
+            f"({optimization.improvement_over_traditional:.2f}x)"
+            "; pulled up: b <- (e1)"
+        )
+        with emp_dept_db.session(optimizer="traditional") as plain:
+            rows = plain.execute(f"explain {BODY}").rows
+        assert rows[-1][0].startswith("estimated cost: ")  # no baseline
+
     def test_explain_analyze_runs_and_reports(self, session):
         result = session.execute(f"explain analyze {BODY};")
         lines = [line for (line,) in result.rows]
-        assert all("actual rows=" in line for line in lines[:-1])
+        assert all("actual rows=" in line for line in lines[:-2])
         executed = result.query_result.executed_io.total
-        assert lines[-1].endswith(f"/ executed {executed} page IOs")
+        assert lines[-2].endswith(f"/ executed {executed} page IOs")
         assert executed > 0
 
     def test_inner_text_goes_through_the_plan_cache(self, session, emp_dept_db):
@@ -320,7 +344,8 @@ class TestExplainStatement:
             columns, rows = client.execute(f"explain analyze {BODY};")
         assert columns == ["plan"]
         assert "GroupBy" in "\n".join(row[0] for row in rows)
-        assert rows[-1][0].startswith("estimated ")
+        assert rows[-2][0].startswith("estimated ")
+        assert rows[-1][0].startswith("traditional plan: ")
 
     def test_analyze_of_an_ad_hoc_parameter_is_refused(self, session):
         from repro.errors import PlanError
