@@ -1,6 +1,8 @@
 # Convenience targets for the repro repository.
 
 PYTHON ?= python
+# Python with the in-tree package importable (src layout, nothing installed).
+PYSRC = PYTHONPATH=src $(PYTHON)
 
 .DEFAULT_GOAL := help
 
@@ -29,14 +31,14 @@ help:
 	@echo "  make serve            line-protocol server on demo data"
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYSRC) -m pytest tests/
 
 fuzz:
-	PYTHONPATH=src $(PYTHON) -m repro fuzz --seeds $(FUZZ_SEEDS) \
+	$(PYSRC) -m repro fuzz --seeds $(FUZZ_SEEDS) \
 		--profile $(FUZZ_PROFILE) --report FUZZ_report.json $(FUZZ_ARGS)
 
 fuzz-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fuzz --seeds 30 --profile smoke \
+	$(PYSRC) -m repro fuzz --seeds 30 --profile smoke \
 		--duration 60 --quiet --report FUZZ_report.json
 
 experiments:
@@ -63,16 +65,16 @@ bench-e2e-claim:
 	$(PYTHON) benchmarks/e2e/run.py compare $(CLAIM_OUT)/held-out/B.json $(CLAIM_OUT)/held-out/A.json
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/crossover_study.py
-	$(PYTHON) examples/decision_support.py
-	$(PYTHON) examples/nested_subqueries.py
-	$(PYTHON) examples/transformations_walkthrough.py
+	$(PYSRC) examples/quickstart.py
+	$(PYSRC) examples/crossover_study.py
+	$(PYSRC) examples/decision_support.py
+	$(PYSRC) examples/nested_subqueries.py
+	$(PYSRC) examples/transformations_walkthrough.py
 
 shell:
-	$(PYTHON) -m repro --demo
+	$(PYSRC) -m repro --demo
 
 serve:
-	$(PYTHON) -m repro serve --demo
+	$(PYSRC) -m repro serve --demo
 
 all: test experiments

@@ -13,8 +13,8 @@ is the full Figure 3 form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from ..errors import BindError, PlanError
 from .aggregates import AggregateCall
@@ -90,10 +90,6 @@ class QueryBlock:
     def alias_map(self) -> Dict[str, str]:
         """alias -> table name."""
         return {ref.alias: ref.table for ref in self.relations}
-
-    @property
-    def aggregate_names(self) -> FrozenSet[str]:
-        return frozenset(name for name, _ in self.aggregates)
 
     def aggregate_output_keys(self) -> FrozenSet[FieldKey]:
         """Field keys of the aggregate outputs (alias is always None)."""
@@ -254,10 +250,6 @@ class SubquerySpec:
     def inner_aliases(self) -> FrozenSet[str]:
         return frozenset(ref.alias for ref in self.relations)
 
-    @property
-    def is_correlated(self) -> bool:
-        return bool(self.correlations)
-
 
 @dataclass(frozen=True)
 class CanonicalQuery:
@@ -313,16 +305,6 @@ class CanonicalQuery:
         )
 
     @property
-    def join_unit_aliases(self) -> FrozenSet[str]:
-        return frozenset(unit.alias for unit in self.joins)
-
-    def join_unit(self, alias: str) -> Optional[JoinUnit]:
-        for unit in self.joins:
-            if unit.alias == alias:
-                return unit
-        return None
-
-    @property
     def view_aliases(self) -> FrozenSet[str]:
         return frozenset(view.alias for view in self.views)
 
@@ -331,10 +313,6 @@ class CanonicalQuery:
             if view.alias == alias:
                 return view
         raise BindError(f"no view with alias {alias!r}")
-
-    @property
-    def aggregate_names(self) -> FrozenSet[str]:
-        return frozenset(name for name, _ in self.aggregates)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ join is a foreign-key join into the relation's primary key.
 """
 
 from .schema import Column, Field, RowSchema
-from .statistics import ColumnStats, TableStats, analyze_table
+from ..stats.collect import ColumnStats, TableStats, analyze_table
 from .catalog import Catalog, ForeignKey, TableInfo
 
 __all__ = [

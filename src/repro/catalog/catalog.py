@@ -21,7 +21,8 @@ from ..storage.index import OrderedIndex
 from ..storage.snapshot import DatabaseSnapshot, TableSnapshot
 from ..storage.table import HeapTable
 from .schema import Column
-from .statistics import DEFAULT_CONFIG, StatsConfig, TableStats, analyze_table
+from ..stats.collect import DEFAULT_CONFIG, TableStats, analyze_table
+from ..stats.config import StatsConfig
 
 
 @dataclass(frozen=True)
@@ -318,11 +319,6 @@ class Catalog:
             self.info(table_name).analyze(self.stats_config)
         self.bump_epoch()
         return names
-
-    def analyze_all(self) -> None:
-        """Ensure every table has (possibly cached) statistics."""
-        for info in self._tables.values():
-            info.stats(self.stats_config)
 
     # ------------------------------------------------------------------
     # Views (definitions are opaque to the catalog; the SQL binder owns

@@ -38,7 +38,7 @@ from ..algebra.expressions import (
     comparison_with_parameter,
     equijoin_sides,
 )
-from ..catalog.statistics import ColumnStats
+from ..stats.collect import ColumnStats
 from ..stats.histogram import EquiDepthHistogram
 from .params import CostParams
 

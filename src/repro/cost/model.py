@@ -44,7 +44,7 @@ from ..algebra.plan import (
 )
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RID_COLUMN, RowSchema
-from ..catalog.statistics import TableStats
+from ..stats.collect import TableStats
 from ..engine.spill import (
     external_sort_extra_io,
     hash_group_extra_io,
@@ -67,10 +67,6 @@ class PlanProps:
     cost: float
     order: Tuple[FieldKey, ...] = ()
     colmeta: ColMetaMap = dataclass_field(default_factory=dict)
-
-    @property
-    def total_width_bytes(self) -> float:
-        return self.rows * self.width
 
 
 def executed_weighted_cost(

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra.plan import PlanNode, explain as explain_plan
@@ -40,7 +40,7 @@ from .optimizer.canonical import (
     optimize_query,
     optimize_traditional,
 )
-from .optimizer.options import OptimizerOptions
+from .optimizer.options import LEVELS, OptimizerOptions, level_options
 from .server.plancache import PlanCache
 from .sql import ddl
 from .sql.ast import SelectStmt, ViewDefAst
@@ -90,14 +90,8 @@ def _derive_view_columns(view_name: str, body) -> List[str]:
     return names
 
 
-OPTIMIZERS = ("full", "greedy", "traditional")
-"""Available optimizer levels.
-
-- ``"traditional"`` — Section 5.1 two-phase baseline.
-- ``"greedy"`` — traditional phases but each block uses the greedy
-  conservative heuristic (push-down only, no pull-up).
-- ``"full"`` — the complete Section 5.3/5.4 algorithm (default).
-"""
+OPTIMIZERS = tuple(LEVELS)
+"""Available optimizer levels (``repro.optimizer.options.LEVELS``)."""
 
 
 @dataclass
@@ -378,25 +372,13 @@ class Database:
         options: Optional[OptimizerOptions] = None,
     ) -> OptimizationResult:
         self._refresh_relevant_views(query, options)
-        if optimizer == "traditional":
-            return optimize_traditional(
-                query, self.catalog, self.params, options=options
-            )
-        if optimizer == "greedy":
-            greedy_options = replace(
-                options or OptimizerOptions(),
-                enable_pullup=False,
-                enable_invariant_split=False,
-                enable_pushdown=True,
-            )
-            return optimize_query(
-                query, self.catalog, self.params, greedy_options
-            )
-        if optimizer == "full":
-            return optimize_query(query, self.catalog, self.params, options)
-        raise ReproError(
-            f"unknown optimizer {optimizer!r} (choose from {OPTIMIZERS})"
+        leveled = level_options(optimizer, options)
+        search = (
+            optimize_traditional
+            if optimizer == "traditional"
+            else optimize_query
         )
+        return search(query, self.catalog, self.params, leveled)
 
     def _refresh_relevant_views(
         self,

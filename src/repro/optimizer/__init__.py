@@ -1,14 +1,19 @@
 """Cost-based optimizers for queries with aggregate views (Section 5).
 
-Three optimizers, in increasing search-space order:
+Three optimizer levels, in increasing search-space order, each a set
+of forced switches in ``options.LEVELS``:
 
-- :func:`optimize_traditional` — the Section 5.1 baseline: each view
-  optimized locally with Selinger DP (group-by after all joins), then
-  the outer block the same way, views treated as base relations.
-- greedy conservative heuristic (``mode="greedy"`` in the block
-  optimizer) — Section 5.2: the DP also considers an early group-by at
-  each extension, keeping it only when cheaper and no wider.
-- :func:`optimize_query` — the full Section 5.3/5.4 algorithm:
+- ``"traditional"``, :func:`optimize_traditional` — the Section 5.1
+  baseline: each view optimized locally with Selinger DP (group-by
+  after all joins), then the outer block the same way, views treated
+  as base relations.
+- ``"greedy"`` — Section 5.2, :func:`optimize_query` with pull-up and
+  invariant split off: the block DP also considers an early group-by
+  at each extension. With eager retention (the default) it keeps the
+  group-by as an alternative and cost decides; with
+  ``enable_eager_aggregation=False`` the greedy conservative heuristic
+  keeps it only when cheaper and no wider.
+- ``"full"``, :func:`optimize_query` — the full Section 5.3/5.4 algorithm:
   invariant-split each view to its minimal invariant set, enumerate
   pull-up sets W per view (restricted by predicate sharing and k-level
   pull-up), optimize every Φ(V′, W) with the greedy DP, then the outer

@@ -30,13 +30,13 @@ Sections 5.3/5.4 reuse this module for both phases.
 
 Search-space engineering (see ``joingraph.py``): the DP is keyed on
 integer bitsets over a precomputed :class:`~.joingraph.JoinGraph`, and
-by default (``enumeration="graph"``) materializes only *connected*
-subsets — the classic DPsize restriction. Cross-product plans are
-still produced for disconnected join graphs via the exhaustive
-fallback, and ``enumeration="exhaustive"`` forces the seed's full
-2ⁿ-subset walk (the parity reference). Predicate
-classification per (subset, joined alias) and leaf access-path plans
-are memoized so each is computed once, not once per candidate join.
+materializes only *connected* subsets — the classic DPsize restriction
+— whenever the block's join graph is one component. A disconnected
+join graph needs cross products, so it takes the seed's full 2ⁿ-subset
+walk (``_dp_table(force_exhaustive=True)`` forces that walk: the parity
+reference). Predicate classification per (subset, joined alias) and
+leaf access-path plans are memoized so each is computed once, not once
+per candidate join.
 
 Enumeration is *cost-first*: the 3–4 physical methods of one (left
 plan, right plan) pair share their predicates, projection, output
@@ -65,7 +65,7 @@ after the joins; unflattened subquery specs are applied there too, as
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from time import perf_counter
 from typing import (
@@ -82,7 +82,6 @@ from typing import (
 
 from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
-    ColumnRef,
     Expression,
     FieldKey,
     equijoin_sides,
@@ -114,18 +113,8 @@ from ..transforms.eager import (
     weighted_partials,
 )
 from .joingraph import JoinGraph
-from .options import OptimizerOptions
+from .options import OptimizerOptions, level_options
 from .stats import SearchStats
-
-ENUMERATIONS = ("graph", "exhaustive")
-"""DP subset enumeration strategies.
-
-- ``"graph"`` (default) — connected subsets only, via the bitset join
-  graph; falls back to the exhaustive walk when the block's join graph
-  is disconnected (cross products required).
-- ``"exhaustive"`` — every subset, the seed enumerator's search space;
-  kept as the parity reference.
-"""
 
 
 @dataclass(frozen=True)
@@ -237,29 +226,20 @@ class _Entry:
 
 class BlockOptimizer:
     """Optimizes one block; reusable across blocks (stats accumulate,
-    and identical base-leaf access paths are planned once)."""
+    and identical base-leaf access paths are planned once). *options*
+    alone decide what the DP considers: with ``enable_pushdown`` off it
+    is the Section 5.1 traditional DP (plain joins, group-by last)."""
 
     def __init__(
         self,
         catalog: Catalog,
         params: Optional[CostParams] = None,
         options: Optional[OptimizerOptions] = None,
-        mode: str = "greedy",
         stats: Optional[SearchStats] = None,
-        enumeration: str = "graph",
     ):
-        if mode not in ("greedy", "traditional"):
-            raise PlanError(f"unknown optimizer mode {mode!r}")
-        if enumeration not in ENUMERATIONS:
-            raise PlanError(
-                f"unknown enumeration {enumeration!r} "
-                f"(choose from {ENUMERATIONS})"
-            )
         self.catalog = catalog
         self.params = params or CostParams()
         self.options = options or OptimizerOptions()
-        self.mode = mode
-        self.enumeration = enumeration
         self.stats = stats if stats is not None else SearchStats()
         self.model = CostModel(
             catalog,
@@ -280,21 +260,12 @@ class BlockOptimizer:
     # ------------------------------------------------------------------
 
     def traditional_twin(self) -> "BlockOptimizer":
-        """This optimizer in ``mode="traditional"``, transformations off
-        (the Section 5.1 baseline), over the *same* cost model, base-leaf
-        plan cache and stats: a baseline planned beside a search is
-        costed by the search's model and re-plans none of its scans."""
+        """This optimizer at the ``"traditional"`` level (the Section
+        5.1 baseline), over the *same* cost model, base-leaf plan cache
+        and stats: a baseline planned beside a search is costed by the
+        search's model and re-plans none of its scans."""
         twin = copy(self)
-        twin.mode = "traditional"
-        twin.options = replace(
-            self.options,
-            enable_pullup=False,
-            enable_pushdown=False,
-            enable_invariant_split=False,
-            # mode="traditional" never reaches the eager branches; stated
-            # here so the baseline's options read as what it actually does
-            enable_eager_aggregation=False,
-        )
+        twin.options = level_options("traditional", self.options)
         return twin
 
     def optimize_block(self, *args, **kwargs) -> PlanNode:
@@ -312,9 +283,10 @@ class BlockOptimizer:
         marks: Sequence[Tuple[SubquerySpec, PlanNode]] = (),
     ) -> Tuple[PlanNode, Optional[PlanNode]]:
         """Return ``(plan, baseline)``: the cheapest annotated plan
-        computing the block, and what a ``mode="traditional"`` search of
-        it returns — read out of the same DP table (:meth:`_finalize`),
-        ``None`` when that cannot be established.
+        computing the block, and what a traditional search
+        (:meth:`traditional_twin`) of it returns — read out of the same
+        DP table (:meth:`_finalize`), ``None`` when that cannot be
+        established.
 
         The output schema is one field ``(None, name)`` per *select*
         entry, in order. *join_units* names leaves joined through a
@@ -353,7 +325,9 @@ class BlockOptimizer:
             post_predicates=tuple(post_predicates),
             marks=tuple(marks),
         )
-        entries = self._run_dp(context)
+        entries = self._dp_table(context).get(context.graph.all_mask)
+        if not entries:
+            raise PlanError("the DP produced no plan for the full block")
         return self._finalize(context, entries)
 
     def optimize_block_shared(
@@ -389,20 +363,8 @@ class BlockOptimizer:
         extra_needed: Set[FieldKey] = set()
         agg_args: Set[FieldKey] = set()
         for _, _, spec, select in requests:
-            if spec is not None:
-                extra_needed |= set(spec.group_keys)
-                for _, call in spec.aggregates:
-                    agg_args |= set(call.columns())
-                for predicate in spec.having:
-                    extra_needed |= {
-                        key
-                        for key in predicate.columns()
-                        if key[0] is not None
-                    }
-            for _, source in select:
-                extra_needed |= {
-                    key for key in source.columns() if key[0] is not None
-                }
+            extra_needed |= _output_columns(spec, select)
+            agg_args |= _argument_columns(spec)
 
         context = _BlockContext(
             self,
@@ -432,7 +394,6 @@ class BlockOptimizer:
         ):
             table = self._dp_table(context, force_exhaustive=True)
 
-        started = perf_counter()
         results: Dict[object, PlanNode] = {}
         for key, subset, spec, select in requests:
             entries = table.get(self._request_mask(graph, subset))
@@ -440,19 +401,9 @@ class BlockOptimizer:
                 raise PlanError(
                     f"shared DP produced no plan for subset {sorted(subset)}"
                 )
-            best: Optional[PlanNode] = None
-            best_entry: Optional[_Entry] = None
-            for entry in entries:
-                for candidate in context.final_plans(
-                    entry, spec=spec, select=tuple(select)
-                ):
-                    if best is None or candidate.props.cost < best.props.cost:
-                        best = candidate
-                        best_entry = entry
-            assert best is not None and best_entry is not None
-            self._record_adoption(best_entry)
-            results[key] = best
-        self.stats.add_time("finalize", perf_counter() - started)
+            results[key], _ = self._finalize(
+                context, entries, spec, tuple(select)
+            )
         return results
 
     @staticmethod
@@ -467,13 +418,6 @@ class BlockOptimizer:
     # ------------------------------------------------------------------
     # DP over subsets
     # ------------------------------------------------------------------
-
-    def _run_dp(self, context: "_BlockContext") -> List[_Entry]:
-        table = self._dp_table(context)
-        full = table.get(context.graph.all_mask)
-        if not full:
-            raise PlanError("the DP produced no plan for the full block")
-        return full
 
     def _dp_table(
         self, context: "_BlockContext", force_exhaustive: bool = False
@@ -498,11 +442,7 @@ class BlockOptimizer:
         # Connected-only enumeration is sound only when the whole block
         # is one component; a disconnected join graph needs the seed's
         # cross-product extensions, i.e. the exhaustive walk.
-        use_graph = (
-            self.enumeration == "graph"
-            and not force_exhaustive
-            and graph.component_count() <= 1
-        )
+        use_graph = not force_exhaustive and graph.component_count() <= 1
         subsets = (
             graph.connected_subsets() if use_graph else graph.all_subsets()
         )
@@ -532,7 +472,7 @@ class BlockOptimizer:
             remainder = subset_mask & ~bit
             if remainder not in table:
                 continue
-            if bit & context.unit_mask and context.unit_dep(bit) & ~remainder:
+            if bit & context.unit_mask and context.unit_dep[bit] & ~remainder:
                 # A unit's ON condition references aliases not yet in
                 # the prefix: the unit cannot be joined here.
                 continue
@@ -548,7 +488,7 @@ class BlockOptimizer:
         candidates: List[_Entry] = []
         for remainder, bit, _ in pairs:
             alias = graph.aliases[bit.bit_length() - 1]
-            right_plans = context.leaf_plans(context.leaf(alias))
+            right_plans = context.leaf_plans(context.leaf_by_alias[alias])
             for left_entry in table[remainder]:
                 for right_plan in right_plans:
                     candidates.extend(
@@ -584,11 +524,7 @@ class BlockOptimizer:
             right_alias, right_bit, left_entry.grouped, left_entry.carry,
         )
 
-        if (
-            self.mode != "greedy"
-            or not self.options.enable_pushdown
-            or context.decomposed is None
-        ):
+        if context.decomposed is None:  # push-down off, or nothing to push
             return entries1
 
         eager = self.options.enable_eager_aggregation
@@ -620,7 +556,7 @@ class BlockOptimizer:
                     )
 
         # The greedy comparison runs (and its counters record the
-        # verdict) in both modes; only in pre-eager mode does it decide.
+        # verdict) with eager retention on or off; only off does it decide.
         chosen = entries1
         if entries2:
             if not entries1:
@@ -819,15 +755,20 @@ class BlockOptimizer:
     # ------------------------------------------------------------------
 
     def _finalize(
-        self, context: "_BlockContext", entries: List[_Entry]
+        self,
+        context: "_BlockContext",
+        entries: List[_Entry],
+        spec: Optional[GroupingSpec] = None,
+        select: Optional[Tuple[Tuple[str, Expression], ...]] = None,
     ) -> Tuple[PlanNode, Optional[PlanNode]]:
-        """The cheapest finalization over all *entries*, and over their
-        lazy slice (``grouped=False, carry=False``) alone.
+        """The cheapest finalization (``final_plans`` with *spec* and
+        *select*) over all *entries*, and over their lazy slice
+        (``grouped=False, carry=False``) alone.
 
         A lazy entry is only ever built from lazy entries, and pruning
         keeps one entry per ``(grouped, carry, useful order)`` class, so
         while ``context.lazy_exact`` holds, every subset's lazy slice
-        *is* what a ``mode="traditional"`` DP over this context retains,
+        *is* what a traditional DP over this context retains,
         in order, and the second plan is that DP's result (same
         iteration, same strict ``<``: ties break alike); else ``None``."""
         started = perf_counter()
@@ -836,7 +777,7 @@ class BlockOptimizer:
         baseline: Optional[PlanNode] = None
         for entry in entries:
             lazy = not entry.grouped and not entry.carry
-            for candidate in context.final_plans(entry):
+            for candidate in context.final_plans(entry, spec, select):
                 cost = candidate.props.cost
                 if best is None or cost < best.props.cost:
                     best = candidate
@@ -897,6 +838,39 @@ class BlockOptimizer:
         return pruned
 
 
+def _output_columns(
+    spec: Optional[GroupingSpec], select: Sequence[Tuple[str, Expression]]
+) -> Set[FieldKey]:
+    """What a finalization reads besides aggregate arguments: the
+    grouping keys and the qualified columns of HAVING and *select*."""
+    columns: Set[FieldKey] = set()
+    if spec is not None:
+        columns |= set(spec.group_keys)
+        for predicate in spec.having:
+            columns |= {
+                key for key in predicate.columns() if key[0] is not None
+            }
+    for _, source in select:
+        columns |= {key for key in source.columns() if key[0] is not None}
+    return columns
+
+
+def _argument_columns(spec: Optional[GroupingSpec]) -> Set[FieldKey]:
+    """The columns *spec*'s aggregates read."""
+    columns: Set[FieldKey] = set()
+    if spec is not None:
+        for _, call in spec.aggregates:
+            columns |= set(call.columns())
+    return columns
+
+
+def _ordered_on(plan: PlanNode, keys: Sequence[FieldKey]) -> bool:
+    """Whether *plan* arrives sorted on *keys*, in any key order — a
+    sort-based group-by over it then needs no sort."""
+    order = plan.props.order if plan.props else ()
+    return bool(keys) and set(order[: len(keys)]) == set(keys)
+
+
 # A cached predicate-classification step: either an oriented equijoin
 # candidate ("equi", left_key, right_key, predicate) still subject to
 # the per-plan schema check, or a definite residual ("res", None, None,
@@ -936,10 +910,10 @@ class _BlockContext:
         }
         self.post_predicates = post_predicates
         self.marks = marks
-        self._leaf_by_alias = {leaf.alias: leaf for leaf in leaves}
+        self.leaf_by_alias = {leaf.alias: leaf for leaf in leaves}
         self._leaf_plan_cache: Dict[str, List[PlanNode]] = {}
         # The DP table's lazy slice is, entry for entry, what a
-        # mode="traditional" DP retains — until ``_extend`` or ``_prune``
+        # traditional DP retains — until ``_extend`` or ``_prune``
         # drops a plain join such a DP would have kept.
         self.lazy_exact = True
 
@@ -961,7 +935,7 @@ class _BlockContext:
         )
         self.predicates = all_predicates
 
-        self.graph = JoinGraph(self._leaf_by_alias, all_predicates)
+        self.graph = JoinGraph(self.leaf_by_alias, all_predicates)
         # (predicate, strict mask): mask is None when the predicate
         # references an alias outside this block (never placeable, its
         # columns always pending), 0 when it references no alias. A unit
@@ -999,7 +973,7 @@ class _BlockContext:
         # condition references (minus itself) — the aliases that must be
         # joined before the unit can be.
         self.unit_mask = 0
-        self._unit_dep: Dict[int, int] = {}
+        self.unit_dep: Dict[int, int] = {}
         for unit in join_units:
             bit = self.graph.mask_of_alias[unit.alias]
             self.unit_mask |= bit
@@ -1008,7 +982,7 @@ class _BlockContext:
                 strict = self.graph.strict_mask_of(predicate.aliases())
                 assert strict is not None  # checked above
                 dep |= strict & ~bit
-            self._unit_dep[bit] = dep
+            self.unit_dep[bit] = dep
 
         self.decomposed: Optional[DecomposedAggregates] = None
         if (
@@ -1049,28 +1023,6 @@ class _BlockContext:
                 post_columns |= set(outer.columns())
         post_columns = {key for key in post_columns if key[0] is not None}
 
-        # Base columns needed anywhere in the block.
-        needed: Set[FieldKey] = set()
-        for predicate in all_predicates:
-            needed |= set(predicate.columns())
-        needed |= post_columns
-        if spec is not None:
-            needed |= set(spec.group_keys)
-            for _, call in spec.aggregates:
-                needed |= set(call.columns())
-            for predicate in spec.having:
-                needed |= {
-                    key for key in predicate.columns() if key[0] is not None
-                }
-        for _, source in select:
-            needed |= {
-                key for key in source.columns() if key[0] is not None
-            }
-        needed |= extra_needed
-        self.needed: FrozenSet[FieldKey] = frozenset(
-            key for key in needed if key[0] is not None
-        )
-
         # Column lifetime: what an ancestor still references once every
         # predicate over a subset has been applied — the final grouping
         # keys, aggregate inputs, HAVING and select columns, plus
@@ -1079,24 +1031,22 @@ class _BlockContext:
         # over them is *pending* (``pending_columns``), which is what
         # lets a join projection drop a join key or filter column the
         # moment its last predicate has been applied.
-        top: Set[FieldKey] = set()
-        if spec is not None:
-            top |= set(spec.group_keys)
-            for _, call in spec.aggregates:
-                top |= set(call.columns())
-            for predicate in spec.having:
-                top |= {
-                    key for key in predicate.columns() if key[0] is not None
-                }
-        for _, source in select:
-            top |= {
-                key for key in source.columns() if key[0] is not None
-            }
-        top |= extra_needed
-        top |= post_columns
+        top = (
+            _output_columns(spec, select)
+            | _argument_columns(spec)
+            | extra_needed
+            | post_columns
+        )
         self.top_needed: FrozenSet[FieldKey] = frozenset(
             key for key in top if key[0] is not None
         )
+        # Base columns needed anywhere in the block.
+        self.needed: FrozenSet[FieldKey] = self.top_needed | {
+            key
+            for predicate in all_predicates
+            for key in predicate.columns()
+            if key[0] is not None
+        }
 
         # Interesting orders: join columns and grouping columns.
         interesting: Set[FieldKey] = set()
@@ -1111,13 +1061,6 @@ class _BlockContext:
     # ------------------------------------------------------------------
     # Leaves
     # ------------------------------------------------------------------
-
-    def leaf(self, alias: str) -> Leaf:
-        return self._leaf_by_alias[alias]
-
-    def unit_dep(self, bit: int) -> int:
-        """Mask of aliases a unit's ON condition needs joined first."""
-        return self._unit_dep[bit]
 
     def leaf_plans(self, leaf: Leaf) -> List[PlanNode]:
         cached = self._leaf_plan_cache.get(leaf.alias)
@@ -1470,21 +1413,7 @@ class _BlockContext:
             return None
         if prescreen and not self._eager_shrinks(plan, keys):
             return None
-
-        order = plan.props.order if plan.props else ()
-        if set(order[: len(keys)]) == set(keys) and keys:
-            method = "sort"
-        else:
-            method = "hash"
-        group = GroupByNode(
-            plan,
-            group_keys=keys,
-            aggregates=aggregates,
-            method=method,
-            eager="partial",
-        )
-        self.model.annotate(group)
-        return group
+        return self._eager_node(plan, keys, aggregates, "partial")
 
     def carry_group(
         self, plan: PlanNode, subset_mask: int
@@ -1504,16 +1433,23 @@ class _BlockContext:
             return None
         if not self._eager_shrinks(plan, keys):
             return None
-        order = plan.props.order if plan.props else ()
-        method = (
-            "sort" if set(order[: len(keys)]) == set(keys) else "hash"
-        )
+        return self._eager_node(plan, keys, carry_aggregates(), "carry")
+
+    def _eager_node(
+        self,
+        plan: PlanNode,
+        keys: List[FieldKey],
+        aggregates: Tuple[Tuple[str, AggregateCall], ...],
+        eager: str,
+    ) -> PlanNode:
+        """An annotated eager group-by over *plan*: sort-based when
+        *plan* already arrives ordered on *keys*, hash-based otherwise."""
         group = GroupByNode(
             plan,
             group_keys=keys,
-            aggregates=carry_aggregates(),
-            method=method,
-            eager="carry",
+            aggregates=aggregates,
+            method="sort" if _ordered_on(plan, keys) else "hash",
+            eager=eager,
         )
         self.model.annotate(group)
         return group
@@ -1570,11 +1506,8 @@ class _BlockContext:
             having = spec.having
 
         results: List[PlanNode] = []
-        methods = ["hash"]
-        order = plan.props.order if plan.props else ()
         keys = list(spec.group_keys)
-        if keys and set(order[: len(keys)]) == set(keys):
-            methods.append("sort")
+        methods = ["hash", "sort"] if _ordered_on(plan, keys) else ["hash"]
         for method in methods:
             group = GroupByNode(
                 plan,

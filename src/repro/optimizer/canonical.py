@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..algebra.expressions import ColumnRef, Expression, FieldKey
 from ..algebra.plan import LimitNode, PlanNode, RenameNode, SortNode
@@ -42,7 +42,6 @@ from ..algebra.query import (
 )
 from ..catalog.catalog import Catalog
 from ..cost.params import CostParams
-from ..errors import PlanError
 from ..transforms.decorrelate import decorrelate_query
 from ..transforms.invariant import split_view
 from ..transforms.propagate import propagate_predicates
@@ -51,7 +50,7 @@ from ..views.matcher import match_view
 from ..views.rewrite import build_rewrite_plan
 from .block import BaseLeaf, BlockOptimizer, DerivedLeaf, GroupingSpec, Leaf
 from .joingraph import JoinGraph
-from .options import OptimizerOptions
+from .options import OptimizerOptions, level_options
 from .pruning import prune_plan
 from .stats import SearchStats
 
@@ -79,23 +78,16 @@ class OptimizationResult:
         return self.traditional_cost / self.cost
 
 
-def _block_spec(block: QueryBlock) -> Optional[GroupingSpec]:
+def _grouping_spec(
+    block: Union[QueryBlock, CanonicalQuery]
+) -> Optional[GroupingSpec]:
+    """The final grouping of a view block or of the outer block."""
     if not block.is_grouped:
         return None
     return GroupingSpec(
         group_keys=tuple(ref.key for ref in block.group_by),
         aggregates=block.aggregates,
         having=block.having,
-    )
-
-
-def _query_spec(query: CanonicalQuery) -> Optional[GroupingSpec]:
-    if not query.is_grouped:
-        return None
-    return GroupingSpec(
-        group_keys=tuple(ref.key for ref in query.group_by),
-        aggregates=query.aggregates,
-        having=query.having,
     )
 
 
@@ -140,19 +132,23 @@ def _optimize_view(
     plan = optimizer.optimize_block(
         leaves=[BaseLeaf(ref) for ref in block.relations],
         predicates=block.predicates,
-        spec=_block_spec(block),
+        spec=_grouping_spec(block),
         select=block.select,
     )
+    return _view_leaf(view.alias, block, plan, optimizer)
+
+
+def _view_leaf(
+    alias: str, block: QueryBlock, plan: PlanNode, optimizer: BlockOptimizer
+) -> DerivedLeaf:
+    """*plan* for a view's *block* (or a cheaper materialized-view
+    rewrite of it), its outputs renamed under the view *alias*."""
     plan, _ = _maybe_rewrite_block(block, plan, optimizer)
     rename = RenameNode(
-        plan,
-        [
-            (view.alias, name, (None, name))
-            for name, _ in block.select
-        ],
+        plan, [(alias, name, (None, name)) for name, _ in block.select]
     )
     optimizer.model.annotate(rename)
-    return DerivedLeaf(alias=view.alias, plan=rename)
+    return DerivedLeaf(alias=alias, plan=rename)
 
 
 def _mark_inner_plan(
@@ -231,7 +227,7 @@ def _optimize_outer(
     plan, baseline = optimizer.search_block(
         leaves=leaves,
         predicates=dp_predicates,
-        spec=_query_spec(query),
+        spec=_grouping_spec(query),
         select=query.select,
         join_units=query.joins,
         post_predicates=tuple(post_predicates),
@@ -283,32 +279,28 @@ def optimize_traditional(
     query: CanonicalQuery,
     catalog: Catalog,
     params: Optional[CostParams] = None,
-    propagate: bool = True,
     options: Optional[OptimizerOptions] = None,
-    decorrelate: bool = True,
 ) -> OptimizationResult:
     """The Section 5.1 baseline: local view optimization, then a linear
     join order treating the views as base relations, group-bys last.
 
-    Predicate propagation across blocks runs first — the paper's
-    premise is that traditional optimizers already do that much
-    ([MFPR90, LMS94], Section 1); ``propagate=False`` ablates it.
-    Every field of *options* that is not a transformation switch
-    (statistics, pruning, view rewriting, plan-retention limits, …) is
-    honored, so the baseline is costed under the same model as the
-    search it is compared with; the transformations themselves are off
-    by definition. ``decorrelate=False`` skips subquery flattening for
-    callers that already decorrelated (the full optimizer's baseline
-    comparison)."""
+    Subquery flattening and predicate propagation across blocks run
+    first — the paper's premise is that traditional optimizers already
+    do that much ([MFPR90, LMS94], Section 1);
+    ``enable_predicate_propagation=False`` ablates the latter. Every
+    field of *options* that is not a transformation switch (statistics,
+    pruning, view rewriting, plan-retention limits, …) is honored, so
+    the baseline is costed under the same model as the search it is
+    compared with; the transformations themselves are off by definition
+    (``LEVELS["traditional"]``)."""
     options = options or OptimizerOptions()
     stats = SearchStats()
-    if decorrelate:
-        query = decorrelate_query(query, options, stats)
-    if propagate and options.enable_predicate_propagation:
+    query = decorrelate_query(query, options, stats)
+    if options.enable_predicate_propagation:
         query = propagate_predicates(query)
     optimizer = BlockOptimizer(
-        catalog, params, options, stats=stats
-    ).traditional_twin()
+        catalog, params, level_options("traditional", options), stats
+    )
     derived = [_optimize_view(view, optimizer) for view in query.views]
     plan, _ = _optimize_outer(query, derived, optimizer)
     if options.enable_projection_pruning:
@@ -347,9 +339,7 @@ def optimize_query(
     """The full cost-based algorithm of Sections 5.3/5.4."""
     options = options or OptimizerOptions()
     stats = SearchStats()
-    optimizer = BlockOptimizer(
-        catalog, params, options, mode="greedy", stats=stats
-    )
+    optimizer = BlockOptimizer(catalog, params, options, stats)
 
     # Step 0a: flatten subqueries into join units / grouped views (Kim-
     # style decorrelation); unflattenable specs stay behind as marks.
@@ -591,7 +581,7 @@ def _shared_view_plans(
             (
                 pulled,
                 frozenset(ref.alias for ref in block.relations),
-                _block_spec(block),
+                _grouping_spec(block),
                 block.select,
             )
         )
@@ -599,23 +589,16 @@ def _shared_view_plans(
     plans = optimizer.optimize_block_shared(
         leaves=[BaseLeaf(ref) for ref in maximal_block.relations],
         predicates=maximal_block.predicates,
-        base_spec=_block_spec(maximal_block),
+        base_spec=_grouping_spec(maximal_block),
         base_select=maximal_block.select,
         requests=requests,
     )
-    leaves: Dict[Tuple[str, Tuple[str, ...]], DerivedLeaf] = {}
-    for pulled, plan in plans.items():
-        block = per_request_blocks[pulled]
-        plan, _ = _maybe_rewrite_block(block, plan, optimizer)
-        rename = RenameNode(
-            plan,
-            [(view_alias, name, (None, name)) for name, _ in block.select],
+    return {
+        (view_alias, pulled): _view_leaf(
+            view_alias, per_request_blocks[pulled], plan, optimizer
         )
-        optimizer.model.annotate(rename)
-        leaves[(view_alias, pulled)] = DerivedLeaf(
-            alias=view_alias, plan=rename
-        )
-    return leaves
+        for pulled, plan in plans.items()
+    }
 
 
 def _pullup_candidates(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ..algebra.expressions import Expression, FieldKey
+from ..algebra.expressions import Expression
 
 
 class JoinGraph:
@@ -40,12 +40,9 @@ class JoinGraph:
 
     __slots__ = (
         "aliases",
-        "bit_of",
         "mask_of_alias",
         "all_mask",
         "pred_masks",
-        "pred_strict_masks",
-        "pred_columns",
         "join_pred_masks",
         "adjacency",
     )
@@ -58,9 +55,6 @@ class JoinGraph:
         # visits aliases in the same order as ``sorted(subset)`` did in
         # the FrozenSet enumerator, keeping cost-tie winners identical.
         self.aliases: Tuple[str, ...] = tuple(sorted(aliases))
-        self.bit_of: Dict[str, int] = {
-            alias: position for position, alias in enumerate(self.aliases)
-        }
         self.mask_of_alias: Dict[str, int] = {
             alias: 1 << position
             for position, alias in enumerate(self.aliases)
@@ -73,19 +67,12 @@ class JoinGraph:
         # Only multi-leaf predicates induce edges — and only predicates
         # fully inside the block: one referencing a foreign alias can
         # never be applied by any join here, so it connects nothing.
-        strict_masks = [
-            self.strict_mask_of(predicate.aliases())
-            for predicate in predicates
-        ]
-        self.pred_strict_masks: Tuple[Optional[int], ...] = tuple(
-            strict_masks
-        )
-        self.pred_columns: Tuple[FrozenSet[FieldKey], ...] = tuple(
-            predicate.columns() for predicate in predicates
-        )
         self.join_pred_masks: Tuple[int, ...] = tuple(
             mask
-            for mask in strict_masks
+            for mask in (
+                self.strict_mask_of(predicate.aliases())
+                for predicate in predicates
+            )
             if mask is not None and mask.bit_count() >= 2
         )
         adjacency = [0] * len(self.aliases)
@@ -145,22 +132,6 @@ class JoinGraph:
             low = mask & -mask
             yield low
             mask &= mask - 1
-
-    def border_columns(self, subset_mask: int) -> FrozenSet[FieldKey]:
-        """Columns of predicates crossing the border of *subset_mask* —
-        the join keys an eager partial group-by over the subset must
-        keep as grouping columns. A predicate crosses when it touches
-        the subset but also references an alias outside it (foreign
-        aliases, strict mask ``None``, always count as outside)."""
-        crossing = set()
-        for columns, mask, strict in zip(
-            self.pred_columns, self.pred_masks, self.pred_strict_masks
-        ):
-            if not (mask & subset_mask):
-                continue
-            if strict is None or strict & ~subset_mask:
-                crossing |= columns
-        return frozenset(crossing)
 
     # ------------------------------------------------------------------
     # Connectivity

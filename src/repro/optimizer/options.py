@@ -9,7 +9,10 @@ individual knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
+
+from ..errors import ReproError
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,42 @@ class OptimizerOptions:
             raise ValueError("max_combinations must be positive")
 
 
-TRADITIONAL = OptimizerOptions(
-    enable_pullup=False,
-    enable_pushdown=False,
-    enable_invariant_split=False,
-    enable_eager_aggregation=False,
-)
+LEVELS: Dict[str, Dict[str, bool]] = {
+    "full": {},
+    "greedy": {
+        "enable_pullup": False,
+        "enable_invariant_split": False,
+        "enable_pushdown": True,
+    },
+    "traditional": {
+        "enable_pullup": False,
+        "enable_pushdown": False,
+        "enable_invariant_split": False,
+        "enable_eager_aggregation": False,
+    },
+}
+"""The optimizer levels, each as the transformation switches it forces;
+every other field of the caller's options passes through unchanged.
+
+- ``"full"`` — the complete Section 5.3/5.4 algorithm (default).
+- ``"greedy"`` — no pull-up or invariant split; each block's DP still
+  considers early group-bys (Section 5.2 push-down).
+- ``"traditional"`` — the Section 5.1 baseline: every transformation
+  off, group-bys after all joins.
+"""
+
+
+def level_options(
+    level: str, options: Optional[OptimizerOptions] = None
+) -> OptimizerOptions:
+    """*options* (default: the defaults) with *level*'s switches forced."""
+    forced = LEVELS.get(level)
+    if forced is None:
+        raise ReproError(
+            f"unknown optimizer {level!r} (choose from {tuple(LEVELS)})"
+        )
+    return replace(options or OptimizerOptions(), **forced)
+
+
+TRADITIONAL = level_options("traditional")
 """The Section 5.1 baseline expressed as options."""

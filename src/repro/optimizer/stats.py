@@ -83,18 +83,6 @@ class SearchStats:
         """Accumulate *seconds* of wall-clock under *phase*."""
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
-    def merge(self, other: "SearchStats") -> None:
-        for spec in fields(self):
-            if spec.name == "timings":
-                for phase, seconds in other.timings.items():
-                    self.add_time(phase, seconds)
-            else:
-                setattr(
-                    self,
-                    spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name),
-                )
-
     def as_dict(self) -> Dict[str, Any]:
         """Every counter by field name, timings flattened to
         ``time_<phase>_s`` keys — the CLI never hand-maintains the

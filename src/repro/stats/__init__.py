@@ -8,9 +8,6 @@
   estimator for sublinear ANALYZE on large tables.
 - :mod:`repro.stats.feedback` — per-operator estimate-vs-actual
   q-error, closing the loop through ``explain(analyze=True)``.
-
-``repro.catalog.statistics`` re-exports the core types for backward
-compatibility; new code should import from here.
 """
 
 from .collect import DEFAULT_CONFIG, ColumnStats, TableStats, analyze_table
@@ -28,9 +25,10 @@ _FEEDBACK_EXPORTS = (
 
 
 def __getattr__(name):
-    # Feedback helpers depend on the algebra layer, which (transitively)
-    # imports the catalog, which imports this package — so they load
-    # lazily to keep `repro.catalog.statistics -> repro.stats` cycle-free.
+    # Feedback helpers load lazily: an eager import closes the cycle
+    # repro.algebra.expressions -> repro.catalog -> repro.stats ->
+    # repro.stats.feedback -> repro.algebra.plan -> repro.algebra.aggregates
+    # -> repro.algebra.expressions (still partially initialized).
     if name in _FEEDBACK_EXPORTS:
         from . import feedback
 

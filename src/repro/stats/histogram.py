@@ -62,18 +62,6 @@ class EquiDepthHistogram:
             below += self._point_fraction(bucket)
         return min(1.0, max(0.0, below))
 
-    def eq_fraction(self, value: float) -> float:
-        """Fraction of non-null rows equal to *value* (assuming *value*
-        is not an MCV — callers consult the MCV list first)."""
-        if not self.fractions:
-            return 0.0
-        if value < self.bounds[0] or value > self.bounds[-1]:
-            return 0.0
-        bucket = min(
-            bisect_right(self.bounds, value) - 1, len(self.fractions) - 1
-        )
-        return self._point_fraction(bucket)
-
     def _point_fraction(self, bucket: int) -> float:
         """One value's share of rows within *bucket*: the bucket's
         fraction spread uniformly over its distinct values."""

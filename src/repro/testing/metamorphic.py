@@ -30,7 +30,7 @@ from ..cost.params import CostParams
 from ..db import Database
 from ..engine.reference import rows_equal_bag
 from ..errors import ReproError
-from ..optimizer.options import OptimizerOptions
+from ..optimizer.options import TRADITIONAL, OptimizerOptions
 from .oracle import OracleError, SqliteOracle, oracle_rows
 from .sqlgen import Stmt
 
@@ -66,14 +66,9 @@ CONFIGS: Tuple[EngineConfig, ...] = (
         "full-norewrite",
         options=OptimizerOptions(enable_view_rewrite=False),
     ),
-    EngineConfig(
-        "full-notransforms",
-        options=OptimizerOptions(
-            enable_pullup=False,
-            enable_pushdown=False,
-            enable_invariant_split=False,
-        ),
-    ),
+    # The full search under the traditional level's options: every
+    # transformation off, so only the search path differs.
+    EngineConfig("full-notransforms", options=TRADITIONAL),
     EngineConfig("greedy-batch", optimizer="greedy"),
     EngineConfig("traditional-batch", optimizer="traditional"),
     EngineConfig(

@@ -96,10 +96,6 @@ class QuerySpec:
     def is_grouped(self) -> bool:
         return bool(self.group_by)
 
-    def uses_holistic(self) -> bool:
-        text = self.to_sql().lower()
-        return any(f"{name}(" in text for name in HOLISTIC_AGGREGATES)
-
     def to_sql(self) -> str:
         parts: List[str] = []
         if self.views:

@@ -40,6 +40,7 @@ from ..engine.executor import execute_plan
 from ..engine.metrics import ExecutionMetrics
 from ..errors import CatalogError, UnsupportedFeatureError
 from ..optimizer.block import BaseLeaf, BlockOptimizer, GroupingSpec
+from ..optimizer.options import TRADITIONAL
 from ..sql.binder import Binder
 from ..storage.iocounter import IOCounter, IOSnapshot
 from ..storage.table import HeapTable
@@ -233,7 +234,7 @@ def _partial_plan(
     backing_select: Tuple[Tuple[str, Expression], ...],
 ):
     """A traditional-DP plan computing one backing row per group."""
-    optimizer = BlockOptimizer(catalog, params, mode="traditional")
+    optimizer = BlockOptimizer(catalog, params, TRADITIONAL)
     spec = GroupingSpec(
         group_keys=tuple(ref.key for ref in group_by),
         aggregates=spec_aggregates,

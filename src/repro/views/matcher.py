@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
@@ -76,18 +76,6 @@ class ViewMatch:
     exact_grouping: bool
     """True when the query's groups coincide with the view's groups, so
     each backing row is one result group and no re-grouping is needed."""
-
-
-def find_matches(
-    block: QueryBlock, views: Sequence[MaterializedView]
-) -> List[ViewMatch]:
-    """All legal single-view rewrites of *block*, one per view."""
-    matches: List[ViewMatch] = []
-    for view in views:
-        match = match_view(block, view)
-        if match is not None:
-            matches.append(match)
-    return matches
 
 
 def match_view(

@@ -22,7 +22,7 @@ shared :class:`~repro.transforms.coalescing.DecomposedAggregates`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import ColumnRef, Expression, FieldKey

@@ -44,10 +44,6 @@ class EmpDeptConfig:
     def age_threshold(self) -> int:
         return 22
 
-    @property
-    def budget_threshold(self) -> float:
-        return 1_000_000.0
-
 
 def build_empdept(config: Optional[EmpDeptConfig] = None) -> Database:
     """Build a database holding the configured emp/dept instance."""

@@ -11,8 +11,9 @@ the oracle case of ``test_property_optimizer.py``).
 - :func:`second_search`, the other test-only oracle: the independent
   traditional search ``optimize_query`` ran for its no-worse baseline
   before it read that plan out of its own DP table
-  (``tests/test_single_search.py``), with :func:`every_optimize_query`
-  and :func:`pruned_plans` to observe a search from outside.
+  (``tests/test_single_search.py``) — ``optimize_traditional`` itself —
+  with :func:`every_optimize_query` and :func:`pruned_plans` to observe
+  a search from outside.
 
 Run as a script to (re)generate the golden file — from the commit whose
 plans are to be pinned::
@@ -35,12 +36,10 @@ from repro.algebra.plan import JoinNode, PlanNode, explain
 from repro.db import Database
 from repro.optimizer import (
     OptimizationResult,
-    OptimizerOptions,
     canonical,
     optimize_traditional,
 )
 from repro.optimizer.block import BlockOptimizer, _Entry
-from repro.optimizer.stats import SearchStats
 
 ROOT = Path(__file__).resolve().parent.parent
 E2E = ROOT / "benchmarks" / "e2e"
@@ -157,16 +156,11 @@ class BuildEverythingOptimizer(BlockOptimizer):
 def second_search(
     query, catalog, params=None, options=None
 ) -> OptimizationResult:
-    """The baseline as ``optimize_query`` used to obtain it: decorrelate
-    and propagate as it does, then a full ``optimize_traditional`` on
-    its own ``BlockOptimizer``, ``CostModel`` and leaf-plan cache."""
-    options = options or OptimizerOptions()
-    query = canonical.decorrelate_query(query, options, SearchStats())
-    if options.enable_predicate_propagation:
-        query = canonical.propagate_predicates(query)
-    return optimize_traditional(
-        query, catalog, params, options=options, decorrelate=False
-    )
+    """The baseline as ``optimize_query`` used to obtain it: a full
+    ``optimize_traditional`` — decorrelating and propagating as
+    ``optimize_query`` does — on its own ``BlockOptimizer``,
+    ``CostModel`` and leaf-plan cache."""
+    return optimize_traditional(query, catalog, params, options)
 
 
 def every_optimize_query(on_call: Callable[..., None]):

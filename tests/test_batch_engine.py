@@ -29,6 +29,7 @@ from repro.engine import rowexec
 from repro.engine.context import Result
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.optimizer.block import BaseLeaf, BlockOptimizer, GroupingSpec
+from repro.optimizer.options import TRADITIONAL
 from repro.workloads import (
     JoinWorkloadConfig,
     RandomQueryConfig,
@@ -217,7 +218,7 @@ class TestWorkloadPlansDifferential:
             )
         )
         optimizer = BlockOptimizer(
-            workload.db.catalog, workload.db.params, mode="traditional"
+            workload.db.catalog, workload.db.params, TRADITIONAL
         )
         plan = optimizer.optimize_block(
             [BaseLeaf(ref) for ref in workload.relations],

@@ -17,14 +17,11 @@ from repro.engine.reference import (
 from repro.algebra.query import QueryBlock
 from repro.errors import PlanError
 from repro.optimizer import BaseLeaf, BlockOptimizer, GroupingSpec
-from repro.optimizer.options import OptimizerOptions
+from repro.optimizer.options import TRADITIONAL, OptimizerOptions
 
 
-def optimize(db, leaves, predicates, spec, select, mode="greedy",
-             options=None):
-    optimizer = BlockOptimizer(
-        db.catalog, db.params, options or OptimizerOptions(), mode=mode
-    )
+def optimize(db, leaves, predicates, spec, select, options=None):
+    optimizer = BlockOptimizer(db.catalog, db.params, options)
     plan = optimizer.optimize_block(leaves, predicates, spec, select)
     return plan, optimizer
 
@@ -191,7 +188,7 @@ class TestGroupedBlocks:
         leaves, predicates, spec, select = self.grouped_args()
         plan, _ = optimize(
             emp_dept_db, leaves, predicates, spec, select,
-            mode="traditional",
+            options=TRADITIONAL,
         )
         result = run_plan(emp_dept_db, plan)
         assert rows_equal_bag(self.reference(emp_dept_db).rows, result.rows)
@@ -209,7 +206,7 @@ class TestGroupedBlocks:
         )
         traditional_plan, _ = optimize(
             emp_dept_db, leaves, predicates, spec, select,
-            mode="traditional",
+            options=TRADITIONAL,
         )
         assert greedy_plan.props.cost <= traditional_plan.props.cost
 
@@ -217,7 +214,7 @@ class TestGroupedBlocks:
         leaves, predicates, spec, select = self.grouped_args()
         plan, _ = optimize(
             emp_dept_db, leaves, predicates, spec, select,
-            mode="traditional",
+            options=TRADITIONAL,
         )
         groups = [
             node for node in plan_nodes(plan)
@@ -326,7 +323,7 @@ class TestEarlyGroupingDecision:
         leaves, predicates, spec, select = self.args()
         plan, optimizer = optimize(db, leaves, predicates, spec, select)
         traditional, _ = optimize(
-            db, leaves, predicates, spec, select, mode="traditional"
+            db, leaves, predicates, spec, select, options=TRADITIONAL
         )
         assert optimizer.stats.early_groupby_accepted > 0
         assert plan.props.cost < traditional.props.cost

@@ -205,7 +205,7 @@ class TestJoinAndGrouping:
 
 class TestColMeta:
     def test_from_stats_numeric(self):
-        from repro.catalog.statistics import ColumnStats
+        from repro.stats.collect import ColumnStats
 
         meta = ColMeta.from_stats(
             ColumnStats(n_distinct=5, min_value=1, max_value=9), rows=100

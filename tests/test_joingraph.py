@@ -5,19 +5,26 @@ Two layers of guarantee:
 1. :class:`JoinGraph.connected_subsets` visits *exactly* the connected
    subsets of size ≥ 2, cross-checked against a brute-force walk of all
    2ⁿ subsets on randomized chain/star/clique/disconnected workloads.
-2. The :class:`BlockOptimizer` with graph enumeration chooses plans of
-   identical cost *and operator shape* as the exhaustive reference
-   enumerator (the seed search space), in both greedy and traditional
-   modes. The workloads use selective equijoins (large key domain) so
-   connected join orders strictly dominate cross products and the
-   comparison is free of equal-cost ties.
+2. The :class:`BlockOptimizer`'s connected-subset walk chooses plans of
+   identical cost *and operator shape* as the exhaustive walk (the seed
+   search space, ``_dp_table(force_exhaustive=True)``), at both the
+   greedy and the traditional level. The workloads use selective
+   equijoins (large key domain) so connected join orders strictly
+   dominate cross products and the comparison is free of equal-cost
+   ties.
 """
 
 import pytest
 
 from repro.algebra.plan import explain
-from repro.optimizer.block import BaseLeaf, BlockOptimizer, GroupingSpec
+from repro.optimizer.block import (
+    BaseLeaf,
+    BlockOptimizer,
+    GroupingSpec,
+    _BlockContext,
+)
 from repro.optimizer.joingraph import JoinGraph
+from repro.optimizer.options import level_options
 from repro.workloads import JoinWorkloadConfig, build_join_workload
 
 TOPOLOGIES = ("chain", "star", "clique", "disconnected")
@@ -38,21 +45,32 @@ def _brute_force_connected(graph):
     return found
 
 
-def _plans_by_enumeration(workload, mode):
-    """The block's chosen plan under each enumeration, same *mode*."""
+def _grouped_context(workload, optimizer):
     spec = GroupingSpec(
         group_keys=workload.group_keys, aggregates=workload.aggregates
     )
     leaves = [BaseLeaf(ref) for ref in workload.relations]
-    return {
-        enumeration: BlockOptimizer(
-            workload.db.catalog,
-            workload.db.params,
-            mode=mode,
-            enumeration=enumeration,
-        ).optimize_block(leaves, workload.predicates, spec, workload.select)
-        for enumeration in ("graph", "exhaustive")
-    }
+    return _BlockContext(
+        optimizer, leaves, tuple(workload.predicates), spec,
+        tuple(workload.select),
+    )
+
+
+def _plans_by_enumeration(workload, level):
+    """The block's chosen plan under each subset walk, same *level*."""
+    plans = {}
+    for walk in ("graph", "exhaustive"):
+        optimizer = BlockOptimizer(
+            workload.db.catalog, workload.db.params, level_options(level)
+        )
+        context = _grouped_context(workload, optimizer)
+        table = optimizer._dp_table(
+            context, force_exhaustive=walk == "exhaustive"
+        )
+        plans[walk], _ = optimizer._finalize(
+            context, table[context.graph.all_mask]
+        )
+    return plans
 
 
 class TestConnectedSubsetEnumeration:
@@ -110,13 +128,13 @@ class TestOptimizerParity:
     search space — cost and operator shape — on every workload."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    @pytest.mark.parametrize("mode", ["greedy", "traditional"])
+    @pytest.mark.parametrize("level", ["greedy", "traditional"])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_identical_plan_and_cost(self, topology, mode, seed):
+    def test_identical_plan_and_cost(self, topology, level, seed):
         workload = build_join_workload(
             JoinWorkloadConfig(topology=topology, leaves=5, seed=seed)
         )
-        plans = _plans_by_enumeration(workload, mode)
+        plans = _plans_by_enumeration(workload, level)
         assert plans["graph"].props.cost == plans["exhaustive"].props.cost
         assert explain(plans["graph"]) == explain(plans["exhaustive"])
 
@@ -127,9 +145,7 @@ class TestOptimizerParity:
         spec = GroupingSpec(
             group_keys=workload.group_keys, aggregates=workload.aggregates
         )
-        optimizer = BlockOptimizer(
-            workload.db.catalog, workload.db.params, mode="greedy"
-        )
+        optimizer = BlockOptimizer(workload.db.catalog, workload.db.params)
         optimizer.optimize_block(
             [BaseLeaf(ref) for ref in workload.relations],
             workload.predicates,
@@ -147,35 +163,13 @@ class TestOptimizerParity:
         workload = build_join_workload(
             JoinWorkloadConfig(topology="chain", leaves=6, seed=0)
         )
-        spec = GroupingSpec(
-            group_keys=workload.group_keys, aggregates=workload.aggregates
+        optimizer = BlockOptimizer(workload.db.catalog, workload.db.params)
+        optimizer._dp_table(
+            _grouped_context(workload, optimizer), force_exhaustive=True
         )
-        optimizer = BlockOptimizer(
-            workload.db.catalog,
-            workload.db.params,
-            mode="greedy",
-            enumeration="exhaustive",
-        )
-        optimizer.optimize_block(
-            [BaseLeaf(ref) for ref in workload.relations],
-            workload.predicates,
-            spec,
-            workload.select,
-        )
+        # every one of the 57 subsets of size >= 2, none skipped
+        assert optimizer.stats.subsets_expanded == 57
         assert optimizer.stats.connected_subsets_skipped == 0
-
-    def test_unknown_enumeration_rejected(self):
-        from repro.errors import PlanError
-
-        workload = build_join_workload(
-            JoinWorkloadConfig(topology="chain", leaves=4, seed=0)
-        )
-        with pytest.raises(PlanError):
-            BlockOptimizer(
-                workload.db.catalog,
-                workload.db.params,
-                enumeration="mystery",
-            )
 
 
 class TestScalingBenchSmoke:
@@ -188,10 +182,10 @@ class TestScalingBenchSmoke:
             workload = build_join_workload(
                 JoinWorkloadConfig(topology=topology, leaves=4, seed=0)
             )
-            for mode in ("greedy", "traditional"):
-                plans = _plans_by_enumeration(workload, mode)
+            for level in ("greedy", "traditional"):
+                plans = _plans_by_enumeration(workload, level)
                 assert (
                     plans["graph"].props.cost
                     == plans["exhaustive"].props.cost
                     > 0
-                ), (topology, mode)
+                ), (topology, level)

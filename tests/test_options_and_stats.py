@@ -6,7 +6,13 @@ import pytest
 
 from repro.algebra.plan import ScanNode, plan_nodes
 from repro.cost.params import CostParams
-from repro.optimizer.options import TRADITIONAL, OptimizerOptions
+from repro.errors import ReproError
+from repro.optimizer.options import (
+    LEVELS,
+    TRADITIONAL,
+    OptimizerOptions,
+    level_options,
+)
 from repro.optimizer.stats import SearchStats
 from repro.workloads.generator import RandomQueryConfig, build_star_database
 
@@ -21,9 +27,30 @@ class TestOptimizerOptions:
         assert options.share_view_dp
 
     def test_traditional_preset(self):
+        assert TRADITIONAL == level_options("traditional")
         assert not TRADITIONAL.enable_pullup
         assert not TRADITIONAL.enable_pushdown
         assert not TRADITIONAL.enable_invariant_split
+        assert not TRADITIONAL.enable_eager_aggregation
+
+    def test_each_level_forces_only_its_switches(self):
+        options = OptimizerOptions(
+            enable_pushdown=False,
+            enable_eager_aggregation=False,
+            k_level=1,
+            width_guard=False,
+            max_plans_per_set=3,
+            use_statistics=False,
+        )
+        for level, forced in LEVELS.items():
+            leveled = level_options(level, options)
+            for spec in fields(OptimizerOptions):
+                expected = forced.get(spec.name, getattr(options, spec.name))
+                assert getattr(leveled, spec.name) == expected, (level, spec)
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(ReproError, match="unknown optimizer 'mystery'"):
+            level_options("mystery")
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -43,14 +70,9 @@ class TestOptimizerOptions:
             options.k_level = 5  # type: ignore[misc]
 
 
-#: The switches the ``greedy`` / ``traditional`` levels force by
-#: definition (what ``TRADITIONAL`` turns off); every *other* field must
-#: reach the cost model of all three levels.
-TRANSFORMATION_FLAGS = {
-    spec.name
-    for spec in fields(OptimizerOptions)
-    if getattr(TRADITIONAL, spec.name) != spec.default
-}
+#: The switches some level forces by definition (``LEVELS``); every
+#: *other* field must reach the cost model of every level.
+TRANSFORMATION_FLAGS = {name for forced in LEVELS.values() for name in forced}
 
 HOT_KEY_SQL = (
     "select f.d1_id, sum(f.qty) as s from fact f, dim1 d "
@@ -73,9 +95,9 @@ def _fact_scan(result):
 
 
 class TestOptionForwarding:
-    """``greedy`` and ``traditional`` derive their options from the
-    caller's; no field may be silently reset on the way (the §5
-    no-worse comparison must be made under one cost model)."""
+    """Every level derives its options from the caller's; no field may
+    be silently reset on the way (the §5 no-worse comparison must be
+    made under one cost model)."""
 
     @pytest.fixture(scope="class")
     def star_db(self):
@@ -95,15 +117,16 @@ class TestOptionForwarding:
         default = getattr(OptimizerOptions(), name)
         flipped = (not default) if isinstance(default, bool) else 1
         options = OptimizerOptions(**{name: flipped})
-        results = {
-            level: star_db.optimize(HOT_KEY_SQL, level, options)
-            for level in ("full", "greedy", "traditional")
+        leaves = {
+            _fact_scan(star_db.optimize(HOT_KEY_SQL, level, options))
+            for level in LEVELS
         }
-        leaves = {level: _fact_scan(r) for level, r in results.items()}
-        assert leaves["full"] == leaves["greedy"] == leaves["traditional"]
+        assert len(leaves) == 1
         for sql in (HOT_KEY_SQL, VIEW_SQL):
             standalone = star_db.optimize(sql, "traditional", options).cost
-            for level in ("full", "greedy"):
+            for level in LEVELS:
+                if level == "traditional":
+                    continue  # it is the standalone baseline
                 searched = star_db.optimize(sql, level, options)
                 assert searched.traditional_cost == standalone
                 assert searched.cost <= standalone
@@ -145,44 +168,6 @@ class TestCostParams:
 
 
 class TestSearchStats:
-    def test_merge_accumulates(self):
-        first = SearchStats(joinplan_calls=3, subsets_expanded=2)
-        second = SearchStats(joinplan_calls=4, plans_retained=5)
-        first.merge(second)
-        assert first.joinplan_calls == 7
-        assert first.subsets_expanded == 2
-        assert first.plans_retained == 5
-
-    def test_merge_all_fields(self):
-        source = SearchStats(
-            subsets_expanded=1,
-            joinplan_calls=2,
-            plans_retained=3,
-            plans_pruned=4,
-            early_groupby_considered=5,
-            early_groupby_accepted=6,
-            pullup_sets_enumerated=7,
-            combinations_enumerated=8,
-            combinations_truncated=9,
-            blocks_optimized=10,
-            view_plans_reused=11,
-            connected_subsets_skipped=12,
-            predicate_split_cache_hits=13,
-            timings={"dp": 0.5, "finalize": 0.25},
-        )
-        target = SearchStats()
-        target.merge(source)
-        assert target == source
-
-    def test_merge_accumulates_timings(self):
-        first = SearchStats()
-        first.add_time("dp", 1.0)
-        second = SearchStats()
-        second.add_time("dp", 0.5)
-        second.add_time("leaf_plans", 0.25)
-        first.merge(second)
-        assert first.timings == {"dp": 1.5, "leaf_plans": 0.25}
-
     def test_as_dict_covers_every_field_and_flattens_timings(self):
         stats = SearchStats(joinplan_calls=4, connected_subsets_skipped=9)
         stats.add_time("dp", 0.125)

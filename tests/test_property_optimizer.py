@@ -11,6 +11,7 @@ from repro.cost import CostParams
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.optimizer import optimize_query, optimize_traditional
 from repro.optimizer.block import BaseLeaf, BlockOptimizer, GroupingSpec
+from repro.optimizer.options import level_options
 from repro.workloads import (
     JoinWorkloadConfig,
     RandomQueryConfig,
@@ -93,7 +94,7 @@ class TestCostFirstDpAgainstBuildEverything:
     @given(case=join_workload())
     @settings(max_examples=25, deadline=None)
     def test_same_plan_cost_and_counters(self, case):
-        workload, params, mode = case
+        workload, params, level = case
         spec = GroupingSpec(
             group_keys=workload.group_keys, aggregates=workload.aggregates
         )
@@ -104,7 +105,7 @@ class TestCostFirstDpAgainstBuildEverything:
             ("oracle", BuildEverythingOptimizer),
         ):
             optimizer = optimizer_class(
-                workload.db.catalog, params, mode=mode
+                workload.db.catalog, params, level_options(level)
             )
             plan = optimizer.optimize_block(
                 leaves, workload.predicates, spec, workload.select

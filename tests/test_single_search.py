@@ -17,6 +17,7 @@ from repro.algebra.expressions import ColumnRef
 from repro.algebra.plan import explain
 from repro.algebra.query import CanonicalQuery
 from repro.optimizer import OptimizerOptions, optimize_query
+from repro.optimizer.options import level_options
 from repro.optimizer.block import (
     BaseLeaf,
     BlockOptimizer,
@@ -120,7 +121,7 @@ class TestLazySlice:
             leaves, workload.predicates, spec, select
         )
         oracle = BlockOptimizer(
-            catalog, params, options, mode="traditional"
+            catalog, params, level_options("traditional", options)
         ).optimize_block(leaves, workload.predicates, spec, select)
         assert plan.props.cost <= oracle.props.cost or baseline is None
         if baseline is not None:
@@ -133,18 +134,20 @@ class TestLazySlice:
     @settings(max_examples=40, deadline=None)
     def test_exact_slice_equals_traditional_table(self, case):
         """Whenever a block reports its lazy slice exact, every subset's
-        slice is the table a ``mode="traditional"`` DP retains — and no
-        retained entry is cheaper than its left input, the monotonicity
+        slice is the table a traditional DP retains — and no retained
+        entry is cheaper than its left input, the monotonicity
         ``_prune``'s per-class cut relies on."""
         workload, params, options, leaves, spec, select = case
-        catalog = workload.db.catalog
+        searching = BlockOptimizer(workload.db.catalog, params, options)
         tables = {}
-        for mode in ("greedy", "traditional"):
-            optimizer = BlockOptimizer(catalog, params, options, mode=mode)
+        for level, optimizer in (
+            ("greedy", searching),
+            ("traditional", searching.traditional_twin()),
+        ):
             context = _BlockContext(
                 optimizer, leaves, workload.predicates, spec, select
             )
-            tables[mode] = optimizer._dp_table(context), context.lazy_exact
+            tables[level] = optimizer._dp_table(context), context.lazy_exact
         table, exact = tables["greedy"]
         for entries in table.values():
             for entry in entries:
