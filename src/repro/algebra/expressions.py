@@ -159,11 +159,9 @@ class Parameter(Expression):
     default selectivity, index-probe extraction carries ``col = $n``
     into ``ScanNode.index_values`` as it would a literal, and
     view-matching subsumption proofs refuse them. They get their values
-    when a plan runs: the columnar engine reads them from
-    ``ExecutionContext.parameters`` (:meth:`value`), the ``rowexec``
-    baseline runs a copy of the plan with :class:`Literal` s substituted
-    (``repro.server.planrewrite.bind_parameters``). Indexes are
-    1-based, following PREPARE convention.
+    when a plan runs: the engine reads them from
+    ``ExecutionContext.parameters`` (:meth:`value`). Indexes are 1-based,
+    following PREPARE convention.
     """
 
     __slots__ = ("index",)

@@ -632,6 +632,10 @@ def explain(plan: PlanNode, indent: int = 0, metrics: Any = None) -> str:
             line += f" width={ran.width}"
         if ran.cells:
             line += f" cells={ran.cells}"
+        if ran.groups:
+            line += f" groups={ran.groups}"
+        if ran.matches:
+            line += f" matches={ran.matches}"
         if ran.fused:
             line += " fused"
         if ran.spill_reads or ran.spill_writes:

@@ -366,8 +366,10 @@ def fuzz_main(argv: List[str]) -> int:
         prog="python -m repro fuzz",
         description=(
             "Differential fuzzing: generate seeded SQL scripts, replay "
-            "them across the plan-space config matrix, and compare every "
-            "query against the SQLite / reference oracles."
+            "them across the plan-space config matrix, compare every "
+            "query against the SQLite / reference oracles, and every "
+            "executed plan's page IO against the cost model's under the "
+            "run's actual counts."
         ),
     )
     parser.add_argument(
@@ -444,6 +446,12 @@ def fuzz_main(argv: List[str]) -> int:
         f"seeds, {report.queries_checked} queries across {report.configs} "
         f"configs in {report.duration_seconds:.1f}s{stopped}"
     )
+    for config, tally in report.io.items():
+        print(
+            f"  {config}: io_checked={tally.io_checked} "
+            f"io_equal={tally.io_equal} "
+            f"io_index_exempt={tally.io_index_exempt}"
+        )
     if report.ok:
         print("no divergences")
         return 0

@@ -163,6 +163,15 @@ class CostModel:
             self.annotate_tree(child)
         return self.annotate(plan)
 
+    def _count(self, node: PlanNode, estimate: float) -> float:
+        """The one count *node*'s IO charge reads besides its inputs'
+        rows and pages: a group-by's groups before HAVING, an index
+        probe's matching entries (per probe, for an index NLJ's inner
+        scan). The model answers with its *estimate*; the exact-IO
+        oracle (:mod:`repro.testing.exactio`) answers with what a run
+        counted."""
+        return estimate
+
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
@@ -212,8 +221,12 @@ class CostModel:
                     f"{plan.table_name!r}"
                 )
             # Equality probe: traversal (which reaches the first leaf) +
-            # extra leaf pages + one data page per matching tuple
-            # (unclustered discipline, mirroring OrderedIndex charging).
+            # extra leaf pages + one data page per matching tuple. That
+            # is not what storage charges: fetching charges one read per
+            # data page *change* (``PagedColumns.fetch_columns``), so
+            # matches sharing a page cost one read, not one each; and a
+            # run of matches straddling a leaf boundary reads one leaf
+            # more than the ceiling below prices.
             # With a literal probe value the match count is MCV-aware:
             # probing a known-hot key is priced at its real frequency,
             # not the 1/NDV average. A ``$n`` probe value equals no MCV
@@ -227,6 +240,7 @@ class CostModel:
                 matches = table_rows / max(
                     1.0, eq_meta.ndv if eq_meta else 1.0
                 )
+            matches = self._count(plan, matches)
             extra_leaves = max(
                 0.0, math.ceil(matches / index.entries_per_page) - 1
             )
@@ -410,7 +424,9 @@ class CostModel:
                 right_plan.table_name, right_plan.alias
             )
             key_meta = meta[(right_plan.alias, index.column_names[0])]
-            matches = float(stats.row_count) / max(1.0, key_meta.ndv)
+            matches = self._count(
+                right_plan, float(stats.row_count) / max(1.0, key_meta.ndv)
+            )
             extra_leaves = max(
                 0.0, math.ceil(matches / index.entries_per_page) - 1
             )
@@ -447,7 +463,10 @@ class CostModel:
         if child is None:
             raise PlanError("group-by child must be annotated first")
         meta = dict(child.colmeta)
-        groups = self.estimator.group_rows(child.rows, plan.group_keys, meta)
+        groups = self._count(
+            plan,
+            self.estimator.group_rows(child.rows, plan.group_keys, meta),
+        )
 
         internal_width = plan.internal_schema.width
         if plan.method == "sort":

@@ -31,7 +31,7 @@ from .catalog.schema import Column
 from .cost.params import CostParams
 from .datatypes import DataType
 from .engine.context import ExecutionContext, Result
-from .engine.executor import check_engine, execute_plan
+from .engine.executor import execute_plan
 from .engine.metrics import ExecutionMetrics
 from .engine.reference import evaluate_canonical
 from .errors import CatalogError, ReproError
@@ -167,7 +167,7 @@ class Database:
 
     def session(self, **kwargs) -> "Any":
         """Open a :class:`repro.server.session.Session` on this database
-        (keyword arguments pass through: optimizer, options, engine,
+        (keyword arguments pass through: optimizer, options,
         use_plan_cache)."""
         from .server.session import Session
 
@@ -321,7 +321,6 @@ class Database:
         sql: str,
         optimizer: str = "full",
         options: Optional[OptimizerOptions] = None,
-        engine: str = "batch",
     ) -> Optional[QueryResult]:
         """Run any supported statement.
 
@@ -330,9 +329,7 @@ class Database:
         """
         statement = ddl.maybe_parse_ddl(sql)
         if statement is None:
-            return self.query(
-                sql, optimizer=optimizer, options=options, engine=engine
-            )
+            return self.query(sql, optimizer=optimizer, options=options)
         self.run_statement(statement)
         return None
 
@@ -410,17 +407,11 @@ class Database:
         return result, delta
 
     def _execute_with_metrics(
-        self, plan: PlanNode, engine: str = "batch"
+        self, plan: PlanNode
     ) -> Tuple[Result, IOSnapshot, Optional[ExecutionMetrics]]:
-        check_engine(engine)
         context = ExecutionContext(self.catalog, self.io, self.params)
         with self.io.measure() as span:
-            if engine == "rowexec":
-                from .engine.rowexec import execute_plan_rows
-
-                result = execute_plan_rows(plan, context)
-            else:
-                result = execute_plan(plan, context)
+            result = execute_plan(plan, context)
         return result, span.delta, context.metrics
 
     def query(
@@ -429,25 +420,15 @@ class Database:
         optimizer: str = "full",
         options: Optional[OptimizerOptions] = None,
         execute: bool = True,
-        engine: str = "batch",
     ) -> QueryResult:
-        """Bind, optimize, and (by default) execute one SQL query.
-
-        ``engine`` selects the executor: the columnar batch pipeline
-        (``"batch"``, the default) or the row-at-a-time interpreter
-        (``"rowexec"``), which the differential tests cross-check. Any
-        other name is a :class:`ReproError`, raised before planning.
-        """
-        check_engine(engine)
+        """Bind, optimize, and (by default) execute one SQL query."""
         bound = self.bind(sql)
         optimization = self.optimize_bound(bound, optimizer, options)
         plan = optimization.plan
         columns = [field.display() for field in plan.schema]
         exec_metrics: Optional[ExecutionMetrics] = None
         if execute:
-            result, delta, exec_metrics = self._execute_with_metrics(
-                plan, engine=engine
-            )
+            result, delta, exec_metrics = self._execute_with_metrics(plan)
             rows = result.rows
             executed: Optional[IOSnapshot] = delta
         else:

@@ -9,7 +9,6 @@ from ..catalog.catalog import Catalog
 from ..catalog.schema import RowSchema
 from ..cost.params import CostParams
 from ..storage.iocounter import IOCounter
-from ..storage.page import pages_for
 from ..storage.snapshot import DatabaseSnapshot
 from .batch import DEFAULT_BATCH_SIZE
 from .metrics import ExecutionMetrics
@@ -61,33 +60,6 @@ class Result:
 
     schema: RowSchema
     rows: List[Tuple[Any, ...]]
-
-    def __post_init__(self) -> None:
-        # cached (row_count, pages) pair; pages_for is hot in the join
-        # spill-charging paths, and a Result's width never changes
-        self._pages_cache: Optional[Tuple[int, int]] = None
-
-    @property
-    def pages(self) -> int:
-        """Pages this result would occupy if spilled/materialized.
-
-        Cached per row count (appending rows invalidates the cache)."""
-        count = len(self.rows)
-        cached = self._pages_cache
-        if cached is None or cached[0] != count:
-            cached = (count, pages_for(count, self.schema.width))
-            self._pages_cache = cached
-        return cached[1]
-
-    def column(self, alias, name) -> List[Any]:
-        """Convenience accessor: all values of one output column."""
-        position = self.schema.index_of(alias, name)
-        return [row[position] for row in self.rows]
-
-    def as_dicts(self) -> List[dict]:
-        """Rows as ``{display_name: value}`` dicts (for examples/docs)."""
-        names = [field.display() for field in self.schema]
-        return [dict(zip(names, row)) for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)

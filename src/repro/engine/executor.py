@@ -22,9 +22,8 @@ fused operators, and each fused operator still gets its own
 exact; wall-clock is attributed to the chain head, and members carry
 the ``fused`` flag that ``explain``/``--stats`` render).
 
-Page IO is charged to ``context.io``. The seed's row-at-a-time
-interpreter lives on in :mod:`repro.engine.rowexec` as the differential
-baseline: both produce identical row streams and identical page IO.
+Page IO is charged to ``context.io``, with the cost model's formulas
+over actual row counts.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from ..algebra.plan import (
     SubqueryMarkNode,
 )
 from ..catalog.catalog import Catalog
-from ..errors import ExecutionError, ReproError
+from ..errors import ExecutionError
 from .batch import ColumnBatch, take
 from .context import ExecutionContext, Result
 from .groupby import group_by_columns, limit_columns, sort_columns
@@ -54,19 +53,6 @@ from .kernels import ComputeProgram, SelectionProgram, gather_virtual
 from .marks import mark_columns
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .scan import scan_columns
-
-ENGINES = ("batch", "rowexec")
-"""The executor names ``Database.query`` and ``Session`` accept: the
-columnar pipeline below (production) and the row-at-a-time
-:mod:`~repro.engine.rowexec` differential baseline."""
-
-
-def check_engine(name: str) -> None:
-    """Raise the one typed error for an executor name not in ENGINES."""
-    if name not in ENGINES:
-        known = ", ".join(map(repr, ENGINES))
-        raise ReproError(f"unknown engine {name!r} (choose from {known})")
-
 
 _COLUMN_BUILDERS = {
     ScanNode: scan_columns,

@@ -3,10 +3,9 @@ limit.
 
 The group-by table and the sort buffer are pipeline breakers (filter,
 project and rename run in the executor's fused chain, not here).
-``LimitNode`` drains its child completely (the legacy executor
-materialized the child, so the child's page IO was always charged in
-full — the batch path preserves that) while emitting only the first N
-rows.
+``LimitNode`` drains its child completely while emitting only the
+first N rows: the cost model charges a limit its child's full cost, and
+the two change together or not at all.
 """
 
 from __future__ import annotations
@@ -74,9 +73,10 @@ def group_by_columns(plan: GroupByNode, compiler):
     as whole columns, and HAVING + projection run as one selection
     kernel + column gather over the finalized group columns.
 
-    The sort-method path stays row-based (it reuses the run-detection
-    logic and is never the hot path); spill charges use the identical
-    formula and inputs as the row engine.
+    The sort-method path stays row-based (run detection over row
+    tuples; it is never the hot path). The hash path's spill charge is
+    the cost model's formula over the input's and the group table's
+    actual pages.
     """
     child = compiler.child(plan.child)
     child_schema = plan.child.schema
@@ -135,7 +135,7 @@ def group_by_columns(plan: GroupByNode, compiler):
             ),
         )
         internal_columns = list(finalize(table.items()))
-        groups = len(table)
+        groups = metrics.groups = len(table)
         metrics.cells += groups * len(internal_columns)
         sel = having.run(internal_columns, groups)
         if sel is not None:
@@ -157,7 +157,7 @@ def group_by_columns(plan: GroupByNode, compiler):
 
 def _sorted_group_by(plan: GroupByNode, child, key_positions, out_positions):
     """The sort-method group-by: rows, run detection, accumulator
-    objects — the row engine's algorithm behind a columnar interface."""
+    objects behind a columnar interface."""
     internal = plan.internal_schema
     key_of = keyer(key_positions)
     arm_arguments = row_closures(
@@ -179,6 +179,7 @@ def _sorted_group_by(plan: GroupByNode, child, key_positions, out_positions):
         groups = _sorted_groups(
             rows, key_of, arm_arguments(context), functions
         )
+        metrics.groups = len(groups)
         out_rows: List[Tuple[Any, ...]] = []
         for key, accumulators in groups:
             key_part = (key,) if single_key else key
@@ -201,8 +202,8 @@ def _sorted_group_by(plan: GroupByNode, child, key_positions, out_positions):
 
 def sort_columns(plan: SortNode, compiler):
     """Columnar sort: pre-ordered inputs stream through untouched; the
-    general case transposes to rows for the stable multi-pass sort
-    (identical permutation and spill charge to the row engine)."""
+    general case transposes to rows for the stable multi-pass sort and
+    charges the external sort's spill over the input's actual pages."""
     child = compiler.child(plan.child)
     child_order = (
         getattr(plan.child.props, "order", ()) if plan.child.props else ()
@@ -270,6 +271,6 @@ def limit_columns(plan: LimitNode, compiler):
                     )
                     remaining = 0
                     yield head
-            # keep draining: child IO and actuals must be complete
+            # keep draining: the cost model charges the whole child
 
     return open

@@ -18,8 +18,8 @@ and a block-NLJ inner are pipeline breakers (fully collected before
 output flows); the probe/outer side always streams. Join output runs
 through a fused residual-filter→project per-batch loop, and spill
 charges whose formulas need the streamed side's total page count are
-applied once that side is exhausted — page totals are identical to the
-legacy executor's, only the charge's position in the run moves.
+applied once that side is exhausted, from the same row counts the cost
+model's formulas read.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ def _kind_join_charges(
 ) -> None:
     """Spill/rescan charges for a semi/anti/left join, applied once the
     probe side is exhausted. Formulas are exactly the inner-join cores'
-    (hash Grace partitioning, block-NLJ inner rescans), so page totals
-    match the legacy executor's up-front charges."""
+    (hash Grace partitioning, block-NLJ inner rescans)."""
     memory = context.params.memory_pages
     left_width = plan.left.schema.width
     right_width = plan.right.schema.width
@@ -175,8 +174,8 @@ def _probe_multi(keys, buckets: dict):
     C-level passes: ``map`` does the lookups, a listcomp counts the
     matches per probe row, and ``chain.from_iterable(filter(None, ...))``
     flattens the matched buckets into the build-index vector. Emit order
-    is probe order then build-insertion order (= the row engine's nested
-    emit order). Returns ``(counts, ri)`` — the left vector stays
+    is probe order then build-insertion order (a nested loop's emit
+    order). Returns ``(counts, ri)`` — the left vector stays
     implicit (see the module comment above)."""
     hits = list(map(buckets.get, keys))
     counts = [0 if hit is None else len(hit) for hit in hits]
@@ -368,11 +367,10 @@ def _hash_core(plan: JoinNode, compiler):
 def _nlj_core(plan: JoinNode, compiler):
     """Block NLJ over columns. With equi keys the inner match lookup
     uses an insertion-ordered hash index — output rows and order are
-    identical to the row engine's linear scan (buckets hold ascending
-    inner indices), and the rescan/materialization charges are computed
-    from the same row counts, so page IO is byte-identical; only the
-    in-memory matching is cheaper. The pure cross product builds its
-    index vectors with C-level list repetition."""
+    those of a linear scan of the inner (buckets hold ascending inner
+    indices), and the rescan/materialization charges are the block
+    NLJ's; only the in-memory matching is cheaper. The pure cross
+    product builds its index vectors with C-level list repetition."""
     left = compiler.child(plan.left)
     right = compiler.child(plan.right)
     equi = bool(plan.equi_keys)
@@ -451,9 +449,9 @@ def _nlj_core(plan: JoinNode, compiler):
 
 def _smj_core(plan: JoinNode, compiler):
     """Sort-merge over columns: sort *index* vectors instead of rows
-    (``sorted(key=keys.__getitem__)`` is the same stable permutation
-    the row engine's ``rows.sort`` produced), merge the materialized
-    sorted key lists, and emit original-position index pairs."""
+    (``sorted(key=keys.__getitem__)`` is the stable permutation sorting
+    the rows would produce), merge the materialized sorted key lists,
+    and emit original-position index pairs."""
     left = compiler.child(plan.left)
     right = compiler.child(plan.right)
     left_positions, right_positions = _equi_positions(plan)
@@ -475,8 +473,8 @@ def _smj_core(plan: JoinNode, compiler):
             position → original row index."""
             columns, count = _collect_columns(batches, len(child.schema))
             if unsorted:
-                # charge by the collected (pre-filter) page count so IO
-                # totals match the row engine's
+                # charge by the collected (pre-filter) page count: the
+                # input's pages, which is what the cost model sorts
                 charge_spill(
                     context.io,
                     metrics,
@@ -594,6 +592,7 @@ def _inlj_core(plan: JoinNode, compiler):
         checks = arm_checks(context)
         lookup = _probe_lookup(context, inner, index)
         io = context.io
+        found = 0
         matched = 0
         probes = 0
         for batch in left(run):
@@ -607,6 +606,7 @@ def _inlj_core(plan: JoinNode, compiler):
                 if None in probe:
                     continue
                 for inner_row in lookup(io, probe, include_rid=True):
+                    found += 1
                     if checks and not all(
                         check(inner_row) for check in checks
                     ):
@@ -628,6 +628,7 @@ def _inlj_core(plan: JoinNode, compiler):
                     None,
                 )
         inner_metrics.rows_out = matched
+        inner_metrics.matches = found
         inner_metrics.rows_in = probes
         inner_metrics.batches = probes  # one probe per outer row
         inner_metrics.exhausted = True
@@ -647,8 +648,8 @@ def _kind_join_columns(plan: JoinNode, compiler):
     survives: the distinct matched probes (semi), their complement
     (anti — a NULL-keyed probe has no pairs, so it survives, matching
     NOT EXISTS), or every probe with unmatched ones padded through a
-    NULL sentinel row appended to the build columns (LEFT). Output rows
-    and order are identical to the ``rowexec`` baseline's."""
+    NULL sentinel row appended to the build columns (LEFT). Output is
+    probe-major: each probe row's survivors in build order."""
     left = compiler.child(plan.left)
     right = compiler.child(plan.right)
     combined = plan.left.schema.concat(plan.right.schema)

@@ -1,8 +1,10 @@
 """Compiled columnar kernels: expressions → fused per-batch loops.
 
-The row engine binds each :class:`~repro.algebra.expressions.Expression`
-to a ``row -> value`` closure and pays one Python call per row per
-expression. This module pushes that idiom up to whole operators: an
+``Expression.bind`` turns each
+:class:`~repro.algebra.expressions.Expression` into a ``row -> value``
+closure that pays one Python call per row per expression (the reference
+evaluator and the engine's row-at-a-time corners run those). This module
+compiles whole operators instead: an
 operator's predicate chain, projection list, or aggregate update loop is
 translated to Python *source* for a single function over columns, then
 ``compile``/``exec``-ed once per operator. Per-row work becomes one
@@ -21,7 +23,7 @@ Three program kinds:
   over zipped key/argument columns, plus a finalize kernel that turns
   the group table into output columns.
 
-Semantics are the row engine's, reproduced exactly:
+Semantics are the closures', reproduced exactly:
 
 - Kleene 3VL compiles to truthiness tests via an emit-true/emit-false
   duality: ``is TRUE`` of ``AND`` is the ``and`` of is-trues, ``is

@@ -1,12 +1,10 @@
-"""Mark-join execution shared by the columnar engine and ``rowexec``.
+"""Mark-join execution.
 
 A :class:`~repro.algebra.plan.SubqueryMarkNode` keeps or drops each
 outer (child) row by consulting the materialized inner subplan under
-the row's correlation values. The semantics live in one place —
-:func:`mark_filter` — so the row-at-a-time baseline and the columnar
-engine cannot drift apart; each only differs in how it feeds rows
-through the predicate (and in when it compiles it: the columnar engine
-once per plan, ``rowexec`` per execution).
+the row's correlation values. :func:`mark_filter` compiles that
+decision once per plan; :func:`mark_columns` feeds it one execution's
+rows.
 
 The inner side is deliberately re-scanned per outer row (O(outer x
 inner)): a mark join is the *unflattened* fallback, and its naivety is
@@ -108,27 +106,19 @@ def mark_filter(
     return decide
 
 
-def collect_inner_rows(
-    batches: Iterator[ColumnBatch],
-) -> List[Tuple[Any, ...]]:
-    """Materialize the inner pipeline once, as row tuples."""
-    rows: List[Tuple[Any, ...]] = []
-    for batch in batches:
-        rows.extend(batch.to_rows())
-    return rows
-
-
 def mark_columns(plan: SubqueryMarkNode, compiler):
-    """Columnar mark join: the decision is inherently per-row, so each
-    child batch transposes once, the keep flags become a selection
-    vector, and surviving rows gather column-wise (a full-keep batch
-    passes through with no copy)."""
+    """Columnar mark join: the inner pipeline is materialized once as
+    row tuples; the decision is inherently per-row, so each child batch
+    transposes once, the keep flags become a selection vector, and
+    surviving rows gather column-wise (a full-keep batch passes through
+    with no copy)."""
     child = compiler.child(plan.child)
     inner = compiler.child(plan.inner)
     decide = mark_filter(plan)
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
-        keep = decide(run.context, collect_inner_rows(inner(run)))
+        inner_rows = [row for batch in inner(run) for row in batch.to_rows()]
+        keep = decide(run.context, inner_rows)
         for batch in child(run):
             metrics.rows_in += batch.length
             sel = [

@@ -9,7 +9,8 @@ IO the operator charged. Everything one run observed is collected in an
 and nowhere else — plan nodes stay as the optimizer built them, so one
 cached plan serves any number of concurrent runs. The readers —
 ``explain(plan, metrics=...)``, ``stats.feedback.plan_estimates``,
-``cost.model.executed_weighted_cost``, the CLI's ``--stats`` flag —
+``cost.model.executed_weighted_cost``, the exact-IO oracle
+``repro.testing.exactio``, the CLI's ``--stats`` flag —
 take that object and look an operator up by its node
 (:meth:`ExecutionMetrics.of`), which is how a benchmark regression is
 attributed to a specific operator of a specific run.
@@ -47,6 +48,12 @@ class OperatorMetrics:
     cells can be far below ``rows_out × width`` — and why pruning wide
     columns from under a duplicate-expanding join cuts this counter
     rather than ``rows_out``."""
+    groups: int = 0
+    """A group-by's groups before HAVING — what its spill charge reads."""
+    matches: int = 0
+    """An index access's matching entries, summed over its probes,
+    before any residual filter — what its leaf and data-page charges
+    read."""
     exhausted: bool = False
     """The operator's output stream ran to its end, so ``rows_out`` is
     its actual cardinality (not a prefix an error or an abandoned
@@ -74,6 +81,10 @@ class OperatorMetrics:
             parts.append(f"width={self.width}")
         if self.cells:
             parts.append(f"cells={self.cells}")
+        if self.groups:
+            parts.append(f"groups={self.groups}")
+        if self.matches:
+            parts.append(f"matches={self.matches}")
         if self.spill_reads or self.spill_writes:
             parts.append(f"spill={self.spill_reads}r/{self.spill_writes}w")
         if self.fused:
@@ -99,18 +110,9 @@ class ExecutionMetrics:
         #: executable only the ``$n``-reading ones it re-armed
         self.kernels_compiled: int = 0
 
-    def register(
-        self,
-        node: Any,
-        metrics: OperatorMetrics,
-        position: Optional[int] = None,
-    ) -> None:
-        """Add *node*'s metrics — last, or at *position* for a caller
-        that registers an operator after its inputs."""
-        if position is None:
-            self.operators.append(metrics)
-        else:
-            self.operators.insert(position, metrics)
+    def register(self, node: Any, metrics: OperatorMetrics) -> None:
+        """Add *node*'s metrics, after every operator registered so far."""
+        self.operators.append(metrics)
         self._by_node[node] = metrics
 
     def of(self, node: Any) -> Optional[OperatorMetrics]:
@@ -138,24 +140,6 @@ class ExecutionMetrics:
     def lines(self) -> List[str]:
         return [
             ("  " * op.depth) + f"{op.label}  [{op.summary()}]"
-            for op in self.operators
-        ]
-
-    def as_dicts(self) -> List[dict]:
-        return [
-            {
-                "label": op.label,
-                "depth": op.depth,
-                "rows_out": op.rows_out,
-                "batches": op.batches,
-                "seconds": op.seconds,
-                "self_seconds": op.self_seconds,
-                "spill_reads": op.spill_reads,
-                "spill_writes": op.spill_writes,
-                "fused": op.fused,
-                "width": op.width,
-                "cells": op.cells,
-            }
             for op in self.operators
         ]
 

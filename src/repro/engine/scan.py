@@ -5,8 +5,9 @@ applies selection (while scanning, before projection — so a filter may
 reference columns the scan does not output) and projection through
 precompiled accessors, emitting fixed-size batches. Storage is
 column-major: the scan slices only the columns it reads. Page IO is
-charged by the storage layer exactly as the row-at-a-time baseline
-(:mod:`repro.engine.rowexec`) charges it.
+charged by the storage layer: one read per heap page, or for an index
+probe the B-tree descent, its further leaves and one read per data page
+change among the matching rids.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def scan_columns(plan: ScanNode, compiler):
         else:
             source = []
             rids = _index_rids(plan, context, storage)
+            metrics.matches = len(rids)
             if rids:  # the matching rows, gathered as one run
                 source.append(
                     storage.fetch_columns(

@@ -7,13 +7,12 @@ executions without copying it: everything a run records lives in its
 a rewritten tree. Cloning rebuilds nodes through their constructors
 (schemas recompute, which doubles as a consistency check) and shares the
 immutable parts: bound expressions, cost-annotator ``props``, field
-tuples. Parameter binding is the same walk with a substitution applied
-to every predicate expression and every index probe key: ``$n``
-placeholders become literal values, producing a fully concrete plan.
-The ``rowexec`` baseline runs EXECUTE that way on purpose — a
-differential baseline is worth having because it reaches the answer by
-a route the engine under test does not share — and
-:func:`plan_parameters` tells a session which ``$n`` a plan holds.
+tuples; the exact-IO oracle re-annotates such a copy, leaving a cached
+plan's estimates alone. Parameter binding is the same walk with a
+substitution applied to every predicate expression and every index probe
+key: ``$n`` placeholders become literal values, producing a fully
+concrete plan. :func:`plan_parameters` tells a session which ``$n`` a
+plan holds.
 """
 
 from __future__ import annotations

@@ -53,20 +53,16 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..algebra.expressions import Literal
 from ..algebra.query import CanonicalQuery
 from ..engine.context import ExecutionContext
-from ..engine.executor import (
-    Executable,
-    check_engine,
-    compile_plan,
-    execute_plan,
-)
+from ..engine.executor import Executable, compile_plan, execute_plan
 from ..errors import PlanError, ReproError
 from ..optimizer.options import OptimizerOptions
 from ..sql import ddl
 from ..sql.binder import Binder
 from ..storage.iocounter import IOCounter
 
-# clone_plan has no caller here any more; it stays importable from this
-# module because the end-to-end tracer wraps it by that name.
+# clone_plan and bind_parameters have no caller here any more; they stay
+# importable from this module because the end-to-end tracer wraps them
+# by these names.
 from .planrewrite import bind_parameters, clone_plan, plan_parameters  # noqa: F401
 from .signature import cache_key, options_fingerprint
 
@@ -158,14 +154,11 @@ class Session:
         db,
         optimizer: str = "full",
         options: Optional[OptimizerOptions] = None,
-        engine: str = "batch",
         use_plan_cache: bool = True,
     ):
-        check_engine(engine)
         self.db = db
         self.optimizer = optimizer
         self.options = options
-        self.engine = engine
         self.use_plan_cache = use_plan_cache
         self.prepared: Dict[str, PreparedStatement] = {}
         self.statements = 0
@@ -307,22 +300,8 @@ class Session:
             snapshot=snapshot,
             parameters=values,
         )
-        if self.engine == "rowexec":
-            from ..engine.rowexec import execute_plan_rows
-
-            if values:
-                plan = bind_parameters(
-                    plan,
-                    {
-                        index: Literal(value)
-                        for index, value in zip(planned.parameters, values)
-                    },
-                    planned.parameters,
-                )
-            result = execute_plan_rows(plan, context)
-        else:
-            # a statement that was just planned compiles for itself
-            result = execute_plan(planned.executable or plan, context)
+        # a statement that was just planned compiles for itself
+        result = execute_plan(planned.executable or plan, context)
         finished = time.perf_counter()
         columns = list(planned.columns)
         query_result = QueryResult(

@@ -2,11 +2,14 @@
 
 Exercises the whole stack through the SQL front door: a seeded
 grammar-driven generator (:mod:`sqlgen`), a SQLite + brute-force
-oracle layer (:mod:`oracle`), metamorphic plan-space cross-checks
-(:mod:`metamorphic`), a delta-debugging shrinker (:mod:`shrink`), and
-the fuzz loop with profiles and JSON reporting (:mod:`runner`).
+oracle layer for answers (:mod:`oracle`), the cost model under a run's
+actual counts as the oracle for page IO (:mod:`exactio`), metamorphic
+plan-space cross-checks (:mod:`metamorphic`), a delta-debugging
+shrinker (:mod:`shrink`), and the fuzz loop with profiles and JSON
+reporting (:mod:`runner`).
 """
 
+from .exactio import exact_io, has_index_access
 from .metamorphic import CONFIGS, CheckReport, Divergence, check_script
 from .oracle import OracleError, SqliteOracle, needs_reference
 from .runner import (
@@ -31,7 +34,9 @@ __all__ = [
     "SqliteOracle",
     "Stmt",
     "check_script",
+    "exact_io",
     "generate_script",
+    "has_index_access",
     "load_corpus_script",
     "needs_reference",
     "render_script",

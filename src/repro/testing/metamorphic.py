@@ -7,7 +7,7 @@ points in the plan space that must all produce the same bags of rows:
 - the paper's transformations on vs. off (pull-up, push-down,
   invariant grouping split);
 - answering from materialized views on vs. off;
-- the streaming batch executor vs. the legacy row-at-a-time executor.
+- the bare ``Database`` facade vs. a serving ``Session``.
 
 Each configuration replays the *entire* script in its own database, so
 interleaved inserts, matview staleness, and lazy refreshes are
@@ -18,7 +18,12 @@ On top of row agreement, the harness checks the paper's **no-worse
 guarantee**: the full optimizer's estimated cost never exceeds the
 traditional optimizer's for the same query (Section 5's safety
 property; ``tests/test_property_optimizer.py`` pins the same invariant
-on curated workloads).
+on curated workloads). And every plan it executes is held to the
+**IO oracle**: the cost model under the run's actual counts
+(:func:`~repro.testing.exactio.exact_io`) must charge exactly the
+executed page IO. A plan with an index access is exempt (the model's
+probe formula does not mirror storage's charge) and counted as such in
+:attr:`CheckReport.io`.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from ..db import Database
 from ..engine.reference import rows_equal_bag
 from ..errors import ReproError
 from ..optimizer.options import TRADITIONAL, OptimizerOptions
+from .exactio import exact_io, has_index_access
 from .oracle import OracleError, SqliteOracle, oracle_rows
 from .sqlgen import Stmt
 
@@ -44,7 +50,6 @@ class EngineConfig:
     name: str
     optimizer: str = "full"
     options: Optional[OptimizerOptions] = None
-    engine: str = "batch"
     params: Optional[CostParams] = None
     """Cost-model parameters for this configuration's database. Cost
     knobs steer plan choice only — answers must not move, which is
@@ -61,7 +66,6 @@ class EngineConfig:
 #: The cross-check matrix. The first entry is the baseline.
 CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig("full-batch"),
-    EngineConfig("full-rowexec", engine="rowexec"),
     EngineConfig(
         "full-norewrite",
         options=OptimizerOptions(enable_view_rewrite=False),
@@ -71,11 +75,11 @@ CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig("full-notransforms", options=TRADITIONAL),
     EngineConfig("greedy-batch", optimizer="greedy"),
     EngineConfig("traditional-batch", optimizer="traditional"),
+    # The only config planning traditionally without view rewrite.
     EngineConfig(
-        "traditional-rowexec-norewrite",
+        "traditional-norewrite",
         optimizer="traditional",
         options=OptimizerOptions(enable_view_rewrite=False),
-        engine="rowexec",
     ),
     # Statistics ablation: histograms/MCVs/NDV feed only the cost
     # model, so disabling them may change plan choice but never
@@ -132,6 +136,33 @@ class QueryOutcome:
     rows: Optional[List[Tuple[Any, ...]]] = None
     error: Optional[str] = None
     cost: Optional[float] = None
+    io: List[Tuple[float, int, bool]] = field(default_factory=list)
+    """Per execution: ``(exact_io, executed IO, has an index access)``."""
+
+
+def _io_check(result, db: Database) -> Tuple[float, int, bool]:
+    """One executed :class:`~repro.db.QueryResult` against the IO oracle."""
+    return (
+        exact_io(result.plan, result.exec_metrics, db.catalog, db.params),
+        result.executed_io.total,
+        has_index_access(result.plan),
+    )
+
+
+@dataclass
+class IOTally:
+    """The executed plans of one config the IO oracle checked: how many,
+    how many matched it exactly, and how many had an index access (and
+    were not required to)."""
+
+    io_checked: int = 0
+    io_equal: int = 0
+    io_index_exempt: int = 0
+
+    def add(self, other: "IOTally") -> None:
+        self.io_checked += other.io_checked
+        self.io_equal += other.io_equal
+        self.io_index_exempt += other.io_index_exempt
 
 
 @dataclass
@@ -141,7 +172,8 @@ class Divergence:
     kind: str
     """``rows`` (config vs oracle), ``error`` (a config raised),
     ``oracle-error`` (the oracle raised), ``cost`` (no-worse guarantee
-    violated), ``setup-error`` (a non-query statement failed)."""
+    violated), ``io`` (executed IO of an index-free plan differs from
+    :func:`exact_io`), ``setup-error`` (a non-query statement failed)."""
     stmt_index: int
     config: str
     detail: str
@@ -165,6 +197,8 @@ class CheckReport:
     divergences: List[Divergence] = field(default_factory=list)
     queries_checked: int = 0
     configs_run: int = 0
+    io: Dict[str, IOTally] = field(default_factory=dict)
+    """Per config name: what the IO oracle checked."""
 
     @property
     def ok(self) -> bool:
@@ -193,6 +227,9 @@ def _session_query_outcome(
         return outcome
     outcome.rows = [tuple(row) for row in first.rows]
     outcome.cost = first.query_result.estimated_cost
+    outcome.io = [
+        _io_check(run.query_result, session.db) for run in (first, second)
+    ]
     if not second.cache_hit:
         outcome.error = "immediate re-execution missed the warm plan cache"
         return outcome
@@ -232,6 +269,7 @@ def _session_query_outcome(
     finally:
         if name in session.prepared:
             session.deallocate(name)
+    outcome.io.append(_io_check(third.query_result, session.db))
     third_rows = [tuple(row) for row in third.rows]
     if not rows_equal_bag(third_rows, outcome.rows, rel_tol=rel_tol):
         outcome.error = (
@@ -249,9 +287,7 @@ def _replay_session_config(
     db = Database(config.params)
     outcomes: Dict[int, QueryOutcome] = {}
     with db.session(
-        optimizer=config.optimizer,
-        options=config.options,
-        engine=config.engine,
+        optimizer=config.optimizer, options=config.options
     ) as session:
         for position, stmt in enumerate(script):
             if stmt.kind == "query":
@@ -291,10 +327,10 @@ def _replay_config(
                     stmt.render(),
                     optimizer=config.optimizer,
                     options=config.options,
-                    engine=config.engine,
                 )
                 outcome.rows = [tuple(row) for row in result.rows]
                 outcome.cost = result.estimated_cost
+                outcome.io.append(_io_check(result, db))
             except ReproError as error:
                 outcome.error = f"{type(error).__name__}: {error}"
             outcomes[position] = outcome
@@ -423,6 +459,21 @@ def check_script(
                     )
                 )
                 continue
+            tally = report.io.setdefault(config_name, IOTally())
+            for exact, executed, indexed in outcome.io:
+                tally.io_checked += 1
+                tally.io_equal += exact == executed
+                tally.io_index_exempt += indexed
+                if exact != executed and not indexed:
+                    report.divergences.append(
+                        Divergence(
+                            "io",
+                            position,
+                            config_name,
+                            f"cost model under actual counts charges "
+                            f"{exact:g} page IOs, execution {executed}",
+                        )
+                    )
             if oracle is None:
                 continue
             oracle_name, expected = oracle
@@ -469,6 +520,7 @@ __all__ = [
     "CheckReport",
     "Divergence",
     "EngineConfig",
+    "IOTally",
     "QueryOutcome",
     "check_script",
 ]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ReproError
 from ..sql import ddl
 from ..sql.lexer import split_statements
-from .metamorphic import CONFIGS, check_script
+from .metamorphic import CONFIGS, IOTally, check_script
 from .shrink import shrink_script
 from .sqlgen import GenProfile, Stmt, generate_script, render_script
 
@@ -90,6 +90,9 @@ class FuzzReport:
     duration_seconds: float = 0.0
     stopped_by_duration: bool = False
     divergences: List[DivergenceRecord] = field(default_factory=list)
+    io: Dict[str, IOTally] = field(default_factory=dict)
+    """Per config: the executed plans the IO oracle checked
+    (:class:`~repro.testing.metamorphic.IOTally`)."""
 
     @property
     def ok(self) -> bool:
@@ -181,6 +184,8 @@ def run_fuzz(
         check = check_script(script)
         report.seeds_run += 1
         report.queries_checked += check.queries_checked
+        for config, tally in check.io.items():
+            report.io.setdefault(config, IOTally()).add(tally)
         if progress is not None:
             progress(seed, check)
         if check.ok:

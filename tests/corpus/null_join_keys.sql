@@ -1,7 +1,7 @@
 -- corpus regression: null_join_keys.sql
 -- pins: NULL equi-join keys never match -- not even NULL = NULL --
--- in hash join, nested loops, and sort-merge (rowexec sorts join
--- input by key, so unfiltered NULLs used to TypeError).
+-- in hash join, nested loops, and sort-merge (sorting join input
+-- by key with unfiltered NULLs used to TypeError).
 create table t1 (c0 int null, c1 int);
 create table t2 (c0 int null, c2 int);
 insert into t1 values (1, 10), (null, 20), (2, 30), (null, 40);

@@ -14,6 +14,8 @@ the oracle case of ``test_property_optimizer.py``).
   (``tests/test_single_search.py``) — ``optimize_traditional`` itself —
   with :func:`every_optimize_query` and :func:`pruned_plans` to observe
   a search from outside.
+- :func:`sqlite_copy`, the answer oracle for statements over those
+  databases too large for the brute-force evaluator.
 
 Run as a script to (re)generate the golden file — from the commit whose
 plans are to be pinned::
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import sqlite3
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, List, Tuple
@@ -78,6 +81,22 @@ def e2e_statements() -> Iterator[Tuple[str, Database, str]]:
         for shape in shapes:
             sql = shape.sql.format(k=shape.literal_base + COLD_LITERAL_OFFSET)
             yield f"{name}/{shape.name}", db, sql
+
+
+def sqlite_copy(db: Database) -> sqlite3.Connection:
+    """*db*'s stored tables in an in-memory sqlite3 database: the answer
+    oracle for statements whose brute-force evaluation (a cross product
+    of every table) would not finish."""
+    connection = sqlite3.connect(":memory:")
+    for name in db.catalog.table_names():
+        table = db.catalog.table(name)
+        names = [column.name for column in table.columns]
+        connection.execute(f"create table {name} ({', '.join(names)})")
+        connection.executemany(
+            f"insert into {name} values ({', '.join('?' for _ in names)})",
+            table.rows,
+        )
+    return connection
 
 
 def run_examples(on_optimized: Callable[[str, object], None]) -> None:

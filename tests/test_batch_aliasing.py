@@ -92,7 +92,7 @@ def test_operators_never_mutate_scanned_columns(sql):
     writes into columns it allocated."""
     db = build_db()
     columnar = db.query(sql)
-    reference = db.query(sql, engine="rowexec")
+    reference = db.reference(sql)
     assert sorted(columnar.rows) == sorted(reference.rows)
 
 

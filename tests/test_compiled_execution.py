@@ -26,17 +26,11 @@ from repro.algebra.plan import (
     PlanNode,
     ScanNode,
     SubqueryMarkNode,
-    explain,
     plan_nodes,
 )
 from repro.catalog.schema import Field, RowSchema, table_row_schema
 from repro.datatypes import DataType
-from repro.engine import (
-    ExecutionContext,
-    compile_plan,
-    execute_plan,
-    execute_plan_rows,
-)
+from repro.engine import ExecutionContext, compile_plan, execute_plan
 from repro.engine import kernels
 from repro.errors import PlanError
 from repro.optimizer.options import OptimizerOptions
@@ -215,19 +209,6 @@ class TestSharedExecutable:
             literal = session.execute(POINT_SQL.format(7)).query_result
             assert literal.parameters == ()
             assert not literal.explain(analyze=True).startswith("Parameters")
-
-    def test_rowexec_records_into_metrics_too(self, db):
-        plan = db.optimize(JOIN_SQL).plan
-        context = ExecutionContext(db.catalog, IOCounter(), db.params)
-        result = execute_plan_rows(plan, context)
-        assert context.metrics.actual_rows(plan) == len(result.rows)
-        batch = ExecutionContext(db.catalog, IOCounter(), db.params)
-        execute_plan(plan, batch)
-        rowwise = context.metrics.operators
-        assert [(op.label, op.depth, op.rows_out) for op in rowwise] == [
-            (op.label, op.depth, op.rows_out) for op in batch.metrics.operators
-        ]
-        assert "actual rows=" in explain(plan, metrics=context.metrics)
 
 
 # ----------------------------------------------------------------------
@@ -505,25 +486,32 @@ def execute_text(values):
 
 class TestParametersAtRunTime:
     @pytest.mark.parametrize("shape", sorted(PARAMETERIZED))
-    def test_every_position_agrees_with_rowexec_and_reference(self, db, shape):
+    def test_every_position_agrees_with_bound_plan_and_reference(
+        self, db, shape
+    ):
+        """Each value vector three ways: read at run time from the
+        context, substituted into a copy of the plan as literals
+        (``bind_parameters``), and the reference evaluator's answer to
+        the literal text."""
         sql, options, vectors = PARAMETERIZED[shape]
         arity = sql.count("{}")
         prepare = "PREPARE p AS " + sql.format(
             *(f"${n}" for n in range(1, arity + 1))
         )
-        with db.session(options=options) as fast, db.session(
-            options=options, engine="rowexec"
-        ) as slow:
-            fast.execute(prepare)
-            slow.execute(prepare)
-            plan = fast.prepared["p"].optimization.plan
+        with db.session(options=options) as session:
+            session.execute(prepare)
+            plan = session.prepared["p"].optimization.plan
             answers = []
             # each vector twice, interleaved: nothing leaks between runs
             for values in vectors + vectors[::-1]:
-                got = fast.execute(execute_text(values))
+                got = session.execute(execute_text(values))
                 assert got.query_result.plan is plan
                 assert got.query_result.parameters == values
-                assert bag(got.rows) == bag(slow.execute(execute_text(values)).rows)
+                bound = bind_parameters(
+                    plan, {n: Literal(v) for n, v in enumerate(values, 1)}
+                )
+                context = ExecutionContext(db.catalog, IOCounter(), db.params)
+                assert bag(got.rows) == bag(execute_plan(bound, context).rows)
                 assert bag(got.rows) == bag(
                     db.reference(sql.format(*values)).rows
                 )
@@ -532,9 +520,8 @@ class TestParametersAtRunTime:
             assert len({repr(rows) for rows in answers}) == len(vectors)
             # NULL compares as UNKNOWN wherever it lands
             nulls = (None,) * arity
-            assert fast.execute(execute_text(nulls)).rows == []
-            assert slow.execute(execute_text(nulls)).rows == []
-            assert fast.prepared["p"].replans == 0
+            assert session.execute(execute_text(nulls)).rows == []
+            assert session.prepared["p"].replans == 0
 
     @pytest.mark.parametrize(
         "sql",
@@ -542,14 +529,13 @@ class TestParametersAtRunTime:
         ids=["index probe key", "scan filter"],
     )
     def test_a_value_of_a_type_that_equals_nothing(self, db, sql):
-        for engine in ("batch", "rowexec"):
-            with db.session(engine=engine) as session:
-                session.execute("PREPARE p AS " + sql.format("$1"))
-                assert session.execute("EXECUTE p('x')").rows == []
-                assert bag(session.execute("EXECUTE p(3)").rows) == bag(
-                    db.reference(sql.format(3)).rows
-                )
-                assert session.execute("EXECUTE p('x')").rows == []
+        with db.session() as session:
+            session.execute("PREPARE p AS " + sql.format("$1"))
+            assert session.execute("EXECUTE p('x')").rows == []
+            assert bag(session.execute("EXECUTE p(3)").rows) == bag(
+                db.reference(sql.format(3)).rows
+            )
+            assert session.execute("EXECUTE p('x')").rows == []
 
     def test_mark_correlation_reads_the_parameter(self, db):
         """``exists (... where d.dno = e.dno + $1)`` — SQL cannot put a
@@ -583,7 +569,7 @@ class TestParametersAtRunTime:
             assert rows == expected
             bound = bind_parameters(plan, {1: Literal(shift)})
             baseline = ExecutionContext(db.catalog, IOCounter(), db.params)
-            assert execute_plan_rows(bound, baseline).rows == expected
+            assert execute_plan(bound, baseline).rows == expected
 
     def test_unbound_parameters_are_a_typed_error_everywhere(self, db):
         for shape in sorted(PARAMETERIZED):
@@ -597,10 +583,9 @@ class TestParametersAtRunTime:
                 plan = session.prepared["p"].optimization.plan
                 with pytest.raises(PlanError, match="expects"):
                     session.execute("EXECUTE p")
-            for run in (execute_plan, execute_plan_rows):
-                context = ExecutionContext(db.catalog, IOCounter(), db.params)
-                with pytest.raises(PlanError, match=r"\$\d is unbound"):
-                    run(plan, context)
+            context = ExecutionContext(db.catalog, IOCounter(), db.params)
+            with pytest.raises(PlanError, match=r"\$\d is unbound"):
+                execute_plan(plan, context)
             with pytest.raises(PlanError, match=r"missing values.*\$1"):
                 bind_parameters(plan, {})
             extra = {n: Literal(0) for n in range(1, arity + 2)}

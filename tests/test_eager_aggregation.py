@@ -1,18 +1,20 @@
 """Differential sweep: eager aggregation on vs. off.
 
 Eager partial group-bys and COUNT-carry pre-collapses below joins are
-*plan-shape* choices only: for both executors (columnar batch,
-row-at-a-time) and every cost regime, turning the alternatives off must
-leave the answer bag untouched, and turning them on must never make the
-estimated cost worse (the retained-lazy-alternative guarantee). The
-sweep pins both directions, the `explain` markers, the `SearchStats`
-counters, and the Grace-spill execution path under a tiny memory
-budget.
+*plan-shape* choices only: under every cost regime, the answer bag with
+the alternatives on must equal the one with them off and the reference
+evaluator's, executed IO must equal the cost model's under the run's
+actual counts, and turning them on must never make the estimated cost
+worse (the retained-lazy-alternative guarantee). The sweep pins both
+directions, the `explain` markers, the `SearchStats` counters, and the
+Grace-spill execution path under a tiny memory budget.
 
 Data uses dyadic-rational floats (multiples of 0.25) so sums are exact
 in binary — plan changes and partial-aggregate merges cannot introduce
 float noise, which keeps every comparison exact equality.
 """
+
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -20,8 +22,11 @@ from repro.algebra.plan import JoinNode, plan_nodes
 from repro.cost.params import CostParams
 from repro.db import Database
 from repro.optimizer.options import OptimizerOptions
+from repro.testing.exactio import exact_io
 
-ENGINES = ("batch", "rowexec")
+AGAINST = ("batch", "reference")
+"""What the eager-on answer is compared with: the eager-off plan on the
+engine, or the brute-force reference evaluator."""
 
 EAGER_OFF = OptimizerOptions(enable_eager_aggregation=False)
 
@@ -102,6 +107,18 @@ def bag(rows):
     return sorted(rows, key=repr)
 
 
+def expected_rows(db, sql, against):
+    if against == "reference":
+        return db.reference(sql).rows
+    return db.query(sql, options=EAGER_OFF).rows
+
+
+def assert_exact_io(db, result):
+    assert result.executed_io.total == exact_io(
+        result.plan, result.exec_metrics, db.catalog, db.params
+    )
+
+
 def rows_into_joins(result):
     """Executed rows entering join operators, over the whole plan."""
     return sum(
@@ -126,22 +143,20 @@ class TestDifferential:
     """Eager on vs. off: identical bags, never-worse estimated cost."""
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("against", AGAINST)
     def test_rows_identical_default_params(
-        self, default_db, name, engine
+        self, default_db, name, against
     ):
         sql = QUERIES[name]
-        on = default_db.query(sql, engine=engine)
-        off = default_db.query(sql, options=EAGER_OFF, engine=engine)
-        assert bag(on.rows) == bag(off.rows)
+        on = default_db.query(sql)
+        assert bag(on.rows) == bag(expected_rows(default_db, sql, against))
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rows_identical_tuned_params(self, tuned_db, name, engine):
+    @pytest.mark.parametrize("against", AGAINST)
+    def test_rows_identical_tuned_params(self, tuned_db, name, against):
         sql = QUERIES[name]
-        on = tuned_db.query(sql, engine=engine)
-        off = tuned_db.query(sql, options=EAGER_OFF, engine=engine)
-        assert bag(on.rows) == bag(off.rows)
+        on = tuned_db.query(sql)
+        assert bag(on.rows) == bag(expected_rows(tuned_db, sql, against))
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_cost_never_worse(self, default_db, tuned_db, name):
@@ -158,18 +173,15 @@ class TestDifferential:
 
 
 class TestCrossEngine:
-    """One plan, both executors: same bags, same IO charges."""
+    """One plan, the engine against both oracles: the reference
+    evaluator's bag, the cost model's IO under actual counts."""
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_rows_and_io_identical(self, tuned_db, name):
         sql = QUERIES[name]
-        results = [
-            tuned_db.query(sql, engine=engine) for engine in ENGINES
-        ]
-        first = results[0]
-        for other in results[1:]:
-            assert bag(other.rows) == bag(first.rows)
-            assert other.executed_io.total == first.executed_io.total
+        result = tuned_db.query(sql)
+        assert bag(result.rows) == bag(tuned_db.reference(sql).rows)
+        assert_exact_io(tuned_db, result)
 
 
 class TestAdoptionAndMarkers:
@@ -258,16 +270,31 @@ class TestGraceSpill:
         assert "eager=carry" in text
         assert "spill" in text  # the eager pre-collapse itself spills
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rows_identical_under_spill(self, spill_db, engine):
-        on = spill_db.query(self.SQL, engine=engine)
-        off = spill_db.query(self.SQL, options=EAGER_OFF, engine=engine)
-        assert bag(on.rows) == bag(off.rows)
+    @staticmethod
+    def closed_form(db):
+        """The answer from per-dno counts and sums (the brute-force
+        evaluator's 54M-row cross product would not finish)."""
+        emp, bonus = defaultdict(list), Counter()
+        for _, dno, sal in db.catalog.table("emp").rows:
+            emp[dno].append(sal)
+        for _, dno, _ in db.catalog.table("bonus").rows:
+            bonus[dno] += 1
+        return [
+            (dno, sum(sals) * bonus[dno], len(sals) * bonus[dno])
+            for dno, sals in emp.items()
+            if bonus[dno]
+        ]
+
+    @pytest.mark.parametrize("against", ("batch", "closed-form"))
+    def test_rows_identical_under_spill(self, spill_db, against):
+        on = spill_db.query(self.SQL)
+        off = spill_db.query(self.SQL, options=EAGER_OFF)
+        expected = off.rows if against == "batch" else self.closed_form(spill_db)
+        assert bag(on.rows) == bag(expected)
         assert on.executed_io.total < off.executed_io.total
 
     def test_io_identical_across_engines_under_spill(self, spill_db):
-        totals = {
-            spill_db.query(self.SQL, engine=engine).executed_io.total
-            for engine in ENGINES
-        }
-        assert len(totals) == 1
+        """Both plans' spills charge what the cost model charges them
+        under the run's actual counts."""
+        for options in (None, EAGER_OFF):
+            assert_exact_io(spill_db, spill_db.query(self.SQL, options=options))

@@ -72,6 +72,30 @@ class TestCheckScript:
         assert report.ok
         assert report.queries_checked == PROFILES["smoke"].queries
         assert report.configs_run == len(CONFIGS)
+        # every executed plan went past the IO oracle, and held
+        assert set(report.io) == {config.name for config in CONFIGS}
+        for tally in report.io.values():
+            assert tally.io_checked >= report.queries_checked
+            assert tally.io_equal + tally.io_index_exempt >= tally.io_checked
+
+    def test_detects_io_divergence_and_shrinks_it(self, monkeypatch):
+        """An index-free plan whose executed IO differs from the model's
+        under actual counts is an ``io`` divergence, shrunk like any
+        other."""
+        from repro.testing import metamorphic
+
+        monkeypatch.setattr(metamorphic, "exact_io", lambda *args: -1.0)
+        script, _ = _failing_script()
+        signature = ("io", "full-batch")
+
+        def check(candidate):
+            report = check_script(candidate, configs=CONFIGS[:1])
+            signatures = {d.signature for d in report.divergences}
+            return signature if signature in signatures else None
+
+        assert check(script) == signature
+        shrunk = shrink_script(script, check)
+        assert [s.kind for s in shrunk] == ["create", "query"]
 
     def test_detects_error_divergence(self):
         """A config whose optimizer does not exist errors on every
@@ -173,6 +197,11 @@ class TestRunFuzz:
         decoded = json.loads(report.to_json())
         assert decoded["seeds_planned"] == 2
         assert decoded["divergences"] == []
+        assert decoded["io"]["full-batch"] == {
+            "io_checked": report.queries_checked,
+            "io_equal": report.queries_checked,
+            "io_index_exempt": report.io["full-batch"].io_index_exempt,
+        }
 
     def test_duration_cap_stops_early(self):
         report = run_fuzz(seeds=500, profile="smoke", duration=0.0)

@@ -20,6 +20,7 @@ from repro.algebra.plan import (
 from repro.cost.model import CostModel
 from repro.optimizer.options import OptimizerOptions
 from repro.optimizer.pruning import live_sets, prune_plan
+from repro.testing.exactio import exact_io
 
 PRUNING_OFF = OptimizerOptions(enable_projection_pruning=False)
 
@@ -306,7 +307,7 @@ def test_matview_backing_scan_is_narrowed():
 
 
 # ----------------------------------------------------------------------
-# Differential: pruned vs unpruned, both executors
+# Differential: pruned vs unpruned, and both against the oracles
 # ----------------------------------------------------------------------
 
 DIFF_QUERIES = [
@@ -322,17 +323,18 @@ DIFF_QUERIES = [
     "where e.age < 55 group by e.dno having count(e.eno) > 2",
 ]
 
-ENGINES = ["batch", "rowexec"]
+def exact(db, plan, exec_metrics):
+    return exact_io(plan, exec_metrics, db.catalog, db.params)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("sql", DIFF_QUERIES)
-def test_pruned_plans_row_and_io_identical(sql, engine):
+def test_pruned_plans_row_and_io_identical(sql):
     db = build_wide_db()
-    on = db.query(sql, engine=engine)
-    off = db.query(sql, options=PRUNING_OFF, engine=engine)
+    on = db.query(sql)
+    off = db.query(sql, options=PRUNING_OFF)
     assert sorted(on.rows) == sorted(off.rows)
     assert on.executed_io.total == off.executed_io.total
+    assert on.executed_io.total == exact(db, on.plan, on.exec_metrics)
 
 
 def _total_spill(exec_metrics):
@@ -352,26 +354,43 @@ def spill_db():
     return build_wide_db(memory_pages=3, scale=100)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pruned_plans_identical_under_spill(spill_db, engine):
+def spill_answer(db):
+    """SPILL_SQL over the stored rows, as a Python hash join."""
+    budget = {dno: budget for dno, budget, _ in db.catalog.table("dept").rows}
+    return [
+        (row[2], budget[row[1]])
+        for row in db.catalog.table("emp").rows
+        if row[1] in budget
+    ]
+
+
+@pytest.mark.parametrize("against", ["batch", "closed-form"])
+def test_pruned_plans_identical_under_spill(spill_db, against):
     """Grace/spill paths: the spilling operators sit directly on the
     scans, whose widths pruning leaves unchanged here (every scanned
-    column is live at scan level), so even spill IO must match."""
+    column is live at scan level), so even spill IO must match — each
+    other's (``batch``), and the Python join's rows and the cost
+    model's IO under the run's actual counts (``closed-form``)."""
     db = spill_db
     base = db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
     pruned = prune_plan(base, model=CostModel(db.catalog, db.params))
     assert pruned is not base
-    rows_a, io_a, ran_a = db._execute_with_metrics(base, engine=engine)
-    rows_b, io_b, ran_b = db._execute_with_metrics(pruned, engine=engine)
-    assert sorted(rows_a.rows) == sorted(rows_b.rows)
-    assert io_a.total == io_b.total
-    if engine == "batch":
+    rows_a, io_a, ran_a = db._execute_with_metrics(base)
+    rows_b, io_b, ran_b = db._execute_with_metrics(pruned)
+    if against == "batch":
+        assert sorted(rows_a.rows) == sorted(rows_b.rows)
+        assert io_a.total == io_b.total
         assert _total_spill(ran_a) == _total_spill(ran_b)
+        return
+    expected = sorted(spill_answer(db))
+    assert sorted(rows_a.rows) == expected == sorted(rows_b.rows)
+    assert io_a.total == exact(db, base, ran_a)
+    assert io_b.total == exact(db, pruned, ran_b)
 
 
 def test_spill_shape_actually_spills(spill_db):
     plan = spill_db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
-    _, _, ran = spill_db._execute_with_metrics(plan, engine="batch")
+    _, _, ran = spill_db._execute_with_metrics(plan)
     reads, writes = _total_spill(ran)
     assert reads or writes
 

@@ -1,8 +1,8 @@
-"""NULL / empty-group aggregate semantics, cross-checked four ways.
+"""NULL / empty-group aggregate semantics, cross-checked three ways.
 
-Property tests drive NULL-bearing data through the batch engine, the
-row-at-a-time engine, the brute-force reference evaluator, and a real
-SQLite database, and assert they all agree: aggregates skip NULLs,
+Property tests drive NULL-bearing data through the engine, the
+brute-force reference evaluator, and a real SQLite database, and assert
+they all agree: aggregates skip NULLs,
 all-NULL groups yield NULL (``count`` yields 0), NULL grouping keys
 form one group, comparisons with NULL drop rows, and NULL join keys
 never match.
@@ -57,11 +57,9 @@ def build_sqlite_db(t_rows, u_rows=()):
 def all_agree(db, connection, sql):
     """Run one query everywhere and assert bag equality."""
     batch = [tuple(row) for row in db.query(sql).rows]
-    rowexec = [tuple(row) for row in db.query(sql, engine="rowexec").rows]
     reference = [tuple(row) for row in db.reference(sql).rows]
     sqlite_rows = [tuple(row) for row in connection.execute(sql)]
     assert rows_equal_bag(batch, sqlite_rows), (sql, batch, sqlite_rows)
-    assert rows_equal_bag(rowexec, sqlite_rows), (sql, rowexec, sqlite_rows)
     assert rows_equal_bag(reference, sqlite_rows), (
         sql,
         reference,
@@ -103,7 +101,7 @@ def test_all_null_group_yields_null():
 
 
 def test_star_schema_null_shapes_agree():
-    """The NULL-enabled star generator feeds all four evaluators the
+    """The NULL-enabled star generator feeds all three evaluators the
     same answers (grouped measures, NULL cat keys, all-NULL qty group
     under flag = 2, reserved empty categories)."""
     config = RandomQueryConfig(

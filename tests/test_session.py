@@ -34,14 +34,6 @@ class TestDispatch:
             )
         assert [tuple(r) for r in result.rows] == [(1, 2), (3, 4)]
 
-    def test_rowexec_engine(self, emp_dept_db):
-        sql = "SELECT dno, SUM(sal) AS s FROM emp GROUP BY dno"
-        with emp_dept_db.session(engine="rowexec") as session:
-            served = session.execute(sql)
-        assert rows_of(served) == sorted(
-            tuple(r) for r in emp_dept_db.query(sql).rows
-        )
-
     def test_statement_counter(self, emp_dept_db):
         with emp_dept_db.session() as session:
             session.execute("SELECT e.eno FROM emp e")

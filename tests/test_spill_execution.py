@@ -15,7 +15,7 @@ from repro.algebra.expressions import col
 from repro.algebra.plan import GroupByNode, JoinNode, ScanNode, SortNode
 from repro.catalog.schema import table_row_schema
 from repro.cost import CostModel
-from repro.engine import ExecutionContext, execute_plan, execute_plan_rows
+from repro.engine import ExecutionContext, execute_plan
 from repro.engine.reference import rows_equal_bag
 
 
@@ -133,81 +133,6 @@ class TestSpillPaths:
         )
         result = run_checked(big_db, plan)
         assert len(result.rows) == 1500  # one a-row per group key < 1500
-
-    def test_columnar_hash_join_spill_matches_rowexec(self, big_db):
-        """A Grace-spilling hash join through ColumnBatch pipelines:
-        row-identical (same rows, same order) to the legacy interpreter,
-        page IO identical, and the charge still equals the cost model's
-        estimate."""
-
-        def hj_plan():
-            return JoinNode(
-                scan(big_db, "a", "x"),
-                scan(big_db, "b", "y"),
-                method="hj",
-                equi_keys=[(("x", "k"), ("y", "k"))],
-            )
-
-        reference_plan = hj_plan()
-        CostModel(big_db.catalog, big_db.params).annotate_tree(
-            reference_plan
-        )
-        with big_db.io.measure() as span:
-            reference = execute_plan_rows(
-                reference_plan,
-                ExecutionContext(big_db.catalog, big_db.io, big_db.params),
-            )
-        reference_io = span.delta
-        assert reference_io.total == pytest.approx(reference_plan.props.cost)
-
-        plan = hj_plan()
-        CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
-        context = ExecutionContext(big_db.catalog, big_db.io, big_db.params)
-        with big_db.io.measure() as span:
-            result = execute_plan(plan, context)
-        assert result.rows == reference.rows
-        assert span.delta.page_reads == reference_io.page_reads
-        assert span.delta.page_writes == reference_io.page_writes
-        # the spill really happened under the columnar engine too
-        assert context.metrics.of(plan).spill_reads > 0
-        assert context.metrics.of(plan).spill_writes > 0
-
-    def test_columnar_group_by_spill_matches_rowexec(self, big_db):
-        """A spilling hash group-by through ColumnBatch pipelines:
-        differential vs the legacy interpreter, IO equal to estimate."""
-
-        def gb_plan():
-            return GroupByNode(
-                scan(big_db, "b", "y"),
-                group_keys=[("y", "g")],
-                aggregates=[
-                    ("s", AggregateCall("sum", col("y.w"))),
-                    ("n", AggregateCall("count", None)),
-                ],
-            )
-
-        reference_plan = gb_plan()
-        CostModel(big_db.catalog, big_db.params).annotate_tree(
-            reference_plan
-        )
-        with big_db.io.measure() as span:
-            reference = execute_plan_rows(
-                reference_plan,
-                ExecutionContext(big_db.catalog, big_db.io, big_db.params),
-            )
-        reference_io = span.delta
-
-        plan = gb_plan()
-        CostModel(big_db.catalog, big_db.params).annotate_tree(plan)
-        context = ExecutionContext(big_db.catalog, big_db.io, big_db.params)
-        with big_db.io.measure() as span:
-            result = execute_plan(plan, context)
-        assert result.rows == reference.rows
-        assert span.delta.page_reads == reference_io.page_reads
-        assert span.delta.page_writes == reference_io.page_writes
-        assert span.delta.total == pytest.approx(plan.props.cost)
-        # the grouping ran a compiled accumulation kernel
-        assert context.kernels_compiled > 0
 
     def test_spilled_results_match_in_memory_results(self, big_db):
         """The same join under a huge buffer pool gives the same rows."""

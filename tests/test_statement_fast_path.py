@@ -544,18 +544,16 @@ class TestParameterProbes:
     def test_unbound_probe_never_reaches_storage(self, keyed_db):
         from repro.engine.context import ExecutionContext
         from repro.engine.executor import execute_plan
-        from repro.engine.rowexec import execute_plan_rows
         from repro.storage.iocounter import IOCounter
 
         with keyed_db.session() as session:
             session.execute("PREPARE p AS " + self.BY_KEY.format("$1"))
             plan = session.prepared["p"].optimization.plan
-        for run in (execute_plan, execute_plan_rows):
-            context = ExecutionContext(
-                keyed_db.catalog, IOCounter(), keyed_db.params
-            )
-            with pytest.raises(PlanError, match=r"\$1 is unbound"):
-                run(plan, context)
+        context = ExecutionContext(
+            keyed_db.catalog, IOCounter(), keyed_db.params
+        )
+        with pytest.raises(PlanError, match=r"\$1 is unbound"):
+            execute_plan(plan, context)
 
 
 class TestProbeKeysThatEqualNothing:
@@ -574,13 +572,12 @@ class TestProbeKeysThatEqualNothing:
         db.analyze()
         return db
 
-    @pytest.mark.parametrize("engine", ["batch", "rowexec"])
-    def test_same_rows_with_and_without_the_index(self, engine):
+    def test_same_rows_with_and_without_the_index(self):
         answers = []
         for indexed in (False, True):
             db = self._db(indexed)
             rows = {}
-            with db.session(engine=engine) as session:
+            with db.session() as session:
                 session.execute("PREPARE p AS " + self.SQL.format("$1"))
                 (scan,) = scans(session.prepared["p"].optimization.plan)
                 assert (scan.index_name is not None) == indexed
