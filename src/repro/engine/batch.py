@@ -7,9 +7,8 @@ list/tuple per column). Column-major layout makes key extraction free
 pick (:meth:`ColumnBatch.project`), and lets the compiled kernels in
 :mod:`repro.engine.kernels` run fused scan→filter→project loops with no
 per-row Python function calls. Where an operator is inherently per-row
-(the sort-method group-by, the index-NLJ probe), :func:`projector` and
-:func:`keyer` precompile that work into C-speed accessors over row
-tuples (:data:`RowBatch`).
+(the index-NLJ probe), :func:`projector` precompiles that work into a
+C-speed accessor over row tuples (:data:`RowBatch`).
 
 Columns are any indexable sequences: lists (a scan's columns are
 slices of the stored, column-major table — ``storage/table.py`` — so
@@ -178,11 +177,3 @@ def projector(
         return lambda row: (row[position],)
     return itemgetter(*positions)
 
-
-def keyer(positions: Sequence[int]) -> Callable[[Tuple[Any, ...]], Any]:
-    """A compiled key extractor; single-column keys become scalars so
-    dictionary probes and sort keys allocate no tuple per row."""
-    positions = list(positions)
-    if len(positions) == 1:
-        return itemgetter(positions[0])
-    return itemgetter(*positions)

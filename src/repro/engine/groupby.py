@@ -1,8 +1,9 @@
-"""Streaming execution of group-by (hash and sort-based), sort and
-limit.
+"""Streaming execution of group-by, sort and limit.
 
 The group-by table and the sort buffer are pipeline breakers (filter,
-project and rename run in the executor's fused chain, not here).
+project and rename run in the executor's fused chain, not here). Both
+group-by methods run the one fused hash kernel; the method picks only
+the charge (see :func:`group_by_columns`).
 ``LimitNode`` drains its child completely while emitting only the
 first N rows: the cost model charges a limit its child's full cost, and
 the two change together or not at all.
@@ -12,59 +13,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Tuple
 
-from ..algebra.aggregates import Accumulator
 from ..algebra.plan import GroupByNode, LimitNode, SortNode
-from ..datatypes import NullOrdered, null_ordered_key
+from ..datatypes import NullOrdered
 from ..storage.page import pages_for
-from .batch import ColumnBatch, keyer, projector, take
-from .kernels import (
-    ComputeProgram,
-    SelectionProgram,
-    groupby_kernels,
-    row_closures,
-)
+from .batch import ColumnBatch, take
+from .kernels import ComputeProgram, SelectionProgram, groupby_kernels
 from .metrics import OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_group_extra_io
-
-
-def _sorted_groups(rows, key_of, arg_evaluators, functions):
-    """Run-based aggregation over input sorted on the group keys.
-
-    The planner guarantees the ordering (a SortNode below, or an order-
-    producing child); we re-sort defensively if the input is small and
-    unsorted, which keeps hand-built plans usable in tests.
-    """
-    keyed = [(key_of(row), row) for row in rows]
-    if any(
-        _order_key(keyed[i + 1][0]) < _order_key(keyed[i][0])
-        for i in range(len(keyed) - 1)
-    ):
-        keyed.sort(key=lambda pair: _order_key(pair[0]))
-    groups = []
-    current_key = None
-    started = False
-    accumulators: List[Accumulator] = []
-    for key, row in keyed:
-        if not started or key != current_key:
-            if started:
-                groups.append((current_key, accumulators))
-            started = True
-            current_key = key
-            accumulators = [
-                function.make_accumulator() for function in functions
-            ]
-        for accumulator, evaluate in zip(accumulators, arg_evaluators):
-            accumulator.add(evaluate(row) if evaluate is not None else True)
-    if started:
-        groups.append((current_key, accumulators))
-    return groups
-
-
-def _order_key(key):
-    """NULL-safe ordering wrapper for a group key (scalar or tuple)."""
-    if type(key) is tuple:
-        return null_ordered_key(key)
-    return NullOrdered(key)
 
 
 def group_by_columns(plan: GroupByNode, compiler):
@@ -73,10 +28,12 @@ def group_by_columns(plan: GroupByNode, compiler):
     as whole columns, and HAVING + projection run as one selection
     kernel + column gather over the finalized group columns.
 
-    The sort-method path stays row-based (run detection over row
-    tuples; it is never the hot path). The hash path's spill charge is
-    the cost model's formula over the input's and the group table's
-    actual pages.
+    Groups come out in first-occurrence order. A sort-method group-by's
+    input is ordered on the group keys, so that is key order — the
+    order its plan promises — and the method differs from hash only in
+    the charge: hash pays the cost model's spill formula over the
+    input's and the group table's actual pages; sort pays nothing here,
+    its input arriving ordered.
     """
     child = compiler.child(plan.child)
     child_schema = plan.child.schema
@@ -87,10 +44,7 @@ def group_by_columns(plan: GroupByNode, compiler):
     out_positions = [
         internal.index_of(alias, name) for alias, name in plan.projection
     ]
-    if plan.method == "sort":
-        return _sorted_group_by(
-            plan, child, key_positions, out_positions
-        )
+    hashed = plan.method == "hash"
     having_program = SelectionProgram(plan.having, internal, compiler)
     arg_expressions = [
         call.arg for _, call in plan.aggregates if call.arg is not None
@@ -125,15 +79,16 @@ def group_by_columns(plan: GroupByNode, compiler):
                 computed[s] if s is not None else None for s in arg_slots
             ]
             update(keys, args, table)
-        charge_spill(
-            context.io,
-            metrics,
-            hash_group_extra_io(
-                pages_for(count, child_schema.width),
-                pages_for(len(table), internal.width),
-                context.params.memory_pages,
-            ),
-        )
+        if hashed:
+            charge_spill(
+                context.io,
+                metrics,
+                hash_group_extra_io(
+                    pages_for(count, child_schema.width),
+                    pages_for(len(table), internal.width),
+                    context.params.memory_pages,
+                ),
+            )
         internal_columns = list(finalize(table.items()))
         groups = metrics.groups = len(table)
         metrics.cells += groups * len(internal_columns)
@@ -151,51 +106,6 @@ def group_by_columns(plan: GroupByNode, compiler):
             yield ColumnBatch(
                 [column[start:end] for column in out_columns], end - start
             )
-
-    return open
-
-
-def _sorted_group_by(plan: GroupByNode, child, key_positions, out_positions):
-    """The sort-method group-by: rows, run detection, accumulator
-    objects behind a columnar interface."""
-    internal = plan.internal_schema
-    key_of = keyer(key_positions)
-    arm_arguments = row_closures(
-        [call.arg for _, call in plan.aggregates], plan.child.schema
-    )
-    arm_having = row_closures(plan.having, internal)
-    functions = [call.function() for _, call in plan.aggregates]
-    project = projector(out_positions, len(internal))
-    single_key = len(key_positions) == 1
-    width = len(out_positions)
-
-    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
-        context = run.context
-        having_checks = arm_having(context)
-        rows: List[Tuple[Any, ...]] = []
-        for batch in child(run):
-            rows.extend(batch.to_rows())
-        metrics.rows_in = len(rows)
-        groups = _sorted_groups(
-            rows, key_of, arm_arguments(context), functions
-        )
-        metrics.groups = len(groups)
-        out_rows: List[Tuple[Any, ...]] = []
-        for key, accumulators in groups:
-            key_part = (key,) if single_key else key
-            internal_row = key_part + tuple(
-                accumulator.value() for accumulator in accumulators
-            )
-            if having_checks and not all(
-                check(internal_row) for check in having_checks
-            ):
-                continue
-            out_rows.append(
-                project(internal_row) if project is not None else internal_row
-            )
-        for start in range(0, len(out_rows), context.batch_size):
-            chunk = out_rows[start : start + context.batch_size]
-            yield ColumnBatch.from_rows(chunk, width)
 
     return open
 

@@ -1,31 +1,36 @@
-"""Streaming execution of the four join methods.
+"""Streaming execution of joins: three match cores, one emitter.
 
 IO discipline (mirrored by the cost model in ``repro.cost.model``):
 
-- **Block NLJ**: the outer is streamed in blocks of ``memory_pages - 2``
-  pages. An inner that fits in the remaining buffers is read once;
-  otherwise a base-table inner is rescanned per block and any other
-  inner is materialized (one write) and re-read per block.
-- **Index NLJ**: per outer row, a probe into the inner table's index;
-  the index itself charges traversal/leaf/data-page IO.
+- **Hash** and **block NLJ** share one match core: the right input is
+  collected, and each left batch is matched against it. The method
+  only picks the charge applied once the left side is exhausted. A
+  hash join whose build side exceeds memory pays a Grace partitioning
+  pass over both inputs. A block NLJ streams the outer in blocks of
+  ``memory_pages - 2`` pages; an inner that does not fit in the
+  remaining buffers is rescanned per block when it is a base table,
+  else materialized (one write) and re-read per block.
 - **Sort-merge**: each input is sorted unless already ordered on the
   join keys; sorting charges :func:`external_sort_extra_io`.
-- **Hash**: build on the right input; a build side larger than memory
-  charges a Grace partitioning pass over both inputs.
+- **Index NLJ**: per outer row, a probe into the inner table's index;
+  the index itself charges traversal/leaf/data-page IO.
 
-Pipeline shape: the build side of a hash join, both sort-merge inputs,
-and a block-NLJ inner are pipeline breakers (fully collected before
-output flows); the probe/outer side always streams. Join output runs
-through a fused residual-filter→project per-batch loop, and spill
-charges whose formulas need the streamed side's total page count are
-applied once that side is exhausted, from the same row counts the cost
-model's formulas read.
+Every core yields candidate (left row, right row) pairs, and one
+emitter serves every join kind: the residual runs as a selection
+kernel over the pairs (for a non-inner kind it is part of the ON
+condition), then the kind's step — semi keeps the left rows with a
+surviving pair, anti (and NOT IN, with its NULL rule) those without,
+LEFT pads each pairless left row with a NULL right row — then the
+projection is gathered.
+
+Pipeline shape: the match core's right input and both sort-merge
+inputs are collected before output flows; the left side streams.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, List, Optional, Tuple
 
 from ..algebra.plan import JoinNode, ScanNode
@@ -68,42 +73,46 @@ def _key_positions(
     return [schema.index_of(alias, name) for alias, name in keys]
 
 
-def _kind_join_charges(
+def _hash_charge(
     plan: JoinNode,
     context: ExecutionContext,
     metrics: OperatorMetrics,
-    build_count: int,
-    probe_count: int,
+    right_count: int,
+    left_count: int,
 ) -> None:
-    """Spill/rescan charges for a semi/anti/left join, applied once the
-    probe side is exhausted. Formulas are exactly the inner-join cores'
-    (hash Grace partitioning, block-NLJ inner rescans)."""
-    memory = context.params.memory_pages
-    left_width = plan.left.schema.width
-    right_width = plan.right.schema.width
-    if plan.method == "hj":
-        charge_spill(
-            context.io,
-            metrics,
-            hash_spill_extra_io(
-                pages_for(build_count, right_width),
-                pages_for(probe_count, left_width),
-                memory,
-            ),
-        )
-        return
-    blocks = nlj_blocks(pages_for(probe_count, left_width), memory)
-    inner_is_scan = (
-        isinstance(plan.right, ScanNode) and plan.right.index_name is None
+    """A hash join's Grace partitioning of both inputs, when its build
+    side exceeds memory."""
+    charge_spill(
+        context.io,
+        metrics,
+        hash_spill_extra_io(
+            pages_for(right_count, plan.right.schema.width),
+            pages_for(left_count, plan.left.schema.width),
+            context.params.memory_pages,
+        ),
     )
-    if inner_is_scan:
+
+
+def _nlj_charge(
+    plan: JoinNode,
+    context: ExecutionContext,
+    metrics: OperatorMetrics,
+    right_count: int,
+    left_count: int,
+) -> None:
+    """A block NLJ's inner passes beyond the first, one per outer
+    block: rescans of a base-table inner, else materializing the inner
+    once and re-reading it per block."""
+    memory = context.params.memory_pages
+    blocks = nlj_blocks(pages_for(left_count, plan.left.schema.width), memory)
+    if isinstance(plan.right, ScanNode) and plan.right.index_name is None:
         inner_pages = context.storage_for(plan.right.table_name).num_pages
         if inner_pages > max(1, memory - 2) and blocks > 1:
             rescans = (blocks - 1) * inner_pages
             context.io.read_pages(rescans)
             metrics.spill(rescans, 0)
     else:
-        inner_pages = pages_for(build_count, right_width)
+        inner_pages = pages_for(right_count, plan.right.schema.width)
         if inner_pages > max(1, memory - 2):
             context.io.write_pages(inner_pages)  # materialize the inner
             rereads = blocks * inner_pages
@@ -115,20 +124,21 @@ def _kind_join_charges(
 # Columnar join path
 # ----------------------------------------------------------------------
 #
-# Every method core produces (left_columns, right_columns, li, ri,
-# counts) tuples: full-width column sets for each side plus parallel
-# index vectors — one (li[k], ri[k]) pair per matched row. Matches stay
-# *virtual* until the shared emitter has applied the residual filter
-# (a compiled selection kernel over only the columns it reads) and the
-# join's projection; only projected columns are ever gathered, so an
-# unprojected build column is never copied per match.
+# Every core yields (left_batch, right_columns, li, ri, counts) tuples:
+# a left batch, the full-width right column set, and parallel index
+# vectors — one (li[k], ri[k]) pair per candidate match, left-row-major.
+# Matches stay *virtual* until the shared emitter has applied the
+# residual filter (a compiled selection kernel over only the columns it
+# reads), the kind's step and the join's projection; only projected
+# columns are ever gathered, so an unprojected build column is never
+# copied per match.
 #
 # Index vectors carry shape hints that keep the gathers at C speed:
 #
 # - ``li is None`` with ``counts`` set means the left vector is
-#   "probe row i, repeated counts[i] times" — left columns are then
-#   produced directly with ``chain.from_iterable(map(repeat, col,
-#   counts))`` (one C pass, no index vector ever materialized).
+#   "left row i, repeated counts[i] times" — left columns are then
+#   produced directly by :func:`repeat_column` (one C pass, no index
+#   vector ever materialized).
 # - a ``range`` for ``li``/``ri`` means that side passes through whole
 #   and in order (all-hit unique probe / index-NLJ match block) — its
 #   columns are reused with no copy at all.
@@ -224,10 +234,60 @@ def _probe_unique(keys, index: dict):
     return range(len(ri)), ri
 
 
+def _probe(keys, buckets: dict, unique: Optional[dict]):
+    """``(li, ri, counts)`` of probe keys against a build side's
+    buckets, through its unique index when it has one."""
+    if unique is not None:
+        li, ri = _probe_unique(keys, unique)
+        return li, ri, None
+    counts, ri = _probe_multi(keys, buckets)
+    return None, ri, counts
+
+
+def _semi_rows(n: int, li, counts, anti: bool):
+    """The left rows of an *n*-row batch with a surviving pair (semi)
+    or with none (anti), ascending; ``range(n)`` when that is all."""
+    matched = set(
+        li if li is not None else [i for i, c in enumerate(counts) if c]
+    )
+    rows = [i for i in range(n) if (i in matched) != anti]
+    return range(n) if len(rows) == n else rows
+
+
+def _not_in_rows(rows, left_keys, right_keys):
+    """NOT IN's NULL rule over an anti join's surviving *rows*: against
+    a non-empty right side a NULL left key is UNKNOWN, and a NULL right
+    key makes every unmatched left row UNKNOWN — neither survives."""
+    if not right_keys:
+        return rows
+    if None in right_keys:
+        return []
+    kept = [i for i in rows if left_keys[i] is not None]
+    return rows if len(kept) == len(rows) else kept
+
+
+def _left_outer_pairs(n: int, li, ri, counts, sentinel: int):
+    """An *n*-row batch's LEFT OUTER pairs: each left row's surviving
+    pairs, or one pair with the all-NULL *sentinel* right row when it
+    has none. Pairs arrive left-row-major, so a stable sort on the
+    left row merges the pairless rows in (timsort: one linear merge)."""
+    if li is None:
+        li = materialize_left(counts)
+    matched = set(li)
+    pairs = sorted(
+        chain(
+            zip(li, ri),
+            ((i, sentinel) for i in range(n) if i not in matched),
+        ),
+        key=itemgetter(0),
+    )
+    return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+
+
 def join_columns(plan: JoinNode, compiler):
-    """Columnar join: method core + fused residual/projection emitter."""
-    if plan.kind != "inner":
-        return _kind_join_columns(plan, compiler)
+    """Columnar join: the method's core, then one emitter for every
+    kind — residual, the kind's step, projection (see the module
+    docstring)."""
     combined = plan.left.schema.concat(plan.right.schema)
     combined_width = len(combined)
     left_width = len(plan.left.schema)
@@ -235,17 +295,26 @@ def join_columns(plan: JoinNode, compiler):
     positions = [
         combined.index_of(alias, name) for alias, name in plan.projection
     ]
-    core = _CORES.get(plan.method, _nlj_core)(plan, compiler)
+    core = _CORES[plan.method](plan, compiler)
+    kind = plan.kind
+    # NOT IN's NULL rule reads the one key column of each side
+    not_in_keys = (
+        [positions[0] for positions in _equi_positions(plan)]
+        if plan.null_aware
+        else None
+    )
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
         residual = residual_program.arm(run.context)
-        for left_columns, right_columns, li, ri, counts in core(run, metrics):
+        padded = None  # LEFT: the right columns plus one all-NULL row
+        for batch, right_columns, li, ri, counts in core(run, metrics):
             metrics.rows_in += len(ri)
-            full_left = li is not None and type(li) is range
+            left_columns = batch.columns
+            full_left = type(li) is range
             full_right = type(ri) is range
             cached = None
             cells = 0
-            if residual.active:
+            if residual.active and ri:
                 if li is None:  # the residual needs explicit left indices
                     li = materialize_left(counts)
                     counts = None
@@ -265,19 +334,38 @@ def join_columns(plan: JoinNode, compiler):
                         else:
                             virtual[p] = take(column, ri)
                             cells += gathered
-                sel = residual.run(virtual, len(ri))
+                sel = residual.run(virtual, gathered)
                 if sel is None:
-                    # every row passed: the gathered columns ARE the output
+                    # every pair passed: the gathered columns ARE the output
                     cached = virtual
                 else:
-                    if not sel:
-                        metrics.cells += cells
-                        continue
                     li = take(li, sel)
                     ri = take(ri, sel)
                     full_left = full_right = False
+            if kind == "semi" or kind == "anti":
+                li = _semi_rows(batch.length, li, counts, kind == "anti")
+                if not_in_keys:
+                    left_key, right_key = not_in_keys
+                    li = _not_in_rows(
+                        li, left_columns[left_key], right_columns[right_key]
+                    )
+                ri = counts = cached = None
+                full_left = type(li) is range
+            elif kind == "left":
+                sentinel = len(right_columns[0]) if right_columns else 0
+                if padded is None:  # one right column set per run
+                    padded = [[*column, None] for column in right_columns]
+                li, ri = _left_outer_pairs(
+                    batch.length, li, ri, counts, sentinel
+                )
+                right_columns = padded
+                counts = cached = None
+                full_left = full_right = False
+            out_len = len(ri) if li is None else len(li)
+            if not out_len:
+                metrics.cells += cells
+                continue
             out = []
-            out_len = len(ri)
             for p in positions:
                 if cached is not None and cached[p] is not None:
                     out.append(cached[p])
@@ -299,8 +387,7 @@ def join_columns(plan: JoinNode, compiler):
                         out.append(take(column, ri))
                         cells += out_len
             metrics.cells += cells
-            if out_len:
-                yield ColumnBatch(out, out_len)
+            yield ColumnBatch(out, out_len)
 
     return open
 
@@ -318,140 +405,59 @@ def _equi_positions(plan: JoinNode) -> Tuple[List[int], List[int]]:
     )
 
 
-def _hash_core(plan: JoinNode, compiler):
-    """Hash join over columns: build an index-valued hash table on the
-    right, probe each left batch's key column straight through it."""
+def _match_core(plan: JoinNode, compiler):
+    """Hash join and block NLJ over columns: one match loop, and the
+    method's charge once the left side is exhausted.
+
+    The right input is collected and its keys bucketed by
+    :func:`_build_buckets` (ascending right rows per key), so each left
+    batch's pairs come out left-row-major, then in right-row order — a
+    nested loop's order. Without equi keys every left row pairs with
+    every right row, the index vectors built by C-level list
+    repetition."""
     left = compiler.child(plan.left)
     right = compiler.child(plan.right)
     left_positions, right_positions = _equi_positions(plan)
-    multi_key = len(left_positions) > 1
-    left_width = plan.left.schema.width
-    right_width = plan.right.schema.width
-    right_columns_count = len(plan.right.schema)
+    right_width = len(plan.right.schema)
+    charge = _hash_charge if plan.method == "hj" else _nlj_charge
 
     def core(run, metrics: OperatorMetrics):
-        context = run.context
         left_batches = left(run)
-        build_columns, build_count = _collect_columns(
-            right(run), right_columns_count
-        )
-        buckets = _build_buckets(
-            _column_keys(build_columns, right_positions), multi_key
-        )
-        unique = _unique_index(buckets)
-        probe_count = 0
-        for batch in left_batches:
-            probe_count += batch.length
-            keys = _column_keys(batch.columns, left_positions)
-            if unique is not None:
-                li, ri = _probe_unique(keys, unique)
-                if ri:
-                    yield batch.columns, build_columns, li, ri, None
-            else:
-                counts, ri = _probe_multi(keys, buckets)
-                if ri:
-                    yield batch.columns, build_columns, None, ri, counts
-        charge_spill(
-            context.io,
-            metrics,
-            hash_spill_extra_io(
-                pages_for(build_count, right_width),
-                pages_for(probe_count, left_width),
-                context.params.memory_pages,
-            ),
-        )
-
-    return core
-
-
-def _nlj_core(plan: JoinNode, compiler):
-    """Block NLJ over columns. With equi keys the inner match lookup
-    uses an insertion-ordered hash index — output rows and order are
-    those of a linear scan of the inner (buckets hold ascending inner
-    indices), and the rescan/materialization charges are the block
-    NLJ's; only the in-memory matching is cheaper. The pure cross
-    product builds its index vectors with C-level list repetition."""
-    left = compiler.child(plan.left)
-    right = compiler.child(plan.right)
-    equi = bool(plan.equi_keys)
-    left_positions, right_positions = _equi_positions(plan)
-    left_width = plan.left.schema.width
-    right_width = plan.right.schema.width
-    right_columns_count = len(plan.right.schema)
-    inner_is_scan = (
-        isinstance(plan.right, ScanNode) and plan.right.index_name is None
-    )
-
-    def core(run, metrics: OperatorMetrics):
-        context = run.context
-        memory = context.params.memory_pages
-        left_batches = left(run)
-        inner_columns, inner_count = _collect_columns(
-            right(run), right_columns_count
-        )
-        buckets = (
-            _build_buckets(
-                _column_keys(inner_columns, right_positions),
+        right_columns, right_count = _collect_columns(right(run), right_width)
+        if right_positions:
+            buckets = _build_buckets(
+                _column_keys(right_columns, right_positions),
                 len(right_positions) > 1,
             )
-            if equi
-            else None
-        )
-        unique = _unique_index(buckets) if buckets is not None else None
-        inner_indices = list(range(inner_count))
-
-        outer_count = 0
+            unique = _unique_index(buckets)
+        else:
+            every_right_row = list(range(right_count))
+        left_count = 0
         for batch in left_batches:
             n = batch.length
-            outer_count += n
-            if unique is not None:
-                li, ri = _probe_unique(
-                    _column_keys(batch.columns, left_positions), unique
+            left_count += n
+            if right_positions:
+                li, ri, counts = _probe(
+                    _column_keys(batch.columns, left_positions),
+                    buckets,
+                    unique,
                 )
-                if ri:
-                    yield batch.columns, inner_columns, li, ri, None
-            elif buckets is not None:
-                counts, ri = _probe_multi(
-                    _column_keys(batch.columns, left_positions), buckets
-                )
-                if ri:
-                    yield batch.columns, inner_columns, None, ri, counts
-            elif inner_count:
-                # cross product: every outer row repeats inner_count
-                # times against the whole tiled inner
-                yield (
-                    batch.columns,
-                    inner_columns,
-                    None,
-                    inner_indices * n,
-                    [inner_count] * n,
-                )
-
-        blocks = nlj_blocks(pages_for(outer_count, left_width), memory)
-        if inner_is_scan:
-            inner_pages = context.storage_for(
-                plan.right.table_name
-            ).num_pages
-            if inner_pages > max(1, memory - 2) and blocks > 1:
-                rescans = (blocks - 1) * inner_pages
-                context.io.read_pages(rescans)
-                metrics.spill(rescans, 0)
-        else:
-            inner_pages = pages_for(inner_count, right_width)
-            if inner_pages > max(1, memory - 2):
-                context.io.write_pages(inner_pages)  # materialize the inner
-                rereads = blocks * inner_pages
-                context.io.read_pages(rereads)
-                metrics.spill(rereads, inner_pages)
+            else:  # cross product
+                li, ri, counts = None, every_right_row * n, [right_count] * n
+            yield batch, right_columns, li, ri, counts
+        charge(plan, run.context, metrics, right_count, left_count)
 
     return core
 
 
 def _smj_core(plan: JoinNode, compiler):
-    """Sort-merge over columns: sort *index* vectors instead of rows
-    (``sorted(key=keys.__getitem__)`` is the stable permutation sorting
-    the rows would produce), merge the materialized sorted key lists,
-    and emit original-position index pairs."""
+    """Sort-merge over columns. Both inputs are collected and charged
+    their sort unless already ordered on the join keys. The merge is a
+    probe of the left rows in key order (a stable sort of their
+    indices; a NULL key never matches) against the right side's
+    :func:`_build_buckets`, whose ascending right rows per key are a
+    stable sort's equal-key runs: pairs come out left-run-major with
+    right runs ascending, the merge's order."""
     left = compiler.child(plan.left)
     right = compiler.child(plan.right)
     left_positions, right_positions = _equi_positions(plan)
@@ -467,10 +473,7 @@ def _smj_core(plan: JoinNode, compiler):
     def core(run, metrics: OperatorMetrics):
         context = run.context
 
-        def side(batches, child, positions, unsorted):
-            """Collect, null-filter, charge the sort, and return
-            (columns, order, sorted_keys) where ``order`` maps merge
-            position → original row index."""
+        def collect(batches, child, unsorted):
             columns, count = _collect_columns(batches, len(child.schema))
             if unsorted:
                 # charge by the collected (pre-filter) page count: the
@@ -483,71 +486,37 @@ def _smj_core(plan: JoinNode, compiler):
                         context.params.memory_pages,
                     ),
                 )
-            key_values = _column_keys(columns, positions)
-            if multi_key:
-                indices = [
-                    i for i, key in enumerate(key_values) if None not in key
-                ]
-            elif None in key_values:
-                indices = [
-                    i for i, key in enumerate(key_values) if key is not None
-                ]
-            else:  # no NULL keys: skip the per-row filter entirely
-                indices = list(range(count))
-            if unsorted:
-                indices.sort(key=key_values.__getitem__)
-            elif len(indices) == count:
-                return columns, indices, list(key_values)
-            return columns, indices, take(key_values, indices)
+            return columns, count
 
         left_batches = left(run)
         right_batches = right(run)
-        left_columns, left_order, left_sorted = side(
-            left_batches, plan.left, left_positions, left_unsorted
+        left_columns, left_count = collect(
+            left_batches, plan.left, left_unsorted
         )
-        right_columns, right_order, right_sorted = side(
-            right_batches, plan.right, right_positions, right_unsorted
+        right_columns, _ = collect(right_batches, plan.right, right_unsorted)
+        buckets = _build_buckets(
+            _column_keys(right_columns, right_positions), multi_key
         )
-
-        # The merge itself is a probe of the left side (in sorted order)
-        # against the right side's equal-key runs — emit order is
-        # left-run-major with right runs ascending, exactly the pairwise
-        # merge's order. Unique right keys (the PK side of a FK join)
-        # collapse the whole merge into C-level ``dict``/``map`` passes.
-        if not left_sorted or not right_sorted:
-            return
-        index = dict(zip(right_sorted, right_order))
-        if len(index) == len(right_sorted):  # right keys unique
-            hits = list(map(index.get, left_sorted))
-            if None in hits:
-                li = [
-                    left_order[i]
-                    for i, hit in enumerate(hits)
-                    if hit is not None
-                ]
-                ri = [hit for hit in hits if hit is not None]
-            else:  # referential integrity: every left row matches
-                li, ri = left_order, hits
-            if ri:
-                yield left_columns, right_columns, li, ri, None
-            return
-
-        buckets: dict = {}
-        get = buckets.get
-        for key, position in zip(right_sorted, right_order):
-            hit = get(key)
-            if hit is None:
-                buckets[key] = [position]
+        keys = _column_keys(left_columns, left_positions)
+        order = range(left_count)  # left rows in key order
+        if left_unsorted:
+            if multi_key:
+                order = [i for i, key in enumerate(keys) if None not in key]
             else:
-                hit.append(position)
-        hits = list(map(get, left_sorted))
-        counts = [0 if hit is None else len(hit) for hit in hits]
-        # the left vector repeats *original* indices (left_order), so it
-        # cannot stay counts-encoded — expand it with the same C passes
-        li = list(chain.from_iterable(map(mul, zip(left_order), counts)))
-        ri = list(chain.from_iterable(filter(None, hits)))
-        if ri:
-            yield left_columns, right_columns, li, ri, None
+                order = [i for i, key in enumerate(keys) if key is not None]
+            order.sort(key=keys.__getitem__)
+            keys = take(keys, order)
+        li, ri, counts = _probe(keys, buckets, _unique_index(buckets))
+        if type(order) is not range:  # key-order positions → left rows
+            if li is None:
+                li = repeat_column(order, counts)
+            elif type(li) is range:
+                li = order
+            else:
+                li = take(order, li)
+            counts = None
+        left_batch = ColumnBatch(left_columns, left_count)
+        yield left_batch, right_columns, li, ri, counts
 
     return core
 
@@ -621,7 +590,7 @@ def _inlj_core(plan: JoinNode, compiler):
             if li:
                 right_columns = list(zip(*matched_rows))
                 yield (
-                    batch.columns,
+                    batch,
                     right_columns,
                     li,
                     range(len(matched_rows)),
@@ -636,169 +605,9 @@ def _inlj_core(plan: JoinNode, compiler):
     return core
 
 
-_CORES = {"inlj": _inlj_core, "hj": _hash_core, "smj": _smj_core}
-
-
-def _kind_join_columns(plan: JoinNode, compiler):
-    """Semi / anti / LEFT OUTER joins over columns.
-
-    Candidate (probe, build) pairs come from the same bucket probe as
-    the inner cores; the ON residuals then run as a selection kernel
-    over the *pairs*, and only afterwards does the kind decide what
-    survives: the distinct matched probes (semi), their complement
-    (anti — a NULL-keyed probe has no pairs, so it survives, matching
-    NOT EXISTS), or every probe with unmatched ones padded through a
-    NULL sentinel row appended to the build columns (LEFT). Output is
-    probe-major: each probe row's survivors in build order."""
-    left = compiler.child(plan.left)
-    right = compiler.child(plan.right)
-    combined = plan.left.schema.concat(plan.right.schema)
-    combined_width = len(combined)
-    left_width = len(plan.left.schema)
-    right_width = len(plan.right.schema)
-    residual_program = SelectionProgram(plan.residuals, combined, compiler)
-    positions = [
-        combined.index_of(alias, name) for alias, name in plan.projection
-    ]
-    equi = bool(plan.equi_keys)
-    left_positions, right_positions = _equi_positions(plan)
-    multi_key = len(left_positions) > 1
-
-    def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
-        context = run.context
-        residual = residual_program.arm(context)
-
-        def project_left(columns, sel):
-            """Gather the (left-only) projection through a selection
-            vector; ``sel is None`` keeps whole columns with no copy."""
-            if sel is None:
-                return [columns[p] for p in positions]
-            metrics.cells += len(sel) * len(positions)
-            return [take(columns[p], sel) for p in positions]
-
-        left_batches = left(run)
-        build_columns, build_count = _collect_columns(
-            right(run), right_width
-        )
-        if plan.null_aware:
-            # NOT IN three-valued logic over the single key column.
-            key_column = build_columns[right_positions[0]]
-            inner_nonempty = build_count > 0
-            inner_has_null = any(value is None for value in key_column)
-            key_set = set(
-                value for value in key_column if value is not None
-            )
-        buckets = (
-            _build_buckets(
-                _column_keys(build_columns, right_positions), multi_key
-            )
-            if equi and not plan.null_aware
-            else None
-        )
-        build_indices = list(range(build_count))
-        padded_columns = (
-            [list(column) + [None] for column in build_columns]
-            if plan.kind == "left"
-            else None
-        )
-
-        probe_count = 0
-        for batch in left_batches:
-            n = batch.length
-            probe_count += n
-            metrics.rows_in += n
-
-            if plan.null_aware:
-                keys = _column_keys(batch.columns, left_positions)
-                if not inner_nonempty:
-                    sel = None  # empty inner: every probe row survives
-                elif inner_has_null:
-                    continue  # every probe is UNKNOWN: all dropped
-                else:
-                    sel = [
-                        i
-                        for i, key in enumerate(keys)
-                        if key is not None and key not in key_set
-                    ]
-                    if not sel:
-                        continue
-                yield ColumnBatch(
-                    project_left(batch.columns, sel),
-                    n if sel is None else len(sel),
-                )
-                continue
-
-            # candidate (probe, build) pairs, probe-major ascending
-            if buckets is not None:
-                counts, ri = _probe_multi(
-                    _column_keys(batch.columns, left_positions), buckets
-                )
-                li = materialize_left(counts)
-            elif build_count:
-                li = materialize_left([build_count] * n)
-                ri = build_indices * n
-            else:
-                li = []
-                ri = []
-
-            # the ON residuals are part of the match condition
-            if residual.active and ri:
-                virtual: List = [None] * combined_width
-                gathered = len(ri)
-                for p in residual.used:
-                    if p < left_width:
-                        virtual[p] = take(batch.columns[p], li)
-                    else:
-                        virtual[p] = take(
-                            build_columns[p - left_width], ri
-                        )
-                    metrics.cells += gathered
-                sel = residual.run(virtual, len(ri))
-                if sel is not None:
-                    li = take(li, sel)
-                    ri = take(ri, sel)
-
-            if plan.kind in ("semi", "anti"):
-                matched = sorted(set(li))
-                if plan.kind == "anti":
-                    matched_set = set(matched)
-                    matched = [
-                        i for i in range(n) if i not in matched_set
-                    ]
-                if matched:
-                    yield ColumnBatch(
-                        project_left(batch.columns, matched), len(matched)
-                    )
-                continue
-
-            # LEFT OUTER: walk probes in order; li is ascending, so the
-            # surviving pairs of probe i are a contiguous run
-            li_out: List[int] = []
-            ri_out: List[int] = []
-            pair_position = 0
-            pair_total = len(li)
-            for i in range(n):
-                matched_any = False
-                while (
-                    pair_position < pair_total
-                    and li[pair_position] == i
-                ):
-                    li_out.append(i)
-                    ri_out.append(ri[pair_position])
-                    pair_position += 1
-                    matched_any = True
-                if not matched_any:
-                    li_out.append(i)
-                    ri_out.append(build_count)  # the NULL sentinel row
-            out = []
-            for p in positions:
-                if p < left_width:
-                    out.append(take(batch.columns[p], li_out))
-                else:
-                    out.append(take(padded_columns[p - left_width], ri_out))
-                metrics.cells += len(li_out)
-            yield ColumnBatch(out, len(li_out))
-
-        _kind_join_charges(plan, context, metrics, build_count, probe_count)
-
-    return open
+_CORES = {
+    "hj": _match_core,
+    "nlj": _match_core,
+    "smj": _smj_core,
+    "inlj": _inlj_core,
+}

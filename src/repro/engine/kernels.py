@@ -3,7 +3,8 @@
 ``Expression.bind`` turns each
 :class:`~repro.algebra.expressions.Expression` into a ``row -> value``
 closure that pays one Python call per row per expression (the reference
-evaluator and the engine's row-at-a-time corners run those). This module
+evaluator, and the engine's two per-row corners — the index-NLJ inner
+filter and the mark join — through :func:`row_closures`). This module
 compiles whole operators instead: an
 operator's predicate chain, projection list, or aggregate update loop is
 translated to Python *source* for a single function over columns, then
@@ -29,7 +30,10 @@ Semantics are the closures', reproduced exactly:
   duality: ``is TRUE`` of ``AND`` is the ``and`` of is-trues, ``is
   FALSE`` of ``AND`` is the ``or`` of is-falses, and ``NOT`` swaps the
   two. Filters keep a row only when the predicate is TRUE, so UNKNOWN
-  needs no runtime representation.
+  needs no runtime representation. AND / OR used as a *value* (an
+  output column, an operand) is FALSE / TRUE / NULL picked by the same
+  two tests, so every bound expression compiles: there is no
+  closure fallback.
 - Comparison/arithmetic operands are evaluated eagerly (walrus
   assignments joined with ``|``) before the NULL check, matching the
   closures, which call both operand evaluators before the guard. The
@@ -111,11 +115,6 @@ _COMPARE_SOURCE = {
     ">": ">",
     ">=": ">=",
 }
-
-
-class KernelUnsupported(Exception):
-    """Raised while emitting when an expression has no source form;
-    the caller falls back to the bound-closure row path."""
 
 
 def _instantiate(source: str, namespace: Dict[str, Any], context) -> Callable:
@@ -262,7 +261,17 @@ class _Emitter:
                 f"(({temp}) if (({temp} := {self.value(e.item)}) "
                 f"is not None) else ({self.value(e.default)}))"
             )
-        raise KernelUnsupported(type(e).__name__)
+        if isinstance(e, And):  # Kleene: FALSE dominates, then UNKNOWN
+            return (
+                f"(False if {self.untruth(e)} else "
+                f"(True if {self.truth(e)} else None))"
+            )
+        if isinstance(e, Or):  # Kleene: TRUE dominates, then UNKNOWN
+            return (
+                f"(True if {self.truth(e)} else "
+                f"(False if {self.untruth(e)} else None))"
+            )
+        raise PlanError(f"no kernel source for {type(e).__name__}")
 
     def _binary_value(self, left: Expression, right: Expression, op: str) -> str:
         if isinstance(left, Literal) and left.value is None:
@@ -388,7 +397,31 @@ def _loop_head(positions: Sequence[int]) -> Tuple[str, str]:
     return f"({names})", f"zip({cols})"
 
 
-class SelectionProgram:
+class _Program:
+    """A compiled program's kernel: instantiated once at build time, or
+    — when it reads ``$n`` — per execution by :meth:`arm`."""
+
+    __slots__ = ("_kernel", "_rearm")
+
+    def _install(self, source: str, emitter: "_Emitter", context) -> None:
+        arm_kernel = _kernel_arm(source, emitter.namespace, emitter.parameters)
+        if emitter.parameters:
+            self._kernel, self._rearm = _needs_arming, arm_kernel
+        else:
+            self._kernel, self._rearm = arm_kernel(context), None
+
+    def arm(self, context):
+        """This program ready for one execution: itself when it reads
+        no ``$n``, else a copy over a kernel holding *context*'s
+        values."""
+        if self._rearm is None:
+            return self
+        armed = copy.copy(self)
+        armed._kernel, armed._rearm = self._rearm(context), None
+        return armed
+
+
+class SelectionProgram(_Program):
     """A predicate conjunction compiled to ``columns -> selection``.
 
     ``run`` returns a list of passing row indices, or ``None`` when
@@ -398,7 +431,7 @@ class SelectionProgram:
     virtual, i.e. behind a pending selection vector).
     """
 
-    __slots__ = ("active", "used", "_kernel", "_rearm")
+    __slots__ = ("active", "used")
 
     def __init__(
         self,
@@ -413,11 +446,7 @@ class SelectionProgram:
         if not predicates:
             return
         emitter = _Emitter(schema)
-        try:
-            condition = " and ".join(emitter.truth(p) for p in predicates)
-        except KernelUnsupported:
-            self._build_fallback(predicates, schema)
-            return
+        condition = " and ".join(emitter.truth(p) for p in predicates)
         positions = sorted(emitter.used)
         self.used = tuple(positions)
         head = (
@@ -440,51 +469,7 @@ class SelectionProgram:
                 f"    return [_i for _i, {variables} in "
                 f"enumerate({iterable}) if {condition}]\n"
             )
-        self._arm_with(
-            _kernel_arm(source, emitter.namespace, emitter.parameters),
-            bool(emitter.parameters),
-            context,
-        )
-
-    def _arm_with(self, arm_kernel, parameterized: bool, context) -> None:
-        if parameterized:
-            self._kernel, self._rearm = _needs_arming, arm_kernel
-        else:
-            self._kernel = arm_kernel(context)
-
-    def _build_fallback(self, predicates, schema: RowSchema) -> None:
-        self.used = tuple(range(len(schema)))
-        arm_checks = row_closures(predicates, schema)
-
-        def arm_kernel(context) -> Callable:
-            checks = arm_checks(context)
-
-            def kernel(columns, n):
-                rows = zip(*columns) if columns else iter([()] * n)
-                if len(checks) == 1:
-                    check = checks[0]
-                    return [i for i, row in enumerate(rows) if check(row)]
-                return [
-                    i
-                    for i, row in enumerate(rows)
-                    if all(check(row) for check in checks)
-                ]
-
-            return kernel
-
-        self._arm_with(
-            arm_kernel, any(collect_parameters(p) for p in predicates), None
-        )
-
-    def arm(self, context) -> "SelectionProgram":
-        """This program ready for one execution: itself when it reads
-        no ``$n``, else a copy over a kernel holding *context*'s
-        values."""
-        if self._rearm is None:
-            return self
-        armed = copy.copy(self)
-        armed._kernel, armed._rearm = self._rearm(context), None
-        return armed
+        self._install(source, emitter, context)
 
     def run(self, columns, n: int) -> Optional[List[int]]:
         if self._kernel is None:
@@ -495,26 +480,15 @@ class SelectionProgram:
         return sel
 
 
-class ComputeProgram:
+class ComputeProgram(_Program):
     """A projection list compiled to ``columns -> output columns``.
 
     Plain column references are zero-copy picks; every other output is
     computed by one generated listcomp over exactly the columns it
-    reads. Expressions the emitter cannot translate (Kleene logic as a
-    *value*) fall back to their bound closure over transposed rows —
-    per output, so one exotic column never slows the rest.
+    reads.
     """
 
-    __slots__ = (
-        "width",
-        "used",
-        "_picks",
-        "_kernel",
-        "_kernel_outputs",
-        "_fallback_outputs",
-        "_fallbacks",
-        "_rearm",
-    )
+    __slots__ = ("width", "used", "_picks", "_kernel_outputs")
 
     def __init__(
         self,
@@ -525,8 +499,6 @@ class ComputeProgram:
         self.width = len(expressions)
         emitter = _Emitter(schema)
         self._picks: List[Tuple[int, int]] = []
-        self._fallback_outputs: List[int] = []
-        unsupported: List[Expression] = []
         computed: List[Tuple[int, str, List[int]]] = []
         for index, expression in enumerate(expressions):
             if isinstance(expression, ColumnRef):
@@ -535,75 +507,40 @@ class ComputeProgram:
                 emitter.used.add(position)
                 continue
             emitter.begin()
-            try:
-                fragment = emitter.value(expression)
-            except KernelUnsupported:
-                self._fallback_outputs.append(index)
-                unsupported.append(expression)
-                continue
+            fragment = emitter.value(expression)
             computed.append(
                 (index, fragment, sorted(emitter.current_used))
             )
-        self._kernel_outputs: List[int] = []
-        arm_kernel: Callable = lambda context: None
-        if computed:
-            lines = [
-                "def _kernel(_cols, _n"
-                f"{_defaults(emitter.namespace, emitter.parameters)}):"
-            ]
-            bound = sorted({p for _, _, ps in computed for p in ps})
+        self.used = tuple(sorted(emitter.used))
+        self._kernel_outputs = [index for index, _, _ in computed]
+        self._kernel: Optional[Callable] = None
+        self._rearm: Optional[Callable] = None
+        if not computed:
+            return
+        lines = [
+            "def _kernel(_cols, _n"
+            f"{_defaults(emitter.namespace, emitter.parameters)}):"
+        ]
+        bound = sorted({p for _, _, ps in computed for p in ps})
+        if bound:
             lines.append(_column_bindings(bound).rstrip("\n"))
-            if not bound:
-                lines.pop()
-            returns = []
-            for index, fragment, positions in computed:
-                name = f"_o{index}"
-                self._kernel_outputs.append(index)
-                returns.append(name)
-                if positions:
-                    variables, iterable = _loop_head(positions)
-                    lines.append(
-                        f"    {name} = [{fragment} for {variables} in {iterable}]"
-                    )
-                else:
-                    # constant column; guard n=0 so it cannot evaluate
-                    # when the closure path would see no rows at all
-                    lines.append(
-                        f"    {name} = ([{fragment}] * _n) if _n else []"
-                    )
-            lines.append(f"    return ({', '.join(returns)},)")
-            source = "\n".join(lines) + "\n"
-            arm_kernel = _kernel_arm(
-                source, emitter.namespace, emitter.parameters
-            )
-        arm_fallbacks = row_closures(unsupported, schema)
-
-        def rearm(context) -> Tuple[Optional[Callable], List[Callable]]:
-            return arm_kernel(context), arm_fallbacks(context)
-
-        if emitter.parameters or any(
-            collect_parameters(e) for e in unsupported
-        ):
-            self._rearm: Optional[Callable] = rearm
-            self._kernel = _needs_arming
-            self._fallbacks = [_needs_arming] * len(unsupported)
-        else:
-            self._rearm = None
-            self._kernel, self._fallbacks = rearm(context)
-        if unsupported:
-            self.used = tuple(range(len(schema)))
-        else:
-            self.used = tuple(sorted(emitter.used))
-
-    def arm(self, context) -> "ComputeProgram":
-        """This program ready for one execution (see
-        :meth:`SelectionProgram.arm`)."""
-        if self._rearm is None:
-            return self
-        armed = copy.copy(self)
-        armed._kernel, armed._fallbacks = self._rearm(context)
-        armed._rearm = None
-        return armed
+        returns = []
+        for index, fragment, positions in computed:
+            name = f"_o{index}"
+            returns.append(name)
+            if positions:
+                variables, iterable = _loop_head(positions)
+                lines.append(
+                    f"    {name} = [{fragment} for {variables} in {iterable}]"
+                )
+            else:
+                # constant column; guard n=0 so it cannot evaluate
+                # when there are no rows at all
+                lines.append(
+                    f"    {name} = ([{fragment}] * _n) if _n else []"
+                )
+        lines.append(f"    return ({', '.join(returns)},)")
+        self._install("\n".join(lines) + "\n", emitter, context)
 
     def run(self, columns, n: int) -> List[Any]:
         out: List[Any] = [None] * self.width
@@ -614,12 +551,6 @@ class ComputeProgram:
                 self._kernel_outputs, self._kernel(columns, n)
             ):
                 out[index] = column
-        if self._fallbacks:
-            rows = list(zip(*columns)) if columns else [()] * n
-            for index, evaluate in zip(
-                self._fallback_outputs, self._fallbacks
-            ):
-                out[index] = [evaluate(row) for row in rows]
         return out
 
 

@@ -33,6 +33,8 @@ class OperatorMetrics:
     label: str
     depth: int = 0
     rows_in: int = 0
+    """Rows the operator consumed; for a join of any kind, its candidate
+    (left, right) pairs before the residual."""
     rows_out: int = 0
     batches: int = 0
     seconds: float = 0.0

@@ -26,7 +26,8 @@ its own daemon thread looping *blocking readline →* ``session.execute``
 writes serialize on the database write lock like any other session.
 Nothing here caps connections or statements in flight (ROADMAP item 2
 owns limits); a client that vanishes mid-read or mid-reply ends its
-connection quietly. ``tests/golden/wire_transcript.txt`` pins the bytes.
+connection quietly, and :meth:`ReproServer.stop` ends every open one.
+``tests/golden/wire_transcript.txt`` pins the bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 import socket
 import threading
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from .session import Session
@@ -128,8 +129,9 @@ class ReproServer:
         self.host = host
         self.port = port
         self.use_plan_cache = use_plan_cache
-        self.connections = 0
         self._listener: Optional[socket.socket] = None
+        self._open: Set[socket.socket] = set()  # connections being served
+        self._lock = threading.Lock()  # orders accept() against stop()
 
     def _handle(self, conn: socket.socket) -> None:
         session = Session(self.db, use_plan_cache=self.use_plan_cache)
@@ -155,6 +157,7 @@ class ReproServer:
         except OSError:
             pass  # the client vanished; there is nobody to tell
         finally:
+            self._open.discard(conn)
             session.close()
 
     def start(self) -> None:
@@ -169,17 +172,21 @@ class ReproServer:
                 conn, _ = listener.accept()
             except OSError:  # an aborted handshake, or stop() closed us
                 continue
-            if self._listener is not listener:  # stop()'s wake-up call
-                conn.close()
-                break
-            self.connections += 1
+            with self._lock:
+                if self._listener is not listener:  # stop()'s wake-up call
+                    conn.close()
+                    break
+                self._open.add(conn)
             threading.Thread(
                 target=self._handle, args=(conn,), daemon=True
             ).start()
 
     def stop(self) -> None:
-        """Stop accepting; open connections run until their client closes."""
-        listener, self._listener = self._listener, None
+        """Stop accepting and shut every open connection down: its
+        thread reads end-of-stream, closes its session and exits."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+            open_connections = list(self._open)
         if listener is None:
             return
         # close() does not wake a thread blocked in accept(); this does
@@ -188,6 +195,11 @@ class ReproServer:
         except OSError:
             pass
         listener.close()
+        for conn in open_connections:
+            try:  # wakes a thread blocked reading; close() would not
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its client already hung up
 
 
 class ServerThread:

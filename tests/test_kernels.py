@@ -79,6 +79,23 @@ PREDICATES = [
 ]
 
 
+A_LT = Comparison("<", col("t.a"), lit(12))
+B_LT = Comparison("<", col("t.b"), lit(5.0))
+C_EQ = Comparison("=", col("t.c"), lit(1))
+
+# (Kleene expression, the column positions it reads)
+KLEENE = [
+    (And([IsNull(col("t.a")), Comparison("<", col("t.c"), lit(3))]), (0, 2)),
+    (Or([Comparison(">", col("t.a"), lit(10)), B_LT]), (0, 1)),
+    (Not(And([A_LT, Or([IsNull(col("t.b")), C_EQ])])), (0, 1, 2)),
+    (IsNull(Or([A_LT, B_LT])), (0, 1)),
+    (IsNull(And([Not(B_LT), IsNull(col("t.a"), negate=True)]), negate=True),
+     (0, 1)),
+    (Comparison("=", And([A_LT, B_LT]), Or([Not(A_LT), C_EQ])), (0, 1, 2)),
+    (Or([And([A_LT, Not(Or([B_LT, C_EQ]))]), IsNull(col("t.b"))]), (0, 1, 2)),
+]
+
+
 def closure_selection(predicates, columns):
     """The row engine's answer: bind each predicate, keep TRUE rows."""
     checks = [predicate.bind(SCHEMA) for predicate in predicates]
@@ -155,18 +172,27 @@ class TestComputeKernels:
             evaluate = expression.bind(SCHEMA)
             assert list(out[position]) == [evaluate(row) for row in rows]
 
-    def test_fallback_expression_matches_closures(self):
-        # Kleene logic as a *value* has no source form: the kernel
-        # compiler must fall back to the bound closure for that output
-        # without disturbing the compiled ones
+    @pytest.mark.parametrize("index", range(len(KLEENE)))
+    def test_kleene_logic_compiles_and_matches_closures(self, index):
+        # AND / OR / NOT / IS NULL nested as values and as predicates:
+        # every one compiles, and reads only the columns it names
+        expression, used = KLEENE[index]
         columns = make_columns(seed=9)
         n = len(columns[0])
-        exotic = And([IsNull(col("t.a")), Comparison("<", col("t.c"), lit(3))])
-        program = ComputeProgram([col("t.c"), exotic], SCHEMA)
-        out = program.run(columns, n)
-        evaluate = exotic.bind(SCHEMA)
+        rows = list(zip(*columns))
+        evaluate = expression.bind(SCHEMA)
+
+        compute = ComputeProgram([col("t.c"), expression], SCHEMA)
+        out = compute.run(columns, n)
         assert out[0] is columns[2]
-        assert list(out[1]) == [evaluate(row) for row in list(zip(*columns))]
+        assert list(out[1]) == [evaluate(row) for row in rows]
+        assert compute.used == tuple(sorted({2} | set(used)))
+
+        selection = SelectionProgram([expression], SCHEMA)
+        sel = selection.run(columns, n)
+        got = list(range(n)) if sel is None else sel
+        assert got == closure_selection([expression], columns)
+        assert selection.used == used
 
     def test_constant_output_and_empty_batch(self):
         program = ComputeProgram([Arith("+", lit(2), lit(3))], SCHEMA)

@@ -257,6 +257,26 @@ class TestVanishingClient:
         assert capfd.readouterr().err == ""
 
 
+class TestStop:
+    def test_stop_closes_established_connections(self, emp_dept_db):
+        """A stopped server ends every connection it was serving — one
+        that has run a statement and one that never sent a byte — with
+        its thread and its session, not when the client hangs up."""
+        sessions_before = emp_dept_db.active_sessions
+        with ServerThread(emp_dept_db, port=0) as thread, \
+                thread.client() as busy, thread.client() as idle:
+            _, rows = busy.execute("SELECT d.dno FROM dept d WHERE d.dno = 3")
+            assert rows == [("3",)]
+            wait_for_sessions(emp_dept_db, sessions_before + 2)
+            thread.stop()
+            wait_for_sessions(emp_dept_db, sessions_before)
+            for client in (busy, idle):
+                with pytest.raises(
+                    ReproError, match="server closed the connection"
+                ):
+                    client.execute("SELECT d.dno FROM dept d WHERE d.dno = 3")
+
+
 class TestServeEntryPoint:
     def test_serve_announces_answers_and_stops_on_sigint(self):
         """``python -m repro serve``: what ``make serve`` and the
