@@ -308,6 +308,20 @@ class CanonicalQuery:
     def view_aliases(self) -> FrozenSet[str]:
         return frozenset(view.alias for view in self.views)
 
+    @property
+    def tables(self) -> FrozenSet[str]:
+        """Every stored table the query reads: its FROM list, its
+        views' and subqueries' FROM lists and its joined tables."""
+        tables = {ref.table for ref in self.base_tables}
+        for view in self.views:
+            tables.update(ref.table for ref in view.block.relations)
+        for unit in self.joins:
+            if unit.table is not None:
+                tables.add(unit.table.table)
+        for spec in self.subqueries:
+            tables.update(ref.table for ref in spec.relations)
+        return frozenset(tables)
+
     def view(self, alias: str) -> AggregateView:
         for view in self.views:
             if view.alias == alias:

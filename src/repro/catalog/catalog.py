@@ -8,8 +8,10 @@ from dataclasses import (
     replace as dataclass_replace,
 )
 from typing import (
+    AbstractSet,
     Any,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -128,11 +130,15 @@ class Catalog:
         self._views: Dict[str, Any] = {}
         # Monotonic counter bumped by anything that could change what a
         # previously built plan would answer or how it should be costed:
-        # DDL, inserts, ANALYZE, matview create/refresh/drop. The plan
-        # cache (repro.server.plancache) stores the epoch at plan-build
-        # time and treats a mismatch as an invalidation; snapshots carry
-        # it as a version stamp.
+        # DDL, inserts, ANALYZE, matview create/refresh/drop. It has two
+        # jobs: snapshots carry it as a version stamp, and a plan stamped
+        # with the current value is valid without looking further. Each
+        # bump also stamps the relations it names (_stamps) or, naming
+        # none, the whole schema (_schema_epoch); changed_since() reads
+        # those when the counter has moved past a plan's stamp.
         self.change_epoch: int = 0
+        self._stamps: Dict[str, int] = {}
+        self._schema_epoch: int = 0
         # Materialized views (records are opaque here, like view
         # definitions; src/repro/views owns their structure). Backing
         # tables are kept in a side map so info()/table()/stats()
@@ -148,10 +154,39 @@ class Catalog:
     # Change tracking and snapshots
     # ------------------------------------------------------------------
 
-    def bump_epoch(self) -> int:
-        """Advance the catalog change epoch (see ``change_epoch``)."""
+    def bump_epoch(self, *names: str) -> int:
+        """Advance the catalog change epoch (see ``change_epoch``) and
+        stamp each named relation with it; with no names, stamp the
+        schema, which every plan depends on."""
         self.change_epoch += 1
-        return self.change_epoch
+        epoch = self.change_epoch
+        if names:
+            for name in names:
+                self._stamps[name] = epoch
+        else:
+            self._schema_epoch = epoch
+        return epoch
+
+    def changed_since(self, relations: AbstractSet[str], epoch: int) -> bool:
+        """Whether the schema or any of *relations* was stamped after
+        *epoch*: a plan valid at *epoch* that reads only *relations* is
+        still valid when this is false."""
+        if self._schema_epoch > epoch:
+            return True
+        stamps = self._stamps
+        return any(stamps.get(name, 0) > epoch for name in relations)
+
+    def plan_relations(self, tables: AbstractSet[str]) -> FrozenSet[str]:
+        """What a plan over the stored *tables* reads, or could have read
+        instead: the tables, plus every materialized view over a subset
+        of them and its backing table (only such a view can answer the
+        query, Cohen & Nutt)."""
+        relations = set(tables)
+        for view in self._matviews.values():
+            if view.deps <= tables:
+                relations.add(view.name)
+                relations.add(view.backing_name)
+        return frozenset(relations)
 
     def capture_snapshot(self) -> DatabaseSnapshot:
         """Capture a :class:`DatabaseSnapshot` of every table (user
@@ -200,7 +235,7 @@ class Catalog:
                 table.column_position(column)  # validates existence
             pk = tuple(primary_key)
         self._tables[name] = TableInfo(table=table, primary_key=pk)
-        self.bump_epoch()
+        self.bump_epoch(name)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -219,7 +254,7 @@ class Catalog:
                 f"{'' if len(dependents) > 1 else 's'} on it"
             )
         del self._tables[name]
-        self.bump_epoch()
+        self.bump_epoch(name)
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
@@ -262,7 +297,7 @@ class Catalog:
             raise CatalogError("foreign key column lists differ in length")
         fk = ForeignKey(table, tuple(columns), ref_table, tuple(ref_columns))
         info.foreign_keys.append(fk)
-        self.bump_epoch()
+        self.bump_epoch(table, ref_table)
         return fk
 
     def foreign_keys(self, table: str) -> List[ForeignKey]:
@@ -276,7 +311,7 @@ class Catalog:
             raise CatalogError(f"index {index_name!r} already exists")
         index = OrderedIndex(index_name, info.table, columns)
         info.indexes[index_name] = index
-        self.bump_epoch()
+        self.bump_epoch(table)
         return index
 
     def rebuild_indexes(self, table: str) -> None:
@@ -285,10 +320,10 @@ class Catalog:
             index.build()
 
     def drop_index(self, index_name: str) -> None:
-        for info in self._tables.values():
+        for table, info in self._tables.items():
             if index_name in info.indexes:
                 del info.indexes[index_name]
-                self.bump_epoch()
+                self.bump_epoch(table)
                 return
         raise CatalogError(f"unknown index {index_name!r}")
 
@@ -310,9 +345,10 @@ class Catalog:
             if name in self._matviews:
                 backing = self._matviews[name].backing_name
                 self.info(backing).analyze(self.stats_config)
+                self.bump_epoch(name, backing)
             else:
                 self.info(name).analyze(self.stats_config)
-            self.bump_epoch()
+                self.bump_epoch(name)
             return [name]
         names = self.table_names()
         for table_name in names:
@@ -357,19 +393,26 @@ class Catalog:
     def register_materialized_view(
         self, view: Any, backing_info: TableInfo
     ) -> None:
+        """Register *view* and its definition as a logical view of the
+        same name. Queries over its base tables gain a rewrite
+        candidate, so those are stamped with it."""
         name = view.name
-        if name in self._matviews or name in self._tables:
+        if name in self._matviews or name in self._tables or (
+            name in self._views
+        ):
             raise CatalogError(f"table or view {name!r} already exists")
+        self._views[name] = view.definition
         self._matviews[name] = view
         self._matview_backings[view.backing_name] = backing_info
-        self.bump_epoch()
+        self.bump_epoch(name, view.backing_name, *view.deps)
 
     def drop_materialized_view(self, name: str) -> None:
         view = self._matviews.pop(name, None)
         if view is None:
             raise CatalogError(f"unknown materialized view {name!r}")
+        self._views.pop(name, None)
         self._matview_backings.pop(view.backing_name, None)
-        self.bump_epoch()
+        self.bump_epoch(name, view.backing_name, *view.deps)
 
     def has_materialized_view(self, name: str) -> bool:
         return name in self._matviews
@@ -391,10 +434,14 @@ class Catalog:
     ) -> None:
         """Tell every dependent materialized view about new base rows
         (stale flag + delta log); called by the INSERT path. Also bumps
-        the table's statistics epoch — an O(1) mark, never a rescan."""
+        the table's statistics epoch — an O(1) mark, never a rescan.
+        Stamps the table and every view it stales, with its backing."""
         info = self._tables.get(table)
         if info is not None:
             info.stats_epoch += 1
+        stale: List[str] = []
         for view in self._matviews.values():
             view.notify_insert(table, rows)
-        self.bump_epoch()
+            if table in view.deps:
+                stale += (view.name, view.backing_name)
+        self.bump_epoch(table, *stale)

@@ -447,10 +447,16 @@ def fuzz_main(argv: List[str]) -> int:
         f"configs in {report.duration_seconds:.1f}s{stopped}"
     )
     for config, tally in report.io.items():
+        recheck = report.recheck.get(config)
         print(
             f"  {config}: io_checked={tally.io_checked} "
             f"io_equal={tally.io_equal} "
             f"io_index_exempt={tally.io_index_exempt}"
+            + (
+                f" rechecked={recheck.rechecked} survived={recheck.survived}"
+                if recheck is not None
+                else ""
+            )
         )
     if report.ok:
         print("no divergences")

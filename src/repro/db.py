@@ -285,7 +285,6 @@ class Database:
         view, report = create_materialized_view(
             self.catalog, self.io, self.params, definition
         )
-        self.catalog.register_view(name, definition)
         self.catalog.register_materialized_view(view, view.backing_info)
         return report
 
@@ -300,7 +299,6 @@ class Database:
 
     def drop_materialized_view(self, name: str) -> None:
         self.catalog.drop_materialized_view(name)
-        self.catalog.drop_view(name)
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
@@ -391,15 +389,7 @@ class Database:
             return
         from .views.maintain import refresh_stale_views
 
-        tables = {ref.table for ref in query.base_tables}
-        for view in query.views:
-            tables.update(ref.table for ref in view.block.relations)
-        for unit in query.joins:
-            if unit.table is not None:
-                tables.add(unit.table.table)
-        for spec in query.subqueries:
-            tables.update(ref.table for ref in spec.relations)
-        refresh_stale_views(self.catalog, self.io, self.params, tables)
+        refresh_stale_views(self.catalog, self.io, self.params, query.tables)
 
     def execute_plan(self, plan: PlanNode) -> Tuple[Result, IOSnapshot]:
         """Execute an annotated plan, returning rows and its IO delta."""

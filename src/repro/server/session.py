@@ -6,11 +6,12 @@ three things the bare ``Database`` facade does not have:
 - **Plan caching.** Queries are bound to canonical form, keyed on their
   structural signature (``signature.py``), and looked up in the
   database's shared :class:`~repro.server.plancache.PlanCache` before
-  the optimizer runs. A hit skips optimization entirely; entries are
-  invalidated by the catalog change epoch. A statement whose *text* was
-  seen before at the current epoch does less still: the cache's text
-  front answers it before any lexer, parser, binder or signature
-  runs, so a recurring statement costs two dictionary lookups and a
+  the optimizer runs. A hit skips optimization entirely; an entry is
+  invalidated only by a write to a relation its plan reads
+  (``plancache.py``). A statement whose *text* was seen before does
+  less still: the cache's text front answers it before any lexer,
+  parser, binder or signature runs, so a recurring statement costs two
+  dictionary lookups and a
   snapshot capture (identity checks, while nothing was published)
   before it executes. What every execution needs from the cached plan
   — its ``$n`` set, its output column names and, from the first time
@@ -32,7 +33,8 @@ three things the bare ``Database`` facade does not have:
   value vector — a value hitting a heavy MCV runs the generic plan
   (per-selectivity-bucket custom plans are not done), and range
   comparisons against ``$n`` are still costed at default selectivity.
-  Epoch invalidation still replans after DDL/ANALYZE/refresh.
+  EXECUTE replans by the plan cache's rule: after DDL/INSERT/ANALYZE/
+  refresh on a relation the plan reads, and only then.
 
 - **Concurrency discipline.** All catalog mutation happens under the
   database's single write lock; queries capture a COW snapshot
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..algebra.expressions import Literal
 from ..algebra.query import CanonicalQuery
@@ -85,15 +87,19 @@ class PlannedStatement:
     optimization: Any  # OptimizationResult
     parameters: Tuple[int, ...]
     columns: Tuple[str, ...]
+    relations: FrozenSet[str]
+    """What the plan depends on (``Catalog.plan_relations``): it stays
+    valid while none of these changes."""
     executable: Optional[Executable] = None
 
     @classmethod
-    def of(cls, optimization) -> "PlannedStatement":
+    def of(cls, optimization, relations: FrozenSet[str]) -> "PlannedStatement":
         plan = optimization.plan
         return cls(
             optimization,
             tuple(sorted(plan_parameters(plan))),
             tuple(field.display() for field in plan.schema),
+            relations,
         )
 
     def compiled(self, catalog) -> "PlannedStatement":
@@ -107,8 +113,8 @@ class PlannedStatement:
 @dataclass
 class PreparedStatement:
     """One PREPAREd query: the bound form, its optimized plan template
-    (with its parameter set and column names), and the epoch the plan
-    was built at."""
+    (with its parameter set, column names and the relations it reads),
+    and the epoch the plan was last known valid at."""
 
     name: str
     sql: str
@@ -221,16 +227,15 @@ class Session:
         self, sql: str
     ) -> Optional[Tuple[PlannedStatement, Any, bool]]:
         """The statement fast path: *sql* verbatim was bound and planned
-        at the current epoch, so all that is left to do under the lock
-        is to pair the cached plan with a snapshot. ``None`` for any
-        other text — session commands and DDL included."""
+        before, and nothing either read has changed since, so all that
+        is left to do under the lock is to pair the cached plan with a
+        snapshot. ``None`` for any other text — session commands and
+        DDL included."""
         with self.db.write_lock:
-            planned = self.db.plan_cache.get_text(
-                self._text_key(sql), self.db.catalog.change_epoch
-            )
+            catalog = self.db.catalog
+            planned = self.db.plan_cache.get_text(self._text_key(sql), catalog)
             if planned is None:
                 return None
-            catalog = self.db.catalog
             return planned.compiled(catalog), catalog.capture_snapshot(), True
 
     def _plan_query(
@@ -245,32 +250,33 @@ class Session:
         pair row lists with the epoch that described them)."""
         cache = self.db.plan_cache if self.use_plan_cache else None
         with self.db.write_lock:
+            catalog = self.db.catalog
             bound = self.db.bind(sql)
             key = cache_key(bound, self.optimizer, self.options)
-            epoch = self.db.catalog.change_epoch
-            planned = cache.get(key, epoch) if cache is not None else None
+            planned = cache.get(key, catalog) if cache is not None else None
             hit = planned is not None
             if hit:
-                planned.compiled(self.db.catalog)
+                planned.compiled(catalog)
             else:
                 planned = self._planned(bound)
-                # Lazy matview refresh during optimization bumps the
-                # epoch; re-read it so the entry is valid *now*.
-                epoch = self.db.catalog.change_epoch
-                if cache is not None:
-                    cache.put(key, epoch, planned)
+            # Lazy matview refresh during optimization bumps the epoch;
+            # read it now so the entries are valid *now*.
+            epoch = catalog.change_epoch
             if cache is not None:
+                if not hit:
+                    cache.put(key, epoch, planned, planned.relations)
                 # Nothing but this statement's own refresh moved the
                 # catalog since the bind, and a refresh changes no
                 # schema: the text still binds to *key* at *epoch*.
                 cache.put_text(self._text_key(sql), key, epoch)
-            snapshot = self.db.catalog.capture_snapshot()
+            snapshot = catalog.capture_snapshot()
         return planned, snapshot, hit
 
     def _planned(self, query: CanonicalQuery) -> PlannedStatement:
         """Optimize *query*; the caller holds the write lock."""
         return PlannedStatement.of(
-            self.db.optimize_bound(query, self.optimizer, self.options)
+            self.db.optimize_bound(query, self.optimizer, self.options),
+            self.db.catalog.plan_relations(query.tables),
         )
 
     def _run(
@@ -369,6 +375,7 @@ class Session:
         start = time.perf_counter()
         with self.db.write_lock:
             planned = self._planned(query).compiled(self.db.catalog)
+            # read after planning: a lazy matview refresh moves it
             epoch = self.db.catalog.change_epoch
         parameters = planned.parameters
         expected = tuple(range(1, len(parameters) + 1))
@@ -394,10 +401,13 @@ class Session:
             name, tuple(value.value for value in values)
         )
 
-    def _execute_values(
+    def _prepared_plan(
         self, name: str, values: Tuple[Any, ...]
-    ) -> SessionResult:
-        """EXECUTE with plain values, as the statement parser reads them."""
+    ) -> Tuple[PreparedStatement, PlannedStatement, Any, bool]:
+        """The prepared statement *name*, checked against *values*, with
+        its plan valid now and a snapshot to run it on:
+        ``(statement, planned, snapshot, hit)``; ``hit`` is false when
+        the plan had to be rebuilt."""
         statement = self.prepared.get(name)
         if statement is None:
             raise ReproError(f"unknown prepared statement {name!r}")
@@ -406,27 +416,36 @@ class Session:
                 f"prepared statement {name!r} expects "
                 f"{len(statement.parameters)} values, got {len(values)}"
             )
-        start = time.perf_counter()
+        hit = True
         with self.db.write_lock:
-            if statement.epoch != self.db.catalog.change_epoch:
-                # The catalog moved on (DDL/insert/refresh/ANALYZE):
-                # replan once at the new epoch. Parameter *values* never
-                # trigger this — see the module docstring's tradeoff.
-                statement.planned = self._planned(statement.query).compiled(
-                    self.db.catalog
-                )
-                statement.epoch = self.db.catalog.change_epoch
-                statement.replans += 1
+            catalog = self.db.catalog
+            if statement.epoch != catalog.change_epoch:
+                # The catalog moved on: replan once if it changed what
+                # the plan reads (DDL/insert/refresh/ANALYZE on one of
+                # its relations), else re-stamp it. Parameter *values*
+                # never trigger this — see the module docstring's
+                # tradeoff.
+                if catalog.changed_since(
+                    statement.planned.relations, statement.epoch
+                ):
+                    statement.planned = self._planned(
+                        statement.query
+                    ).compiled(catalog)
+                    statement.replans += 1
+                    hit = False
+                statement.epoch = catalog.change_epoch
             planned = statement.planned
-            snapshot = self.db.catalog.capture_snapshot()
+            snapshot = catalog.capture_snapshot()
+        return statement, planned, snapshot, hit
+
+    def _execute_values(
+        self, name: str, values: Tuple[Any, ...]
+    ) -> SessionResult:
+        """EXECUTE with plain values, as the statement parser reads them."""
+        start = time.perf_counter()
+        statement, planned, snapshot, hit = self._prepared_plan(name, values)
         result = self._run(
-            "execute",
-            statement.sql,
-            start,
-            planned,
-            snapshot,
-            True,
-            values,
+            "execute", statement.sql, start, planned, snapshot, hit, values,
             name,
         )
         statement.executions += 1
@@ -444,19 +463,34 @@ class Session:
 
     def _explain(self, statement: ddl.ExplainStmt) -> SessionResult:
         """Plan the query text like any other (text front and plan cache
-        included), run it only under ANALYZE, and answer with the plan
-        as rows of one ``plan`` text column, so any client can read it."""
+        included) — or take a prepared statement's plan, revalidated as
+        EXECUTE would — run it only under ANALYZE, and answer with the
+        plan as rows of one ``plan`` text column, so any client can read
+        it."""
         from ..db import QueryResult
 
-        sql = statement.body_sql
         start = time.perf_counter()
-        planned = self._cached_text(sql) if self.use_plan_cache else None
-        planned, snapshot, hit = planned or self._plan_query(sql)
+        execute = statement.execute
+        if execute is None:
+            sql, values = statement.body_sql, ()
+            planned = self._cached_text(sql) if self.use_plan_cache else None
+            planned, snapshot, hit = planned or self._plan_query(sql)
+        else:
+            values = execute.values
+            prepared, planned, snapshot, hit = self._prepared_plan(
+                execute.name, values
+            )
+            sql = prepared.sql
         optimization = planned.optimization
         if statement.analyze:
-            result = self._execute_query(
-                sql, start, planned, snapshot, hit
-            ).query_result
+            if execute is None:
+                run = self._execute_query(sql, start, planned, snapshot, hit)
+            else:
+                run = self._run(
+                    "execute", sql, start, planned, snapshot, hit, values,
+                    execute.name,
+                )
+            result = run.query_result
             footer = (
                 f"estimated {optimization.cost:.0f} / executed "
                 f"{result.executed_io.total} page IOs"
@@ -470,8 +504,11 @@ class Session:
                 executed_io=None,
                 optimization=optimization,
                 sql=sql,
+                parameters=values,
             )
             footer = f"estimated cost: {optimization.cost:.0f} page IOs"
+        if execute is not None:
+            footer += f"; replans: {prepared.replans}"
         lines = result.explain(analyze=statement.analyze).splitlines()
         lines.append(footer)
         if optimization.traditional_cost is not None:

@@ -27,7 +27,7 @@ table`` fails with ``expected SELECT``). Grammar::
     prepare      := PREPARE name AS query
     execute      := EXECUTE name ["(" [literal ("," literal)*] ")"]
     deallocate   := DEALLOCATE name
-    explain      := EXPLAIN [ANALYZE] query
+    explain      := EXPLAIN [ANALYZE] (query | execute)
 
 ``query``, ``literal`` and the ``;`` terminator are
 :mod:`repro.sql.parser`'s. A query inside a command is parsed from the
@@ -157,11 +157,14 @@ class DeallocateStmt:
 
 @dataclass(frozen=True)
 class ExplainStmt:
-    """Parsed EXPLAIN [ANALYZE] <select>. The query stays text: the
-    session plans it like any query text (plan cache included)."""
+    """Parsed EXPLAIN [ANALYZE] <select> | EXECUTE name[(values)]. A
+    query stays text: the session plans it like any query text (plan
+    cache included). An EXECUTE body explains that prepared statement's
+    plan."""
 
-    body_sql: str
+    body_sql: str  # "" for an EXECUTE body
     analyze: bool = False
+    execute: Optional[ExecuteStmt] = None
 
 
 DdlStatement = object  # union of the statement dataclasses
@@ -261,6 +264,8 @@ class _StatementParser(_Parser):
 
     def explain(self) -> ExplainStmt:
         analyze = self.accept_word("analyze")
+        if self.accept_word("execute"):
+            return ExplainStmt("", analyze, self.execute())
         return ExplainStmt(self.query_text()[1], analyze)
 
     def _create_table(self) -> CreateTableStmt:

@@ -60,7 +60,9 @@ class EngineConfig:
     of the bare ``Database`` facade: every query runs twice through a
     warm plan cache (the second must hit and answer identically) and —
     when the outer WHERE/HAVING contains literals — a third time via
-    PREPARE/EXECUTE with the literals lifted to ``$1..$n``."""
+    PREPARE/EXECUTE with the literals lifted to ``$1..$n``. Once the
+    script has run, every query runs once more on the warm session and
+    must answer as a fresh plan does (``_recheck_after_writes``)."""
 
 
 #: The cross-check matrix. The first entry is the baseline.
@@ -138,6 +140,11 @@ class QueryOutcome:
     cost: Optional[float] = None
     io: List[Tuple[float, int, bool]] = field(default_factory=list)
     """Per execution: ``(exact_io, executed IO, has an index access)``."""
+    survived: Optional[bool] = None
+    """Session configs: whether the re-run at the end of the script hit
+    the plan cache (``None``: not re-checked)."""
+    recheck_error: Optional[str] = None
+    """Session configs: how that re-run disagreed with a fresh plan."""
 
 
 def _io_check(result, db: Database) -> Tuple[float, int, bool]:
@@ -166,6 +173,20 @@ class IOTally:
 
 
 @dataclass
+class RecheckTally:
+    """The query texts of one session config re-run once its script
+    ended, and how many of them the plan cache still answered: plans
+    that outlived the script's later writes."""
+
+    rechecked: int = 0
+    survived: int = 0
+
+    def add(self, other: "RecheckTally") -> None:
+        self.rechecked += other.rechecked
+        self.survived += other.survived
+
+
+@dataclass
 class Divergence:
     """One disagreement the harness found."""
 
@@ -173,7 +194,9 @@ class Divergence:
     """``rows`` (config vs oracle), ``error`` (a config raised),
     ``oracle-error`` (the oracle raised), ``cost`` (no-worse guarantee
     violated), ``io`` (executed IO of an index-free plan differs from
-    :func:`exact_io`), ``setup-error`` (a non-query statement failed)."""
+    :func:`exact_io`), ``recheck`` (a session's re-run at the end of the
+    script differs from a fresh plan's answer), ``setup-error`` (a
+    non-query statement failed)."""
     stmt_index: int
     config: str
     detail: str
@@ -199,6 +222,8 @@ class CheckReport:
     configs_run: int = 0
     io: Dict[str, IOTally] = field(default_factory=dict)
     """Per config name: what the IO oracle checked."""
+    recheck: Dict[str, RecheckTally] = field(default_factory=dict)
+    """Per session config name: the end-of-script re-runs."""
 
     @property
     def ok(self) -> bool:
@@ -308,7 +333,66 @@ def _replay_session_config(
                     ),
                     db,
                 )
+        _recheck_after_writes(session, config, script, outcomes, rel_tol)
     return outcomes, None, db
+
+
+def _answer(
+    session, sql: str
+) -> Tuple[Optional[List[Tuple[Any, ...]]], bool, str]:
+    """``(rows, cache_hit, error)`` of one statement; rows ``None`` and
+    the error text when it raised."""
+    try:
+        result = session.execute(sql)
+    except ReproError as error:
+        return None, False, f"{type(error).__name__}: {error}"
+    return [tuple(row) for row in result.rows], result.cache_hit, ""
+
+
+def _recheck_after_writes(
+    session,
+    config: EngineConfig,
+    script: Sequence[Stmt],
+    outcomes: Dict[int, QueryOutcome],
+    rel_tol: float,
+) -> None:
+    """Re-run every query text of *script* on the warm *session* once
+    the whole script has run, then each on a session without the plan
+    cache over the same database: a plan that outlived the script's
+    later writes must answer as a fresh one does. Fills each outcome's
+    ``survived`` and ``recheck_error``; a text both sessions refuse is
+    not re-checked."""
+    texts = [
+        (position, stmt.render())
+        for position, stmt in enumerate(script)
+        if stmt.kind == "query"
+    ]
+    warm = [_answer(session, sql) for _, sql in texts]
+    with session.db.session(
+        optimizer=config.optimizer,
+        options=config.options,
+        use_plan_cache=False,
+    ) as fresh_session:
+        fresh = [_answer(fresh_session, sql) for _, sql in texts]
+    for (position, _), (rows, hit, error), (expected, _, fresh_error) in zip(
+        texts, warm, fresh
+    ):
+        if error and fresh_error:
+            continue
+        outcome = outcomes[position]
+        outcome.survived = hit
+        if rows is None or expected is None:
+            outcome.recheck_error = (
+                f"re-run after the script's writes: "
+                f"{error or 'answered'}; a fresh plan: "
+                f"{fresh_error or 'answered'}"
+            )
+        elif not rows_equal_bag(rows, expected, rel_tol=rel_tol):
+            outcome.recheck_error = (
+                f"re-run after the script's writes "
+                f"({'cached' if hit else 'replanned'}) got "
+                f"{_summarize(rows)}, a fresh plan {_summarize(expected)}"
+            )
 
 
 def _replay_config(
@@ -452,6 +536,19 @@ def check_script(
             outcome = outcomes.get(position)
             if outcome is None:
                 continue
+            if outcome.survived is not None:
+                recheck = report.recheck.setdefault(
+                    config_name, RecheckTally()
+                )
+                recheck.rechecked += 1
+                recheck.survived += outcome.survived
+            if outcome.recheck_error is not None:
+                report.divergences.append(
+                    Divergence(
+                        "recheck", position, config_name,
+                        outcome.recheck_error,
+                    )
+                )
             if outcome.error is not None:
                 report.divergences.append(
                     Divergence(
@@ -522,5 +619,6 @@ __all__ = [
     "EngineConfig",
     "IOTally",
     "QueryOutcome",
+    "RecheckTally",
     "check_script",
 ]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ReproError
 from ..sql import ddl
 from ..sql.lexer import split_statements
-from .metamorphic import CONFIGS, IOTally, check_script
+from .metamorphic import CONFIGS, IOTally, RecheckTally, check_script
 from .shrink import shrink_script
 from .sqlgen import GenProfile, Stmt, generate_script, render_script
 
@@ -93,6 +93,9 @@ class FuzzReport:
     io: Dict[str, IOTally] = field(default_factory=dict)
     """Per config: the executed plans the IO oracle checked
     (:class:`~repro.testing.metamorphic.IOTally`)."""
+    recheck: Dict[str, RecheckTally] = field(default_factory=dict)
+    """Per session config: the end-of-script re-runs
+    (:class:`~repro.testing.metamorphic.RecheckTally`)."""
 
     @property
     def ok(self) -> bool:
@@ -186,6 +189,8 @@ def run_fuzz(
         report.queries_checked += check.queries_checked
         for config, tally in check.io.items():
             report.io.setdefault(config, IOTally()).add(tally)
+        for config, recheck in check.recheck.items():
+            report.recheck.setdefault(config, RecheckTally()).add(recheck)
         if progress is not None:
             progress(seed, check)
         if check.ok:

@@ -287,7 +287,7 @@ def refresh_materialized_view(
     finally:
         # The backing table's contents changed: cached plans whose cost
         # or answers depended on it must not be reused as-is.
-        catalog.bump_epoch()
+        catalog.bump_epoch(name, view.backing_name)
 
 
 def refresh_stale_views(

@@ -24,6 +24,7 @@ from repro.testing.runner import (
 from repro.testing.shrink import Shrinker
 from repro.testing.sqlgen import Stmt
 
+PLANCACHE = next(config for config in CONFIGS if config.session)
 
 class TestGenerator:
     def test_deterministic_per_seed(self):
@@ -116,6 +117,54 @@ class TestCheckScript:
         report = check_script(script)
         assert not report.ok
         assert report.divergences[0].kind == "setup-error"
+
+    def _view_script(self, late_insert: str):
+        """A query the view ``mv`` answers, then *late_insert*."""
+        rows = ", ".join(f"({i % 10}, {i})" for i in range(3000))
+        return [
+            Stmt("create", "create table t (a int, b int)"),
+            Stmt("create", "create table u (c int)"),
+            Stmt("insert", f"insert into t values {rows}"),
+            Stmt(
+                "matview",
+                "create materialized view mv as "
+                "select t.a, sum(t.b) as s from t t group by t.a",
+            ),
+            Stmt("query", "select t.a, sum(t.b) as s from t t group by t.a"),
+            Stmt("insert", late_insert),
+        ]
+
+    def test_recheck_counts_plans_that_outlived_writes(self):
+        configs = (CONFIGS[0], PLANCACHE)
+        replanned = check_script(
+            self._view_script("insert into t values (1, 5)"), configs=configs
+        )
+        kept = check_script(
+            self._view_script("insert into u values (1)"), configs=configs
+        )
+        assert replanned.ok and kept.ok
+        assert set(replanned.recheck) == {PLANCACHE.name}
+        tally = replanned.recheck[PLANCACHE.name]
+        assert (tally.rechecked, tally.survived) == (1, 0)
+        tally = kept.recheck[PLANCACHE.name]
+        assert (tally.rechecked, tally.survived) == (1, 1)
+
+    def test_recheck_catches_a_plan_served_past_its_write(self, monkeypatch):
+        """A plan answered from a view that a later insert staled, if
+        served again, reads the stale view: a ``recheck`` divergence."""
+        from repro.catalog.catalog import Catalog
+
+        monkeypatch.setattr(
+            Catalog, "changed_since", lambda self, relations, epoch: False
+        )
+        report = check_script(
+            self._view_script("insert into t values (1, 5)"),
+            configs=(CONFIGS[0], PLANCACHE),
+        )
+        assert [d.signature for d in report.divergences] == [
+            ("recheck", PLANCACHE.name)
+        ]
+        assert "cached" in report.divergences[0].detail
 
     def test_needs_reference(self):
         assert needs_reference("select stddev(t.a) from t t")

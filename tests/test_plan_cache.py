@@ -5,17 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.catalog.catalog import Catalog
 from repro.optimizer.options import OptimizerOptions
 from repro.server.plancache import PlanCache
 from repro.server.signature import cache_key, query_signature
 
 
+T = frozenset({"t"})
+
+
 class TestPlanCacheUnit:
     def test_put_get_and_counters(self):
-        cache = PlanCache(capacity=4)
-        assert cache.get("k1", epoch=0) is None
-        cache.put("k1", epoch=0, value="plan1")
-        assert cache.get("k1", epoch=0) == "plan1"
+        cache, catalog = PlanCache(capacity=4), Catalog()
+        assert cache.get("k1", catalog) is None
+        cache.put("k1", catalog.change_epoch, "plan1", T)
+        assert cache.get("k1", catalog) == "plan1"
         stats = cache.as_dict()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
@@ -23,32 +27,49 @@ class TestPlanCacheUnit:
         assert stats["capacity"] == 4
 
     def test_epoch_mismatch_invalidates(self):
-        cache = PlanCache(capacity=4)
-        cache.put("k1", epoch=3, value="plan1")
-        assert cache.get("k1", epoch=4) is None
+        """A write to a relation the entry reads drops it."""
+        cache, catalog = PlanCache(capacity=4), Catalog()
+        cache.put("k1", catalog.change_epoch, "plan1", T)
+        catalog.bump_epoch("t")
+        assert cache.get("k1", catalog) is None
         stats = cache.as_dict()
         assert stats["invalidations"] == 1
         assert stats["entries"] == 0
-        # The stale entry is gone, not resurrected at the old epoch.
-        assert cache.get("k1", epoch=3) is None
+        # The stale entry is gone, not resurrected by a later lookup.
+        assert cache.get("k1", catalog) is None
+        assert cache.as_dict()["misses"] == 1
+
+    def test_write_elsewhere_restamps_schema_change_invalidates(self):
+        cache, catalog = PlanCache(capacity=4), Catalog()
+        cache.put("k1", catalog.change_epoch, "plan1", T)
+        catalog.bump_epoch("u")
+        catalog.bump_epoch("v", "w")
+        assert cache.get("k1", catalog) == "plan1"
+        assert cache.get("k1", catalog) == "plan1"  # re-stamped: no recheck
+        stats = cache.as_dict()
+        assert (stats["hits"], stats["revalidated"]) == (2, 1)
+        assert stats["invalidations"] == 0
+        catalog.bump_epoch()  # no names: the schema, read by every plan
+        assert cache.get("k1", catalog) is None
+        assert cache.as_dict()["invalidations"] == 1
 
     def test_lru_eviction_order(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 0, "A")
-        cache.put("b", 0, "B")
-        assert cache.get("a", 0) == "A"  # refresh a: b is now LRU
-        cache.put("c", 0, "C")
-        assert cache.get("b", 0) is None
-        assert cache.get("a", 0) == "A"
-        assert cache.get("c", 0) == "C"
+        cache, catalog = PlanCache(capacity=2), Catalog()
+        cache.put("a", 0, "A", T)
+        cache.put("b", 0, "B", T)
+        assert cache.get("a", catalog) == "A"  # refresh a: b is now LRU
+        cache.put("c", 0, "C", T)
+        assert cache.get("b", catalog) is None
+        assert cache.get("a", catalog) == "A"
+        assert cache.get("c", catalog) == "C"
         assert cache.as_dict()["evictions"] == 1
 
     def test_clear(self):
         cache = PlanCache(capacity=4)
-        cache.put("a", 0, "A")
+        cache.put("a", 0, "A", T)
         cache.clear()
         assert len(cache) == 0
-        assert cache.get("a", 0) is None
+        assert cache.get("a", Catalog()) is None
 
 
 class TestSignatures:
@@ -224,6 +245,7 @@ class TestSessionCaching:
             "text_hits",
             "misses",
             "invalidations",
+            "revalidated",
             "evictions",
         ):
             assert field in stats

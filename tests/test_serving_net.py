@@ -111,6 +111,22 @@ class TestServerRoundtrip:
             client.execute("DEALLOCATE by_dno")
         assert prepared == direct
 
+    def test_explain_execute_over_wire(self, server):
+        with server.client() as client:
+            client.execute(
+                "PREPARE by_dno AS SELECT dno, COUNT(*) AS c FROM emp "
+                "WHERE dno = $1 GROUP BY dno"
+            )
+            columns, rows = client.execute("EXPLAIN EXECUTE by_dno(3);")
+            client.execute("INSERT INTO emp VALUES (990, 3, 1.0, 30)")
+            _, analyzed = client.execute("explain analyze execute by_dno(3)")
+        assert columns == ["plan"]
+        assert rows[0] == ("Parameters: $1 = 3",)
+        assert rows[-2][0].endswith(" page IOs; replans: 0")
+        assert "actual rows=" in analyzed[1][0]
+        assert analyzed[-2][0].startswith("estimated ")
+        assert analyzed[-2][0].endswith(" page IOs; replans: 1")
+
     def test_null_over_wire(self, server):
         with server.client() as client:
             client.execute("CREATE TABLE opt (id int, note text null)")

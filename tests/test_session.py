@@ -143,6 +143,94 @@ class TestPrepareExecute:
         assert statement.replans == 1
         assert after.rows[0][1] == before.rows[0][1] + 1
 
+    def test_cache_hit_says_whether_execute_replanned(self, emp_dept_db):
+        with emp_dept_db.session() as session:
+            session.execute(
+                "PREPARE cnt AS SELECT dno, COUNT(*) AS c FROM emp "
+                "WHERE dno = $1 GROUP BY dno"
+            )
+            statement = session.prepared["cnt"]
+            assert session.execute("EXECUTE cnt(1)").cache_hit
+            session.execute("INSERT INTO emp VALUES (951, 1, 10000.0, 20)")
+            replanned = session.execute("EXECUTE cnt(1)")
+            assert (replanned.cache_hit, statement.replans) == (False, 1)
+            session.execute("INSERT INTO dept VALUES (70, 1.0, 1)")
+            kept = session.execute("EXECUTE cnt(1)")
+            assert (kept.cache_hit, statement.replans) == (True, 1)
+            assert kept.rows == replanned.rows
+
+
+class TestExplainExecute:
+    """``EXPLAIN [ANALYZE] EXECUTE name(values)``: the prepared plan,
+    revalidated as EXECUTE would, with its replans in the footer."""
+
+    PREPARE = (
+        "PREPARE by_age AS SELECT e.dno, COUNT(*) AS n FROM emp e "
+        "WHERE e.age > $1 GROUP BY e.dno"
+    )
+
+    def lines(self, result):
+        assert (result.kind, result.columns) == ("explain", ["plan"])
+        return [line for (line,) in result.rows]
+
+    def test_explain_shows_the_prepared_plan_without_running(
+        self, emp_dept_db
+    ):
+        with emp_dept_db.session() as session:
+            session.execute(self.PREPARE)
+            statement = session.prepared["by_age"]
+            result = session.execute("EXPLAIN EXECUTE by_age(40)")
+            lines = self.lines(result)
+            assert result.cache_hit
+            assert result.query_result.plan is statement.optimization.plan
+            assert result.query_result.executed_io is None
+            assert lines[0] == "Parameters: $1 = 40"
+            assert "actual rows=" not in "\n".join(lines)
+            assert lines[-2] == (
+                f"estimated cost: {statement.optimization.cost:.0f} "
+                f"page IOs; replans: 0"
+            )
+            assert statement.executions == 0
+
+    def test_explain_analyze_runs_with_the_values(self, emp_dept_db):
+        with emp_dept_db.session() as session:
+            session.execute(self.PREPARE)
+            executed = session.execute("EXECUTE by_age(40)")
+            result = session.execute("explain analyze execute by_age(40);")
+        lines = self.lines(result)
+        assert sorted(result.query_result.rows) == sorted(executed.rows)
+        assert all("actual rows=" in line for line in lines[1:-2])
+        total = result.query_result.executed_io.total
+        assert lines[-2].endswith(f"/ executed {total} page IOs; replans: 0")
+
+    def test_revalidated_as_execute_would(self, emp_dept_db):
+        with emp_dept_db.session() as session:
+            session.execute(self.PREPARE)
+            statement = session.prepared["by_age"]
+            session.execute("INSERT INTO dept VALUES (70, 1.0, 1)")
+            kept = session.execute("EXPLAIN EXECUTE by_age(40)")
+            assert kept.cache_hit and statement.replans == 0
+            session.execute("INSERT INTO emp VALUES (952, 1, 10000.0, 50)")
+            replanned = session.execute("EXPLAIN ANALYZE EXECUTE by_age(40)")
+            assert not replanned.cache_hit and statement.replans == 1
+            assert self.lines(replanned)[-2].endswith("; replans: 1")
+            assert session.execute("EXECUTE by_age(40)").cache_hit
+            expected = emp_dept_db.reference(
+                "SELECT e.dno, COUNT(*) AS n FROM emp e "
+                "WHERE e.age > 40 GROUP BY e.dno"
+            ).rows
+        assert sorted(replanned.query_result.rows) == sorted(expected)
+
+    def test_errors_are_executes(self, emp_dept_db):
+        with emp_dept_db.session() as session:
+            with pytest.raises(ReproError, match="unknown prepared"):
+                session.execute("EXPLAIN EXECUTE nope(1)")
+            session.execute(self.PREPARE)
+            with pytest.raises(PlanError, match="expects 1 values, got 2"):
+                session.execute("EXPLAIN ANALYZE EXECUTE by_age(1, 2)")
+            with pytest.raises(SqlSyntaxError, match="trailing input"):
+                session.execute("EXPLAIN EXECUTE by_age(1) garbage")
+
 
 class TestExecuteArgumentParsing:
     """EXECUTE's argument vector is the grammar's one literal production;

@@ -10,12 +10,14 @@ import pytest
 
 from repro import Database
 from repro.algebra.plan import ScanNode, explain
+from repro.catalog.catalog import Catalog
 from repro.errors import BindError, PlanError
 from repro.optimizer.options import OptimizerOptions
 from repro.server import session as session_module
 from repro.server.plancache import PlanCache
 
 SQL = "SELECT dno, SUM(sal) AS s FROM emp GROUP BY dno"
+T = frozenset({"t"})
 
 
 @pytest.fixture
@@ -335,48 +337,55 @@ class TestFrontIsBounded:
             assert not session.execute(texts[0]).cache_hit
 
     def test_front_entry_of_an_evicted_plan_is_dropped(self):
-        cache = PlanCache(capacity=2)
-        cache.put("sig1", 0, "plan1")
+        cache, catalog = PlanCache(capacity=2), Catalog()
+        cache.put("sig1", 0, "plan1", T)
         cache.put_text("text1", "sig1", 0)
-        assert cache.get_text("text1", 0) == "plan1"
-        cache.put("sig2", 0, "plan2")
-        cache.put("sig3", 0, "plan3")  # evicts sig1
-        assert cache.get_text("text1", 0) is None
+        assert cache.get_text("text1", catalog) == "plan1"
+        cache.put("sig2", 0, "plan2", T)
+        cache.put("sig3", 0, "plan3", T)  # evicts sig1
+        assert cache.get_text("text1", catalog) is None
         assert cache.as_dict()["texts"] == 0
 
     def test_front_entry_needs_both_stamps_current(self):
-        cache = PlanCache(capacity=4)
-        cache.put("sig", 1, "plan")
-        cache.put_text("text", "sig", 1)
-        assert cache.get_text("text", 2) is None  # catalog moved on
-        cache.put_text("text", "sig", 1)
-        cache.put("sig", 2, "replanned")  # another text replanned it
-        # "text" was bound at epoch 1: it may bind elsewhere by now.
-        assert cache.get_text("text", 2) is None
+        """Valid means: nothing the text's binding or its plan read
+        changed since each was stamped."""
+        cache, catalog = PlanCache(capacity=4), Catalog()
+        cache.put("sig", 0, "plan", T)
+        cache.put_text("text", "sig", 0)
+        catalog.bump_epoch("u")  # a write elsewhere: both re-stamped
+        assert cache.get_text("text", catalog) == "plan"
+        assert cache.as_dict()["revalidated"] == 1
+        bound = catalog.change_epoch
+        catalog.bump_epoch("t")  # the text's table changed
+        assert cache.get_text("text", catalog) is None
+        cache.put_text("text", "sig", bound)
+        cache.put("sig", catalog.change_epoch, "replanned", T)  # by another text
+        # "text" was bound before the change: it may bind elsewhere by now.
+        assert cache.get_text("text", catalog) is None
         stats = cache.as_dict()
         assert (stats["hits"], stats["misses"], stats["invalidations"]) == (
-            0,
+            1,
             0,
             0,
         )
 
     def test_front_hit_refreshes_the_plan_in_the_lru(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 0, "A")
+        cache, catalog = PlanCache(capacity=2), Catalog()
+        cache.put("a", 0, "A", T)
         cache.put_text("text-a", "a", 0)
-        cache.put("b", 0, "B")
-        assert cache.get_text("text-a", 0) == "A"  # b is now LRU
-        cache.put("c", 0, "C")
-        assert cache.get("b", 0) is None
-        assert cache.get_text("text-a", 0) == "A"
+        cache.put("b", 0, "B", T)
+        assert cache.get_text("text-a", catalog) == "A"  # b is now LRU
+        cache.put("c", 0, "C", T)
+        assert cache.get("b", catalog) is None
+        assert cache.get_text("text-a", catalog) == "A"
 
     def test_clear_drops_the_front(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 0, "A")
+        cache, catalog = PlanCache(capacity=2), Catalog()
+        cache.put("a", 0, "A", T)
         cache.put_text("text-a", "a", 0)
         cache.clear()
         assert cache.as_dict()["texts"] == 0
-        assert cache.get_text("text-a", 0) is None
+        assert cache.get_text("text-a", catalog) is None
 
 
 class TestNoStaleAnswerUnderWrites:
