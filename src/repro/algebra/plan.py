@@ -238,7 +238,7 @@ class JoinNode(PlanNode):
 
 class SubqueryMarkNode(PlanNode):
     """Naive subquery evaluation: the fallback when decorrelation does
-    not apply (and the ablation baseline when it is disabled).
+    not apply.
 
     The ``inner`` subplan is executed **once** and materialized; each
     ``child`` row is then kept or dropped by re-scanning the

@@ -3,8 +3,8 @@
 Every plan node gets per-column metadata (:class:`ColMeta`) propagated
 bottom-up. The base formulas are the classic System R ones —
 ``1/V(col)`` for equality with a literal or a ``$n``, range fractions
-for inequalities, ``1/max(V(a), V(b))`` for equi-joins, configurable
-defaults elsewhere — refined by the distribution detail the statistics
+for inequalities, ``1/max(V(a), V(b))`` for equi-joins, a fixed 1/3
+default elsewhere — refined by the distribution detail the statistics
 subsystem collects:
 
 - **Null fractions** discount equality/range/join selectivities by the
@@ -40,7 +40,14 @@ from ..algebra.expressions import (
 )
 from ..stats.collect import ColumnStats
 from ..stats.histogram import EquiDepthHistogram
-from .params import CostParams
+
+DEFAULT_SELECTIVITY = 1.0 / 3.0
+"""Fallback predicate selectivity when statistics cannot say better
+(System R's 1/3-style default)."""
+
+HAVING_SELECTIVITY = 1.0 / 3.0
+"""Fallback selectivity of a HAVING conjunct over aggregate outputs,
+where no column statistics exist."""
 
 
 def _is_number(value: Any) -> bool:
@@ -65,16 +72,9 @@ class ColMeta:
 
     @classmethod
     def from_stats(
-        cls,
-        stats: Optional[ColumnStats],
-        rows: float,
-        use_statistics: bool = True,
+        cls, stats: Optional[ColumnStats], rows: float
     ) -> "ColMeta":
-        if (
-            not use_statistics
-            or stats is None
-            or (stats.n_distinct == 0 and stats.null_count == 0)
-        ):
+        if stats is None or (stats.n_distinct == 0 and stats.null_count == 0):
             return cls(ndv=max(1.0, rows))
         if stats.n_distinct == 0:
             # All-NULL column: one "value class", everything filtered by
@@ -124,9 +124,6 @@ _UNKNOWN = ColMeta(ndv=1.0)
 class CardinalityEstimator:
     """Stateless selectivity arithmetic over :class:`ColMeta` maps."""
 
-    def __init__(self, params: CostParams):
-        self.params = params
-
     # ------------------------------------------------------------------
     # Predicate selectivity
     # ------------------------------------------------------------------
@@ -149,7 +146,7 @@ class CardinalityEstimator:
             return self._comparison_selectivity(predicate, meta)
         if isinstance(predicate, Literal):
             return 1.0 if predicate.value else 0.0
-        return self.params.default_selectivity
+        return DEFAULT_SELECTIVITY
 
     def _comparison_selectivity(
         self, predicate: Comparison, meta: ColMetaMap
@@ -171,14 +168,14 @@ class CardinalityEstimator:
             # unless it happens to be a common one.
             key, _, parameter = parameter_form
             return self.eq_selectivity(meta.get(key), parameter)
-        return self.params.default_selectivity
+        return DEFAULT_SELECTIVITY
 
     def eq_selectivity(self, column: Optional[ColMeta], value: Any) -> float:
         """Selectivity of ``col = value`` — the MCV-aware equality
         estimate, also used to size index probes. *value* is a literal
         key or an unbound ``Parameter``, which matches no MCV."""
         if column is None:
-            return self.params.default_selectivity
+            return DEFAULT_SELECTIVITY
         return self._eq_fraction(column, value) * (1.0 - column.null_frac)
 
     def _eq_fraction(self, column: ColMeta, value: Any) -> float:
@@ -199,14 +196,14 @@ class CardinalityEstimator:
         self, column: Optional[ColMeta], op: str, value: object
     ) -> float:
         if column is None:
-            return self.params.default_selectivity
+            return DEFAULT_SELECTIVITY
         non_null = 1.0 - column.null_frac
         if op == "=":
             return self._eq_fraction(column, value) * non_null
         if op == "!=":
             return max(0.0, 1.0 - self._eq_fraction(column, value)) * non_null
         if not _is_number(value):
-            return self.params.default_selectivity
+            return DEFAULT_SELECTIVITY
         # Range predicate over the histogram (plus MCVs in range) when
         # the column has one; linear min/max interpolation otherwise.
         histogram = column.histogram
@@ -226,7 +223,7 @@ class CardinalityEstimator:
                 fraction = (float(column.max_value) - float(value)) / span
             floor = 1.0 / max(1.0, column.ndv)
             return min(1.0, max(floor, fraction)) * non_null
-        return self.params.default_selectivity
+        return DEFAULT_SELECTIVITY
 
     def _range_fraction(self, column: ColMeta, op: str, value: float) -> float:
         """Non-null fraction satisfying a range op, composing the MCV
@@ -357,7 +354,7 @@ class CardinalityEstimator:
         known = all(key in meta for key in predicate.columns())
         if known:
             return self.selectivity(predicate, meta)
-        return self.params.having_selectivity
+        return HAVING_SELECTIVITY
 
 
 def _op_holds(left: float, op: str, right: float) -> bool:

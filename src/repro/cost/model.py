@@ -53,7 +53,12 @@ from ..engine.spill import (
 )
 from ..errors import PlanError
 from ..storage.page import pages_for
-from .cardinality import CardinalityEstimator, ColMeta, ColMetaMap
+from .cardinality import (
+    DEFAULT_SELECTIVITY,
+    CardinalityEstimator,
+    ColMeta,
+    ColMetaMap,
+)
 from .params import CostParams
 
 
@@ -96,15 +101,10 @@ class CostModel:
         self,
         catalog: Catalog,
         params: Optional[CostParams] = None,
-        use_statistics: bool = True,
     ):
         self.catalog = catalog
         self.params = params or CostParams()
-        self.estimator = CardinalityEstimator(self.params)
-        # The statistics ablation (OptimizerOptions.use_statistics=False):
-        # row/page counts stay real (they size the IO formulas), but
-        # every column falls back to the unknown-stats default.
-        self.use_statistics = use_statistics
+        self.estimator = CardinalityEstimator()
         # (table, alias) -> (the TableStats it was derived from, map);
         # see ``_base_meta``.
         self._base_meta_memo: Dict[
@@ -137,24 +137,17 @@ class CostModel:
             props = self._annotate_limit(plan)
         else:
             raise PlanError(f"cannot cost node type {type(plan).__name__}")
-        props.cost = self.cpu_weighted(
-            props.cost, props.rows, len(plan.schema)
-        )
+        props.cost = self.cpu_weighted(props.cost, props.rows)
         plan.props = props
         return props
 
-    def cpu_weighted(self, cost: float, rows: float, columns: int) -> float:
-        """*cost* plus the node-local CPU terms of the weighted
-        objective, for a node emitting *rows* tuples of *columns* live
-        columns (both terms are inert at the default zero weights)."""
+    def cpu_weighted(self, cost: float, rows: float) -> float:
+        """*cost* plus the node-local CPU term of the weighted
+        objective, for a node emitting *rows* tuples (inert at the
+        default zero weight)."""
         if self.params.cpu_tuple_weight:
             # the Section 5 adaptation: weighted CPU + IO objective
             cost += self.params.cpu_tuple_weight * rows
-        if self.params.cpu_cell_weight:
-            # width-aware emit term: every live output column of every
-            # produced tuple costs one cell — what the columnar engine's
-            # counts-encoded expansion actually pays per surviving cell
-            cost += self.params.cpu_cell_weight * rows * columns
         return cost
 
     def annotate_tree(self, plan: PlanNode) -> PlanProps:
@@ -195,9 +188,7 @@ class CostModel:
         meta: ColMetaMap = {}
         for column in self.catalog.table(table_name).columns:
             meta[(alias, column.name)] = ColMeta.from_stats(
-                stats.column(column.name),
-                table_rows,
-                use_statistics=self.use_statistics,
+                stats.column(column.name), table_rows
             )
         meta[(alias, RID_COLUMN)] = ColMeta(ndv=max(1.0, table_rows))
         self._base_meta_memo[(table_name, alias)] = (stats, meta)
@@ -586,7 +577,7 @@ class CostModel:
         probe_cpu = (
             self.params.cpu_tuple_weight * child.rows * max(1.0, inner.rows)
         )
-        rows = child.rows * self.params.default_selectivity
+        rows = child.rows * DEFAULT_SELECTIVITY
         meta = {
             key: value.clamped(rows)
             for key, value in child.colmeta.items()

@@ -18,38 +18,18 @@ class CostParams:
     - ``memory_pages``: buffer pool pages available to one operator
       (block nested-loop blocking factor, sort run size, hash build
       threshold).
-    - ``default_selectivity``: fallback predicate selectivity when
-      statistics cannot say better (System R's 1/3-style default).
-    - ``having_selectivity``: fallback selectivity of a HAVING conjunct
-      over aggregate outputs, where no column statistics exist.
     - ``cpu_tuple_weight``: cost units charged per tuple an operator
       produces, on top of page IO. Zero (the default) is the paper's
       IO-only model (Section 5); a positive weight is the paper's
       "weighted combination of CPU and IO cost" adaptation. Executed
       weighted cost can be recomputed from per-node actual row counts.
-    - ``cpu_cell_weight``: cost units charged per *cell* (tuple ×
-      live output column) an operator produces — the width-aware emit
-      term. The columnar engine pays per surviving cell in its
-      counts-encoded join expansion, so a positive weight lets the DP
-      prefer join orders that keep wide columns below
-      duplicate-expanding joins. Zero (the default) keeps the paper's
-      IO-only objective.
     """
 
     memory_pages: int = 64
-    default_selectivity: float = 1.0 / 3.0
-    having_selectivity: float = 1.0 / 3.0
     cpu_tuple_weight: float = 0.0
-    cpu_cell_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if self.memory_pages < 3:
             raise ValueError("memory_pages must be at least 3")
-        if not 0.0 < self.default_selectivity <= 1.0:
-            raise ValueError("default_selectivity must be in (0, 1]")
-        if not 0.0 < self.having_selectivity <= 1.0:
-            raise ValueError("having_selectivity must be in (0, 1]")
         if self.cpu_tuple_weight < 0.0:
             raise ValueError("cpu_tuple_weight must be non-negative")
-        if self.cpu_cell_weight < 0.0:
-            raise ValueError("cpu_cell_weight must be non-negative")

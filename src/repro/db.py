@@ -332,15 +332,16 @@ class Database:
         return None
 
     def run_statement(self, statement) -> None:
-        """Apply one parsed DDL/DML statement (``repro.sql.ddl``); a
-        session hands them over already parsed, under the write lock."""
+        """Apply one parsed DDL/DML statement (``repro.sql.ddl``) under
+        the write lock; a session hands them over already parsed."""
         runner = _STATEMENT_RUNNERS.get(type(statement))
         if runner is None:
             raise ReproError(
                 f"{type(statement).__name__} is a session statement; run "
                 f"it through Database.session()"
             )
-        runner(self, statement)
+        with self.write_lock:
+            runner(self, statement)
 
     # ------------------------------------------------------------------
     # Queries
@@ -366,14 +367,18 @@ class Database:
         optimizer: str = "full",
         options: Optional[OptimizerOptions] = None,
     ) -> OptimizationResult:
-        self._refresh_relevant_views(query, options)
+        """Optimize a bound query under the write lock: a lazy matview
+        refresh is a write, and a session planning beside it must not
+        see the catalog move between its plan and its epoch stamp."""
         leveled = level_options(optimizer, options)
         search = (
             optimize_traditional
             if optimizer == "traditional"
             else optimize_query
         )
-        return search(query, self.catalog, self.params, leveled)
+        with self.write_lock:
+            self._refresh_relevant_views(query, options)
+            return search(query, self.catalog, self.params, leveled)
 
     def _refresh_relevant_views(
         self,

@@ -20,8 +20,7 @@ lists win in CPython for these workloads: typed arrays re-box every
 element on access, which costs more than the pointer-width list slots
 they would save.
 
-``DEFAULT_BATCH_SIZE`` is the pipeline's batch-size knob; per-execution
-overrides go through ``ExecutionContext.batch_size``.
+``DEFAULT_BATCH_SIZE`` is the pipeline's rows per batch.
 """
 
 from __future__ import annotations

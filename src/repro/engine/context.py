@@ -10,7 +10,6 @@ from ..catalog.schema import RowSchema
 from ..cost.params import CostParams
 from ..storage.iocounter import IOCounter
 from ..storage.snapshot import DatabaseSnapshot
-from .batch import DEFAULT_BATCH_SIZE
 from .metrics import ExecutionMetrics
 
 
@@ -18,7 +17,6 @@ from .metrics import ExecutionMetrics
 class ExecutionContext:
     """Everything a physical operator needs: catalog, IO counter, knobs.
 
-    ``batch_size`` is the streaming pipeline's rows-per-batch knob;
     ``metrics`` collects per-operator counters (created by the executor
     on first use, accumulating if the context is reused).
     ``kernels_compiled`` counts kernel instantiations for this context
@@ -32,7 +30,6 @@ class ExecutionContext:
     catalog: Catalog
     io: IOCounter
     params: CostParams = field(default_factory=CostParams)
-    batch_size: int = DEFAULT_BATCH_SIZE
     metrics: Optional[ExecutionMetrics] = None
     kernels_compiled: int = 0
     # When set, scans and index probes read this stable snapshot

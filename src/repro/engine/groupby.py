@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 from ..algebra.plan import GroupByNode, LimitNode, SortNode
 from ..datatypes import NullOrdered
 from ..storage.page import pages_for
-from .batch import ColumnBatch, take
+from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, take
 from .kernels import ComputeProgram, SelectionProgram, groupby_kernels
 from .metrics import OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_group_extra_io
@@ -101,8 +101,8 @@ def group_by_columns(plan: GroupByNode, compiler):
             groups = len(sel)
         else:
             out_columns = [internal_columns[p] for p in out_positions]
-        for start in range(0, groups, context.batch_size):
-            end = min(start + context.batch_size, groups)
+        for start in range(0, groups, DEFAULT_BATCH_SIZE):
+            end = min(start + DEFAULT_BATCH_SIZE, groups)
             yield ColumnBatch(
                 [column[start:end] for column in out_columns], end - start
             )
@@ -153,8 +153,8 @@ def sort_columns(plan: SortNode, compiler):
                 key=lambda row: NullOrdered(row[position]),
                 reverse=descending,
             )
-        for start in range(0, len(rows), context.batch_size):
-            chunk = rows[start : start + context.batch_size]
+        for start in range(0, len(rows), DEFAULT_BATCH_SIZE):
+            chunk = rows[start : start + DEFAULT_BATCH_SIZE]
             yield ColumnBatch.from_rows(chunk, width)
 
     return open

@@ -7,8 +7,8 @@ decision once per plan; :func:`mark_columns` feeds it one execution's
 rows.
 
 The inner side is deliberately re-scanned per outer row (O(outer x
-inner)): a mark join is the *unflattened* fallback, and its naivety is
-the ablation baseline flattening is compared with.
+inner)): a mark join is the *unflattened* fallback for the shapes
+decorrelation leaves behind, and its naivety is what flattening saves.
 Do not add per-key bucketing here.
 """
 

@@ -17,7 +17,7 @@ from typing import Iterator
 from ..algebra.plan import ScanNode
 from ..catalog.schema import table_row_schema
 from ..errors import ExecutionError
-from .batch import ColumnBatch, ColumnBatchBuilder, take
+from .batch import DEFAULT_BATCH_SIZE, ColumnBatch, ColumnBatchBuilder, take
 from ..storage.snapshot import TableSnapshot
 from .context import ExecutionContext
 from .kernels import SelectionProgram
@@ -76,7 +76,7 @@ def scan_columns(plan: ScanNode, compiler):
                 context.io,
                 include_rid=True,
                 positions=needed,
-                batch_rows=context.batch_size,
+                batch_rows=DEFAULT_BATCH_SIZE,
             )
         else:
             source = []
@@ -88,7 +88,7 @@ def scan_columns(plan: ScanNode, compiler):
                         context.io, rids, include_rid=True, positions=needed
                     )
                 )
-        out = ColumnBatchBuilder(context.batch_size, width)
+        out = ColumnBatchBuilder(DEFAULT_BATCH_SIZE, width)
         for columns, count in source:
             metrics.rows_in += count
             sel = select(columns, count)

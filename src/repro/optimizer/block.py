@@ -116,6 +116,10 @@ from .joingraph import JoinGraph
 from .options import OptimizerOptions, level_options
 from .stats import SearchStats
 
+MAX_PLANS_PER_SET = 6
+"""Plans retained per DP subset (per interesting order and eager
+state); bounds memory like a real optimizer would."""
+
 
 @dataclass(frozen=True)
 class GroupingSpec:
@@ -241,11 +245,7 @@ class BlockOptimizer:
         self.params = params or CostParams()
         self.options = options or OptimizerOptions()
         self.stats = stats if stats is not None else SearchStats()
-        self.model = CostModel(
-            catalog,
-            self.params,
-            use_statistics=self.options.use_statistics,
-        )
+        self.model = CostModel(catalog, self.params)
         # Annotated access-path plans for identical base-table leaves,
         # shared across every block this optimizer touches (the shared
         # DP of Section 5.3 re-plans the same scans for every request
@@ -683,7 +683,6 @@ class BlockOptimizer:
 
         model = self.model
         left = left_plan.props
-        columns = len(schema)
 
         def logical_props(method, equi_keys):
             right_rows, right_meta = model.join_right_input(
@@ -713,7 +712,7 @@ class BlockOptimizer:
             )
             entries.append(
                 _Entry(
-                    model.cpu_weighted(cost, logical[0], columns),
+                    model.cpu_weighted(cost, logical[0]),
                     order,
                     logical[1],
                     grouped,
@@ -811,9 +810,8 @@ class BlockOptimizer:
             if incumbent is None or entry.cost < incumbent.cost:
                 best[key] = entry
         kept = sorted(best.values(), key=_entry_cost)
-        limit = self.options.max_plans_per_set
-        pruned = kept[:limit]
-        if len(kept) > limit:
+        pruned = kept[:MAX_PLANS_PER_SET]
+        if len(kept) > MAX_PLANS_PER_SET:
             lazy = [e for e in kept if not e.grouped and not e.carry]
             survivors = [e for e in pruned if not e.grouped and not e.carry]
             if (
@@ -826,7 +824,7 @@ class BlockOptimizer:
                 # guarantee is structural, not heuristic).
                 pruned = pruned[:-1] + [lazy[0]]
                 survivors = lazy[:1]
-            if survivors != lazy[:limit]:
+            if survivors != lazy[:MAX_PLANS_PER_SET]:
                 # the cut took a lazy entry a traditional DP (whose
                 # candidates are the lazy ones alone) would have retained
                 context.lazy_exact = False
@@ -1094,16 +1092,13 @@ class _BlockContext:
     def _base_leaf_plans(self, leaf: BaseLeaf) -> List[PlanNode]:
         alias = leaf.alias
         local = self._local_predicates(alias)
-        if self.optimizer.options.enable_projection_pruning:
-            # Scan decode narrows to live columns: scan filters evaluate
-            # over the full (row-stored) page anyway, so a column only a
-            # local predicate reads need not survive the scan. Page IO
-            # is unchanged — only decode width shrinks.
-            live = self.top_needed | self.pending_columns(
-                self.graph.mask_of_alias[alias]
-            )
-        else:
-            live = self.needed
+        # Scan decode narrows to live columns: scan filters evaluate
+        # over the full (row-stored) page anyway, so a column only a
+        # local predicate reads need not survive the scan. Page IO is
+        # unchanged — only decode width shrinks.
+        live = self.top_needed | self.pending_columns(
+            self.graph.mask_of_alias[alias]
+        )
         wanted = tuple(
             sorted(
                 {
@@ -1271,11 +1266,7 @@ class _BlockContext:
         """The projection list and output schema of joining the two
         plans into *subset_mask*: the columns an ancestor still
         references. A semi / anti join outputs left columns only."""
-        pruning = self.optimizer.options.enable_projection_pruning
-        if pruning:
-            keep = self.top_needed | self.pending_columns(subset_mask)
-        else:
-            keep = self.needed | self.pending_columns(subset_mask)
+        keep = self.top_needed | self.pending_columns(subset_mask)
         left_fields = left_plan.schema.fields
         combined = left_fields + right_plan.schema.fields
         kept: List[Field] = []
@@ -1283,7 +1274,7 @@ class _BlockContext:
         for field in combined:
             if field.alias is None or field.key in keep:
                 kept.append(field)
-            elif pruning and field.key in self.needed:
+            elif field.key in self.needed:
                 dropped += 1
         if not kept:
             kept = [combined[0]]

@@ -54,6 +54,10 @@ from .options import OptimizerOptions, level_options
 from .pruning import prune_plan
 from .stats import SearchStats
 
+MAX_COMBINATIONS = 256
+"""Cap on multi-view W-combinations (Section 5.4); hitting it is
+recorded in ``SearchStats.combinations_truncated``, never silent."""
+
 
 @dataclass
 class OptimizationResult:
@@ -286,28 +290,24 @@ def optimize_traditional(
 
     Subquery flattening and predicate propagation across blocks run
     first — the paper's premise is that traditional optimizers already
-    do that much ([MFPR90, LMS94], Section 1);
-    ``enable_predicate_propagation=False`` ablates the latter. Every
-    field of *options* that is not a transformation switch (statistics,
-    pruning, view rewriting, plan-retention limits, …) is honored, so
-    the baseline is costed under the same model as the search it is
+    do that much ([MFPR90, LMS94], Section 1). Every field of *options*
+    that is not a transformation switch (view rewriting, …) is honored,
+    so the baseline is costed under the same model as the search it is
     compared with; the transformations themselves are off by definition
     (``LEVELS["traditional"]``)."""
     options = options or OptimizerOptions()
     stats = SearchStats()
-    query = decorrelate_query(query, options, stats)
-    if options.enable_predicate_propagation:
-        query = propagate_predicates(query)
+    query = decorrelate_query(query, stats)
+    query = propagate_predicates(query)
     optimizer = BlockOptimizer(
         catalog, params, level_options("traditional", options), stats
     )
     derived = [_optimize_view(view, optimizer) for view in query.views]
     plan, _ = _optimize_outer(query, derived, optimizer)
-    if options.enable_projection_pruning:
-        # View boundaries: the block DP optimized each view for all of
-        # its declared outputs; the lifetime pass narrows them to what
-        # the outer block actually consumes.
-        plan = prune_plan(plan, model=optimizer.model, stats=stats)
+    # View boundaries: the block DP optimized each view for all of its
+    # declared outputs; the lifetime pass narrows them to what the
+    # outer block actually consumes.
+    plan = prune_plan(plan, model=optimizer.model, stats=stats)
     return OptimizationResult(
         plan=plan,
         cost=plan.props.cost,
@@ -343,7 +343,7 @@ def optimize_query(
 
     # Step 0a: flatten subqueries into join units / grouped views (Kim-
     # style decorrelation); unflattenable specs stay behind as marks.
-    query = decorrelate_query(query, options, stats)
+    query = decorrelate_query(query, stats)
     # Join units and mark subqueries pin the outer block's shape: the
     # invariant-split / pull-up machinery assumes a pure inner-join
     # outer block, so both stay off when units are present.
@@ -351,8 +351,7 @@ def optimize_query(
 
     # Step 0b: [LMS94]-style predicate propagation (the preprocessing
     # the paper assumes of every optimizer, Section 1).
-    if options.enable_predicate_propagation:
-        query = propagate_predicates(query)
+    query = propagate_predicates(query)
 
     # Step 1: minimal invariant sets (B' construction).
     working = query
@@ -424,7 +423,7 @@ def optimize_query(
                 used |= mask
             if not consistent:
                 continue
-            if len(combos) >= options.max_combinations:
+            if len(combos) >= MAX_COMBINATIONS:
                 truncated += 1
                 continue
             combos.append(
@@ -497,11 +496,10 @@ def optimize_query(
             best_choice = combo
     assert best_plan is not None
 
-    if options.enable_projection_pruning:
-        # Narrow view boundaries *before* the traditional comparison:
-        # both plans are compared post-prune, preserving the no-worse
-        # guarantee under the narrowed widths.
-        best_plan = prune_plan(best_plan, model=optimizer.model, stats=stats)
+    # Narrow view boundaries *before* the traditional comparison: both
+    # plans are compared post-prune, preserving the no-worse guarantee
+    # under the narrowed widths.
+    best_plan = prune_plan(best_plan, model=optimizer.model, stats=stats)
 
     # Guarantee: never worse than the traditional optimizer, whose plan
     # is a point of the space just searched. *readout* is that plan when
@@ -525,10 +523,7 @@ def optimize_query(
     else:
         stats.baseline_searches += 1
         traditional, _ = _optimize_outer(query, derived, twin)
-    if options.enable_projection_pruning:
-        traditional = prune_plan(
-            traditional, model=optimizer.model, stats=stats
-        )
+    traditional = prune_plan(traditional, model=optimizer.model, stats=stats)
     traditional_cost = traditional.props.cost
     if traditional_cost < best_plan.props.cost:
         best_plan = traditional

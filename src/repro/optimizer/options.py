@@ -3,8 +3,12 @@
 The defaults implement the paper's full algorithm with its two
 search-space restrictions (Section 5.3, "Practical Restrictions on the
 Search Space"): predicate-sharing for pull-up candidates and the k-level
-pull-up cap. Experiments E9/E10 (``benchmarks/experiments.py``) ablate
-individual knobs.
+pull-up cap. Every field is set by some caller outside the tests: the
+optimizer levels (``LEVELS``), experiments E4/E7/E9/E10
+(``benchmarks/experiments.py``) or the CLI's ``--no-view-rewrite``
+(``tests/test_no_orphans.py`` checks). Values nothing varies are
+module constants beside the code that reads them
+(``block.MAX_PLANS_PER_SET``, ``canonical.MAX_COMBINATIONS``).
 """
 
 from __future__ import annotations
@@ -34,11 +38,6 @@ class OptimizerOptions:
       an early group-by only when the result is no wider. Disabling it
       is unsound per the paper's argument and exists only for the E9
       ablation.
-    - ``max_plans_per_set``: plans retained per DP subset (per
-      interesting order); bounds memory like a real optimizer would.
-    - ``max_combinations``: cap on multi-view W-combinations (Section
-      5.4); hitting the cap is recorded in the search stats, never
-      silent.
     """
 
     enable_pullup: bool = True
@@ -47,38 +46,17 @@ class OptimizerOptions:
     k_level: int = 2
     require_shared_predicate: bool = True
     width_guard: bool = True
-    max_plans_per_set: int = 6
-    max_combinations: int = 256
     share_view_dp: bool = True
     """Run ONE DP over V′ ∪ ⋃W per view and extract the plan for every
     pull-up set W from it (Section 5.3: "we do not need to optimize
     Φ(V′, W) separately"). Off = optimize each Φ(V′, W) independently;
     same plans, more enumeration work (the E7 sharing ablation)."""
 
-    enable_projection_pruning: bool = True
-    """Column-lifetime projection pruning: join projections and scan
-    decode lists keep only the columns some *ancestor* still references
-    (final outputs, grouping keys, aggregate inputs, plus the columns of
-    predicates not yet applied). Off = the pre-pruning behavior, where
-    every predicate column rides to the top of the plan; kept as an
-    ablation — answers never change, only intermediate widths."""
-
-    enable_predicate_propagation: bool = True
-    """[MFPR90, LMS94] preprocessing: move outer literal predicates on
-    grouping-column view outputs inside the view. The paper assumes
-    every optimizer does this; off only for the propagation ablation."""
-
     enable_view_rewrite: bool = True
     """Consider answering blocks from materialized aggregate views
     (Cohen & Nutt-style matching + coalescing rewrite); each rewrite is
     adopted only when cheaper under the cost model. ``--no-view-rewrite``
     in the CLI and the differential tests turn this off."""
-
-    use_statistics: bool = True
-    """Let the cost model consume collected column statistics (NDV,
-    ranges, null fractions, MCVs, histograms). Off = every column falls
-    back to the unknown-stats default (``ndv = rows``), the statistics
-    ablation: plan choice may change, answers never do."""
 
     enable_eager_aggregation: bool = True
     """Eager partial-aggregation alternatives inside the block DP
@@ -92,22 +70,9 @@ class OptimizerOptions:
     (early group-by replaces the plain join only when cheaper and no
     wider). Answers never change, only plan shapes."""
 
-    enable_decorrelation: bool = True
-    """Flatten WHERE-clause subqueries (scalar aggregates, IN/EXISTS,
-    NOT IN/NOT EXISTS) into aggregate views and semi/anti/outer join
-    units before planning (Kim's join-aggregate transformation,
-    Section 1). Off = every subquery executes as a naive mark join —
-    the inner side materialized once, re-scanned per outer row — the
-    ablation baseline of the ``full-nodecorrelate`` fuzz config.
-    Answers never change."""
-
     def __post_init__(self) -> None:
         if self.k_level < 0:
             raise ValueError("k_level must be non-negative")
-        if self.max_plans_per_set < 1:
-            raise ValueError("max_plans_per_set must be positive")
-        if self.max_combinations < 1:
-            raise ValueError("max_combinations must be positive")
 
 
 LEVELS: Dict[str, Dict[str, bool]] = {

@@ -207,9 +207,8 @@ class Session:
         handler = _SESSION_STATEMENTS.get(type(statement))
         if handler is not None:
             return handler(self, statement)
-        # DDL / writes: single writer, under the lock
-        with self.db.write_lock:
-            self.db.run_statement(statement)
+        # DDL / writes: run_statement takes the write lock
+        self.db.run_statement(statement)
         return SessionResult(
             kind="ddl", exec_seconds=time.perf_counter() - start
         )

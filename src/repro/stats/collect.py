@@ -17,7 +17,7 @@ tracked separately as ``null_count`` so the estimator can discount
 equality/range/join selectivities by the non-null fraction.
 
 MCVs follow the Postgres rule: a value is "common" only when its
-frequency is at least ``mcv_min_ratio`` times the column average
+frequency is at least ``MCV_MIN_RATIO`` (2x) the column average
 (``1/ndv``). Uniform columns therefore store no MCVs at all, and every
 estimate reduces exactly to the classic System R formula — skew pays
 for its own bookkeeping.
@@ -36,6 +36,12 @@ from .histogram import EquiDepthHistogram, build_histogram
 from .sample import estimate_ndv, sample_pages, sampled_values, scale_count
 
 DEFAULT_CONFIG = StatsConfig()
+
+MCV_MIN_RATIO = 2.0
+"""A value qualifies as an MCV only when its frequency is at least this
+multiple of the column's average frequency (``1/ndv``); keeps uniform
+columns MCV-free so their estimates match the System R formulas
+exactly."""
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,10 @@ def _column_stats(
     except TypeError:  # mixed un-orderable values; range unknown
         low = high = None
 
-    # MCVs: values at least mcv_min_ratio times as frequent as average.
+    # MCVs: values at least MCV_MIN_RATIO times as frequent as average.
     mcvs: Tuple[Tuple[Any, float], ...] = ()
     if config.mcv_entries > 0 and ndv > 1:
-        threshold = config.mcv_min_ratio / ndv
+        threshold = MCV_MIN_RATIO / ndv
         common = [
             (value, count / non_null_sample)
             for value, count in counter.most_common(config.mcv_entries)

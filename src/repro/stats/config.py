@@ -1,10 +1,7 @@
 """Knobs of the statistics subsystem.
 
-Collection knobs (how ANALYZE scans and what it builds) live here, on a
-:class:`StatsConfig` the catalog carries; *consumption* knobs (whether
-the optimizer trusts column statistics at all) live on
-``OptimizerOptions.use_statistics`` so ablations can flip them per
-query without touching the stored statistics.
+How ANALYZE scans and what it builds, on a :class:`StatsConfig` the
+catalog carries. The cost model always consumes what was collected.
 """
 
 from __future__ import annotations
@@ -19,11 +16,8 @@ class StatsConfig:
     - ``histogram_buckets``: equi-depth buckets per orderable column
       (0 disables histograms — the pure uniform-NDV baseline).
     - ``mcv_entries``: maximum most-common-value entries per column
-      (0 disables MCV lists).
-    - ``mcv_min_ratio``: a value qualifies as an MCV only when its
-      frequency is at least this multiple of the column's average
-      frequency (``1/ndv``); keeps uniform columns MCV-free so their
-      estimates match the classic System R formulas exactly.
+      (0 disables MCV lists); a value qualifies only at twice the
+      column's average frequency (``collect.MCV_MIN_RATIO``).
     - ``full_scan_pages``: tables at most this many pages are scanned
       exactly; beyond it ANALYZE switches to block sampling.
     - ``sample_fraction``: fraction of a large table's pages one
@@ -35,27 +29,20 @@ class StatsConfig:
       has grown by this fraction since the last analyze; row and page
       counts are always served exactly (they are O(1) reads), so
       staleness affects only column-level statistics.
-    - ``seed``: sampling determinism — the page sample for a given
-      (table, size) is a pure function of the seed, so differential
-      replays across engine configurations see identical statistics.
     """
 
     histogram_buckets: int = 32
     mcv_entries: int = 16
-    mcv_min_ratio: float = 2.0
     full_scan_pages: int = 256
     sample_fraction: float = 0.1
     min_sample_pages: int = 64
     stale_growth_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.histogram_buckets < 0:
             raise ValueError("histogram_buckets must be non-negative")
         if self.mcv_entries < 0:
             raise ValueError("mcv_entries must be non-negative")
-        if self.mcv_min_ratio < 1.0:
-            raise ValueError("mcv_min_ratio must be at least 1.0")
         if self.full_scan_pages < 1:
             raise ValueError("full_scan_pages must be positive")
         if not 0.0 < self.sample_fraction <= 1.0:

@@ -37,8 +37,8 @@ def sample_pages(
 ) -> List[int]:
     """Page numbers one sampled ANALYZE reads, sorted ascending.
 
-    Deterministic: a pure function of (table name, page count, seed),
-    via ``crc32`` rather than ``hash()`` (which is salted per process),
+    Deterministic: a pure function of (table name, page count), via
+    ``crc32`` rather than ``hash()`` (which is salted per process),
     so differential replays across engine configurations and processes
     collect identical statistics.
     """
@@ -47,7 +47,7 @@ def sample_pages(
     )
     if budget >= num_pages:
         return list(range(num_pages))
-    rng = random.Random(zlib.crc32(table_name.encode()) ^ config.seed)
+    rng = random.Random(zlib.crc32(table_name.encode()))
     return sorted(rng.sample(range(num_pages), budget))
 
 

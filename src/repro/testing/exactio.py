@@ -6,7 +6,7 @@ disagree through the quantities those formulas read. :func:`exact_io`
 re-annotates an executed plan with the actual ones — every operator's
 output rows, a group-by's groups before HAVING, an index probe's
 matching entries (``OperatorMetrics.groups`` / ``.matches``) — and with
-the CPU weights zeroed. What is left is the model's IO of the plan as it
+the CPU weight zeroed. What is left is the model's IO of the plan as it
 ran, which must equal the executed IO.
 
 It does, except through the model's index-probe formula, which prices
@@ -33,9 +33,7 @@ class _ActualCostModel(CostModel):
     """The cost model reading a run's counts instead of estimating."""
 
     def __init__(self, catalog, params, ran: Dict[PlanNode, OperatorMetrics]):
-        super().__init__(
-            catalog, replace(params, cpu_tuple_weight=0.0, cpu_cell_weight=0.0)
-        )
+        super().__init__(catalog, replace(params, cpu_tuple_weight=0.0))
         self._ran = ran
 
     def annotate(self, plan):

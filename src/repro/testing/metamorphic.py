@@ -83,21 +83,6 @@ CONFIGS: Tuple[EngineConfig, ...] = (
         optimizer="traditional",
         options=OptimizerOptions(enable_view_rewrite=False),
     ),
-    # Statistics ablation: histograms/MCVs/NDV feed only the cost
-    # model, so disabling them may change plan choice but never
-    # answers — exactly the invariant this matrix checks.
-    EngineConfig(
-        "full-nostats",
-        options=OptimizerOptions(use_statistics=False),
-    ),
-    # Projection-pruning ablation: lifetime analysis narrows interior
-    # schemas only — answers must be identical, and (because pruning is
-    # applied before the traditional-min comparison) the no-worse cost
-    # guarantee must keep holding with it disabled.
-    EngineConfig(
-        "full-nopruning",
-        options=OptimizerOptions(enable_projection_pruning=False),
-    ),
     # Serving-path replay: the plan cache, snapshot execution, and the
     # prepared-statement parameter substitution must all preserve
     # answers — caching and parameter lifting are pure plan-delivery
@@ -119,14 +104,6 @@ CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig(
         "full-eagercost",
         params=CostParams(memory_pages=4, cpu_tuple_weight=0.01),
-    ),
-    # Decorrelation ablation: subqueries execute as naive mark joins
-    # instead of flattened semi/anti/LEFT units — the slow path must
-    # agree with the decorrelated plans and the oracle on every row,
-    # including NOT IN meeting NULL-bearing inner sides.
-    EngineConfig(
-        "full-nodecorrelate",
-        options=OptimizerOptions(enable_decorrelation=False),
     ),
 )
 

@@ -26,15 +26,12 @@ Everything else — correlated ``NOT IN``, multi-relation semi/anti
 inners, uncorrelated scalar subqueries — stays behind as a
 :class:`SubquerySpec` on the query and executes as a naive mark join
 (inner side materialized once, correlation matched per outer row).
-With ``enable_decorrelation`` off, *every* spec stays behind: the
-ablation baseline of the fuzzer's ``full-nodecorrelate`` config.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
     ColumnRef,
     Comparison,
@@ -49,25 +46,20 @@ from ..algebra.query import (
     QueryBlock,
     SubquerySpec,
 )
-from ..optimizer.options import OptimizerOptions
 from ..optimizer.stats import SearchStats
 
 
 def decorrelate_query(
-    query: CanonicalQuery,
-    options: Optional[OptimizerOptions] = None,
-    stats: Optional[SearchStats] = None,
+    query: CanonicalQuery, stats: Optional[SearchStats] = None
 ) -> CanonicalQuery:
     """Flatten *query*'s subquery specs where legal.
 
     Returns a query whose ``subqueries`` tuple holds only the specs
-    that could not (or were not allowed to) be flattened; those execute
-    as mark joins. Queries without subqueries pass through untouched.
+    that could not be flattened; those execute as mark joins. Queries
+    without subqueries pass through untouched.
     """
     if not query.subqueries:
         return query
-    if options is None:
-        options = OptimizerOptions()
 
     views: List[AggregateView] = list(query.views)
     joins: List[JoinUnit] = list(query.joins)
@@ -77,9 +69,6 @@ def decorrelate_query(
     for spec in query.subqueries:
         if stats is not None:
             stats.decorrelation_considered += 1
-        if not options.enable_decorrelation:
-            remaining.append(spec)
-            continue
         flattened = _flatten_spec(spec, views, joins, predicates)
         if flattened:
             if stats is not None:

@@ -200,7 +200,7 @@ def every_optimize_query(on_call: Callable[..., None]):
 def pruned_plans() -> Iterator[List[PlanNode]]:
     """Every plan ``prune_plan`` hands back to ``optimize_query`` while
     the block runs, in call order: per call its best plan, then the
-    traditional baseline it compared with (projection pruning on)."""
+    traditional baseline it compared with."""
     original = canonical.prune_plan
     seen: List[PlanNode] = []
 

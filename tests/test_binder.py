@@ -301,16 +301,22 @@ class TestUnnesting:
             assert query.joins[0].kind == kind
             assert not query.joins[0].null_aware
 
-    def test_decorrelation_disabled_keeps_specs(self, emp_dept_db):
-        from repro.optimizer.options import OptimizerOptions
-
-        bound = bind_sql(
-            "select e1.sal from emp e1 where e1.dno in "
-            "(select d.dno from dept d)",
-            emp_dept_db.catalog,
-        )
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            "e1.dno not in (select d.dno from dept d where d.loc = e1.age)",
+            "e1.dno + 1 not in (select d.dno from dept d)",
+            "e1.dno in (select d.dno from dept d, emp e2 "
+            "where d.dno = e2.dno)",
+        ],
+        ids=["correlated-not-in", "computed-not-in", "two-relation-in"],
+    )
+    def test_unflattenable_specs_stay_as_marks(self, emp_dept_db, predicate):
         query = decorrelate_query(
-            bound, OptimizerOptions(enable_decorrelation=False)
+            bind_sql(
+                f"select e1.sal from emp e1 where {predicate}",
+                emp_dept_db.catalog,
+            )
         )
         assert not query.joins
         assert len(query.subqueries) == 1

@@ -1,9 +1,12 @@
 """Tests for the full aggregate-view optimizer (Sections 5.3/5.4)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.algebra.legality import check_plan
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
+from repro.optimizer import canonical
 from repro.optimizer import (
     OptimizerOptions,
     optimize_query,
@@ -155,12 +158,10 @@ class TestSearchSpace:
 
     def test_max_combinations_cap_recorded(self, emp_dept_db):
         query = bind_sql(TWO_VIEWS, emp_dept_db.catalog)
-        capped = optimize_query(
-            query,
-            emp_dept_db.catalog,
-            emp_dept_db.params,
-            OptimizerOptions(max_combinations=1),
-        )
+        with mock.patch.object(canonical, "MAX_COMBINATIONS", 1):
+            capped = optimize_query(
+                query, emp_dept_db.catalog, emp_dept_db.params
+            )
         assert capped.stats.combinations_truncated > 0  # never silent
 
 

@@ -12,13 +12,17 @@ from repro.algebra.expressions import (
     col,
     lit,
 )
-from repro.cost.cardinality import CardinalityEstimator, ColMeta
-from repro.cost.params import CostParams
+from repro.cost.cardinality import (
+    DEFAULT_SELECTIVITY,
+    HAVING_SELECTIVITY,
+    CardinalityEstimator,
+    ColMeta,
+)
 
 
 @pytest.fixture
 def estimator():
-    return CardinalityEstimator(CostParams())
+    return CardinalityEstimator()
 
 
 @pytest.fixture
@@ -51,13 +55,13 @@ class TestLiteralSelectivity:
     def test_range_without_stats_uses_default(self, estimator, meta):
         predicate = Comparison("<", col("e.name"), lit("m"))
         assert estimator.selectivity(predicate, meta) == pytest.approx(
-            CostParams().default_selectivity
+            DEFAULT_SELECTIVITY
         )
 
     def test_unknown_column_uses_default(self, estimator, meta):
         predicate = Comparison("=", col("zz.q"), lit(1))
         assert estimator.selectivity(predicate, meta) == pytest.approx(
-            CostParams().default_selectivity
+            DEFAULT_SELECTIVITY
         )
 
     def test_selectivity_floor_at_one_over_ndv(self, estimator, meta):
@@ -107,7 +111,7 @@ class TestParameterSelectivity:
     def test_unknown_column_uses_default(self, estimator, meta):
         predicate = Comparison("=", col("zz.q"), Parameter(1))
         assert estimator.selectivity(predicate, meta) == pytest.approx(
-            CostParams().default_selectivity
+            DEFAULT_SELECTIVITY
         )
 
     @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "!="])
@@ -117,13 +121,13 @@ class TestParameterSelectivity:
             Comparison(op, Parameter(1), col("e.sal")),
         ):
             assert estimator.selectivity(predicate, meta) == pytest.approx(
-                CostParams().default_selectivity
+                DEFAULT_SELECTIVITY
             )
 
     def test_column_free_comparison_keeps_the_default(self, estimator, meta):
         predicate = Comparison("=", Parameter(1), lit(3))
         assert estimator.selectivity(predicate, meta) == pytest.approx(
-            CostParams().default_selectivity
+            DEFAULT_SELECTIVITY
         )
 
 
@@ -200,7 +204,7 @@ class TestJoinAndGrouping:
         predicate = Comparison(">", col("avg_sal"), lit(10))
         assert estimator.having_selectivity(
             predicate, meta
-        ) == pytest.approx(CostParams().having_selectivity)
+        ) == pytest.approx(HAVING_SELECTIVITY)
 
 
 class TestColMeta:

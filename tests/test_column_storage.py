@@ -24,7 +24,7 @@ from repro.catalog.schema import Column
 from repro.datatypes import DataType
 from repro.engine.reference import rows_equal_bag
 from repro.errors import SchemaError
-from repro.stats.collect import ColumnStats, analyze_table
+from repro.stats.collect import MCV_MIN_RATIO, ColumnStats, analyze_table
 from repro.stats.config import StatsConfig
 from repro.stats.sample import estimate_ndv, sample_pages, scale_count
 from repro.storage import HeapTable, IOCounter, OrderedIndex
@@ -536,7 +536,7 @@ def row_loop_column_stats(rows, position, column, total_rows, sampled, config):
         mcvs = tuple(
             (value, count / non_null)
             for value, count in counter.most_common(config.mcv_entries)
-            if count / non_null >= config.mcv_min_ratio / ndv
+            if count / non_null >= MCV_MIN_RATIO / ndv
         )
     common = {value for value, _ in mcvs}
     numeric = sorted(v for v in counter if _is_numeric(v) and v not in common)

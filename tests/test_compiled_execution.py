@@ -33,7 +33,6 @@ from repro.datatypes import DataType
 from repro.engine import ExecutionContext, compile_plan, execute_plan
 from repro.engine import kernels
 from repro.errors import PlanError
-from repro.optimizer.options import OptimizerOptions
 from repro.server import session as session_module
 from repro.server.planrewrite import bind_parameters
 from repro.storage.iocounter import IOCounter
@@ -441,38 +440,33 @@ class TestIndexShapeAndProbe:
 # $n at run time
 # ----------------------------------------------------------------------
 
-MARKS = OptimizerOptions(enable_decorrelation=False)
-
 PARAMETERIZED = {
-    # name: (sql with {} placeholders, options, value vectors)
+    # name: (sql with {} placeholders, value vectors); the two "mark"
+    # shapes are ones decorrelation leaves to a mark join
     "scan filter": (
         "select e.eno from emp e where e.age < {}",
-        None,
         [(30,), (60,)],
     ),
-    "index probe key": (POINT_SQL, None, [(7,), (2499,), (99999,)]),
+    "index probe key": (POINT_SQL, [(7,), (2499,), (99999,)]),
     "join residual": (
         "select e.eno, d.dno from emp e, dept d "
         "where e.dno = d.dno and e.sal * {} > d.budget",
-        None,
         [(10,), (40,)],
     ),
     "having": (
         "select e.dno, sum(e.sal) as s from emp e group by e.dno "
         "having sum(e.sal) > {}",
-        None,
         [(1_300_000,), (1_450_000,)],
     ),
-    "mark aggregate argument": (
+    "mark aggregate argument": (  # an uncorrelated scalar
         "select e.eno from emp e where e.sal > "
-        "(select avg(e2.sal + {}) from emp e2 where e2.dno = e.dno)",
-        MARKS,
+        "(select avg(e2.sal + {}) from emp e2)",
         [(0,), (20_000,)],
     ),
-    "mark outer and inner filter": (
+    "mark outer and inner filter": (  # a two-relation semi inner
         "select e.eno from emp e where e.dno + {} in "
-        "(select d.dno from dept d where d.loc = {})",
-        MARKS,
+        "(select d.dno from dept d, emp e2 "
+        "where d.dno = e2.dno and d.loc = {})",
         [(0, 1), (3, 2)],
     ),
 }
@@ -493,14 +487,20 @@ class TestParametersAtRunTime:
         context, substituted into a copy of the plan as literals
         (``bind_parameters``), and the reference evaluator's answer to
         the literal text."""
-        sql, options, vectors = PARAMETERIZED[shape]
+        sql, vectors = PARAMETERIZED[shape]
         arity = sql.count("{}")
         prepare = "PREPARE p AS " + sql.format(
             *(f"${n}" for n in range(1, arity + 1))
         )
-        with db.session(options=options) as session:
+        with db.session() as session:
             session.execute(prepare)
             plan = session.prepared["p"].optimization.plan
+            marks = [
+                node
+                for node in plan_nodes(plan)
+                if isinstance(node, SubqueryMarkNode)
+            ]
+            assert bool(marks) == shape.startswith("mark")
             answers = []
             # each vector twice, interleaved: nothing leaks between runs
             for values in vectors + vectors[::-1]:
@@ -573,9 +573,9 @@ class TestParametersAtRunTime:
 
     def test_unbound_parameters_are_a_typed_error_everywhere(self, db):
         for shape in sorted(PARAMETERIZED):
-            sql, options, _ = PARAMETERIZED[shape]
+            sql, _ = PARAMETERIZED[shape]
             arity = sql.count("{}")
-            with db.session(options=options) as session:
+            with db.session() as session:
                 session.execute(
                     "PREPARE p AS "
                     + sql.format(*(f"${n}" for n in range(1, arity + 1)))

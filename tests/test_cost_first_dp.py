@@ -46,11 +46,9 @@ def _check_against_annotate_tree(optimizer: BlockOptimizer, node: JoinNode):
     assert isinstance(fresh, JoinNode)
     assert fresh.schema == node.schema
     assert fresh.projection == node.projection
-    props = CostModel(
-        optimizer.catalog,
-        optimizer.params,
-        use_statistics=optimizer.options.use_statistics,
-    ).annotate_tree(fresh)
+    props = CostModel(optimizer.catalog, optimizer.params).annotate_tree(
+        fresh
+    )
     got = node.props
     assert (got.cost, got.rows, got.width, got.pages, got.order) == (
         props.cost, props.rows, props.width, props.pages, props.order,

@@ -39,8 +39,7 @@ class TestOptimizerOptions:
             enable_eager_aggregation=False,
             k_level=1,
             width_guard=False,
-            max_plans_per_set=3,
-            use_statistics=False,
+            share_view_dp=False,
         )
         for level, forced in LEVELS.items():
             leveled = level_options(level, options)
@@ -55,14 +54,6 @@ class TestOptimizerOptions:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             OptimizerOptions(k_level=-1)
-
-    def test_zero_plans_per_set_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(max_plans_per_set=0)
-
-    def test_zero_combinations_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(max_combinations=0)
 
     def test_frozen(self):
         options = OptimizerOptions()
@@ -131,39 +122,14 @@ class TestOptionForwarding:
                 assert searched.traditional_cost == standalone
                 assert searched.cost <= standalone
 
-    def test_statistics_ablation_is_visible_on_the_shared_leaf(self, star_db):
-        on = _fact_scan(star_db.optimize(HOT_KEY_SQL, "traditional"))
-        off = _fact_scan(
-            star_db.optimize(
-                HOT_KEY_SQL,
-                "traditional",
-                OptimizerOptions(use_statistics=False),
-            )
-        )
-        assert off != on  # the ablation is visible on this leaf at all
-
-    def test_traditional_honors_propagation_ablation(self, star_db):
-        options = OptimizerOptions(enable_predicate_propagation=False)
-        result = star_db.optimize(VIEW_SQL, "traditional", options)
-        rows, _ = _fact_scan(result)
-        assert rows == 3000  # v.d1_id < 3 stayed outside the view
-
 
 class TestCostParams:
     def test_memory_floor(self):
         with pytest.raises(ValueError):
             CostParams(memory_pages=2)
 
-    def test_selectivity_bounds(self):
-        with pytest.raises(ValueError):
-            CostParams(default_selectivity=0.0)
-        with pytest.raises(ValueError):
-            CostParams(default_selectivity=1.5)
-        with pytest.raises(ValueError):
-            CostParams(having_selectivity=-0.1)
-
     def test_valid_params(self):
-        params = CostParams(memory_pages=16, default_selectivity=0.5)
+        params = CostParams(memory_pages=16, cpu_tuple_weight=0.5)
         assert params.memory_pages == 16
 
 

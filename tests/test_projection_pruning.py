@@ -1,11 +1,13 @@
 """Column-lifetime projection pruning: live-set analysis, the
-post-DP :func:`prune_plan` pass, the optimizer flag, and the
-differential guarantees (bag-identical rows, identical page IO) on
-both executors."""
+post-DP :func:`prune_plan` pass, and the differential guarantees
+(bag-identical rows, identical page IO) against the reference
+evaluator, the IO oracle and the unpruned plan shapes."""
 
 from __future__ import annotations
 
+import copy
 import random
+from unittest import mock
 
 import pytest
 
@@ -17,12 +19,12 @@ from repro.algebra.plan import (
     explain,
     plan_nodes,
 )
+from repro.catalog.schema import RID_COLUMN, Field
 from repro.cost.model import CostModel
-from repro.optimizer.options import OptimizerOptions
+from repro.optimizer import canonical
 from repro.optimizer.pruning import live_sets, prune_plan
 from repro.testing.exactio import exact_io
 
-PRUNING_OFF = OptimizerOptions(enable_projection_pruning=False)
 
 
 def build_wide_db(memory_pages: int = 64, scale: int = 1) -> Database:
@@ -141,20 +143,6 @@ def test_reused_join_key_stays_live_until_its_last_use():
     assert not any(key[1] == "dno" for key in top.projection)
 
 
-def test_pruning_off_restores_wide_projections():
-    db = build_wide_db()
-    sql = (
-        "select e.sal from emp e, dept d "
-        "where e.dno = d.dno and e.age < 40"
-    )
-    wide = db.optimize(sql, options=PRUNING_OFF).plan
-    (join,) = joins_of(wide)
-    # The ablation keeps every predicate column alive to the top —
-    # exactly the pre-pruning behavior.
-    assert ("e", "age") in join.projection
-    assert ("e", "dno") in join.projection
-
-
 def test_residual_predicate_columns_live_up_to_the_residual_join():
     db = build_wide_db()
     plan = db.optimize(
@@ -188,15 +176,62 @@ def test_search_stats_count_pruned_columns():
 # ----------------------------------------------------------------------
 
 
+def widened(db: Database, plan):
+    """*plan* rebuilt the way a benchmark (or an optimizer without
+    lifetime analysis) would build it: every scan also decodes its
+    filter columns and every join projects all of its inputs' columns,
+    so every predicate column rides to the top."""
+
+    def widen(node):
+        if isinstance(node, ScanNode):
+            wanted = {field.name for field in node.schema} | {
+                name for predicate in node.filters
+                for _, name in predicate.columns()
+            }
+            fields = [
+                Field(node.alias, column.name, column.dtype)
+                for column in db.catalog.table(node.table_name).columns
+                if column.name in wanted and column.name != RID_COLUMN
+            ]
+            return ScanNode(
+                node.table_name,
+                node.alias,
+                fields,
+                filters=node.filters,
+                include_rid=node.include_rid,
+                index_name=node.index_name,
+                index_values=node.index_values,
+            )
+        if isinstance(node, JoinNode):
+            return JoinNode(
+                widen(node.left),
+                widen(node.right),
+                method=node.method,
+                equi_keys=node.equi_keys,
+                residuals=node.residuals,
+                index_name=node.index_name,
+                kind=node.kind,
+                null_aware=node.null_aware,
+            )
+        clone = copy.copy(node)
+        clone.child = widen(node.child)
+        return clone
+
+    wide = widen(plan)
+    CostModel(db.catalog, db.params).annotate_tree(wide)
+    return wide
+
+
 def hand_built_plan(db: Database):
-    """An unpruned two-join plan the way the pre-pruning optimizer (or a
-    benchmark) would build it: every predicate column rides to the top."""
-    plan = db.optimize(
-        "select e.sal, p.funds from emp e, dept d, proj p "
-        "where e.dno = d.dno and d.dno = p.dno and e.age < 50",
-        options=PRUNING_OFF,
-    ).plan
-    return plan
+    """An unpruned two-join plan: every predicate column rides to the
+    top."""
+    return widened(
+        db,
+        db.optimize(
+            "select e.sal, p.funds from emp e, dept d, proj p "
+            "where e.dno = d.dno and d.dno = p.dno and e.age < 50"
+        ).plan,
+    )
 
 
 def test_prune_plan_preserves_root_schema_and_rows():
@@ -268,8 +303,17 @@ def test_view_boundary_is_narrowed():
         "select e.eno from emp e, v x "
         "where e.dno = x.dno and e.sal > x.asal"
     )
-    plan = db.optimize(sql).plan
-    wide = db.optimize(sql, options=PRUNING_OFF).plan
+    # the search's best plan as the block DP built it: the pass's input
+    passes = []
+
+    def spy(plan, model=None, stats=None):
+        passes.append((plan, prune_plan(plan, model=model, stats=stats)))
+        return passes[-1][1]
+
+    with mock.patch.object(canonical, "prune_plan", spy):
+        result = db.optimize(sql)
+    wide, plan = passes[0]
+    assert result.plan is plan
 
     def widest_groupby_output(root):
         return max(
@@ -281,10 +325,10 @@ def test_view_boundary_is_narrowed():
     # dno and asal are consumed by the outer join; n never is — the
     # view-side group-by must not carry it across the view boundary.
     assert widest_groupby_output(plan) < widest_groupby_output(wide)
-    rows_on, io_on = db.execute_plan(plan)
-    rows_off, io_off = db.execute_plan(wide)
-    assert sorted(rows_on.rows) == sorted(rows_off.rows)
-    assert io_on.total == io_off.total
+    on = db.query(sql)
+    assert explain(on.plan) == explain(plan)
+    assert sorted(on.rows) == sorted(db.reference(sql).rows)
+    assert on.executed_io.total == exact(db, on.plan, on.exec_metrics)
 
 
 def test_matview_backing_scan_is_narrowed():
@@ -307,7 +351,7 @@ def test_matview_backing_scan_is_narrowed():
 
 
 # ----------------------------------------------------------------------
-# Differential: pruned vs unpruned, and both against the oracles
+# Differential: against the oracles, and pruned vs unpruned
 # ----------------------------------------------------------------------
 
 DIFF_QUERIES = [
@@ -331,9 +375,7 @@ def exact(db, plan, exec_metrics):
 def test_pruned_plans_row_and_io_identical(sql):
     db = build_wide_db()
     on = db.query(sql)
-    off = db.query(sql, options=PRUNING_OFF)
-    assert sorted(on.rows) == sorted(off.rows)
-    assert on.executed_io.total == off.executed_io.total
+    assert sorted(on.rows) == sorted(db.reference(sql).rows)
     assert on.executed_io.total == exact(db, on.plan, on.exec_metrics)
 
 
@@ -372,7 +414,7 @@ def test_pruned_plans_identical_under_spill(spill_db, against):
     other's (``batch``), and the Python join's rows and the cost
     model's IO under the run's actual counts (``closed-form``)."""
     db = spill_db
-    base = db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
+    base = widened(db, db.optimize(SPILL_SQL).plan)
     pruned = prune_plan(base, model=CostModel(db.catalog, db.params))
     assert pruned is not base
     rows_a, io_a, ran_a = db._execute_with_metrics(base)
@@ -389,7 +431,7 @@ def test_pruned_plans_identical_under_spill(spill_db, against):
 
 
 def test_spill_shape_actually_spills(spill_db):
-    plan = spill_db.optimize(SPILL_SQL, options=PRUNING_OFF).plan
+    plan = spill_db.optimize(SPILL_SQL).plan
     _, _, ran = spill_db._execute_with_metrics(plan)
     reads, writes = _total_spill(ran)
     assert reads or writes
@@ -399,55 +441,7 @@ def test_pruning_never_costs_more():
     db = build_wide_db()
     for sql in DIFF_QUERIES:
         on = db.optimize(sql)
-        off = db.optimize(sql, options=PRUNING_OFF)
-        assert on.cost <= off.cost + 1e-9
-
-
-# ----------------------------------------------------------------------
-# Width-aware costing
-# ----------------------------------------------------------------------
-
-
-def test_cpu_cell_weight_charges_by_live_width():
-    db = build_wide_db()
-    sql = (
-        "select e.sal, e.bonus, e.grade, e.age from emp e, dept d "
-        "where e.dno = d.dno"
-    )
-    weighted = CostModel(db.catalog, CostParams(cpu_cell_weight=0.01))
-    narrow = db.optimize(sql).plan
-    wide = db.optimize(sql, options=PRUNING_OFF).plan
-    assert weighted.annotate_tree(narrow).cost < weighted.annotate_tree(
-        wide
-    ).cost
-
-
-def test_cpu_cell_weight_validation():
-    with pytest.raises(ValueError):
-        CostParams(cpu_cell_weight=-0.5)
-
-
-def test_cpu_cell_weight_inert_by_default():
-    db = build_wide_db()
-    sql = "select e.sal from emp e, dept d where e.dno = d.dno"
-    base = db.optimize(sql).plan
-    recost = CostModel(db.catalog, CostParams()).annotate_tree(base)
-    assert recost.cost == pytest.approx(base.props.cost)
-
-
-def test_dp_prefers_keeping_wide_columns_below_fanout_under_cell_weight():
-    """With a positive cell weight, the full optimizer's chosen cost on
-    a duplicate-expanding chain must stay at or below the traditional
-    left-deep order's — the width-aware term only adds information."""
-    db = build_wide_db()
-    sql = (
-        "select e.sal, e.bonus, p.funds from emp e, dept d, proj p "
-        "where e.dno = d.dno and d.dno = p.dno"
-    )
-    db.params = CostParams(cpu_cell_weight=0.05)
-    full = db.optimize(sql)
-    traditional = db.optimize(sql, optimizer="traditional")
-    assert full.cost <= traditional.cost + 1e-9
+        assert on.cost <= widened(db, on.plan).props.cost + 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -472,8 +466,6 @@ def test_pruning_reduces_materialized_cells():
         "where e.dno = d.dno and e.age < 40 and e.bonus < 95"
     )
     on = db.query(sql)
-    off = db.query(sql, options=PRUNING_OFF)
-    assert sorted(on.rows) == sorted(off.rows)
-    assert (
-        on.exec_metrics.total_cells < off.exec_metrics.total_cells
-    )
+    assert sorted(on.rows) == sorted(db.reference(sql).rows)
+    _, _, wide = db._execute_with_metrics(widened(db, on.plan))
+    assert on.exec_metrics.total_cells < wide.total_cells

@@ -81,7 +81,6 @@ def join_workload(draw):
     params = CostParams(
         memory_pages=workload.db.params.memory_pages,
         cpu_tuple_weight=draw(st.sampled_from([0.0, 0.01])),
-        cpu_cell_weight=draw(st.sampled_from([0.0, 0.001])),
     )
     return workload, params, draw(st.sampled_from(["greedy", "traditional"]))
 

@@ -6,21 +6,22 @@ established. Every case here compares with :func:`second_search`, the
 independent traditional search the baseline used to come from."""
 
 import random
-from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CostParams, Database
-from repro.algebra.expressions import ColumnRef
-from repro.algebra.plan import explain
+from repro.algebra.expressions import ColumnRef, Literal
+from repro.algebra.plan import FilterNode, explain
 from repro.algebra.query import CanonicalQuery
-from repro.optimizer import OptimizerOptions, optimize_query
+from repro.optimizer import OptimizerOptions, block, canonical, optimize_query
 from repro.optimizer.options import level_options
 from repro.optimizer.block import (
     BaseLeaf,
     BlockOptimizer,
+    DerivedLeaf,
     GroupingSpec,
     _BlockContext,
 )
@@ -67,8 +68,7 @@ class TestPinnedCorpus:
             baseline = pruned[-1] if pruned else None
             oracle = second_search(query, catalog, params, options)
             assert repr(result.traditional_cost) == repr(oracle.cost)
-            if (options or OptimizerOptions()).enable_projection_pruning:
-                assert explain(baseline) == explain(oracle.plan)
+            assert explain(baseline) == explain(oracle.plan)
             searched = result.stats.baseline_searches
             assert searched in (0, 1)
             taken["searched" if searched else "read"] += 1
@@ -88,10 +88,8 @@ class TestPinnedCorpus:
 @st.composite
 def block_case(draw):
     workload, params, _ = draw(join_workload())
-    options = OptimizerOptions(
-        max_plans_per_set=draw(st.sampled_from([1, 2, 6])),
-        enable_eager_aggregation=draw(st.booleans()),
-    )
+    cap = draw(st.sampled_from([1, 2, 6]))  # block.MAX_PLANS_PER_SET
+    options = OptimizerOptions(enable_eager_aggregation=draw(st.booleans()))
     if draw(st.booleans()):
         spec = GroupingSpec(
             group_keys=workload.group_keys, aggregates=workload.aggregates
@@ -100,7 +98,12 @@ def block_case(draw):
     else:
         spec, select = None, workload.select[:1]
     leaves = [BaseLeaf(ref) for ref in workload.relations]
-    return workload, params, options, leaves, spec, select
+    return workload, params, options, cap, leaves, spec, select
+
+
+def plan_cap(cap):
+    """The DP's per-subset plan cap set to *cap* for a ``with`` block."""
+    return mock.patch.object(block, "MAX_PLANS_PER_SET", cap)
 
 
 def lazy_slice(entries):
@@ -115,14 +118,15 @@ class TestLazySlice:
     @given(case=block_case())
     @settings(max_examples=40, deadline=None)
     def test_read_out_is_the_traditional_block_plan(self, case):
-        workload, params, options, leaves, spec, select = case
+        workload, params, options, cap, leaves, spec, select = case
         catalog = workload.db.catalog
-        plan, baseline = BlockOptimizer(catalog, params, options).search_block(
-            leaves, workload.predicates, spec, select
-        )
-        oracle = BlockOptimizer(
-            catalog, params, level_options("traditional", options)
-        ).optimize_block(leaves, workload.predicates, spec, select)
+        with plan_cap(cap):
+            plan, baseline = BlockOptimizer(
+                catalog, params, options
+            ).search_block(leaves, workload.predicates, spec, select)
+            oracle = BlockOptimizer(
+                catalog, params, level_options("traditional", options)
+            ).optimize_block(leaves, workload.predicates, spec, select)
         assert plan.props.cost <= oracle.props.cost or baseline is None
         if baseline is not None:
             assert repr(baseline.props.cost) == repr(oracle.props.cost)
@@ -137,7 +141,7 @@ class TestLazySlice:
         slice is the table a traditional DP retains — and no retained
         entry is cheaper than its left input, the monotonicity
         ``_prune``'s per-class cut relies on."""
-        workload, params, options, leaves, spec, select = case
+        workload, params, options, cap, leaves, spec, select = case
         searching = BlockOptimizer(workload.db.catalog, params, options)
         tables = {}
         for level, optimizer in (
@@ -147,7 +151,9 @@ class TestLazySlice:
             context = _BlockContext(
                 optimizer, leaves, workload.predicates, spec, select
             )
-            tables[level] = optimizer._dp_table(context), context.lazy_exact
+            with plan_cap(cap):
+                table = optimizer._dp_table(context)
+            tables[level] = table, context.lazy_exact
         table, exact = tables["greedy"]
         for entries in table.values():
             for entry in entries:
@@ -223,16 +229,16 @@ class TestSecondSearchTriggers:
         )
 
     def test_plan_cut_dropped_a_lazy_entry(self, star):
-        """``max_plans_per_set=2``: eager entries crowd out a plain join
-        the traditional DP (plain joins only) retains."""
-        options = OptimizerOptions(max_plans_per_set=2)
-        assert searched(star.db, grouped_query(star), options)[0] == 1
+        """A plan cap of 2: eager entries crowd out a plain join the
+        traditional DP (plain joins only) retains."""
+        with plan_cap(2):
+            assert searched(star.db, grouped_query(star))[0] == 1
 
     def test_plan_cut_of_one_keeps_exactly_the_traditional_entry(self, star):
-        """``max_plans_per_set=1``: the lazy entry pruning guarantees is
-        the cheapest one — the one entry a traditional DP retains."""
-        options = OptimizerOptions(max_plans_per_set=1)
-        assert searched(star.db, grouped_query(star), options)[0] == 0
+        """A plan cap of 1: the lazy entry pruning guarantees is the
+        cheapest one — the one entry a traditional DP retains."""
+        with plan_cap(1):
+            assert searched(star.db, grouped_query(star))[0] == 0
 
     def test_pre_eager_heuristic_replaced_the_plain_join(self):
         db = Database(CostParams(memory_pages=8))
@@ -262,16 +268,28 @@ class TestSecondSearchTriggers:
         assert searched(db, query)[0] == 0  # retained, not replaced
 
     def test_impure_view_leaf_is_refused(self, emp_dept_db):
-        """ROADMAP item 7: without predicate propagation the shared view
-        DP lets the outer literal on ``v.dno`` reach the view's scan, so
-        the W = ∅ leaf is not the traditional view plan — the leaf
-        comparison must notice. Planned on its own the view is pure."""
+        """ROADMAP item 7: the shared view DP plans the W = ∅ leaf inside
+        the maximal pulled block, which need not yield the traditional
+        view plan. Here that leaf is made to differ (a no-op filter on
+        top), and the leaf comparison must notice. Planned on its own
+        the view is pure."""
         db = emp_dept_db
         query = db.bind(LITERAL_SQL)
-        unpropagated = OptimizerOptions(enable_predicate_propagation=False)
-        assert searched(db, query, unpropagated)[0] == 1
-        unshared = replace(unpropagated, share_view_dp=False)
-        assert searched(db, query, unshared)[0] == 0
+        shared_view_plans = canonical._shared_view_plans
+
+        def impure(working, view_alias, pulled_sets, optimizer, catalog):
+            leaves = shared_view_plans(
+                working, view_alias, pulled_sets, optimizer, catalog
+            )
+            plan = FilterNode(leaves[view_alias, ()].plan, [Literal(True)])
+            optimizer.model.annotate(plan)
+            leaves[view_alias, ()] = DerivedLeaf(view_alias, plan)
+            return leaves
+
+        with mock.patch.object(canonical, "_shared_view_plans", impure):
+            assert searched(db, query)[0] == 1
+            unshared = OptimizerOptions(share_view_dp=False)
+            assert searched(db, query, unshared)[0] == 0
         assert searched(db, query)[0] == 0
 
 

@@ -205,3 +205,52 @@ class TestEpochs:
         emp_dept_db.execute("INSERT INTO emp VALUES (992, 2, 1.0, 50)")
         second = emp_dept_db.catalog.capture_snapshot()
         assert second.epoch > first.epoch
+
+
+class TestFacadeWritesUnderTheLock:
+    """``Database.execute`` and a ``Database.query`` that lazily
+    refreshes a matview write the catalog; both must hold the write
+    lock while they do, or a session could stamp a plan valid at an
+    epoch whose write it never saw."""
+
+    def locked_at_each_write(self, db):
+        """Patch *db*'s epoch bump to record, per write, whether another
+        thread finds the write lock taken."""
+        held = []
+        bump = db.catalog.bump_epoch
+
+        def probing(*names):
+            outcome = []
+
+            def probe():
+                free = db.write_lock.acquire(blocking=False)
+                if free:
+                    db.write_lock.release()
+                outcome.append(not free)
+
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join()
+            held.append(outcome[0])
+            return bump(*names)
+
+        db.catalog.bump_epoch = probing
+        return held
+
+    def test_execute_writes_under_the_lock(self, emp_dept_db):
+        held = self.locked_at_each_write(emp_dept_db)
+        emp_dept_db.execute("INSERT INTO emp VALUES (993, 2, 1.0, 50)")
+        assert held and all(held)
+
+    def test_lazy_refresh_writes_under_the_lock(self, emp_dept_db):
+        db = emp_dept_db
+        db.create_materialized_view(
+            "by_dno", "select e.dno, sum(e.sal) as s from emp e group by e.dno"
+        )
+        db.insert("emp", [(994, 2, 1.0, 50)])
+        (view,) = db.catalog.materialized_views()
+        assert view.stale
+        held = self.locked_at_each_write(db)
+        db.query("select e.dno, sum(e.sal) as s from emp e group by e.dno")
+        assert not view.stale
+        assert held and all(held)

@@ -7,7 +7,6 @@ import pytest
 from repro.algebra.plan import GroupByNode, JoinNode, plan_nodes
 from repro.db import Database
 from repro.errors import CatalogError, SqlSyntaxError
-from repro.optimizer.options import OptimizerOptions
 from repro.stats import (
     EXACT,
     UNIFORM,
@@ -265,45 +264,6 @@ class TestAnalyzeStatement:
             db.execute("analyze t extra")
         with pytest.raises(SqlSyntaxError):
             db.execute("analyze 123")
-
-
-# ----------------------------------------------------------------------
-# The use_statistics ablation
-# ----------------------------------------------------------------------
-
-
-class TestAblation:
-    SQL = (
-        "select d.cat as c, sum(f.qty) as s from fact f, dim1 d "
-        "where f.d1_id = d.d1_id and f.d1_id = 0 group by d.cat"
-    )
-
-    def test_answers_identical_with_stats_disabled(self):
-        db = build_star_database(
-            RandomQueryConfig(seed=11, fact_rows=800, dim_rows=40,
-                              zipf_skew=1.2)
-        )
-        with_stats = db.query(self.SQL)
-        without = db.query(
-            self.SQL, options=OptimizerOptions(use_statistics=False)
-        )
-        assert sorted(with_stats.rows) == sorted(without.rows)
-
-    def test_disabled_stats_fall_back_to_uniform_ndv(self):
-        db = build_star_database(
-            RandomQueryConfig(seed=11, fact_rows=800, dim_rows=40,
-                              zipf_skew=1.2)
-        )
-        probe = "select f.qty from fact f where f.d1_id = 0"
-        informed = db.query(probe, execute=False).plan.props.rows
-        blind = db.query(
-            probe,
-            options=OptimizerOptions(use_statistics=False),
-            execute=False,
-        ).plan.props.rows
-        # MCVs price the hot key at its true frequency; the blind
-        # estimate divides by a rows-sized NDV and lands far lower.
-        assert informed > 5 * blind
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import OptimizerOptions
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.sql import bind_sql
 from repro.transforms import unnest_sql
@@ -80,10 +79,11 @@ class TestUnnestSql:
 
 
 class TestDecorrelationAdopted:
-    """The four WHERE-clause subquery shapes the optimizer flattens by
-    default: each must be *adopted* (a semi/anti join or a grouped view
-    joined back, not a mark-join rescan), the ablation must really
-    ablate, and both paths must agree on the answer."""
+    """The four WHERE-clause subquery shapes the optimizer flattens: each
+    must be *adopted* (a semi/anti join or a grouped view joined back,
+    not a mark-join rescan) and agree with the reference evaluator. The
+    shapes decorrelation leaves behind run as mark joins and must agree
+    too."""
 
     SHAPES = {
         "in-semi": (
@@ -110,12 +110,41 @@ class TestDecorrelationAdopted:
         self, emp_dept_db, shape
     ):
         sql = self.SHAPES[shape]
-        naive_options = OptimizerOptions(enable_decorrelation=False)
         flattened = emp_dept_db.query(sql)
-        naive = emp_dept_db.query(sql, options=naive_options)
         assert flattened.optimization.stats.decorrelation_adopted >= 1
-        assert naive.optimization.stats.decorrelation_adopted == 0
         assert "SubqueryMark" not in flattened.explain()
-        assert "SubqueryMark" in naive.explain()
-        assert sorted(flattened.rows) == sorted(naive.rows)
+        assert sorted(flattened.rows) == sorted(
+            emp_dept_db.reference(sql).rows
+        )
         assert flattened.rows  # the shape keeps some outer rows
+
+    MARK_SHAPES = {
+        "corr-not-in": (
+            "select e.eno from emp e where e.dno not in "
+            "(select d.dno from dept d where d.loc = e.dno)"
+        ),
+        "computed-not-in": (
+            "select e.eno from emp e where e.dno + 1 not in "
+            "(select d.dno from dept d where d.loc >= 1)"
+        ),
+        "two-relation-exists": (
+            "select e.eno from emp e where exists "
+            "(select d.dno from dept d, emp e2 "
+            "where d.dno = e2.dno and d.dno = e.dno and e2.age > 50)"
+        ),
+        "uncorrelated-scalar": (
+            "select e.eno from emp e where e.sal > "
+            "(select avg(e2.sal) from emp e2)"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MARK_SHAPES))
+    def test_unflattenable_shapes_run_as_mark_joins(self, emp_dept_db, shape):
+        sql = self.MARK_SHAPES[shape]
+        result = emp_dept_db.query(sql)
+        stats = result.optimization.stats
+        assert stats.decorrelation_considered == 1
+        assert stats.decorrelation_adopted == 0
+        assert "SubqueryMark" in result.explain()
+        assert sorted(result.rows) == sorted(emp_dept_db.reference(sql).rows)
+        assert result.rows
