@@ -612,7 +612,17 @@ def explain(plan: PlanNode, indent: int = 0, metrics: Any = None) -> str:
     plan — the rows each operator actually produced are shown next to
     the estimates (the usual EXPLAIN ANALYZE reading) along with its
     counters and q-error (multiplicative estimate-vs-actual error,
-    1.0 = exact)."""
+    1.0 = exact; ``–`` where a runtime key filter cut the rows, see
+    :func:`repro.stats.feedback.key_filtered_nodes`)."""
+    key_filtered = set()
+    if metrics is not None:
+        from ..stats.feedback import key_filtered_nodes
+
+        key_filtered = key_filtered_nodes(plan, metrics)
+    return "\n".join(_explain_lines(plan, indent, metrics, key_filtered))
+
+
+def _explain_lines(plan: PlanNode, indent: int, metrics: Any, key_filtered):
     pad = "  " * indent
     line = pad + plan.describe()
     props = plan.props
@@ -636,19 +646,27 @@ def explain(plan: PlanNode, indent: int = 0, metrics: Any = None) -> str:
             line += f" groups={ran.groups}"
         if ran.matches:
             line += f" matches={ran.matches}"
+        if ran.filtered:
+            line += f" filtered={ran.filtered}"
         if ran.fused:
             line += " fused"
         if ran.spill_reads or ran.spill_writes:
             line += f" spill={ran.spill_reads}r/{ran.spill_writes}w"
+        if ran.key_filter:
+            line += f" key filter → {ran.key_filter}"
         if props is not None:
-            from ..stats.feedback import q_error
+            from ..stats.feedback import comparable_rows, q_error
 
-            line += f" q={q_error(props.rows, actual_rows):.2f}"
+            compared = comparable_rows(plan, metrics, key_filtered)
+            if compared is None:
+                line += " q=–"
+            else:
+                line += f" q={q_error(props.rows, compared):.2f}"
         line += ")"
     lines = [line]
     for child in plan.children:
-        lines.append(explain(child, indent + 1, metrics))
-    return "\n".join(lines)
+        lines.extend(_explain_lines(child, indent + 1, metrics, key_filtered))
+    return lines
 
 
 def plan_nodes(plan: PlanNode):

@@ -451,7 +451,8 @@ def fuzz_main(argv: List[str]) -> int:
         print(
             f"  {config}: io_checked={tally.io_checked} "
             f"io_equal={tally.io_equal} "
-            f"io_index_exempt={tally.io_index_exempt}"
+            f"io_index_exempt={tally.io_index_exempt} "
+            f"filters_fired={tally.filters_fired}"
             + (
                 f" rechecked={recheck.rechecked} survived={recheck.survived}"
                 if recheck is not None

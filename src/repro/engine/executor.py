@@ -31,6 +31,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
+from ..algebra.expressions import ColumnRef
 from ..algebra.plan import (
     FilterNode,
     GroupByNode,
@@ -102,16 +103,82 @@ def compile_plan(plan: PlanNode, catalog: Catalog) -> "Executable":
 
 
 class Run:
-    """One execution's state: its context and its operators' metrics,
-    indexed like the executable's pre-order operator slots."""
+    """One execution's state: its context, its operators' metrics,
+    indexed like the executable's pre-order operator slots, and per
+    runtime key filter the build side's key dict once its join fired
+    it (``None`` until then)."""
 
-    __slots__ = ("context", "operators")
+    __slots__ = ("context", "operators", "key_filters")
 
     def __init__(
-        self, context: ExecutionContext, operators: List[OperatorMetrics]
+        self,
+        context: ExecutionContext,
+        operators: List[OperatorMetrics],
+        key_filters: List[Optional[dict]],
     ):
         self.context = context
         self.operators = operators
+        self.key_filters = key_filters
+
+
+class KeyFilter:
+    """A hash join's runtime key filter, as compiled: the scan that
+    feeds the join's left key, that key as the scan outputs it, the
+    widest group-by on the path between them, and the filter's slot in
+    :attr:`Run.key_filters`."""
+
+    __slots__ = ("scan", "key", "group_width", "slot")
+
+    def __init__(self, scan: ScanNode, key, group_width: int, slot: int):
+        self.scan = scan
+        self.key = key
+        self.group_width = group_width
+        self.slot = slot
+
+
+def _key_filter_path(plan: JoinNode):
+    """``(scan, key, group_width)`` when *plan*'s build keys may filter
+    the scan that feeds its left key, else ``None``.
+
+    Only an inner or semi hash join on one key may filter: it drops
+    every left row whose key has no match, collects its right side
+    first, and charges nothing by its left rows while its build side
+    fits. The walk from ``plan.left`` follows the key through renames,
+    filters, bare-column projections and group-bys *on the key* (which
+    drop whole groups — ones the join drops anyway), and stops at
+    anything else. A scan that feeds the probe directly saves nothing,
+    so the path must cross a group-by."""
+    if (
+        plan.method != "hj"
+        or plan.kind not in ("inner", "semi")
+        or len(plan.equi_keys) != 1
+        or plan.left.props is None
+    ):
+        return None
+    node = plan.left
+    key = plan.equi_keys[0][0]
+    group_width = 0
+    while not isinstance(node, ScanNode):
+        schema = node.schema
+        position = schema.index_of(*key)
+        if isinstance(node, RenameNode):
+            key = node.child.schema.fields[node.positions[position]].key
+        elif isinstance(node, ProjectNode):
+            expression = node.outputs[position][2]
+            if not isinstance(expression, ColumnRef):
+                return None
+            key = node.child.schema.field_of(*expression.key).key
+        elif isinstance(node, GroupByNode):
+            key = schema.fields[position].key
+            if key not in node.group_keys:
+                return None
+            group_width = max(group_width, node.internal_schema.width)
+        elif not isinstance(node, FilterNode):
+            return None
+        node = node.child
+    if not group_width:
+        return None
+    return node, node.schema.fields[node.schema.index_of(*key)].key, group_width
 
 
 class _Slot:
@@ -142,6 +209,10 @@ class Executable:
         self.kernels_compiled = 0
         self._slots: List[_Slot] = []
         self._building: Optional[_Slot] = None
+        self._key_filters = 0
+        #: the key filter the scan being reached on this compile path
+        #: may claim (see :meth:`child`)
+        self._unclaimed: Optional[KeyFilter] = None
         self._start = self._compile(plan, 0)[0]
 
     # -- prepare -------------------------------------------------------
@@ -161,12 +232,43 @@ class Executable:
         parent.children.append(slot)
         return slot
 
-    def child(self, node: PlanNode) -> Callable[[Run], Iterator[ColumnBatch]]:
-        """Compile an input of the operator being built."""
+    def child(
+        self, node: PlanNode, key_filter: Optional[KeyFilter] = None
+    ) -> Callable[[Run], Iterator[ColumnBatch]]:
+        """Compile an input of the operator being built; with
+        *key_filter*, the scan at the end of its path claims it (the
+        operators between compile their inputs while it waits)."""
         parent = self._building
-        start, slot = self._compile(node, parent.depth + 1)
+        if key_filter is None:
+            start, slot = self._compile(node, parent.depth + 1)
+        else:
+            self._unclaimed = key_filter
+            try:
+                start, slot = self._compile(node, parent.depth + 1)
+            finally:
+                self._unclaimed = None
         parent.children.append(slot)
         return start
+
+    def key_filter(self, plan: JoinNode) -> Optional[KeyFilter]:
+        """A runtime key filter slot for join *plan*, when its build
+        keys may filter a scan below its left input
+        (:func:`_key_filter_path`); pass it to :meth:`child` with
+        ``plan.left``."""
+        path = _key_filter_path(plan)
+        if path is None:
+            return None
+        self._key_filters += 1
+        return KeyFilter(*path, self._key_filters - 1)
+
+    def claim_key_filter(self, scan: ScanNode) -> Optional[KeyFilter]:
+        """The key filter *scan*, being compiled, applies: the one its
+        compile path carries, if it is the target."""
+        key_filter = self._unclaimed
+        if key_filter is None or key_filter.scan is not scan:
+            return None
+        self._unclaimed = None
+        return key_filter
 
     def _compile(self, plan: PlanNode, depth: int) -> Tuple[Callable, int]:
         """``(start, slot)`` of the subtree at *plan*: ``start(run)`` is
@@ -312,7 +414,8 @@ class Executable:
             if slot.children:
                 metrics.children = [operators[c] for c in slot.children]
         rows = []
-        for batch in self._start(Run(context, operators)):
+        run = Run(context, operators, [None] * self._key_filters)
+        for batch in self._start(run):
             rows.extend(batch.to_rows())
         context.metrics.kernels_compiled = context.kernels_compiled
         return Result(schema=self.plan.schema, rows=rows)

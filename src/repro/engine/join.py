@@ -25,6 +25,11 @@ projection is gathered.
 
 Pipeline shape: the match core's right input and both sort-merge
 inputs are collected before output flows; the left side streams.
+Right-before-left is load-bearing: an inner or semi hash join on one
+key hands its bucketed build keys to the scan under its left input's
+group-by before it pulls the first left batch (a runtime key filter,
+:func:`_arm_key_filter`), so that scan drops the rows this join would
+drop anyway before the group-by aggregates them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..storage.snapshot import TableSnapshot
 from .batch import ColumnBatch, RowBatch, concat_columns, projector, take
 from .context import ExecutionContext
 from .kernels import SelectionProgram, row_closures
-from .metrics import OperatorMetrics, charge_spill
+from .metrics import KEY_FILTER_FIRED, OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_spill_extra_io, nlj_blocks
 
 
@@ -405,6 +410,34 @@ def _equi_positions(plan: JoinNode) -> Tuple[List[int], List[int]]:
     )
 
 
+KEY_FILTER_SHARE = 0.5
+"""A hash join's build keys filter its probe-side scan only when there
+are at most this share of its left input's estimated rows of them: a
+filter that keeps most rows costs its lookups and saves little."""
+
+
+def _arm_key_filter(plan, key_filter, run, metrics, buckets, right_count):
+    """Hand the scan below this join's left input the build side's key
+    dict, when the filter is selective enough and cannot move a page
+    charge: neither the join's Grace charge nor any group-by's on the
+    path (were each of the scanned table's rows its own group) spills,
+    with the filter or without it."""
+    context = run.context
+    memory = context.params.memory_pages
+    table = context.storage_for(key_filter.scan.table_name)
+    if not len(buckets) <= KEY_FILTER_SHARE * plan.left.props.rows:
+        outcome = "skipped (unselective)"
+    elif (
+        pages_for(right_count, plan.right.schema.width) > memory
+        or pages_for(table.num_rows, key_filter.group_width) > memory
+    ):
+        outcome = "skipped (spill)"
+    else:
+        run.key_filters[key_filter.slot] = buckets
+        outcome = KEY_FILTER_FIRED
+    metrics.key_filter = f"{key_filter.scan.alias}: {outcome}"
+
+
 def _match_core(plan: JoinNode, compiler):
     """Hash join and block NLJ over columns: one match loop, and the
     method's charge once the left side is exhausted.
@@ -415,7 +448,8 @@ def _match_core(plan: JoinNode, compiler):
     nested loop's order. Without equi keys every left row pairs with
     every right row, the index vectors built by C-level list
     repetition."""
-    left = compiler.child(plan.left)
+    key_filter = compiler.key_filter(plan)
+    left = compiler.child(plan.left, key_filter)
     right = compiler.child(plan.right)
     left_positions, right_positions = _equi_positions(plan)
     right_width = len(plan.right.schema)
@@ -430,6 +464,10 @@ def _match_core(plan: JoinNode, compiler):
                 len(right_positions) > 1,
             )
             unique = _unique_index(buckets)
+            if key_filter is not None:
+                _arm_key_filter(
+                    plan, key_filter, run, metrics, buckets, right_count
+                )
         else:
             every_right_row = list(range(right_count))
         left_count = 0

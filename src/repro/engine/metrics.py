@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+KEY_FILTER_FIRED = "fired"
+
 
 @dataclass
 class OperatorMetrics:
@@ -56,6 +58,14 @@ class OperatorMetrics:
     """An index access's matching entries, summed over its probes,
     before any residual filter — what its leaf and data-page charges
     read."""
+    filtered: int = 0
+    """A scan's rows, past its own selection, that a hash join's runtime
+    key filter removed (``rows_out + filtered`` is what its estimate
+    describes)."""
+    key_filter: str = ""
+    """A hash join's runtime key filter, ``<scan alias>: <outcome>`` —
+    ``fired``, ``skipped (unselective)`` or ``skipped (spill)``; empty
+    when the join may not filter."""
     exhausted: bool = False
     """The operator's output stream ran to its end, so ``rows_out`` is
     its actual cardinality (not a prefix an error or an abandoned
@@ -67,6 +77,10 @@ class OperatorMetrics:
         """Wall-clock spent in this operator excluding its children."""
         childtime = sum(child.seconds for child in self.children)
         return max(0.0, self.seconds - childtime)
+
+    @property
+    def key_filter_fired(self) -> bool:
+        return self.key_filter.endswith(": " + KEY_FILTER_FIRED)
 
     def spill(self, reads: int, writes: int) -> None:
         self.spill_reads += reads
@@ -87,6 +101,10 @@ class OperatorMetrics:
             parts.append(f"groups={self.groups}")
         if self.matches:
             parts.append(f"matches={self.matches}")
+        if self.filtered:
+            parts.append(f"filtered={self.filtered}")
+        if self.key_filter:
+            parts.append(f"key filter → {self.key_filter}")
         if self.spill_reads or self.spill_writes:
             parts.append(f"spill={self.spill_reads}r/{self.spill_writes}w")
         if self.fused:
@@ -138,6 +156,11 @@ class ExecutionMetrics:
         """Cells materialized across all operators — the engine-level
         number projection pruning is meant to shrink."""
         return sum(op.cells for op in self.operators)
+
+    @property
+    def filters_fired(self) -> int:
+        """Hash joins whose build keys filtered their probe-side scan."""
+        return sum(op.key_filter_fired for op in self.operators)
 
     def lines(self) -> List[str]:
         return [

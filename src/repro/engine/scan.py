@@ -8,10 +8,17 @@ column-major: the scan slices only the columns it reads. Page IO is
 charged by the storage layer: one read per heap page, or for an index
 probe the B-tree descent, its further leaves and one read per data page
 change among the matching rids.
+
+A scan may also apply a hash join's runtime key filter: the build
+side's key dict, which the join above puts in its ``Run`` slot before
+it pulls this scan's first batch. The scan keeps, after its own
+selection, only the rows whose key is in it (``filtered`` counts the
+rest); it reads the same pages either way.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator
 
 from ..algebra.plan import ScanNode
@@ -66,11 +73,16 @@ def scan_columns(plan: ScanNode, compiler):
     ]
     needed = sorted(set(positions).union(selection.used))
     width = len(positions)
+    key_filter = compiler.claim_key_filter(plan)
+    if key_filter is not None:
+        key_position = full_schema.index_of(*key_filter.key)
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
         context = run.context
         storage = context.storage_for(plan.table_name)
         select = selection.arm(context).run
+        # read when the scan starts: a join fills it before that
+        keys = None if key_filter is None else run.key_filters[key_filter.slot]
         if plan.index_name is None:
             source = storage.scan_page_columns(
                 context.io,
@@ -92,6 +104,21 @@ def scan_columns(plan: ScanNode, compiler):
         for columns, count in source:
             metrics.rows_in += count
             sel = select(columns, count)
+            if keys is not None:
+                column = columns[key_position]
+                rows = range(count) if sel is None else sel
+                kept = list(
+                    compress(
+                        rows,
+                        map(
+                            keys.__contains__,
+                            column if sel is None else take(column, sel),
+                        ),
+                    )
+                )
+                if len(kept) < len(rows):
+                    metrics.filtered += len(rows) - len(kept)
+                    sel = kept
             if sel is None:
                 picked = [columns[p] for p in positions]
             elif sel:

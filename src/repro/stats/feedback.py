@@ -17,9 +17,9 @@ exactly the operator whose estimate went wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
-from ..algebra.plan import PlanNode
+from ..algebra.plan import JoinNode, PlanNode, ScanNode, plan_nodes
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -50,8 +50,9 @@ def plan_estimates(plan: PlanNode, metrics) -> List[EstimateRecord]:
     records: List[EstimateRecord] = []
     if metrics is None:
         return records
+    key_filtered = key_filtered_nodes(plan, metrics)
     for depth, node in _walk(plan, 0):
-        actual_rows = metrics.actual_rows(node)
+        actual_rows = comparable_rows(node, metrics, key_filtered)
         if node.props is None or actual_rows is None:
             continue
         records.append(
@@ -63,6 +64,36 @@ def plan_estimates(plan: PlanNode, metrics) -> List[EstimateRecord]:
             )
         )
     return records
+
+
+def key_filtered_nodes(plan: PlanNode, metrics) -> Set[PlanNode]:
+    """The operators strictly between a hash join whose runtime key
+    filter fired and the scan it filtered: their actual rows are
+    post-filter by design, so no estimate describes them."""
+    between: Set[PlanNode] = set()
+    for node in plan_nodes(plan):
+        ran = metrics.of(node) if isinstance(node, JoinNode) else None
+        if ran is None or not ran.key_filter_fired:
+            continue
+        # the filtered path is unary down to its scan
+        below = node.left
+        while not isinstance(below, ScanNode):
+            between.add(below)
+            below = below.children[0]
+    return between
+
+
+def comparable_rows(
+    node: PlanNode, metrics, key_filtered: Set[PlanNode]
+) -> Optional[int]:
+    """The actual rows *node*'s estimate is compared with: what it
+    produced, plus, for a scan, the rows a runtime key filter removed;
+    ``None`` for an operator in *key_filtered* or one that did not run
+    to its end."""
+    actual_rows = metrics.actual_rows(node)
+    if actual_rows is None or node in key_filtered:
+        return None
+    return actual_rows + metrics.of(node).filtered
 
 
 def _walk(node: PlanNode, depth: int):
@@ -93,6 +124,8 @@ def percentile(values: Sequence[float], fraction: float) -> Optional[float]:
 
 __all__ = [
     "EstimateRecord",
+    "comparable_rows",
+    "key_filtered_nodes",
     "median",
     "percentile",
     "plan_estimates",

@@ -115,8 +115,9 @@ class QueryOutcome:
     rows: Optional[List[Tuple[Any, ...]]] = None
     error: Optional[str] = None
     cost: Optional[float] = None
-    io: List[Tuple[float, int, bool]] = field(default_factory=list)
-    """Per execution: ``(exact_io, executed IO, has an index access)``."""
+    io: List[Tuple[float, int, bool, int]] = field(default_factory=list)
+    """Per execution: ``(exact_io, executed IO, has an index access,
+    runtime key filters fired)``."""
     survived: Optional[bool] = None
     """Session configs: whether the re-run at the end of the script hit
     the plan cache (``None``: not re-checked)."""
@@ -124,29 +125,34 @@ class QueryOutcome:
     """Session configs: how that re-run disagreed with a fresh plan."""
 
 
-def _io_check(result, db: Database) -> Tuple[float, int, bool]:
-    """One executed :class:`~repro.db.QueryResult` against the IO oracle."""
+def _io_check(result, db: Database) -> Tuple[float, int, bool, int]:
+    """One executed :class:`~repro.db.QueryResult` against the IO
+    oracle, and the runtime key filters its joins fired."""
     return (
         exact_io(result.plan, result.exec_metrics, db.catalog, db.params),
         result.executed_io.total,
         has_index_access(result.plan),
+        result.exec_metrics.filters_fired,
     )
 
 
 @dataclass
 class IOTally:
     """The executed plans of one config the IO oracle checked: how many,
-    how many matched it exactly, and how many had an index access (and
-    were not required to)."""
+    how many matched it exactly, how many had an index access (and
+    were not required to), and the runtime key filters their hash
+    joins fired."""
 
     io_checked: int = 0
     io_equal: int = 0
     io_index_exempt: int = 0
+    filters_fired: int = 0
 
     def add(self, other: "IOTally") -> None:
         self.io_checked += other.io_checked
         self.io_equal += other.io_equal
         self.io_index_exempt += other.io_index_exempt
+        self.filters_fired += other.filters_fired
 
 
 @dataclass
@@ -534,10 +540,11 @@ def check_script(
                 )
                 continue
             tally = report.io.setdefault(config_name, IOTally())
-            for exact, executed, indexed in outcome.io:
+            for exact, executed, indexed, fired in outcome.io:
                 tally.io_checked += 1
                 tally.io_equal += exact == executed
                 tally.io_index_exempt += indexed
+                tally.filters_fired += fired
                 if exact != executed and not indexed:
                     report.divergences.append(
                         Divergence(

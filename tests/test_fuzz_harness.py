@@ -250,6 +250,7 @@ class TestRunFuzz:
             "io_checked": report.queries_checked,
             "io_equal": report.queries_checked,
             "io_index_exempt": report.io["full-batch"].io_index_exempt,
+            "filters_fired": report.io["full-batch"].filters_fired,
         }
 
     def test_duration_cap_stops_early(self):
