@@ -10,7 +10,7 @@ reference resolves where it is used.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RID_COLUMN
@@ -35,26 +35,12 @@ def check_plan(plan: PlanNode, catalog: Optional[Catalog] = None) -> None:
     With a catalog, scans are also checked against stored tables
     (existence, column membership, index validity).
     """
-    if isinstance(plan, ScanNode):
-        _check_scan(plan, catalog)
-    elif isinstance(plan, JoinNode):
-        _check_join(plan)
-    elif isinstance(plan, GroupByNode):
-        _check_group_by(plan)
-    elif isinstance(plan, (SortNode, RenameNode, LimitNode)):
-        pass  # fully validated at construction
-    elif isinstance(plan, ProjectNode):
-        for _, _, expression in plan.outputs:
-            _check_expression_against(
-                expression, plan.child.schema, "projection output"
-            )
-    elif isinstance(plan, FilterNode):
-        for predicate in plan.predicates:
-            _check_expression_against(
-                predicate, plan.child.schema, "filter predicate"
-            )
-    else:
+    check = next(
+        (CHECKS[cls] for cls in type(plan).__mro__ if cls in CHECKS), None
+    )
+    if check is None:
         raise PlanError(f"unknown plan node type {type(plan).__name__}")
+    check(plan, catalog)
     for child in plan.children:
         check_plan(child, catalog)
 
@@ -105,7 +91,7 @@ def _check_scan(plan: ScanNode, catalog: Optional[Catalog]) -> None:
             )
 
 
-def _check_join(plan: JoinNode) -> None:
+def _check_join(plan: JoinNode, catalog: Optional[Catalog]) -> None:
     left_schema = plan.left.schema
     right_schema = plan.right.schema
     for left_key, right_key in plan.equi_keys:
@@ -122,7 +108,7 @@ def _check_join(plan: JoinNode) -> None:
         _check_expression_against(predicate, combined, "join residual")
 
 
-def _check_group_by(plan: GroupByNode) -> None:
+def _check_group_by(plan: GroupByNode, catalog: Optional[Catalog]) -> None:
     child_schema = plan.child.schema
     for key in plan.group_keys:
         if not child_schema.has(*key):
@@ -136,3 +122,34 @@ def _check_group_by(plan: GroupByNode) -> None:
         _check_expression_against(
             predicate, plan.internal_schema, "HAVING predicate"
         )
+
+
+def _check_project(plan: ProjectNode, catalog: Optional[Catalog]) -> None:
+    for _, _, expression in plan.outputs:
+        _check_expression_against(
+            expression, plan.child.schema, "projection output"
+        )
+
+
+def _check_filter(plan: FilterNode, catalog: Optional[Catalog]) -> None:
+    for predicate in plan.predicates:
+        _check_expression_against(
+            predicate, plan.child.schema, "filter predicate"
+        )
+
+
+def _constructed(plan: PlanNode, catalog: Optional[Catalog]) -> None:
+    """Fully validated at construction."""
+
+
+CHECKS: Dict[type, Callable[[Any, Optional[Catalog]], None]] = {
+    ScanNode: _check_scan,
+    JoinNode: _check_join,
+    GroupByNode: _check_group_by,
+    ProjectNode: _check_project,
+    FilterNode: _check_filter,
+    SortNode: _constructed,
+    RenameNode: _constructed,
+    LimitNode: _constructed,
+}
+"""Each plan node kind's check of its own expressions and keys."""

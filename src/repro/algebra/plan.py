@@ -180,8 +180,11 @@ class JoinNode(PlanNode):
             )
         if null_aware and kind != "anti":
             raise PlanError("null_aware applies to anti joins only")
-        if null_aware and len(equi_keys) != 1:
-            raise PlanError("null-aware anti join needs exactly one equality")
+        if null_aware and not equi_keys:
+            raise PlanError(
+                "a null-aware anti join needs its membership equality as "
+                "its first equi key"
+            )
         self.left = left
         self.right = right
         self.method = method
@@ -234,85 +237,6 @@ class JoinNode(PlanNode):
         if self.null_aware:
             kind += " null-aware"
         return f"Join [{self.method}{via}{kind}] on ({keys}){residuals}"
-
-
-class SubqueryMarkNode(PlanNode):
-    """Naive subquery evaluation: the fallback when decorrelation does
-    not apply.
-
-    The ``inner`` subplan is executed **once** and materialized; each
-    ``child`` row is then kept or dropped by re-scanning the
-    materialized inner rows under the row's correlation values —
-    deliberately O(outer x inner), which is exactly what flattening into
-    semi/anti joins and aggregate views avoids.
-
-    - ``kind`` / ``negate`` / ``op``: as in
-      :class:`repro.algebra.query.SubquerySpec`.
-    - ``outer``: outer-side expression (scalar comparison LHS / IN LHS),
-      evaluated against child rows.
-    - ``correlations``: ``(inner_column, outer_column)`` equality pairs;
-      the inner side resolves against the inner subplan's schema.
-    - ``value``: the inner select item for ``in`` (inner schema).
-    - ``aggregate``: the aggregate call for ``scalar`` (inner schema);
-      an empty correlation group yields COUNT = 0, others NULL.
-
-    Membership uses SQL three-valued logic: a NULL probe value or a
-    NULL among the inner values can make the test UNKNOWN, which a
-    WHERE clause treats as false.
-    """
-
-    def __init__(
-        self,
-        child: PlanNode,
-        inner: PlanNode,
-        kind: str,
-        negate: bool = False,
-        op: Optional[str] = None,
-        outer: Optional[Expression] = None,
-        correlations: Sequence[Tuple[Expression, Expression]] = (),
-        value: Optional[Expression] = None,
-        aggregate: Optional[AggregateCall] = None,
-    ):
-        super().__init__()
-        if kind not in ("scalar", "in", "exists"):
-            raise PlanError(f"unknown subquery mark kind {kind!r}")
-        self.child = child
-        self.inner = inner
-        self.kind = kind
-        self.negate = negate
-        self.op = op
-        self.outer = outer
-        self.correlations: Tuple[Tuple[Expression, Expression], ...] = tuple(
-            correlations
-        )
-        self.value = value
-        self.aggregate = aggregate
-
-    @property
-    def schema(self) -> RowSchema:
-        return self.child.schema
-
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child, self.inner)
-
-    def describe(self) -> str:
-        label = {"scalar": f"scalar {self.op}", "in": "in", "exists": "exists"}[
-            self.kind
-        ]
-        if self.negate:
-            label = "not " + label
-        correlated = (
-            " correlated("
-            + ", ".join(
-                f"{inner.display()}={outer.display()}"
-                for inner, outer in self.correlations
-            )
-            + ")"
-            if self.correlations
-            else ""
-        )
-        return f"SubqueryMark [{label}]{correlated}"
 
 
 GROUP_METHODS = ("hash", "sort")

@@ -71,17 +71,14 @@ class QueryBlock:
         if len(set(aliases)) != len(aliases):
             raise PlanError(f"duplicate aliases in block: {aliases}")
         if self.having and not self.is_grouped:
-            raise PlanError("HAVING requires a GROUP BY")
-        if self.aggregates and not self.group_by:
-            # aggregates without GROUP BY would be a scalar aggregate
-            # block; the paper's views always group (Section 2).
-            raise PlanError(
-                "aggregate outputs require grouping columns in this model"
-            )
+            raise PlanError("HAVING requires a GROUP BY or an aggregate")
 
     @property
     def is_grouped(self) -> bool:
-        return bool(self.group_by)
+        """Grouping columns or aggregates: a block with aggregates and
+        no GROUP BY is grouped on nothing (one group over the whole
+        input, none over an empty one)."""
+        return bool(self.group_by) or bool(self.aggregates)
 
     @property
     def aliases(self) -> FrozenSet[str]:
@@ -181,11 +178,15 @@ class JoinUnit:
 
     ``filters`` are conjuncts over the unit's own columns, applied to
     the joined side *before* matching (a flattened subquery's local
-    WHERE). ``null_aware`` marks the single-equality anti-join produced
-    by ``NOT IN``: an empty (filtered) inner side keeps every probe
-    row, a NULL anywhere in the inner key column drops *all* unmatched
-    rows, and a NULL probe key drops its row whenever the inner side is
-    non-empty (SQL three-valued logic).
+    WHERE). ``null_aware`` marks the anti-join produced by ``NOT IN``,
+    whose ``on`` is the membership key plus correlation keys: the
+    membership equality first, then the correlation equalities, all
+    between plain columns. Per correlation group — the inner rows
+    whose correlation keys equal the probe row's — an empty group
+    keeps the probe row, a NULL among the group's membership values
+    drops every unmatched row of the group, and a NULL probe value
+    drops its row whenever its group is non-empty (SQL three-valued
+    logic).
     """
 
     alias: str
@@ -212,9 +213,8 @@ class SubquerySpec:
 
     The binder renames the inner block's aliases with an ``{alias}__``
     prefix so they can never collide with outer aliases. The
-    decorrelation pass either flattens the spec into views/join units or
-    leaves it behind for naive mark-join execution (inner side executed
-    once, correlation matched per outer row).
+    decorrelation pass flattens every spec into views / join units; the
+    reference evaluator runs it unflattened, as the oracle.
 
     - ``kind``: ``scalar`` (comparison with an aggregate subquery),
       ``in`` (membership), or ``exists``.

@@ -40,7 +40,6 @@ from ..algebra.plan import (
     RenameNode,
     ScanNode,
     SortNode,
-    SubqueryMarkNode,
 )
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RID_COLUMN, RowSchema
@@ -54,7 +53,6 @@ from ..engine.spill import (
 from ..errors import PlanError
 from ..storage.page import pages_for
 from .cardinality import (
-    DEFAULT_SELECTIVITY,
     CardinalityEstimator,
     ColMeta,
     ColMetaMap,
@@ -131,8 +129,6 @@ class CostModel:
             props = self._annotate_project(plan)
         elif isinstance(plan, FilterNode):
             props = self._annotate_filter(plan)
-        elif isinstance(plan, SubqueryMarkNode):
-            props = self._annotate_mark(plan)
         elif isinstance(plan, LimitNode):
             props = self._annotate_limit(plan)
         else:
@@ -562,31 +558,6 @@ class CostModel:
             width=child.width,
             pages=estimated_pages(rows, child.width),
             cost=child.cost,
-            order=child.order,
-            colmeta=meta,
-        )
-
-    def _annotate_mark(self, plan: SubqueryMarkNode) -> PlanProps:
-        child = plan.child.props
-        inner = plan.inner.props
-        if child is None or inner is None:
-            raise PlanError("subquery mark children must be annotated first")
-        # The fallback re-scans the materialized inner per outer row —
-        # a pure CPU charge (the inner is read from memory), priced per
-        # inner tuple touched so flattened plans win whenever they can.
-        probe_cpu = (
-            self.params.cpu_tuple_weight * child.rows * max(1.0, inner.rows)
-        )
-        rows = child.rows * DEFAULT_SELECTIVITY
-        meta = {
-            key: value.clamped(rows)
-            for key, value in child.colmeta.items()
-        }
-        return PlanProps(
-            rows=rows,
-            width=child.width,
-            pages=estimated_pages(rows, child.width),
-            cost=child.cost + inner.cost + probe_cpu,
             order=child.order,
             colmeta=meta,
         )

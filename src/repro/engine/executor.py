@@ -42,7 +42,6 @@ from ..algebra.plan import (
     RenameNode,
     ScanNode,
     SortNode,
-    SubqueryMarkNode,
 )
 from ..catalog.catalog import Catalog
 from ..errors import ExecutionError
@@ -51,14 +50,12 @@ from .context import ExecutionContext, Result
 from .groupby import group_by_columns, limit_columns, sort_columns
 from .join import join_columns
 from .kernels import ComputeProgram, SelectionProgram, gather_virtual
-from .marks import mark_columns
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .scan import scan_columns
 
 _COLUMN_BUILDERS = {
     ScanNode: scan_columns,
     JoinNode: join_columns,
-    SubqueryMarkNode: mark_columns,
     GroupByNode: group_by_columns,
     SortNode: sort_columns,
     LimitNode: limit_columns,

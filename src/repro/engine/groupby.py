@@ -11,6 +11,7 @@ the two change together or not at all.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Tuple
 
 from ..algebra.plan import GroupByNode, LimitNode, SortNode
@@ -58,8 +59,11 @@ def group_by_columns(plan: GroupByNode, compiler):
         else:
             arg_slots.append(slot)
             slot += 1
+    # A group-by on nothing runs the kernels over one constant key
+    # column, dropped after finalizing: one group, none on no input.
+    keyless = not key_positions
     update, finalize = groupby_kernels(
-        len(key_positions), plan.aggregates, compiler
+        len(key_positions) or 1, plan.aggregates, compiler
     )
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
@@ -73,7 +77,7 @@ def group_by_columns(plan: GroupByNode, compiler):
             count += n
             metrics.rows_in += n
             columns = batch.columns
-            keys = [columns[p] for p in key_positions]
+            keys = [columns[p] for p in key_positions] or [repeat(None, n)]
             computed = compute_args(columns, n) if arg_expressions else ()
             args = [
                 computed[s] if s is not None else None for s in arg_slots
@@ -89,7 +93,7 @@ def group_by_columns(plan: GroupByNode, compiler):
                     context.params.memory_pages,
                 ),
             )
-        internal_columns = list(finalize(table.items()))
+        internal_columns = list(finalize(table.items()))[keyless:]
         groups = metrics.groups = len(table)
         metrics.cells += groups * len(internal_columns)
         sel = having.run(internal_columns, groups)

@@ -259,15 +259,43 @@ def _semi_rows(n: int, li, counts, anti: bool):
     return range(n) if len(rows) == n else rows
 
 
-def _not_in_rows(rows, left_keys, right_keys):
-    """NOT IN's NULL rule over an anti join's surviving *rows*: against
-    a non-empty right side a NULL left key is UNKNOWN, and a NULL right
-    key makes every unmatched left row UNKNOWN — neither survives."""
-    if not right_keys:
+def _membership_groups(columns, keys: List[int]):
+    """NOT IN's key columns of one side: each row's membership value
+    (the first key) and tuple of correlation keys (the rest; ``()``
+    for every row when uncorrelated — the one group)."""
+    values = columns[keys[0]]
+    if len(keys) == 1:
+        return values, [()] * len(values)
+    return values, list(zip(*(columns[p] for p in keys[1:])))
+
+
+def _null_groups(right_columns, right_keys: List[int]) -> dict:
+    """NOT IN's right side by correlation group: each group it holds →
+    whether a NULL is among the group's membership values. A row with
+    a NULL correlation key equals no outer row, so joins no group."""
+    holds_null: dict = {}
+    for value, group in zip(*_membership_groups(right_columns, right_keys)):
+        if None not in group:
+            holds_null[group] = holds_null.get(group, False) or value is None
+    return holds_null
+
+
+def _not_in_rows(rows, left_columns, left_keys: List[int], holds_null):
+    """NOT IN's NULL rule over an anti join's surviving *rows*, per
+    correlation group (:func:`_null_groups`): a row whose group the
+    right side does not hold meets an empty set and survives; in a
+    non-empty group a NULL left value is UNKNOWN, and so is every
+    unmatched value once the group holds a NULL — neither survives."""
+    if not holds_null:
         return rows
-    if None in right_keys:
-        return []
-    kept = [i for i in rows if left_keys[i] is not None]
+    values, groups = _membership_groups(left_columns, left_keys)
+    verdict = holds_null.get
+    kept = [
+        i
+        for i in rows
+        if (null := verdict(groups[i])) is None
+        or not (null or values[i] is None)
+    ]
     return rows if len(kept) == len(rows) else kept
 
 
@@ -302,16 +330,15 @@ def join_columns(plan: JoinNode, compiler):
     ]
     core = _CORES[plan.method](plan, compiler)
     kind = plan.kind
-    # NOT IN's NULL rule reads the one key column of each side
-    not_in_keys = (
-        [positions[0] for positions in _equi_positions(plan)]
-        if plan.null_aware
-        else None
-    )
+    # NOT IN's NULL rule reads each side's membership key (the first
+    # equi key) and correlation keys (the rest)
+    null_aware = plan.null_aware
+    left_keys, right_keys = _equi_positions(plan) if null_aware else ([], [])
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
         residual = residual_program.arm(run.context)
         padded = None  # LEFT: the right columns plus one all-NULL row
+        holds_null = None  # NOT IN: the right side's groups, once per run
         for batch, right_columns, li, ri, counts in core(run, metrics):
             metrics.rows_in += len(ri)
             left_columns = batch.columns
@@ -349,11 +376,10 @@ def join_columns(plan: JoinNode, compiler):
                     full_left = full_right = False
             if kind == "semi" or kind == "anti":
                 li = _semi_rows(batch.length, li, counts, kind == "anti")
-                if not_in_keys:
-                    left_key, right_key = not_in_keys
-                    li = _not_in_rows(
-                        li, left_columns[left_key], right_columns[right_key]
-                    )
+                if null_aware:
+                    if holds_null is None:
+                        holds_null = _null_groups(right_columns, right_keys)
+                    li = _not_in_rows(li, left_columns, left_keys, holds_null)
                 ri = counts = cached = None
                 full_left = type(li) is range
             elif kind == "left":

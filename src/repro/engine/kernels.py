@@ -3,8 +3,8 @@
 ``Expression.bind`` turns each
 :class:`~repro.algebra.expressions.Expression` into a ``row -> value``
 closure that pays one Python call per row per expression (the reference
-evaluator, and the engine's two per-row corners — the index-NLJ inner
-filter and the mark join — through :func:`row_closures`). This module
+evaluator, and the engine's one per-row corner — the index-NLJ inner
+filter — through :func:`row_closures`). This module
 compiles whole operators instead: an
 operator's predicate chain, projection list, or aggregate update loop is
 translated to Python *source* for a single function over columns, then
@@ -163,29 +163,24 @@ def _needs_arming(*_):
     )
 
 
-def row_closures(expressions: Sequence[Optional[Expression]], schema: RowSchema):
-    """``arm(context) -> [row -> value closure]`` for the row-at-a-time
-    corners of the engine (one closure per expression, ``None`` entries
-    kept): bound once when no expression reads a ``$n``, else per
-    execution with its values substituted as literals."""
+def row_closures(expressions: Sequence[Expression], schema: RowSchema):
+    """``arm(context) -> [row -> value closure]`` for the engine's
+    row-at-a-time corner (one closure per expression): bound once when
+    no expression reads a ``$n``, else per execution with its values
+    substituted as literals."""
     expressions = list(expressions)
     wanted = sorted(
-        frozenset().union(
-            *(collect_parameters(e) for e in expressions if e is not None)
-        )
+        frozenset().union(*(collect_parameters(e) for e in expressions))
     )
 
-    def bind(substitute) -> List[Optional[Callable]]:
-        return [
-            None if e is None else substitute(e).bind(schema)
-            for e in expressions
-        ]
+    def bind(substitute) -> List[Callable]:
+        return [substitute(e).bind(schema) for e in expressions]
 
     if not wanted:
         closures = bind(lambda e: e)
         return lambda context: closures
 
-    def arm(context) -> List[Optional[Callable]]:
+    def arm(context) -> List[Callable]:
         values = {
             n: Literal(Parameter(n).value(context.parameters)) for n in wanted
         }

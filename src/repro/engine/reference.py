@@ -63,7 +63,7 @@ def evaluate_view(view: AggregateView, catalog: Catalog) -> Result:
 def evaluate_canonical(query: CanonicalQuery, catalog: Catalog) -> Result:
     """Evaluate a Figure 3 canonical query by brute force: materialize
     each aggregate view, join in each unit (semi / anti / left) and
-    apply each remaining subquery spec as a mark filter, then evaluate
+    apply each subquery spec unflattened, as a mark filter, then evaluate
     the outer block. WHERE predicates run after the units — exactly
     SQL's FROM-then-WHERE order, which is what makes filters over a
     LEFT unit's padded output come out right."""
@@ -139,16 +139,22 @@ def _apply_unit(core: Result, unit: JoinUnit, unit_source: Result) -> Result:
     combined = core.schema.concat(unit_source.schema)
     checks = [predicate.bind(combined) for predicate in unit.on]
     if unit.null_aware:
-        # NOT IN three-valued logic over the single membership
-        # equality: any TRUE match drops the row, and so does any
-        # UNKNOWN (a NULL probe against a non-empty inner, or a NULL
-        # inner key against an unmatched probe).
-        assert unit.kind == "anti" and len(checks) == 1
+        # NOT IN three-valued logic over the membership equality (the
+        # first ON conjunct), within the inner rows whose correlation
+        # equalities (the rest) are TRUE: any TRUE match drops the row,
+        # and so does any UNKNOWN (a NULL probe against a non-empty
+        # group, or a NULL inner value against an unmatched probe).
+        assert unit.kind == "anti"
+        membership, correlations = checks[0], checks[1:]
         rows = []
         for outer_row in core.rows:
             verdicts = [
-                checks[0](outer_row + inner_row)
+                membership(outer_row + inner_row)
                 for inner_row in unit_source.rows
+                if all(
+                    check(outer_row + inner_row) is True
+                    for check in correlations
+                )
             ]
             if any(v is True for v in verdicts):
                 continue
@@ -268,7 +274,7 @@ def _evaluate_over(
         if all(check(row) for check in checks):
             joined.append(row)
 
-    if not group_by:
+    if not group_by and not aggregates:
         evaluators = [source.bind(schema) for _, source in select]
         rows = [
             tuple(evaluate(row) for evaluate in evaluators) for row in joined

@@ -58,8 +58,7 @@ early (right after its dependencies) or last, and the cost model
 decides. WHERE conjuncts over a LEFT unit's alias cannot ride in any
 join (a residual in an outer join is a match condition, not a filter),
 so the caller passes them as ``post_predicates``, applied as a filter
-after the joins; unflattened subquery specs are applied there too, as
-:class:`~repro.algebra.plan.SubqueryMarkNode` fallbacks.
+after the joins.
 """
 
 from __future__ import annotations
@@ -95,9 +94,8 @@ from ..algebra.plan import (
     PlanNode,
     ProjectNode,
     ScanNode,
-    SubqueryMarkNode,
 )
-from ..algebra.query import JoinUnit, SubquerySpec, TableRef
+from ..algebra.query import JoinUnit, TableRef
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RID_COLUMN, Field, RowSchema
 from ..cost.cardinality import ColMetaMap
@@ -280,7 +278,6 @@ class BlockOptimizer:
         select: Sequence[Tuple[str, Expression]],
         join_units: Sequence[JoinUnit] = (),
         post_predicates: Sequence[Expression] = (),
-        marks: Sequence[Tuple[SubquerySpec, PlanNode]] = (),
     ) -> Tuple[PlanNode, Optional[PlanNode]]:
         """Return ``(plan, baseline)``: the cheapest annotated plan
         computing the block, and what a traditional search
@@ -291,9 +288,7 @@ class BlockOptimizer:
         The output schema is one field ``(None, name)`` per *select*
         entry, in order. *join_units* names leaves joined through a
         non-inner kind; *post_predicates* are applied as a filter after
-        all joins (WHERE conjuncts over LEFT-unit columns); *marks* are
-        ``(spec, inner_plan)`` pairs applied as naive subquery-mark
-        fallbacks before the final group-by.
+        all joins (WHERE conjuncts over LEFT-unit columns).
         """
         self.stats.blocks_optimized += 1
         leaves = list(leaves)
@@ -323,7 +318,6 @@ class BlockOptimizer:
             select,
             join_units=tuple(join_units),
             post_predicates=tuple(post_predicates),
-            marks=tuple(marks),
         )
         entries = self._dp_table(context).get(context.graph.all_mask)
         if not entries:
@@ -658,10 +652,12 @@ class BlockOptimizer:
         unit = context.join_units.get(right_alias)
         kind = unit.kind if unit is not None else "inner"
         null_aware = unit.null_aware if unit is not None else False
-        if null_aware and (len(equi) != 1 or residuals):
+        if null_aware and (len(equi) != len(unit.on) or residuals):
+            # every ON conjunct an equi key, in ON order: the membership
+            # equality first, then the correlation equalities
             raise PlanError(
-                "a null-aware anti join needs exactly one membership "
-                "equality and no residuals"
+                "a null-aware anti join needs every ON conjunct as an "
+                "equi key"
             )
         projection, schema = context.join_output(
             left_plan, right_plan, left_mask | right_bit, kind
@@ -893,7 +889,6 @@ class _BlockContext:
         eager_exclude: FrozenSet[FieldKey] = frozenset(),
         join_units: Tuple[JoinUnit, ...] = (),
         post_predicates: Tuple[Expression, ...] = (),
-        marks: Tuple[Tuple[SubquerySpec, PlanNode], ...] = (),
     ):
         self.optimizer = optimizer
         self.catalog = optimizer.catalog
@@ -907,7 +902,6 @@ class _BlockContext:
             unit.alias: unit for unit in join_units
         }
         self.post_predicates = post_predicates
-        self.marks = marks
         self.leaf_by_alias = {leaf.alias: leaf for leaf in leaves}
         self._leaf_plan_cache: Dict[str, List[PlanNode]] = {}
         # The DP table's lazy slice is, entry for entry, what a
@@ -987,14 +981,13 @@ class _BlockContext:
             spec is not None
             and optimizer.options.enable_pushdown
             and not join_units
-            and not marks
             and not post_predicates
         ):
             # Eager partial aggregation assumes nothing intervenes
             # between the DP's joins and the coalescing group-by; the
-            # post-join filter / mark stage breaks that (it filters
-            # rows, and partials would have collapsed them already), so
-            # blocks with units or marks plan lazily.
+            # post-join filter breaks that (it filters rows, and
+            # partials would have collapsed them already), so blocks
+            # with units plan lazily.
             self.decomposed = decompose_aggregates(spec.aggregates)
         self.agg_arg_aliases: FrozenSet[str] = frozenset()
         if spec is not None:
@@ -1008,18 +1001,11 @@ class _BlockContext:
             self.agg_arg_aliases
         )
 
-        # Columns the post-join stage consumes: post-predicate columns
-        # plus the outer-side columns of every mark spec. They must ride
-        # every join projection (the stage runs after all joins).
+        # Columns the post-join filter consumes must ride every join
+        # projection (the filter runs after all joins).
         post_columns: Set[FieldKey] = set()
         for predicate in post_predicates:
             post_columns |= set(predicate.columns())
-        for mark_spec, _ in marks:
-            if mark_spec.outer is not None:
-                post_columns |= set(mark_spec.outer.columns())
-            for _, outer in mark_spec.correlations:
-                post_columns |= set(outer.columns())
-        post_columns = {key for key in post_columns if key[0] is not None}
 
         # Column lifetime: what an ancestor still references once every
         # predicate over a subset has been applied — the final grouping
@@ -1455,8 +1441,8 @@ class _BlockContext:
         spec: Optional[GroupingSpec] = None,
         select: Optional[Tuple[Tuple[str, Expression], ...]] = None,
     ) -> List[PlanNode]:
-        """Finalize one DP entry: attach the post-join stage (LEFT-unit
-        filters and subquery-mark fallbacks), the final group-by (per
+        """Finalize one DP entry: attach the post-join filter (WHERE
+        conjuncts over LEFT-unit columns), the final group-by (per
         *spec*, defaulting to the block's own), and the output
         projection."""
         plan = self._apply_post_stage(entry.plan)
@@ -1513,28 +1499,13 @@ class _BlockContext:
         return results
 
     def _apply_post_stage(self, plan: PlanNode) -> PlanNode:
-        """The post-join stage: WHERE conjuncts over LEFT-unit columns
+        """The post-join filter: WHERE conjuncts over LEFT-unit columns
         (which must see the NULL-padded rows, never act as match
-        conditions) and the naive mark-join fallbacks for unflattened
-        subquery specs. Runs between the joins and the final group-by."""
+        conditions). Runs between the joins and the final group-by."""
         if self.post_predicates:
             filter_node = FilterNode(plan, self.post_predicates)
             self.model.annotate(filter_node)
             plan = filter_node
-        for mark_spec, inner_plan in self.marks:
-            mark = SubqueryMarkNode(
-                plan,
-                inner_plan,
-                kind=mark_spec.kind,
-                negate=mark_spec.negate,
-                op=mark_spec.op,
-                outer=mark_spec.outer,
-                correlations=mark_spec.correlations,
-                value=mark_spec.value,
-                aggregate=mark_spec.aggregate,
-            )
-            self.model.annotate(mark)
-            plan = mark
         return plan
 
     def _project(

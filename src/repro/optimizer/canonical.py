@@ -32,14 +32,9 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..algebra.expressions import ColumnRef, Expression, FieldKey
+from ..algebra.expressions import Expression
 from ..algebra.plan import LimitNode, PlanNode, RenameNode, SortNode
-from ..algebra.query import (
-    AggregateView,
-    CanonicalQuery,
-    QueryBlock,
-    SubquerySpec,
-)
+from ..algebra.query import AggregateView, CanonicalQuery, QueryBlock
 from ..catalog.catalog import Catalog
 from ..cost.params import CostParams
 from ..transforms.decorrelate import decorrelate_query
@@ -155,49 +150,6 @@ def _view_leaf(
     return DerivedLeaf(alias=alias, plan=rename)
 
 
-def _mark_inner_plan(
-    spec: SubquerySpec, optimizer: BlockOptimizer
-) -> PlanNode:
-    """Plan an unflattened spec's inner side for mark-join execution:
-    optimize its relations and local predicates as an ordinary block,
-    then rename the outputs back to their qualified inner columns so
-    the mark node's correlation / value / aggregate expressions
-    resolve against the materialized rows."""
-    needed: set = set()
-    for inner, _ in spec.correlations:
-        needed |= set(inner.columns())
-    if spec.value is not None:
-        needed |= set(spec.value.columns())
-    if spec.aggregate is not None:
-        needed |= set(spec.aggregate.columns())
-    keys: List[FieldKey] = sorted(
-        key for key in needed if key[0] is not None
-    )
-    if not keys:
-        # e.g. uncorrelated EXISTS / COUNT(*): any column gives shape.
-        relation = spec.relations[0]
-        table = optimizer.catalog.table(relation.table)
-        keys = [(relation.alias, table.columns[0].name)]
-    select = [
-        (f"{alias}__{name}", ColumnRef(alias, name)) for alias, name in keys
-    ]
-    plan = optimizer.optimize_block(
-        leaves=[BaseLeaf(ref) for ref in spec.relations],
-        predicates=spec.local_predicates,
-        spec=None,
-        select=select,
-    )
-    rename = RenameNode(
-        plan,
-        [
-            (alias, name, (None, f"{alias}__{name}"))
-            for alias, name in keys
-        ],
-    )
-    optimizer.model.annotate(rename)
-    return rename
-
-
 def _optimize_outer(
     query: CanonicalQuery,
     derived: Sequence[DerivedLeaf],
@@ -224,10 +176,6 @@ def _optimize_outer(
             post_predicates.append(predicate)
         else:
             dp_predicates.append(predicate)
-    marks = tuple(
-        (spec, _mark_inner_plan(spec, optimizer))
-        for spec in query.subqueries
-    )
     plan, baseline = optimizer.search_block(
         leaves=leaves,
         predicates=dp_predicates,
@@ -235,14 +183,12 @@ def _optimize_outer(
         select=query.select,
         join_units=query.joins,
         post_predicates=tuple(post_predicates),
-        marks=marks,
     )
     if (
         not derived
         and query.base_tables
         and query.is_grouped
         and not query.joins
-        and not query.subqueries
     ):
         # A grouped query over base tables only is itself a candidate
         # for answering from a materialized view.
@@ -342,12 +288,13 @@ def optimize_query(
     optimizer = BlockOptimizer(catalog, params, options, stats)
 
     # Step 0a: flatten subqueries into join units / grouped views (Kim-
-    # style decorrelation); unflattenable specs stay behind as marks.
+    # style decorrelation): every subquery leaves in canonical form.
     query = decorrelate_query(query, stats)
-    # Join units and mark subqueries pin the outer block's shape: the
-    # invariant-split / pull-up machinery assumes a pure inner-join
-    # outer block, so both stay off when units are present.
-    has_units = bool(query.joins) or bool(query.subqueries)
+    assert not query.subqueries, "decorrelation left a subquery behind"
+    # Join units pin the outer block's shape: the invariant-split /
+    # pull-up machinery assumes a pure inner-join outer block, so both
+    # stay off when units are present.
+    has_units = bool(query.joins)
 
     # Step 0b: [LMS94]-style predicate propagation (the preprocessing
     # the paper assumes of every optimizer, Section 1).

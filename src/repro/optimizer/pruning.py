@@ -49,7 +49,6 @@ from ..algebra.plan import (
     RenameNode,
     ScanNode,
     SortNode,
-    SubqueryMarkNode,
 )
 from ..cost.model import CostModel
 from .stats import SearchStats
@@ -166,19 +165,6 @@ def _child_requirements(
         ]
     if isinstance(node, FilterNode):
         return [frozenset(required | _predicate_columns(node.predicates))]
-    if isinstance(node, SubqueryMarkNode):
-        keep = set(required)
-        if node.outer is not None:
-            keep |= set(node.outer.columns())
-        for _, outer in node.correlations:
-            keep |= set(outer.columns())
-        # The inner side is consulted wholesale per outer row (its
-        # columns feed correlations, the membership value, and the
-        # aggregate): never prune through it.
-        return [
-            frozenset(keep),
-            frozenset(field.key for field in node.inner.schema),
-        ]
     if isinstance(node, SortNode):
         return [frozenset(required | set(node.keys))]
     if isinstance(node, LimitNode):
@@ -218,25 +204,6 @@ def _prune(plan: PlanNode, required: Required) -> Tuple[PlanNode, bool]:
         if not changed:
             return plan, False
         return FilterNode(child, plan.predicates), True
-    if isinstance(plan, SubqueryMarkNode):
-        child_req = _child_requirements(plan, required)[0]
-        child, changed = _prune(plan.child, child_req)
-        if not changed:
-            return plan, False
-        return (
-            SubqueryMarkNode(
-                child,
-                plan.inner,
-                kind=plan.kind,
-                negate=plan.negate,
-                op=plan.op,
-                outer=plan.outer,
-                correlations=plan.correlations,
-                value=plan.value,
-                aggregate=plan.aggregate,
-            ),
-            True,
-        )
     if isinstance(plan, SortNode):
         child_req = _child_requirements(plan, required)[0]
         child, changed = _prune(plan.child, child_req)

@@ -70,7 +70,7 @@ class SearchStats:
     (``transforms.decorrelate``)."""
     decorrelation_adopted: int = 0
     """Specs flattened into aggregate views / semi / anti / outer join
-    units; the rest execute as naive mark joins."""
+    units: every spec considered."""
     baseline_searches: int = 0
     """Outer blocks ``optimize_query`` searched a second time,
     traditionally, for the no-worse comparison (0 or 1 per call): 0

@@ -26,7 +26,6 @@ from ..algebra.expressions import (
     collect_parameters,
     replace_parameters,
 )
-from ..algebra.aggregates import AggregateCall
 from ..algebra.plan import (
     FilterNode,
     GroupByNode,
@@ -37,7 +36,6 @@ from ..algebra.plan import (
     RenameNode,
     ScanNode,
     SortNode,
-    SubqueryMarkNode,
 )
 from ..errors import PlanError
 
@@ -59,16 +57,6 @@ def _plan_expressions(plan: PlanNode):
                 yield value
     elif isinstance(plan, JoinNode):
         yield from plan.residuals
-    elif isinstance(plan, SubqueryMarkNode):
-        if plan.outer is not None:
-            yield plan.outer
-        if plan.value is not None:
-            yield plan.value
-        for inner_ref, outer_expr in plan.correlations:
-            yield inner_ref
-            yield outer_expr
-        if plan.aggregate is not None and plan.aggregate.arg is not None:
-            yield plan.aggregate.arg
     elif isinstance(plan, GroupByNode):
         yield from plan.having
     elif isinstance(plan, FilterNode):
@@ -130,30 +118,6 @@ def clone_plan(
                 index_name=node.index_name,
                 kind=node.kind,
                 null_aware=node.null_aware,
-            )
-        elif isinstance(node, SubqueryMarkNode):
-            aggregate = node.aggregate
-            if aggregate is not None and aggregate.arg is not None:
-                aggregate = AggregateCall(
-                    aggregate.func_name, rewrite(aggregate.arg)
-                )
-            clone = SubqueryMarkNode(
-                walk(node.child),
-                walk(node.inner),
-                node.kind,
-                negate=node.negate,
-                op=node.op,
-                outer=(
-                    rewrite(node.outer) if node.outer is not None else None
-                ),
-                correlations=[
-                    (rewrite(inner_ref), rewrite(outer_expr))
-                    for inner_ref, outer_expr in node.correlations
-                ],
-                value=(
-                    rewrite(node.value) if node.value is not None else None
-                ),
-                aggregate=aggregate,
             )
         elif isinstance(node, GroupByNode):
             clone = GroupByNode(

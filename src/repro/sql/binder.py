@@ -14,7 +14,7 @@ Responsibilities:
   :class:`SubquerySpec`s; the decorrelation pass
   (``repro.transforms.decorrelate``) later flattens them into aggregate
   views and semi/anti join units (Kim's join-aggregate transformation,
-  Section 1) or leaves them for naive mark-join execution;
+  Section 1);
 - name aggregate outputs and enforce SQL's grouped-select discipline
   (Section 2).
 """
@@ -804,21 +804,35 @@ class Binder:
     @staticmethod
     def _reject_non_predicate_parameters(query: CanonicalQuery) -> None:
         """Parameters (``$n``) stand for literal *values* in predicates;
-        a parameter in a SELECT item or aggregate argument would have no
-        type until EXECUTE, so the plan's schema could not be built."""
+        a parameter in a SELECT item or aggregate argument — of the
+        outer block, a view, or a scalar subquery — would have no type
+        until EXECUTE, so the plan's schema could not be built."""
         from ..algebra.expressions import collect_parameters
 
-        for name, source in query.select:
-            if collect_parameters(source):
+        places = [(f"SELECT item {name!r}", e) for name, e in query.select]
+        places += [
+            ("an aggregate argument", call.arg)
+            for _, call in query.aggregates
+        ]
+        for view in query.views:
+            places += [
+                (f"view {view.alias!r} SELECT item {name!r}", e)
+                for name, e in view.block.select
+            ]
+            places += [
+                (f"an aggregate argument of view {view.alias!r}", call.arg)
+                for _, call in view.block.aggregates
+            ]
+        places += [
+            ("a scalar subquery's aggregate argument", spec.aggregate.arg)
+            for spec in query.subqueries
+            if spec.aggregate is not None
+        ]
+        for place, expression in places:
+            if expression is not None and collect_parameters(expression):
                 raise BindError(
-                    f"parameter in SELECT item {name!r}: parameters may "
-                    "only appear in WHERE/HAVING predicates"
-                )
-        for _, call in query.aggregates:
-            if call.arg is not None and collect_parameters(call.arg):
-                raise BindError(
-                    "parameter in an aggregate argument: parameters may "
-                    "only appear in WHERE/HAVING predicates"
+                    f"parameter in {place}: parameters may only appear "
+                    "in WHERE/HAVING predicates"
                 )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,9 @@ on curated workloads). And every plan it executes is held to the
 (:func:`~repro.testing.exactio.exact_io`) must charge exactly the
 executed page IO. A plan with an index access is exempt (the model's
 probe formula does not mirror storage's charge) and counted as such in
-:attr:`CheckReport.io`.
+:attr:`CheckReport.io`. Each of those plans must also be a legal
+operator tree (:func:`~repro.algebra.legality.check_plan`); one that
+is not is an ``error`` divergence.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..algebra.legality import check_plan
 from ..cost.params import CostParams
 from ..db import Database
 from ..engine.reference import rows_equal_bag
@@ -126,8 +129,10 @@ class QueryOutcome:
 
 
 def _io_check(result, db: Database) -> Tuple[float, int, bool, int]:
-    """One executed :class:`~repro.db.QueryResult` against the IO
+    """One executed :class:`~repro.db.QueryResult`: its plan checked as
+    a legal operator tree (a :class:`PlanError` if not), against the IO
     oracle, and the runtime key filters its joins fired."""
+    check_plan(result.plan, db.catalog)
     return (
         exact_io(result.plan, result.exec_metrics, db.catalog, db.params),
         result.executed_io.total,
@@ -230,14 +235,15 @@ def _session_query_outcome(
     try:
         first = session.execute(sql)
         second = session.execute(sql)
+        outcome.io = [
+            _io_check(run.query_result, session.db)
+            for run in (first, second)
+        ]
     except ReproError as error:
         outcome.error = f"{type(error).__name__}: {error}"
         return outcome
     outcome.rows = [tuple(row) for row in first.rows]
     outcome.cost = first.query_result.estimated_cost
-    outcome.io = [
-        _io_check(run.query_result, session.db) for run in (first, second)
-    ]
     if not second.cache_hit:
         outcome.error = "immediate re-execution missed the warm plan cache"
         return outcome
@@ -269,6 +275,7 @@ def _session_query_outcome(
         return outcome
     try:
         third = session.execute_prepared(name, list(values))
+        outcome.io.append(_io_check(third.query_result, session.db))
     except ReproError as error:
         outcome.error = (
             f"prepared execution failed: {type(error).__name__}: {error}"
@@ -277,7 +284,6 @@ def _session_query_outcome(
     finally:
         if name in session.prepared:
             session.deallocate(name)
-    outcome.io.append(_io_check(third.query_result, session.db))
     third_rows = [tuple(row) for row in third.rows]
     if not rows_equal_bag(third_rows, outcome.rows, rel_tol=rel_tol):
         outcome.error = (

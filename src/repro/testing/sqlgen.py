@@ -466,21 +466,30 @@ class ScriptGenerator:
         self, rels: Sequence[Tuple[RelRef, GenTable]]
     ) -> Optional[PredSpec]:
         """One WHERE conjunct with a subquery: scalar aggregate
-        comparison, [NOT] IN membership, or [NOT] EXISTS — correlated
-        or not. Subquery bodies stay inside the binder's surface: one
-        base table, simple conjuncts, correlation only as
-        ``inner.col = outer.col``."""
+        comparison, [NOT] IN membership — of a column or of ``col + k``
+        — or [NOT] EXISTS, correlated or not. Subquery bodies stay
+        inside the binder's surface: one base table or two joined on a
+        type-compatible column pair, simple conjuncts, correlation only
+        as ``inner.col = outer.col``."""
         rng = self.rng
         if not self.tables:
             return None
         inner_table = rng.choice(self.tables)
         inner_alias = self._fresh("s")
         inner_rel = RelRef(inner_table.name, inner_alias)
+        inner_rels = [(inner_rel, inner_table)]
+        if rng.random() < 0.3:
+            second = rng.choice(self.tables)
+            second_rel = RelRef(second.name, self._fresh("s"))
+            inner_rels.append((second_rel, second))
+        from_sql = ", ".join(
+            f"{rel.table} {rel.alias}" for rel, _ in inner_rels
+        )
 
-        inner_where: List[str] = []
+        inner_where = [pred.sql for pred in self._join_chain(inner_rels)]
         outer_aliases: set = set()
         if rng.random() < 0.45:
-            local = self._predicate([(inner_rel, inner_table)])
+            local = self._predicate(inner_rels)
             inner_where.append(local.sql)
         correlated = rng.random() < 0.55
         if correlated:
@@ -510,10 +519,7 @@ class ScriptGenerator:
                 agg = f"{func}({inner_alias}.{column.name})"
             else:
                 agg = "count(*)"
-            body = (
-                f"(select {agg} from {inner_table.name} "
-                f"{inner_alias}{where_sql})"
-            )
+            body = f"(select {agg} from {from_sql}{where_sql})"
             outer_numeric = [
                 (rel, column)
                 for rel, table in rels
@@ -538,7 +544,7 @@ class ScriptGenerator:
             column = self._inner_column(inner_table)
             body = (
                 f"(select {inner_alias}.{column.name} from "
-                f"{inner_table.name} {inner_alias}{where_sql})"
+                f"{from_sql}{where_sql})"
             )
             options = [
                 (rel, outer_column)
@@ -552,16 +558,18 @@ class ScriptGenerator:
                 return None
             rel, outer_column = rng.choice(options)
             outer_aliases.add(rel.alias)
+            outer = self._column_ref(rel, outer_column)
+            if column.dtype != "str" and rng.random() < 0.3:
+                outer = f"{outer} + {rng.randint(-2, 3)}"
             negate = "not " if rng.random() < 0.4 else ""
             return PredSpec(
-                f"{self._column_ref(rel, outer_column)} {negate}in {body}",
-                frozenset(outer_aliases),
+                f"{outer} {negate}in {body}", frozenset(outer_aliases)
             )
         # exists / not exists
         column = rng.choice(list(inner_table.columns))
         body = (
             f"(select {inner_alias}.{column.name} from "
-            f"{inner_table.name} {inner_alias}{where_sql})"
+            f"{from_sql}{where_sql})"
         )
         if not outer_aliases:
             outer_aliases.add(rels[0][0].alias)

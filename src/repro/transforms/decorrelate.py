@@ -1,43 +1,52 @@
-"""Decorrelation: flatten WHERE-clause subqueries into the outer block.
+"""Decorrelation: flatten every WHERE-clause subquery into the outer block.
 
 This is Kim's join-aggregate transformation (Section 1 of the paper)
-generalized beyond the scalar case:
+generalized beyond the scalar case, so that every subquery reaches the
+optimizer in the paper's canonical form — base tables, aggregate
+views, and the non-inner join units the DP plans beside them:
 
-- A **correlated scalar-aggregate** subquery becomes an aggregate view
-  grouped on its correlation columns, inner-joined into the outer block
-  (the classic rewrite). ``COUNT`` is the famous exception — Kim's
-  flattening is unsound for empty groups (footnote 3 of the paper: the
-  transformation "may introduce outerjoins") — so a COUNT subquery
-  joins its view through a **LEFT OUTER** unit and compares
-  ``IFNULL(agg, 0)`` after the join, which restores the missing-group
-  zero.
-- ``IN`` / ``EXISTS`` become **semi-join** units against the inner
-  relation: the membership equality and the correlation equalities form
-  the ON condition, the inner block's local predicates filter the inner
-  side first.
+- A **scalar-aggregate** subquery becomes an aggregate view grouped on
+  its correlation columns (on nothing when it is uncorrelated: one
+  group over the whole inner side, none over an empty one),
+  inner-joined into the outer block (the classic rewrite). ``COUNT``
+  is the famous exception — Kim's flattening is unsound for empty
+  groups (footnote 3 of the paper: the transformation "may introduce
+  outerjoins") — so a COUNT subquery joins its view through a **LEFT
+  OUTER** unit and compares ``IFNULL(agg, 0)`` after the join, which
+  restores the missing-group zero.
+- ``IN`` / ``EXISTS`` become **semi-join** units: the membership
+  equality and the correlation equalities form the ON condition. A
+  single-relation inner side is the unit itself, its local predicates
+  filtering it first; a multi-relation one is first wrapped in an
+  aggregate view grouped on the columns the ON condition reads from it
+  (a distinct set; grouped on nothing, with a ``COUNT(*)`` to make it
+  an aggregate, when the ON condition reads none).
 - ``NOT EXISTS`` becomes a regular **anti-join** unit (an UNKNOWN ON
   match leaves a row unmatched, hence kept — exactly NOT EXISTS).
-- Uncorrelated ``NOT IN`` becomes a **null-aware anti-join**: SQL's
-  three-valued logic makes ``x NOT IN (S)`` UNKNOWN when ``x`` is NULL
-  and ``S`` non-empty, or when ``S`` contains a NULL and ``x`` has no
-  match; the engines implement that contract for ``null_aware`` joins.
-
-Everything else — correlated ``NOT IN``, multi-relation semi/anti
-inners, uncorrelated scalar subqueries — stays behind as a
-:class:`SubquerySpec` on the query and executes as a naive mark join
-(inner side materialized once, correlation matched per outer row).
+- ``NOT IN`` between plain columns becomes a **null-aware anti-join**
+  whose ON condition is the membership equality followed by the
+  correlation equalities: SQL's three-valued logic makes
+  ``x NOT IN (S)`` UNKNOWN when ``x`` is NULL and ``S`` non-empty, or
+  when ``S`` contains a NULL and ``x`` has no match, and the engines
+  apply that rule per correlation group. ``NOT IN`` over a computed
+  value is the anti-join of ``NOT EXISTS (… AND (x = v OR x IS NULL OR
+  v IS NULL))``, the same three-valued rule spelled as a predicate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
     ColumnRef,
     Comparison,
     Expression,
+    FieldKey,
     IfNull,
+    IsNull,
     Literal,
+    Or,
 )
 from ..algebra.query import (
     AggregateView,
@@ -52,29 +61,24 @@ from ..optimizer.stats import SearchStats
 def decorrelate_query(
     query: CanonicalQuery, stats: Optional[SearchStats] = None
 ) -> CanonicalQuery:
-    """Flatten *query*'s subquery specs where legal.
-
-    Returns a query whose ``subqueries`` tuple holds only the specs
-    that could not be flattened; those execute as mark joins. Queries
-    without subqueries pass through untouched.
-    """
+    """Flatten *query*'s subquery specs into aggregate views and join
+    units; the result holds no spec. Queries without subqueries pass
+    through untouched."""
     if not query.subqueries:
         return query
 
     views: List[AggregateView] = list(query.views)
     joins: List[JoinUnit] = list(query.joins)
     predicates: List[Expression] = list(query.predicates)
-    remaining: List[SubquerySpec] = []
 
     for spec in query.subqueries:
+        if spec.kind == "scalar":
+            _flatten_scalar(spec, views, joins, predicates)
+        else:
+            _flatten_membership(spec, views, joins)
         if stats is not None:
             stats.decorrelation_considered += 1
-        flattened = _flatten_spec(spec, views, joins, predicates)
-        if flattened:
-            if stats is not None:
-                stats.decorrelation_adopted += 1
-        else:
-            remaining.append(spec)
+            stats.decorrelation_adopted += 1
 
     return CanonicalQuery(
         base_tables=query.base_tables,
@@ -87,25 +91,7 @@ def decorrelate_query(
         order_by=query.order_by,
         limit=query.limit,
         joins=tuple(joins),
-        subqueries=tuple(remaining),
     )
-
-
-def _flatten_spec(
-    spec: SubquerySpec,
-    views: List[AggregateView],
-    joins: List[JoinUnit],
-    predicates: List[Expression],
-) -> bool:
-    """Try to flatten one spec in place; False leaves it for mark-join
-    execution."""
-    if spec.kind == "scalar":
-        return _flatten_scalar(spec, views, joins, predicates)
-    if spec.kind == "in":
-        return _flatten_membership(spec, joins)
-    if spec.kind == "exists":
-        return _flatten_exists(spec, joins)
-    return False
 
 
 def _flatten_scalar(
@@ -113,14 +99,9 @@ def _flatten_scalar(
     views: List[AggregateView],
     joins: List[JoinUnit],
     predicates: List[Expression],
-) -> bool:
+) -> None:
     """Kim's transformation: group the inner block on its correlation
     columns; COUNT joins through a LEFT unit with IFNULL(agg, 0)."""
-    if not spec.correlations:
-        # No grouping columns: the view machinery needs a GROUP BY, so
-        # the inner side runs once as a mark join (which is cheap here —
-        # one aggregate over the materialized inner rows).
-        return False
     assert spec.aggregate is not None and spec.op is not None
     agg_name = "agg"
     group_refs = tuple(inner for inner, _ in spec.correlations)
@@ -161,69 +142,90 @@ def _flatten_scalar(
     else:
         predicates.extend(join_predicates)
         predicates.append(Comparison(spec.op, spec.outer, agg_column))
-    return True
 
 
-def _membership_on(spec: SubquerySpec) -> Tuple[Expression, ...]:
-    """The ON condition of an IN/EXISTS unit: the membership equality
-    (IN only) plus the correlation equalities."""
-    on: List[Expression] = []
-    if spec.value is not None and spec.outer is not None:
-        on.append(Comparison("=", spec.outer, spec.value))
-    for inner, outer in spec.correlations:
-        on.append(Comparison("=", outer, inner))
-    return tuple(on)
-
-
-def _flatten_membership(spec: SubquerySpec, joins: List[JoinUnit]) -> bool:
-    if len(spec.relations) != 1:
-        return False
-    relation = spec.relations[0]
-    if not spec.negate:
-        joins.append(
-            JoinUnit(
-                alias=relation.alias,
-                kind="semi",
-                table=relation,
-                on=_membership_on(spec),
-                filters=spec.local_predicates,
+def _flatten_membership(
+    spec: SubquerySpec, views: List[AggregateView], joins: List[JoinUnit]
+) -> None:
+    """IN / EXISTS and their negations as a semi or anti unit whose ON
+    condition is the membership test (IN only) plus the correlation
+    equalities."""
+    value = spec.value
+    correlations = spec.correlations
+    if len(spec.relations) == 1:
+        table = spec.relations[0]
+        alias, filters = table.alias, spec.local_predicates
+    else:
+        view, to_view = _body_view(spec)
+        views.append(view)
+        table, alias, filters = None, spec.alias, ()
+        if value is not None:
+            value = value.substitute(to_view)
+        correlations = tuple(
+            (to_view[inner.key], outer) for inner, outer in correlations
+        )
+    on: List[Expression] = [
+        Comparison("=", outer, inner) for inner, outer in correlations
+    ]
+    null_aware = False
+    if value is not None:
+        assert spec.outer is not None
+        membership: Expression = Comparison("=", spec.outer, value)
+        if spec.negate:
+            null_aware = isinstance(spec.outer, ColumnRef) and isinstance(
+                value, ColumnRef
             )
-        )
-        return True
-    # NOT IN: only the uncorrelated single-equality form flattens — the
-    # null-aware anti-join contract covers exactly one membership
-    # equality over plain columns (3VL over one key column). Correlated
-    # NOT IN and computed membership expressions fall back.
-    if spec.correlations:
-        return False
-    if not isinstance(spec.outer, ColumnRef) or not isinstance(
-        spec.value, ColumnRef
-    ):
-        return False
+            if not null_aware:
+                membership = Or(
+                    (membership, IsNull(spec.outer), IsNull(value))
+                )
+        on.insert(0, membership)
     joins.append(
         JoinUnit(
-            alias=relation.alias,
-            kind="anti",
-            table=relation,
-            on=_membership_on(spec),
-            filters=spec.local_predicates,
-            null_aware=True,
-        )
-    )
-    return True
-
-
-def _flatten_exists(spec: SubquerySpec, joins: List[JoinUnit]) -> bool:
-    if len(spec.relations) != 1:
-        return False
-    relation = spec.relations[0]
-    joins.append(
-        JoinUnit(
-            alias=relation.alias,
+            alias=alias,
             kind="anti" if spec.negate else "semi",
-            table=relation,
-            on=_membership_on(spec),
-            filters=spec.local_predicates,
+            table=table,
+            on=tuple(on),
+            filters=filters,
+            null_aware=null_aware,
         )
     )
-    return True
+
+
+def _body_view(
+    spec: SubquerySpec,
+) -> Tuple[AggregateView, Dict[FieldKey, ColumnRef]]:
+    """A multi-relation IN / EXISTS body as an aggregate view grouped on
+    the columns its unit's ON condition reads — the membership value's
+    and the correlation columns — each an output ``c0..``; plus the
+    map from those inner columns to the view's. With no such column the
+    view groups on nothing, a ``COUNT(*)`` making it an aggregate: one
+    row when the body has rows."""
+    keys: List[FieldKey] = []
+    sources = [spec.value] if spec.value is not None else []
+    sources.extend(inner for inner, _ in spec.correlations)
+    for source in sources:
+        for key in sorted(source.columns(), key=str):
+            if key not in keys:
+                keys.append(key)
+    group_by = tuple(ColumnRef(*key) for key in keys)
+    select: Tuple[Tuple[str, Expression], ...] = tuple(
+        (f"c{position}", reference)
+        for position, reference in enumerate(group_by)
+    )
+    aggregates: Tuple[Tuple[str, AggregateCall], ...] = ()
+    if not keys:
+        aggregates = (("rows", AggregateCall("count", None)),)
+        select = (("rows", ColumnRef(None, "rows")),)
+    block = QueryBlock(
+        relations=spec.relations,
+        predicates=spec.local_predicates,
+        group_by=group_by,
+        aggregates=aggregates,
+        select=select,
+    )
+    to_view = {
+        key: ColumnRef(spec.alias, f"c{position}")
+        for position, key in enumerate(keys)
+    }
+    return AggregateView(alias=spec.alias, block=block), to_view

@@ -88,7 +88,7 @@ def create_materialized_view(
     (``db.py``) registers the result with the catalog."""
     name = definition.name
     block = Binder(catalog).bind_view_block(definition, name)
-    if not block.is_grouped:
+    if not block.group_by:
         raise UnsupportedFeatureError(
             f"materialized view {name!r} must have a GROUP BY: "
             "the subsystem materializes aggregate views (Section 2)"

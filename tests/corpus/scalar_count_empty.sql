@@ -2,8 +2,9 @@
 -- pins: the COUNT bug (Kim) -- a correlated COUNT subquery over an
 -- empty group must compare as 0, not vanish: the decorrelated plan
 -- LEFT-joins the counting view and IFNULLs the result, matching the
--- naive mark join and SQLite. SUM over an empty group stays NULL,
--- so its comparison is UNKNOWN and the row drops.
+-- reference evaluator's naive mark filter and SQLite. SUM over an
+-- empty group stays NULL, so its comparison is UNKNOWN and the row
+-- drops.
 create table t1 (c0 int, c1 int);
 create table t2 (c0 int, c1 int);
 insert into t1 values (1, 10), (2, 20), (3, 30);

@@ -250,7 +250,9 @@ class TestUnnesting:
         assert len(query.joins) == 1
         assert query.joins[0].kind == "left"
 
-    def test_uncorrelated_scalar_stays_as_mark(self, emp_dept_db):
+    def test_uncorrelated_scalar_flattens_to_a_keyless_view(
+        self, emp_dept_db
+    ):
         query = decorrelate_query(
             bind_sql(
                 "select e1.sal from emp e1 where e1.sal > "
@@ -258,9 +260,10 @@ class TestUnnesting:
                 emp_dept_db.catalog,
             )
         )
-        # No correlation columns to group on: executes as a mark join.
-        assert not query.views
-        assert len(query.subqueries) == 1
+        # No correlation columns: the view groups on nothing.
+        assert len(query.views) == 1
+        assert query.views[0].block.group_by == ()
+        assert query.subqueries == ()
 
     def test_in_subquery_semi_unit(self, emp_dept_db):
         query = decorrelate_query(
@@ -311,15 +314,15 @@ class TestUnnesting:
         ],
         ids=["correlated-not-in", "computed-not-in", "two-relation-in"],
     )
-    def test_unflattenable_specs_stay_as_marks(self, emp_dept_db, predicate):
+    def test_every_spec_flattens_to_a_unit(self, emp_dept_db, predicate):
         query = decorrelate_query(
             bind_sql(
                 f"select e1.sal from emp e1 where {predicate}",
                 emp_dept_db.catalog,
             )
         )
-        assert not query.joins
-        assert len(query.subqueries) == 1
+        assert len(query.joins) == 1
+        assert query.subqueries == ()
 
     def test_left_join_unit_bound(self, emp_dept_db):
         query = bind_sql(

@@ -24,15 +24,13 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.plan import (
     PlanNode,
-    ScanNode,
-    SubqueryMarkNode,
     plan_nodes,
 )
-from repro.catalog.schema import Field, RowSchema, table_row_schema
+from repro.catalog.schema import Field, RowSchema
 from repro.datatypes import DataType
 from repro.engine import ExecutionContext, compile_plan, execute_plan
 from repro.engine import kernels
-from repro.errors import PlanError
+from repro.errors import BindError, PlanError
 from repro.server import session as session_module
 from repro.server.planrewrite import bind_parameters
 from repro.storage.iocounter import IOCounter
@@ -441,8 +439,8 @@ class TestIndexShapeAndProbe:
 # ----------------------------------------------------------------------
 
 PARAMETERIZED = {
-    # name: (sql with {} placeholders, value vectors); the two "mark"
-    # shapes are ones decorrelation leaves to a mark join
+    # name: (sql with {} placeholders, value vectors); the two subquery
+    # shapes decorrelate into views, a ``$n`` in a view's WHERE
     "scan filter": (
         "select e.eno from emp e where e.age < {}",
         [(30,), (60,)],
@@ -458,12 +456,12 @@ PARAMETERIZED = {
         "having sum(e.sal) > {}",
         [(1_300_000,), (1_450_000,)],
     ),
-    "mark aggregate argument": (  # an uncorrelated scalar
+    "uncorrelated scalar filter": (  # a view grouped on nothing
         "select e.eno from emp e where e.sal > "
-        "(select avg(e2.sal + {}) from emp e2)",
-        [(0,), (20_000,)],
+        "(select avg(e2.sal) from emp e2 where e2.age < {})",
+        [(25,), (60,)],
     ),
-    "mark outer and inner filter": (  # a two-relation semi inner
+    "two-relation in outer and inner filter": (  # a semi join to a view
         "select e.eno from emp e where e.dno + {} in "
         "(select d.dno from dept d, emp e2 "
         "where d.dno = e2.dno and d.loc = {})",
@@ -495,12 +493,6 @@ class TestParametersAtRunTime:
         with db.session() as session:
             session.execute(prepare)
             plan = session.prepared["p"].optimization.plan
-            marks = [
-                node
-                for node in plan_nodes(plan)
-                if isinstance(node, SubqueryMarkNode)
-            ]
-            assert bool(marks) == shape.startswith("mark")
             answers = []
             # each vector twice, interleaved: nothing leaks between runs
             for values in vectors + vectors[::-1]:
@@ -537,39 +529,36 @@ class TestParametersAtRunTime:
             )
             assert session.execute("EXECUTE p('x')").rows == []
 
-    def test_mark_correlation_reads_the_parameter(self, db):
-        """``exists (... where d.dno = e.dno + $1)`` — SQL cannot put a
-        ``$n`` into a correlation, a hand-built mark node can."""
-
-        def scan(table, alias):
-            columns = db.catalog.table(table).columns
-            return ScanNode(table, alias, table_row_schema(alias, columns).fields)
-
-        plan = SubqueryMarkNode(
-            scan("emp", "e"),
-            scan("dept", "d"),
-            "exists",
-            correlations=[
-                (
-                    ColumnRef("d", "dno"),
-                    Arith("+", ColumnRef("e", "dno"), Parameter(1)),
-                )
-            ],
-        )
-        executable = compile_plan(plan, db.catalog)
-        emp = db.catalog.table("emp").rows
-        for shift in (0, 3, 3, None, 7):
-            context = ExecutionContext(
-                db.catalog, IOCounter(), db.params, parameters=(shift,)
-            )
-            rows = executable.run(context).rows
-            expected = [
-                row for row in emp if shift is not None and row[1] + shift < 7
-            ]
-            assert rows == expected
-            bound = bind_parameters(plan, {1: Literal(shift)})
-            baseline = ExecutionContext(db.catalog, IOCounter(), db.params)
-            assert execute_plan(bound, baseline).rows == expected
+    @pytest.mark.parametrize(
+        "sql, place",
+        [
+            (
+                "select e.eno from emp e where e.sal > "
+                "(select avg(e2.sal + $1) from emp e2)",
+                "scalar subquery's aggregate argument",
+            ),
+            (
+                "select e.eno from emp e where e.sal > (select "
+                "avg(e2.sal + $1) from emp e2 where e2.dno = e.dno)",
+                "scalar subquery's aggregate argument",
+            ),
+            (
+                "with v(d, s) as (select e2.dno, sum(e2.sal + $1) "
+                "from emp e2 group by e2.dno) "
+                "select e.eno from emp e, v where e.dno = v.d",
+                "aggregate argument of view 'v'",
+            ),
+        ],
+        ids=["uncorrelated scalar", "correlated scalar", "view"],
+    )
+    def test_a_parameter_outside_a_predicate_is_a_bind_error(
+        self, db, sql, place
+    ):
+        """Parameters appear only in predicates: one in an aggregate
+        argument would leave the plan's schema untyped until EXECUTE."""
+        with db.session() as session:
+            with pytest.raises(BindError, match=place):
+                session.execute("PREPARE p AS " + sql)
 
     def test_unbound_parameters_are_a_typed_error_everywhere(self, db):
         for shape in sorted(PARAMETERIZED):

@@ -1,16 +1,18 @@
 """One engine: what a plan node must be threaded through, and no
 switch to select another.
 
-A new ``PlanNode`` subclass has exactly one place to land — the
+A new ``PlanNode`` subclass has one place to land in the engine — the
 executor's dispatch (its builder table, or the fused filter / project /
 rename chain) — and a node that reached neither fails with a typed
-error. No entry point takes an executor name.
+error; beside it, ``algebra.legality.CHECKS`` must cover the kind too.
+No entry point takes an executor name.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.algebra import legality
 from repro.algebra.plan import PlanNode
 from repro.engine import ExecutionContext, execute_plan, executor
 from repro.errors import ExecutionError
@@ -28,11 +30,14 @@ def concrete_plan_nodes():
 
 
 def test_every_plan_node_has_an_executor():
+    """... and a legality check: the two per-kind tables cover the same
+    node kinds, so neither can drift from the other."""
     nodes = concrete_plan_nodes()
-    assert len(nodes) >= 9
+    assert len(nodes) >= 8
     dispatched = tuple(executor._COLUMN_BUILDERS) + executor._FUSABLE
     for cls in nodes:
         assert issubclass(cls, dispatched), cls.__name__
+        assert issubclass(cls, tuple(legality.CHECKS)), cls.__name__
 
 
 def test_unknown_plan_node_is_a_typed_error(emp_dept_db):

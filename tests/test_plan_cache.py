@@ -324,7 +324,7 @@ class TestSubqueryJoinSignatures:
 
 class TestSubqueryPlanCaching:
     """Cached plans with the new node shapes must survive the per-
-    execution clone (kind / null_aware / SubqueryMarkNode fields)."""
+    execution clone (kind / null_aware fields, keyless group-bys)."""
 
     def _roundtrip(self, db, sql):
         expected = db.reference(sql).rows
@@ -357,8 +357,8 @@ class TestSubqueryPlanCaching:
             "LEFT JOIN dept d ON e.dno = d.dno AND d.budget > 5600",
         )
 
-    def test_mark_join_roundtrip(self, emp_dept_db):
-        # uncorrelated scalar subqueries stay as mark joins
+    def test_uncorrelated_scalar_roundtrip(self, emp_dept_db):
+        # an uncorrelated scalar subquery is a view grouped on nothing
         self._roundtrip(
             emp_dept_db,
             "SELECT e.eno FROM emp e WHERE e.sal > "

@@ -290,3 +290,33 @@ class TestAggregateOnlyLink:
         result = optimize_query(query, emp_dept_db.catalog, emp_dept_db.params)
         pulled_sets = {combo.get("v", ()) for combo, _ in result.alternatives}
         assert ("e1",) in pulled_sets  # connected via the agg predicate
+
+
+class TestKeylessView:
+    """An uncorrelated scalar subquery decorrelates into a view grouped
+    on nothing; pulling the outer table through it groups on that
+    table's key and keeps every answer, the empty inner side included
+    (no group, so no row, either way)."""
+
+    @pytest.mark.parametrize("inner_filter", ["e2.age > 30", "e2.age < 0"])
+    def test_equivalence(self, emp_dept_db, inner_filter):
+        from repro.transforms.decorrelate import decorrelate_query
+
+        query = decorrelate_query(
+            bind_sql(
+                "select e1.eno from emp e1 where e1.age < 40 and e1.sal > "
+                f"(select avg(e2.sal) from emp e2 where {inner_filter})",
+                emp_dept_db.catalog,
+            )
+        )
+        (view,) = query.views
+        assert view.block.group_by == ()
+        reference = evaluate_canonical(query, emp_dept_db.catalog)
+        pulled = pull_up(query, view.alias, ["e1"], emp_dept_db.catalog)
+        assert pulled.base_tables == ()
+        assert ("e1", "eno") in {
+            g.key for g in pulled.view(view.alias).block.group_by
+        }
+        result = evaluate_canonical(pulled, emp_dept_db.catalog)
+        assert rows_equal_bag(reference.rows, result.rows)
+        assert bool(reference.rows) == (inner_filter == "e2.age > 30")

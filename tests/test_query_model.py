@@ -44,12 +44,14 @@ class TestQueryBlock:
                 having=(Comparison(">", col("x"), lit(1)),),
             )
 
-    def test_aggregates_require_group_by(self):
-        with pytest.raises(PlanError):
-            QueryBlock(
-                relations=(TableRef("emp", "e"),),
-                aggregates=(("s", AggregateCall("sum", col("e.sal"))),),
-            )
+    def test_aggregates_without_group_by_group_on_nothing(self):
+        block = QueryBlock(
+            relations=(TableRef("emp", "e"),),
+            aggregates=(("s", AggregateCall("sum", col("e.sal"))),),
+            select=(("s", col("s")),),
+        )
+        assert block.is_grouped
+        assert AggregateView(alias="v", block=block).output_names == ("s",)
 
     def test_aliases(self):
         block = QueryBlock(

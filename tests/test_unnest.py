@@ -1,7 +1,10 @@
 """Tests for Kim-style unnesting of correlated subqueries (Section 1)."""
 
+import sqlite3
+
 import pytest
 
+from repro import Database
 from repro.engine.reference import evaluate_canonical, rows_equal_bag
 from repro.sql import bind_sql
 from repro.transforms import unnest_sql
@@ -79,11 +82,9 @@ class TestUnnestSql:
 
 
 class TestDecorrelationAdopted:
-    """The four WHERE-clause subquery shapes the optimizer flattens: each
-    must be *adopted* (a semi/anti join or a grouped view joined back,
-    not a mark-join rescan) and agree with the reference evaluator. The
-    shapes decorrelation leaves behind run as mark joins and must agree
-    too."""
+    """Every WHERE-clause subquery shape flattens: each must be *adopted*
+    (a semi/anti join or a grouped view joined back) and agree with the
+    reference evaluator, which runs the subquery unflattened."""
 
     SHAPES = {
         "in-semi": (
@@ -103,22 +104,6 @@ class TestDecorrelationAdopted:
             "(select d.dno from dept d "
             "where d.dno = e.dno and d.loc >= 2)"
         ),
-    }
-
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_flattened_by_default_and_only_by_default(
-        self, emp_dept_db, shape
-    ):
-        sql = self.SHAPES[shape]
-        flattened = emp_dept_db.query(sql)
-        assert flattened.optimization.stats.decorrelation_adopted >= 1
-        assert "SubqueryMark" not in flattened.explain()
-        assert sorted(flattened.rows) == sorted(
-            emp_dept_db.reference(sql).rows
-        )
-        assert flattened.rows  # the shape keeps some outer rows
-
-    MARK_SHAPES = {
         "corr-not-in": (
             "select e.eno from emp e where e.dno not in "
             "(select d.dno from dept d where d.loc = e.dno)"
@@ -138,13 +123,93 @@ class TestDecorrelationAdopted:
         ),
     }
 
-    @pytest.mark.parametrize("shape", sorted(MARK_SHAPES))
-    def test_unflattenable_shapes_run_as_mark_joins(self, emp_dept_db, shape):
-        sql = self.MARK_SHAPES[shape]
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_flattened_by_default_and_only_by_default(
+        self, emp_dept_db, shape
+    ):
+        sql = self.SHAPES[shape]
+        flattened = emp_dept_db.query(sql)
+        stats = flattened.optimization.stats
+        assert stats.decorrelation_adopted == stats.decorrelation_considered
+        assert stats.decorrelation_adopted == 1
+        assert sorted(flattened.rows) == sorted(
+            emp_dept_db.reference(sql).rows
+        )
+        assert flattened.rows  # the shape keeps some outer rows
+
+    @pytest.mark.parametrize(
+        "func, survivors", [("count", 140), ("sum", 0)]
+    )
+    def test_uncorrelated_scalar_over_an_empty_inner_side(
+        self, emp_dept_db, func, survivors
+    ):
+        """COUNT over no rows is 0 (the LEFT unit's IFNULL), SUM is NULL
+        (the view grouped on nothing has no row, and the inner join
+        drops every outer row, as the UNKNOWN comparison would)."""
+        sql = (
+            f"select e.eno from emp e where e.sal >= "
+            f"(select {func}(e2.sal) from emp e2 where e2.age < 0)"
+        )
         result = emp_dept_db.query(sql)
-        stats = result.optimization.stats
-        assert stats.decorrelation_considered == 1
-        assert stats.decorrelation_adopted == 0
-        assert "SubqueryMark" in result.explain()
+        assert len(result.rows) == survivors
         assert sorted(result.rows) == sorted(emp_dept_db.reference(sql).rows)
-        assert result.rows
+
+
+NOT_IN_SQL = (
+    "select o.id from o where o.x not in (select s.v from s where s.g = o.g)"
+)
+
+
+class TestCorrelatedNotInNullRule:
+    """Correlated NOT IN is a null-aware anti join whose NULL rule holds
+    per correlation group. Each case: the inner rows ``s(g, v)``, the
+    outer rows ``o(id, g, x)``, and the ids that survive."""
+
+    CASES = {
+        "null-in-group-rejects-only-that-group": (
+            [(1, None), (1, 5), (2, 7)],
+            [(1, 1, 5), (2, 1, 6), (3, 2, 8), (4, 2, 7)],
+            [3],
+        ),
+        "empty-group-accepts": (
+            [(1, None)],
+            [(1, 2, 5), (2, 1, 5)],
+            [1],
+        ),
+        "null-outer-correlation-matches-no-group": (
+            [(1, 5), (None, 6)],
+            [(1, None, 5), (2, None, None), (3, 1, 6)],
+            [1, 2, 3],
+        ),
+        "null-membership-against-non-empty-group": (
+            [(1, 5)],
+            [(1, 1, None), (2, 2, None), (3, 1, 4)],
+            [2, 3],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_reference_and_sqlite(self, case):
+        inner, outer, survivors = self.CASES[case]
+        db = Database()
+        db.create_table(
+            "s", [("g", "int"), ("v", "int")], nullable=["g", "v"]
+        )
+        db.create_table(
+            "o",
+            [("id", "int"), ("g", "int"), ("x", "int")],
+            nullable=["g", "x"],
+        )
+        db.insert("s", inner)
+        db.insert("o", outer)
+        connection = sqlite3.connect(":memory:")
+        connection.execute("create table s (g integer, v integer)")
+        connection.execute("create table o (id integer, g integer, x integer)")
+        connection.executemany("insert into s values (?, ?)", inner)
+        connection.executemany("insert into o values (?, ?, ?)", outer)
+        result = db.query(NOT_IN_SQL)
+        assert "null-aware" in result.explain()
+        expected = [(survivor,) for survivor in survivors]
+        assert sorted(result.rows) == expected
+        assert sorted(db.reference(NOT_IN_SQL).rows) == expected
+        assert sorted(connection.execute(NOT_IN_SQL)) == expected
