@@ -35,9 +35,7 @@ def check_plan(plan: PlanNode, catalog: Optional[Catalog] = None) -> None:
     With a catalog, scans are also checked against stored tables
     (existence, column membership, index validity).
     """
-    check = next(
-        (CHECKS[cls] for cls in type(plan).__mro__ if cls in CHECKS), None
-    )
+    check = CHECKS.get(type(plan))
     if check is None:
         raise PlanError(f"unknown plan node type {type(plan).__name__}")
     check(plan, catalog)

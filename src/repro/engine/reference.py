@@ -285,6 +285,10 @@ def _evaluate_over(
         )
         return Result(schema=out_schema, rows=rows)
 
+    # Aggregates with no GROUP BY are one group over the input and none
+    # over an empty one. Only decorrelation builds such blocks (the
+    # binder refuses SQL's scalar aggregate, which has one row there),
+    # and its units rely on the missing row.
     key_positions = [
         schema.index_of(reference.alias, reference.name)
         for reference in group_by

@@ -357,6 +357,14 @@ class Binder:
                 having.append(having_scope.rewrite(resolved))
             aggregates = having_scope.aggregates
 
+        if aggregates and not group_refs:
+            # SQL's scalar aggregate yields one row over an empty input;
+            # a block grouped on nothing yields none, which only
+            # decorrelation's views rely on.
+            raise UnsupportedFeatureError(
+                f"view {definition.name!r} aggregates without GROUP BY "
+                "(scalar aggregation), which is not supported in a view"
+            )
         block = QueryBlock(
             relations=tuple(relations),
             predicates=tuple(where),

@@ -159,6 +159,24 @@ class TestViews:
                 emp_dept_db.catalog,
             )
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "select count(*) from emp e where e.age < 0",
+            "select e.dno from emp e having sum(e.sal) > 0",
+        ],
+        ids=["aggregate-select", "aggregate-having"],
+    )
+    def test_view_without_group_by_rejected(self, emp_dept_db, body):
+        # A scalar aggregate has one row over an empty input; a view
+        # grouped on nothing has none, so the form is refused, not
+        # answered with the wrong row count.
+        with pytest.raises(UnsupportedFeatureError, match="GROUP BY"):
+            bind_sql(
+                f"with v(c) as ({body}) select e.eno from emp e, v",
+                emp_dept_db.catalog,
+            )
+
     def test_view_with_having(self, emp_dept_db):
         query = bind_sql(
             "with v(dno, asal) as (select e.dno, avg(e.sal) from emp e "
