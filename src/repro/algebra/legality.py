@@ -5,28 +5,22 @@ The paper relies on the notion of a *legal operator tree* — one that
 2). The pull-up definition is stated between legal trees, and its output
 must again be legal. This module is the executable version of that
 notion: :func:`check_plan` walks a plan and verifies every column
-reference resolves where it is used.
+reference resolves where it is used. The walk is generic: every
+expression a node yields (:meth:`~repro.algebra.plan.PlanNode.expressions`)
+is checked against its scope. Grouping, sort and rename keys and
+output projections are validated by the node constructors; what is left
+per kind is a scan against the catalog and a join's equi keys, which
+are field keys rather than expressions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Optional
 
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RID_COLUMN
 from ..errors import PlanError
-from .expressions import Expression
-from .plan import (
-    FilterNode,
-    GroupByNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    RenameNode,
-    ScanNode,
-    SortNode,
-)
+from .plan import JoinNode, PlanNode, ScanNode, plan_nodes
 
 
 def check_plan(plan: PlanNode, catalog: Optional[Catalog] = None) -> None:
@@ -35,23 +29,20 @@ def check_plan(plan: PlanNode, catalog: Optional[Catalog] = None) -> None:
     With a catalog, scans are also checked against stored tables
     (existence, column membership, index validity).
     """
-    check = CHECKS.get(type(plan))
-    if check is None:
-        raise PlanError(f"unknown plan node type {type(plan).__name__}")
-    check(plan, catalog)
-    for child in plan.children:
-        check_plan(child, catalog)
-
-
-def _check_expression_against(
-    expression: Expression, schema, context: str
-) -> None:
-    for alias, name in expression.columns():
-        if not schema.has(alias, name):
-            raise PlanError(
-                f"{context}: column {alias}.{name} is not available "
-                f"(schema: {schema})"
-            )
+    for node in plan_nodes(plan):
+        if type(node) is ScanNode:
+            _check_scan(node, catalog)
+        elif type(node) is JoinNode:
+            _check_join_keys(node)
+        for expression, scope in node.expressions():
+            if scope is None:
+                continue  # a scan's own: checked against its table
+            for alias, name in expression.columns():
+                if not scope.has(alias, name):
+                    raise PlanError(
+                        f"{node.describe()}: column {alias}.{name} is not "
+                        f"available (schema: {scope})"
+                    )
 
 
 def _check_scan(plan: ScanNode, catalog: Optional[Catalog]) -> None:
@@ -89,65 +80,13 @@ def _check_scan(plan: ScanNode, catalog: Optional[Catalog]) -> None:
             )
 
 
-def _check_join(plan: JoinNode, catalog: Optional[Catalog]) -> None:
-    left_schema = plan.left.schema
-    right_schema = plan.right.schema
+def _check_join_keys(plan: JoinNode) -> None:
     for left_key, right_key in plan.equi_keys:
-        if not left_schema.has(*left_key):
+        if not plan.left.schema.has(*left_key):
             raise PlanError(
                 f"join key {left_key} not produced by the left input"
             )
-        if not right_schema.has(*right_key):
+        if not plan.right.schema.has(*right_key):
             raise PlanError(
                 f"join key {right_key} not produced by the right input"
             )
-    combined = left_schema.concat(right_schema)
-    for predicate in plan.residuals:
-        _check_expression_against(predicate, combined, "join residual")
-
-
-def _check_group_by(plan: GroupByNode, catalog: Optional[Catalog]) -> None:
-    child_schema = plan.child.schema
-    for key in plan.group_keys:
-        if not child_schema.has(*key):
-            raise PlanError(f"grouping column {key} not in the input")
-    for name, call in plan.aggregates:
-        if call.arg is not None:
-            _check_expression_against(
-                call.arg, child_schema, f"aggregate {name}"
-            )
-    for predicate in plan.having:
-        _check_expression_against(
-            predicate, plan.internal_schema, "HAVING predicate"
-        )
-
-
-def _check_project(plan: ProjectNode, catalog: Optional[Catalog]) -> None:
-    for _, _, expression in plan.outputs:
-        _check_expression_against(
-            expression, plan.child.schema, "projection output"
-        )
-
-
-def _check_filter(plan: FilterNode, catalog: Optional[Catalog]) -> None:
-    for predicate in plan.predicates:
-        _check_expression_against(
-            predicate, plan.child.schema, "filter predicate"
-        )
-
-
-def _constructed(plan: PlanNode, catalog: Optional[Catalog]) -> None:
-    """Fully validated at construction."""
-
-
-CHECKS: Dict[type, Callable[[Any, Optional[Catalog]], None]] = {
-    ScanNode: _check_scan,
-    JoinNode: _check_join,
-    GroupByNode: _check_group_by,
-    ProjectNode: _check_project,
-    FilterNode: _check_filter,
-    SortNode: _constructed,
-    RenameNode: _constructed,
-    LimitNode: _constructed,
-}
-"""Each plan node kind's check of its own expressions and keys."""

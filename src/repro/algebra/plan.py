@@ -11,21 +11,44 @@ Nodes are structural: they compute their output :class:`RowSchema` but
 carry no statistics. The cost annotator (``repro.cost``) attaches a
 ``props`` attribute (cardinality, pages, IO cost, sort order) without
 the plan layer depending on it.
+
+Every kind speaks one protocol (:class:`PlanNode`): it names its
+constructor arguments once in ``ARGS``, and ``children``,
+:meth:`~PlanNode.replace`, :meth:`~PlanNode.expressions` and
+:meth:`~PlanNode.map_expressions` follow from them. Cloning, parameter
+binding, legality checking and projection pruning are therefore each
+one walk over any tree, with no per-kind arm.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog.schema import RID_COLUMN, Field, RowSchema
 from ..datatypes import DataType
 from ..errors import PlanError
 from .aggregates import AggregateCall
-from .expressions import Expression, FieldKey, Parameter
+from .expressions import Expression, FieldKey, Literal, Parameter
+
+#: Constructor arguments that hold an input plan.
+_INPUT_ARGS = ("left", "right", "child")
 
 
 class PlanNode:
-    """Base class of plan operators."""
+    """Base class of plan operators.
+
+    A kind declares ``ARGS``, its constructor's argument names in order;
+    each is kept under the attribute of the same name. Those among
+    ``left`` / ``right`` / ``child`` are its inputs (``CHILD_ARGS``,
+    derived), which is all ``children`` and :meth:`replace` need.
+    """
+
+    ARGS: Tuple[str, ...] = ()
+    CHILD_ARGS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.CHILD_ARGS = tuple(name for name in cls.ARGS if name in _INPUT_ARGS)
 
     def __init__(self) -> None:
         # Filled in by the cost annotator. Nothing else is written to a
@@ -40,7 +63,29 @@ class PlanNode:
 
     @property
     def children(self) -> Tuple["PlanNode", ...]:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self.CHILD_ARGS])
+
+    def replace(self, **changes: Any) -> "PlanNode":
+        """This node rebuilt through its constructor with the named
+        arguments (inputs included) changed. The schema is derived
+        afresh; ``props`` is not carried."""
+        arguments = {name: getattr(self, name) for name in self.ARGS}
+        arguments.update(changes)
+        return type(self)(**arguments)
+
+    def expressions(self) -> Iterator[Tuple[Expression, Optional[RowSchema]]]:
+        """``(expression, scope)`` for every bound expression this node
+        evaluates, *scope* being the schema its columns resolve in
+        (``None`` for a scan's own, which resolve in the stored table's
+        row)."""
+        return iter(())
+
+    def map_expressions(
+        self, fn: Callable[[Expression], Expression], **changes: Any
+    ) -> "PlanNode":
+        """This node rebuilt with *fn* applied to every expression
+        :meth:`expressions` yields, and *changes* as in :meth:`replace`."""
+        return self.replace(**changes)
 
     def describe(self) -> str:
         """One-line description used by :func:`explain`."""
@@ -62,6 +107,16 @@ class ScanNode(PlanNode):
     - ``include_rid`` exposes the hidden tuple id (pull-up's surrogate
       key, Section 3).
     """
+
+    ARGS = (
+        "table_name",
+        "alias",
+        "fields",
+        "filters",
+        "include_rid",
+        "index_name",
+        "index_values",
+    )
 
     def __init__(
         self,
@@ -90,8 +145,29 @@ class ScanNode(PlanNode):
         return self._schema
 
     @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return ()
+    def fields(self) -> Tuple[Field, ...]:
+        return self._schema.fields
+
+    def expressions(self):
+        for predicate in self.filters:
+            yield predicate, None
+        for value in self.index_values:
+            if isinstance(value, Parameter):
+                yield value, None
+
+    def map_expressions(self, fn, **changes):
+        """An index probe key holds plain values: *fn* must map each
+        ``$n`` there to a literal, whose value takes its place."""
+        return self.replace(
+            filters=[fn(predicate) for predicate in self.filters],
+            index_values=tuple(
+                _probe_value(value, fn(value))
+                if isinstance(value, Parameter)
+                else value
+                for value in self.index_values
+            ),
+            **changes,
+        )
 
     def probe_key(self, parameters: Sequence[Any] = ()) -> Tuple[Any, ...]:
         """``index_values`` for the engine to probe with, every ``$n``
@@ -120,6 +196,15 @@ class ScanNode(PlanNode):
             else ""
         )
         return f"Scan {self.table_name} AS {self.alias} [{access}]{filters}"
+
+
+def _probe_value(parameter: Parameter, bound: Expression) -> Any:
+    if not isinstance(bound, Literal):
+        raise PlanError(
+            f"index probe parameter {parameter.display()} needs a "
+            f"literal value, got {bound.display()}"
+        )
+    return bound.value
 
 
 JOIN_METHODS = ("nlj", "inlj", "smj", "hj")
@@ -151,6 +236,18 @@ class JoinNode(PlanNode):
       then be given in its final form — for ``semi`` / ``anti``, left
       columns only.
     """
+
+    ARGS = (
+        "left",
+        "right",
+        "method",
+        "equi_keys",
+        "residuals",
+        "projection",
+        "index_name",
+        "kind",
+        "null_aware",
+    )
 
     def __init__(
         self,
@@ -219,9 +316,17 @@ class JoinNode(PlanNode):
     def schema(self) -> RowSchema:
         return self._schema
 
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
+    def expressions(self):
+        if self.residuals:
+            combined = self.left.schema.concat(self.right.schema)
+            for predicate in self.residuals:
+                yield predicate, combined
+
+    def map_expressions(self, fn, **changes):
+        return self.replace(
+            residuals=[fn(predicate) for predicate in self.residuals],
+            **changes,
+        )
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -258,6 +363,16 @@ class GroupByNode(PlanNode):
     ordinary group-by. Purely informational — rendered by ``explain``
     so eager plans are recognizable — and preserved by plan rewrites.
     """
+
+    ARGS = (
+        "child",
+        "group_keys",
+        "aggregates",
+        "having",
+        "method",
+        "projection",
+        "eager",
+    )
 
     def __init__(
         self,
@@ -310,9 +425,26 @@ class GroupByNode(PlanNode):
     def schema(self) -> RowSchema:
         return self._schema
 
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
+    def expressions(self):
+        child_schema = self.child.schema
+        for _, call in self.aggregates:
+            if call.arg is not None:
+                yield call.arg, child_schema
+        for predicate in self.having:
+            yield predicate, self._internal_schema
+
+    def map_expressions(self, fn, **changes):
+        aggregates = [
+            (name, AggregateCall(call.func_name, fn(call.arg)))
+            if call.arg is not None
+            else (name, call)
+            for name, call in self.aggregates
+        ]
+        return self.replace(
+            aggregates=aggregates,
+            having=[fn(predicate) for predicate in self.having],
+            **changes,
+        )
 
     def describe(self) -> str:
         keys = ", ".join(_show_key(key) for key in self.group_keys)
@@ -340,6 +472,8 @@ class FilterNode(PlanNode):
     predicate on a view's aggregate column). Pipelined, zero IO.
     """
 
+    ARGS = ("child", "predicates")
+
     def __init__(self, child: PlanNode, predicates: Sequence[Expression]):
         super().__init__()
         if not predicates:
@@ -351,9 +485,16 @@ class FilterNode(PlanNode):
     def schema(self) -> RowSchema:
         return self.child.schema
 
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
+    def expressions(self):
+        child_schema = self.child.schema
+        for predicate in self.predicates:
+            yield predicate, child_schema
+
+    def map_expressions(self, fn, **changes):
+        return self.replace(
+            predicates=[fn(predicate) for predicate in self.predicates],
+            **changes,
+        )
 
     def describe(self) -> str:
         return "Filter " + " AND ".join(
@@ -369,6 +510,8 @@ class ProjectNode(PlanNode):
     (``avg = sum_partial / count_partial``) or arithmetic in a SELECT
     list. Costs no IO (pipelined).
     """
+
+    ARGS = ("child", "outputs")
 
     def __init__(
         self,
@@ -392,9 +535,19 @@ class ProjectNode(PlanNode):
     def schema(self) -> RowSchema:
         return self._schema
 
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
+    def expressions(self):
+        child_schema = self.child.schema
+        for _, _, expression in self.outputs:
+            yield expression, child_schema
+
+    def map_expressions(self, fn, **changes):
+        return self.replace(
+            outputs=[
+                (alias, name, fn(expression))
+                for alias, name, expression in self.outputs
+            ],
+            **changes,
+        )
 
     def describe(self) -> str:
         parts = ", ".join(
@@ -412,6 +565,8 @@ class SortNode(PlanNode):
     Only an all-ascending sort establishes an order property the
     optimizer exploits; descending sorts exist for ORDER BY.
     """
+
+    ARGS = ("child", "keys", "descending")
 
     def __init__(
         self,
@@ -436,10 +591,6 @@ class SortNode(PlanNode):
     def schema(self) -> RowSchema:
         return self.child.schema
 
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
     def describe(self) -> str:
         keys = ", ".join(
             _show_key(key) + (" desc" if desc else "")
@@ -451,6 +602,8 @@ class SortNode(PlanNode):
 class LimitNode(PlanNode):
     """Keep the first N rows of the input (ORDER BY ... LIMIT n)."""
 
+    ARGS = ("child", "count")
+
     def __init__(self, child: PlanNode, count: int):
         super().__init__()
         if count < 0:
@@ -461,10 +614,6 @@ class LimitNode(PlanNode):
     @property
     def schema(self) -> RowSchema:
         return self.child.schema
-
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def describe(self) -> str:
         return f"Limit {self.count}"
@@ -478,6 +627,8 @@ class RenameNode(PlanNode):
     names). ``mapping`` is a sequence of ``(new_alias, new_name,
     source_key)`` triples.
     """
+
+    ARGS = ("child", "mapping")
 
     def __init__(
         self,
@@ -510,10 +661,6 @@ class RenameNode(PlanNode):
     @property
     def schema(self) -> RowSchema:
         return self._schema
-
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def describe(self) -> str:
         parts = ", ".join(

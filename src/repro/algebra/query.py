@@ -14,7 +14,7 @@ is the full Figure 3 form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..errors import BindError, PlanError
 from .aggregates import AggregateCall
@@ -246,10 +246,6 @@ class SubquerySpec:
         if not self.relations:
             raise PlanError("a subquery spec needs at least one relation")
 
-    @property
-    def inner_aliases(self) -> FrozenSet[str]:
-        return frozenset(ref.alias for ref in self.relations)
-
 
 @dataclass(frozen=True)
 class CanonicalQuery:
@@ -429,30 +425,4 @@ def rename_block_aliases(
         select=tuple(
             (name, rename_expr(source)) for name, source in block.select
         ),
-    )
-
-
-def predicates_within(
-    predicates: Sequence[Expression], aliases: FrozenSet[str]
-) -> Tuple[Expression, ...]:
-    """Conjuncts that reference only the given aliases."""
-    return tuple(
-        predicate
-        for predicate in predicates
-        if predicate.aliases() <= aliases
-    )
-
-
-def predicates_crossing(
-    predicates: Sequence[Expression],
-    left: FrozenSet[str],
-    right: FrozenSet[str],
-) -> Tuple[Expression, ...]:
-    """Conjuncts referencing both alias sets (and nothing outside them)."""
-    return tuple(
-        predicate
-        for predicate in predicates
-        if predicate.aliases() & left
-        and predicate.aliases() & right
-        and predicate.aliases() <= (left | right)
     )

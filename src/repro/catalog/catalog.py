@@ -112,14 +112,6 @@ class TableInfo:
         self._analyzed_rows = -1
         self.stats_epoch += 1
 
-    def index_on(self, column_names: Sequence[str]) -> Optional[OrderedIndex]:
-        """An index whose leading columns are exactly *column_names*."""
-        wanted = tuple(column_names)
-        for index in self.indexes.values():
-            if index.column_names[: len(wanted)] == wanted:
-                return index
-        return None
-
 
 class Catalog:
     """Registry of tables, indexes, keys, statistics, and named views."""

@@ -115,24 +115,10 @@ class CostModel:
 
     def annotate(self, plan: PlanNode) -> PlanProps:
         """Annotate *plan* assuming its children are already annotated."""
-        if isinstance(plan, ScanNode):
-            props = self._annotate_scan(plan)
-        elif isinstance(plan, JoinNode):
-            props = self._annotate_join(plan)
-        elif isinstance(plan, GroupByNode):
-            props = self._annotate_group_by(plan)
-        elif isinstance(plan, SortNode):
-            props = self._annotate_sort(plan)
-        elif isinstance(plan, RenameNode):
-            props = self._annotate_rename(plan)
-        elif isinstance(plan, ProjectNode):
-            props = self._annotate_project(plan)
-        elif isinstance(plan, FilterNode):
-            props = self._annotate_filter(plan)
-        elif isinstance(plan, LimitNode):
-            props = self._annotate_limit(plan)
-        else:
+        formula = COST_FORMULAS.get(type(plan))
+        if formula is None:
             raise PlanError(f"cannot cost node type {type(plan).__name__}")
+        props = formula(self, plan)
         props.cost = self.cpu_weighted(props.cost, props.rows)
         plan.props = props
         return props
@@ -618,3 +604,19 @@ class CostModel:
             order=tuple(order),
             colmeta=meta,
         )
+
+
+COST_FORMULAS = {
+    ScanNode: CostModel._annotate_scan,
+    JoinNode: CostModel._annotate_join,
+    GroupByNode: CostModel._annotate_group_by,
+    SortNode: CostModel._annotate_sort,
+    RenameNode: CostModel._annotate_rename,
+    ProjectNode: CostModel._annotate_project,
+    FilterNode: CostModel._annotate_filter,
+    LimitNode: CostModel._annotate_limit,
+}
+"""Each plan node kind's cost formula, by exact type: ``formula(model,
+node) -> PlanProps`` over the node's annotated inputs. The entries are
+``CostModel``'s own functions: a subclass changes a count through
+``_count`` or the result through ``annotate``."""

@@ -297,6 +297,9 @@ class Database:
             self.catalog, self.io, self.params, name, mode=mode
         )
 
+    def drop_view(self, name: str) -> None:
+        self.catalog.drop_view(name)
+
     def drop_materialized_view(self, name: str) -> None:
         self.catalog.drop_materialized_view(name)
 

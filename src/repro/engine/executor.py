@@ -65,6 +65,8 @@ open(run, metrics)``; inputs are compiled through
 ``executable.child(node)``, which returns ``start(run)``."""
 
 _FUSABLE = (FilterNode, ProjectNode, RenameNode)
+"""Kinds compiled as members of one fused per-batch loop (``_Stage``)
+instead of by a builder. Both tables are looked up by exact type."""
 
 _SENTINEL = object()
 
@@ -270,14 +272,9 @@ class Executable:
     def _compile(self, plan: PlanNode, depth: int) -> Tuple[Callable, int]:
         """``(start, slot)`` of the subtree at *plan*: ``start(run)`` is
         its metered batch stream, ``slot`` its root's metrics slot."""
-        if isinstance(plan, _FUSABLE):
+        if type(plan) in _FUSABLE:
             return self._fused_chain(plan, depth)
         builder = _COLUMN_BUILDERS.get(type(plan))
-        if builder is None:
-            for node_type, candidate in _COLUMN_BUILDERS.items():
-                if isinstance(plan, node_type):
-                    builder = candidate
-                    break
         if builder is None:
             raise ExecutionError(
                 f"cannot execute node type {type(plan).__name__}"
@@ -311,7 +308,7 @@ class Executable:
         """
         chain: List[PlanNode] = [plan]
         node = plan.child
-        while isinstance(node, _FUSABLE):
+        while type(node) in _FUSABLE:
             chain.append(node)
             node = node.child
         fused = len(chain) > 1

@@ -159,19 +159,6 @@ class JoinGraph:
                 return True
         return False
 
-    def is_connected(self, mask: int) -> bool:
-        """Whether *mask* is one predicate-connected component."""
-        if mask == 0:
-            return False
-        start = mask & -mask
-        reached = start
-        frontier = start
-        while frontier:
-            grown = (reached | self.neighbors(reached)) & mask
-            frontier = grown & ~reached
-            reached = grown
-        return reached == mask
-
     def components(self) -> List[int]:
         """Connected components of the whole graph, as masks."""
         remaining = self.all_mask
@@ -221,7 +208,3 @@ class JoinGraph:
             by_size[mask.bit_count()].append(mask)
         for size in range(2, n + 1):
             yield from by_size[size]
-
-    def connected_subset_count(self) -> int:
-        """Number of connected subsets of size ≥ 2 (for skip stats)."""
-        return sum(1 for _ in self.connected_subsets())

@@ -12,12 +12,15 @@ full lifetime knowledge:
 - **hand-built plans** — benchmark and test plans constructed directly
   from plan nodes, where no optimizer ever ran.
 
-:func:`prune_plan` closes both: a top-down pass computes, for every
-node, the minimal live-column set any ancestor still references (final
+:func:`prune_plan` closes both: one generic walk carries, top-down,
+the minimal live-column set any ancestor still references (final
 outputs, join keys and residual columns of joins above, grouping keys,
-aggregate inputs, HAVING/filter/sort columns), then rebuilds the tree
-bottom-up with narrowed scan decode lists, join projections, group-by
-output projections, and rename mappings.
+aggregate inputs, HAVING/filter/sort columns), and rebuilds bottom-up
+— through :meth:`~repro.algebra.plan.PlanNode.replace`, and only where
+something narrowed — with narrowed scan decode lists, join
+projections, group-by output projections, computed projections and
+rename mappings. What differs per node kind is one live-set rule in
+:data:`LIVE_SET_RULES`.
 
 Guarantees (held by the differential tests):
 
@@ -36,7 +39,7 @@ are returned as-is, rebuilt nodes are fresh.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..algebra.expressions import FieldKey
 from ..algebra.plan import (
@@ -50,10 +53,14 @@ from ..algebra.plan import (
     ScanNode,
     SortNode,
 )
+from ..catalog.schema import RID_COLUMN
 from ..cost.model import CostModel
+from ..errors import PlanError
 from .stats import SearchStats
 
 Required = FrozenSet[FieldKey]
+
+Rule = Callable[[Any, Required], Tuple[Dict[str, Any], Sequence[Required]]]
 
 
 def prune_plan(
@@ -67,11 +74,11 @@ def prune_plan(
     exactly. When *model* is given the rebuilt tree is re-annotated so
     ``props`` reflects the narrowed widths; otherwise ``props`` of
     rebuilt nodes is left unset. *stats*, when given, records whether
-    the pass changed anything (``plans_repruned``).
+    the pass changed anything (``plans_repruned``). A node kind with no
+    live-set rule is a :class:`PlanError`.
     """
-    required = frozenset(field.key for field in plan.schema)
-    pruned, changed = _prune(plan, required)
-    if not changed:
+    pruned = _prune(plan, frozenset(field.key for field in plan.schema))
+    if pruned is plan:
         return plan
     if model is not None:
         model.annotate_tree(pruned)
@@ -80,148 +87,54 @@ def prune_plan(
     return pruned
 
 
-def live_sets(plan: PlanNode) -> List[Tuple[PlanNode, Required]]:
-    """The per-node live sets the pruning pass computes, in pre-order —
-    the unit-testable core of the lifetime analysis. Each entry pairs a
-    node with the columns some ancestor (or the final output) still
-    references out of that node's schema."""
-    out: List[Tuple[PlanNode, Required]] = []
-
-    def visit(node: PlanNode, required: Required) -> None:
-        out.append((node, required))
-        for child, child_required in zip(
-            node.children, _child_requirements(node, required)
-        ):
-            visit(child, child_required)
-
-    visit(plan, frozenset(field.key for field in plan.schema))
-    return out
+def _prune(plan: PlanNode, required: Required) -> PlanNode:
+    rule = LIVE_SET_RULES.get(type(plan))
+    if rule is None:
+        raise PlanError(f"cannot prune plan node type {type(plan).__name__}")
+    changes, child_required = rule(plan, required)
+    for name, child, needed in zip(
+        plan.CHILD_ARGS, plan.children, child_required
+    ):
+        pruned = _prune(child, needed)
+        if pruned is not child:
+            changes[name] = pruned
+    return plan.replace(**changes) if changes else plan
 
 
 # ----------------------------------------------------------------------
-# Requirement propagation
+# Live-set rules: rule(node, required) -> (constructor changes, what
+# each input must still produce). *required* is what some ancestor (or
+# the final output) still reads of the node's schema; a change is
+# returned only when it narrows something.
 # ----------------------------------------------------------------------
 
 
-def _predicate_columns(predicates) -> Set[FieldKey]:
-    columns: Set[FieldKey] = set()
-    for predicate in predicates:
-        columns |= set(predicate.columns())
+def _columns(expressions) -> set:
+    columns: set = set()
+    for expression in expressions:
+        columns |= expression.columns()
     return columns
 
 
-def _child_requirements(
-    node: PlanNode, required: Required
-) -> List[Required]:
-    """What each child must still produce for *node* to compute its
-    *required* output columns."""
-    if isinstance(node, JoinNode):
-        keep: Set[FieldKey] = {
-            key for key in node.projection if key in required
-        }
-        keep |= _predicate_columns(node.residuals)
-        for left_key, right_key in node.equi_keys:
-            keep.add(left_key)
-            keep.add(right_key)
-        left_schema = node.left.schema
-        left_req = frozenset(key for key in keep if left_schema.has(*key))
-        right_schema = node.right.schema
-        right_req = frozenset(
-            key
-            for key in keep
-            if not left_schema.has(*key) and right_schema.has(*key)
-        )
-        return [left_req, right_req]
-    if isinstance(node, GroupByNode):
-        keep = set(node.group_keys)
-        for _, call in node.aggregates:
-            keep |= set(call.columns())
-        # HAVING runs over the internal schema; only its base-column
-        # references constrain the child.
-        child_schema = node.child.schema
-        keep |= {
-            key
-            for key in _predicate_columns(node.having)
-            if child_schema.has(*key)
-        }
-        return [frozenset(keep)]
-    if isinstance(node, ProjectNode):
-        keep = set()
-        outputs = [
-            output
-            for output in node.outputs
-            if (output[0], output[1]) in required
-        ] or list(node.outputs[:1])
-        for alias, name, expression in outputs:
-            keep |= set(expression.columns())
-        return [frozenset(keep)]
-    if isinstance(node, RenameNode):
-        return [
-            frozenset(
-                source
-                for new_alias, new_name, source in node.mapping
-                if (new_alias, new_name) in required
-            )
-        ]
-    if isinstance(node, FilterNode):
-        return [frozenset(required | _predicate_columns(node.predicates))]
-    if isinstance(node, SortNode):
-        return [frozenset(required | set(node.keys))]
-    if isinstance(node, LimitNode):
-        return [required]
-    return []
+def _narrow(plan: PlanNode, name: str, required: Required, key=None):
+    """``(changes, kept)``: the entries of the output list *name* whose
+    key is required — the first one when none is, so an output never
+    goes empty — and ``{name: kept}`` if that dropped any."""
+    entries = getattr(plan, name)
+    kept = [
+        entry
+        for entry in entries
+        if (entry if key is None else key(entry)) in required
+    ] or list(entries[:1])
+    return ({name: kept} if len(kept) != len(entries) else {}), kept
 
 
-# ----------------------------------------------------------------------
-# Bottom-up rebuild
-# ----------------------------------------------------------------------
+def _output_key(entry) -> FieldKey:
+    """The output key of a ``(alias, name, ...)`` projection entry."""
+    return entry[0], entry[1]
 
 
-def _prune(plan: PlanNode, required: Required) -> Tuple[PlanNode, bool]:
-    if isinstance(plan, ScanNode):
-        return _prune_scan(plan, required)
-    if isinstance(plan, JoinNode):
-        return _prune_join(plan, required)
-    if isinstance(plan, GroupByNode):
-        return _prune_group_by(plan, required)
-    if isinstance(plan, RenameNode):
-        return _prune_rename(plan, required)
-    if isinstance(plan, ProjectNode):
-        outputs = [
-            output
-            for output in plan.outputs
-            if (output[0], output[1]) in required
-        ] or list(plan.outputs[:1])
-        child_req = _child_requirements(plan, required)[0]
-        child, changed = _prune(plan.child, child_req)
-        changed = changed or len(outputs) != len(plan.outputs)
-        if not changed:
-            return plan, False
-        return ProjectNode(child, outputs), True
-    if isinstance(plan, FilterNode):
-        child_req = _child_requirements(plan, required)[0]
-        child, changed = _prune(plan.child, child_req)
-        if not changed:
-            return plan, False
-        return FilterNode(child, plan.predicates), True
-    if isinstance(plan, SortNode):
-        child_req = _child_requirements(plan, required)[0]
-        child, changed = _prune(plan.child, child_req)
-        if not changed:
-            return plan, False
-        return SortNode(child, plan.keys, plan.descending), True
-    if isinstance(plan, LimitNode):
-        child, changed = _prune(plan.child, required)
-        if not changed:
-            return plan, False
-        return LimitNode(child, plan.count), True
-    # Unknown node type: leave it (and its subtree) untouched.
-    return plan, False
-
-
-def _prune_scan(plan: ScanNode, required: Required) -> Tuple[ScanNode, bool]:
-    from ..catalog.schema import RID_COLUMN
-
+def _scan_rule(plan: ScanNode, required: Required):
     fields = [
         field
         for field in plan.schema
@@ -232,95 +145,74 @@ def _prune_scan(plan: ScanNode, required: Required) -> Tuple[ScanNode, bool]:
         # Nothing referenced (e.g. a bare COUNT(*) input): keep the
         # narrowest existing column for shape, as the block DP does.
         fields = [plan.schema.fields[0]]
-        include_rid = plan.include_rid and plan.schema.fields[0].name == RID_COLUMN
-    if (
-        len(fields) + (1 if include_rid else 0)
-        == len(plan.schema.fields)
-        and include_rid == plan.include_rid
+        include_rid = plan.include_rid and fields[0].name == RID_COLUMN
+    if len(fields) + include_rid == len(plan.schema.fields) and (
+        include_rid == plan.include_rid
     ):
-        return plan, False
-    return (
-        ScanNode(
-            plan.table_name,
-            plan.alias,
-            fields,
-            filters=plan.filters,
-            include_rid=include_rid,
-            index_name=plan.index_name,
-            index_values=plan.index_values,
-        ),
-        True,
+        return {}, ()
+    return {"fields": fields, "include_rid": include_rid}, ()
+
+
+def _join_rule(plan: JoinNode, required: Required):
+    changes, projection = _narrow(plan, "projection", required)
+    keep = set(projection) | _columns(plan.residuals)
+    for left_key, right_key in plan.equi_keys:
+        keep.add(left_key)
+        keep.add(right_key)
+    left_schema = plan.left.schema
+    left_required = frozenset(key for key in keep if left_schema.has(*key))
+    right_schema = plan.right.schema
+    right_required = frozenset(
+        key for key in keep - left_required if right_schema.has(*key)
     )
+    return changes, (left_required, right_required)
 
 
-def _prune_join(plan: JoinNode, required: Required) -> Tuple[JoinNode, bool]:
-    projection = [key for key in plan.projection if key in required]
-    if not projection:
-        projection = [plan.projection[0]]
-    left_req, right_req = _child_requirements(
-        plan, frozenset(projection) | (required & frozenset(plan.projection))
-    )
-    left, left_changed = _prune(plan.left, left_req)
-    right, right_changed = _prune(plan.right, right_req)
-    changed = (
-        left_changed
-        or right_changed
-        or tuple(projection) != plan.projection
-    )
-    if not changed:
-        return plan, False
-    return (
-        JoinNode(
-            left,
-            right,
-            method=plan.method,
-            equi_keys=plan.equi_keys,
-            residuals=plan.residuals,
-            projection=projection,
-            index_name=plan.index_name,
-            kind=plan.kind,
-            null_aware=plan.null_aware,
-        ),
-        True,
-    )
+def _group_by_rule(plan: GroupByNode, required: Required):
+    changes, _ = _narrow(plan, "projection", required)
+    keep = set(plan.group_keys)
+    for _, call in plan.aggregates:
+        keep |= call.columns()
+    # HAVING runs over the internal schema; only its base-column
+    # references constrain the child.
+    child_schema = plan.child.schema
+    keep |= {
+        key for key in _columns(plan.having) if child_schema.has(*key)
+    }
+    return changes, (frozenset(keep),)
 
 
-def _prune_group_by(
-    plan: GroupByNode, required: Required
-) -> Tuple[GroupByNode, bool]:
-    projection = [key for key in plan.projection if key in required]
-    if not projection:
-        projection = [plan.projection[0]]
-    child_req = _child_requirements(plan, frozenset(projection))[0]
-    child, child_changed = _prune(plan.child, child_req)
-    changed = child_changed or tuple(projection) != plan.projection
-    if not changed:
-        return plan, False
-    return (
-        GroupByNode(
-            child,
-            group_keys=plan.group_keys,
-            aggregates=plan.aggregates,
-            having=plan.having,
-            method=plan.method,
-            projection=projection,
-            eager=plan.eager,
-        ),
-        True,
-    )
+def _project_rule(plan: ProjectNode, required: Required):
+    changes, outputs = _narrow(plan, "outputs", required, _output_key)
+    child_required = _columns(expression for _, _, expression in outputs)
+    return changes, (frozenset(child_required),)
 
 
-def _prune_rename(
-    plan: RenameNode, required: Required
-) -> Tuple[RenameNode, bool]:
-    mapping = [
-        entry for entry in plan.mapping if (entry[0], entry[1]) in required
-    ]
-    if not mapping:
-        mapping = [plan.mapping[0]]
-    child_req = frozenset(source for _, _, source in mapping)
-    child, child_changed = _prune(plan.child, child_req)
-    changed = child_changed or tuple(mapping) != plan.mapping
-    if not changed:
-        return plan, False
-    return RenameNode(child, mapping), True
+def _rename_rule(plan: RenameNode, required: Required):
+    changes, mapping = _narrow(plan, "mapping", required, _output_key)
+    return changes, (frozenset(source for _, _, source in mapping),)
+
+
+def _filter_rule(plan: FilterNode, required: Required):
+    return {}, (required | _columns(plan.predicates),)
+
+
+def _sort_rule(plan: SortNode, required: Required):
+    return {}, (required | frozenset(plan.keys),)
+
+
+def _limit_rule(plan: LimitNode, required: Required):
+    return {}, (required,)
+
+
+LIVE_SET_RULES: Dict[type, Rule] = {
+    ScanNode: _scan_rule,
+    JoinNode: _join_rule,
+    GroupByNode: _group_by_rule,
+    ProjectNode: _project_rule,
+    RenameNode: _rename_rule,
+    FilterNode: _filter_rule,
+    SortNode: _sort_rule,
+    LimitNode: _limit_rule,
+}
+"""Each plan node kind's live-set rule, by exact type."""

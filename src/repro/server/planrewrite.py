@@ -4,15 +4,17 @@ The columnar engine runs one cached plan from any number of concurrent
 executions without copying it: everything a run records lives in its
 ``ExecutionMetrics``, never on a plan node, and ``$n`` values travel in
 ``ExecutionContext.parameters``. What is left here is what still wants
-a rewritten tree. Cloning rebuilds nodes through their constructors
-(schemas recompute, which doubles as a consistency check) and shares the
+a rewritten tree. Each is one walk over the plan-node protocol
+(:class:`~repro.algebra.plan.PlanNode`), with no per-kind arm.
+Cloning rebuilds every node through :meth:`~PlanNode.replace` (schemas
+recompute, which doubles as a consistency check) and shares the
 immutable parts: bound expressions, cost-annotator ``props``, field
 tuples; the exact-IO oracle re-annotates such a copy, leaving a cached
-plan's estimates alone. Parameter binding is the same walk with a
-substitution applied to every predicate expression and every index probe
-key: ``$n`` placeholders become literal values, producing a fully
-concrete plan. :func:`plan_parameters` tells a session which ``$n`` a
-plan holds.
+plan's estimates alone. Parameter binding is the same walk through
+:meth:`~PlanNode.map_expressions`: every ``$n`` placeholder in an
+expression or an index probe key becomes its literal value, producing a
+fully concrete plan. :func:`plan_parameters` tells a session which
+``$n`` a plan holds.
 """
 
 from __future__ import annotations
@@ -22,50 +24,21 @@ from typing import Dict, FrozenSet, Iterable, Optional
 from ..algebra.expressions import (
     Expression,
     Literal,
-    Parameter,
     collect_parameters,
     replace_parameters,
 )
-from ..algebra.plan import (
-    FilterNode,
-    GroupByNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    RenameNode,
-    ScanNode,
-    SortNode,
-)
+from ..algebra.plan import PlanNode, plan_nodes
 from ..errors import PlanError
 
 
 def plan_parameters(plan: PlanNode) -> FrozenSet[int]:
-    """Every ``$n`` index appearing in the plan's predicates and index
+    """Every ``$n`` index appearing in the plan's expressions and index
     probe keys."""
     found = set()
-    for expression in _plan_expressions(plan):
-        found |= collect_parameters(expression)
+    for node in plan_nodes(plan):
+        for expression, _ in node.expressions():
+            found |= collect_parameters(expression)
     return frozenset(found)
-
-
-def _plan_expressions(plan: PlanNode):
-    if isinstance(plan, ScanNode):
-        yield from plan.filters
-        for value in plan.index_values:
-            if isinstance(value, Parameter):
-                yield value
-    elif isinstance(plan, JoinNode):
-        yield from plan.residuals
-    elif isinstance(plan, GroupByNode):
-        yield from plan.having
-    elif isinstance(plan, FilterNode):
-        yield from plan.predicates
-    elif isinstance(plan, ProjectNode):
-        for _, _, expression in plan.outputs:
-            yield expression
-    for child in plan.children:
-        yield from _plan_expressions(child)
 
 
 def clone_plan(
@@ -73,87 +46,21 @@ def clone_plan(
     substitution: Optional[Dict[int, Expression]] = None,
 ) -> PlanNode:
     """A fresh tree sharing immutable parts with *plan*; with a
-    *substitution*, ``$n`` parameters in predicates are replaced by the
-    given expressions along the way."""
+    *substitution*, ``$n`` parameters are replaced by the given
+    expressions along the way."""
 
     def rewrite(expression: Expression) -> Expression:
-        if substitution is None:
-            return expression
         return replace_parameters(expression, substitution)
 
-    def probe_value(value):
-        """An index probe key holds plain values, so a ``$n`` there is
-        replaced by the bound literal's value."""
-        if substitution is None or not isinstance(value, Parameter):
-            return value
-        bound = rewrite(value)
-        if not isinstance(bound, Literal):
-            raise PlanError(
-                f"index probe parameter {value.display()} needs a "
-                f"literal value, got {bound.display()}"
-            )
-        return bound.value
-
     def walk(node: PlanNode) -> PlanNode:
-        if isinstance(node, ScanNode):
-            clone: PlanNode = ScanNode(
-                node.table_name,
-                node.alias,
-                list(node.schema),
-                filters=[rewrite(f) for f in node.filters],
-                include_rid=node.include_rid,
-                index_name=node.index_name,
-                index_values=tuple(
-                    probe_value(value) for value in node.index_values
-                ),
-            )
-        elif isinstance(node, JoinNode):
-            clone = JoinNode(
-                walk(node.left),
-                walk(node.right),
-                node.method,
-                equi_keys=node.equi_keys,
-                residuals=[rewrite(r) for r in node.residuals],
-                projection=node.projection,
-                index_name=node.index_name,
-                kind=node.kind,
-                null_aware=node.null_aware,
-            )
-        elif isinstance(node, GroupByNode):
-            clone = GroupByNode(
-                walk(node.child),
-                node.group_keys,
-                node.aggregates,
-                having=[rewrite(h) for h in node.having],
-                method=node.method,
-                projection=node.projection,
-                eager=node.eager,
-            )
-        elif isinstance(node, FilterNode):
-            clone = FilterNode(
-                walk(node.child),
-                [rewrite(p) for p in node.predicates],
-            )
-        elif isinstance(node, ProjectNode):
-            clone = ProjectNode(
-                walk(node.child),
-                [
-                    (alias, name, rewrite(expression))
-                    for alias, name, expression in node.outputs
-                ],
-            )
-        elif isinstance(node, SortNode):
-            clone = SortNode(
-                walk(node.child), node.keys, descending=node.descending
-            )
-        elif isinstance(node, LimitNode):
-            clone = LimitNode(walk(node.child), node.count)
-        elif isinstance(node, RenameNode):
-            clone = RenameNode(walk(node.child), node.mapping)
+        inputs = {
+            name: walk(child)
+            for name, child in zip(node.CHILD_ARGS, node.children)
+        }
+        if substitution is None:
+            clone = node.replace(**inputs)
         else:
-            raise PlanError(
-                f"cannot clone plan node type {type(node).__name__}"
-            )
+            clone = node.map_expressions(rewrite, **inputs)
         clone.props = node.props
         return clone
 

@@ -79,13 +79,6 @@ class ColumnStats:
     def mcv_total_fraction(self) -> float:
         return sum(fraction for _, fraction in self.mcvs)
 
-    def mcv_fraction(self, value: Any) -> Optional[float]:
-        """The value's non-null-row fraction if it is an MCV, else None."""
-        for mcv_value, fraction in self.mcvs:
-            if mcv_value == value:
-                return fraction
-        return None
-
     def null_fraction(self, row_count: int) -> float:
         if row_count <= 0:
             return 0.0

@@ -29,22 +29,11 @@ def probe_equal(
     height: int,
     entries_per_page: int,
 ) -> List[int]:
-    """One equality probe of a published ``(keys, rids)`` pair (a key
-    that can equal nothing still pays the descent)."""
+    """One equality probe of a published ``(keys, rids)`` pair: the
+    matching rids as one fresh list, charged the way a B-tree would —
+    the descent (paid even by a key that can equal nothing), plus every
+    further leaf page the matches spill onto."""
     lo, hi = equal_range(keys, key)
-    return _charged_slice(io, rids, lo, hi, height, entries_per_page)
-
-
-def _charged_slice(
-    io: IOCounter,
-    rids: Sequence[int],
-    lo: int,
-    hi: int,
-    height: int,
-    entries_per_page: int,
-) -> List[int]:
-    """Entries ``[lo, hi)`` as one fresh list, charged the way a B-tree
-    would: the descent, plus every further leaf page they spill onto."""
     io.read_pages(height)
     if hi > lo:
         extra_leaves = (hi - 1) // entries_per_page - lo // entries_per_page
@@ -89,15 +78,15 @@ class OrderedIndex:
             2, PAGE_SIZE // (key_width + _ENTRY_OVERHEAD)
         )
         # entries: parallel arrays of keys and rids, sorted by key,
-        # published with the shape computed from them as ONE tuple
-        # ``((keys, rids), leaf pages, height)`` so a rebuild is atomic
+        # published with the height computed from them as ONE tuple
+        # ``((keys, rids), height)`` so a rebuild is atomic
         # with respect to concurrent readers: a reader that unpacked it
         # sees a matched pair of arrays, never new keys with old rids
         # (immutable-after-publish; the arrays are never mutated once
         # assigned).
         self._published: Tuple[
-            Tuple[List[Tuple[Any, ...]], List[int]], int, int
-        ] = (([], []), 1, 1)
+            Tuple[List[Tuple[Any, ...]], List[int]], int
+        ] = (([], []), 1)
         self.build()
 
     # ------------------------------------------------------------------
@@ -117,7 +106,6 @@ class OrderedIndex:
         leaf_pages = max(1, math.ceil(len(pairs) / self.entries_per_page))
         self._published = (
             ([key for key, _ in pairs], [rid for _, rid in pairs]),
-            leaf_pages,
             max(1, math.ceil(math.log(leaf_pages + 1, 16)) + 1),
         )
 
@@ -131,17 +119,9 @@ class OrderedIndex:
     # ------------------------------------------------------------------
 
     @property
-    def num_entries(self) -> int:
-        return len(self._published[0][0])
-
-    @property
-    def num_leaf_pages(self) -> int:
-        return self._published[1]
-
-    @property
     def height(self) -> int:
         """Root-to-leaf page reads for one traversal."""
-        return self._published[2]
+        return self._published[1]
 
     # ------------------------------------------------------------------
     # Access
@@ -151,7 +131,7 @@ class OrderedIndex:
         """Rids of rows whose indexed columns equal *key* (charges IO;
         a key that can equal nothing still pays the descent)."""
         # one read: keys/rids/height stay matched
-        (keys, rids), _, height = self._published
+        (keys, rids), height = self._published
         return probe_equal(
             io, keys, rids, key, height, self.entries_per_page
         )
@@ -164,25 +144,6 @@ class OrderedIndex:
         for rid in self.lookup_rids(io, key):
             row, last_page = self.table.fetch(io, rid, last_page)
             yield row + (rid,) if include_rid else row
-
-    def range_rids(
-        self,
-        io: IOCounter,
-        low: Optional[Sequence[Any]] = None,
-        high: Optional[Sequence[Any]] = None,
-    ) -> List[int]:
-        """Rids with low <= key <= high (either bound may be open)."""
-        # one read: keys/rids/height stay matched
-        (keys, rids), _, height = self._published
-        lo = 0 if low is None else bisect.bisect_left(keys, tuple(low))
-        hi = (
-            len(keys)
-            if high is None
-            else bisect.bisect_right(keys, tuple(high))
-        )
-        return _charged_slice(
-            io, rids, lo, hi, height, self.entries_per_page
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         columns = ", ".join(self.column_names)

@@ -47,10 +47,6 @@ class IOCounter:
         """Charge *count* page writes."""
         self.page_writes += count
 
-    def reset(self) -> None:
-        self.page_reads = 0
-        self.page_writes = 0
-
     def snapshot(self) -> IOSnapshot:
         return IOSnapshot(self.page_reads, self.page_writes)
 

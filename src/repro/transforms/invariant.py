@@ -80,34 +80,21 @@ def _try_remove(
 
     equivalence = EquivalenceClasses(block.predicates)
 
-    def class_members(key: FieldKey) -> Set[FieldKey]:
-        members = equivalence.members(key)
-        members.add(key)
-        return members
-
-    def retained_substitute(key: FieldKey) -> Optional[FieldKey]:
-        """A retained-side column equal to *key* on every joined row
-        (used to rewrite s-sourced grouping/select columns)."""
-        for member in sorted(class_members(key), key=str):
-            if member[0] in retained:
-                return member
-        return None
-
     def exposed_join_column(r_key: FieldKey) -> Optional[FieldKey]:
         """The (post-rewrite) grouping column the removed relation will
         join against outside. Requires a grouping column in r_key's
         equivalence class; if that grouping column itself comes from the
         removed relation, it gets rewritten to a retained member."""
-        members = class_members(r_key)
+        members = equivalence.members(r_key)
         grouping_members = [k for k in members if k in group_keys]
         if not grouping_members:
             return None
         for member in sorted(grouping_members, key=str):
             if member[0] != alias:
                 return member
-        # the grouping column is s-sourced; it will be rewritten to a
+        # the grouping column is s-sourced; rewrite_key turns it into a
         # retained class member, which is then the exposed column
-        return retained_substitute(r_key)
+        return equivalence.representative_in(grouping_members[0], retained)
 
     local: List[Expression] = []
     join_pairs: List[Tuple[ColumnRef, ColumnRef]] = []
@@ -149,7 +136,9 @@ def _try_remove(
     def rewrite_key(key: FieldKey) -> bool:
         if key in rewrite:
             return True
-        substitute = retained_substitute(key)
+        # a retained-side column equal to the s-sourced *key* on every
+        # joined row
+        substitute = equivalence.representative_in(key, retained)
         if substitute is None:
             return False
         rewrite[key] = ColumnRef(*substitute)

@@ -109,17 +109,8 @@ def _movable_target(
     for key in predicate.columns():
         if key[0] != alias:
             return None  # a bare (None, x) reference: not view-scoped
-        source = _output_source(view, key[1])
-        if source is None:
-            return None
-        for source_key in source.columns():
+        for source_key in view.output_source(key[1]).columns():
             if source_key not in group_keys:
                 return None
     return alias
 
-
-def _output_source(view: AggregateView, name: str):
-    for output_name, source in view.block.select:
-        if output_name == name:
-            return source
-    return None

@@ -92,23 +92,19 @@ def pull_up(
     to_inner: Dict[FieldKey, Expression] = {
         (view_alias, name): source for name, source in block.select
     }
-    agg_keys = block.aggregate_output_keys()
+    aggregated = {(view_alias, name) for name in view.aggregated_outputs()}
 
-    moved: List[Expression] = []
     kept: List[Expression] = []
-    for predicate in query.predicates:
-        if predicate.aliases() <= pulled | {view_alias}:
-            moved.append(predicate.substitute(to_inner))
-        else:
-            kept.append(predicate)
-
     where_new: List[Expression] = []
     having_new: List[Expression] = []
-    for predicate in moved:
-        if predicate.columns() & agg_keys:
-            having_new.append(predicate)  # deferred (Definition 1, item 4)
+    for predicate in query.predicates:
+        if not predicate.aliases() <= pulled | {view_alias}:
+            kept.append(predicate)
+        elif predicate.columns() & aggregated:
+            # deferred (Definition 1, item 4)
+            having_new.append(predicate.substitute(to_inner))
         else:
-            where_new.append(predicate)
+            where_new.append(predicate.substitute(to_inner))
 
     # Columns of pulled relations the rest of the query references.
     needed: Set[FieldKey] = set()
@@ -305,15 +301,7 @@ def pull_up_plan(join: JoinNode, catalog: Catalog) -> GroupByNode:
         reference.name == RID_COLUMN and not partner.schema.has(*reference.key)
         for reference in keys
     ):
-        partner = ScanNode(
-            partner.table_name,
-            partner.alias,
-            list(partner.schema.fields),
-            filters=partner.filters,
-            include_rid=True,
-            index_name=partner.index_name,
-            index_values=partner.index_values,
-        )
+        partner = partner.replace(include_rid=True)
 
     if grouped_left:
         j2 = JoinNode(

@@ -102,7 +102,7 @@ def sqlite_copy(db: Database) -> sqlite3.Connection:
 def run_examples(on_optimized: Callable[[str, object], None]) -> None:
     """Run every example script's ``main()`` (output discarded),
     reporting each ``Database.optimize_bound`` result in call order as
-    ``on_optimized(label, OptimizationResult)``."""
+    ``on_optimized(label, OptimizationResult, Database)``."""
     original = Database.optimize_bound
     for name in EXAMPLES:
         spec = importlib.util.spec_from_file_location(
@@ -115,7 +115,9 @@ def run_examples(on_optimized: Callable[[str, object], None]) -> None:
         def recording(self, query, optimizer="full", options=None):
             result = original(self, query, optimizer, options)
             calls.append(1)
-            on_optimized(f"examples/{name}#{len(calls)}:{optimizer}", result)
+            on_optimized(
+                f"examples/{name}#{len(calls)}:{optimizer}", result, self
+            )
             return result
 
         Database.optimize_bound = recording
@@ -133,7 +135,7 @@ def pinned_plans() -> List[Tuple[str, str, float]]:
         result = db.optimize(sql)
         out.append((label, explain(result.plan), result.cost))
     run_examples(
-        lambda label, result: out.append(
+        lambda label, result, db: out.append(
             (label, explain(result.plan), result.cost)
         )
     )
@@ -143,17 +145,7 @@ def pinned_plans() -> List[Tuple[str, str, float]]:
 def rebuilt_join(node: JoinNode) -> JoinNode:
     """*node* re-made through the public constructor alone: the schema
     is re-derived from the projection, nothing is carried over."""
-    return JoinNode(
-        node.left,
-        node.right,
-        method=node.method,
-        equi_keys=node.equi_keys,
-        residuals=node.residuals,
-        projection=node.projection,
-        index_name=node.index_name,
-        kind=node.kind,
-        null_aware=node.null_aware,
-    )
+    return node.replace()
 
 
 class BuildEverythingOptimizer(BlockOptimizer):

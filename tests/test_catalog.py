@@ -158,16 +158,6 @@ class TestCatalog:
         table.insert((1,))
         assert catalog.stats("t").row_count == 1
 
-    def test_index_on_prefix(self):
-        catalog = Catalog()
-        catalog.create_table(
-            "t", [Column("a", DataType.INT), Column("b", DataType.INT)]
-        )
-        catalog.create_index("t_ab", "t", ["a", "b"])
-        info = catalog.info("t")
-        assert info.index_on(["a"]).name == "t_ab"
-        assert info.index_on(["b"]) is None
-
     def test_duplicate_index_rejected(self):
         catalog = Catalog()
         catalog.create_table("t", [Column("a", DataType.INT)])

@@ -85,7 +85,7 @@ def test_retained_entries_match_annotate_tree(monkeypatch):
         "where c.custkey = o.custkey and c.acctbal < -900 "
         "and o.totalprice > 30000"
     )
-    run_examples(lambda label, result: None)
+    run_examples(lambda *reported: None)
     assert checked["joins"] > 200
     assert checked["methods"] == {"hj", "smj", "inlj", "nlj"}
     assert checked["kinds"] >= {"inner", "semi", "anti", "left"}

@@ -30,7 +30,8 @@ class TestDdl:
         database.create_index("t_a", "t", ["a"])
         database.insert("t", [(5,), (6,)])
         index = database.catalog.info("t").indexes["t_a"]
-        assert index.num_entries == 2
+        keys, _ = index.snapshot_data()
+        assert len(keys) == 2
 
     def test_create_view_and_query_it(self, db):
         db.create_view(

@@ -1,11 +1,13 @@
 """No dead definitions: every function and method ``src/repro`` defines
-is named somewhere else in the repository's Python — a caller, a test,
-a benchmark, an example (a mention in a docstring or comment counts;
-a hook table that names it as a string counts too). A name must occur
+is named somewhere else in the repository's Python outside the tests —
+a caller, a benchmark, an example (a mention in a docstring or comment
+counts; a hook table that names it as a string counts too). A name
+named only by tests is code kept alive for its test. A name must occur
 more often than it is defined, so one that two classes define and
 nothing calls is caught as well. Dunder methods are called by the
-language and are exempt. Likewise no dead knobs: every configuration
-field is set by some caller outside the tests."""
+language and are exempt, and so is the public ``Database`` facade API
+in :data:`FACADE`. Likewise no dead knobs: every configuration field is
+set by some caller outside the tests."""
 
 import ast
 import re
@@ -13,7 +15,12 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEARCHED = ("src", "tests", "benchmarks", "examples")
+SEARCHED = ("src", "benchmarks", "examples")
+
+#: Public ``Database`` / ``Result`` API that a user of the library calls
+#: and nothing in the repository needs to: view DDL without SQL and a
+#: result's rows as dictionaries.
+FACADE = {"create_view", "drop_view", "as_dicts"}
 
 
 def _definitions():
@@ -35,6 +42,7 @@ def test_every_definition_is_named_elsewhere():
         where
         for name, where in definitions
         if not (name.startswith("__") and name.endswith("__"))
+        and name not in FACADE
         and words[name] <= defined[name]
     )
     assert not orphans, f"defined but named nowhere else: {orphans}"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.aggregates import AggregateCall
-from repro.algebra.expressions import Arith, Comparison, col, lit
+from repro.algebra.expressions import Arith, Comparison, Parameter, col, lit
 from repro.algebra.legality import check_plan
 from repro.algebra.plan import (
     FilterNode,
@@ -215,6 +215,44 @@ class TestTreeUtilities:
         assert lines[0].startswith("GroupBy")
         assert lines[1].startswith("  Join")
         assert lines[2].startswith("    Scan")
+
+
+class TestProtocol:
+    def test_replace_rebuilds_with_changes(self):
+        join = JoinNode(
+            emp_scan(), dept_scan(), "hj",
+            equi_keys=[(("e", "dno"), ("d", "dno"))],
+        )
+        narrowed = join.replace(projection=[("e", "sal")], right=dept_scan("x"))
+        assert type(narrowed) is JoinNode and narrowed is not join
+        assert [f.key for f in narrowed.schema] == [("e", "sal")]
+        assert narrowed.children[0] is join.left
+        assert narrowed.right.alias == "x" and narrowed.method == "hj"
+
+    def test_expressions_pair_each_with_its_scope(self):
+        scan = ScanNode(
+            "emp", "e", [Field("e", "eno", DataType.INT)],
+            filters=(Comparison(">", col("e.sal"), lit(1)),),
+            index_name="emp_pk", index_values=(Parameter(1),),
+        )
+        assert [scope for _, scope in scan.expressions()] == [None, None]
+        group = GroupByNode(
+            emp_scan(),
+            group_keys=[("e", "dno")],
+            aggregates=[("s", AggregateCall("sum", col("e.sal")))],
+            having=(Comparison(">", col("s"), lit(1)),),
+        )
+        scopes = [scope for _, scope in group.expressions()]
+        assert scopes == [group.child.schema, group.internal_schema]
+
+    def test_map_expressions_unwraps_a_bound_probe_value(self):
+        scan = ScanNode(
+            "emp", "e", [Field("e", "eno", DataType.INT)],
+            index_name="emp_pk", index_values=(Parameter(1), 7),
+        )
+        assert scan.map_expressions(lambda e: lit(5)).index_values == (5, 7)
+        with pytest.raises(PlanError, match=r"\$1 needs a literal"):
+            scan.map_expressions(lambda e: col("e.eno"))
 
 
 class TestLegality:

@@ -5,7 +5,6 @@ evaluator, the IO oracle and the unpruned plan shapes."""
 
 from __future__ import annotations
 
-import copy
 import random
 from unittest import mock
 
@@ -22,7 +21,7 @@ from repro.algebra.plan import (
 from repro.catalog.schema import RID_COLUMN, Field
 from repro.cost.model import CostModel
 from repro.optimizer import canonical
-from repro.optimizer.pruning import live_sets, prune_plan
+from repro.optimizer.pruning import prune_plan
 from repro.testing.exactio import exact_io
 
 
@@ -193,29 +192,12 @@ def widened(db: Database, plan):
                 for column in db.catalog.table(node.table_name).columns
                 if column.name in wanted and column.name != RID_COLUMN
             ]
-            return ScanNode(
-                node.table_name,
-                node.alias,
-                fields,
-                filters=node.filters,
-                include_rid=node.include_rid,
-                index_name=node.index_name,
-                index_values=node.index_values,
-            )
+            return node.replace(fields=fields)
         if isinstance(node, JoinNode):
-            return JoinNode(
-                widen(node.left),
-                widen(node.right),
-                method=node.method,
-                equi_keys=node.equi_keys,
-                residuals=node.residuals,
-                index_name=node.index_name,
-                kind=node.kind,
-                null_aware=node.null_aware,
+            return node.replace(
+                left=widen(node.left), right=widen(node.right), projection=None
             )
-        clone = copy.copy(node)
-        clone.child = widen(node.child)
-        return clone
+        return node.replace(child=widen(node.child))
 
     wide = widen(plan)
     CostModel(db.catalog, db.params).annotate_tree(wide)
@@ -276,20 +258,23 @@ def test_prune_plan_counts_in_stats():
 
 
 def test_live_sets_track_requirements_top_down():
+    """Each scan of the pruned plan decodes only what some ancestor
+    still reads: a filter-only column is applied at the scan and dead
+    above it."""
     db = build_wide_db()
     plan = hand_built_plan(db)
-    sets = dict(
-        (id(node), required) for node, required in live_sets(plan)
-    )
-    root_required = sets[id(plan)]
-    assert root_required == frozenset(f.key for f in plan.schema)
-    for scan in scans_of(plan):
-        required = sets[id(scan)]
-        # every requirement is satisfiable by the node itself
-        assert all(scan.schema.has(*key) for key in required)
+    pruned = prune_plan(plan)
+    assert pruned.schema == plan.schema
+    for scan in scans_of(pruned):
         if scan.alias == "e":
-            # age is filter-only: applied at the scan, dead above it
-            assert ("e", "age") not in required
+            assert ("e", "age") in {
+                key for f in scan.filters for key in f.columns()
+            }
+            assert not scan.schema.has("e", "age")
+    unpruned = {scan.alias: len(scan.schema) for scan in scans_of(plan)}
+    assert any(
+        len(scan.schema) < unpruned[scan.alias] for scan in scans_of(pruned)
+    )
 
 
 def test_view_boundary_is_narrowed():

@@ -10,8 +10,6 @@ from repro.algebra.query import (
     EquivalenceClasses,
     QueryBlock,
     TableRef,
-    predicates_crossing,
-    predicates_within,
     rename_block_aliases,
 )
 from repro.errors import BindError, PlanError
@@ -166,25 +164,6 @@ class TestEquivalenceClasses:
         assert eq.representative_in(("a", "x"), frozenset({"b"})) == ("b", "y")
         assert eq.representative_in(("a", "x"), frozenset({"a"})) == ("a", "x")
         assert eq.representative_in(("a", "x"), frozenset({"z"})) is None
-
-
-class TestPredicateScoping:
-    def predicates(self):
-        return (
-            Comparison("=", col("a.x"), col("b.y")),
-            Comparison("<", col("a.x"), lit(5)),
-            Comparison("=", col("b.y"), col("c.z")),
-        )
-
-    def test_predicates_within(self):
-        within = predicates_within(self.predicates(), frozenset({"a", "b"}))
-        assert len(within) == 2
-
-    def test_predicates_crossing(self):
-        crossing = predicates_crossing(
-            self.predicates(), frozenset({"a"}), frozenset({"b"})
-        )
-        assert len(crossing) == 1
 
 
 class TestRenameBlockAliases:

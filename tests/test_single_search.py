@@ -75,7 +75,7 @@ class TestPinnedCorpus:
             pruned.clear()  # the oracle's own prune_plan call included
 
         with pruned_plans() as pruned, every_optimize_query(check):
-            run_examples(lambda label, result: None)
+            run_examples(lambda *reported: None)
             experiments.render_all()
         assert taken["read"] > taken["searched"] > 0
 

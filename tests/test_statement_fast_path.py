@@ -279,7 +279,7 @@ class TestEpochValidity:
 
         def redefine(session):
             with session.db.write_lock:
-                session.db.catalog.drop_view("rich")
+                session.db.drop_view("rich")
                 session.db.create_view(
                     "rich", ["dno", "n"], self.VIEW_BODY.format(90000)
                 )
@@ -296,7 +296,7 @@ class TestEpochValidity:
         with emp_dept_db.session() as session:
             session.execute(sql)
             assert session.execute(sql).cache_hit
-            emp_dept_db.catalog.drop_view("v")
+            emp_dept_db.drop_view("v")
             with pytest.raises(BindError, match="unknown table or view"):
                 session.execute(sql)
 

@@ -64,12 +64,6 @@ class TestIOCounter:
         assert span.delta.page_writes == 1
         assert span.delta.total == 5
 
-    def test_reset(self):
-        io = IOCounter()
-        io.read_pages(5)
-        io.reset()
-        assert io.total == 0
-
     def test_snapshot_subtraction(self):
         io = IOCounter()
         first = io.snapshot()
@@ -166,19 +160,6 @@ class TestOrderedIndex:
         assert len(rows) == 200
         # traversal + leaves + data pages; strictly more than a miss
         assert io.page_reads > index.height
-
-    def test_range_rids(self):
-        table = make_table(rows=50)
-        index = OrderedIndex("t_k", table, ["k"])
-        io = IOCounter()
-        rids = index.range_rids(io, low=(10,), high=(19,))
-        assert sorted(table.rows[r][0] for r in rids) == list(range(10, 20))
-
-    def test_range_open_bounds(self):
-        table = make_table(rows=20)
-        index = OrderedIndex("t_k", table, ["k"])
-        io = IOCounter()
-        assert len(index.range_rids(io)) == 20
 
     def test_build_refreshes_after_insert(self):
         table = make_table(rows=10)
