@@ -14,7 +14,7 @@ PARENT ?=
 CLAIM_OUT ?= .bench-e2e-claim
 
 .PHONY: help test fuzz fuzz-smoke experiments bench-e2e bench-e2e-smoke \
-	bench-e2e-selftest bench-e2e-claim examples shell serve all
+	bench-e2e-selftest bench-e2e-claim examples shell serve loc all
 
 help:
 	@echo "repro targets:"
@@ -29,6 +29,7 @@ help:
 	@echo "  make examples         run the example scripts"
 	@echo "  make shell            interactive SQL shell with demo data"
 	@echo "  make serve            line-protocol server on demo data"
+	@echo "  make loc              Python line counts: src/repro, each subpackage, tests, benchmarks"
 
 test:
 	$(PYSRC) -m pytest tests/
@@ -76,5 +77,11 @@ shell:
 
 serve:
 	$(PYSRC) -m repro serve --demo
+
+# Lines of Python per tree, as `find <dir> -name '*.py' | xargs cat | wc -l`.
+loc:
+	@for dir in src/repro $$(dirname src/repro/*/__init__.py) tests benchmarks; do \
+		printf '%7d  %s\n' $$(find $$dir -name '*.py' | xargs cat | wc -l) $$dir; \
+	done
 
 all: test experiments

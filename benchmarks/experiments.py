@@ -438,9 +438,9 @@ E4_CONFIGS = [
     (
         "(b) push only",
         "full",
-        OptimizerOptions(enable_pullup=False, enable_invariant_split=False),
+        OptimizerOptions(k_level=0, enable_invariant_split=False),
     ),
-    ("(c) pull only", "full", OptimizerOptions(enable_pushdown=False)),
+    ("(c) pull only", "full", OptimizerOptions(early_grouping="off")),
     ("(d) push+pull", "full", None),
 ]
 
@@ -706,9 +706,7 @@ E7_CONFIGS = [
     (
         "greedy (k=0)",
         "full",
-        OptimizerOptions(
-            k_level=0, enable_invariant_split=False, enable_pullup=False
-        ),
+        OptimizerOptions(k_level=0, enable_invariant_split=False),
     ),
     ("full k=1", "full", OptimizerOptions(k_level=1)),
     ("full k=2", "full", OptimizerOptions(k_level=2)),
@@ -866,7 +864,8 @@ def e9() -> Table:
                     query,
                     "full",
                     OptimizerOptions(
-                        width_guard=guard, enable_eager_aggregation=eager
+                        width_guard=guard,
+                        early_grouping="eager" if eager else "greedy",
                     ),
                 )
                 for guard in (True, False)

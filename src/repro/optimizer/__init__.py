@@ -7,12 +7,13 @@ of forced switches in ``options.LEVELS``:
   baseline: each view optimized locally with Selinger DP (group-by
   after all joins), then the outer block the same way, views treated
   as base relations.
-- ``"greedy"`` — Section 5.2, :func:`optimize_query` with pull-up and
-  invariant split off: the block DP also considers an early group-by
-  at each extension. With eager retention (the default) it keeps the
-  group-by as an alternative and cost decides; with
-  ``enable_eager_aggregation=False`` the greedy conservative heuristic
-  keeps it only when cheaper and no wider.
+- ``"greedy"`` — Section 5.2, :func:`optimize_query` with pull-up
+  (``k_level=0``) and invariant split off: the block DP also considers
+  an early group-by at each extension. Under ``early_grouping="eager"``
+  (the default) it keeps the group-by as an alternative and cost
+  decides; under ``"greedy"`` the greedy conservative heuristic keeps it
+  only when cheaper and no wider. Each alternative is one generator of
+  ``block.EXTENSIONS``.
 - ``"full"``, :func:`optimize_query` — the full Section 5.3/5.4 algorithm:
   invariant-split each view to its minimal invariant set, enumerate
   pull-up sets W per view (restricted by predicate sharing and k-level

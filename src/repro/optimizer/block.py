@@ -17,12 +17,13 @@ projection finalizes. When the early grouping happens to be invariant
 degenerates to a per-row pass that costs no IO, so both Figure 2
 transformations fall out of one mechanism.
 
-With ``enable_eager_aggregation`` (the default, beyond the paper) the
-heuristic's choose-one step becomes *retention*: the DP keeps the lazy
-join, the partial-grouped variant, and COUNT-carry pre-collapses of an
-argument-free side (``repro.transforms.eager``) as separate entries —
-keyed by their ``(grouped, carry)`` state — and the final choice falls
-out of plan cost, with the lazy entry guaranteed to survive pruning.
+Each alternative is one generator of :data:`EXTENSIONS` — the plain
+join, the early group-by, and (beyond the paper) the COUNT-carry
+pre-collapse of ``repro.transforms.eager`` — and ``early_grouping``
+picks them. Under ``"eager"`` (the default) the heuristic's choose-one
+step becomes *retention*: the DP keeps every shape as an entry keyed by
+its state, and the final choice falls out of plan cost, with the lazy
+entry guaranteed to survive pruning.
 
 Blocks are optimized over *leaves*: base tables or derived relations
 (pre-optimized view plans), which is how the two-phase algorithms of
@@ -68,8 +69,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from time import perf_counter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -184,53 +187,42 @@ class _Entry:
     *retained* entry of the DP table after it.
 
     A join candidate is only what pruning compares — ``cost``, output
-    ``order``, ``width`` and the eager state — plus ``join``, the recipe
-    for its node; ``plan`` is built (``BlockOptimizer._materialize``)
-    for the entries pruning retains and is never ``None`` in the table.
-
-    ``grouped`` and ``carry`` are the eager-aggregation state the
-    finalization must undo: *grouped* plans already computed the
-    decomposed partial aggregates (the final group-by coalesces),
-    *carry* plans pre-collapsed one side's duplicates into a ``__cnt``
-    count (the final group-by weights by it). At most one carry ever
-    exists per plan, and a carry-bearing plan is never re-grouped into
-    partials, so the four state combinations finalize unambiguously.
+    ``order``, ``width`` and the eager ``state`` (:data:`FINALIZATION`)
+    — plus ``join``, the recipe for its node; ``plan`` is built
+    (``BlockOptimizer._materialize``) for the entries pruning retains
+    and is never ``None`` in the table.
     """
 
-    __slots__ = ("cost", "order", "width", "grouped", "carry", "plan", "join")
+    __slots__ = ("cost", "order", "width", "state", "plan", "join")
 
     def __init__(
         self,
         cost: float,
         order: Tuple[FieldKey, ...],
         width: int,
-        grouped: bool,  # early (partial) aggregation already applied
-        carry: bool = False,  # a COUNT-carry pre-collapse feeds this plan
+        state: str,
         plan: Optional[PlanNode] = None,
         join: Optional[_PendingJoin] = None,
     ):
         self.cost = cost
         self.order = order
         self.width = width
-        self.grouped = grouped
-        self.carry = carry
+        self.state = state
         self.plan = plan
         self.join = join
 
     @classmethod
-    def of_plan(
-        cls, plan: PlanNode, grouped: bool, carry: bool = False
-    ) -> "_Entry":
+    def of_plan(cls, plan: PlanNode, state: str) -> "_Entry":
         """An entry over an already built, annotated plan."""
         props = plan.props
-        return cls(props.cost, props.order, props.width, grouped, carry, plan)
+        return cls(props.cost, props.order, props.width, state, plan)
 
 
 class BlockOptimizer:
     """Optimizes one block; reusable across blocks (stats accumulate,
     and identical base-leaf access paths are planned once). *options*
-    alone decide what the DP considers: with ``enable_pushdown`` off it
-    is the Section 5.1 traditional DP (plain joins, group-by last)."""
+    alone decide what the DP considers: with ``early_grouping="off"``
+    it is the Section 5.1 traditional DP (plain joins, group-by last)."""
 
     def __init__(
         self,
@@ -428,7 +420,7 @@ class BlockOptimizer:
                 continue
             plans = context.leaf_plans(leaf)
             table[bit] = self._prune(
-                context, [_Entry.of_plan(plan, False) for plan in plans]
+                context, [_Entry.of_plan(plan, LAZY) for plan in plans]
             )
         self.stats.add_time("leaf_plans", perf_counter() - started)
 
@@ -502,126 +494,44 @@ class BlockOptimizer:
         right_alias: str,
         right_bit: int,
     ) -> List[_Entry]:
-        """Plan the alternatives for joining one more leaf onto an entry.
+        """Plan the alternatives for joining one more leaf onto an entry:
+        every triple the block's generators yield, costed once.
 
-        Plan (1) is the join as-is; plan (2) joins with an early
-        (partial) group-by on the side holding the aggregate arguments —
-        the paper's Section 5.2 greedy conservative heuristic, which
-        *replaces* (1) with (2) only when cheaper and no wider. With
-        eager aggregation enabled the heuristic's verdict is recorded
-        but both shapes are *retained* (plus COUNT-carry pre-collapses
-        of an argument-free side) and compete by cost in the DP — the
-        lazy plan always survives, which is what keeps the no-worse
-        guarantee structural rather than heuristic."""
-        entries1 = self._joinplans(
-            context, left_entry.plan, left_mask, right_plan,
-            right_alias, right_bit, left_entry.grouped, left_entry.carry,
-        )
-
-        if context.decomposed is None:  # push-down off, or nothing to push
-            return entries1
-
-        eager = self.options.enable_eager_aggregation
-
-        entries2: List[_Entry] = []
-        early_side = context.early_side(left_entry, left_mask, right_bit)
-        if early_side is not None:
-            self.stats.early_groupby_considered += 1
-            if eager:
-                self.stats.eager_alternatives_considered += 1
-            if early_side == "left":
-                early = context.early_group(
-                    left_entry.plan, left_mask, left_entry.grouped,
-                    prescreen=eager,
+        Plan (1) is the plain join; plan (2), when the policy has it, the
+        early group-by — the paper's Section 5.2 greedy conservative
+        heuristic *replaces* (1) with (2) only when cheaper and no wider.
+        Under ``"eager"`` the verdict is recorded but every shape is
+        *retained* and competes by cost in the DP — the lazy plan always
+        survives, which keeps the no-worse guarantee structural."""
+        shapes = []
+        for generate in context.extensions:
+            shape: List[_Entry] = []
+            for left_plan, right_input, state in generate(
+                context, left_entry, left_mask, right_plan, right_bit
+            ):
+                shape += self._joinplans(
+                    context, left_plan, left_mask, right_input,
+                    right_alias, right_bit, state,
                 )
-                if early is not None:
-                    entries2 = self._joinplans(
-                        context, early, left_mask, right_plan,
-                        right_alias, right_bit, True, left_entry.carry,
-                    )
-            else:
-                early = context.early_group(
-                    right_plan, right_bit, False, prescreen=eager
-                )
-                if early is not None:
-                    entries2 = self._joinplans(
-                        context, left_entry.plan, left_mask, early,
-                        right_alias, right_bit, True, left_entry.carry,
-                    )
-
-        # The greedy comparison runs (and its counters record the
-        # verdict) with eager retention on or off; only off does it decide.
-        chosen = entries1
-        if entries2:
-            if not entries1:
-                chosen = entries2
-            else:
-                best1 = min(entries1, key=_entry_cost)
-                best2 = min(entries2, key=_entry_cost)
-                cheaper = best2.cost < best1.cost
-                narrow = (
-                    best2.width <= best1.width
-                    or not self.options.width_guard
-                )
-                if cheaper and narrow:
-                    self.stats.early_groupby_accepted += 1
-                    chosen = entries2
-        if not eager:
-            if chosen is not entries1:
-                # the plain join is gone: a traditional DP keeps it
-                context.lazy_exact = False
-            return chosen
-
-        return (
-            entries1
-            + entries2
-            + self._carry_alternatives(
-                context, left_entry, left_mask, right_plan,
-                right_alias, right_bit,
+            shapes.append(shape)
+        lazy = shapes[0]
+        if len(shapes) == 1:
+            return lazy
+        partial, accepted = shapes[1], False
+        if partial:
+            best1 = min(lazy, key=_entry_cost)
+            best2 = min(partial, key=_entry_cost)
+            accepted = best2.cost < best1.cost and (
+                best2.width <= best1.width or not context.width_guard
             )
-        )
-
-    def _carry_alternatives(
-        self,
-        context: "_BlockContext",
-        left_entry: _Entry,
-        left_mask: int,
-        right_plan: PlanNode,
-        right_alias: str,
-        right_bit: int,
-    ) -> List[_Entry]:
-        """COUNT-carry pre-collapse alternatives: collapse a side that
-        holds *no* aggregate argument to one row per live-column
-        combination plus ``__cnt = COUNT(*)``; the final group-by
-        restores multiplicity by weighting the duplicate-sensitive
-        aggregates. At most one carry per plan, and only plain (never
-        grouped or carry-bearing) inputs are collapsed — those rules
-        keep all weighting out of the DP interior."""
-        mask = context.agg_arg_mask
-        if mask is None or not context.agg_arg_aliases or left_entry.carry:
-            return []
-        out: List[_Entry] = []
-        if not (mask & right_bit):
-            self.stats.eager_alternatives_considered += 1
-            collapsed = context.carry_group(right_plan, right_bit)
-            if collapsed is not None:
-                out.extend(
-                    self._joinplans(
-                        context, left_entry.plan, left_mask, collapsed,
-                        right_alias, right_bit, left_entry.grouped, True,
-                    )
-                )
-        if not left_entry.grouped and not (mask & left_mask):
-            self.stats.eager_alternatives_considered += 1
-            collapsed = context.carry_group(left_entry.plan, left_mask)
-            if collapsed is not None:
-                out.extend(
-                    self._joinplans(
-                        context, collapsed, left_mask, right_plan,
-                        right_alias, right_bit, False, True,
-                    )
-                )
-        return out
+            self.stats.early_groupby_accepted += accepted
+        if context.retain:
+            return [entry for shape in shapes for entry in shape]
+        if accepted:
+            # the plain join is gone: a traditional DP keeps it
+            context.lazy_exact = False
+            return partial
+        return lazy
 
     # ------------------------------------------------------------------
     # joinplan: all physical alternatives for one join
@@ -635,8 +545,7 @@ class BlockOptimizer:
         right_plan: PlanNode,
         right_alias: str,
         right_bit: int,
-        grouped: bool,
-        carry: bool,
+        state: str,
     ) -> List[_Entry]:
         """Cost every physical method of one join as a light candidate
         (no node is built here; ``_prune`` materializes its survivors).
@@ -667,15 +576,15 @@ class BlockOptimizer:
             null_aware,
         )
 
-        methods: List[Tuple[str, Optional[str]]] = []
+        methods: List[Tuple[str, Optional[str], Sequence]] = []
         if equi:
-            methods.append(("hj", None))
+            methods.append(("hj", None, equi))
             if kind == "inner":
-                methods.append(("smj", None))
-                index_name = context.inlj_index(right_plan, equi)
-                if index_name is not None:
-                    methods.append(("inlj", index_name))
-        methods.append(("nlj", None))
+                methods.append(("smj", None, equi))
+                access = context.inlj_access(right_plan, equi)
+                if access is not None:
+                    methods.append(("inlj", *access))
+        methods.append(("nlj", None, equi))
 
         model = self.model
         left = left_plan.props
@@ -691,15 +600,11 @@ class BlockOptimizer:
 
         scanned = None  # logical properties shared by hj / smj / nlj
         entries: List[_Entry] = []
-        for method, index_name in methods:
+        for method, index_name, equi_keys in methods:
             self.stats.joinplan_calls += 1
             if method == "inlj":
-                equi_keys = context.order_equi_for_index(
-                    right_plan, equi, index_name
-                )
                 logical = logical_props(method, equi_keys)
             else:
-                equi_keys = equi
                 if scanned is None:
                     scanned = logical_props(method, equi_keys)
                 logical = scanned
@@ -711,8 +616,7 @@ class BlockOptimizer:
                     model.cpu_weighted(cost, logical[0]),
                     order,
                     logical[1],
-                    grouped,
-                    carry,
+                    state,
                     join=_PendingJoin(
                         pair, logical, method, equi_keys, index_name
                     ),
@@ -757,38 +661,37 @@ class BlockOptimizer:
         select: Optional[Tuple[Tuple[str, Expression], ...]] = None,
     ) -> Tuple[PlanNode, Optional[PlanNode]]:
         """The cheapest finalization (``final_plans`` with *spec* and
-        *select*) over all *entries*, and over their lazy slice
-        (``grouped=False, carry=False``) alone.
+        *select*) over all *entries*, and over their lazy slice — the
+        entries whose finalization row undoes nothing — alone.
 
         A lazy entry is only ever built from lazy entries, and pruning
-        keeps one entry per ``(grouped, carry, useful order)`` class, so
-        while ``context.lazy_exact`` holds, every subset's lazy slice
-        *is* what a traditional DP over this context retains,
-        in order, and the second plan is that DP's result (same
-        iteration, same strict ``<``: ties break alike); else ``None``."""
+        keeps one entry per ``(state, useful order)`` class, so while
+        ``context.lazy_exact`` holds, every subset's lazy slice *is* what
+        a traditional DP over this context retains, in order, and the
+        second plan is that DP's result (same iteration, same strict
+        ``<``: ties break alike); else ``None``."""
         started = perf_counter()
         best: Optional[PlanNode] = None
-        best_entry: Optional[_Entry] = None
+        best_undo = None
         baseline: Optional[PlanNode] = None
         for entry in entries:
-            lazy = not entry.grouped and not entry.carry
-            for candidate in context.final_plans(entry, spec, select):
+            undo = FINALIZATION[entry.state]
+            for candidate in context.final_plans(
+                entry.plan, undo, spec, select
+            ):
                 cost = candidate.props.cost
                 if best is None or cost < best.props.cost:
                     best = candidate
-                    best_entry = entry
-                if lazy and (baseline is None or cost < baseline.props.cost):
+                    best_undo = undo
+                if undo is None and (
+                    baseline is None or cost < baseline.props.cost
+                ):
                     baseline = candidate
-        assert best is not None and best_entry is not None
-        self._record_adoption(best_entry)
+        assert best is not None
+        if context.retain and best_undo is not None:
+            self.stats.eager_alternatives_adopted += 1
         self.stats.add_time("finalize", perf_counter() - started)
         return best, baseline if context.lazy_exact else None
-
-    def _record_adoption(self, entry: _Entry) -> None:
-        if self.options.enable_eager_aggregation and (
-            entry.grouped or entry.carry
-        ):
-            self.stats.eager_alternatives_adopted += 1
 
     # ------------------------------------------------------------------
     # Pruning
@@ -797,24 +700,18 @@ class BlockOptimizer:
     def _prune(
         self, context: "_BlockContext", candidates: List[_Entry]
     ) -> List[_Entry]:
-        best: Dict[Tuple[bool, bool, Tuple[FieldKey, ...]], _Entry] = {}
+        best: Dict[Tuple[str, Tuple[FieldKey, ...]], _Entry] = {}
         for entry in candidates:
-            key = (
-                entry.grouped, entry.carry, context.useful_order(entry.order)
-            )
+            key = (entry.state, context.useful_order(entry.order))
             incumbent = best.get(key)
             if incumbent is None or entry.cost < incumbent.cost:
                 best[key] = entry
         kept = sorted(best.values(), key=_entry_cost)
         pruned = kept[:MAX_PLANS_PER_SET]
         if len(kept) > MAX_PLANS_PER_SET:
-            lazy = [e for e in kept if not e.grouped and not e.carry]
-            survivors = [e for e in pruned if not e.grouped and not e.carry]
-            if (
-                self.options.enable_eager_aggregation
-                and lazy
-                and not survivors
-            ):
+            lazy = [e for e in kept if e.state == LAZY]
+            survivors = [e for e in pruned if e.state == LAZY]
+            if context.retain and lazy and not survivors:
                 # The lazy alternative must survive pruning — it is what
                 # makes every eager variant an *alternative* (the no-worse
                 # guarantee is structural, not heuristic).
@@ -897,7 +794,18 @@ class _BlockContext:
         self.spec = spec
         self.select = select
         self.extra_needed = extra_needed
-        self.eager_exclude = eager_exclude
+        # The policy, read once: which generators extend an entry,
+        # whether all their shapes are retained ("eager") or the §5.2
+        # verdict picks one ("greedy"), and the verdict's width guard.
+        options = optimizer.options
+        policy = options.early_grouping
+        self.width_guard = options.width_guard
+        self.retain = policy == "eager"
+        # Shared DP: pure aggregate-argument columns are consumed by the
+        # partials, and keying an eager group-by on them would destroy
+        # the collapse. Only retention excludes them: "greedy" plans as
+        # it did before retention existed.
+        self.eager_exclude = eager_exclude if self.retain else frozenset()
         self.join_units: Dict[str, JoinUnit] = {
             unit.alias: unit for unit in join_units
         }
@@ -979,7 +887,7 @@ class _BlockContext:
         self.decomposed: Optional[DecomposedAggregates] = None
         if (
             spec is not None
-            and optimizer.options.enable_pushdown
+            and policy != "off"
             and not join_units
             and not post_predicates
         ):
@@ -989,16 +897,15 @@ class _BlockContext:
             # partials would have collapsed them already), so blocks
             # with units plan lazily.
             self.decomposed = decompose_aggregates(spec.aggregates)
-        self.agg_arg_aliases: FrozenSet[str] = frozenset()
-        if spec is not None:
-            aliases: Set[str] = set()
-            for _, call in spec.aggregates:
-                aliases |= call.aliases()
-            self.agg_arg_aliases = frozenset(aliases)
-        # None when an aggregate references a foreign alias: then no
-        # side can ever contain all aggregate arguments.
+        names = POLICIES[policy if self.decomposed is not None else "off"]
+        self.extensions = tuple(EXTENSIONS[name].generate for name in names)
+        # 0 when no aggregate has an argument (COUNT(*)); None when one
+        # references a foreign alias: then no side can ever contain all
+        # aggregate arguments.
         self.agg_arg_mask: Optional[int] = self.graph.strict_mask_of(
-            self.agg_arg_aliases
+            alias
+            for _, call in (spec.aggregates if spec is not None else ())
+            for alias in call.aliases()
         )
 
         # Columns the post-join filter consumes must ride every join
@@ -1274,79 +1181,37 @@ class _BlockContext:
     # Index nested-loop support
     # ------------------------------------------------------------------
 
-    def inlj_index(
+    def inlj_access(
         self,
         right_plan: PlanNode,
         equi: List[Tuple[FieldKey, FieldKey]],
-    ) -> Optional[str]:
+    ) -> Optional[Tuple[str, List[Tuple[FieldKey, FieldKey]]]]:
+        """``(index name, equi keys in index-column order)`` for an index
+        NLJ into *right_plan*: a plain scan with an index whose columns
+        the equi keys cover; else ``None``."""
         if not isinstance(right_plan, ScanNode) or right_plan.index_name:
             return None
         info = self.catalog.info(right_plan.table_name)
-        right_columns = {right_key[1] for _, right_key in equi}
+        by_column = {right[1]: (left, right) for left, right in equi}
         for index in info.indexes.values():
-            prefix_length = 0
-            for column in index.column_names:
-                if column in right_columns:
-                    prefix_length += 1
-                else:
-                    break
-            if prefix_length == len(index.column_names):
-                return index.name
+            if all(map(by_column.__contains__, index.column_names)):
+                return index.name, [
+                    by_column[column] for column in index.column_names
+                ]
         return None
-
-    def order_equi_for_index(
-        self,
-        right_plan: PlanNode,
-        equi: List[Tuple[FieldKey, FieldKey]],
-        index_name: str,
-    ) -> List[Tuple[FieldKey, FieldKey]]:
-        assert isinstance(right_plan, ScanNode)
-        info = self.catalog.info(right_plan.table_name)
-        index = info.indexes[index_name]
-        by_column = {right_key[1]: (left_key, right_key) for left_key, right_key in equi}
-        ordered = [by_column[column] for column in index.column_names]
-        return ordered
 
     # ------------------------------------------------------------------
     # Early grouping (eager aggregation)
     # ------------------------------------------------------------------
-
-    def early_side(
-        self,
-        left_entry: _Entry,
-        left_mask: int,
-        right_bit: int,
-    ) -> Optional[str]:
-        """Which side an early group-by may be applied to — the side
-        holding all aggregate arguments (one-sided, per the paper). A
-        carry-bearing left is never partial-grouped: its rows stand for
-        collapsed duplicates, and unweighted partials would ignore the
-        multiplicity (the carry is only ever consumed at finalization)."""
-        if self.decomposed is None:
-            return None
-        if not self.agg_arg_aliases:
-            # COUNT(*)-style: either side; prefer the prefix
-            return None if left_entry.carry else "left"
-        if self.agg_arg_mask is None:
-            return None
-        if not (self.agg_arg_mask & ~left_mask):
-            return None if left_entry.carry else "left"
-        if not (self.agg_arg_mask & ~right_bit) and not left_entry.grouped:
-            return "right"
-        return None
 
     def _eager_keep(self, subset_mask: int) -> Set[FieldKey]:
         """Columns an eager group-by over *subset_mask* must keep as
         grouping keys: everything still needed above this point —
         pending predicate columns (which cover the border join keys),
         the final grouping columns, output columns, and any columns
-        shared finalizations ask for. With eager aggregation on, the
-        shared DP's pure aggregate-argument columns are excluded — they
-        are consumed by the partials, and keying on them would destroy
-        the collapse (kept in pre-eager mode for seed parity)."""
+        shared finalizations ask for, less ``eager_exclude``."""
         keep = set(self.extra_needed)
-        if self.optimizer.options.enable_eager_aggregation:
-            keep -= self.eager_exclude
+        keep -= self.eager_exclude
         keep |= self.pending_columns(subset_mask)
         if self.spec is not None:
             keep |= set(self.spec.group_keys)
@@ -1372,10 +1237,9 @@ class _BlockContext:
         plan: PlanNode,
         subset_mask: int,
         already_grouped: bool,
-        prescreen: bool = False,
     ) -> Optional[PlanNode]:
         """Wrap *plan* in an early (partial) group-by, or None when no
-        sound grouping keys exist (or, with *prescreen*, when the
+        sound grouping keys exist (or, under retention, when the
         statistics estimate no collapse)."""
         assert self.decomposed is not None
         keys = eager_group_keys(
@@ -1388,7 +1252,7 @@ class _BlockContext:
         )
         if aggregates is None:
             return None
-        if prescreen and not self._eager_shrinks(plan, keys):
+        if self.retain and not self._eager_shrinks(plan, keys):
             return None
         return self._eager_node(plan, keys, aggregates, "partial")
 
@@ -1437,21 +1301,23 @@ class _BlockContext:
 
     def final_plans(
         self,
-        entry: _Entry,
+        plan: PlanNode,
+        undo: Optional[Callable[[DecomposedAggregates], Aggregates]],
         spec: Optional[GroupingSpec] = None,
         select: Optional[Tuple[Tuple[str, Expression], ...]] = None,
     ) -> List[PlanNode]:
-        """Finalize one DP entry: attach the post-join filter (WHERE
-        conjuncts over LEFT-unit columns), the final group-by (per
-        *spec*, defaulting to the block's own), and the output
-        projection."""
-        plan = self._apply_post_stage(entry.plan)
+        """Finalize one DP entry's plan: attach the post-join filter
+        (WHERE conjuncts over LEFT-unit columns), the final group-by (per
+        *spec*, defaulting to the block's own) and the output projection.
+        *undo* is the entry's ``FINALIZATION`` row: ``None`` for a lazy
+        plan, else the aggregates that merge its eager state."""
+        plan = self._apply_post_stage(plan)
         if spec is None:
             spec = self.spec
         if select is None:
             select = self.select
         if spec is None:
-            if entry.grouped or entry.carry:
+            if undo is not None:
                 raise PlanError(
                     "an eagerly aggregated plan cannot finalize "
                     "without a spec"
@@ -1459,19 +1325,10 @@ class _BlockContext:
             return [self._project(plan, select)]
 
         eager_marker: Optional[str] = None
-        if entry.grouped or entry.carry:
+        if undo is not None:
             assert self.decomposed is not None
             eager_marker = "merge"
-            if entry.grouped and entry.carry:
-                # partials on one side, a carry on another: coalesce
-                # with carry-weighted SUMs
-                aggregates = weighted_coalescers(self.decomposed)
-            elif entry.grouped:
-                aggregates = self.decomposed.coalescers
-            else:
-                # carry only: the aggregate arguments are still raw
-                # rows — compute the partials weighted by the carry
-                aggregates = weighted_partials(self.decomposed)
+            aggregates = undo(self.decomposed)
             finalize = self.decomposed.finalize_substitution()
             having = tuple(p.substitute(finalize) for p in spec.having)
             select = tuple(
@@ -1533,3 +1390,134 @@ class _BlockContext:
             else:
                 break
         return tuple(useful)
+
+
+# ----------------------------------------------------------------------
+# The extension protocol: one generator per DP alternative
+# ----------------------------------------------------------------------
+
+# The eager state of a DP entry: what its plan already did that the
+# final group-by must undo. A *partial* plan computed the decomposed
+# partial aggregates below a join; a *carry* plan pre-collapsed one
+# side's duplicates into a ``__cnt`` count. A plan carries at most one
+# carry and a carry-bearing plan is never re-grouped into partials, so
+# these four states are all there are.
+LAZY, PARTIAL, CARRY = "lazy", "partial", "carry"
+PARTIAL_CARRY = "partial+carry"
+
+Aggregates = Tuple[Tuple[str, AggregateCall], ...]
+
+
+class Extension(NamedTuple):
+    """One DP alternative. ``moves`` maps, for each side the generator
+    may group, every left-entry state it accepts to the state of the
+    join it yields (the plain join groups no side: its state is its left
+    input's). ``generate(context, left entry, left mask, right plan,
+    right bit)`` yields the ``(left input, right input, state)``
+    triples the core costs."""
+
+    moves: Tuple[Dict[str, str], ...]
+    generate: Callable[..., Iterable[Tuple[PlanNode, PlanNode, str]]]
+
+
+def _lazy(context, left, left_mask, right_plan, right_bit):
+    """Plan (1) of Section 5.2: the plain join."""
+    return ((left.plan, right_plan, left.state),)
+
+
+_PARTIAL_LEFT = {LAZY: PARTIAL, PARTIAL: PARTIAL}
+_PARTIAL_RIGHT = {LAZY: PARTIAL, CARRY: PARTIAL_CARRY}
+
+
+def _partial(context, left, left_mask, right_plan, right_bit):
+    """Plan (2) of Section 5.2: an early (partial) group-by on the side
+    holding every aggregate argument — one-sided, per the paper; the
+    prefix when no aggregate has an argument. A carry-bearing left is
+    never partial-grouped: its rows stand for collapsed duplicates, and
+    unweighted partials would ignore the multiplicity (the carry is only
+    ever consumed at finalization)."""
+    mask = context.agg_arg_mask
+    if mask is None:
+        return
+    on_left = not mask & ~left_mask
+    if not on_left and mask & ~right_bit:
+        return
+    state = (_PARTIAL_LEFT if on_left else _PARTIAL_RIGHT).get(left.state)
+    if state is None:
+        return
+    stats = context.optimizer.stats
+    stats.early_groupby_considered += 1
+    if context.retain:
+        stats.eager_alternatives_considered += 1
+    if on_left:
+        early = context.early_group(
+            left.plan, left_mask, left.state == PARTIAL
+        )
+        if early is not None:
+            yield early, right_plan, state
+    else:
+        early = context.early_group(right_plan, right_bit, False)
+        if early is not None:
+            yield left.plan, early, state
+
+
+_CARRY_RIGHT = {LAZY: CARRY, PARTIAL: PARTIAL_CARRY}
+_CARRY_LEFT = {LAZY: CARRY}
+
+
+def _carry(context, left, left_mask, right_plan, right_bit):
+    """COUNT-carry pre-collapse (beyond the paper; *Partial Partial
+    Aggregates*): collapse a side that holds *no* aggregate argument to
+    one row per live-column combination plus ``__cnt = COUNT(*)``; the
+    final group-by restores multiplicity by weighting the
+    duplicate-sensitive aggregates. At most one carry per plan, and only
+    a plain (never grouped or carry-bearing) left is collapsed — those
+    rules keep all weighting out of the DP interior."""
+    mask = context.agg_arg_mask
+    if not mask:
+        return
+    stats = context.optimizer.stats
+    state = _CARRY_RIGHT.get(left.state)
+    if state is not None and not mask & right_bit:
+        stats.eager_alternatives_considered += 1
+        collapsed = context.carry_group(right_plan, right_bit)
+        if collapsed is not None:
+            yield left.plan, collapsed, state
+    state = _CARRY_LEFT.get(left.state)
+    if state is not None and not mask & left_mask:
+        stats.eager_alternatives_considered += 1
+        collapsed = context.carry_group(left.plan, left_mask)
+        if collapsed is not None:
+            yield collapsed, right_plan, state
+
+
+EXTENSIONS: Dict[str, Extension] = {
+    "lazy": Extension((), _lazy),
+    "partial": Extension((_PARTIAL_LEFT, _PARTIAL_RIGHT), _partial),
+    "carry": Extension((_CARRY_RIGHT, _CARRY_LEFT), _carry),
+}
+"""Every alternative the DP considers when it joins one more leaf onto
+an entry. A new alternative is one generator here, a ``FINALIZATION``
+row per new state it produces, and its name in ``POLICIES``."""
+
+POLICIES: Dict[str, Tuple[str, ...]] = {
+    "off": ("lazy",),
+    "greedy": ("lazy", "partial"),
+    "eager": ("lazy", "partial", "carry"),
+}
+"""The generators of each ``OptimizerOptions.early_grouping`` value, in
+costing order (of equal-cost plans the first wins). ``_extend`` holds
+the first two shapes to the §5.2 verdict."""
+
+FINALIZATION: Dict[
+    str, Optional[Callable[[DecomposedAggregates], Aggregates]]
+] = {
+    LAZY: None,  # nothing to undo: the block's own aggregates
+    PARTIAL: attrgetter("coalescers"),  # coalesce the partials
+    # the arguments are still raw rows: partials weighted by the carry
+    CARRY: weighted_partials,
+    # partials on one side, a carry on another: carry-weighted SUMs
+    PARTIAL_CARRY: weighted_coalescers,
+}
+"""The aggregates the final group-by (``final_plans``) merges each
+state with."""

@@ -38,7 +38,7 @@ from ..algebra.query import AggregateView, CanonicalQuery, QueryBlock
 from ..catalog.catalog import Catalog
 from ..cost.params import CostParams
 from ..transforms.decorrelate import decorrelate_query
-from ..transforms.invariant import split_view
+from ..transforms.invariant import apply_invariant_split
 from ..transforms.propagate import propagate_predicates
 from ..transforms.pullup import pull_up
 from ..views.matcher import match_view
@@ -302,29 +302,15 @@ def optimize_query(
 
     # Step 1: minimal invariant sets (B' construction).
     working = query
-    restore_sets: Dict[str, Tuple[str, ...]] = {}
     if options.enable_invariant_split and query.views and not has_units:
-        new_views: List[AggregateView] = []
-        extra_tables = []
-        extra_predicates: List[Expression] = []
-        for view in query.views:
-            reduced, moved, join_back = split_view(view, catalog)
-            new_views.append(reduced)
-            extra_tables.extend(moved)
-            extra_predicates.extend(join_back)
-            restore_sets[view.alias] = tuple(ref.alias for ref in moved)
-        if extra_tables:
-            working = CanonicalQuery(
-                base_tables=query.base_tables + tuple(extra_tables),
-                views=tuple(new_views),
-                predicates=query.predicates + tuple(extra_predicates),
-                group_by=query.group_by,
-                aggregates=query.aggregates,
-                having=query.having,
-                select=query.select,
-                order_by=query.order_by,
-                limit=query.limit,
-            )
+        working = apply_invariant_split(query, catalog)
+    # what each view lost to the split: its "restore" pull-up set
+    restore_sets = {
+        reduced.alias: tuple(
+            sorted(original.block.aliases - reduced.block.aliases)
+        )
+        for original, reduced in zip(query.views, working.views)
+    }
 
     # Step 2: pull-up candidates per view. With join units present,
     # pulling a base table into a view would change the unit join's
@@ -336,9 +322,9 @@ def optimize_query(
             if has_units
             else _pullup_candidates(working, view.alias, options)
         )
-        restore = restore_sets.get(view.alias, ())
+        restore = restore_sets[view.alias]
         if restore and restore not in sets:
-            sets.append(tuple(sorted(restore)))
+            sets.append(restore)
         candidates[view.alias] = sets
         stats.pullup_sets_enumerated += len(sets)
 
@@ -552,7 +538,7 @@ def _pullup_candidates(
     of the base tables up to the k-level cap (Section 5.3's practical
     restrictions)."""
     sets: List[Tuple[str, ...]] = [()]
-    if not options.enable_pullup or options.k_level == 0:
+    if options.k_level == 0:
         return sets
     base_aliases = sorted(ref.alias for ref in query.base_tables)
     if not base_aliases:

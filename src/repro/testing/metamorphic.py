@@ -93,11 +93,12 @@ CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig("full-plancache", session=True),
     # Eager-aggregation ablation: partial group-bys and COUNT-carry
     # pre-collapses below joins are retained *alternatives* next to
-    # the lazy plan, picked purely by cost — disabling them may change
-    # plans and costs but never answers.
+    # the lazy plan, picked purely by cost — planning with the §5.2
+    # greedy heuristic instead may change plans and costs but never
+    # answers.
     EngineConfig(
         "full-noeager",
-        options=OptimizerOptions(enable_eager_aggregation=False),
+        options=OptimizerOptions(early_grouping="greedy"),
     ),
     # Eager-adoption point: a weighted CPU+IO objective and a tiny
     # memory budget make the retained eager alternatives actually win

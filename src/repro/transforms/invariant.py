@@ -26,7 +26,7 @@ Soundness conditions for removing relation *s* from under G(V):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..algebra.expressions import (
     ColumnRef,
@@ -35,7 +35,7 @@ from ..algebra.expressions import (
     FieldKey,
     equijoin_sides,
 )
-from ..algebra.plan import GroupByNode, JoinNode, PlanNode, RenameNode, ScanNode
+from ..algebra.plan import GroupByNode, JoinNode, PlanNode, ScanNode
 from ..algebra.query import (
     AggregateView,
     CanonicalQuery,
@@ -176,19 +176,31 @@ def minimal_invariant_set(
 ) -> FrozenSet[str]:
     """The minimal invariant set of G(V): aliases that must be joined
     before the group-by (fixpoint of invariant-grouping removals)."""
-    if not block.is_grouped:
-        return block.aliases
-    current = block
-    while True:
-        removed_one = False
-        for alias in sorted(current.aliases):
-            removal = _try_remove(current, alias, catalog)
+    reduced = block
+    for reduced, _, _, _ in _removals(block, catalog):
+        pass
+    return reduced.aliases
+
+
+def _removals(
+    block: QueryBlock, catalog: Catalog
+) -> Iterator[
+    Tuple[QueryBlock, TableRef, Tuple[Expression, ...], Dict[FieldKey, str]]
+]:
+    """The invariant-grouping fixpoint: remove the first removable alias
+    (in sorted order) from under the group-by until none is, or one
+    relation is left. Yields ``(reduced block, removed relation,
+    join-back predicates, inner columns needed outside)`` per removal
+    (``_remove_from_block``)."""
+    while block.is_grouped and len(block.relations) > 1:
+        for alias in sorted(block.aliases):
+            removal = _try_remove(block, alias, catalog)
             if removal is not None:
-                current, _, _ = _remove_from_block(current, removal)
-                removed_one = True
                 break
-        if not removed_one or len(current.relations) == 1:
-            return current.aliases
+        else:
+            return
+        block, join_back, needed_inner = _remove_from_block(block, removal)
+        yield block, removal.ref, join_back, needed_inner
 
 
 def _remove_from_block(
@@ -251,22 +263,11 @@ def split_view(
     moved_predicates: List[Expression] = []
     extra_outputs: Dict[FieldKey, str] = {}
 
-    changed = True
-    while changed and len(block.relations) > 1:
-        changed = False
-        for alias in sorted(block.aliases):
-            removal = _try_remove(block, alias, catalog)
-            if removal is None:
-                continue
-            block, join_back, needed_inner = _remove_from_block(
-                block, removal
-            )
-            moved_tables.append(removal.ref)
-            moved_predicates.extend(join_back)
-            for key in needed_inner:
-                extra_outputs.setdefault(key, "")
-            changed = True
-            break
+    for block, moved, join_back, needed_inner in _removals(block, catalog):
+        moved_tables.append(moved)
+        moved_predicates.extend(join_back)
+        for key in needed_inner:
+            extra_outputs.setdefault(key, "")
 
     # Expose the inner grouping columns the moved relations join on.
     select_new = list(block.select)

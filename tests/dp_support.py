@@ -159,7 +159,7 @@ class BuildEverythingOptimizer(BlockOptimizer):
             node = rebuilt_join(candidate.plan)
             self.model.annotate(node)
             entries.append(
-                _Entry.of_plan(node, candidate.grouped, candidate.carry)
+                _Entry.of_plan(node, candidate.state)
             )
         return entries
 

@@ -107,13 +107,6 @@ class TestSearchSpace:
         pulls = {tuple(alt[0].get("b", ())) for alt in full.alternatives}
         assert pulls == {()}
 
-    def test_disable_pullup_option(self, emp_dept_db):
-        _, full, _ = both_plans(
-            emp_dept_db, EXAMPLE1, OptimizerOptions(enable_pullup=False)
-        )
-        pulls = {tuple(alt[0].get("b", ())) for alt in full.alternatives}
-        assert pulls == {()}
-
     def test_multi_view_combos_disjoint(self, emp_dept_db):
         query = bind_sql(TWO_VIEWS, emp_dept_db.catalog)
         full = optimize_query(query, emp_dept_db.catalog, emp_dept_db.params)

@@ -19,6 +19,7 @@ from repro.catalog.schema import Field
 from repro.cost import CostModel
 from repro.datatypes import DataType
 from repro.optimizer.block import (
+    LAZY,
     BaseLeaf,
     BlockOptimizer,
     _BlockContext,
@@ -118,9 +119,9 @@ class TestEqualCostKeepsFirstGenerated:
         context = SimpleNamespace(useful_order=lambda order: order)
         scan = ScanNode("emp", "e", [Field("e", "eno", DataType.INT)])
         first, second, cheaper_other_order = (
-            _Entry(10.0, (), 4, False, plan=scan),
-            _Entry(10.0, (), 4, False, plan=scan),
-            _Entry(9.0, (("e", "eno"),), 4, False, plan=scan),
+            _Entry(10.0, (), 4, LAZY, plan=scan),
+            _Entry(10.0, (), 4, LAZY, plan=scan),
+            _Entry(9.0, (("e", "eno"),), 4, LAZY, plan=scan),
         )
         kept = optimizer._prune(
             context, [first, second, cheaper_other_order]
@@ -146,7 +147,7 @@ class TestEqualCostKeepsFirstGenerated:
         right = context.leaf_plans(leaves[1])[0]
         candidates = optimizer._joinplans(
             context, left, graph.mask_of_alias["e"], right, "d",
-            graph.mask_of_alias["d"], False, False,
+            graph.mask_of_alias["d"], LAZY,
         )
         by_method = {c.join.method: c for c in candidates}
         assert all(c.plan is None for c in candidates)  # nothing built yet

@@ -28,7 +28,7 @@ AGAINST = ("batch", "reference")
 """What the eager-on answer is compared with: the eager-off plan on the
 engine, or the brute-force reference evaluator."""
 
-EAGER_OFF = OptimizerOptions(enable_eager_aggregation=False)
+EAGER_OFF = OptimizerOptions(early_grouping="greedy")
 
 #: Weighted CPU+IO objective under which the eager alternatives win on
 #: this workload (pure IO ties in memory, and ties keep the lazy plan).

@@ -20,23 +20,21 @@ from repro.workloads.generator import RandomQueryConfig, build_star_database
 class TestOptimizerOptions:
     def test_defaults_enable_everything(self):
         options = OptimizerOptions()
-        assert options.enable_pullup
-        assert options.enable_pushdown
+        assert options.k_level > 0
+        assert options.early_grouping == "eager"
         assert options.enable_invariant_split
         assert options.width_guard
         assert options.share_view_dp
 
     def test_traditional_preset(self):
         assert TRADITIONAL == level_options("traditional")
-        assert not TRADITIONAL.enable_pullup
-        assert not TRADITIONAL.enable_pushdown
+        assert TRADITIONAL.k_level == 0
+        assert TRADITIONAL.early_grouping == "off"
         assert not TRADITIONAL.enable_invariant_split
-        assert not TRADITIONAL.enable_eager_aggregation
 
     def test_each_level_forces_only_its_switches(self):
         options = OptimizerOptions(
-            enable_pushdown=False,
-            enable_eager_aggregation=False,
+            early_grouping="greedy",
             k_level=1,
             width_guard=False,
             share_view_dp=False,
@@ -54,6 +52,10 @@ class TestOptimizerOptions:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             OptimizerOptions(k_level=-1)
+
+    def test_unknown_early_grouping_rejected(self):
+        with pytest.raises(ValueError, match="early_grouping"):
+            OptimizerOptions(early_grouping="lazy")
 
     def test_frozen(self):
         options = OptimizerOptions()

@@ -17,8 +17,9 @@ from repro.algebra.expressions import ColumnRef, Literal
 from repro.algebra.plan import FilterNode, explain
 from repro.algebra.query import CanonicalQuery
 from repro.optimizer import OptimizerOptions, block, canonical, optimize_query
-from repro.optimizer.options import level_options
+from repro.optimizer.options import EARLY_GROUPING, level_options
 from repro.optimizer.block import (
+    LAZY,
     BaseLeaf,
     BlockOptimizer,
     DerivedLeaf,
@@ -89,7 +90,9 @@ class TestPinnedCorpus:
 def block_case(draw):
     workload, params, _ = draw(join_workload())
     cap = draw(st.sampled_from([1, 2, 6]))  # block.MAX_PLANS_PER_SET
-    options = OptimizerOptions(enable_eager_aggregation=draw(st.booleans()))
+    options = OptimizerOptions(
+        early_grouping=draw(st.sampled_from(EARLY_GROUPING))
+    )
     if draw(st.booleans()):
         spec = GroupingSpec(
             group_keys=workload.group_keys, aggregates=workload.aggregates
@@ -110,7 +113,7 @@ def lazy_slice(entries):
     return [
         (entry.cost, entry.order, entry.width)
         for entry in entries
-        if not entry.grouped and not entry.carry
+        if entry.state == LAZY
     ]
 
 
@@ -261,7 +264,7 @@ class TestSecondSearchTriggers:
             "select s.dno, sum(s.amt) as t from sales s, details d "
             "where s.dno = d.dno group by s.dno"
         )
-        options = OptimizerOptions(enable_eager_aggregation=False)
+        options = OptimizerOptions(early_grouping="greedy")
         count, result = searched(db, query, options)
         assert result.stats.early_groupby_accepted > 0
         assert count == 1

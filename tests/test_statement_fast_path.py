@@ -119,7 +119,7 @@ class TestTextFront:
             # before every statement) re-key its texts at once.
             plain.options = options
             assert plain.execute(SQL).cache_hit
-            plain.options = OptimizerOptions(enable_pullup=False)
+            plain.options = OptimizerOptions(k_level=0)
             assert not plain.execute(SQL).cache_hit
 
     def test_cache_disabled_bypasses_the_front(self, emp_dept_db, calls):
