@@ -725,6 +725,8 @@ def _explain_lines(plan: PlanNode, indent: int, metrics: Any, key_filtered):
             line += f" spill={ran.spill_reads}r/{ran.spill_writes}w"
         if ran.key_filter:
             line += f" key filter → {ran.key_filter}"
+        if ran.folded is not None:
+            line += f" folded → {ran.folded} keys"
         if props is not None:
             from ..stats.feedback import comparable_rows, q_error
 

@@ -452,7 +452,8 @@ def fuzz_main(argv: List[str]) -> int:
             f"  {config}: io_checked={tally.io_checked} "
             f"io_equal={tally.io_equal} "
             f"io_index_exempt={tally.io_index_exempt} "
-            f"filters_fired={tally.filters_fired}"
+            f"filters_fired={tally.filters_fired} "
+            f"folds={tally.folds}"
             + (
                 f" rechecked={recheck.rechecked} survived={recheck.survived}"
                 if recheck is not None

@@ -29,8 +29,17 @@ over actual row counts.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
+from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import ColumnRef
 from ..algebra.plan import (
     FilterNode,
@@ -44,12 +53,19 @@ from ..algebra.plan import (
     SortNode,
 )
 from ..catalog.catalog import Catalog
+from ..catalog.schema import RowSchema
 from ..errors import ExecutionError
 from .batch import ColumnBatch, take
 from .context import ExecutionContext, Result
 from .groupby import group_by_columns, limit_columns, sort_columns
 from .join import join_columns
-from .kernels import ComputeProgram, SelectionProgram, gather_virtual
+from .kernels import (
+    KERNEL_KINDS,
+    ComputeProgram,
+    SelectionProgram,
+    aggregate_kind,
+    gather_virtual,
+)
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .scan import scan_columns
 
@@ -135,6 +151,18 @@ class KeyFilter:
         self.slot = slot
 
 
+def _column_source(node: PlanNode, key):
+    """The key, in its child's schema, of column *key* of rename or
+    projection *node*; ``None`` when the projection computes it."""
+    position = node.schema.index_of(*key)
+    if isinstance(node, RenameNode):
+        return node.child.schema.fields[node.positions[position]].key
+    expression = node.outputs[position][2]
+    if not isinstance(expression, ColumnRef):
+        return None
+    return node.child.schema.field_of(*expression.key).key
+
+
 def _key_filter_path(plan: JoinNode):
     """``(scan, key, group_width)`` when *plan*'s build keys may filter
     the scan that feeds its left key, else ``None``.
@@ -158,26 +186,126 @@ def _key_filter_path(plan: JoinNode):
     key = plan.equi_keys[0][0]
     group_width = 0
     while not isinstance(node, ScanNode):
-        schema = node.schema
-        position = schema.index_of(*key)
-        if isinstance(node, RenameNode):
-            key = node.child.schema.fields[node.positions[position]].key
-        elif isinstance(node, ProjectNode):
-            expression = node.outputs[position][2]
-            if not isinstance(expression, ColumnRef):
-                return None
-            key = node.child.schema.field_of(*expression.key).key
-        elif isinstance(node, GroupByNode):
-            key = schema.fields[position].key
+        if isinstance(node, GroupByNode):
+            key = node.schema.field_of(*key).key
             if key not in node.group_keys:
                 return None
             group_width = max(group_width, node.internal_schema.width)
+        elif isinstance(node, (RenameNode, ProjectNode)):
+            key = _column_source(node, key)
+            if key is None:
+                return None
         elif not isinstance(node, FilterNode):
             return None
         node = node.child
     if not group_width:
         return None
     return node, node.schema.fields[node.schema.index_of(*key)].key, group_width
+
+
+class Fold(NamedTuple):
+    """A hash group-by aggregating at the inner join below it, as
+    compiled by :func:`_fold_path`.
+
+    ``join`` is the join and ``members`` the renames and projections
+    between them, which do not run. ``schema`` is the group-by's input
+    schema, which its arguments are compiled against; ``probe_columns``
+    and ``build_columns`` are ``(position in it, position in the left /
+    right input)`` for each column the group-by reads from that side,
+    which :meth:`view` places. ``merges[j]`` is aggregate *j*'s offset
+    in a partial state, or ``None`` when it is weighted by the state's
+    count (``COUNT(*)`` or a probe-side argument). ``build_aggregates``
+    is what the join's build step computes per join key: ``COUNT(*)``,
+    then each build-side aggregate."""
+
+    join: JoinNode
+    members: Tuple[PlanNode, ...]
+    schema: RowSchema
+    probe_columns: List[Tuple[int, int]]
+    build_columns: List[Tuple[int, int]]
+    merges: List[Optional[int]]
+    build_aggregates: list
+
+    def view(self, columns, placed: List[Tuple[int, int]]) -> list:
+        """One side's *columns* at the group-by input's positions
+        *placed* names, holes elsewhere."""
+        virtual = [None] * len(self.schema)
+        for position, source in placed:
+            virtual[position] = columns[source]
+        return virtual
+
+
+def _fold_path(plan: GroupByNode) -> Optional[Fold]:
+    """The :class:`Fold` of hash group-by *plan*, when it may aggregate
+    at the join below it, else ``None``.
+
+    The join must be an inner join the match core serves — hash or
+    block NLJ, with equi keys and no residual — reached through renames
+    and bare-column projections only: each column the group-by reads is
+    followed down by :func:`_key_filter_path`'s step. Every group key
+    must come from the probe (left) side, every aggregate must be a
+    kind with weighted and merge rows (``kernels.KERNEL_KINDS``), and
+    each argument must read one side only. Page IO cannot move: the
+    join charges its inputs' counts and the group-by the joined rows
+    the partial states stand for, as they would unfolded."""
+    if plan.method != "hash":
+        return None
+    kinds = [KERNEL_KINDS[aggregate_kind(call)] for _, call in plan.aggregates]
+    if not all(kind.foldable for kind in kinds):
+        return None
+    schema = plan.child.schema
+    group_positions = [schema.index_of(*key) for key in plan.group_keys]
+    arg_positions = [
+        {schema.index_of(*key) for key in call.columns()}
+        for _, call in plan.aggregates
+    ]
+    read = {
+        position: schema.fields[position].key
+        for position in set(group_positions).union(*arg_positions)
+    }
+    node = plan.child
+    members = []
+    while type(node) in (RenameNode, ProjectNode):
+        for position, key in read.items():
+            read[position] = _column_source(node, key)
+            if read[position] is None:
+                return None
+        members.append(node)
+        node = node.child
+    if (
+        not isinstance(node, JoinNode)
+        or node.kind != "inner"
+        or node.method not in ("hj", "nlj")
+        or not node.equi_keys
+        or node.residuals
+    ):
+        return None
+    probe = {field.key: i for i, field in enumerate(node.left.schema.fields)}
+    build = {field.key: i for i, field in enumerate(node.right.schema.fields)}
+    if any(read[position] not in probe for position in group_positions):
+        return None
+    merges = []
+    build_aggregates = [("", AggregateCall("count", None))]
+    offset = 1
+    for aggregate, kind, positions in zip(plan.aggregates, kinds, arg_positions):
+        sides = {read[position] in probe for position in positions}
+        if len(sides) > 1:
+            return None
+        if sides == {False}:  # the build side's: merged from partials
+            build_aggregates.append(aggregate)
+            merges.append(offset)
+            offset += len(kind.inits)
+        else:
+            merges.append(None)
+    return Fold(
+        node,
+        tuple(members),
+        schema,
+        [(p, probe[key]) for p, key in read.items() if key in probe],
+        [(p, build[key]) for p, key in read.items() if key in build],
+        merges,
+        build_aggregates,
+    )
 
 
 class _Slot:
@@ -260,6 +388,42 @@ class Executable:
         self._key_filters += 1
         return KeyFilter(*path, self._key_filters - 1)
 
+    def fold(self, plan: GroupByNode) -> Optional[Fold]:
+        """The join below group-by *plan* it may aggregate at
+        (:func:`_fold_path`); pass it to :meth:`fold_child`."""
+        return _fold_path(plan)
+
+    def fold_child(self, fold: Fold) -> Callable[[Run], Iterator]:
+        """Compile the input of the group-by being built that *fold*
+        folds: the join, streaming
+        :class:`~repro.engine.join.FoldedBatch` es. The renames and
+        projections between them do not run; their metrics report the
+        join's rows. The group-by's time excludes the join's, which
+        covers its inputs, the build and the probe."""
+        parent = self._building
+        depth = parent.depth + 1
+        members = [
+            self._slot(member, member.describe(), depth + i)
+            for i, member in enumerate(fold.members)
+        ]
+        start, slot = self._compile(
+            fold.join,
+            depth + len(members),
+            lambda plan, compiler: join_columns(plan, compiler, fold),
+        )
+        parent.children.append(slot)
+
+        def folded(run: Run) -> Iterator:
+            yield from start(run)
+            joined = run.operators[slot]
+            for member in members:
+                metrics = run.operators[member]
+                metrics.rows_in = metrics.rows_out = joined.rows_out
+                metrics.batches = joined.batches
+                metrics.exhausted = True
+
+        return folded
+
     def claim_key_filter(self, scan: ScanNode) -> Optional[KeyFilter]:
         """The key filter *scan*, being compiled, applies: the one its
         compile path carries, if it is the target."""
@@ -269,12 +433,15 @@ class Executable:
         self._unclaimed = None
         return key_filter
 
-    def _compile(self, plan: PlanNode, depth: int) -> Tuple[Callable, int]:
+    def _compile(
+        self, plan: PlanNode, depth: int, builder: Optional[Callable] = None
+    ) -> Tuple[Callable, int]:
         """``(start, slot)`` of the subtree at *plan*: ``start(run)`` is
-        its metered batch stream, ``slot`` its root's metrics slot."""
+        its metered batch stream, ``slot`` its root's metrics slot.
+        *builder* replaces the kind's (a folded join's)."""
         if type(plan) in _FUSABLE:
             return self._fused_chain(plan, depth)
-        builder = _COLUMN_BUILDERS.get(type(plan))
+        builder = builder or _COLUMN_BUILDERS.get(type(plan))
         if builder is None:
             raise ExecutionError(
                 f"cannot execute node type {type(plan).__name__}"

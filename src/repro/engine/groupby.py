@@ -3,7 +3,12 @@
 The group-by table and the sort buffer are pipeline breakers (filter,
 project and rename run in the executor's fused chain, not here). Both
 group-by methods run the one fused hash kernel; the method picks only
-the charge (see :func:`group_by_columns`).
+the charge (see :func:`group_by_columns`). A hash group-by over an
+inner join it may fold (``executor._fold_path``) reads the join's left
+rows and, per row, the partial state its key hit on the build side:
+its kernel weights probe-side arguments by the hit's count and merges
+build-side ones from the hit (``kernels.KERNEL_KINDS``) — the join
+emits no rows, so this is the one input no join emitter serves.
 ``LimitNode`` drains its child completely while emitting only the
 first N rows: the cost model charges a limit its child's full cost, and
 the two change together or not at all.
@@ -29,6 +34,12 @@ def group_by_columns(plan: GroupByNode, compiler):
     as whole columns, and HAVING + projection run as one selection
     kernel + column gather over the finalized group columns.
 
+    Folded (``compiler.fold``), its input is the join's left batches
+    and their hits (:class:`~repro.engine.join.FoldedBatch`): keys and
+    probe-side arguments are the left rows', each row stands for its
+    hit's count of joined rows, and rows in and the spill charge read
+    those joined rows, as they would unfolded.
+
     Groups come out in first-occurrence order. A sort-method group-by's
     input is ordered on the group keys, so that is key order — the
     order its plan promises — and the method differs from hash only in
@@ -36,10 +47,22 @@ def group_by_columns(plan: GroupByNode, compiler):
     input's and the group table's actual pages; sort pays nothing here,
     its input arriving ordered.
     """
-    child = compiler.child(plan.child)
+    fold = compiler.fold(plan)
+    merges = None
+    if fold is None:
+        child = compiler.child(plan.child)
+    else:  # aggregating at the join: its left rows and their hits
+        child = compiler.fold_child(fold)
+        merges = fold.merges
     child_schema = plan.child.schema
     key_positions = [
         child_schema.index_of(alias, name) for alias, name in plan.group_keys
+    ]
+    # per aggregate: the argument this group-by computes (none for
+    # COUNT(*), nor for one merged from the join's partial states)
+    arguments = [
+        None if merges is not None and merges[j] is not None else call.arg
+        for j, (_, call) in enumerate(plan.aggregates)
     ]
     internal = plan.internal_schema
     out_positions = [
@@ -47,14 +70,12 @@ def group_by_columns(plan: GroupByNode, compiler):
     ]
     hashed = plan.method == "hash"
     having_program = SelectionProgram(plan.having, internal, compiler)
-    arg_expressions = [
-        call.arg for _, call in plan.aggregates if call.arg is not None
-    ]
+    arg_expressions = [arg for arg in arguments if arg is not None]
     arg_program = ComputeProgram(arg_expressions, child_schema, compiler)
     arg_slots = []  # per aggregate: index into the computed columns
     slot = 0
-    for _, call in plan.aggregates:
-        if call.arg is None:
+    for arg in arguments:
+        if arg is None:
             arg_slots.append(None)
         else:
             arg_slots.append(slot)
@@ -63,7 +84,7 @@ def group_by_columns(plan: GroupByNode, compiler):
     # column, dropped after finalizing: one group, none on no input.
     keyless = not key_positions
     update, finalize = groupby_kernels(
-        len(key_positions) or 1, plan.aggregates, compiler
+        len(key_positions) or 1, plan.aggregates, compiler, merges
     )
 
     def open(run, metrics: OperatorMetrics) -> Iterator[ColumnBatch]:
@@ -74,15 +95,21 @@ def group_by_columns(plan: GroupByNode, compiler):
         count = 0
         for batch in child(run):
             n = batch.length
-            count += n
-            metrics.rows_in += n
+            rows = len(batch)  # a folded batch: the joined rows
+            count += rows
+            metrics.rows_in += rows
             columns = batch.columns
+            if fold is not None:
+                columns = fold.view(columns, fold.probe_columns)
             keys = [columns[p] for p in key_positions] or [repeat(None, n)]
             computed = compute_args(columns, n) if arg_expressions else ()
             args = [
                 computed[s] if s is not None else None for s in arg_slots
             ]
-            update(keys, args, table)
+            if fold is None:
+                update(keys, args, table)
+            else:
+                update(keys, args, table, batch.hits)
         if hashed:
             charge_spill(
                 context.io,

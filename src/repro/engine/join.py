@@ -23,6 +23,15 @@ surviving pair, anti (and NOT IN, with its NULL rule) those without,
 LEFT pads each pairless left row with a NULL right row — then the
 projection is gathered.
 
+The one exception is a join *folded* into the hash group-by above it
+(:func:`join_columns` with a ``fold``, chosen at compile time by
+``executor._fold_path``): an inner hash or block-NLJ join with no
+residual, whose group keys all come from the left side. Its build step
+groups the right input by join key into partial aggregate states (a
+``COUNT(*)`` and each build-side aggregate's slots), its probe looks
+each left row's key up in them, and the group-by merges the hits: no
+pair, and so no emitter, exists. Its charges read the same input counts.
+
 Pipeline shape: the match core's right input and both sort-merge
 inputs are collected before output flows; the left side streams.
 Right-before-left is load-bearing: an inner or semi hash join on one
@@ -46,7 +55,12 @@ from ..storage.page import pages_for
 from ..storage.snapshot import TableSnapshot
 from .batch import ColumnBatch, RowBatch, concat_columns, projector, take
 from .context import ExecutionContext
-from .kernels import SelectionProgram, row_closures
+from .kernels import (
+    ComputeProgram,
+    SelectionProgram,
+    row_closures,
+    update_kernel,
+)
 from .metrics import KEY_FILTER_FIRED, OperatorMetrics, charge_spill
 from .spill import external_sort_extra_io, hash_spill_extra_io, nlj_blocks
 
@@ -129,7 +143,8 @@ def _nlj_charge(
 # Columnar join path
 # ----------------------------------------------------------------------
 #
-# Every core yields (left_batch, right_columns, li, ri, counts) tuples:
+# Every core yields (left_batch, right_columns, li, ri, counts) tuples
+# (a folded match core: FoldedBatch es, for the group-by above it):
 # a left batch, the full-width right column set, and parallel index
 # vectors — one (li[k], ri[k]) pair per candidate match, left-row-major.
 # Matches stay *virtual* until the shared emitter has applied the
@@ -317,10 +332,14 @@ def _left_outer_pairs(n: int, li, ri, counts, sentinel: int):
     return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
 
 
-def join_columns(plan: JoinNode, compiler):
+def join_columns(plan: JoinNode, compiler, fold=None):
     """Columnar join: the method's core, then one emitter for every
     kind — residual, the kind's step, projection (see the module
-    docstring)."""
+    docstring). With *fold* (``executor.Fold``), an inner hash or
+    block-NLJ join folded into the hash group-by above it: the match
+    core alone, streaming :class:`FoldedBatch` es, never a joined row."""
+    if fold is not None:
+        return _match_core(plan, compiler, fold)
     combined = plan.left.schema.concat(plan.right.schema)
     combined_width = len(combined)
     left_width = len(plan.left.schema)
@@ -464,7 +483,57 @@ def _arm_key_filter(plan, key_filter, run, metrics, buckets, right_count):
     metrics.key_filter = f"{key_filter.scan.alias}: {outcome}"
 
 
-def _match_core(plan: JoinNode, compiler):
+class FoldedBatch:
+    """A left batch of a join folded into the group-by above it
+    (:func:`join_columns`): its columns and, per row, the
+    partial state its key hit (``None`` on a miss). ``length`` is its
+    rows; ``len()`` the joined rows it stands for — the sum of its
+    hits' counts — which is what the join's and the group-by's row
+    counts and the group-by's spill charge read."""
+
+    __slots__ = ("columns", "length", "hits", "matches")
+
+    def __init__(self, columns, length: int, hits: List):
+        self.columns = columns
+        self.length = length
+        self.hits = hits
+        self.matches = sum(map(itemgetter(0), filter(None, hits)))
+
+    def __len__(self) -> int:
+        return self.matches
+
+
+def _fold_build(fold, plan: JoinNode, compiler, right_positions: List[int]):
+    """A folded join's build step, ``build(context, right_columns,
+    right_count) -> partials``: a group-by of the right input on the
+    join key (NULL keys skipped: they never match) into one partial
+    state per key — its ``COUNT(*)``, then each build-side aggregate's
+    slots (``fold.build_aggregates``)."""
+    update = update_kernel(
+        len(right_positions), fold.build_aggregates, compiler,
+        skip_null_keys=True,
+    )
+    arguments = ComputeProgram(
+        [call.arg for _, call in fold.build_aggregates[1:]],
+        fold.schema,
+        compiler,
+    )
+
+    def build(context, right_columns, right_count: int) -> dict:
+        partials: dict = {}
+        args = arguments.arm(context).run(
+            fold.view(right_columns, fold.build_columns), right_count
+        )
+        update(
+            [right_columns[p] for p in right_positions], [None, *args],
+            partials,
+        )
+        return partials
+
+    return build
+
+
+def _match_core(plan: JoinNode, compiler, fold=None):
     """Hash join and block NLJ over columns: one match loop, and the
     method's charge once the left side is exhausted.
 
@@ -473,33 +542,47 @@ def _match_core(plan: JoinNode, compiler):
     batch's pairs come out left-row-major, then in right-row order — a
     nested loop's order. Without equi keys every left row pairs with
     every right row, the index vectors built by C-level list
-    repetition."""
+    repetition. With *fold* the build step is :func:`_fold_build`'s
+    instead, and each left batch comes out as a :class:`FoldedBatch`
+    of its keys' hits in the partial states."""
     key_filter = compiler.key_filter(plan)
     left = compiler.child(plan.left, key_filter)
     right = compiler.child(plan.right)
     left_positions, right_positions = _equi_positions(plan)
     right_width = len(plan.right.schema)
     charge = _hash_charge if plan.method == "hj" else _nlj_charge
+    if fold is not None:
+        build = _fold_build(fold, plan, compiler, right_positions)
 
     def core(run, metrics: OperatorMetrics):
         left_batches = left(run)
         right_columns, right_count = _collect_columns(right(run), right_width)
-        if right_positions:
+        if fold is not None:
+            buckets = build(run.context, right_columns, right_count)
+            metrics.folded = len(buckets)
+            metrics.cells += len(buckets)
+        elif right_positions:
             buckets = _build_buckets(
                 _column_keys(right_columns, right_positions),
                 len(right_positions) > 1,
             )
             unique = _unique_index(buckets)
-            if key_filter is not None:
-                _arm_key_filter(
-                    plan, key_filter, run, metrics, buckets, right_count
-                )
         else:
             every_right_row = list(range(right_count))
+        if key_filter is not None:
+            _arm_key_filter(plan, key_filter, run, metrics, buckets, right_count)
         left_count = 0
         for batch in left_batches:
             n = batch.length
             left_count += n
+            if fold is not None:
+                keys = _column_keys(batch.columns, left_positions)
+                batch = FoldedBatch(
+                    batch.columns, n, list(map(buckets.get, keys))
+                )
+                metrics.rows_in += len(batch)
+                yield batch
+                continue
             if right_positions:
                 li, ri, counts = _probe(
                     _column_keys(batch.columns, left_positions),

@@ -22,7 +22,10 @@ Three program kinds:
 - :func:`groupby_kernels` — a group-by's whole accumulate loop (key
   lookup + every aggregate's update) fused into one generated ``for``
   over zipped key/argument columns, plus a finalize kernel that turns
-  the group table into output columns.
+  the group table into output columns. Every aggregate kind's lines
+  come from one table, :data:`KERNEL_KINDS`, whose weighted and merge
+  rows also compile a folded join's kernels: the build side's partial
+  states per join key, and the group-by's merge of each probe row's hit.
 
 Semantics are the closures', reproduced exactly:
 
@@ -67,8 +70,9 @@ the cached code object with that execution's values in its namespace.
 from __future__ import annotations
 
 import copy
+import math
 import threading
-
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.aggregates import (
@@ -553,22 +557,140 @@ class ComputeProgram(_Program):
 # Group-by kernels
 # ----------------------------------------------------------------------
 
-_AGG_SLOTS = {
-    "count*": 1,
-    "count": 1,
-    "sum": 2,
-    "min": 1,
-    "max": 1,
-    "avg": 2,
-    "stddev": 3,
-    "other": 1,
+@dataclass(frozen=True)
+class KernelKind:
+    """One aggregate kind's generated source: its state slots' initial
+    values and, per way a row can reach the state, the lines that fold
+    it in. Lines are templates over ``{v}`` (the row's argument value),
+    ``{s0}``, ``{s1}``, ... (the group's state slots), ``{w}`` (the
+    joined rows a folded join's probe row stands for), ``{h0}``, ...
+    (the same slots of a partial state being merged in), ``{t}``,
+    ``{m}``, ``{d}`` (temporaries), ``{make}`` (the accumulator
+    factory) and ``{out}`` (the output column's append).
+
+    - ``update``: one row (a plain group-by, and a folded join's build
+      side, :func:`update_kernel`);
+    - ``weighted``: one probe row standing for ``{w}`` joined rows that
+      all carry its value;
+    - ``merge``: a partial state built by ``update`` over the build
+      rows its probe row matched — the COUNT-carry algebra of
+      :mod:`repro.transforms.eager`, executed rather than rewritten;
+    - ``finalize``: the state's output value.
+
+    A kind without ``weighted`` and ``merge`` rows does not fold.
+    Those two rows add a float SUM / AVG / STDDEV in another order than
+    row by row (per join key, as eager aggregation does); over integers
+    and other exactly summed values the result is the same.
+    """
+
+    inits: Tuple[str, ...]
+    update: Tuple[str, ...]
+    finalize: Tuple[str, ...]
+    weighted: Optional[Tuple[str, ...]] = None
+    merge: Optional[Tuple[str, ...]] = None
+
+    @property
+    def foldable(self) -> bool:
+        return self.weighted is not None and self.merge is not None
+
+
+def _extreme(op: str) -> KernelKind:
+    update = (
+        "if {v} is not None:",
+        "    {t} = {s0}",
+        f"    if {{t}} is None or {{v}} {op} {{t}}:",
+        "        {s0} = {v}",
+    )
+    return KernelKind(
+        inits=("None",),
+        update=update,
+        weighted=update,  # a repeated value is no new extreme
+        merge=("{v} = {h0}", *update),
+        finalize=("{out}({s0})",),
+    )
+
+
+# Each kind replicates the matching accumulator's state layout and
+# float operation order exactly (SUM starts at integer 0 with a seen
+# flag, AVG at float 0.0, ...).
+KERNEL_KINDS: Dict[str, KernelKind] = {
+    "count*": KernelKind(
+        inits=("0",),
+        update=("{s0} += 1",),
+        weighted=("{s0} += {w}",),
+        merge=("{s0} += {h0}",),
+        finalize=("{out}({s0})",),
+    ),
+    "count": KernelKind(
+        inits=("0",),
+        update=("if {v} is not None:", "    {s0} += 1"),
+        weighted=("if {v} is not None:", "    {s0} += {w}"),
+        merge=("{s0} += {h0}",),
+        finalize=("{out}({s0})",),
+    ),
+    "sum": KernelKind(
+        inits=("0", "False"),
+        update=("if {v} is not None:", "    {s0} += {v}", "    {s1} = True"),
+        weighted=(
+            "if {v} is not None:",
+            "    {s0} += {v} * {w}",
+            "    {s1} = True",
+        ),
+        merge=("if {h1}:", "    {s0} += {h0}", "    {s1} = True"),
+        finalize=("{out}({s0} if {s1} else None)",),
+    ),
+    "min": _extreme("<"),
+    "max": _extreme(">"),
+    "avg": KernelKind(
+        inits=("0.0", "0"),
+        update=("if {v} is not None:", "    {s0} += {v}", "    {s1} += 1"),
+        weighted=(
+            "if {v} is not None:",
+            "    {s0} += {v} * {w}",
+            "    {s1} += {w}",
+        ),
+        merge=("{s0} += {h0}", "{s1} += {h1}"),
+        finalize=("{t} = {s1}", "{out}(({s0} / {t}) if {t} else None)"),
+    ),
+    "stddev": KernelKind(
+        inits=("0", "0.0", "0.0"),
+        update=(
+            "if {v} is not None:",
+            "    {s0} += 1",
+            "    {s1} += {v}",
+            "    {s2} += {v} * {v}",
+        ),
+        weighted=(
+            "if {v} is not None:",
+            "    {s0} += {w}",
+            "    {s1} += {v} * {w}",
+            "    {s2} += {v} * {v} * {w}",
+        ),
+        merge=("{s0} += {h0}", "{s1} += {h1}", "{s2} += {h2}"),
+        finalize=(
+            "{t} = {s0}",
+            "if {t}:",
+            "    {m} = {s1} / {t}",
+            "    {d} = {s2} / {t} - {m} * {m}",
+            "    {out}(_sqrt({d} if {d} > 0.0 else 0.0))",
+            "else:",
+            "    {out}(None)",
+        ),
+    ),
+    # the generic accumulator object, inside the fused loop
+    "other": KernelKind(
+        inits=("{make}()",),
+        update=("{s0}.add({v})",),
+        finalize=("{out}({s0}.value())",),
+    ),
 }
 
 
 def aggregate_kind(call) -> str:
-    """Specialization key of one aggregate call; ``"other"`` keeps the
-    generic accumulator object inside the fused loop (exact-type checks
-    so a re-registered or subclassed function never mis-specializes)."""
+    """Specialization key of one aggregate call (a :data:`KERNEL_KINDS`
+    entry); ``"other"`` keeps the generic accumulator object inside
+    the fused loop (exact-type checks so a re-registered or subclassed
+    function never mis-specializes)."""
     function = call.function()
     t = type(function)
     if t is CountFunction:
@@ -586,131 +708,91 @@ def aggregate_kind(call) -> str:
     return "other"
 
 
-def _slot_inits(kind: str, maker: str) -> List[str]:
-    # each replicates the matching accumulator's initial state exactly
-    # (SUM starts at integer 0 with a seen flag, AVG at float 0.0, ...)
-    if kind in ("count*", "count"):
-        return ["0"]
-    if kind == "sum":
-        return ["0", "False"]
-    if kind in ("min", "max"):
-        return ["None"]
-    if kind == "avg":
-        return ["0.0", "0"]
-    if kind == "stddev":
-        return ["0", "0.0", "0.0"]
-    return [f"{maker}()"]
+def _aggregate_specs(aggregates, namespace: Dict[str, Any]):
+    """Per aggregate: ``(j, kind name, KernelKind, first state slot,
+    has an argument)``; ``other``'s accumulator factories go into
+    *namespace*."""
+    specs = []
+    offset = 0
+    for j, (_, call) in enumerate(aggregates):
+        name = aggregate_kind(call)
+        if name == "other":
+            namespace[f"_mk{j}"] = call.function().make_accumulator
+        kind = KERNEL_KINDS[name]
+        specs.append((j, name, kind, offset, call.arg is not None))
+        offset += len(kind.inits)
+    return specs
 
 
-def _update_lines(kind: str, j: int, offset: int, has_arg: bool) -> List[str]:
-    value = f"_av{j}"
-    if kind == "count*":
-        return [f"_st[{offset}] += 1"]
-    if kind == "count":
-        return [f"if {value} is not None:", f"    _st[{offset}] += 1"]
-    if kind == "sum":
-        return [
-            f"if {value} is not None:",
-            f"    _st[{offset}] += {value}",
-            f"    _st[{offset + 1}] = True",
-        ]
-    if kind in ("min", "max"):
-        op = "<" if kind == "min" else ">"
-        return [
-            f"if {value} is not None:",
-            f"    _b{j} = _st[{offset}]",
-            f"    if _b{j} is None or {value} {op} _b{j}:",
-            f"        _st[{offset}] = {value}",
-        ]
-    if kind == "avg":
-        return [
-            f"if {value} is not None:",
-            f"    _st[{offset}] += {value}",
-            f"    _st[{offset + 1}] += 1",
-        ]
-    if kind == "stddev":
-        return [
-            f"if {value} is not None:",
-            f"    _st[{offset}] += 1",
-            f"    _st[{offset + 1}] += {value}",
-            f"    _st[{offset + 2}] += {value} * {value}",
-        ]
-    fed = value if has_arg else "True"
-    return [f"_st[{offset}].add({fed})"]
+def _render(
+    template, j: int, offset: int, has_arg: bool, partial: int = 0, out=""
+):
+    """Aggregate *j*'s lines of *template*: its state slots from
+    *offset*, a merged partial's from *partial*, its output column's
+    append *out*."""
+    names = {
+        "out": out,
+        "v": f"_av{j}" if has_arg else "True",
+        "w": "_w",
+        "t": f"_t{j}",
+        "m": f"_m{j}",
+        "d": f"_d{j}",
+        "make": f"_mk{j}",
+    }
+    for i in range(3):
+        names[f"s{i}"] = f"_st[{offset + i}]"
+        names[f"h{i}"] = f"_h[{partial + i}]"
+    return [line.format(**names) for line in template]
 
 
-def _finalize_lines(kind: str, j: int, offset: int, append: str) -> List[str]:
-    if kind in ("count*", "count"):
-        return [f"{append}(_st[{offset}])"]
-    if kind == "sum":
-        return [f"{append}(_st[{offset}] if _st[{offset + 1}] else None)"]
-    if kind in ("min", "max"):
-        return [f"{append}(_st[{offset}])"]
-    if kind == "avg":
-        return [
-            f"_n{j} = _st[{offset + 1}]",
-            f"{append}((_st[{offset}] / _n{j}) if _n{j} else None)",
-        ]
-    if kind == "stddev":
-        return [
-            f"_n{j} = _st[{offset}]",
-            f"if _n{j}:",
-            f"    _m{j} = _st[{offset + 1}] / _n{j}",
-            f"    _d{j} = _st[{offset + 2}] / _n{j} - _m{j} * _m{j}",
-            f"    {append}(_sqrt(_d{j} if _d{j} > 0.0 else 0.0))",
-            "else:",
-            f"    {append}(None)",
-        ]
-    return [f"{append}(_st[{offset}].value())"]
-
-
-def groupby_kernels(
+def update_kernel(
     key_count: int,
     aggregates,
     context=None,
-) -> Tuple[Callable, Callable]:
-    """Compile the fused (update, finalize) kernel pair of a hash
-    group-by.
+    merges: Optional[Sequence[Optional[int]]] = None,
+    skip_null_keys: bool = False,
+) -> Callable:
+    """Compile a hash group-by's fused update kernel.
 
     ``update(key_columns, arg_columns, table)`` accumulates one batch
     into ``table`` (insertion-ordered dict: scalar or tuple key → state
     list, specialized slots per aggregate kind with ``Accumulator``
-    objects as the in-loop fallback).
+    objects as the in-loop fallback); ``arg_columns[j]`` is aggregate
+    *j*'s argument column. *skip_null_keys* drops every row with a NULL
+    key — a join's build side, where NULL never matches.
 
-    ``finalize(items)`` turns ``table.items()`` into the internal-schema
-    output columns (key columns first, then one column per aggregate).
+    With *merges* it aggregates a folded join's probe side:
+    ``update(key_columns, arg_columns, table, hits)``, where ``hits[i]``
+    is probe row *i*'s partial state (``None`` on a miss: the row joins
+    nothing and is dropped), whose slot 0 counts the joined rows it
+    stands for. Per aggregate, ``merges[j]`` is the offset of its
+    partial slots in the hit (a build-side argument: the ``merge``
+    row), or ``None`` (``COUNT(*)`` or a probe-side argument: the
+    ``weighted`` row).
     """
-    import math
-
     if key_count < 1:
         raise ValueError("group-by kernels require at least one key")
-    specs = []
-    offset = 0
     namespace: Dict[str, Any] = {}
-    for j, (_, call) in enumerate(aggregates):
-        kind = aggregate_kind(call)
-        maker = f"_mk{j}"
-        if kind == "other":
-            namespace[maker] = call.function().make_accumulator
-        specs.append((j, kind, offset, call.arg is not None, maker))
-        offset += _AGG_SLOTS[kind]
-
-    # ---- update kernel ----
+    specs = _aggregate_specs(aggregates, namespace)
     key_vars = [f"_kv{i}" for i in range(key_count)]
     loop_vars = list(key_vars)
     zip_cols = [f"_kc{i}" for i in range(key_count)]
-    bindings = [
-        f"    _kc{i} = _keys[{i}]" for i in range(key_count)
-    ]
-    for j, kind, _, has_arg, _ in specs:
-        if kind != "count*" and has_arg:
+    bindings = [f"    _kc{i} = _keys[{i}]" for i in range(key_count)]
+    for j, name, _, _, has_arg in specs:
+        merged = merges is not None and merges[j] is not None
+        if name != "count*" and has_arg and not merged:
             bindings.append(f"    _ac{j} = _args[{j}]")
             loop_vars.append(f"_av{j}")
             zip_cols.append(f"_ac{j}")
+    parameters = "_keys, _args, _table"
+    if merges is not None:
+        parameters += ", _hits"
+        loop_vars.append("_h")
+        zip_cols.append("_hits")
     inits = ", ".join(
-        init
-        for _, kind, _, _, maker in specs
-        for init in _slot_inits(kind, maker)
+        init.format(make=f"_mk{j}")
+        for j, _, kind, _, _ in specs
+        for init in kind.inits
     )
     if len(loop_vars) == 1:
         head = f"    for {loop_vars[0]} in {zip_cols[0]}:"
@@ -722,10 +804,18 @@ def groupby_kernels(
     key_expr = (
         key_vars[0] if key_count == 1 else f"({', '.join(key_vars)})"
     )
-    lines = [f"def _kernel(_keys, _args, _table{_defaults(namespace)}):"]
+    lines = [f"def _kernel({parameters}{_defaults(namespace)}):"]
     lines.append("    _get = _table.get")
     lines.extend(bindings)
     lines.append(head)
+    if skip_null_keys:
+        nulls = " or ".join(f"{var} is None" for var in key_vars)
+        lines.append(f"        if {nulls}:")
+        lines.append("            continue")
+    if merges is not None:
+        lines.append("        if _h is None:")
+        lines.append("            continue")
+        lines.append("        _w = _h[0]")
     if key_count == 1:
         lines.append(f"        _st = _get({key_expr})")
         lines.append("        if _st is None:")
@@ -735,16 +825,29 @@ def groupby_kernels(
         lines.append("        _st = _get(_kt)")
         lines.append("        if _st is None:")
         lines.append(f"            _st = _table[_kt] = [{inits}]")
-    for j, kind, slot, has_arg, _ in specs:
-        for line in _update_lines(kind, j, slot, has_arg):
+    for j, name, kind, offset, has_arg in specs:
+        partial = 0
+        if merges is None:
+            template = kind.update
+        elif merges[j] is None:
+            template = kind.weighted
+        else:
+            template, partial = kind.merge, merges[j]
+        if template is None:
+            raise PlanError(f"{name} aggregates do not fold")
+        for line in _render(template, j, offset, has_arg, partial):
             lines.append("        " + line)
-    update_source = "\n".join(lines) + "\n"
-    update = _instantiate(update_source, namespace, context)
+    return _instantiate("\n".join(lines) + "\n", namespace, context)
 
-    # ---- finalize kernel ----
+
+def finalize_kernel(key_count: int, aggregates, context=None) -> Callable:
+    """Compile a hash group-by's finalize kernel: ``finalize(items)``
+    turns ``table.items()`` into the internal-schema output columns
+    (key columns first, then one column per aggregate)."""
+    specs = _aggregate_specs(aggregates, {})
     out_count = key_count + len(specs)
-    fin_namespace: Dict[str, Any] = {"_sqrt": math.sqrt}
-    lines = [f"def _kernel(_items{_defaults(fin_namespace)}):"]
+    namespace: Dict[str, Any] = {"_sqrt": math.sqrt}
+    lines = [f"def _kernel(_items{_defaults(namespace)}):"]
     for k in range(out_count):
         lines.append(f"    _o{k} = []")
         lines.append(f"    _p{k} = _o{k}.append")
@@ -754,15 +857,27 @@ def groupby_kernels(
     else:
         for i in range(key_count):
             lines.append(f"        _p{i}(_key[{i}])")
-    for j, kind, slot, _, _ in specs:
-        append = f"_p{key_count + j}"
-        for line in _finalize_lines(kind, j, slot, append):
+    for j, _, kind, offset, has_arg in specs:
+        out = f"_p{key_count + j}"
+        for line in _render(kind.finalize, j, offset, has_arg, out=out):
             lines.append("        " + line)
     outs = ", ".join(f"_o{k}" for k in range(out_count))
     lines.append(f"    return ({outs},)")
-    finalize_source = "\n".join(lines) + "\n"
-    finalize = _instantiate(finalize_source, fin_namespace, context)
-    return update, finalize
+    return _instantiate("\n".join(lines) + "\n", namespace, context)
+
+
+def groupby_kernels(
+    key_count: int,
+    aggregates,
+    context=None,
+    merges: Optional[Sequence[Optional[int]]] = None,
+) -> Tuple[Callable, Callable]:
+    """The fused (update, finalize) kernel pair of a hash group-by
+    (:func:`update_kernel`, :func:`finalize_kernel`)."""
+    return (
+        update_kernel(key_count, aggregates, context, merges),
+        finalize_kernel(key_count, aggregates, context),
+    )
 
 
 def gather_virtual(

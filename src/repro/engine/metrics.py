@@ -66,6 +66,9 @@ class OperatorMetrics:
     """A hash join's runtime key filter, ``<scan alias>: <outcome>`` —
     ``fired``, ``skipped (unselective)`` or ``skipped (spill)``; empty
     when the join may not filter."""
+    folded: Optional[int] = None
+    """A join folded into the group-by above it: the build keys it
+    built partial states for (``None`` when it did not fold)."""
     exhausted: bool = False
     """The operator's output stream ran to its end, so ``rows_out`` is
     its actual cardinality (not a prefix an error or an abandoned
@@ -105,6 +108,8 @@ class OperatorMetrics:
             parts.append(f"filtered={self.filtered}")
         if self.key_filter:
             parts.append(f"key filter → {self.key_filter}")
+        if self.folded is not None:
+            parts.append(f"folded → {self.folded} keys")
         if self.spill_reads or self.spill_writes:
             parts.append(f"spill={self.spill_reads}r/{self.spill_writes}w")
         if self.fused:
@@ -161,6 +166,11 @@ class ExecutionMetrics:
     def filters_fired(self) -> int:
         """Hash joins whose build keys filtered their probe-side scan."""
         return sum(op.key_filter_fired for op in self.operators)
+
+    @property
+    def folds(self) -> int:
+        """Joins folded into the group-by above them."""
+        return sum(op.folded is not None for op in self.operators)
 
     def lines(self) -> List[str]:
         return [

@@ -251,6 +251,7 @@ class TestRunFuzz:
             "io_equal": report.queries_checked,
             "io_index_exempt": report.io["full-batch"].io_index_exempt,
             "filters_fired": report.io["full-batch"].filters_fired,
+            "folds": report.io["full-batch"].folds,
         }
 
     def test_duration_cap_stops_early(self):
