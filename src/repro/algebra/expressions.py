@@ -13,7 +13,17 @@ instead of a tree walk.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..catalog.schema import RowSchema
 from ..datatypes import DataType, infer_type
@@ -26,14 +36,94 @@ FieldKey = Tuple[Optional[str], str]
 class Expression:
     """Base class of all scalar expressions.
 
-    ``columns()`` and ``aliases()`` are memoized: expressions are
-    immutable, and the optimizer's enumeration loops ask for them on
-    every connectivity / predicate-placement / projection check, so
-    each expression computes its frozensets exactly once. Subclasses
-    implement :meth:`_compute_columns`; the base class (which has no
-    ``__slots__``, so every instance carries a ``__dict__``) stores the
-    results.
+    Every kind speaks one protocol: it names its constructor fields
+    once, each kept under the attribute of the same name. ``OPERANDS``
+    are the fields holding sub-expressions — one expression, ``None``,
+    or a tuple of expressions (``And.items``, ``FuncCall.args``) — in
+    left-to-right order; ``VALUES`` are its plain values (an operator, a
+    flag, a name); ``OPAQUE`` are fields a rebuild carries but identity
+    ignores (``FuncCall``'s callable). From those follow ``children``;
+    :meth:`replace` and :meth:`map_children`, rebuilds through the
+    constructor; structural ``==`` / ``hash`` over ``VALUES +
+    OPERANDS``; and :meth:`columns` / :meth:`substitute`, with
+    :class:`ColumnRef` the one base case. A walk over any expression
+    therefore needs no per-kind arm. What stays per kind is what really
+    differs: :meth:`bind`, :meth:`dtype` and :meth:`display` here, and
+    the kernel emitter, the unparser, selectivity estimation and the
+    binder's resolution elsewhere.
+
+    ``columns()``, ``aliases()`` and the hash are memoized: expressions
+    are immutable, and the optimizer's enumeration loops ask for them on
+    every connectivity / predicate-placement / projection check. The
+    base class has no ``__slots__``, so every instance carries a
+    ``__dict__`` to store them in.
     """
+
+    OPERANDS: Tuple[str, ...] = ()
+    VALUES: Tuple[str, ...] = ()
+    OPAQUE: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        identity = cls.VALUES + cls.OPERANDS
+        if identity:  # an abstract base that groups kinds has none
+            # one field reads back bare, several as a tuple: either way
+            # a C-speed key that compares with ``==`` field by field
+            cls._identity = attrgetter(*identity)
+        cls._fields = identity + cls.OPAQUE
+
+    @property
+    def children(self) -> Tuple["Expression", ...]:
+        """The immediate sub-expressions, in ``OPERANDS`` order."""
+        found: List[Expression] = []
+        for name in self.OPERANDS:
+            value = getattr(self, name)
+            if type(value) is tuple:
+                found.extend(value)
+            elif value is not None:
+                found.append(value)
+        return tuple(found)
+
+    def map_children(
+        self, fn: Callable[["Expression"], "Expression"]
+    ) -> "Expression":
+        """This expression rebuilt through its constructor with *fn*
+        applied to every child; ``self`` when no child changed."""
+        changes: Dict[str, Any] = {}
+        for name in self.OPERANDS:
+            old = getattr(self, name)
+            if type(old) is tuple:
+                new = tuple([fn(item) for item in old])
+                if any(a is not b for a, b in zip(new, old)):
+                    changes[name] = new
+            elif old is not None:
+                new = fn(old)
+                if new is not old:
+                    changes[name] = new
+        return self.replace(**changes) if changes else self
+
+    def replace(self, **changes: Any) -> "Expression":
+        """This expression rebuilt through its constructor with the
+        named fields changed (a fresh object even with no change)."""
+        arguments = {name: getattr(self, name) for name in self._fields}
+        arguments.update(changes)
+        return type(self)(**arguments)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False
+        identity = self._identity
+        return identity(self) == identity(other)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash_memo  # type: ignore[attr-defined]
+        except AttributeError:
+            memo = hash((type(self), self._identity(self)))
+            self._hash_memo = memo
+            return memo
 
     def columns(self) -> FrozenSet[FieldKey]:
         """All column references appearing in this expression."""
@@ -45,7 +135,14 @@ class Expression:
             return memo
 
     def _compute_columns(self) -> FrozenSet[FieldKey]:
-        raise NotImplementedError
+        return _EMPTY.union(*[child.columns() for child in self.children])
+
+    def substitute(self, mapping: Dict[FieldKey, "Expression"]) -> "Expression":
+        """Return a copy with column references replaced per *mapping*
+        (``self`` when none of its columns is mapped)."""
+        if mapping.keys().isdisjoint(self.columns()):
+            return self
+        return self.map_children(lambda child: child.substitute(mapping))
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         """Compile to a ``row -> value`` closure for *schema*."""
@@ -53,10 +150,6 @@ class Expression:
 
     def dtype(self, schema: RowSchema) -> DataType:
         """The result type of this expression over *schema*."""
-        raise NotImplementedError
-
-    def substitute(self, mapping: Dict[FieldKey, "Expression"]) -> "Expression":
-        """Return a copy with column references replaced per *mapping*."""
         raise NotImplementedError
 
     def aliases(self) -> FrozenSet[str]:
@@ -77,10 +170,13 @@ class Expression:
         return self.display()
 
 
+_EMPTY: FrozenSet[FieldKey] = frozenset()
+
+
 class ColumnRef(Expression):
     """A reference to a column of some table alias (or a computed field)."""
 
-    __slots__ = ("alias", "name")
+    VALUES = ("alias", "name")
 
     def __init__(self, alias: Optional[str], name: str):
         self.alias = alias
@@ -107,27 +203,14 @@ class ColumnRef(Expression):
     def display(self) -> str:
         return f"{self.alias}.{self.name}" if self.alias else self.name
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ColumnRef)
-            and self.alias == other.alias
-            and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return hash(("col", self.alias, self.name))
-
 
 class Literal(Expression):
     """A constant value."""
 
-    __slots__ = ("value",)
+    VALUES = ("value",)
 
     def __init__(self, value: Any):
         self.value = value
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return frozenset()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         value = self.value
@@ -136,17 +219,8 @@ class Literal(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return infer_type(self.value)
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return self
-
     def display(self) -> str:
         return repr(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Literal) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("lit", self.value))
 
 
 class Parameter(Expression):
@@ -164,15 +238,12 @@ class Parameter(Expression):
     following PREPARE convention.
     """
 
-    __slots__ = ("index",)
+    VALUES = ("index",)
 
     def __init__(self, index: int):
         if index < 1:
             raise PlanError(f"parameter indexes are 1-based, got {index}")
         self.index = index
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return frozenset()
 
     def value(self, parameters: Sequence[Any]) -> Any:
         """This placeholder's value among one execution's *parameters*
@@ -197,17 +268,8 @@ class Parameter(Expression):
             "parameters may only appear in predicates"
         )
 
-    def substitute(self, mapping: Dict[FieldKey, "Expression"]) -> "Expression":
-        return self
-
     def display(self) -> str:
         return f"${self.index}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Parameter) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(("param", self.index))
 
 
 def _null_guarded(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
@@ -244,7 +306,8 @@ COMPARISON_FLIP = {
 class Comparison(Expression):
     """A binary comparison: ``left op right``."""
 
-    __slots__ = ("op", "left", "right")
+    VALUES = ("op",)
+    OPERANDS = ("left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression):
         if op not in _COMPARISON_OPS:
@@ -252,9 +315,6 @@ class Comparison(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return self.left.columns() | self.right.columns()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         op = _COMPARISON_OPS[self.op]
@@ -265,41 +325,19 @@ class Comparison(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.BOOL
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return Comparison(
-            self.op, self.left.substitute(mapping), self.right.substitute(mapping)
-        )
-
     def display(self) -> str:
         return f"({self.left.display()} {self.op} {self.right.display()})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Comparison)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash(("cmp", self.op, self.left, self.right))
 
 
 class And(Expression):
     """Conjunction of one or more expressions."""
 
-    __slots__ = ("items",)
+    OPERANDS = ("items",)
 
     def __init__(self, items: Sequence[Expression]):
         if not items:
             raise PlanError("AND of zero conjuncts")
         self.items: Tuple[Expression, ...] = tuple(items)
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        result: FrozenSet[FieldKey] = frozenset()
-        for item in self.items:
-            result |= item.columns()
-        return result
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         bound = [item.bind(schema) for item in self.items]
@@ -320,34 +358,19 @@ class And(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.BOOL
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return And([item.substitute(mapping) for item in self.items])
-
     def display(self) -> str:
         return " AND ".join(item.display() for item in self.items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, And) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(("and", self.items))
 
 
 class Or(Expression):
     """Disjunction of one or more expressions."""
 
-    __slots__ = ("items",)
+    OPERANDS = ("items",)
 
     def __init__(self, items: Sequence[Expression]):
         if not items:
             raise PlanError("OR of zero disjuncts")
         self.items: Tuple[Expression, ...] = tuple(items)
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        result: FrozenSet[FieldKey] = frozenset()
-        for item in self.items:
-            result |= item.columns()
-        return result
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         bound = [item.bind(schema) for item in self.items]
@@ -368,29 +391,17 @@ class Or(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.BOOL
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return Or([item.substitute(mapping) for item in self.items])
-
     def display(self) -> str:
         return "(" + " OR ".join(item.display() for item in self.items) + ")"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Or) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(("or", self.items))
 
 
 class Not(Expression):
     """Logical negation."""
 
-    __slots__ = ("item",)
+    OPERANDS = ("item",)
 
     def __init__(self, item: Expression):
         self.item = item
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return self.item.columns()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         bound = self.item.bind(schema)
@@ -404,17 +415,8 @@ class Not(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.BOOL
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return Not(self.item.substitute(mapping))
-
     def display(self) -> str:
         return f"NOT {self.item.display()}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Not) and self.item == other.item
-
-    def __hash__(self) -> int:
-        return hash(("not", self.item))
 
 
 def _null_arith(op: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
@@ -440,14 +442,12 @@ class IsNull(Expression):
     """``expr IS NULL`` / ``expr IS NOT NULL`` — the only predicates
     that are never UNKNOWN, so NULL-bearing rows stay reachable."""
 
-    __slots__ = ("item", "negate")
+    VALUES = ("negate",)
+    OPERANDS = ("item",)
 
     def __init__(self, item: Expression, negate: bool = False):
         self.item = item
         self.negate = negate
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return self.item.columns()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         bound = self.item.bind(schema)
@@ -458,28 +458,16 @@ class IsNull(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.BOOL
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return IsNull(self.item.substitute(mapping), self.negate)
-
     def display(self) -> str:
         suffix = "IS NOT NULL" if self.negate else "IS NULL"
         return f"({self.item.display()} {suffix})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IsNull)
-            and self.item == other.item
-            and self.negate == other.negate
-        )
-
-    def __hash__(self) -> int:
-        return hash(("isnull", self.item, self.negate))
 
 
 class Arith(Expression):
     """Binary arithmetic: ``left op right`` with op in ``+ - * /``."""
 
-    __slots__ = ("op", "left", "right")
+    VALUES = ("op",)
+    OPERANDS = ("left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression):
         if op not in _ARITH_OPS:
@@ -487,9 +475,6 @@ class Arith(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return self.left.columns() | self.right.columns()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         op = _ARITH_OPS[self.op]
@@ -506,31 +491,17 @@ class Arith(Expression):
             return DataType.FLOAT
         return left
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return Arith(
-            self.op, self.left.substitute(mapping), self.right.substitute(mapping)
-        )
-
     def display(self) -> str:
         return f"({self.left.display()} {self.op} {self.right.display()})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Arith)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash(("arith", self.op, self.left, self.right))
 
 
 class FuncCall(Expression):
     """A scalar function call (sqrt, abs, ...) used by aggregate
     finalization expressions such as STDDEV's."""
 
-    __slots__ = ("func_name", "func", "args")
+    VALUES = ("func_name",)
+    OPERANDS = ("args",)
+    OPAQUE = ("func",)
 
     def __init__(
         self,
@@ -541,12 +512,6 @@ class FuncCall(Expression):
         self.func_name = func_name
         self.func = func
         self.args: Tuple[Expression, ...] = tuple(args)
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        result: FrozenSet[FieldKey] = frozenset()
-        for arg in self.args:
-            result |= arg.columns()
-        return result
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         func = self.func
@@ -563,26 +528,9 @@ class FuncCall(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return DataType.FLOAT
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return FuncCall(
-            self.func_name,
-            self.func,
-            [arg.substitute(mapping) for arg in self.args],
-        )
-
     def display(self) -> str:
         args = ", ".join(arg.display() for arg in self.args)
         return f"{self.func_name}({args})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FuncCall)
-            and self.func_name == other.func_name
-            and self.args == other.args
-        )
-
-    def __hash__(self) -> int:
-        return hash(("func", self.func_name, self.args))
 
 
 class IfNull(Expression):
@@ -592,14 +540,11 @@ class IfNull(Expression):
     SUM over zero partial rows, a carry-weighted count over an all-NULL
     group) where SQL semantics demand a 0."""
 
-    __slots__ = ("item", "default")
+    OPERANDS = ("item", "default")
 
     def __init__(self, item: Expression, default: Expression):
         self.item = item
         self.default = default
-
-    def _compute_columns(self) -> FrozenSet[FieldKey]:
-        return self.item.columns() | self.default.columns()
 
     def bind(self, schema: RowSchema) -> Callable[[Tuple[Any, ...]], Any]:
         item = self.item.bind(schema)
@@ -614,23 +559,8 @@ class IfNull(Expression):
     def dtype(self, schema: RowSchema) -> DataType:
         return self.item.dtype(schema)
 
-    def substitute(self, mapping: Dict[FieldKey, Expression]) -> Expression:
-        return IfNull(
-            self.item.substitute(mapping), self.default.substitute(mapping)
-        )
-
     def display(self) -> str:
         return f"ifnull({self.item.display()}, {self.default.display()})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IfNull)
-            and self.item == other.item
-            and self.default == other.default
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ifnull", self.item, self.default))
 
 
 # ----------------------------------------------------------------------
@@ -689,36 +619,11 @@ def equijoin_sides(
     return None
 
 
-def expression_children(expression: Expression) -> Tuple[Expression, ...]:
-    """The immediate sub-expressions of any composite expression type.
-
-    Leaves (column refs, literals, parameters, and any type this module
-    does not know) have no children. Shared by the parameter walkers
-    below and by the serving layer's plan rewriter.
-    """
-    if isinstance(expression, (Comparison, Arith)):
-        return (expression.left, expression.right)
-    if isinstance(expression, (And, Or)):
-        return expression.items
-    if isinstance(expression, Not):
-        return (expression.item,)
-    if isinstance(expression, IsNull):
-        return (expression.item,)
-    if isinstance(expression, IfNull):
-        return (expression.item, expression.default)
-    if isinstance(expression, FuncCall):
-        return expression.args
-    return ()
-
-
 def collect_parameters(expression: Expression) -> FrozenSet[int]:
     """Indexes of every :class:`Parameter` inside *expression*."""
     if isinstance(expression, Parameter):
         return frozenset({expression.index})
-    result: FrozenSet[int] = frozenset()
-    for child in expression_children(expression):
-        result |= collect_parameters(child)
-    return result
+    return frozenset().union(*map(collect_parameters, expression.children))
 
 
 def replace_parameters(
@@ -737,47 +642,8 @@ def replace_parameters(
                 f"no value bound for parameter ${expression.index}"
             )
         return replacement
-    if not collect_parameters(expression):
-        return expression
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            replace_parameters(expression.left, values),
-            replace_parameters(expression.right, values),
-        )
-    if isinstance(expression, Arith):
-        return Arith(
-            expression.op,
-            replace_parameters(expression.left, values),
-            replace_parameters(expression.right, values),
-        )
-    if isinstance(expression, And):
-        return And(
-            [replace_parameters(item, values) for item in expression.items]
-        )
-    if isinstance(expression, Or):
-        return Or(
-            [replace_parameters(item, values) for item in expression.items]
-        )
-    if isinstance(expression, Not):
-        return Not(replace_parameters(expression.item, values))
-    if isinstance(expression, IsNull):
-        return IsNull(
-            replace_parameters(expression.item, values), expression.negate
-        )
-    if isinstance(expression, IfNull):
-        return IfNull(
-            replace_parameters(expression.item, values),
-            replace_parameters(expression.default, values),
-        )
-    if isinstance(expression, FuncCall):
-        return FuncCall(
-            expression.func_name,
-            expression.func,
-            [replace_parameters(arg, values) for arg in expression.args],
-        )
-    raise PlanError(
-        f"cannot bind parameters inside {type(expression).__name__}"
+    return expression.map_children(
+        lambda child: replace_parameters(child, values)
     )
 
 

@@ -822,18 +822,31 @@ class _BlockContext:
         # they become scan filters on the unit leaf); ON conjuncts get a
         # *forced* mask below so they apply exactly at the unit's join.
         on_predicates: List[Tuple[Expression, str]] = []
-        filter_predicates: List[Expression] = []
+        filter_predicates: List[Tuple[Expression, str]] = []
         for unit in join_units:
             on_predicates.extend(
                 (predicate, unit.alias) for predicate in unit.on
             )
-            filter_predicates.extend(unit.filters)
+            filter_predicates.extend(
+                (predicate, unit.alias) for predicate in unit.filters
+            )
         all_predicates = (
             predicates
             + tuple(predicate for predicate, _ in on_predicates)
-            + tuple(filter_predicates)
+            + tuple(predicate for predicate, _ in filter_predicates)
         )
         self.predicates = all_predicates
+
+        # A WHERE conjunct that reads no column (``1 = 0``, ``$1 = 1``)
+        # holds for every row or for none, so it places on no leaf and
+        # no join. Being row-independent it commutes with every
+        # operator of the block (a group-by yields no group from no
+        # rows, keyless or not), so ``_project`` applies it once, on
+        # top of every plan of the block: no early grouping is lost
+        # and the join under the final group-by stays foldable.
+        self.constant_predicates = tuple(
+            predicate for predicate in predicates if not predicate.columns()
+        )
 
         self.graph = JoinGraph(self.leaf_by_alias, all_predicates)
         # (predicate, strict mask): mask is None when the predicate
@@ -843,7 +856,9 @@ class _BlockContext:
         # with the dependency check in ``_expand_subset`` (the unit
         # joins only after every ON alias) this pins the conjunct to the
         # unit's join — an outer-only ON conjunct must not filter the
-        # outer side, and must not be applied anywhere else.
+        # outer side, and must not be applied anywhere else. A unit
+        # filter that reads no column (``1 = 0`` in a subquery body)
+        # gets the unit's bit, so it filters the unit's own leaf.
         info: List[Tuple[Expression, Optional[int]]] = []
         for predicate in predicates:
             info.append(
@@ -859,10 +874,11 @@ class _BlockContext:
             info.append(
                 (predicate, strict | self.graph.mask_of_alias[unit_alias])
             )
-        for predicate in filter_predicates:
-            info.append(
-                (predicate, self.graph.strict_mask_of(predicate.aliases()))
-            )
+        for predicate, unit_alias in filter_predicates:
+            strict = self.graph.strict_mask_of(predicate.aliases())
+            if strict == 0:
+                strict = self.graph.mask_of_alias[unit_alias]
+            info.append((predicate, strict))
         self._pred_info: Tuple[Tuple[Expression, Optional[int]], ...] = (
             tuple(info)
         )
@@ -1307,8 +1323,9 @@ class _BlockContext:
         select: Optional[Tuple[Tuple[str, Expression], ...]] = None,
     ) -> List[PlanNode]:
         """Finalize one DP entry's plan: attach the post-join filter
-        (WHERE conjuncts over LEFT-unit columns), the final group-by (per
-        *spec*, defaulting to the block's own) and the output projection.
+        (:meth:`_apply_post_stage`), the final group-by (per
+        *spec*, defaulting to the block's own) and the output projection
+        (:meth:`_project`).
         *undo* is the entry's ``FINALIZATION`` row: ``None`` for a lazy
         plan, else the aggregates that merge its eager state."""
         plan = self._apply_post_stage(plan)
@@ -1370,11 +1387,17 @@ class _BlockContext:
         plan: PlanNode,
         select: Tuple[Tuple[str, Expression], ...],
     ) -> PlanNode:
+        """The output projection, under the block's conjuncts that read
+        no column (``constant_predicates``)."""
         project = ProjectNode(
             plan, [(None, name, source) for name, source in select]
         )
         self.model.annotate(project)
-        return project
+        if not self.constant_predicates:
+            return project
+        constant = FilterNode(project, self.constant_predicates)
+        self.model.annotate(constant)
+        return constant
 
     # ------------------------------------------------------------------
     # Order bookkeeping

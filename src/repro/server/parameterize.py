@@ -20,18 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..algebra.expressions import (
-    And,
-    Arith,
-    Comparison,
-    Expression,
-    FuncCall,
-    IsNull,
-    Literal,
-    Not,
-    Or,
-    Parameter,
-)
+from ..algebra.expressions import Expression, Literal, Parameter
 from ..algebra.query import CanonicalQuery
 
 
@@ -41,33 +30,7 @@ def _lift(expression: Expression, values: List[Literal]) -> Expression:
     if isinstance(expression, Literal):
         values.append(expression)
         return Parameter(len(values))
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _lift(expression.left, values),
-            _lift(expression.right, values),
-        )
-    if isinstance(expression, Arith):
-        return Arith(
-            expression.op,
-            _lift(expression.left, values),
-            _lift(expression.right, values),
-        )
-    if isinstance(expression, And):
-        return And([_lift(item, values) for item in expression.items])
-    if isinstance(expression, Or):
-        return Or([_lift(item, values) for item in expression.items])
-    if isinstance(expression, Not):
-        return Not(_lift(expression.item, values))
-    if isinstance(expression, IsNull):
-        return IsNull(_lift(expression.item, values), expression.negate)
-    if isinstance(expression, FuncCall):
-        return FuncCall(
-            expression.func_name,
-            expression.func,
-            [_lift(arg, values) for arg in expression.args],
-        )
-    return expression
+    return expression.map_children(lambda child: _lift(child, values))
 
 
 def parameterize_query(

@@ -2,21 +2,25 @@
 
 Scalar expressions reuse the algebra's :class:`Expression` classes
 directly (the parser emits :class:`ColumnRef`, :class:`Comparison`, ...),
-with two parse-only extensions that the binder eliminates:
+with four parse-only kinds that the binder eliminates, all
+:class:`UnboundExpression` s speaking the same expression protocol:
 
 - :class:`AggregateExpr` — an aggregate call appearing in a SELECT or
   HAVING position; the binder turns it into a named aggregate output.
 - :class:`SubqueryExpr` — a parenthesized SELECT used as a scalar in a
   comparison; the binder unnests it (Kim's transformation) into an
   aggregate view.
+- :class:`InSubqueryExpr` / :class:`ExistsExpr` — ``[NOT] IN`` and
+  ``EXISTS`` over a SELECT, lowered to semi / anti join units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from ..algebra.expressions import Expression, FieldKey
+from ..algebra.expressions import Expression
+from ..errors import BindError
 
 
 @dataclass(frozen=True)
@@ -75,160 +79,86 @@ class ViewDefAst:
     body: SelectStmt
 
 
-class AggregateExpr(Expression):
+class UnboundExpression(Expression):
+    """A kind that never reaches a plan: the four parse-time kinds
+    below, which the binder eliminates, and the unparser's aggregate
+    placeholder. Evaluating or typing one is a typed error."""
+
+    def bind(self, schema):
+        raise BindError(self._unbound())
+
+    def dtype(self, schema):
+        raise BindError(self._unbound())
+
+    def _unbound(self) -> str:
+        return (
+            f"{type(self).__name__} {self.display()} must be eliminated "
+            "by the binder before it is typed or evaluated"
+        )
+
+
+class AggregateExpr(UnboundExpression):
     """Parse-time aggregate call: ``func(expr)`` or ``count(*)``.
 
     Exists only between parser and binder; the binder replaces it with a
     reference to a named aggregate output column.
     """
 
-    __slots__ = ("func_name", "arg")
+    VALUES = ("func_name",)
+    OPERANDS = ("arg",)
 
     def __init__(self, func_name: str, arg: Optional[Expression]):
         self.func_name = func_name
         self.arg = arg
 
-    def columns(self):
-        return self.arg.columns() if self.arg is not None else frozenset()
-
-    def substitute(self, mapping):
-        if self.arg is None:
-            return self
-        return AggregateExpr(self.func_name, self.arg.substitute(mapping))
-
-    def bind(self, schema):
-        raise NotImplementedError(
-            "AggregateExpr must be eliminated by the binder before execution"
-        )
-
-    def dtype(self, schema):
-        raise NotImplementedError(
-            "AggregateExpr must be eliminated by the binder"
-        )
-
     def display(self) -> str:
         inner = self.arg.display() if self.arg is not None else "*"
         return f"{self.func_name}({inner})"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AggregateExpr)
-            and self.func_name == other.func_name
-            and self.arg == other.arg
-        )
 
-    def __hash__(self) -> int:
-        return hash(("aggexpr", self.func_name, self.arg))
+class SubqueryPredicate(UnboundExpression):
+    """Base of the parse-time kinds that hold a nested SELECT
+    (``stmt``, a plain value: its columns resolve in its own scope).
+    The binder lowers each to a
+    :class:`repro.algebra.query.SubquerySpec`."""
 
 
-class SubqueryExpr(Expression):
+class SubqueryExpr(SubqueryPredicate):
     """Parse-time scalar subquery. The binder unnests it."""
 
-    __slots__ = ("stmt",)
+    VALUES = ("stmt",)
 
     def __init__(self, stmt: SelectStmt):
         self.stmt = stmt
 
-    def columns(self):
-        return frozenset()
-
-    def substitute(self, mapping):
-        return self
-
-    def bind(self, schema):
-        raise NotImplementedError(
-            "SubqueryExpr must be eliminated by the binder before execution"
-        )
-
-    def dtype(self, schema):
-        raise NotImplementedError("SubqueryExpr must be eliminated by the binder")
-
     def display(self) -> str:
         return "(subquery)"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SubqueryExpr) and self.stmt == other.stmt
 
-    def __hash__(self) -> int:
-        return hash(("subquery", id(self.stmt)))
+class InSubqueryExpr(SubqueryPredicate):
+    """Parse-time ``expr [NOT] IN (SELECT ...)``."""
 
-
-class InSubqueryExpr(Expression):
-    """Parse-time ``expr [NOT] IN (SELECT ...)``. The binder lowers it
-    to a :class:`repro.algebra.query.SubquerySpec`."""
-
-    __slots__ = ("item", "stmt", "negate")
+    VALUES = ("stmt", "negate")
+    OPERANDS = ("item",)
 
     def __init__(self, item: Expression, stmt: SelectStmt, negate: bool):
         self.item = item
         self.stmt = stmt
         self.negate = negate
 
-    def columns(self):
-        return self.item.columns()
-
-    def substitute(self, mapping):
-        return InSubqueryExpr(
-            self.item.substitute(mapping), self.stmt, self.negate
-        )
-
-    def bind(self, schema):
-        raise NotImplementedError(
-            "InSubqueryExpr must be eliminated by the binder before execution"
-        )
-
-    def dtype(self, schema):
-        raise NotImplementedError(
-            "InSubqueryExpr must be eliminated by the binder"
-        )
-
     def display(self) -> str:
         word = "not in" if self.negate else "in"
         return f"{self.item.display()} {word} (subquery)"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, InSubqueryExpr)
-            and self.item == other.item
-            and self.negate == other.negate
-            and self.stmt == other.stmt
-        )
 
-    def __hash__(self) -> int:
-        return hash(("in-subquery", self.item, self.negate, id(self.stmt)))
+class ExistsExpr(SubqueryPredicate):
+    """Parse-time ``EXISTS (SELECT ...)`` (negation arrives wrapped in
+    :class:`repro.algebra.expressions.Not`)."""
 
-
-class ExistsExpr(Expression):
-    """Parse-time ``EXISTS (SELECT ...)``. The binder lowers it to a
-    :class:`repro.algebra.query.SubquerySpec` (negation arrives wrapped
-    in :class:`repro.algebra.expressions.Not`)."""
-
-    __slots__ = ("stmt",)
+    VALUES = ("stmt",)
 
     def __init__(self, stmt: SelectStmt):
         self.stmt = stmt
 
-    def columns(self):
-        return frozenset()
-
-    def substitute(self, mapping):
-        return self
-
-    def bind(self, schema):
-        raise NotImplementedError(
-            "ExistsExpr must be eliminated by the binder before execution"
-        )
-
-    def dtype(self, schema):
-        raise NotImplementedError(
-            "ExistsExpr must be eliminated by the binder"
-        )
-
     def display(self) -> str:
         return "exists (subquery)"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExistsExpr) and self.stmt == other.stmt
-
-    def __hash__(self) -> int:
-        return hash(("exists", id(self.stmt)))

@@ -25,12 +25,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import (
+    COMPARISON_FLIP,
     ColumnRef,
     Comparison,
     Expression,
     FieldKey,
     Not,
-    and_all,
+    collect_parameters,
     conjuncts,
     equijoin_sides,
 )
@@ -50,22 +51,12 @@ from .ast import (
     ExistsExpr,
     InSubqueryExpr,
     JoinClauseAst,
-    SelectItem,
     SelectStmt,
     SubqueryExpr,
-    TableRefAst,
+    SubqueryPredicate,
     ViewDefAst,
 )
 from .parser import parse_select
-
-_COMPARISON_FLIP = {
-    "=": "=",
-    "!=": "!=",
-    "<": ">",
-    ">": "<",
-    "<=": ">=",
-    ">=": "<=",
-}
 
 
 def bind_sql(sql: str, catalog: Catalog) -> CanonicalQuery:
@@ -339,7 +330,9 @@ class Binder:
         for output_name, item in zip(
             definition.column_names, body.select_items
         ):
-            resolved = self._resolve(item.expression, inner_scope)
+            resolved = self._resolve(
+                item.expression, inner_scope, allow_aggregates=True
+            )
             if isinstance(resolved, AggregateExpr):
                 call = AggregateCall(resolved.func_name, resolved.arg)
                 aggregates.append((output_name, call))
@@ -413,68 +406,30 @@ class Binder:
         allow_subquery: bool = False,
         allow_aggregates: bool = False,
     ) -> Expression:
-        if isinstance(expression, SubqueryExpr):
-            if not allow_subquery:
-                raise UnsupportedFeatureError(
-                    "subqueries are only supported in the WHERE clause"
-                )
-            return expression  # lowered later, with its own scope
-        if isinstance(expression, InSubqueryExpr):
-            if not allow_subquery:
-                raise UnsupportedFeatureError(
-                    "subqueries are only supported in the WHERE clause"
-                )
-            return InSubqueryExpr(
-                self._resolve(expression.item, scope),
-                expression.stmt,
-                expression.negate,
-            )
-        if isinstance(expression, ExistsExpr):
-            if not allow_subquery:
-                raise UnsupportedFeatureError(
-                    "subqueries are only supported in the WHERE clause"
-                )
-            return expression  # lowered later, with its own scope
-        if isinstance(expression, AggregateExpr):
-            arg = (
-                self._resolve(expression.arg, scope)
-                if expression.arg is not None
-                else None
-            )
-            return AggregateExpr(expression.func_name, arg)
+        """*expression* with every column reference resolved in *scope*.
+        Subqueries stay for :meth:`_lower_predicate` (each has its own
+        scope); an aggregate's argument resolves with neither allowed."""
         if isinstance(expression, ColumnRef):
             return scope.resolve(expression)
-        mapping: Dict[FieldKey, Expression] = {}
-        rebuilt = expression
-        # Generic recursion: substitute() rebuilds children; we resolve
-        # leaf ColumnRefs via a column mapping.
-        for key in expression.columns():
-            resolved = scope.resolve(ColumnRef(*key))
-            mapping[key] = resolved
-        rebuilt = expression.substitute(mapping) if mapping else expression
-        rebuilt = self._resolve_nested_specials(
-            rebuilt, scope, allow_subquery, allow_aggregates
+        if isinstance(expression, SubqueryPredicate) and not allow_subquery:
+            raise UnsupportedFeatureError(
+                "subqueries are only supported in the WHERE clause"
+            )
+        if isinstance(expression, AggregateExpr):
+            if not allow_aggregates:
+                raise BindError(
+                    f"aggregate {expression.display()} is only allowed in "
+                    "a SELECT item or HAVING, and not inside another "
+                    "aggregate"
+                )
+            return expression.map_children(
+                lambda child: self._resolve(child, scope)
+            )
+        return expression.map_children(
+            lambda child: self._resolve(
+                child, scope, allow_subquery, allow_aggregates
+            )
         )
-        return rebuilt
-
-    def _resolve_nested_specials(
-        self, expression, scope, allow_subquery, allow_aggregates
-    ):
-        """Resolve SubqueryExpr/AggregateExpr nested inside composites."""
-        if isinstance(expression, Comparison):
-            left = expression.left
-            right = expression.right
-            if isinstance(left, (SubqueryExpr, AggregateExpr)):
-                left = self._resolve(
-                    left, scope, allow_subquery, allow_aggregates
-                )
-            if isinstance(right, (SubqueryExpr, AggregateExpr)):
-                right = self._resolve(
-                    right, scope, allow_subquery, allow_aggregates
-                )
-            if left is not expression.left or right is not expression.right:
-                return Comparison(expression.op, left, right)
-        return expression
 
     # ------------------------------------------------------------------
     # Subquery lowering (to neutral specs; flattening happens in
@@ -540,7 +495,7 @@ class Binder:
             raise UnsupportedFeatureError(
                 "comparisons between two subqueries are not supported"
             )
-        op = predicate.op if right_sub else _COMPARISON_FLIP[predicate.op]
+        op = predicate.op if right_sub else COMPARISON_FLIP[predicate.op]
         spec = self._lower_subquery_block(
             subquery.stmt, scope, kind="scalar", outer=outer_side, op=op
         )
@@ -549,16 +504,18 @@ class Binder:
     def _reject_stray_subquery(self, predicate: Expression) -> None:
         """Subqueries are only supported as a top-level AND-ed conjunct
         (one side of a comparison, an IN/EXISTS test, or the NOT of
-        one); anywhere else (inside OR/arithmetic) must fail at bind
-        time, not at execution."""
+        one); anywhere else (inside OR, arithmetic, IS NULL) must fail
+        at bind time, not at execution."""
         if isinstance(predicate, SubqueryExpr):
             raise UnsupportedFeatureError(
                 "a subquery must appear on one side of a comparison"
             )
         if _contains_subquery(predicate):
             raise UnsupportedFeatureError(
-                "subqueries are only supported as a top-level AND-ed "
-                "conjunct (not inside OR/arithmetic)"
+                f"WHERE conjunct {predicate.display()}: subqueries are only "
+                "supported as a top-level AND-ed conjunct (one side of a "
+                "comparison, [NOT] IN or [NOT] EXISTS), not inside OR, "
+                "arithmetic or IS [NOT] NULL"
             )
 
     def _lower_subquery_block(
@@ -815,8 +772,6 @@ class Binder:
         a parameter in a SELECT item or aggregate argument — of the
         outer block, a view, or a scalar subquery — would have no type
         until EXECUTE, so the plan's schema could not be built."""
-        from ..algebra.expressions import collect_parameters
-
         places = [(f"SELECT item {name!r}", e) for name, e in query.select]
         places += [
             ("an aggregate argument", call.arg)
@@ -890,47 +845,15 @@ class _HavingRewriter:
 
 
 def _contains_subquery(expression: Expression) -> bool:
-    if isinstance(expression, (SubqueryExpr, InSubqueryExpr, ExistsExpr)):
-        return True
-    from ..algebra.expressions import And, Arith, Not, Or
-
-    if isinstance(expression, (Comparison, Arith)):
-        return _contains_subquery(expression.left) or _contains_subquery(
-            expression.right
-        )
-    if isinstance(expression, (And, Or)):
-        return any(_contains_subquery(item) for item in expression.items)
-    if isinstance(expression, Not):
-        return _contains_subquery(expression.item)
-    return False
+    return isinstance(expression, SubqueryPredicate) or any(
+        map(_contains_subquery, expression.children)
+    )
 
 
 def _replace_aggregates(expression: Expression, intern) -> Expression:
-    """Recursively replace AggregateExpr nodes with output references."""
+    """Replace every AggregateExpr with its output reference."""
     if isinstance(expression, AggregateExpr):
         return ColumnRef(None, intern(expression, None))
-    from ..algebra.expressions import And, Arith, Not, Or
-
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _replace_aggregates(expression.left, intern),
-            _replace_aggregates(expression.right, intern),
-        )
-    if isinstance(expression, Arith):
-        return Arith(
-            expression.op,
-            _replace_aggregates(expression.left, intern),
-            _replace_aggregates(expression.right, intern),
-        )
-    if isinstance(expression, And):
-        return And(
-            [_replace_aggregates(item, intern) for item in expression.items]
-        )
-    if isinstance(expression, Or):
-        return Or(
-            [_replace_aggregates(item, intern) for item in expression.items]
-        )
-    if isinstance(expression, Not):
-        return Not(_replace_aggregates(expression.item, intern))
-    return expression
+    return expression.map_children(
+        lambda child: _replace_aggregates(child, intern)
+    )

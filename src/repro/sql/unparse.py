@@ -33,6 +33,7 @@ from ..algebra.query import (
 )
 from ..catalog.schema import RID_COLUMN
 from ..errors import UnsupportedFeatureError
+from .ast import UnboundExpression
 
 
 def expression_to_sql(expression: Expression) -> str:
@@ -148,26 +149,16 @@ def _inline_aggregates(expression: Expression, aggregate_map):
     return expression.substitute(mapping) if mapping else expression
 
 
-class _AggregatePlaceholder(Expression):
+class _AggregatePlaceholder(UnboundExpression):
     """Unparse-only wrapper rendering as the aggregate call."""
+
+    VALUES = ("call",)
 
     def __init__(self, call: AggregateCall):
         self.call = call
 
-    def columns(self):
-        return frozenset()
-
-    def substitute(self, mapping):
-        return self
-
     def display(self):
         return self.call.display()
-
-    def bind(self, schema):  # pragma: no cover - unparse-only
-        raise NotImplementedError
-
-    def dtype(self, schema):  # pragma: no cover - unparse-only
-        raise NotImplementedError
 
 
 def view_to_sql(view: AggregateView) -> str:

@@ -34,6 +34,10 @@ from typing import List, Optional, Sequence, Tuple
 
 HOLISTIC_AGGREGATES = ("stddev", "median")
 
+RARE_CONJUNCT_PROB = 0.04
+"""Per query, the chance of each rare conjunct: an alias-free WHERE
+conjunct, and a HAVING ``IS [NOT] NULL`` over an aggregate."""
+
 
 @dataclass(frozen=True)
 class PredSpec:
@@ -1043,7 +1047,36 @@ class ScriptGenerator:
             else:
                 query = self._gen_query()
             script.append(Stmt("query", query.to_sql(), query=query))
+
+        # Drawn after every other choice, so a script that draws
+        # neither is exactly what its seed generates without them.
+        for stmt in script:
+            if stmt.query is not None and self._rare_conjuncts(stmt.query):
+                stmt.sql = stmt.query.to_sql()
         return script
+
+    def _rare_conjuncts(self, query: QuerySpec) -> bool:
+        """Rarely add a WHERE conjunct that reads no column (``1 = 0``
+        holds for no row, ``2 >= 1`` for all) and, to a grouped query,
+        a HAVING ``IS [NOT] NULL`` test of an aggregate. Returns
+        whether *query* changed."""
+        rng = self.rng
+        changed = False
+        if rng.random() < RARE_CONJUNCT_PROB:
+            left, right = rng.randint(0, 2), rng.randint(0, 2)
+            op = rng.choice(self.COMPARISONS)
+            query.where.append(PredSpec(f"{left} {op} {right}", frozenset()))
+            changed = True
+        if query.is_grouped and rng.random() < RARE_CONJUNCT_PROB:
+            aggregates = [item for item in query.select if item.is_aggregate]
+            if aggregates:
+                target = rng.choice(aggregates)
+                negate = " not" if rng.random() < 0.5 else ""
+                query.having.append(
+                    PredSpec(f"{target.sql} is{negate} null", target.aliases)
+                )
+                changed = True
+        return changed
 
 
 def _output_type(item: SelectItem, by_alias) -> str:

@@ -98,7 +98,9 @@ def pull_up(
     where_new: List[Expression] = []
     having_new: List[Expression] = []
     for predicate in query.predicates:
-        if not predicate.aliases() <= pulled | {view_alias}:
+        aliases = predicate.aliases()
+        if not aliases or not aliases <= pulled | {view_alias}:
+            # a conjunct over no alias stays where every plan applies it
             kept.append(predicate)
         elif predicate.columns() & aggregated:
             # deferred (Definition 1, item 4)

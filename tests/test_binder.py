@@ -367,6 +367,42 @@ class TestUnnesting:
                 emp_dept_db.catalog,
             )
 
+    @pytest.mark.parametrize(
+        "aggregate, negate",
+        [("count(*)", ""), ("max(d.budget)", ""), ("count(*)", " not")],
+    )
+    def test_scalar_subquery_under_is_null_rejected_at_bind_time(
+        self, emp_dept_db, aggregate, negate
+    ):
+        """Once planned with no filter at all (every row returned); now
+        a typed error naming the conjunct, on every path into the
+        binder, before anything is planned or evaluated."""
+        db = emp_dept_db
+        sql = (
+            f"select e.eno from emp e where (select {aggregate} from dept d "
+            f"where d.dno = e.dno) is{negate} null"
+        )
+        message = rf"\(\(subquery\) IS{negate.upper()} NULL\)"
+        with db.session() as session:
+            for attempt in (
+                lambda: bind_sql(sql, db.catalog),
+                lambda: db.query(sql),
+                lambda: db.reference(sql),
+                lambda: session.execute(sql),
+            ):
+                with pytest.raises(UnsupportedFeatureError, match=message):
+                    attempt()
+
+    def test_aggregate_outside_select_and_having_rejected(
+        self, emp_dept_db
+    ):
+        for sql in (
+            "select e.eno from emp e where sum(e.sal) > 3",
+            "select e.dno, sum(max(e.sal)) from emp e group by e.dno",
+        ):
+            with pytest.raises(BindError, match="aggregate"):
+                emp_dept_db.query(sql)
+
     def test_grouped_subquery_rejected(self, emp_dept_db):
         with pytest.raises(UnsupportedFeatureError):
             bind_sql(

@@ -9,8 +9,9 @@ filter / project / rename chain, ``_FUSABLE``) and its live-set rule
 parameter binding, legality checking, pruning's rebuild — is one walk
 over the protocol (``ARGS``, ``replace``, ``expressions``,
 ``map_expressions``), and an AST check keeps per-kind ``isinstance``
-ladders from growing back. A node kind no table knows is a typed error.
-No entry point takes an executor name.
+ladders from growing back: over plan-node kinds, and over expression
+kinds, where only the semantic dispatchers may branch. A node kind no
+table knows is a typed error. No entry point takes an executor name.
 """
 
 import ast
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.algebra.expressions import Expression
 from repro.algebra.legality import check_plan
 from repro.algebra.plan import PlanNode, explain, plan_nodes
 from repro.catalog.schema import RowSchema
@@ -28,6 +30,7 @@ from repro.engine import ExecutionContext, execute_plan, executor
 from repro.errors import ExecutionError, PlanError
 from repro.optimizer.pruning import LIVE_SET_RULES, prune_plan
 from repro.server.planrewrite import clone_plan
+from repro.sql import unparse  # noqa: F401 - defines an expression kind
 from repro.server.session import Session
 
 from .dp_support import e2e_statements, run_examples
@@ -129,10 +132,26 @@ LADDERS_ALLOWED = {
     "_key_filter_path",
 }
 
+# The expression kinds' semantic dispatchers: what each kind means to
+# the kernel emitter (value / truth / untruth), the unparser, the
+# selectivity estimate and the binder's resolution and subquery
+# lowering. Structural walks (children, parameters, literal lifting,
+# the binder's subquery / aggregate walks) go through the expression
+# protocol and may not branch on kinds.
+EXPRESSION_LADDERS_ALLOWED = {
+    "value",
+    "truth",
+    "untruth",
+    "expression_to_sql",
+    "selectivity",
+    "_resolve",
+    "_lower_predicate",
+}
+
 
 def _kinds_tested(test, kinds):
-    """Plan-node kinds *test* checks with ``isinstance`` or a
-    ``type(x) is`` comparison."""
+    """The *kinds* *test* checks with ``isinstance`` or a ``type(x)
+    is`` comparison."""
     found = set()
     for node in ast.walk(test):
         if (
@@ -172,11 +191,22 @@ def _chains(body):
         run = []
 
 
-def _ladders():
+def expression_kinds():
+    """Every ``Expression`` subclass in ``repro``, the abstract bases
+    that group kinds included (testing one is branching on kinds)."""
+    found, pending = [], [Expression]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("repro."):
+                found.append(cls)
+    return found
+
+
+def _ladders(kinds):
     """``(function, file:line, kinds)`` for every chain in src/repro
-    that tests more than two plan-node kinds; *function* is the
-    innermost one holding the chain."""
-    kinds = {cls.__name__ for cls in concrete_plan_nodes()}
+    that tests more than two of *kinds*; *function* is the innermost
+    one holding the chain."""
     for path in sorted(SRC.rglob("*.py")):
         chains = {}
         functions = ast.walk(ast.parse(path.read_text(), str(path)))
@@ -209,10 +239,28 @@ def test_no_plan_node_ladders():
     """A function that branches on more than two plan-node kinds is a
     per-kind table written as code: add the kind's entry to one of the
     three tables, or walk the protocol, instead."""
-    found = {(name, where, tuple(kinds)) for name, where, kinds in _ladders()}
+    kinds = {cls.__name__ for cls in concrete_plan_nodes()}
+    found = {
+        (name, where, tuple(tested))
+        for name, where, tested in _ladders(kinds)
+    }
     assert {name for name, _, _ in found} >= LADDERS_ALLOWED
     ladders = sorted(entry for entry in found if entry[0] not in LADDERS_ALLOWED)
     assert not ladders, f"isinstance ladders over plan-node kinds: {ladders}"
+
+
+def test_no_structural_expression_ladders():
+    """Only the semantic dispatchers branch on more than two expression
+    kinds, one chain each; a structural walk uses the protocol
+    (``children``, ``map_children``) instead."""
+    kinds = {cls.__name__ for cls in expression_kinds()}
+    assert len(kinds) >= 16
+    found = [
+        (name, where, tuple(tested))
+        for name, where, tested in _ladders(kinds)
+    ]
+    names = [name for name, _, _ in found]
+    assert sorted(names) == sorted(EXPRESSION_LADDERS_ALLOWED), found
 
 
 def test_execution_context_has_no_engine_field():

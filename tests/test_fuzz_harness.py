@@ -22,7 +22,13 @@ from repro.testing.runner import (
     write_corpus_case,
 )
 from repro.testing.shrink import Shrinker
-from repro.testing.sqlgen import Stmt
+from repro.testing.sqlgen import (
+    PredSpec,
+    QuerySpec,
+    RelRef,
+    SelectItem,
+    Stmt,
+)
 
 PLANCACHE = next(config for config in CONFIGS if config.session)
 
@@ -48,6 +54,23 @@ class TestGenerator:
         # every statement classifies back to its own kind
         for stmt in script:
             assert classify_statement(stmt.render()) == stmt.kind
+
+    def test_rare_conjuncts_are_drawn(self):
+        """Some scripts carry a WHERE conjunct that reads no column and
+        a HAVING ``IS [NOT] NULL`` over an aggregate; the statement text
+        is the query's."""
+        constant = having_null = 0
+        for seed in range(40):
+            for stmt in generate_script(seed, PROFILES["default"]):
+                if stmt.query is None:
+                    continue
+                assert stmt.sql == stmt.query.to_sql()
+                constant += sum(not p.aliases for p in stmt.query.where)
+                having_null += sum(
+                    p.sql.endswith(" null") and "(" in p.sql
+                    for p in stmt.query.having
+                )
+        assert constant and having_null
 
     def test_render_parse_roundtrip(self, tmp_path):
         script = generate_script(3, PROFILES["smoke"])
@@ -221,6 +244,49 @@ class TestShrinker:
         assert shrinker.budget_exhausted
         # still fails with the original signature
         assert check(result) == ("error", "bogus")
+
+    def test_reduces_to_the_rare_conjuncts(self):
+        """The generator's rare conjuncts shrink like any other: a
+        repro that needs only an alias-free WHERE conjunct and a HAVING
+        ``IS NULL`` of an aggregate keeps those two, one relation and
+        the aggregate's select item."""
+        query = QuerySpec(
+            relations=[RelRef("t1", "r1"), RelRef("t2", "r2")],
+            select=[
+                SelectItem("x1", "r1.c0", frozenset({"r1"})),
+                SelectItem("x2", "sum(r1.c1)", frozenset({"r1"}), True),
+                SelectItem("x3", "count(*)", frozenset(), True),
+            ],
+            where=[
+                PredSpec("r1.c0 = r2.c0", frozenset({"r1", "r2"})),
+                PredSpec("1 = 0", frozenset()),
+                PredSpec("r2.c1 > 3", frozenset({"r2"})),
+            ],
+            group_by=["r1.c0"],
+            having=[
+                PredSpec("sum(r1.c1) is null", frozenset({"r1"})),
+                PredSpec("count(*) > 1", frozenset()),
+            ],
+        )
+        script = [
+            Stmt("create", "create table t1 (c0 int, c1 int)"),
+            Stmt("create", "create table t2 (c0 int, c1 int)"),
+            Stmt("query", query.to_sql(), query=query),
+        ]
+
+        def check(candidate):
+            text = render_script(candidate)
+            if " 1 = 0" in text and "sum(r1.c1) is null" in text:
+                return "both"
+            return None
+
+        (shrunk,) = shrink_script(script, check)
+        assert [p.sql for p in shrunk.query.where] == ["1 = 0"]
+        assert [p.sql for p in shrunk.query.having] == [
+            "sum(r1.c1) is null"
+        ]
+        assert [rel.alias for rel in shrunk.query.relations] == ["r1"]
+        assert len(shrunk.query.select) == 1
 
     def test_synthetic_ddmin(self):
         """ddmin over a pure-statement failure condition: needs both

@@ -87,6 +87,25 @@ class TestPrepareExecute:
             # NULL never equals anything: empty, not an error.
             assert session.execute("EXECUTE who(null)").rows == []
 
+    def test_a_parameter_in_a_constant_conjunct_is_kept(self, emp_dept_db):
+        """``$1 = 1`` reads no column: it was once dropped from the
+        plan, so the statement prepared with no parameter and every
+        EXECUTE failed on arity."""
+        with emp_dept_db.session() as session:
+            session.execute(
+                "PREPARE gate AS SELECT e.eno FROM emp e "
+                "WHERE e.age > $2 AND $1 = 1"
+            )
+            everyone = emp_dept_db.query(
+                "SELECT e.eno FROM emp e WHERE e.age > 40"
+            )
+            assert rows_of(session.execute("EXECUTE gate(1, 40)")) == sorted(
+                tuple(r) for r in everyone.rows
+            )
+            assert session.execute("EXECUTE gate(0, 40)").rows == []
+            with pytest.raises(ReproError, match="expects 2 values"):
+                session.execute("EXECUTE gate(1)")
+
     def test_deallocate(self, emp_dept_db):
         with emp_dept_db.session() as session:
             session.execute(
@@ -344,8 +363,6 @@ class TestParameterize:
 
 
 def _walk(expression):
-    from repro.algebra.expressions import expression_children
-
     yield expression
-    for child in expression_children(expression):
+    for child in expression.children:
         yield from _walk(child)
