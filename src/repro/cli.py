@@ -453,7 +453,8 @@ def fuzz_main(argv: List[str]) -> int:
             f"io_equal={tally.io_equal} "
             f"io_index_exempt={tally.io_index_exempt} "
             f"filters_fired={tally.filters_fired} "
-            f"folds={tally.folds}"
+            f"folds={tally.folds} "
+            f"ordered_searches={tally.ordered_searches}"
             + (
                 f" rechecked={recheck.rechecked} survived={recheck.survived}"
                 if recheck is not None

@@ -123,6 +123,24 @@ class CostModel:
         plan.props = props
         return props
 
+    def is_monotonic(self) -> bool:
+        """Whether a node's cost is never below the cost of an input it
+        consumes. It is: every formula adds a non-negative local charge
+        (page IO, and the CPU term at a non-negative weight) to its
+        inputs' costs. An index NLJ probes its inner scan instead of
+        consuming it, so only its outer counts. ``_prune``'s per-class
+        cut and the collapsed search (DESIGN §6) rely on it."""
+        return True
+
+    @property
+    def working_pages(self) -> int:
+        """The pages every operator can hold: a sort run, a hash build
+        and a group table get ``memory_pages``, a block nested-loop
+        join ``memory_pages - 2`` (its inner and its output take two).
+        No formula charges extra IO for a relation no larger than this,
+        wherever it is consumed — and so no input order can save any."""
+        return max(1, self.params.memory_pages - 2)
+
     def cpu_weighted(self, cost: float, rows: float) -> float:
         """*cost* plus the node-local CPU term of the weighted
         objective, for a node emitting *rows* tuples (inert at the
@@ -411,7 +429,7 @@ class CostModel:
         inner_is_scan = (
             isinstance(right_plan, ScanNode) and right_plan.index_name is None
         )
-        cache_pages = max(1, memory - 2)
+        cache_pages = self.working_pages
         if inner_is_scan:
             table_pages = float(
                 self.catalog.stats(right_plan.table_name).page_count
@@ -436,12 +454,8 @@ class CostModel:
         if child is None:
             raise PlanError("group-by child must be annotated first")
         meta = dict(child.colmeta)
-        groups = self._count(
-            plan,
-            self.estimator.group_rows(child.rows, plan.group_keys, meta),
-        )
+        groups = self._groups(plan)
 
-        internal_width = plan.internal_schema.width
         if plan.method == "sort":
             child_keys = set(plan.group_keys)
             prefix = set(child.order[: len(plan.group_keys)])
@@ -455,7 +469,7 @@ class CostModel:
         else:
             extra = hash_group_extra_io(
                 child.pages,
-                estimated_pages(groups, internal_width),
+                estimated_pages(groups, plan.internal_schema.width),
                 self.params.memory_pages,
             )
             order = ()
@@ -486,6 +500,25 @@ class CostModel:
             cost=child.cost + extra,
             order=out_order,
             colmeta=out_meta,
+        )
+
+    def _groups(self, plan: GroupByNode) -> float:
+        """*plan*'s group count before HAVING, over its annotated
+        child."""
+        child = plan.child.props
+        return self._count(
+            plan,
+            self.estimator.group_rows(
+                child.rows, plan.group_keys, child.colmeta
+            ),
+        )
+
+    def group_table_pages(self, plan: GroupByNode) -> float:
+        """The pages of *plan*'s hash table — one internal-width row
+        per group — which ``hash_group_extra_io`` compares with
+        ``memory_pages``."""
+        return estimated_pages(
+            self._groups(plan), plan.internal_schema.width
         )
 
     def _annotate_sort(self, plan: SortNode) -> PlanProps:

@@ -25,6 +25,11 @@ step becomes *retention*: the DP keeps every shape as an entry keyed by
 its state, and the final choice falls out of plan cost, with the lazy
 entry guaranteed to survive pruning.
 
+Interesting orders are kept only where they can pay: a block whose
+every relation fits in memory is searched with its order classes
+collapsed, and one past the memory cliff with them
+(``BlockOptimizer._search``).
+
 Blocks are optimized over *leaves*: base tables or derived relations
 (pre-optimized view plans), which is how the two-phase algorithms of
 Sections 5.3/5.4 reuse this module for both phases.
@@ -39,14 +44,16 @@ reference). Predicate classification per (subset, joined alias) and
 leaf access-path plans are memoized so each is computed once, not once
 per candidate join.
 
-Enumeration is *cost-first*: the 3–4 physical methods of one (left
-plan, right plan) pair share their predicates, projection, output
-schema and logical properties (``CostModel.join_logical``, once per
-pair) and differ only in a scalar cost and an output order
-(``CostModel.join_physical``, once per method). Candidates therefore
-travel to ``_prune`` as light :class:`_Entry` records, and a
-:class:`JoinNode` with full ``PlanProps`` is built only for the
-entries pruning retains — about a quarter of what is costed.
+Enumeration is *cost-first*: the physical methods of one (left plan,
+right plan) pair — ``nlj`` always, ``hj`` given an equi key, ``inlj``
+given an index on it, ``smj`` only where orders are kept: one to four
+— share their predicates, projection, output schema and logical
+properties (``CostModel.join_logical``, once per pair) and differ only
+in a scalar cost and an output order (``CostModel.join_physical``, once
+per method). Candidates therefore travel to ``_prune`` as light
+:class:`_Entry` records, and a :class:`JoinNode` with full
+``PlanProps`` is built only for the entries pruning retains — about a
+quarter of what is costed.
 
 Non-inner joins ride the *same* enumerator as **join units**
 (:class:`~repro.algebra.query.JoinUnit`): a unit's leaf never stands
@@ -118,8 +125,9 @@ from .options import OptimizerOptions, level_options
 from .stats import SearchStats
 
 MAX_PLANS_PER_SET = 6
-"""Plans retained per DP subset (per interesting order and eager
-state); bounds memory like a real optimizer would."""
+"""Plans retained per DP subset, all of its classes together: one class
+per eager state, or per (eager state, useful order) where orders are
+kept. Bounds memory like a real optimizer would."""
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,14 @@ class _PendingJoin(NamedTuple):
 
 
 _entry_cost = attrgetter("cost")
+
+_Finalized = Tuple[PlanNode, Optional[PlanNode]]
+"""``BlockOptimizer._finalize``'s (best plan, traditional baseline)."""
+
+
+class _PastTheCliff(Exception):
+    """A walk with order classes collapsed formed a relation larger
+    than ``CostModel.working_pages``: an order could save IO above it."""
 
 
 class _Entry:
@@ -311,10 +327,15 @@ class BlockOptimizer:
             join_units=tuple(join_units),
             post_predicates=tuple(post_predicates),
         )
-        entries = self._dp_table(context).get(context.graph.all_mask)
-        if not entries:
-            raise PlanError("the DP produced no plan for the full block")
-        return self._finalize(context, entries)
+
+        def finish(table):
+            entries = table.get(context.graph.all_mask)
+            if not entries:
+                raise PlanError("the DP produced no plan for the full block")
+            return [self._finalize(context, entries)]
+
+        (found,) = self._search(context, finish)
+        return found
 
     def optimize_block_shared(
         self,
@@ -368,29 +389,36 @@ class BlockOptimizer:
             eager_exclude=frozenset(agg_args - extra_needed),
         )
         graph = context.graph
-        table = self._dp_table(context)
+        masks = [
+            self._request_mask(graph, subset) for _, subset, _, _ in requests
+        ]
 
-        # A request's subset is normally connected (it joins the view's
-        # invariant core to a predicate-connected pull-up set), but the
-        # connected-only enumeration offers no such guarantee in
-        # general: re-run exhaustively rather than fail.
-        if any(
-            self._request_mask(graph, subset) not in table
-            for _, subset, _, _ in requests
-        ):
-            table = self._dp_table(context, force_exhaustive=True)
-
-        results: Dict[object, PlanNode] = {}
-        for key, subset, spec, select in requests:
-            entries = table.get(self._request_mask(graph, subset))
-            if not entries:
-                raise PlanError(
-                    f"shared DP produced no plan for subset {sorted(subset)}"
+        def finish(table):
+            # A request's subset is normally connected (it joins the
+            # view's invariant core to a predicate-connected pull-up
+            # set), but the connected-only enumeration offers no such
+            # guarantee in general: re-run exhaustively rather than fail.
+            if any(mask not in table for mask in masks):
+                table = self._dp_table(context, force_exhaustive=True)
+            finalized = []
+            for mask, (_, subset, spec, select) in zip(masks, requests):
+                entries = table.get(mask)
+                if not entries:
+                    raise PlanError(
+                        "shared DP produced no plan for subset "
+                        f"{sorted(subset)}"
+                    )
+                finalized.append(
+                    self._finalize(context, entries, spec, tuple(select))
                 )
-            results[key], _ = self._finalize(
-                context, entries, spec, tuple(select)
+            return finalized
+
+        return {
+            key: plan
+            for (key, _, _, _), (plan, _) in zip(
+                requests, self._search(context, finish)
             )
-        return results
+        }
 
     @staticmethod
     def _request_mask(graph: JoinGraph, subset: FrozenSet[str]) -> int:
@@ -404,6 +432,39 @@ class BlockOptimizer:
     # ------------------------------------------------------------------
     # DP over subsets
     # ------------------------------------------------------------------
+
+    def _search(
+        self,
+        context: "_BlockContext",
+        finish: Callable[[Dict[int, List[_Entry]]], List[_Finalized]],
+    ) -> List[_Finalized]:
+        """*finish* over the block's DP table, searched with its order
+        classes collapsed where no order can save IO, else with them, as
+        System R keeps them (DESIGN §6 "Orders only where they can
+        pay").
+
+        Orders pay only past the memory cliff, once a relation the
+        search forms exceeds ``CostModel.working_pages``. A leaf past it
+        is seen before the first walk; a join or a group table ends the
+        collapsed walk where it is formed, and the block is searched
+        again with orders. A CPU weight keeps them too: its charge reads
+        each plan's own row estimate, which depends on the join order."""
+        limit = context.working_pages
+        if self.params.cpu_tuple_weight == 0 and all(
+            plan.props.pages <= limit
+            for leaf in context.leaves
+            for plan in context.leaf_plans(leaf)
+        ):
+            adopted = self.stats.eager_alternatives_adopted
+            context.start_walk(ordered=False)
+            try:
+                return finish(self._dp_table(context))
+            except _PastTheCliff:
+                # a shared DP may have finalized a request already
+                self.stats.eager_alternatives_adopted = adopted
+        self.stats.ordered_searches += 1
+        context.start_walk(ordered=True)
+        return finish(self._dp_table(context))
 
     def _dp_table(
         self, context: "_BlockContext", force_exhaustive: bool = False
@@ -580,7 +641,8 @@ class BlockOptimizer:
         if equi:
             methods.append(("hj", None, equi))
             if kind == "inner":
-                methods.append(("smj", None, equi))
+                if context.ordered:
+                    methods.append(("smj", None, equi))
                 access = context.inlj_access(right_plan, equi)
                 if access is not None:
                     methods.append(("inlj", *access))
@@ -598,16 +660,20 @@ class BlockOptimizer:
                 schema,
             )
 
-        scanned = None  # logical properties shared by hj / smj / nlj
+        # logical properties: hj / smj / nlj share one derivation, the
+        # probed inner of an index NLJ gets its own — all derived (and
+        # checked against the memory cliff) before any method is costed
+        scanned = logical_props("hj", equi)
+        logicals = [
+            logical_props(method, equi_keys) if method == "inlj" else scanned
+            for method, _, equi_keys in methods
+        ]
+        context.formed(max(logical[2] for logical in logicals))
         entries: List[_Entry] = []
-        for method, index_name, equi_keys in methods:
+        for (method, index_name, equi_keys), logical in zip(
+            methods, logicals
+        ):
             self.stats.joinplan_calls += 1
-            if method == "inlj":
-                logical = logical_props(method, equi_keys)
-            else:
-                if scanned is None:
-                    scanned = logical_props(method, equi_keys)
-                logical = scanned
             cost, order = model.join_physical(
                 method, left, right_plan, equi_keys, index_name, schema
             )
@@ -700,9 +766,16 @@ class BlockOptimizer:
     def _prune(
         self, context: "_BlockContext", candidates: List[_Entry]
     ) -> List[_Entry]:
-        best: Dict[Tuple[str, Tuple[FieldKey, ...]], _Entry] = {}
+        # A class's cheapest entry dominates the rest of it: no node
+        # costs less than its inputs (``CostModel.is_monotonic``).
+        best: Dict[object, _Entry] = {}
+        ordered = context.ordered
         for entry in candidates:
-            key = (entry.state, context.useful_order(entry.order))
+            key = (
+                (entry.state, context.useful_order(entry.order))
+                if ordered
+                else entry.state
+            )
             incumbent = best.get(key)
             if incumbent is None or entry.cost < incumbent.cost:
                 best[key] = entry
@@ -812,10 +885,10 @@ class _BlockContext:
         self.post_predicates = post_predicates
         self.leaf_by_alias = {leaf.alias: leaf for leaf in leaves}
         self._leaf_plan_cache: Dict[str, List[PlanNode]] = {}
-        # The DP table's lazy slice is, entry for entry, what a
-        # traditional DP retains — until ``_extend`` or ``_prune``
-        # drops a plain join such a DP would have kept.
-        self.lazy_exact = True
+        self.working_pages = self.model.working_pages
+        # ``BlockOptimizer._search`` collapses the order classes where
+        # they cannot pay; a walk started otherwise keeps them.
+        self.start_walk(ordered=True)
 
         # Unit ON conditions and local filters enter the predicate pool:
         # filters place naturally (their mask is the unit's own bit, so
@@ -964,6 +1037,31 @@ class _BlockContext:
         if spec is not None:
             interesting.update(spec.group_keys)
         self.interesting = frozenset(interesting)
+
+    # ------------------------------------------------------------------
+    # One walk of the DP
+    # ------------------------------------------------------------------
+
+    def start_walk(self, ordered: bool) -> None:
+        """Reset what one DP walk accumulates; *ordered* keeps order
+        classes, sort-merge joins and sort group-bys."""
+        self.ordered = ordered
+        # The DP table's lazy slice is, entry for entry, what a
+        # traditional DP retains — until ``_extend`` or ``_prune``
+        # drops a plain join such a DP would have kept.
+        self.lazy_exact = True
+
+    def formed(self, pages: float) -> None:
+        """Note a relation of *pages* pages the walk formed: past the
+        memory cliff, a collapsed walk ends here."""
+        if pages > self.working_pages and not self.ordered:
+            raise _PastTheCliff
+
+    def group_formed(self, group: GroupByNode) -> None:
+        """Note a group-by's hash table and its output."""
+        if not self.ordered:
+            self.formed(self.model.group_table_pages(group))
+            self.formed(group.props.pages)
 
     # ------------------------------------------------------------------
     # Leaves
@@ -1309,6 +1407,7 @@ class _BlockContext:
             eager=eager,
         )
         self.model.annotate(group)
+        self.group_formed(group)
         return group
 
     # ------------------------------------------------------------------
@@ -1358,7 +1457,9 @@ class _BlockContext:
 
         results: List[PlanNode] = []
         keys = list(spec.group_keys)
-        methods = ["hash", "sort"] if _ordered_on(plan, keys) else ["hash"]
+        methods = ["hash"]
+        if self.ordered and _ordered_on(plan, keys):
+            methods.append("sort")
         for method in methods:
             group = GroupByNode(
                 plan,
@@ -1369,6 +1470,7 @@ class _BlockContext:
                 eager=eager_marker,
             )
             self.model.annotate(group)
+            self.group_formed(group)
             results.append(self._project(group, select))
         return results
 

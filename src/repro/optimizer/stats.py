@@ -76,6 +76,12 @@ class SearchStats:
     traditionally, for the no-worse comparison (0 or 1 per call): 0
     when the traditional plan was read out of the DP table the search
     had already built."""
+    ordered_searches: int = 0
+    """Blocks searched with interesting-order classes, sort-merge joins
+    and sort group-bys: some relation the search formed exceeded
+    ``CostModel.working_pages``, so an order could save IO, or the
+    objective has a CPU weight. Every other block is searched with them
+    collapsed (DESIGN §6 "Orders only where they can pay")."""
     timings: Dict[str, float] = field(default_factory=dict)
     """Per-phase elapsed seconds (``leaf_plans``, ``dp``, ``finalize``)."""
 

@@ -119,9 +119,11 @@ class QueryOutcome:
     rows: Optional[List[Tuple[Any, ...]]] = None
     error: Optional[str] = None
     cost: Optional[float] = None
-    io: List[Tuple[float, int, bool, int, int]] = field(default_factory=list)
+    io: List[Tuple[float, int, bool, int, int, int]] = field(
+        default_factory=list
+    )
     """Per execution: ``(exact_io, executed IO, has an index access,
-    runtime key filters fired, joins folded)``."""
+    runtime key filters fired, joins folded, ordered searches)``."""
     survived: Optional[bool] = None
     """Session configs: whether the re-run at the end of the script hit
     the plan cache (``None``: not re-checked)."""
@@ -129,11 +131,14 @@ class QueryOutcome:
     """Session configs: how that re-run disagreed with a fresh plan."""
 
 
-def _io_check(result, db: Database) -> Tuple[float, int, bool, int, int]:
+def _io_check(
+    result, db: Database
+) -> Tuple[float, int, bool, int, int, int]:
     """One executed :class:`~repro.db.QueryResult`: its plan checked as
     a legal operator tree (a :class:`PlanError` if not), against the IO
-    oracle, the runtime key filters its joins fired, and the joins it
-    folded into the group-by above them."""
+    oracle, the runtime key filters its joins fired, the joins it
+    folded into the group-by above them, and the blocks its search
+    searched with order classes (past the memory cliff)."""
     check_plan(result.plan, db.catalog)
     return (
         exact_io(result.plan, result.exec_metrics, db.catalog, db.params),
@@ -141,6 +146,7 @@ def _io_check(result, db: Database) -> Tuple[float, int, bool, int, int]:
         has_index_access(result.plan),
         result.exec_metrics.filters_fired,
         result.exec_metrics.folds,
+        result.optimization.stats.ordered_searches,
     )
 
 
@@ -149,13 +155,15 @@ class IOTally:
     """The executed plans of one config the IO oracle checked: how many,
     how many matched it exactly, how many had an index access (and
     were not required to), the runtime key filters their hash joins
-    fired, and the joins folded into the group-by above them."""
+    fired, the joins folded into the group-by above them, and the blocks
+    their searches searched with order classes."""
 
     io_checked: int = 0
     io_equal: int = 0
     io_index_exempt: int = 0
     filters_fired: int = 0
     folds: int = 0
+    ordered_searches: int = 0
 
     def add(self, other: "IOTally") -> None:
         self.io_checked += other.io_checked
@@ -163,6 +171,7 @@ class IOTally:
         self.io_index_exempt += other.io_index_exempt
         self.filters_fired += other.filters_fired
         self.folds += other.folds
+        self.ordered_searches += other.ordered_searches
 
 
 @dataclass
@@ -551,12 +560,15 @@ def check_script(
                 )
                 continue
             tally = report.io.setdefault(config_name, IOTally())
-            for exact, executed, indexed, fired, folds in outcome.io:
+            for exact, executed, indexed, fired, folds, ordered in (
+                outcome.io
+            ):
                 tally.io_checked += 1
                 tally.io_equal += exact == executed
                 tally.io_index_exempt += indexed
                 tally.filters_fired += fired
                 tally.folds += folds
+                tally.ordered_searches += ordered
                 if exact != executed and not indexed:
                     report.divergences.append(
                         Divergence(

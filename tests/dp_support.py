@@ -8,6 +8,10 @@ the oracle case of ``test_property_optimizer.py``).
   with every join candidate built and annotated as a node before
   pruning — what the enumerator did before it costed candidates as
   scalars.
+- :class:`OrderedOptimizer`, the test-only reference of the collapsed
+  search: the same DP with every block searched with its interesting-
+  order classes, sort-merge joins and sort group-bys, as every block
+  was before blocks within memory dropped them.
 - :func:`second_search`, the other test-only oracle: the independent
   traditional search ``optimize_query`` ran for its no-worse baseline
   before it read that plan out of its own DP table
@@ -162,6 +166,15 @@ class BuildEverythingOptimizer(BlockOptimizer):
                 _Entry.of_plan(node, candidate.state)
             )
         return entries
+
+
+class OrderedOptimizer(BlockOptimizer):
+    """The DP with order classes kept in every block, within memory
+    too."""
+
+    def _search(self, context, finish):
+        context.start_walk(ordered=True)
+        return finish(self._dp_table(context))
 
 
 def second_search(

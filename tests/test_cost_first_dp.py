@@ -14,10 +14,12 @@ from __future__ import annotations
 from pathlib import Path
 from types import SimpleNamespace
 
+from repro import CostParams
 from repro.algebra.plan import JoinNode, ScanNode
 from repro.catalog.schema import Field
 from repro.cost import CostModel
 from repro.datatypes import DataType
+from repro.optimizer import optimize_query
 from repro.optimizer.block import (
     LAZY,
     BaseLeaf,
@@ -78,6 +80,8 @@ def test_retained_entries_match_annotate_tree(monkeypatch):
     monkeypatch.setattr(BlockOptimizer, "_prune", checking)
     for _, db, sql in e2e_statements():
         db.optimize(sql)
+        # and past the memory cliff, where the order classes are kept
+        optimize_query(db.bind(sql), db.catalog, CostParams(memory_pages=3))
     # No corpus text retains an index NLJ; a one-customer outer does.
     # The filter on the probed inner makes its (unclamped) metadata
     # differ from the scanned input's that hj / smj / nlj share.
@@ -116,7 +120,11 @@ def test_counters_and_survivors_only(emp_dept_db):
 class TestEqualCostKeepsFirstGenerated:
     def test_prune_keeps_the_first_of_equal_candidates(self, emp_dept_db):
         optimizer = BlockOptimizer(emp_dept_db.catalog)
-        context = SimpleNamespace(useful_order=lambda order: order)
+        # a block past the memory cliff: its candidates keep their
+        # order classes, so the cheaper one of another order is kept too
+        context = SimpleNamespace(
+            useful_order=lambda order: order, ordered=True
+        )
         scan = ScanNode("emp", "e", [Field("e", "eno", DataType.INT)])
         first, second, cheaper_other_order = (
             _Entry(10.0, (), 4, LAZY, plan=scan),

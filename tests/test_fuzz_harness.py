@@ -318,6 +318,7 @@ class TestRunFuzz:
             "io_index_exempt": report.io["full-batch"].io_index_exempt,
             "filters_fired": report.io["full-batch"].filters_fired,
             "folds": report.io["full-batch"].folds,
+            "ordered_searches": report.io["full-batch"].ordered_searches,
         }
 
     def test_duration_cap_stops_early(self):
