@@ -25,6 +25,7 @@ from ..storage.table import HeapTable
 from .schema import Column
 from ..stats.collect import DEFAULT_CONFIG, TableStats, analyze_table
 from ..stats.config import StatsConfig
+from ..trace import traced
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ class TableInfo:
             self._analyzed_rows, 1
         )
 
+    @traced("stats.analyze")
     def analyze(self, config: StatsConfig = DEFAULT_CONFIG) -> TableStats:
         """Force one statistics collection pass now."""
         self._stats = analyze_table(self.table, config)
@@ -180,6 +182,7 @@ class Catalog:
                 relations.add(view.backing_name)
         return frozenset(relations)
 
+    @traced("storage.snapshot")
     def capture_snapshot(self) -> DatabaseSnapshot:
         """Capture a :class:`DatabaseSnapshot` of every table (user
         tables and matview backings) at the current epoch. O(tables):

@@ -1,8 +1,8 @@
 """Interactive SQL shell over an in-memory repro database.
 
 Run with ``python -m repro`` (add ``--demo`` to preload the paper's
-emp/dept example data, ``--stats`` to print the optimizer's search
-counters after every statement, ``--no-view-rewrite`` to stop the
+emp/dept example data, ``--stats`` to print the search counters and
+each statement's time per layer, ``--no-view-rewrite`` to stop the
 optimizer answering queries from materialized views). Statements end
 with ``;``. Besides SQL, the shell understands a few backslash
 commands:
@@ -175,6 +175,11 @@ class Shell:
         self.session.optimizer = self.optimizer
         self.session.options = self.options
         session_result = self.session.execute(sql)
+        self._write_result(session_result)
+        if self.show_stats:
+            self.write("trace: " + session_result.trace.format())
+
+    def _write_result(self, session_result) -> None:
         if session_result.kind == "ddl":
             self.write("ok")
             self._write_cache_stats()
@@ -221,13 +226,9 @@ class Shell:
         estimate-vs-actual q-error (1.0 = exact) after execution."""
         if not self.show_stats:
             return
-        parts = []
-        for name, value in result.optimization.stats.as_dict().items():
-            if isinstance(value, float):
-                parts.append(f"{name}={value:.6f}")
-            else:
-                parts.append(f"{name}={value}")
-        self.write("stats: " + " ".join(parts))
+        stats = result.optimization.stats.as_dict()
+        parts = " ".join(f"{name}={value}" for name, value in stats.items())
+        self.write("stats: " + parts)
         metrics = getattr(result, "exec_metrics", None)
         if metrics is not None and metrics.operators:
             self.write(

@@ -48,6 +48,7 @@ from .sql.binder import bind_sql
 from .stats import StatsConfig
 from .sql.parser import parse_select
 from .storage.iocounter import IOCounter, IOSnapshot
+from .trace import traced
 
 _TYPE_NAMES = {
     "int": DataType.INT,
@@ -225,6 +226,7 @@ class Database:
                 )
         self.catalog.create_table(name, resolved, primary_key=primary_key)
 
+    @traced("storage.insert")
     def insert(self, table: str, rows: Sequence[Sequence[Any]]) -> None:
         heap = self.catalog.table(table)
         before = heap.num_rows
@@ -234,6 +236,7 @@ class Database:
         # canonical (validated) row forms are what the table stored.
         self.catalog.record_insert(table, heap.row_slice(before))
 
+    @traced("storage.index")
     def create_index(
         self, index_name: str, table: str, columns: Sequence[str]
     ) -> None:
@@ -364,6 +367,7 @@ class Database:
         query = self.bind(sql)
         return self.optimize_bound(query, optimizer, options)
 
+    @traced("optimizer.search")
     def optimize_bound(
         self,
         query: CanonicalQuery,

@@ -55,6 +55,7 @@ from ..algebra.plan import (
 from ..catalog.catalog import Catalog
 from ..catalog.schema import RowSchema
 from ..errors import ExecutionError
+from ..trace import traced
 from .batch import ColumnBatch, take
 from .context import ExecutionContext, Result
 from .groupby import group_by_columns, limit_columns, sort_columns
@@ -87,6 +88,7 @@ instead of by a builder. Both tables are looked up by exact type."""
 _SENTINEL = object()
 
 
+@traced("engine.exec")
 def execute_plan(
     plan: Union[PlanNode, "Executable"], context: ExecutionContext
 ) -> Result:

@@ -74,7 +74,6 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from operator import attrgetter
-from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -470,7 +469,6 @@ class BlockOptimizer:
         self, context: "_BlockContext", force_exhaustive: bool = False
     ) -> Dict[int, List[_Entry]]:
         graph = context.graph
-        started = perf_counter()
         table: Dict[int, List[_Entry]] = {}
         for leaf in context.leaves:
             bit = graph.mask_of_alias[leaf.alias]
@@ -483,9 +481,7 @@ class BlockOptimizer:
             table[bit] = self._prune(
                 context, [_Entry.of_plan(plan, LAZY) for plan in plans]
             )
-        self.stats.add_time("leaf_plans", perf_counter() - started)
 
-        started = perf_counter()
         # Connected-only enumeration is sound only when the whole block
         # is one component; a disconnected join graph needs the seed's
         # cross-product extensions, i.e. the exhaustive walk.
@@ -504,7 +500,6 @@ class BlockOptimizer:
             leaf_count = len(graph.aliases)
             total = (1 << leaf_count) - 1 - leaf_count
             self.stats.connected_subsets_skipped += total - visited
-        self.stats.add_time("dp", perf_counter() - started)
         return table
 
     def _expand_subset(
@@ -736,7 +731,6 @@ class BlockOptimizer:
         a traditional DP over this context retains, in order, and the
         second plan is that DP's result (same iteration, same strict
         ``<``: ties break alike); else ``None``."""
-        started = perf_counter()
         best: Optional[PlanNode] = None
         best_undo = None
         baseline: Optional[PlanNode] = None
@@ -756,7 +750,6 @@ class BlockOptimizer:
         assert best is not None
         if context.retain and best_undo is not None:
             self.stats.eager_alternatives_adopted += 1
-        self.stats.add_time("finalize", perf_counter() - started)
         return best, baseline if context.lazy_exact else None
 
     # ------------------------------------------------------------------

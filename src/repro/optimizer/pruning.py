@@ -56,6 +56,7 @@ from ..algebra.plan import (
 from ..catalog.schema import RID_COLUMN
 from ..cost.model import CostModel
 from ..errors import PlanError
+from ..trace import traced
 from .stats import SearchStats
 
 Required = FrozenSet[FieldKey]
@@ -63,6 +64,7 @@ Required = FrozenSet[FieldKey]
 Rule = Callable[[Any, Required], Tuple[Dict[str, Any], Sequence[Required]]]
 
 
+@traced("optimizer.prune")
 def prune_plan(
     plan: PlanNode,
     model: Optional[CostModel] = None,

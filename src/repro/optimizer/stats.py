@@ -4,13 +4,11 @@ The paper's [CS94] claim — "very moderate increase in search space while
 often producing significantly better plans" — is about enumeration
 effort, so every optimizer records it (experiment E7). Besides raw
 enumeration counters, the stats carry the bitset enumerator's savings
-(``connected_subsets_skipped``, ``predicate_split_cache_hits``) and
-per-phase wall-clock timings, so speedups are observable rather than
-asserted."""
+(``connected_subsets_skipped``, ``predicate_split_cache_hits``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 
@@ -82,25 +80,10 @@ class SearchStats:
     ``CostModel.working_pages``, so an order could save IO, or the
     objective has a CPU weight. Every other block is searched with them
     collapsed (DESIGN §6 "Orders only where they can pay")."""
-    timings: Dict[str, float] = field(default_factory=dict)
-    """Per-phase elapsed seconds (``leaf_plans``, ``dp``, ``finalize``)."""
-
-    def add_time(self, phase: str, seconds: float) -> None:
-        """Accumulate *seconds* of wall-clock under *phase*."""
-        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
     def as_dict(self) -> Dict[str, Any]:
-        """Every counter by field name, timings flattened to
-        ``time_<phase>_s`` keys — the CLI never hand-maintains the
-        field list."""
-        out: Dict[str, Any] = {}
-        for spec in fields(self):
-            if spec.name == "timings":
-                continue
-            out[spec.name] = getattr(self, spec.name)
-        for phase in sorted(self.timings):
-            out[f"time_{phase}_s"] = self.timings[phase]
-        return out
+        """Every counter by field name, for the CLI's ``stats:`` line."""
+        return asdict(self)
 
     def summary(self) -> str:
         return (

@@ -48,7 +48,6 @@ three things the bare ``Database`` facade does not have:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -61,6 +60,7 @@ from ..optimizer.options import OptimizerOptions
 from ..sql import ddl
 from ..sql.binder import Binder
 from ..storage.iocounter import IOCounter
+from ..trace import Trace, traced
 
 # clone_plan and bind_parameters have no caller here any more; they stay
 # importable from this module because the end-to-end tracer wraps them
@@ -135,21 +135,15 @@ class PreparedStatement:
 
 @dataclass
 class SessionResult:
-    """What one session statement produced, with its phase timings.
-
-    ``plan_seconds`` covers parse+bind+optimize (near zero on a plan
-    cache hit or prepared execution); ``exec_seconds`` covers execution
-    proper.
-    """
+    """What one session statement produced, and where its time went."""
 
     kind: str  # "query" | "ddl" | "prepare" | "execute" | "deallocate" | "explain"
     rows: List[Tuple[Any, ...]] = dataclass_field(default_factory=list)
     columns: List[str] = dataclass_field(default_factory=list)
     cache_hit: bool = False
-    plan_seconds: float = 0.0
-    exec_seconds: float = 0.0
     statement_name: Optional[str] = None
     query_result: Any = None  # QueryResult for query/execute kinds
+    trace: Optional[Trace] = None
 
 
 class Session:
@@ -193,25 +187,23 @@ class Session:
     # Statement dispatch
     # ------------------------------------------------------------------
 
+    @traced("server.session")
     def execute(self, sql: str) -> SessionResult:
         """Run one statement: a query, DDL/INSERT, EXPLAIN, or the
         PREPARE / EXECUTE / DEALLOCATE session commands."""
         self.statements += 1
-        start = time.perf_counter()
         planned = self._cached_text(sql) if self.use_plan_cache else None
         if planned is not None:
-            return self._execute_query(sql, start, *planned)
+            return self._execute_query(sql, *planned)
         statement = ddl.maybe_parse_ddl(sql)
         if statement is None:
-            return self._execute_query(sql, start, *self._plan_query(sql))
+            return self._execute_query(sql, *self._plan_query(sql))
         handler = _SESSION_STATEMENTS.get(type(statement))
         if handler is not None:
             return handler(self, statement)
         # DDL / writes: run_statement takes the write lock
         self.db.run_statement(statement)
-        return SessionResult(
-            kind="ddl", exec_seconds=time.perf_counter() - start
-        )
+        return SessionResult(kind="ddl")
 
     # ------------------------------------------------------------------
     # Queries — plan cache + snapshot execution
@@ -282,7 +274,6 @@ class Session:
         self,
         kind: str,
         sql: str,
-        start: float,
         planned: PlannedStatement,
         snapshot,
         hit: bool,
@@ -290,12 +281,9 @@ class Session:
         statement_name: Optional[str] = None,
     ) -> SessionResult:
         """Execute a planned statement against *snapshot* with
-        per-execution state; no locks held. *start* is when the
-        statement began, so ``plan_seconds`` covers whatever planning it
-        did."""
+        per-execution state; no locks held."""
         from ..db import QueryResult
 
-        after_planning = time.perf_counter()
         optimization = planned.optimization
         plan = optimization.plan
         context = ExecutionContext(
@@ -307,7 +295,6 @@ class Session:
         )
         # a statement that was just planned compiles for itself
         result = execute_plan(planned.executable or plan, context)
-        finished = time.perf_counter()
         columns = list(planned.columns)
         query_result = QueryResult(
             rows=result.rows,
@@ -325,8 +312,6 @@ class Session:
             rows=result.rows,
             columns=columns,
             cache_hit=hit,
-            plan_seconds=after_planning - start,
-            exec_seconds=finished - after_planning,
             statement_name=statement_name,
             query_result=query_result,
         )
@@ -334,7 +319,6 @@ class Session:
     def _execute_query(
         self,
         sql: str,
-        start: float,
         planned: PlannedStatement,
         snapshot,
         hit: bool,
@@ -344,12 +328,13 @@ class Session:
             raise PlanError(
                 "query contains $n parameters; use PREPARE ... / EXECUTE"
             )
-        return self._run("query", sql, start, planned, snapshot, hit)
+        return self._run("query", sql, planned, snapshot, hit)
 
     # ------------------------------------------------------------------
     # PREPARE / EXECUTE / DEALLOCATE
     # ------------------------------------------------------------------
 
+    @traced("server.session")
     def prepare(self, name: str, body_sql: str) -> SessionResult:
         with self.db.write_lock:
             bound = self.db.bind(body_sql)
@@ -363,6 +348,7 @@ class Session:
                 statement.name, bound, sql=statement.body_sql
             )
 
+    @traced("server.session")
     def prepare_bound(
         self, name: str, query: CanonicalQuery, sql: str = ""
     ) -> SessionResult:
@@ -371,7 +357,6 @@ class Session:
         metamorphic fuzzer lifts literals to ``$n`` this way)."""
         if name in self.prepared:
             raise ReproError(f"prepared statement {name!r} already exists")
-        start = time.perf_counter()
         with self.db.write_lock:
             planned = self._planned(query).compiled(self.db.catalog)
             # read after planning: a lazy matview refresh moves it
@@ -387,12 +372,9 @@ class Session:
         self.prepared[name] = PreparedStatement(
             name=name, sql=sql, query=query, planned=planned, epoch=epoch
         )
-        return SessionResult(
-            kind="prepare",
-            statement_name=name,
-            plan_seconds=time.perf_counter() - start,
-        )
+        return SessionResult(kind="prepare", statement_name=name)
 
+    @traced("server.session")
     def execute_prepared(
         self, name: str, values: List[Literal]
     ) -> SessionResult:
@@ -441,15 +423,14 @@ class Session:
         self, name: str, values: Tuple[Any, ...]
     ) -> SessionResult:
         """EXECUTE with plain values, as the statement parser reads them."""
-        start = time.perf_counter()
         statement, planned, snapshot, hit = self._prepared_plan(name, values)
         result = self._run(
-            "execute", statement.sql, start, planned, snapshot, hit, values,
-            name,
+            "execute", statement.sql, planned, snapshot, hit, values, name
         )
         statement.executions += 1
         return result
 
+    @traced("server.session")
     def deallocate(self, name: str) -> SessionResult:
         if name not in self.prepared:
             raise ReproError(f"unknown prepared statement {name!r}")
@@ -468,7 +449,6 @@ class Session:
         it."""
         from ..db import QueryResult
 
-        start = time.perf_counter()
         execute = statement.execute
         if execute is None:
             sql, values = statement.body_sql, ()
@@ -483,10 +463,10 @@ class Session:
         optimization = planned.optimization
         if statement.analyze:
             if execute is None:
-                run = self._execute_query(sql, start, planned, snapshot, hit)
+                run = self._execute_query(sql, planned, snapshot, hit)
             else:
                 run = self._run(
-                    "execute", sql, start, planned, snapshot, hit, values,
+                    "execute", sql, planned, snapshot, hit, values,
                     execute.name,
                 )
             result = run.query_result

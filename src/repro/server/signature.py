@@ -24,6 +24,7 @@ from ..algebra.aggregates import AggregateCall
 from ..algebra.expressions import Expression
 from ..algebra.query import AggregateView, CanonicalQuery, QueryBlock
 from ..optimizer.options import OptimizerOptions
+from ..trace import traced
 
 
 def _expressions(label: str, items: Iterable[Expression]) -> str:
@@ -139,6 +140,7 @@ def options_fingerprint(options: OptimizerOptions) -> str:
     return repr(options) if options is not None else "default"
 
 
+@traced("server.signature")
 def cache_key(
     query: CanonicalQuery,
     optimizer: str,

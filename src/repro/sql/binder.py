@@ -46,6 +46,7 @@ from ..algebra.query import (
 )
 from ..catalog.catalog import Catalog
 from ..errors import BindError, UnsupportedFeatureError
+from ..trace import traced
 from .ast import (
     AggregateExpr,
     ExistsExpr,
@@ -59,6 +60,7 @@ from .ast import (
 from .parser import parse_select
 
 
+@traced("sql.bind")
 def bind_sql(sql: str, catalog: Catalog) -> CanonicalQuery:
     """Parse and bind one SQL statement against *catalog*."""
     return Binder(catalog).bind(parse_select(sql))

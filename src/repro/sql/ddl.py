@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from ..trace import traced
 from .ast import SelectStmt
 from .lexer import first_word, tokenize
 from .parser import _Parser
@@ -170,6 +171,7 @@ class ExplainStmt:
 DdlStatement = object  # union of the statement dataclasses
 
 
+@traced("sql.parse")
 def maybe_parse_ddl(sql: str) -> Optional[DdlStatement]:
     """Parse *sql* as a command statement, or return None if its first
     word is not a command word (i.e. it is a query)."""

@@ -12,6 +12,7 @@ import re
 from typing import List, NamedTuple
 
 from ..errors import SqlSyntaxError
+from ..trace import traced
 
 KEYWORDS = {
     "select",
@@ -90,6 +91,7 @@ def syntax_error(message: str, sql: str, offset: int) -> SqlSyntaxError:
     )
 
 
+@traced("sql.lex")
 def tokenize(sql: str) -> List[Token]:
     """Tokenize *sql*; raises :class:`SqlSyntaxError` on bad input."""
     tokens: List[Token] = []

@@ -58,6 +58,7 @@ from ..algebra.expressions import (
     Parameter,
 )
 from ..errors import SqlSyntaxError
+from ..trace import traced
 from .ast import (
     AggregateExpr,
     ExistsExpr,
@@ -74,6 +75,7 @@ from .lexer import Token, syntax_error, tokenize
 _KEYWORD_VALUES = {"true": True, "false": False, "null": None}
 
 
+@traced("sql.parse")
 def parse_select(sql: str) -> SelectStmt:
     """Parse one SELECT statement (with optional WITH clause)."""
     parser = _Parser(tokenize(sql), sql)

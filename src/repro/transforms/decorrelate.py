@@ -56,8 +56,10 @@ from ..algebra.query import (
     SubquerySpec,
 )
 from ..optimizer.stats import SearchStats
+from ..trace import traced
 
 
+@traced("transforms.decorrelate")
 def decorrelate_query(
     query: CanonicalQuery, stats: Optional[SearchStats] = None
 ) -> CanonicalQuery:

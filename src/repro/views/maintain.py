@@ -44,6 +44,7 @@ from ..optimizer.options import TRADITIONAL
 from ..sql.binder import Binder
 from ..storage.iocounter import IOCounter, IOSnapshot
 from ..storage.table import HeapTable
+from ..trace import traced
 from ..transforms.coalescing import decompose_aggregates
 from .registry import MaterializedView, backing_table_name
 
@@ -253,6 +254,7 @@ def _partial_plan(
 # ----------------------------------------------------------------------
 
 
+@traced("views.refresh")
 def refresh_materialized_view(
     catalog: Catalog,
     io: IOCounter,
@@ -290,6 +292,7 @@ def refresh_materialized_view(
         catalog.bump_epoch(name, view.backing_name)
 
 
+@traced("views.stale_scan")
 def refresh_stale_views(
     catalog: Catalog,
     io: IOCounter,

@@ -45,6 +45,7 @@ from ..algebra.expressions import (
     FieldKey,
 )
 from ..algebra.query import EquivalenceClasses, QueryBlock
+from ..trace import traced
 from ..transforms.coalescing import (
     DecomposedAggregates,
     decompose_aggregates,
@@ -78,6 +79,7 @@ class ViewMatch:
     each backing row is one result group and no re-grouping is needed."""
 
 
+@traced("views.match")
 def match_view(
     block: QueryBlock, view: MaterializedView
 ) -> Optional[ViewMatch]:

@@ -397,6 +397,8 @@ class TestMetricsSurfacing:
         shell.handle("select e.sal from emp e where e.age < 30;")
         text = out.getvalue()
         assert "stats: " in text
+        assert "time_dp_s" not in text
+        assert "trace: server.session=" in text
         assert "exec:" in text
         assert "rows=" in text
         assert "batches=" in text

@@ -168,7 +168,6 @@ class TestOptimizerParity:
         assert stats.subsets_expanded == 15
         assert stats.connected_subsets_skipped == 57 - 15
         assert stats.predicate_split_cache_hits > 0
-        assert stats.timings.get("dp", 0.0) > 0.0
 
     def test_exhaustive_mode_counts_everything(self):
         workload = build_join_workload(

@@ -136,18 +136,23 @@ class TestCostParams:
 
 
 class TestSearchStats:
-    def test_as_dict_covers_every_field_and_flattens_timings(self):
+    def test_as_dict_covers_every_field(self):
         stats = SearchStats(joinplan_calls=4, connected_subsets_skipped=9)
-        stats.add_time("dp", 0.125)
         out = stats.as_dict()
         assert out["joinplan_calls"] == 4
         assert out["connected_subsets_skipped"] == 9
-        assert out["time_dp_s"] == 0.125
-        assert "timings" not in out
         from dataclasses import fields
 
-        named = {spec.name for spec in fields(SearchStats)} - {"timings"}
-        assert named <= set(out)
+        assert set(out) == {spec.name for spec in fields(SearchStats)}
+
+    def test_search_time_is_the_statements_trace(self, emp_dept_db):
+        """The search's time is the ``optimizer.search`` layer of the
+        statement that searched (``repro.trace``), not a stats field."""
+        with emp_dept_db.session() as session:
+            planned = session.execute("select e.eno from emp e")
+            reused = session.execute("select e.eno from emp e")
+        assert planned.trace.layers["optimizer.search"] > 0.0
+        assert "optimizer.search" not in reused.trace.layers
 
     def test_summary_mentions_counters(self):
         stats = SearchStats(joinplan_calls=12, subsets_expanded=3)
